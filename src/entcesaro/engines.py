@@ -8,16 +8,19 @@ over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
 
 * ``cesaro_direct``    walks the power table of U and contracts the sum
   slot by slot, left to right (cost grows with N).
-* ``cesaro_spectral``  inserts the eigenprojection resolution at every slot,
-  which turns the average into a sum over projection-block tuples weighted
-  by products of Cesaro kernel values (cost independent of N).
+* ``cesaro_spectral``  inserts U = sum_b z_b E_b at every slot: a sum over
+  block tuples t of prod_classes K_N(class phase sum) E_t1 A_1 ... E_tm,
+  K_N the Cesaro kernel.  In the eigenframe W each E_b is a diagonal mask,
+  so the sum is one contraction over W* A_j W (cost independent of N).
 * ``cesaro_nested``    collapses innermost adjacent class pairs recursively;
   valid for non-crossing partitions only.
 
 All three compute the same finite-N sum by different factorizations.  The
-N -> infinity limit keeps exactly the block tuples whose per-class phase
-products equal 1; ``limit_operator`` evaluates it and ``error_bound``
-certifies |M_N - limit| from the kernel deviations.
+limit swaps each class's kernel table for the resonance indicator R (phase
+sum equal to 1) in the same contraction; ``limit_truncated`` restricts R to
+chosen phases.  ``error_bound`` sums |prod K_N - prod R| times each tuple's
+block-chain norm.  ``budget`` caps the entries of a widened swept tensor
+for the mean and limit, and the tuple count B^m for the bound.
 
 Classes of size other than two are supported behind ``general=True``; that
 finite-dimensional extension is flagged and kept out of the default path.
@@ -25,7 +28,8 @@ finite-dimensional extension is flagged and kept out of the default path.
 
 from __future__ import annotations
 
-import itertools
+import cmath
+import math
 import time
 from dataclasses import dataclass
 
@@ -134,21 +138,23 @@ def kernel(phase: Phase, N) -> complex:
 
     Equals 1 at z == 1 and (1 - z^N) / (N (1 - z)) otherwise; exact phases
     use exact rational arithmetic for z^N, so periodic zeros are exact.
+    Float phases use the Dirichlet form e^{i pi (N-1) t} sin(pi N t) /
+    (N sin(pi t)) with t in [-1/2, 1/2), which keeps full relative accuracy
+    near resonance, where 1 - z cancels.
     """
     N = _check_horizon(N)
     if phase.is_exact:
         if phase.frac == 0:
             return 1.0 + 0.0j
-        lam = phase.value()
-        lam_n = phase.power(N).value()
-        return (1.0 - lam_n) / (N * (1.0 - lam))
-    if phase.turns == 0.0:
+        return (1.0 - phase.power(N).value()) / (N * (1.0 - phase.value()))
+    t = phase.turns if phase.turns < 0.5 else phase.turns - 1.0
+    if t == 0.0:
         return 1.0 + 0.0j
-    lam = phase.value()
-    if lam == 1.0 + 0.0j:
-        return 1.0 + 0.0j
-    lam_n = Phase.from_turns(phase.turns * N).value()
-    return (1.0 - lam_n) / (N * (1.0 - lam))
+    # sin(pi N t) = (-1)^n sin(pi (N t - n)) with n the integer nearest N t,
+    # so the kernel vanishes exactly when N t is an integer.
+    n = round(N * t)
+    ratio = (-1) ** (n % 2) * math.sin(math.pi * (N * t - n)) / (N * math.sin(math.pi * t))
+    return cmath.exp(1j * math.pi * (N - 1) * t) * ratio
 
 
 def mean_ergodic(u, N, unitarity_tol: float = 1e-10) -> np.ndarray:
@@ -242,117 +248,125 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     return CesaroResult(matrix, "direct", N, time.perf_counter() - start)
 
 
-def _sandwich_blocks(dec: SpectralDecomposition, ops) -> np.ndarray:
-    """blocks[j, b, c] = E_b @ ops[j] @ E_c, cached once per evaluation."""
-    projections = dec.projections
-    B = len(projections)
-    d = dec.dim
-    blocks = np.empty((len(ops), B, B, d, d), dtype=np.complex128)
-    for j, a in enumerate(ops):
-        left = [proj @ a for proj in projections]
-        for b in range(B):
-            for c in range(B):
-                blocks[j, b, c] = left[b] @ projections[c]
-    return blocks
+def _class_tables(dec: SpectralDecomposition, p: Partition, weight) -> list[np.ndarray]:
+    """Per class, ``weight`` of the class's phase sum for every block tuple.
 
-
-def _tuple_sweep(dec, p, ops, *, mode, N=None, resonance_tol=None, budget):
-    """Depth-first walk over projection-block tuples in lexicographic order.
-
-    mode "mean":  weight each tuple by its kernel product, return the sum.
-    mode "limit": keep tuples whose classes are all resonant, return the sum.
-    mode "bound": return sum of |kernel product - resonance indicator| times
-                  the operator norm of the tuple's block chain.
+    Axis j of a class's table is the block at the class's j-th slot; classes
+    of equal size share one table.
     """
-    B = len(dec.entries)
-    m = p.m
-    if B**m > budget:
-        raise BudgetError(f"spectral engine: B^m = {B**m:.3e} exceeds budget {budget:.1e}")
-    blocks = _sandwich_blocks(dec, ops)
     phases = dec.phases
-    first, last = _first_last(p)
-    labels = p.labels
+    by_size: dict[int, np.ndarray] = {}
+    tables = []
+    for lab in range(1, p.k + 1):
+        size = p.labels.count(lab)
+        if size not in by_size:
+            sums = [Phase.rational(0, 1)]
+            for _ in range(size):
+                sums = [total + ph for total in sums for ph in phases]
+            by_size[size] = np.array([weight(total) for total in sums]).reshape((len(phases),) * size)
+        tables.append(by_size[size])
+    return tables
+
+
+def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.ndarray]:
+    return _class_tables(dec, p, lambda total: kernel(total, N))
+
+
+def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -> list[np.ndarray]:
     tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
+    resonant_partners(dec, tol)  # rejects a tolerance that pairs phases ambiguously
+    return _class_tables(dec, p, lambda total: 1.0 if total.is_one(tol) else 0.0)
 
-    need_kern = mode in ("mean", "bound")
-    need_res = mode in ("limit", "bound")
-    if need_res:
-        partners = resonant_partners(dec, tol)
-        one_single = [phases[b].is_one(tol) for b in range(B)]
-    if need_kern:
-        kern_single = [kernel(phases[b], N) for b in range(B)]
-        kern_pair = [[kernel(phases[b] + phases[c], N) for c in range(B)] for b in range(B)]
 
-    class_size = [0] * p.k
-    for lab in labels:
-        class_size[lab - 1] += 1
+def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int) -> np.ndarray:
+    """Sum over block tuples t of prod_c tables[c][t_c] E_t1 A_1 E_t2 ... A_{m-1} E_tm.
 
-    d = dec.dim
-    matrix = np.zeros((d, d), dtype=np.complex128)
-    bound = 0.0
-    # Per-class carry along the current path: the first block index for pair
-    # classes, the accumulated phase sum for larger ones.
-    carry: list = [None] * p.k
-
-    def walk(pos, prev_b, prefix, kern, resonant):
-        nonlocal matrix, bound
+    In the frame W each E_b is the diagonal 0/1 mask ``blocks == b``, so the
+    sum is W M~ W* with M~ swept over A~_j = W* A_j W slot by slot, left to
+    right, as ``cesaro_direct`` sweeps the power table.  The block at slot 1
+    is the row's block.  Every later slot of a class that stays open widens
+    the class's block axis by B in the product with the next operator, one
+    block of columns at a time; the class's last slot contracts that axis
+    against the class table.  ``budget`` caps the entries of a widened tensor.
+    """
+    first, last = _first_last(p)
+    blk = dec.blocks
+    d, B = dec.dim, len(dec.entries)
+    cols = [np.flatnonzero(blk == b) for b in range(B)]
+    frame_ops = [dec.frame.conj().T @ a @ dec.frame for a in ops]
+    tensor = np.eye(d, dtype=np.complex128)
+    open_labels: list[int] = []  # class of each block axis, in axis order
+    for pos, lab in enumerate(p.labels, start=1):
         idx = pos - 1
-        lab_idx = labels[idx] - 1
-        opens = first[idx] == pos
-        closes = last[idx] == pos
-        saved = carry[lab_idx]
-        for b in range(B):
-            kern_here, resonant_here = kern, resonant
-            if closes:
-                if opens:  # singleton class
-                    if need_kern:
-                        kern_here = kern_here * kern_single[b]
-                    if need_res:
-                        resonant_here = resonant_here and one_single[b]
-                elif class_size[lab_idx] == 2:
-                    if need_kern:
-                        kern_here = kern_here * kern_pair[saved][b]
-                    if need_res:
-                        resonant_here = resonant_here and partners[saved] == b
-                else:
-                    total = saved + phases[b]
-                    if need_kern:
-                        kern_here = kern_here * kernel(total, N)
-                    if need_res:
-                        resonant_here = resonant_here and total.is_one(tol)
-            elif opens:
-                carry[lab_idx] = b if class_size[lab_idx] == 2 else phases[b]
+        if pos > 1:
+            a = frame_ops[pos - 2]
+            if pos > 2 and last[pos - 2] != pos - 1:
+                if tensor.size * B > budget:
+                    raise BudgetError(f"spectral engine: {tensor.size * B:.3e} entries "
+                                      f"exceed budget {budget:.1e}")
+                axis = open_labels.index(p.labels[pos - 2])
+                shape = list(tensor.shape)
+                shape[axis] *= B
+                parts = [tensor[..., c] @ a[c] for c in cols]
+                tensor = np.stack(parts, axis=axis + 1).reshape(shape)
             else:
-                carry[lab_idx] = saved + phases[b]
-            if mode == "mean" and kern_here == 0:
-                continue
-            if mode == "limit" and not resonant_here:
-                continue
-            if mode == "bound" and kern_here == 0 and not resonant_here:
-                continue
-            if pos == 1:
-                # A one-slot partition has no sandwich blocks; the chain is
-                # the bare projection.  Longer chains start at the first block.
-                chain = dec.entries[b].projection if m == 1 else None
-            elif prefix is None:
-                chain = blocks[pos - 2, prev_b, b]
+                tensor = tensor @ a
+        table = tables[lab - 1]
+        if first[idx] == pos and last[idx] == pos:
+            tensor = tensor * table[blk]
+        elif first[idx] == pos:
+            open_labels.append(lab)
+            tensor = tensor[..., None, :, :]
+        elif last[idx] == pos:
+            axis = open_labels.index(lab)
+            if first[idx] == 1:
+                lift = table[blk].reshape(d, -1, B)[..., blk].transpose(1, 0, 2)
             else:
-                chain = prefix @ blocks[pos - 2, prev_b, b]
-            if pos == m:
-                if mode == "mean":
-                    matrix += kern_here * chain
-                elif mode == "limit":
-                    matrix += chain
-                else:
-                    delta = abs(kern_here - (1.0 if resonant_here else 0.0))
-                    if delta != 0.0:
-                        bound += delta * operator_norm(chain)
-            else:
-                walk(pos + 1, b, chain, kern_here, resonant_here)
-        carry[lab_idx] = saved
+                lift = table.reshape(-1, 1, B)[..., blk]
+            later = len(open_labels) - 1 - axis
+            lift = lift.reshape(lift.shape[:1] + (1,) * later + lift.shape[1:])
+            tensor = (tensor * lift).sum(axis=axis)
+            open_labels.pop(axis)
+    return dec.frame @ tensor @ dec.frame.conj().T
 
-    walk(1, -1, None, 1.0 + 0.0j, True)
-    return matrix, bound
+
+def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> np.ndarray:
+    """||E_t1 A_1 E_t2 ... A_{m-1} E_tm|| for every block tuple t, shape (B,)*m.
+
+    Each chain's norm is that of the product of the r_b x r_c frame blocks of
+    A~_j = W* A_j W along t, zero-padded to the largest rank.  The tuples are
+    extended one slot at a time, so every prefix product is formed once.
+    """
+    B, blk = len(dec.entries), dec.blocks
+    if B**p.m > budget:
+        raise BudgetError(f"spectral engine: B^m = {B**p.m:.3e} exceeds budget {budget:.1e}")
+    within = np.empty(dec.dim, dtype=int)  # position of each column inside its block
+    for b in range(B):
+        within[blk == b] = np.arange(np.count_nonzero(blk == b))
+    r = int(within.max()) + 1
+    chain = np.zeros((B, r, r), dtype=np.complex128)  # E_t1 alone: identity blocks
+    chain[blk, within, within] = 1.0
+    for a in ops:
+        blocks = np.zeros((B, B, r, r), dtype=np.complex128)
+        blocks[blk[:, None], blk[None, :], within[:, None], within[None, :]] = (
+            dec.frame.conj().T @ a @ dec.frame
+        )
+        chain = chain[..., None, :, :] @ blocks
+    return np.linalg.norm(chain, 2, axis=(-2, -1))
+
+
+def _spread(p: Partition, tables) -> np.ndarray:
+    """Product over classes of the class tables, broadcast to one axis per slot."""
+    total = np.ones((1,) * p.m)
+    for lab, table in enumerate(tables, start=1):
+        total = total * table.reshape([table.shape[0] if l == lab else 1 for l in p.labels])
+    return total
+
+
+def _bound(dec: SpectralDecomposition, p: Partition, norms: np.ndarray, N: int, resonance) -> float:
+    """Sum over block tuples of |prod K_N - prod R| times the tuple's chain norm."""
+    weight = np.abs(_spread(p, _kernel_tables(dec, p, N)) - _spread(p, resonance))
+    return float(np.sum(weight * norms))
 
 
 def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
@@ -360,13 +374,13 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
 
     Mathematically identical to ``cesaro_direct`` for every N; the cost does
-    not depend on N.  Block tuples are accumulated in lexicographic order.
+    not depend on N.  ``budget`` caps the entries of the swept tensor.
     """
     start = time.perf_counter()
     p = _check_partition(p, general)
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
-    matrix, _ = _tuple_sweep(dec, p, ops, mode="mean", N=N, budget=budget)
+    matrix = _contract(dec, p, ops, _kernel_tables(dec, p, N), budget)
     return CesaroResult(matrix, "spectral", N, time.perf_counter() - start)
 
 
@@ -411,33 +425,21 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
     Every element of ``phases`` must lie in the antidiagonal spectrum.  The
     first slot of each class carries the conjugate projection, the second the
     plain one.  With the full antidiagonal spectrum this is the limit
-    operator itself.
+    operator itself, bit for bit.
     """
-    structure = require_pair(p)
+    require_pair(p)
     ops = _check_ops(p, ops, dec.dim)
-    tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
-    partners = resonant_partners(dec, tol)
+    partners = resonant_partners(dec, resonance_tol)
     index_of = {line.phase: b for b, line in enumerate(dec.entries)}
-    chosen = set()
+    chosen = np.zeros(len(dec.entries))
     for ph in phases:
         b = index_of.get(ph)
         if b is None or partners[b] is None:
             raise ValueError(f"phase {ph} is not in the antidiagonal spectrum")
-        chosen.add(b)
-    chosen = sorted(chosen)
-    blocks = _sandwich_blocks(dec, ops)
-    matrix = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    slot_block = [0] * p.m
-    for combo in itertools.product(chosen, repeat=p.k):
-        for l, b in enumerate(combo):
-            i_l, j_l = structure.class_pairs[l]
-            slot_block[i_l - 1] = partners[b]
-            slot_block[j_l - 1] = b
-        chain = blocks[0, slot_block[0], slot_block[1]]
-        for j in range(1, p.m - 1):
-            chain = chain @ blocks[j, slot_block[j], slot_block[j + 1]]
-        matrix += chain
-    return matrix
+        chosen[b] = 1.0
+    # R_S[b, c] = [c in S and partners[c] == b]: the mask acts on the last slot.
+    tables = [table * chosen for table in _resonance_tables(dec, p, resonance_tol)]
+    return _contract(dec, p, ops, tables, SPECTRAL_TUPLE_BUDGET)
 
 
 def limit_operator(dec: SpectralDecomposition, p: Partition, ops,
@@ -445,12 +447,8 @@ def limit_operator(dec: SpectralDecomposition, p: Partition, ops,
                    budget: int = SPECTRAL_TUPLE_BUDGET) -> np.ndarray:
     """Limit of the entangled mean: the sum over resonant block tuples."""
     p = _check_partition(p, general)
-    if p.is_pair():
-        sigma = antidiagonal_spectrum(dec, resonance_tol)
-        return limit_truncated(dec, p, ops, sigma, resonance_tol)
     ops = _check_ops(p, ops, dec.dim)
-    matrix, _ = _tuple_sweep(dec, p, ops, mode="limit", resonance_tol=resonance_tol, budget=budget)
-    return matrix
+    return _contract(dec, p, ops, _resonance_tables(dec, p, resonance_tol), budget)
 
 
 def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y,
@@ -470,21 +468,20 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
     """Certified bound on the operator-norm distance of M_N from the limit.
 
     Sums |kernel product - resonance indicator| times the operator norm of
-    the block chain over all tuples; by the triangle inequality this
-    dominates the true error of the spectral representation.
+    the block chain over all B^m block tuples (``budget`` caps B^m); by the
+    triangle inequality this dominates the true error of the spectral
+    representation.
     """
     p = _check_partition(p, general)
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
-    _, bound = _tuple_sweep(dec, p, ops, mode="bound", N=N,
-                            resonance_tol=resonance_tol, budget=budget)
-    return bound
+    norms = _chain_norms(dec, p, ops, budget)
+    return _bound(dec, p, norms, N, _resonance_tables(dec, p, resonance_tol))
 
 
 def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None) -> float:
     """Smallest |1 - z*w| over non-resonant phase pairs; inf when none exist."""
-    tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
-    partners = resonant_partners(dec, tol)
+    partners = resonant_partners(dec, resonance_tol)
     phases = dec.phases
     gap = float("inf")
     for b in range(len(phases)):
@@ -505,8 +502,12 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     if engine not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINE_NAMES}")
     p = _check_partition(p, general)
+    ops = _check_ops(p, ops, dec.dim)
     limit = limit_operator(dec, p, ops, resonance_tol, general=general)
     gap = spectral_gap(dec, resonance_tol)
+    # The chain norms do not depend on N: one tensor serves every horizon.
+    norms = _chain_norms(dec, p, ops, SPECTRAL_TUPLE_BUDGET)
+    resonance = _resonance_tables(dec, p, resonance_tol)
     source = reconstruct(dec) if engine == "direct" else None
     rows = []
     for n in Ns:
@@ -521,7 +522,7 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
             N=n,
             error_op=operator_norm(diff),
             error_frob=frobenius_norm(diff),
-            certified_bound=error_bound(dec, p, ops, n, resonance_tol, general=general),
+            certified_bound=_bound(dec, p, norms, n, resonance),
             engine=engine,
             seconds=result.elapsed,
         ))

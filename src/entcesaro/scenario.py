@@ -96,6 +96,17 @@ def _fail(msg: str) -> ScenarioError:
     return ScenarioError(f"malformed scenario: {msg}")
 
 
+def _is_int(value) -> bool:
+    """JSON integer: ``bool`` is an ``int`` subclass but never a count or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _seed(value, what: str):
+    if value is not None and (not _is_int(value) or value < 0):
+        raise _fail(f"{what} 'seed' must be a non-negative integer")
+    return value
+
+
 def _complexify(value, what: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -140,12 +151,15 @@ def _build_unitary(spec, tol: Tolerances, seed: int):
             return u, decompose(u, tol)
         if kind == "random":
             dim = spec.get("dim")
-            if not isinstance(dim, int) or dim < 1:
+            if not _is_int(dim) or dim < 1:
                 raise _fail("'random' unitary needs a positive integer 'dim'")
             mode = spec.get("phaseMode", "haar")
-            u_seed = spec.get("seed")
+            max_den = spec.get("maxDenominator", 8)
+            if not _is_int(max_den):
+                raise _fail("'maxDenominator' must be an integer")
+            u_seed = _seed(spec.get("seed"), "unitary")
             entropy = u_seed if u_seed is not None else [seed & 0xFFFFFFFF, zlib.crc32(b"unitary")]
-            return random_system(entropy, dim, mode, spec.get("maxDenominator", 8), tol)
+            return random_system(entropy, dim, mode, max_den, tol)
     except ScenarioError:
         raise
     except ValueError as exc:
@@ -165,7 +179,7 @@ def _build_operator(spec, dim: int, seed: int, index: int) -> np.ndarray:
             raise _fail(f"operator {index} has shape {mat.shape}, system dimension is {dim}")
         return mat
     if kind == "random":
-        op_seed = spec.get("seed")
+        op_seed = _seed(spec.get("seed"), f"operator {index}")
         rng = np.random.default_rng(op_seed) if op_seed is not None else rng_for(seed, "operator", index)
         norm = spec.get("norm", 1.0)
         if not isinstance(norm, (int, float)) or norm <= 0:
@@ -244,7 +258,7 @@ def scenario_from_dict(raw) -> Scenario:
         raise _fail(f"unknown engine {engine!r}, expected one of {ENGINE_NAMES}")
 
     horizons = raw.get("Ns", [])
-    if not isinstance(horizons, list) or not all(isinstance(n, int) and n >= 1 for n in horizons):
+    if not isinstance(horizons, list) or not all(_is_int(n) and n >= 1 for n in horizons):
         raise _fail("'Ns' must be a list of positive integers")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise _fail("'Ns' must be strictly increasing")

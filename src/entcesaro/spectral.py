@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +38,10 @@ MAX_RANDOM_DIM = 64
 # Residual ceilings every constructed decomposition must satisfy.
 PROJECTOR_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
+# With e = ||W*W - I||, each projection W_b W_b* has idempotency and
+# orthogonality residuals at most e(1 + e) and the completeness residual is e;
+# half of PROJECTOR_TOL leaves room for the rounding of those products.
+FRAME_TOL = PROJECTOR_TOL / 2
 
 
 @dataclass(frozen=True)
@@ -133,10 +137,17 @@ class SpectralLine:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenphases with mutually orthogonal eigenprojections summing to I."""
+    """Eigenphases with mutually orthogonal eigenprojections summing to I.
+
+    ``frame`` is an orthonormal eigenbasis whose column i lies in the range
+    of the projection of line ``blocks[i]``; each projection is
+    ``frame[:, blocks == b] @ frame[:, blocks == b]^*``.
+    """
 
     dim: int
     entries: tuple[SpectralLine, ...]
+    frame: np.ndarray
+    blocks: np.ndarray
     source_unitarity: float
     tolerances: Tolerances = field(default_factory=Tolerances)
 
@@ -186,22 +197,26 @@ def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str
     return out
 
 
+def _with_frame(phases, columns, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
+    """Decomposition from one orthonormal column block per phase, sorted by phase."""
+    order = sorted(range(len(phases)), key=lambda b: phases[b].turns)
+    frame = np.concatenate([columns[b] for b in order], axis=1)
+    blocks = np.repeat(np.arange(len(order)), [columns[b].shape[1] for b in order])
+    entries = tuple(SpectralLine(phases[b], columns[b] @ columns[b].conj().T) for b in order)
+    return SpectralDecomposition(frame.shape[0], entries, frame, blocks, source_unitarity, tol)
+
+
 def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
-    res = decomposition_residuals(dec, source)
-    for key in ("hermiticity", "idempotency", "orthogonality", "completeness"):
-        if res[key] > PROJECTOR_TOL:
-            raise ValueError(f"decomposition fails {key} check: residual {res[key]:.3e}")
-    if res["reconstruction"] > RECONSTRUCTION_TOL:
-        raise ValueError(
-            f"decomposition fails reconstruction check: residual {res['reconstruction']:.3e}"
-        )
+    frame_res = unitarity_residual(dec.frame)
+    if frame_res > FRAME_TOL:
+        raise ValueError(f"decomposition fails frame orthonormality check: residual {frame_res:.3e}")
+    recon = operator_norm(reconstruct(dec) - as_operator(source))
+    if recon > RECONSTRUCTION_TOL:
+        raise ValueError(f"decomposition fails reconstruction check: residual {recon:.3e}")
+    # Entries are sorted by turns, so the closest pair on the circle is adjacent.
     turns = [line.phase.turns for line in dec.entries]
-    for a in range(len(turns)):
-        for b in range(a + 1, len(turns)):
-            gap = abs(turns[a] - turns[b])
-            gap = min(gap, 1.0 - gap)
-            if gap <= dec.tolerances.cluster:
-                raise ValueError("decomposition has phases closer than the cluster tolerance")
+    if np.diff(turns + [turns[0] + 1.0]).min() <= dec.tolerances.cluster:
+        raise ValueError("decomposition has phases closer than the cluster tolerance")
     return dec
 
 
@@ -239,17 +254,13 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
             clusters[0] = last + first
             clusters.pop()
 
-    entries = []
+    phases, columns = [], []
     for members in clusters:
-        vecs = z[:, members]
-        q, _ = np.linalg.qr(vecs)
-        proj = q @ q.conj().T
+        q, _ = np.linalg.qr(z[:, members])
         mean = complex(np.mean(eigs[members]))
-        phase = Phase.from_turns(cmath.phase(mean) / (2.0 * math.pi))
-        entries.append(SpectralLine(phase, proj))
-    entries.sort(key=lambda line: line.phase.turns)
-    dec = SpectralDecomposition(arr.shape[0], tuple(entries), source_res, tol)
-    return _validate(dec, arr)
+        phases.append(Phase.from_turns(cmath.phase(mean) / (2.0 * math.pi)))
+        columns.append(q)
+    return _validate(_with_frame(phases, columns, source_res, tol), arr)
 
 
 def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.ndarray, SpectralDecomposition]:
@@ -268,14 +279,9 @@ def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.
     groups: dict[Phase, list[int]] = {}
     for col, ph in enumerate(phases):
         groups.setdefault(ph, []).append(col)
-    entries = []
-    for ph in sorted(groups, key=lambda p: p.turns):
-        vecs = basis[:, groups[ph]]
-        entries.append(SpectralLine(ph, vecs @ vecs.conj().T))
-    u = np.zeros((d, d), dtype=np.complex128)
-    for line in entries:
-        u += line.phase.value() * line.projection
-    dec = SpectralDecomposition(d, tuple(entries), unitarity_residual(u), tol)
+    dec = _with_frame(list(groups), [basis[:, cols] for cols in groups.values()], 0.0, tol)
+    u = reconstruct(dec)
+    dec = replace(dec, source_unitarity=unitarity_residual(u))
     return u, _validate(dec, u)
 
 

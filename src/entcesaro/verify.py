@@ -25,12 +25,10 @@ from .engines import (
 from .linalg import frobenius_norm, operator_norm
 from .partitions import is_crossing
 from .scenario import Scenario, rng_for
-from .spectral import antidiagonal_spectrum, decomposition_residuals
+from .spectral import PROJECTOR_TOL, RECONSTRUCTION_TOL, antidiagonal_spectrum, decomposition_residuals
 
 __all__ = ["Check", "run_invariant_suite"]
 
-PROJECTOR_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
 ORACLE_REL_TOL = 1e-9
 NESTED_TOL = 1e-10
 MEAN_NORM_SLACK = 1e-9
@@ -130,6 +128,7 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
         worst_excess = max(worst_excess, value - bound)
     checks.append(_check("sesquilinear form bound", worst_excess, FORM_SLACK))
 
+    report = None
     if scenario.horizons:
         try:
             report = convergence_report(dec, p, inner, scenario.horizons, scenario.engine)
@@ -140,11 +139,11 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
                                 float("inf"), ROW_SLACK, str(exc)))
 
     if has_state:
-        checks.extend(_correlation_checks(scenario, u, dec, p, ops_all, n_small))
+        checks.extend(_correlation_checks(scenario, u, dec, p, ops_all, n_small, report))
     return checks
 
 
-def _correlation_checks(scenario, u, dec, p, ops_all, n_small) -> list[Check]:
+def _correlation_checks(scenario, u, dec, p, ops_all, n_small, report) -> list[Check]:
     from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, correlation_term, make_system
 
     checks: list[Check] = []
@@ -172,7 +171,10 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small) -> list[Check]:
                          abs(via_state - direct_value), 1e-10))
 
     horizon = scenario.horizons[-1] if scenario.horizons else 10**4
-    gap_bound = error_bound(dec, p, ops_all[1:-1], horizon)
+    if report is not None:  # its last row already holds the bound at this horizon
+        gap_bound = report.rows[-1].certified_bound
+    else:
+        gap_bound = error_bound(dec, p, ops_all[1:-1], horizon)
     edge = operator_norm(ops_all[0]) * operator_norm(ops_all[-1])
     deviation = abs(cesaro_correlation(system, spec, horizon) - correlation_limit(system, spec))
     checks.append(_check("correlation limit within certified bound",

@@ -1,5 +1,6 @@
 """Shared test helpers: independent brute-force oracles and system builders."""
 
+import itertools
 import os
 import sys
 
@@ -39,6 +40,62 @@ def brute_force_mean(u, partition, ops, N):
         if pos < 0:
             break
     return total / N**k
+
+
+def _class_blocks(partition, blocks):
+    """Blocks at the slots of each class, in slot order, keyed by class label."""
+    out = {}
+    for lab, b in zip(partition.labels, blocks):
+        out.setdefault(lab, []).append(b)
+    return out.values()
+
+
+def _phase_sum(dec, blocks):
+    total = dec.phases[blocks[0]]
+    for b in blocks[1:]:
+        total = total + dec.phases[b]
+    return total
+
+
+def block_tuple_chains(dec, partition, ops):
+    """Every projection-block tuple t with E_t1 A_1 E_t2 ... A_{m-1} E_tm.
+
+    A literal loop over ``itertools.product``; one full product per tuple.
+    """
+    projections = dec.projections
+    for blocks in itertools.product(range(len(projections)), repeat=partition.m):
+        chain = projections[blocks[0]]
+        for a, b in zip(ops, blocks[1:]):
+            chain = chain @ a @ projections[b]
+        yield blocks, chain
+
+
+def tuple_bound_oracle(dec, partition, ops, N, tol=1e-8):
+    """Per-tuple certified bound: sum of |prod K - prod R| * ||chain||_2 (SVD)."""
+    from entcesaro.engines import kernel
+
+    total = 0.0
+    for blocks, chain in block_tuple_chains(dec, partition, ops):
+        sums = [_phase_sum(dec, cls) for cls in _class_blocks(partition, blocks)]
+        weight = abs(np.prod([kernel(s, N) for s in sums]) - float(all(s.is_one(tol) for s in sums)))
+        total += weight * np.linalg.svd(chain, compute_uv=False)[0]
+    return total
+
+
+def tuple_limit_oracle(dec, partition, ops, last_blocks=None, tol=1e-8):
+    """Sum of the chains whose every class resonates.
+
+    With ``last_blocks``, a class also needs the block at its last slot in
+    that set (the truncated limit).
+    """
+    total = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for blocks, chain in block_tuple_chains(dec, partition, ops):
+        classes = list(_class_blocks(partition, blocks))
+        if all(_phase_sum(dec, cls).is_one(tol) for cls in classes) and (
+            last_blocks is None or all(cls[-1] in last_blocks for cls in classes)
+        ):
+            total += chain
+    return total
 
 
 def crossing_by_quadruple_scan(partition: Partition) -> bool:

@@ -63,6 +63,20 @@ class TestExitCodes:
         assert run_cli(["verify", "--scenario", str(missing)]) == 2
         wrong = write_scenario(tmp_path, {"unitary": {"kind": "warp"}}, "wrong.json")
         assert run_cli(["decompose", "--scenario", wrong]) == 2
+        random_unitary = {"kind": "random", "dim": 3, "phaseMode": "rational"}
+        for name, command, data in (
+            ("max_den.json", "decompose",
+             {"unitary": dict(random_unitary, maxDenominator="x")}),
+            ("op_seed.json", "mean",
+             {"unitary": random_unitary, "partition": [1, 1],
+              "operators": [{"kind": "random", "seed": "abc"}]}),
+            ("bool_ns.json", "converge",
+             {"unitary": random_unitary, "partition": [1, 1],
+              "operators": [{"kind": "random"}], "Ns": [True]}),
+        ):
+            capsys.readouterr()
+            assert run_cli([command, "--scenario", write_scenario(tmp_path, data, name)]) == 2
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_command_needing_partition_fails_cleanly(self, tmp_path, capsys):
         data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}}

@@ -22,12 +22,13 @@ from entcesaro.spectral import (
     Phase,
     antidiagonal_spectrum,
     decompose,
+    from_eigensystem,
     invariant_projection,
     random_system,
     reconstruct,
 )
 
-from conftest import brute_force_mean, random_ops
+from conftest import brute_force_mean, random_ops, tuple_bound_oracle, tuple_limit_oracle
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 DIAG_PM = np.diag([1.0, -1.0]).astype(complex)
@@ -71,6 +72,16 @@ class TestKernel:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             kernel(Phase.rational(0, 1), 0)
+
+    @pytest.mark.parametrize("n", [100, 10**4])
+    @pytest.mark.parametrize("turns", [1e-14, 1.6e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+    def test_matches_mpmath_near_resonance(self, turns, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for t in (turns, 1.0 - turns):  # both sides of z = 1
+                z = mpmath.expjpi(2 * mpmath.mpf(t))
+                exact = complex((1 - z**n) / (n * (1 - z)))
+                assert abs(kernel(Phase.from_turns(t), n) - exact) <= 1e-12
 
 
 class TestMeanErgodic:
@@ -453,3 +464,66 @@ class TestMeanNormBound:
             product = np.prod([operator_norm(a) for a in ops])
             mean = cesaro_spectral(dec, p, ops, 25).matrix
             assert operator_norm(mean) <= product + 1e-9
+
+
+def degenerate_system(seed):
+    """d=6 exact phases 0, 1/3, 1/2, 2/3 with rank-2 blocks at 1/3 and 2/3."""
+    phases = [Phase.rational(*f) for f in ((1, 3), (1, 3), (2, 3), (2, 3), (0, 1), (1, 2))]
+    return from_eigensystem(phases, haar_unitary(np.random.default_rng(seed), 6))
+
+
+class TestTupleOracle:
+    """The frame contraction and the chain-norm bound against literal tuple loops."""
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_bound_on_degenerate_rational_system(self, rng, n):
+        _, dec = degenerate_system(3)
+        assert sorted(line.rank for line in dec.entries) == [1, 1, 2, 2]
+        ops = random_ops(rng, 5, 6)
+        expected = tuple_bound_oracle(dec, P121323, ops, n)
+        assert error_bound(dec, P121323, ops, n) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_bound_on_haar_system(self, rng, n):
+        _, dec = random_system(12, 4, "haar")
+        ops = random_ops(rng, 5, 4)
+        expected = tuple_bound_oracle(dec, P121323, ops, n)
+        assert error_bound(dec, P121323, ops, n) == pytest.approx(expected, rel=1e-12)
+
+    def test_bound_general_partition(self, rng):
+        p = parse_partition("1,2,1,2,1")
+        _, dec = random_system(31, 3, "rational", 6)
+        ops = random_ops(rng, 4, 3)
+        for n in (4, 100):
+            expected = tuple_bound_oracle(dec, p, ops, n)
+            assert error_bound(dec, p, ops, n, general=True) == pytest.approx(expected, rel=1e-12)
+
+    def test_report_bounds_match_error_bound(self, rng):
+        _, dec = degenerate_system(4)
+        ops = random_ops(rng, 5, 6)
+        report = convergence_report(dec, P121323, ops, [10, 100])
+        for row in report.rows:
+            assert row.certified_bound == error_bound(dec, P121323, ops, row.N)
+
+    def test_mean_and_limit_on_degenerate_crossing_case(self, rng):
+        u, dec = degenerate_system(5)
+        ops = random_ops(rng, 5, 6)
+        for n in (3, 5):
+            got = cesaro_spectral(dec, P121323, ops, n).matrix
+            np.testing.assert_allclose(got, brute_force_mean(u, P121323, ops, n), atol=1e-12)
+        np.testing.assert_allclose(
+            limit_operator(dec, P121323, ops), tuple_limit_oracle(dec, P121323, ops), atol=1e-12
+        )
+
+    def test_truncated_limit_on_proper_subset(self, rng):
+        _, dec = degenerate_system(6)
+        ops = random_ops(rng, 3, 6)
+        sigma = antidiagonal_spectrum(dec)
+        subset = sigma[::2]
+        assert 0 < len(subset) < len(sigma)
+        last_blocks = {dec.phases.index(ph) for ph in subset}
+        np.testing.assert_allclose(
+            limit_truncated(dec, P1212, ops, subset),
+            tuple_limit_oracle(dec, P1212, ops, last_blocks),
+            atol=1e-12,
+        )

@@ -31,6 +31,16 @@ def test_operator_norm_special_cases():
     assert operator_norm(np.diag([3.0, 3.0, 1.0])) == pytest.approx(3.0, rel=1e-11)
 
 
+def test_operator_norm_close_top_singular_values():
+    # A gap of 1e-4 between the two largest singular values leaves an
+    # iterative estimate short of the top one; the norm must not be.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        left, right = haar_unitary(rng, 6), haar_unitary(rng, 6)
+        a = left @ np.diag([1.0, 1.0 - 1e-4, 0.9, 0.5, 0.3, 0.1]) @ right
+        assert operator_norm(a) == pytest.approx(1.0, rel=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
 def test_operator_norm_random_property(d, seed):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from entcesaro.linalg import haar_unitary
+from entcesaro.linalg import haar_unitary, unitarity_residual
 from entcesaro.spectral import (
     Phase,
     Tolerances,
@@ -124,6 +124,27 @@ class TestDecompose:
             decompose(np.diag([1.0, 0.5]))
         with pytest.raises(ValueError):
             decompose(np.ones((2, 3)))
+
+
+class TestFrame:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frame_spans_each_projection(self, seed):
+        _, rational = random_system(seed, 6, "rational", 4)
+        haar = decompose(haar_unitary(np.random.default_rng(seed), 5))
+        for dec in (rational, haar):
+            assert unitarity_residual(dec.frame) <= 1e-12
+            for b, line in enumerate(dec.entries):
+                cols = dec.frame[:, dec.blocks == b]
+                assert cols.shape[1] == line.rank
+                np.testing.assert_allclose(cols @ cols.conj().T, line.projection, atol=1e-12)
+
+    def test_rejects_frame_outside_projector_tolerance(self):
+        # Residual 7e-11 passes the 1e-10 unitarity tolerance of the basis but
+        # not the frame check, which must keep every projector residual <= 1e-10.
+        basis = haar_unitary(np.random.default_rng(3), 3) * (1.0 + 3.5e-11)
+        assert 6e-11 < unitarity_residual(basis) < 1e-10
+        with pytest.raises(ValueError, match="frame"):
+            from_eigensystem([Phase.rational(j, 3) for j in range(3)], basis)
 
 
 class TestAntidiagonal:
