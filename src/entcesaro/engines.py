@@ -12,7 +12,8 @@ over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
   block tuples t of prod_classes K_N(class phase sum) E_t1 A_1 ... E_tm,
   K_N the Cesaro kernel.  In the eigenframe W each E_b is a diagonal mask,
   so the sum is one contraction over W* A_j W (cost independent of N).
-* ``cesaro_nested``    collapses innermost adjacent class pairs recursively;
+* ``cesaro_nested``    collapses innermost adjacent class pairs recursively,
+  each by binary splitting of its sum over n (cost grows with log N);
   valid for non-crossing partitions only.
 
 All three compute the same finite-N sum by different factorizations.  The
@@ -399,20 +400,22 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
     u = reconstruct(dec)
-    d = dec.dim
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(dec.dim, dtype=np.complex128)
     chain: list[np.ndarray] = [eye, *ops, eye]
     labels = list(p.labels)
     while labels:
         pair_at = next(i for i in range(len(labels) - 1) if labels[i] == labels[i + 1])
         mid = chain[pair_at + 1]
-        avg = np.zeros((d, d), dtype=np.complex128)
-        power = eye
-        for _ in range(N):
-            avg += power @ mid @ power
-            power = power @ u
-        avg /= N
-        merged = chain[pair_at] @ avg @ chain[pair_at + 2]
+        # Binary splitting of sum_{n<N} U^n mid U^n, as in mean_ergodic.
+        total = mid
+        power = u
+        for bit in bin(N)[3:]:
+            total = total + power @ total @ power
+            power = power @ power
+            if bit == "1":
+                total = total + power @ mid @ power
+                power = power @ u
+        merged = chain[pair_at] @ (total / N) @ chain[pair_at + 2]
         chain = chain[:pair_at] + [merged] + chain[pair_at + 3 :]
         labels = labels[:pair_at] + labels[pair_at + 2 :]
     return CesaroResult(chain[0], "nested", N, time.perf_counter() - start)

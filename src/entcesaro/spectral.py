@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import as_operator, haar_unitary, operator_norm, unitarity_residual
 
@@ -221,22 +220,21 @@ def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
 
 
 def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary via the complex Schur form.
+    """Spectral decomposition of a unitary from its eigenvectors.
 
     Eigenvalues are clustered at ``tol.cluster`` angular (turns) distance,
-    with wrap-around at 0/1; each cluster's Schur vectors are re-orthonormalized
-    and merged into a single projection.  All decomposition invariants are
-    checked before returning.
+    with wrap-around at 0/1.  QR of the eigenvectors taken cluster by cluster
+    keeps nested spans, so Q is a Schur basis of U: for normal U, an
+    orthonormal eigenframe.  All decomposition invariants are checked.
     """
     arr = as_operator(u, name="unitary")
     source_res = unitarity_residual(arr)
     if source_res > tol.unitarity:
         raise ValueError(f"input fails unitarity: residual {source_res:.3e} > {tol.unitarity:.3e}")
     try:
-        t, z = scipy.linalg.schur(arr, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        eigs, vecs = np.linalg.eig(arr)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ValueError(f"eigensolver failure: {exc}") from exc
-    eigs = np.diagonal(t)
     angles = np.angle(eigs) / (2.0 * math.pi)
     angles = np.mod(angles, 1.0)
     order = np.argsort(angles, kind="stable")
@@ -254,12 +252,10 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
             clusters[0] = last + first
             clusters.pop()
 
-    phases, columns = [], []
-    for members in clusters:
-        q, _ = np.linalg.qr(z[:, members])
-        mean = complex(np.mean(eigs[members]))
-        phases.append(Phase.from_turns(cmath.phase(mean) / (2.0 * math.pi)))
-        columns.append(q)
+    q, _ = np.linalg.qr(vecs[:, np.concatenate(clusters)])
+    columns = np.split(q, np.cumsum([len(members) for members in clusters])[:-1], axis=1)
+    phases = [Phase.from_turns(cmath.phase(np.mean(eigs[members])) / (2.0 * math.pi))
+              for members in clusters]
     return _validate(_with_frame(phases, columns, source_res, tol), arr)
 
 

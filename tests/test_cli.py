@@ -189,3 +189,12 @@ def test_report_csv_formatting():
     assert text.splitlines()[1] == "10,spectral,0.001,0.002,0.005,1.0,"
     timed = report_csv(report, include_timings=True)
     assert timed.splitlines()[1].endswith(",0.25")
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, entcesaro.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

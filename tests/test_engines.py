@@ -214,6 +214,25 @@ class TestCesaroNested:
         nested = cesaro_nested(dec, p, ops, 20).matrix
         assert np.linalg.norm(direct - nested) <= 1e-10
 
+    # Horizons whose binary digits reach every branch of the splitting loop:
+    # no bits after the leading one, a lone 0 or 1, runs of 1s and of 0s.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 64, 1000])
+    @pytest.mark.parametrize("labels", ["1,1,2,2", "1,2,2,1"])
+    @pytest.mark.parametrize("mode", ["rational", "haar"])
+    def test_binary_splitting_horizons(self, rng, mode, labels, n):
+        p = parse_partition(labels)
+        u, dec = random_system(4, 4, mode, 3)
+        if mode == "rational":
+            assert max(line.rank for line in dec.entries) > 1
+        ops = random_ops(rng, p.m - 1, 4)
+        nested = cesaro_nested(dec, p, ops, n).matrix
+        references = [cesaro_spectral(dec, p, ops, n).matrix]
+        # The direct sweep over a nested pair holds an (N, N, d, d) tensor.
+        if labels == "1,1,2,2" or n <= 64:
+            references.append(cesaro_direct(u, p, ops, n).matrix)
+        for ref in references:
+            assert np.linalg.norm(nested - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
     def test_rejects_crossing(self, rng):
         _, dec = random_system(1, 2, "haar")
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from entcesaro.linalg import haar_unitary, unitarity_residual
+from entcesaro.linalg import haar_unitary, operator_norm, unitarity_residual
 from entcesaro.spectral import (
+    FRAME_TOL,
+    RECONSTRUCTION_TOL,
     Phase,
     Tolerances,
     antidiagonal_spectrum,
@@ -145,6 +147,73 @@ class TestFrame:
         assert 6e-11 < unitarity_residual(basis) < 1e-10
         with pytest.raises(ValueError, match="frame"):
             from_eigensystem([Phase.rational(j, 3) for j in range(3)], basis)
+
+
+# Eigenphase clusters (turns) that stress the eigensolver: rank-16 blocks of
+# exact rational phases, distinct phases 1e-7 turns apart (ten times the
+# cluster tolerance) and a sub-tolerance cluster straddling the 0/1 seam.
+HARD_SPECTRA = {
+    "rank16-rational-d64": [[t] * 16 for t in (0.0, 0.25, 0.5, 0.75)],
+    "pairs-1e-7-apart": [[c + s] for c in (0.05, 0.3, 0.55, 0.8) for s in (0.0, 1e-7)],
+    "seam-cluster": [[-2e-11 % 1.0, -1e-11 % 1.0, 0.0, 1e-11, 2e-11],
+                     [0.1], [0.3], [0.45, 0.45], [0.7], [0.9]],
+}
+
+
+def _circle_distance(a, b):
+    return abs((a - b + 0.5) % 1.0 - 0.5)
+
+
+def _hard_system(clusters, seed):
+    """U = W diag(e^{2 pi i t}) W* in a Haar basis W, with each cluster's true projection."""
+    turns = np.concatenate(clusters)
+    labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+    w = haar_unitary(np.random.default_rng(seed), len(turns))
+    u = (w * np.exp(2j * np.pi * turns)) @ w.conj().T
+    return u, [w[:, labels == c] @ w[:, labels == c].conj().T for c in range(len(clusters))]
+
+
+def _line_at(dec, turns):
+    (line,) = [l for l in dec.entries if _circle_distance(l.phase.turns, turns) <= dec.tolerances.cluster]
+    return line
+
+
+def _projection_atol(clusters, d):
+    """Davis-Kahan: a backward error of 10 d eps moves a projection by at most that over the gap."""
+    values = [np.exp(2j * np.pi * c[0]) for c in clusters]
+    gap = min(abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :])
+    return 10 * d * np.finfo(float).eps / gap
+
+
+class TestHardSpectra:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(HARD_SPECTRA))
+    def test_ranks_residuals_and_true_projections(self, name, seed):
+        clusters = HARD_SPECTRA[name]
+        u, truth = _hard_system(clusters, seed)
+        dec = decompose(u)
+        assert len(dec.entries) == len(clusters)
+        assert unitarity_residual(dec.frame) <= FRAME_TOL
+        assert operator_norm(reconstruct(dec) - u) <= RECONSTRUCTION_TOL
+        atol = _projection_atol(clusters, u.shape[0])
+        for cluster, proj in zip(clusters, truth):
+            line = _line_at(dec, cluster[0])
+            assert line.rank == len(cluster)
+            np.testing.assert_allclose(line.projection, proj, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("name", sorted(HARD_SPECTRA))
+    def test_projections_match_schur_reference(self, name):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        clusters = HARD_SPECTRA[name]
+        u, _ = _hard_system(clusters, 0)
+        dec = decompose(u)
+        t, z = scipy_linalg.schur(u, output="complex")
+        schur_turns = np.mod(np.angle(np.diagonal(t)) / (2 * np.pi), 1.0)
+        atol = _projection_atol(clusters, u.shape[0])
+        for cluster in clusters:
+            q, _ = np.linalg.qr(z[:, _circle_distance(schur_turns, cluster[0]) <= dec.tolerances.cluster])
+            assert q.shape[1] == len(cluster)
+            np.testing.assert_allclose(_line_at(dec, cluster[0]).projection, q @ q.conj().T, rtol=0, atol=atol)
 
 
 class TestAntidiagonal:
