@@ -34,6 +34,7 @@ from .engines import (
     cesaro_spectral,
     convergence_report,
     error_bound,
+    error_bounds,
     form_value,
     kernel,
     limit_operator,

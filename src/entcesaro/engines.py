@@ -60,6 +60,7 @@ __all__ = [
     "limit_truncated",
     "form_value",
     "error_bound",
+    "error_bounds",
     "spectral_gap",
     "convergence_report",
     "ENGINE_NAMES",
@@ -364,12 +365,6 @@ def _spread(p: Partition, tables) -> np.ndarray:
     return total
 
 
-def _bound(dec: SpectralDecomposition, p: Partition, norms: np.ndarray, N: int, resonance) -> float:
-    """Sum over block tuples of |prod K_N - prod R| times the tuple's chain norm."""
-    weight = np.abs(_spread(p, _kernel_tables(dec, p, N)) - _spread(p, resonance))
-    return float(np.sum(weight * norms))
-
-
 def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
                     general: bool = False, budget: int = SPECTRAL_TUPLE_BUDGET) -> CesaroResult:
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
@@ -475,11 +470,20 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
     triangle inequality this dominates the true error of the spectral
     representation.
     """
+    return error_bounds(dec, p, ops, [N], resonance_tol, general=general, budget=budget)[0]
+
+
+def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
+                 resonance_tol: float | None = None, *, general: bool = False,
+                 budget: int = SPECTRAL_TUPLE_BUDGET) -> list[float]:
+    """``error_bound`` at every horizon in ``Ns``; the N-independent chain norms are built once."""
     p = _check_partition(p, general)
     ops = _check_ops(p, ops, dec.dim)
-    N = _check_horizon(N)
+    Ns = [_check_horizon(n) for n in Ns]
     norms = _chain_norms(dec, p, ops, budget)
-    return _bound(dec, p, norms, N, _resonance_tables(dec, p, resonance_tol))
+    resonance = _spread(p, _resonance_tables(dec, p, resonance_tol))
+    return [float(np.sum(np.abs(_spread(p, _kernel_tables(dec, p, n)) - resonance) * norms))
+            for n in Ns]
 
 
 def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None) -> float:
@@ -508,12 +512,10 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     ops = _check_ops(p, ops, dec.dim)
     limit = limit_operator(dec, p, ops, resonance_tol, general=general)
     gap = spectral_gap(dec, resonance_tol)
-    # The chain norms do not depend on N: one tensor serves every horizon.
-    norms = _chain_norms(dec, p, ops, SPECTRAL_TUPLE_BUDGET)
-    resonance = _resonance_tables(dec, p, resonance_tol)
+    bounds = error_bounds(dec, p, ops, Ns, resonance_tol, general=general)
     source = reconstruct(dec) if engine == "direct" else None
     rows = []
-    for n in Ns:
+    for n, bound in zip(Ns, bounds):
         if engine == "direct":
             result = cesaro_direct(source, p, ops, n, general=general)
         elif engine == "spectral":
@@ -525,7 +527,7 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
             N=n,
             error_op=operator_norm(diff),
             error_frob=frobenius_norm(diff),
-            certified_bound=_bound(dec, p, norms, n, resonance),
+            certified_bound=bound,
             engine=engine,
             seconds=result.elapsed,
         ))

@@ -160,11 +160,9 @@ class SpectralDecomposition:
 
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
-    """Sum of phase * projection over all spectral lines."""
-    u = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for line in dec.entries:
-        u += line.phase.value() * line.projection
-    return u
+    """Sum of phase * projection over all spectral lines, as W diag(z) W* from the frame."""
+    z = np.array([line.phase.value() for line in dec.entries])
+    return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
 
 
 def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str, float]:
@@ -196,12 +194,21 @@ def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str
     return out
 
 
-def _with_frame(phases, columns, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
-    """Decomposition from one orthonormal column block per phase, sorted by phase."""
-    order = sorted(range(len(phases)), key=lambda b: phases[b].turns)
-    frame = np.concatenate([columns[b] for b in order], axis=1)
-    blocks = np.repeat(np.arange(len(order)), [columns[b].shape[1] for b in order])
-    entries = tuple(SpectralLine(phases[b], columns[b] @ columns[b].conj().T) for b in order)
+def _with_frame(phases, frame, labels, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
+    """Decomposition from an orthonormal frame whose column i lies in line ``labels[i]``.
+
+    Lines are sorted by phase and the columns regrouped to match.  Rank-one projections come from
+    one broadcast; a larger block, whose d x d x d broadcast would outgrow them, takes one product.
+    """
+    order = np.argsort([ph.turns for ph in phases], kind="stable")
+    blocks = np.argsort(order)[labels]
+    perm = np.argsort(blocks, kind="stable")
+    frame, blocks = frame[:, perm], blocks[perm]
+    if len(order) == len(blocks):
+        projections = frame.T[:, :, None] * frame.conj().T[:, None, :]
+    else:
+        projections = [frame[:, blocks == b] @ frame[:, blocks == b].conj().T for b in range(len(order))]
+    entries = tuple(SpectralLine(phases[b], proj) for b, proj in zip(order, projections))
     return SpectralDecomposition(frame.shape[0], entries, frame, blocks, source_unitarity, tol)
 
 
@@ -219,44 +226,54 @@ def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
     return dec
 
 
-def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary from its eigenvectors.
+def _clusters(angles: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices in angle order with each cluster contiguous, and the index where each cluster starts.
 
-    Eigenvalues are clustered at ``tol.cluster`` angular (turns) distance,
-    with wrap-around at 0/1.  QR of the eigenvectors taken cluster by cluster
-    keeps nested spans, so Q is a Schur basis of U: for normal U, an
-    orthonormal eigenframe.  All decomposition invariants are checked.
+    A step above ``tol`` between sorted angles starts a cluster; the last joins the first across 0/1.
+    """
+    order = np.argsort(angles, kind="stable")
+    starts = np.flatnonzero(np.diff(angles[order], prepend=-np.inf) > tol)
+    if len(starts) > 1 and (angles[order[0]] + 1.0) - angles[order[-1]] <= tol:
+        shift = len(order) - starts[-1]
+        return np.roll(order, shift), np.concatenate(([0], starts[1:-1] + shift))
+    return order, starts
+
+
+def _pole(arr: np.ndarray) -> complex:
+    """e^{i psi} with cos(psi) the midpoint of the widest gap of [-1, eigenvalues of (U+U*)/2, 1]."""
+    edges = np.concatenate(([-1.0], np.linalg.eigvalsh((arr + arr.conj().T) / 2), [1.0]))
+    j = int(np.argmax(np.diff(edges)))
+    return cmath.exp(1j * math.acos((edges[j] + edges[j + 1]) / 2))
+
+
+def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
+    """Spectral decomposition of a unitary from a Hermitian eigensolver.
+
+    The real parts cos(theta_j) leave a gap of width at least 2/(d+1) in [-1, 1], so the pole
+    e^{i psi} at its midpoint is at least 1/(d+1) from every eigenvalue.  With V = -e^{-i psi} U,
+    H = i (I+V)^{-1} (I-V) is Hermitian with eigenvalues tan(phi/2), phi the eigenphase of V:
+    injective in the eigenphase, and ||H|| <= 2(d+1).  So ``eigh(H)`` returns an orthonormal
+    eigenframe of U directly and no QR is needed.  The phases are the Rayleigh quotients w* U w,
+    exact to rounding whatever ||H||, clustered at ``tol.cluster`` turns with wrap-around at 0/1.
+    A cluster's columns are its frame block, and its phase that of the sum (so of the mean) of its
+    quotients.  All decomposition invariants are checked.
     """
     arr = as_operator(u, name="unitary")
     source_res = unitarity_residual(arr)
     if source_res > tol.unitarity:
         raise ValueError(f"input fails unitarity: residual {source_res:.3e} > {tol.unitarity:.3e}")
+    eye = np.eye(arr.shape[0])
     try:
-        eigs, vecs = np.linalg.eig(arr)
+        v = arr / -_pole(arr)
+        h = 1j * np.linalg.solve(eye + v, eye - v)
+        _, vecs = np.linalg.eigh((h + h.conj().T) / 2)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ValueError(f"eigensolver failure: {exc}") from exc
-    angles = np.angle(eigs) / (2.0 * math.pi)
-    angles = np.mod(angles, 1.0)
-    order = np.argsort(angles, kind="stable")
-
-    # Group sorted angles into clusters, merging across the 0/1 seam.
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and angles[idx] - angles[clusters[-1][-1]] <= tol.cluster:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    if len(clusters) > 1:
-        first, last = clusters[0], clusters[-1]
-        if (angles[first[0]] + 1.0) - angles[last[-1]] <= tol.cluster:
-            clusters[0] = last + first
-            clusters.pop()
-
-    q, _ = np.linalg.qr(vecs[:, np.concatenate(clusters)])
-    columns = np.split(q, np.cumsum([len(members) for members in clusters])[:-1], axis=1)
-    phases = [Phase.from_turns(cmath.phase(np.mean(eigs[members])) / (2.0 * math.pi))
-              for members in clusters]
-    return _validate(_with_frame(phases, columns, source_res, tol), arr)
+    eigs = np.einsum("ij,ij->j", vecs.conj(), arr @ vecs)
+    order, starts = _clusters(np.mod(np.angle(eigs) / (2.0 * math.pi), 1.0), tol.cluster)
+    phases = [Phase.from_turns(cmath.phase(m) / (2.0 * math.pi)) for m in np.add.reduceat(eigs[order], starts)]
+    labels = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    return _validate(_with_frame(phases, vecs[:, order], labels, source_res, tol), arr)
 
 
 def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.ndarray, SpectralDecomposition]:
@@ -272,10 +289,9 @@ def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.
     res = unitarity_residual(basis)
     if res > tol.unitarity:
         raise ValueError(f"eigenbasis fails unitarity: residual {res:.3e}")
-    groups: dict[Phase, list[int]] = {}
-    for col, ph in enumerate(phases):
-        groups.setdefault(ph, []).append(col)
-    dec = _with_frame(list(groups), [basis[:, cols] for cols in groups.values()], 0.0, tol)
+    groups: dict[Phase, int] = {}
+    labels = np.array([groups.setdefault(ph, len(groups)) for ph in phases])
+    dec = _with_frame(list(groups), basis, labels, 0.0, tol)
     u = reconstruct(dec)
     dec = replace(dec, source_unitarity=unitarity_residual(u))
     return u, _validate(dec, u)

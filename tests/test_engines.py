@@ -9,6 +9,7 @@ from entcesaro.engines import (
     cesaro_spectral,
     convergence_report,
     error_bound,
+    error_bounds,
     form_value,
     kernel,
     limit_operator,
@@ -523,6 +524,20 @@ class TestTupleOracle:
         report = convergence_report(dec, P121323, ops, [10, 100])
         for row in report.rows:
             assert row.certified_bound == error_bound(dec, P121323, ops, row.N)
+
+    def test_error_bounds_equal_per_horizon_bounds(self, rng):
+        _, dec = degenerate_system(6)
+        ops = random_ops(rng, 5, 6)
+        Ns = [1, 7, 100, 10007]
+        assert error_bounds(dec, P121323, ops, Ns) == [error_bound(dec, P121323, ops, n) for n in Ns]
+        p = parse_partition("1,2,1,2,1")
+        _, dec = random_system(31, 3, "haar")
+        ops = random_ops(rng, 4, 3)
+        assert error_bounds(dec, p, ops, Ns, 1e-9, general=True) == [
+            error_bound(dec, p, ops, n, 1e-9, general=True) for n in Ns
+        ]
+        with pytest.raises(ValueError):
+            error_bounds(dec, p, ops, [10, 0], general=True)
 
     def test_mean_and_limit_on_degenerate_crossing_case(self, rng):
         u, dec = degenerate_system(5)

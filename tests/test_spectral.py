@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
+from entcesaro import spectral
 from entcesaro.linalg import haar_unitary, operator_norm, unitarity_residual
 from entcesaro.spectral import (
     FRAME_TOL,
@@ -214,6 +216,91 @@ class TestHardSpectra:
             q, _ = np.linalg.qr(z[:, _circle_distance(schur_turns, cluster[0]) <= dec.tolerances.cluster])
             assert q.shape[1] == len(cluster)
             np.testing.assert_allclose(_line_at(dec, cluster[0]).projection, q @ q.conj().T, rtol=0, atol=atol)
+
+
+# Spectra that stress the choice of the Cayley pole and the frame blocks.
+# Turns of 0 and 1/2 give the eigenvalues 1 and -1 exactly.
+CAYLEY_SPECTRA = {
+    # theta and -theta share a real part, so the Hermitian part alone merges them.
+    "conjugate-pairs": [[t] for t in (0.1, 0.9, 0.2, 0.8, 0.35, 0.65, 0.45, 0.55)],
+    "minus-identity": [[0.5] * 8],
+    "plus-minus-one": [[0.0] * 3, [0.5] * 3, [0.25], [0.6]],
+    # A Haar basis times the Fourier basis is again Haar: this is the cyclic
+    # shift of C^64 in a Haar basis; its 64 roots of unity leave the narrowest
+    # widest gap of the real parts.
+    "cyclic-shift-d64": [[k / 64] for k in range(64)],
+    "rank1-and-rank16": [[0.0] * 16, [0.5] * 16] + [[t] for t in (0.1, 0.2, 0.3, 0.6, 0.7, 0.8, 0.9, 0.95)],
+}
+
+
+def _cayley_system(clusters, seed):
+    """U = W diag(z) W* in a Haar basis W; returns U, the eigenvalue of each cluster and its projection."""
+    turns = np.concatenate(clusters)
+    labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+    values = np.where(turns == 0.5, -1.0, np.exp(2j * np.pi * turns))
+    w = haar_unitary(np.random.default_rng(seed), len(turns))
+    u = (w * values) @ w.conj().T
+    projections = [w[:, labels == c] @ w[:, labels == c].conj().T for c in range(len(clusters))]
+    return u, values[np.cumsum([0] + [len(c) for c in clusters[:-1]])], projections
+
+
+def _loop_clusters(angles, tol):
+    """The per-index clustering loop that ``spectral._clusters`` replaced, kept as its reference."""
+    clusters = []
+    for idx in np.argsort(angles, kind="stable"):
+        if clusters and angles[idx] - angles[clusters[-1][-1]] <= tol:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    if len(clusters) > 1:
+        first, last = clusters[0], clusters[-1]
+        if (angles[first[0]] + 1.0) - angles[last[-1]] <= tol:
+            clusters[0] = last + first
+            clusters.pop()
+    return clusters
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([0.0, 0.3, 0.5, 1.0 - 2e-8]), st.integers(-3, 3)), min_size=1, max_size=12),
+    st.sampled_from([1e-8, 0.25, 2.0]),
+)
+def test_clusters_match_the_loop(points, tol):
+    # Steps of half the 1e-8 tolerance put neighbours on, inside and outside it, also across 0/1.
+    angles = np.mod([base + step * 0.5e-8 for base, step in points], 1.0)
+    order, starts = spectral._clusters(angles, tol)
+    ends = [*starts[1:], len(order)]
+    assert [order[a:b].tolist() for a, b in zip(starts, ends)] == _loop_clusters(angles, tol)
+
+
+class TestCayleyEigensolve:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SPECTRA))
+    def test_ranks_and_true_projections(self, name, seed):
+        clusters = CAYLEY_SPECTRA[name]
+        u, _, truth = _cayley_system(clusters, seed)
+        dec = decompose(u)
+        assert len(dec.entries) == len(clusters)
+        # One cluster has the projection I; take its gap as the circle's diameter.
+        atol = _projection_atol(clusters, u.shape[0]) if len(clusters) > 1 else 5 * u.shape[0] * np.finfo(float).eps
+        for cluster, proj in zip(clusters, truth):
+            line = _line_at(dec, cluster[0])
+            assert line.rank == len(cluster)
+            np.testing.assert_allclose(line.projection, proj, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SPECTRA))
+    def test_reconstruct_is_the_spectral_sum(self, name):
+        u, _, _ = _cayley_system(CAYLEY_SPECTRA[name], 0)
+        dec = decompose(u)
+        spectral_sum = sum(line.phase.value() * line.projection for line in dec.entries)
+        np.testing.assert_allclose(reconstruct(dec), spectral_sum, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(CAYLEY_SPECTRA))
+    def test_pole_keeps_its_distance_from_the_spectrum(self, name):
+        u, values, _ = _cayley_system(CAYLEY_SPECTRA[name], 0)
+        pole = spectral._pole(u)
+        assert abs(abs(pole) - 1.0) <= 1e-15
+        assert np.abs(values - pole).min() >= 1.0 / (u.shape[0] + 1)
 
 
 class TestAntidiagonal:
