@@ -19,8 +19,12 @@ over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
 All three compute the same finite-N sum by different factorizations.  The
 limit swaps each class's kernel table for the resonance indicator R (phase
 sum equal to 1) in the same contraction; ``limit_truncated`` restricts R to
-chosen phases.  ``error_bound`` sums |prod K_N - prod R| times each tuple's
-block-chain norm.  ``budget`` caps the entries of a widened swept tensor
+chosen phases.  Every such table, the spectral gap and the resonance pairing
+read one array of class phase sums, ``spectral.phase_sums``: float turns,
+and for exact phases Python-int numerators over their common denominator L,
+so exact resonances and periodic zeros (a N = 0 mod L) stay exact.
+``error_bound`` sums |prod K_N - prod R| times each tuple's block-chain
+norm.  ``budget`` caps the entries of a widened swept tensor
 for the mean and limit, and the tuple count B^m for the bound.
 
 Classes of size other than two are supported behind ``general=True``; that
@@ -29,7 +33,6 @@ finite-dimensional extension is flagged and kept out of the default path.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -40,8 +43,10 @@ from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, requi
 from .partitions import Partition, is_crossing, require_pair
 from .spectral import (
     Phase,
+    PhaseSums,
     SpectralDecomposition,
     antidiagonal_spectrum,
+    phase_sums,
     reconstruct,
     resonant_partners,
 )
@@ -138,25 +143,35 @@ def _first_last(p: Partition) -> tuple[list[int], list[int]]:
 def kernel(phase: Phase, N) -> complex:
     """Cesaro kernel (1/N) sum_{n<N} z^n for z the given phase.
 
-    Equals 1 at z == 1 and (1 - z^N) / (N (1 - z)) otherwise; exact phases
-    use exact rational arithmetic for z^N, so periodic zeros are exact.
+    Equals 1 at z == 1 and (1 - z^N) / (N (1 - z)) otherwise; an exact phase
+    a/L takes z^N from the integer a N mod L, so periodic zeros are exact.
     Float phases use the Dirichlet form e^{i pi (N-1) t} sin(pi N t) /
     (N sin(pi t)) with t in [-1/2, 1/2), which keeps full relative accuracy
     near resonance, where 1 - z cancels.
     """
-    N = _check_horizon(N)
-    if phase.is_exact:
-        if phase.frac == 0:
-            return 1.0 + 0.0j
-        return (1.0 - phase.power(N).value()) / (N * (1.0 - phase.value()))
-    t = phase.turns if phase.turns < 0.5 else phase.turns - 1.0
-    if t == 0.0:
-        return 1.0 + 0.0j
+    return complex(_kernels(phase_sums([phase], 1), _check_horizon(N))[0])
+
+
+def _kernels(sums: PhaseSums, N: int) -> np.ndarray:
+    """``kernel`` of every phase sum in ``sums`` at horizon N."""
+    t = np.where(sums.turns < 0.5, sums.turns, sums.turns - 1.0)
     # sin(pi N t) = (-1)^n sin(pi (N t - n)) with n the integer nearest N t,
     # so the kernel vanishes exactly when N t is an integer.
-    n = round(N * t)
-    ratio = (-1) ** (n % 2) * math.sin(math.pi * (N * t - n)) / (N * math.sin(math.pi * t))
-    return cmath.exp(1j * math.pi * (N - 1) * t) * ratio
+    n = np.round(N * t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z == 1 gives 0/0, then set to 1
+        ratio = np.where(n % 2, -1.0, 1.0) * np.sin(np.pi * (N * t - n)) / (N * np.sin(np.pi * t))
+        angle = math.pi * (N - 1) * t
+        out = np.empty(t.shape, dtype=np.complex128)
+        out.real, out.imag = np.cos(angle) * ratio, np.sin(angle) * ratio
+        out[t == 0.0] = 1.0
+        if sums.exact.any():
+            a = sums.numerators[sums.exact]
+            z = np.exp(2j * np.pi * sums.turns[sums.exact])
+            z_n = np.exp(2j * np.pi * (a * N % sums.denominator / sums.denominator).astype(float))
+            quotient = (1.0 - z_n) / (N * (1.0 - z))
+            quotient[a == 0] = 1.0
+            out[sums.exact] = quotient
+    return out
 
 
 def mean_ergodic(u, N, unitarity_tol: float = 1e-10) -> np.ndarray:
@@ -251,33 +266,24 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
 
 
 def _class_tables(dec: SpectralDecomposition, p: Partition, weight) -> list[np.ndarray]:
-    """Per class, ``weight`` of the class's phase sum for every block tuple.
+    """Per class, ``weight`` of the ``PhaseSums`` of the class's size: one entry per block tuple.
 
     Axis j of a class's table is the block at the class's j-th slot; classes
     of equal size share one table.
     """
-    phases = dec.phases
-    by_size: dict[int, np.ndarray] = {}
-    tables = []
-    for lab in range(1, p.k + 1):
-        size = p.labels.count(lab)
-        if size not in by_size:
-            sums = [Phase.rational(0, 1)]
-            for _ in range(size):
-                sums = [total + ph for total in sums for ph in phases]
-            by_size[size] = np.array([weight(total) for total in sums]).reshape((len(phases),) * size)
-        tables.append(by_size[size])
-    return tables
+    sizes = [p.labels.count(lab) for lab in range(1, p.k + 1)]
+    by_size = {size: weight(phase_sums(dec.phases, size)) for size in set(sizes)}
+    return [by_size[size] for size in sizes]
 
 
 def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.ndarray]:
-    return _class_tables(dec, p, lambda total: kernel(total, N))
+    return _class_tables(dec, p, lambda sums: _kernels(sums, N))
 
 
 def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -> list[np.ndarray]:
     tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
     resonant_partners(dec, tol)  # rejects a tolerance that pairs phases ambiguously
-    return _class_tables(dec, p, lambda total: 1.0 if total.is_one(tol) else 0.0)
+    return _class_tables(dec, p, lambda sums: sums.resonant(tol).astype(float))
 
 
 def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int) -> np.ndarray:
@@ -354,6 +360,8 @@ def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> 
             dec.frame.conj().T @ a @ dec.frame
         )
         chain = chain[..., None, :, :] @ blocks
+    if r == 1:  # every chain is 1 x 1
+        return np.abs(chain[..., 0, 0])
     return np.linalg.norm(chain, 2, axis=(-2, -1))
 
 
@@ -489,14 +497,11 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
 def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None) -> float:
     """Smallest |1 - z*w| over non-resonant phase pairs; inf when none exist."""
     partners = resonant_partners(dec, resonance_tol)
-    phases = dec.phases
-    gap = float("inf")
-    for b in range(len(phases)):
-        for c in range(len(phases)):
-            if partners[b] == c:
-                continue
-            gap = min(gap, abs(1.0 - (phases[b] + phases[c]).value()))
-    return gap
+    gaps = phase_sums(dec.phases, 2).distances()
+    for b, c in enumerate(partners):
+        if c is not None:
+            gaps[b, c] = np.inf
+    return float(gaps.min())
 
 
 def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,

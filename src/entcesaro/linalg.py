@@ -23,7 +23,7 @@ def as_operator(a, dim: int | None = None, name: str = "operator") -> np.ndarray
         raise ValueError(f"{name} must be a nonempty square matrix, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -32,7 +32,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128).reshape(-1)
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

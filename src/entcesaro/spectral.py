@@ -15,13 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_operator, haar_unitary, operator_norm, unitarity_residual
+from .linalg import as_operator, frobenius_norm, haar_unitary, operator_norm, unitarity_residual
 
 __all__ = [
     "Phase",
     "Tolerances",
     "SpectralLine",
     "SpectralDecomposition",
+    "PhaseSums",
+    "phase_sums",
     "decompose",
     "reconstruct",
     "from_eigensystem",
@@ -108,6 +110,53 @@ class Phase:
         if self.frac is not None:
             return f"{self.frac.numerator}/{self.frac.denominator}"
         return repr(self.turns)
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseSums:
+    """Every sum of ``size`` phases of a list, one entry per index tuple, as arrays.
+
+    Entry (i_1, ..., i_s) is ((0 + p_i1) + p_i2) + ... + p_is formed as ``Phase.__add__``
+    forms it: mod 1 with a result of 1.0 taken as 0.0, exact iff every summand is exact.
+    Exact sums are ``numerators / denominator`` with Python-int numerators (object dtype, so
+    a large denominator cannot overflow) and ``turns`` their correctly rounded float.
+    """
+
+    turns: np.ndarray
+    exact: np.ndarray
+    numerators: np.ndarray
+    denominator: int
+
+    def distances(self) -> np.ndarray:
+        """|z - 1| of every sum; ``hypot`` rounds it as ``abs(phase.value() - 1.0)`` does."""
+        diff = np.exp(2j * np.pi * self.turns) - 1.0
+        return np.hypot(diff.real, diff.imag)
+
+    def resonant(self, tol: float) -> np.ndarray:
+        """``Phase.is_one`` of every sum: numerator 0 when exact, |z - 1| <= tol otherwise."""
+        out = self.distances() <= tol
+        if self.exact.any():
+            out[self.exact] = self.numerators[self.exact] == 0
+        return out
+
+
+def phase_sums(phases, size: int) -> PhaseSums:
+    """``PhaseSums`` of ``size`` summands drawn from ``phases``, shape (len(phases),) * size."""
+    exact = np.array([ph.is_exact for ph in phases], dtype=bool)
+    step_turns = np.array([ph.turns for ph in phases], dtype=float)
+    denominator = math.lcm(*(ph.frac.denominator for ph in phases if ph.is_exact))
+    step_num = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) if ph.is_exact else 0
+                         for ph in phases], dtype=object)
+    turns, sums_exact, numerators = np.zeros(()), np.ones((), dtype=bool), np.zeros((), dtype=object)
+    any_exact = bool(exact.any())
+    for _ in range(size):
+        sums_exact = sums_exact[..., None] & exact
+        turns = np.mod(turns[..., None] + step_turns, 1.0)
+        turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
+        if any_exact:
+            numerators = (numerators[..., None] + step_num) % denominator
+            turns[sums_exact] = (numerators[sums_exact] / denominator).astype(float)
+    return PhaseSums(turns, sums_exact, np.broadcast_to(numerators, turns.shape), denominator)
 
 
 @dataclass(frozen=True)
@@ -212,13 +261,21 @@ def _with_frame(phases, frame, labels, source_unitarity: float, tol: Tolerances)
     return SpectralDecomposition(frame.shape[0], entries, frame, blocks, source_unitarity, tol)
 
 
+def _gate(residual: np.ndarray, tol: float, check: str) -> None:
+    """Reject an operator-norm ``residual`` above ``tol``.
+
+    The Frobenius norm bounds the operator norm, so a residual that passes on it passes; the SVD
+    runs only when it does not, and the message reports the operator norm.
+    """
+    if frobenius_norm(residual) > tol:
+        norm = operator_norm(residual)
+        if norm > tol:
+            raise ValueError(f"decomposition fails {check} check: residual {norm:.3e}")
+
+
 def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
-    frame_res = unitarity_residual(dec.frame)
-    if frame_res > FRAME_TOL:
-        raise ValueError(f"decomposition fails frame orthonormality check: residual {frame_res:.3e}")
-    recon = operator_norm(reconstruct(dec) - as_operator(source))
-    if recon > RECONSTRUCTION_TOL:
-        raise ValueError(f"decomposition fails reconstruction check: residual {recon:.3e}")
+    _gate(dec.frame.conj().T @ dec.frame - np.eye(dec.dim), FRAME_TOL, "frame orthonormality")
+    _gate(reconstruct(dec) - as_operator(source), RECONSTRUCTION_TOL, "reconstruction")
     # Entries are sorted by turns, so the closest pair on the circle is adjacent.
     turns = [line.phase.turns for line in dec.entries]
     if np.diff(turns + [turns[0] + 1.0]).min() <= dec.tolerances.cluster:
@@ -340,27 +397,18 @@ def resonant_partners(dec: SpectralDecomposition, tol: float | None = None) -> t
     """
     if tol is None:
         tol = dec.tolerances.resonance
-    phases = dec.phases
-    partners: list[int | None] = []
-    for b, zb in enumerate(phases):
-        matches = []
-        for c, zc in enumerate(phases):
-            combined = zb + zc
-            if combined.is_one(tol):
-                matches.append((abs(combined.value() - 1.0), c))
-        if not matches:
-            partners.append(None)
-        elif len(matches) == 1:
-            partners.append(matches[0][1])
-        else:
-            raise ValueError(
-                "resonance tolerance admits multiple partners for one phase; "
-                "decrease the tolerance or separate the spectrum"
-            )
+    resonant = phase_sums(dec.phases, 2).resonant(tol)
+    if (resonant.sum(axis=1) > 1).any():
+        raise ValueError(
+            "resonance tolerance admits multiple partners for one phase; "
+            "decrease the tolerance or separate the spectrum"
+        )
+    partners = tuple(int(c) if hit else None
+                     for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
     for b, c in enumerate(partners):
         if c is not None and partners[c] != b:
             raise ValueError("resonance pairing is not symmetric; tolerance too large")
-    return tuple(partners)
+    return partners
 
 
 def antidiagonal_spectrum(dec: SpectralDecomposition, tol: float | None = None) -> tuple[Phase, ...]:

@@ -1,6 +1,8 @@
 """Shared test helpers: independent brute-force oracles and system builders."""
 
+import cmath
 import itertools
+import math
 import os
 import sys
 
@@ -70,14 +72,71 @@ def block_tuple_chains(dec, partition, ops):
         yield blocks, chain
 
 
+def scalar_kernel(phase, N):
+    """Cesaro kernel of one phase, one ``Phase`` at a time: the reference for the array kernel.
+
+    Exact phases take (1 - z^N) / (N (1 - z)) with z^N from rational
+    arithmetic; float phases take the Dirichlet form with t in [-1/2, 1/2).
+    """
+    if phase.is_exact:
+        if phase.frac == 0:
+            return 1.0 + 0.0j
+        return (1.0 - phase.power(N).value()) / (N * (1.0 - phase.value()))
+    t = phase.turns if phase.turns < 0.5 else phase.turns - 1.0
+    if t == 0.0:
+        return 1.0 + 0.0j
+    n = round(N * t)
+    ratio = (-1) ** (n % 2) * math.sin(math.pi * (N * t - n)) / (N * math.sin(math.pi * t))
+    return cmath.exp(1j * math.pi * (N - 1) * t) * ratio
+
+
+def phase_sum_loop(phases, size):
+    """Every sum of ``size`` phases, folded left to right with ``Phase.__add__`` from exact 0.
+
+    Returns the flat list of sums in index-tuple order, as a table of shape
+    (len(phases),) * size would hold them.
+    """
+    from entcesaro.spectral import Phase
+
+    sums = [Phase.rational(0, 1)]
+    for _ in range(size):
+        sums = [total + ph for total in sums for ph in phases]
+    return sums
+
+
+def resonant_partners_loop(phases, tol):
+    """The partner of each phase by a double loop over ``Phase.__add__`` and ``is_one``."""
+    partners = []
+    for zb in phases:
+        matches = [c for c, zc in enumerate(phases) if (zb + zc).is_one(tol)]
+        if len(matches) > 1:
+            raise ValueError(
+                "resonance tolerance admits multiple partners for one phase; "
+                "decrease the tolerance or separate the spectrum"
+            )
+        partners.append(matches[0] if matches else None)
+    for b, c in enumerate(partners):
+        if c is not None and partners[c] != b:
+            raise ValueError("resonance pairing is not symmetric; tolerance too large")
+    return tuple(partners)
+
+
+def spectral_gap_loop(phases, partners):
+    """Smallest |1 - z w| over the phase pairs that are not partners, by a double loop."""
+    gap = float("inf")
+    for b in range(len(phases)):
+        for c in range(len(phases)):
+            if partners[b] != c:
+                gap = min(gap, abs(1.0 - (phases[b] + phases[c]).value()))
+    return gap
+
+
 def tuple_bound_oracle(dec, partition, ops, N, tol=1e-8):
     """Per-tuple certified bound: sum of |prod K - prod R| * ||chain||_2 (SVD)."""
-    from entcesaro.engines import kernel
-
     total = 0.0
     for blocks, chain in block_tuple_chains(dec, partition, ops):
         sums = [_phase_sum(dec, cls) for cls in _class_blocks(partition, blocks)]
-        weight = abs(np.prod([kernel(s, N) for s in sums]) - float(all(s.is_one(tol) for s in sums)))
+        weight = abs(np.prod([scalar_kernel(s, N) for s in sums]) - float(all(s.is_one(tol) for s in sums)))
         total += weight * np.linalg.svd(chain, compute_uv=False)[0]
     return total
 

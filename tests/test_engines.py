@@ -1,7 +1,12 @@
+import math
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entcesaro import engines
 from entcesaro.engines import (
     BudgetError,
     cesaro_direct,
@@ -21,15 +26,27 @@ from entcesaro.linalg import haar_unitary, operator_norm
 from entcesaro.partitions import enumerate_pair_partitions, parse_partition
 from entcesaro.spectral import (
     Phase,
+    Tolerances,
     antidiagonal_spectrum,
     decompose,
     from_eigensystem,
     invariant_projection,
+    phase_sums,
     random_system,
     reconstruct,
+    resonant_partners,
 )
 
-from conftest import brute_force_mean, random_ops, tuple_bound_oracle, tuple_limit_oracle
+from conftest import (
+    brute_force_mean,
+    phase_sum_loop,
+    random_ops,
+    resonant_partners_loop,
+    scalar_kernel,
+    spectral_gap_loop,
+    tuple_bound_oracle,
+    tuple_limit_oracle,
+)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 DIAG_PM = np.diag([1.0, -1.0]).astype(complex)
@@ -83,6 +100,83 @@ class TestKernel:
                 z = mpmath.expjpi(2 * mpmath.mpf(t))
                 exact = complex((1 - z**n) / (n * (1 - z)))
                 assert abs(kernel(Phase.from_turns(t), n) - exact) <= 1e-12
+
+
+# Float turns whose sums land on the 0/1 seam, at 1/2 or next to 0 and 1.
+SEAM_TURNS = [0.0, 0.5, 0.25, 0.75, 0.3, 0.7, 0.1, 0.9, 2.0**-53, 1.0 - 2.0**-53, 1e-9, 1.0 - 1e-9]
+DENOMINATORS = [1, 2, 3, 4, 6, 7, 12, 998244353, 1000000007]
+
+float_phases = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                         st.sampled_from(SEAM_TURNS)).map(Phase.from_turns)
+exact_phases = st.builds(Phase.rational, st.integers(0, 10**10), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def phase_lists(draw):
+    """Float, exact or mixed phases, a resonance tolerance, and maybe a partner near its edge."""
+    tol = draw(st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2, 0.3]))  # the larger ones pair ambiguously
+    kinds = draw(st.sampled_from([float_phases, exact_phases, st.one_of(float_phases, exact_phases)]))
+    phases = draw(st.lists(kinds, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # |z w - 1| = 2 sin(pi |delta|), so delta = k tol / (2 pi) is just inside or outside for k near 1.
+        base = draw(st.sampled_from(phases))
+        k = draw(st.sampled_from([0.0, 0.999999, 1.000001, -0.999999, -1.000001]))
+        phases.append(Phase.from_turns(-base.turns + k * tol / (2.0 * math.pi)))
+    return phases, tol
+
+
+def _outcome(fn, *args):
+    """("returned", value) of ``fn(*args)``, or ("raised", message) of its ValueError."""
+    try:
+        return "returned", fn(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+class TestPhaseSumTables:
+    """The array phase-sum tables against the per-entry ``Phase`` loops in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(phase_lists(), st.integers(1, 3), st.sampled_from([1, 2, 3, 7, 100, 10**4, 999999937, 10**9]))
+    def test_tables_match_the_loops(self, case, size, n):
+        phases, tol = case
+        loop = phase_sum_loop(phases, size)
+        sums = phase_sums(phases, size)
+        assert sums.turns.shape == (len(phases),) * size
+        assert sums.turns.ravel().tolist() == [s.turns for s in loop]
+        assert sums.exact.ravel().tolist() == [s.is_exact for s in loop]
+        for num, s in zip(sums.numerators.ravel(), loop):
+            if s.is_exact:
+                assert Fraction(num, sums.denominator) == s.frac
+
+        dec = SimpleNamespace(phases=tuple(phases), tolerances=Tolerances(resonance=tol))
+        p = parse_partition(",".join(["1"] * size))
+        (table,) = engines._kernel_tables(dec, p, n)
+        eps = np.finfo(float).eps
+        for value, s in zip(table.ravel(), loop):
+            ref = scalar_kernel(s, n)
+            assert (value == 0) == (ref == 0)  # exact zeros stay exact
+            assert abs(value - ref) <= 4 * eps * abs(ref)
+
+        outcome, partners = _outcome(resonant_partners_loop, phases, tol)
+        assert _outcome(resonant_partners, dec, tol) == (outcome, partners)
+        if outcome == "raised":  # an ambiguous or asymmetric pairing
+            assert _outcome(engines._resonance_tables, dec, p, tol) == (outcome, partners)
+        else:
+            (resonance,) = engines._resonance_tables(dec, p, tol)
+            assert resonance.ravel().tolist() == [float(s.is_one(tol)) for s in loop]
+            assert spectral_gap(dec, tol) == spectral_gap_loop(phases, partners)
+
+    def test_large_coprime_denominators_stay_exact(self):
+        # 1/1000000007 would wrap in int64 once summed and multiplied by N; the numerators do not.
+        phases = [Phase.rational(1, 1000000007), Phase.rational(1000000006, 1000000007),
+                  Phase.rational(1, 998244353)]
+        sums = phase_sums(phases, 2)
+        assert sums.denominator == 1000000007 * 998244353
+        assert sums.resonant(1e-8).tolist() == [[False, True, False], [True, False, False],
+                                                [False, False, False]]
+        (table,) = engines._kernel_tables(SimpleNamespace(phases=tuple(phases)), P11, 1000000007)
+        assert table[0, 0] == 0.0 and table[0, 1] == 1.0  # a period of 2/1000000007; a resonance
 
 
 class TestMeanErgodic:

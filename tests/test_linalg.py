@@ -73,6 +73,15 @@ def test_as_vector_validation():
         as_vector([np.inf, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_imaginary_part_alone_is_rejected(bad):
+    entry = complex(1.0, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        as_operator(np.array([[entry, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        as_vector([0, entry])
+
+
 def test_haar_unitary_is_unitary_and_seeded():
     u1 = haar_unitary(np.random.default_rng(5), 6)
     u2 = haar_unitary(np.random.default_rng(5), 6)

@@ -151,6 +151,42 @@ class TestFrame:
             from_eigensystem([Phase.rational(j, 3) for j in range(3)], basis)
 
 
+class TestValidateGates:
+    """Frame and reconstruction gates: a Frobenius pass accepts, otherwise the operator norm decides."""
+
+    @staticmethod
+    def _scaled_basis(d, residual):
+        # (1 + e) W has W*W - I = ((1 + e)^2 - 1) I: operator norm ``residual``, Frobenius sqrt(d) times it.
+        return haar_unitary(np.random.default_rng(5), d) * np.sqrt(1.0 + residual)
+
+    def test_frame_just_above_tolerance_reports_operator_norm(self):
+        basis = self._scaled_basis(3, 1.1 * FRAME_TOL)
+        norm = np.linalg.norm(basis.conj().T @ basis - np.eye(3), 2)
+        assert FRAME_TOL < norm < 1.2 * FRAME_TOL
+        with pytest.raises(ValueError, match=f"frame orthonormality check: residual {norm:.3e}"):
+            from_eigensystem([Phase.rational(j, 3) for j in range(3)], basis)
+
+    def test_frame_within_operator_norm_passes_a_failing_frobenius_test(self):
+        basis = self._scaled_basis(4, 0.9 * FRAME_TOL)
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(4)) > FRAME_TOL
+        from_eigensystem([Phase.rational(j, 4) for j in range(4)], basis)
+
+    def test_reconstruction_just_above_tolerance_reports_operator_norm(self):
+        _, dec = random_system(2, 4, "rational", 5)
+        bump = np.zeros((4, 4), dtype=complex)
+        bump[0, 0] = 1.1 * RECONSTRUCTION_TOL  # rank one: operator and Frobenius norms agree
+        source = reconstruct(dec) + bump
+        norm = np.linalg.norm(reconstruct(dec) - source, 2)
+        with pytest.raises(ValueError, match=f"reconstruction check: residual {norm:.3e}"):
+            spectral._validate(dec, source)
+
+    def test_reconstruction_within_operator_norm_passes_a_failing_frobenius_test(self):
+        _, dec = random_system(2, 4, "rational", 5)
+        source = reconstruct(dec) + 0.9 * RECONSTRUCTION_TOL * np.eye(4)
+        assert np.linalg.norm(reconstruct(dec) - source) > RECONSTRUCTION_TOL
+        assert spectral._validate(dec, source) is dec
+
+
 # Eigenphase clusters (turns) that stress the eigensolver: rank-16 blocks of
 # exact rational phases, distinct phases 1e-7 turns apart (ten times the
 # cluster tolerance) and a sub-tolerance cluster straddling the 0/1 seam.
