@@ -23,8 +23,14 @@ chosen phases.  Every such table, the spectral gap and the resonance pairing
 read one array of class phase sums, ``spectral.phase_sums``: float turns,
 and for exact phases Python-int numerators over their common denominator L,
 so exact resonances and periodic zeros (a N = 0 mod L) stay exact.
+The contraction is planned from the partition and the block sizes before
+any product (``_sweep_plan``): which slot widens which class's block axis,
+and where a closing class is summed out inside that widening, so that two
+classes are held at once only when the partition forces it.  With every
+block of rank 1 (every Haar system) a widening is one broadcast product;
+larger blocks take one product per block of columns.
 ``error_bound`` sums |prod K_N - prod R| times each tuple's block-chain
-norm.  ``budget`` caps the entries of a widened swept tensor
+norm.  ``budget`` caps the entries of the largest planned intermediate
 for the mean and limit, and the tuple count B^m for the bound.
 
 Classes of size other than two are supported behind ``general=True``; that
@@ -39,15 +45,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
+from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, operator_norms, require_unitary
 from .partitions import Partition, is_crossing, require_pair
 from .spectral import (
     Phase,
     PhaseSums,
     SpectralDecomposition,
     antidiagonal_spectrum,
+    frame_blocks,
     phase_sums,
     reconstruct,
+    resonance_table,
     resonant_partners,
 )
 
@@ -265,25 +273,84 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     return CesaroResult(matrix, "direct", N, time.perf_counter() - start)
 
 
-def _class_tables(dec: SpectralDecomposition, p: Partition, weight) -> list[np.ndarray]:
-    """Per class, ``weight`` of the ``PhaseSums`` of the class's size: one entry per block tuple.
+def _class_tables(p: Partition, table_of_size) -> list[np.ndarray]:
+    """Per class, ``table_of_size(s)`` for its size s: one entry per block tuple.
 
     Axis j of a class's table is the block at the class's j-th slot; classes
     of equal size share one table.
     """
     sizes = [p.labels.count(lab) for lab in range(1, p.k + 1)]
-    by_size = {size: weight(phase_sums(dec.phases, size)) for size in set(sizes)}
+    by_size = {size: table_of_size(size) for size in set(sizes)}
     return [by_size[size] for size in sizes]
 
 
 def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.ndarray]:
-    return _class_tables(dec, p, lambda sums: _kernels(sums, N))
+    return _class_tables(p, lambda size: _kernels(phase_sums(dec.phases, size), N))
 
 
 def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -> list[np.ndarray]:
     tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
-    resonant_partners(dec, tol)  # rejects a tolerance that pairs phases ambiguously
-    return _class_tables(dec, p, lambda sums: sums.resonant(tol).astype(float))
+    pairs = resonance_table(dec.phases, tol)  # rejects a tolerance that pairs phases ambiguously
+    return _class_tables(p, lambda size: (pairs if size == 2 else phase_sums(dec.phases, size).resonant(tol))
+                         .astype(float))
+
+
+def _sweep_plan(p: Partition, B: int, d: int) -> tuple[list[tuple[str, int | None, int | None]], int]:
+    """The steps of ``_contract``'s sweep, one per slot after the first, and its planned peak.
+
+    The swept tensor has one block axis per open class, in opening order, then (row, column).  A
+    class's axis records its blocks at its slots other than slot 1 (the row's block) and its last
+    (the column's block), so a pair from slot 1 or on adjacent slots needs none.  At slot s the
+    product with A~_{s-1} widens axis ``widened`` (if any) by the block of slot s-1, and
+    ``action`` is what the class at slot s does:
+
+    * "weigh": its table weighs A~_{s-1} (a singleton: its columns; a pair on adjacent slots after
+      slot 1: its rows and columns), so the class needs no axis;
+    * "rows":  its table weighs the (row, column) blocks (a pair from slot 1);
+    * "open":  a block axis opens for it;
+    * "close": its axis ``closed`` is summed against its table;
+    * "fold":  the same, inside the widening (a class from after slot 1 closing where another
+      class's axis widens), so no tensor holds both axes;
+    * "":      nothing.
+
+    The peak is the entry count of the largest tensor the sweep forms: each step's input and its
+    widened tensor (after the fold).
+    """
+    first, last = _first_last(p)
+    size = {lab: p.labels.count(lab) for lab in p.labels}
+
+    def records(pos: int) -> bool:
+        adjacent_pair = size[p.labels[pos - 1]] == 2 and last[pos - 1] == pos + 1
+        return 1 < pos < last[pos - 1] and not adjacent_pair
+
+    axes: list[int] = []  # class of each block axis
+    extents: list[int] = []  # entries of each block axis
+    steps = []
+    peak = d * d
+    for pos in range(2, p.m + 1):
+        lab = p.labels[pos - 1]
+        before = math.prod(extents)
+        widened = axes.index(p.labels[pos - 2]) if records(pos - 1) else None
+        if widened is not None:
+            extents[widened] *= B
+        closed = axes.index(lab) if pos == last[pos - 1] and lab in axes else None
+        if closed is not None:
+            action = "fold" if widened not in (None, closed) and first[pos - 1] > 1 else "close"
+        elif pos == last[pos - 1]:
+            action = "rows" if first[pos - 1] == 1 else "weigh"
+        elif records(pos) and lab not in axes:
+            action = "open"
+        else:
+            action = ""
+        widest = math.prod(extents) // (extents[closed] if action == "fold" else 1)
+        peak = max(peak, before * d * d, widest * d * d)
+        if closed is not None:
+            del axes[closed], extents[closed]
+        if action == "open":
+            axes.append(lab)
+            extents.append(1)
+        steps.append((action, widened, closed))
+    return steps, peak
 
 
 def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int) -> np.ndarray:
@@ -291,50 +358,66 @@ def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int
 
     In the frame W each E_b is the diagonal 0/1 mask ``blocks == b``, so the
     sum is W M~ W* with M~ swept over A~_j = W* A_j W slot by slot, left to
-    right, as ``cesaro_direct`` sweeps the power table.  The block at slot 1
-    is the row's block.  Every later slot of a class that stays open widens
-    the class's block axis by B in the product with the next operator, one
-    block of columns at a time; the class's last slot contracts that axis
-    against the class table.  ``budget`` caps the entries of a widened tensor.
+    right, as ``cesaro_direct`` sweeps the power table, by the steps of
+    ``_sweep_plan``.  Its planned peak is checked against ``budget`` before
+    any product.  Widening a block axis records the column block: with every
+    block of rank 1 (then B = d and block c is column c) that is one broadcast
+    product T[..., x, c] A~[c, y] with c moved onto the axis, and a fold first
+    sums the closing axis of T against its table in one matrix product;
+    otherwise each block of columns takes one product, and a fold sums the
+    closing axis out of each as it is formed.
     """
-    first, last = _first_last(p)
-    blk = dec.blocks
-    d, B = dec.dim, len(dec.entries)
-    cols = [np.flatnonzero(blk == b) for b in range(B)]
-    frame_ops = [dec.frame.conj().T @ a @ dec.frame for a in ops]
+    d, B, blk = dec.dim, len(dec.entries), dec.blocks
+    steps, peak = _sweep_plan(p, B, d)
+    if peak > budget:
+        raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
+    first, _ = _first_last(p)
+    rank_one = B == d
+    bounds = dec.bounds
+    frame_ops = dec.frame.conj().T @ np.stack(ops) @ dec.frame if ops else ()
+
+    def spread(table):  # a class table indexed by frame column on every axis
+        return table if rank_one else table[np.ix_(*(blk,) * table.ndim)]
+
     tensor = np.eye(d, dtype=np.complex128)
-    open_labels: list[int] = []  # class of each block axis, in axis order
-    for pos, lab in enumerate(p.labels, start=1):
-        idx = pos - 1
-        if pos > 1:
-            a = frame_ops[pos - 2]
-            if pos > 2 and last[pos - 2] != pos - 1:
-                if tensor.size * B > budget:
-                    raise BudgetError(f"spectral engine: {tensor.size * B:.3e} entries "
-                                      f"exceed budget {budget:.1e}")
-                axis = open_labels.index(p.labels[pos - 2])
-                shape = list(tensor.shape)
-                shape[axis] *= B
-                parts = [tensor[..., c] @ a[c] for c in cols]
-                tensor = np.stack(parts, axis=axis + 1).reshape(shape)
-            else:
-                tensor = tensor @ a
-        table = tables[lab - 1]
-        if first[idx] == pos and last[idx] == pos:
-            tensor = tensor * table[blk]
-        elif first[idx] == pos:
-            open_labels.append(lab)
-            tensor = tensor[..., None, :, :]
-        elif last[idx] == pos:
-            axis = open_labels.index(lab)
-            if first[idx] == 1:
+    if p.labels.count(p.labels[0]) == 1:
+        tensor = tensor * spread(tables[p.labels[0] - 1])
+    for pos, (action, widened, closed) in enumerate(steps, start=2):
+        table = tables[p.labels[pos - 1] - 1]
+        a = frame_ops[pos - 2]
+        if action == "weigh":
+            a = a * spread(table)
+        if action in ("close", "fold"):
+            if first[pos - 1] == 1:
                 lift = table[blk].reshape(d, -1, B)[..., blk].transpose(1, 0, 2)
             else:
                 lift = table.reshape(-1, 1, B)[..., blk]
-            later = len(open_labels) - 1 - axis
+            later = tensor.ndim - 3 - closed  # block axes after the closed one
             lift = lift.reshape(lift.shape[:1] + (1,) * later + lift.shape[1:])
-            tensor = (tensor * lift).sum(axis=axis)
-            open_labels.pop(axis)
+        if widened is None:
+            tensor = tensor @ a
+        else:
+            axis = widened - (action == "fold" and closed < widened)
+            if rank_one:
+                if action == "fold":  # sum the closed axis first: (..., x, c) -> (..., x, c, y)
+                    tensor = np.moveaxis(tensor, closed, -1) @ table.reshape(-1, B)
+                else:
+                    tensor = tensor[..., None]
+                tensor = np.moveaxis(tensor, -2, axis + 1)
+                a = a.reshape((d,) + (1,) * (tensor.ndim - axis - 3) + (d,))
+                tensor = np.multiply(tensor, a, order="C")
+            else:
+                parts = (tensor[..., s:e] @ a[s:e] for s, e in zip(bounds[:-1], bounds[1:]))
+                if action == "fold":  # each column block's product is summed out as it is formed
+                    parts = ((part * lift).sum(axis=closed) for part in parts)
+                tensor = np.stack(list(parts), axis=axis + 1)
+            tensor = tensor.reshape(tensor.shape[:axis] + (-1,) + tensor.shape[axis + 2:])
+        if action == "rows":
+            tensor = tensor * spread(table)
+        elif action == "close":
+            tensor = (tensor * lift).sum(axis=closed)
+        elif action == "open":
+            tensor = tensor[..., None, :, :]
     return dec.frame @ tensor @ dec.frame.conj().T
 
 
@@ -345,24 +428,14 @@ def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> 
     A~_j = W* A_j W along t, zero-padded to the largest rank.  The tuples are
     extended one slot at a time, so every prefix product is formed once.
     """
-    B, blk = len(dec.entries), dec.blocks
+    B = len(dec.entries)
     if B**p.m > budget:
         raise BudgetError(f"spectral engine: B^m = {B**p.m:.3e} exceeds budget {budget:.1e}")
-    within = np.empty(dec.dim, dtype=int)  # position of each column inside its block
-    for b in range(B):
-        within[blk == b] = np.arange(np.count_nonzero(blk == b))
-    r = int(within.max()) + 1
-    chain = np.zeros((B, r, r), dtype=np.complex128)  # E_t1 alone: identity blocks
-    chain[blk, within, within] = 1.0
+    diagonal = np.arange(B)
+    chain = frame_blocks(dec, np.eye(dec.dim))[diagonal, diagonal]  # E_t1 alone: identity blocks
     for a in ops:
-        blocks = np.zeros((B, B, r, r), dtype=np.complex128)
-        blocks[blk[:, None], blk[None, :], within[:, None], within[None, :]] = (
-            dec.frame.conj().T @ a @ dec.frame
-        )
-        chain = chain[..., None, :, :] @ blocks
-    if r == 1:  # every chain is 1 x 1
-        return np.abs(chain[..., 0, 0])
-    return np.linalg.norm(chain, 2, axis=(-2, -1))
+        chain = chain[..., None, :, :] @ frame_blocks(dec, dec.frame.conj().T @ a @ dec.frame)
+    return operator_norms(chain)
 
 
 def _spread(p: Partition, tables) -> np.ndarray:

@@ -9,6 +9,7 @@ __all__ = [
     "as_vector",
     "frobenius_norm",
     "operator_norm",
+    "operator_norms",
     "unitarity_residual",
     "require_unitary",
     "haar_unitary",
@@ -44,6 +45,13 @@ def frobenius_norm(a) -> float:
 def operator_norm(a) -> float:
     """Largest singular value, from the LAPACK singular value decomposition."""
     return float(np.linalg.norm(as_operator(a), 2))
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of each matrix in a stack of shape (..., r, r); |entry| when r == 1."""
+    if stack.shape[-1] == 1:
+        return np.abs(stack[..., 0, 0])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 def unitarity_residual(u) -> float:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_operator, frobenius_norm, haar_unitary, operator_norm, unitarity_residual
+from .linalg import as_operator, frobenius_norm, haar_unitary, operator_norm, operator_norms, unitarity_residual
 
 __all__ = [
     "Phase",
@@ -32,6 +32,8 @@ __all__ = [
     "resonant_partners",
     "invariant_projection",
     "decomposition_residuals",
+    "frame_blocks",
+    "resonance_table",
 ]
 
 MAX_RANDOM_DIM = 64
@@ -175,21 +177,31 @@ class Tolerances:
 
 @dataclass(frozen=True, eq=False)
 class SpectralLine:
+    """An eigenphase with its block of the frame: orthonormal columns spanning the eigenspace.
+
+    ``basis`` is a view of the decomposition's frame; the projection ``basis @ basis^*`` is formed
+    when read.
+    """
+
     phase: Phase
-    projection: np.ndarray
+    basis: np.ndarray
 
     @property
     def rank(self) -> int:
-        return int(round(float(np.trace(self.projection).real)))
+        return self.basis.shape[1]
+
+    @property
+    def projection(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenphases with mutually orthogonal eigenprojections summing to I.
 
-    ``frame`` is an orthonormal eigenbasis whose column i lies in the range
-    of the projection of line ``blocks[i]``; each projection is
-    ``frame[:, blocks == b] @ frame[:, blocks == b]^*``.
+    ``frame`` is an orthonormal eigenbasis with the columns of each line contiguous and in line
+    order: column i lies in the eigenspace of line ``blocks[i]``, and line b spans the columns
+    ``bounds[b]:bounds[b + 1]``, which are its ``basis``.
     """
 
     dim: int
@@ -207,6 +219,11 @@ class SpectralDecomposition:
     def projections(self) -> tuple[np.ndarray, ...]:
         return tuple(line.projection for line in self.entries)
 
+    @property
+    def bounds(self) -> np.ndarray:
+        """Column bounds of the lines in ``frame``: line b spans ``bounds[b]:bounds[b + 1]``."""
+        return np.searchsorted(self.blocks, np.arange(len(self.entries) + 1))
+
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     """Sum of phase * projection over all spectral lines, as W diag(z) W* from the frame."""
@@ -214,28 +231,41 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
 
 
+def frame_blocks(dec: SpectralDecomposition, mat) -> np.ndarray:
+    """The r_a x r_b blocks of a matrix in frame coordinates, zero-padded to the largest rank.
+
+    Entry [a, b] of the result, shape (B, B, r, r), holds ``mat[bounds[a]:bounds[a + 1],
+    bounds[b]:bounds[b + 1]]`` in its top-left corner.
+    """
+    bounds = dec.bounds
+    within = np.arange(dec.dim) - bounds[dec.blocks]  # position of each column inside its block
+    r = int(np.diff(bounds).max())
+    out = np.zeros((len(dec.entries),) * 2 + (r, r), dtype=np.complex128)
+    out[dec.blocks[:, None], dec.blocks[None, :], within[:, None], within[None, :]] = mat
+    return out
+
+
 def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str, float]:
-    """Worst-case residuals of the decomposition invariants.
+    """Bounds on the residuals of the decomposition invariants, from the Gram matrix G = W*W.
+
+    Line b's projection is W_b W_b^* for its frame block W_b, and ||W_b||^2 = ||G_bb|| <= 1 + e
+    with e = ||G - I||.  So its idempotency residual W_b (G_bb - I) W_b^* is at most
+    (1 + e) ||G_bb - I||, the orthogonality residual W_a G_ab W_b^* of two lines at most
+    (1 + e) ||G_ab||, the completeness residual is ||W W^* - I||, and every projection is
+    Hermitian by construction.  Each value bounds the residual it names.
 
     When ``source`` is given, the reconstruction residual against it is
     included; otherwise that key reports the stored construction-time value.
     """
-    herm = idem = ortho = 0.0
-    total = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for line in dec.entries:
-        p = line.projection
-        herm = max(herm, operator_norm(p - p.conj().T))
-        idem = max(idem, operator_norm(p @ p - p))
-        total += p
-    for a in range(len(dec.entries)):
-        for b in range(a + 1, len(dec.entries)):
-            ortho = max(ortho, operator_norm(dec.entries[a].projection @ dec.entries[b].projection))
-    completeness = operator_norm(total - np.eye(dec.dim))
+    eye = np.eye(dec.dim)
+    gram = dec.frame.conj().T @ dec.frame - eye
+    norms = operator_norms(frame_blocks(dec, gram))
+    scale = 1.0 + operator_norm(gram)
     out = {
-        "hermiticity": herm,
-        "idempotency": idem,
-        "orthogonality": ortho,
-        "completeness": completeness,
+        "hermiticity": 0.0,
+        "idempotency": scale * float(np.diagonal(norms).max()),
+        "orthogonality": scale * float(norms[~np.eye(len(norms), dtype=bool)].max(initial=0.0)),
+        "completeness": operator_norm(dec.frame @ dec.frame.conj().T - eye),
         "unitarity": dec.source_unitarity,
     }
     if source is not None:
@@ -246,36 +276,37 @@ def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str
 def _with_frame(phases, frame, labels, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
     """Decomposition from an orthonormal frame whose column i lies in line ``labels[i]``.
 
-    Lines are sorted by phase and the columns regrouped to match.  Rank-one projections come from
-    one broadcast; a larger block, whose d x d x d broadcast would outgrow them, takes one product.
+    Lines are sorted by phase and the columns regrouped to match, so each line's basis is a
+    contiguous block of the frame, held as a view.
     """
     order = np.argsort([ph.turns for ph in phases], kind="stable")
     blocks = np.argsort(order)[labels]
     perm = np.argsort(blocks, kind="stable")
     frame, blocks = frame[:, perm], blocks[perm]
-    if len(order) == len(blocks):
-        projections = frame.T[:, :, None] * frame.conj().T[:, None, :]
-    else:
-        projections = [frame[:, blocks == b] @ frame[:, blocks == b].conj().T for b in range(len(order))]
-    entries = tuple(SpectralLine(phases[b], proj) for b, proj in zip(order, projections))
+    bounds = np.searchsorted(blocks, np.arange(len(order) + 1))
+    entries = tuple(SpectralLine(phases[b], frame[:, s:e])
+                    for b, s, e in zip(order, bounds[:-1], bounds[1:]))
     return SpectralDecomposition(frame.shape[0], entries, frame, blocks, source_unitarity, tol)
 
 
-def _gate(residual: np.ndarray, tol: float, check: str) -> None:
-    """Reject an operator-norm ``residual`` above ``tol``.
+def _gated_norm(residual: np.ndarray, tol: float) -> float:
+    """Frobenius norm of ``residual`` when within ``tol``, its operator norm otherwise.
 
-    The Frobenius norm bounds the operator norm, so a residual that passes on it passes; the SVD
-    runs only when it does not, and the message reports the operator norm.
+    The Frobenius norm bounds the operator norm, so the value is within ``tol`` exactly when the
+    operator norm is; the SVD runs only when the Frobenius test fails.
     """
-    if frobenius_norm(residual) > tol:
-        norm = operator_norm(residual)
-        if norm > tol:
-            raise ValueError(f"decomposition fails {check} check: residual {norm:.3e}")
+    norm = frobenius_norm(residual)
+    return norm if norm <= tol else operator_norm(residual)
 
 
 def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
-    _gate(dec.frame.conj().T @ dec.frame - np.eye(dec.dim), FRAME_TOL, "frame orthonormality")
-    _gate(reconstruct(dec) - as_operator(source), RECONSTRUCTION_TOL, "reconstruction")
+    for check, tol, residual in (
+        ("frame orthonormality", FRAME_TOL, dec.frame.conj().T @ dec.frame - np.eye(dec.dim)),
+        ("reconstruction", RECONSTRUCTION_TOL, reconstruct(dec) - as_operator(source)),
+    ):
+        norm = _gated_norm(residual, tol)
+        if norm > tol:
+            raise ValueError(f"decomposition fails {check} check: residual {norm:.3e}")
     # Entries are sorted by turns, so the closest pair on the circle is adjacent.
     turns = [line.phase.turns for line in dec.entries]
     if np.diff(turns + [turns[0] + 1.0]).min() <= dec.tolerances.cluster:
@@ -313,13 +344,15 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     eigenframe of U directly and no QR is needed.  The phases are the Rayleigh quotients w* U w,
     exact to rounding whatever ||H||, clustered at ``tol.cluster`` turns with wrap-around at 0/1.
     A cluster's columns are its frame block, and its phase that of the sum (so of the mean) of its
-    quotients.  All decomposition invariants are checked.
+    quotients.  All decomposition invariants are checked.  ``source_unitarity`` is the value the
+    unitarity gate measured: the Frobenius norm of U*U - I when that is within ``tol.unitarity``
+    (a bound on the operator norm), the operator norm otherwise.
     """
     arr = as_operator(u, name="unitary")
-    source_res = unitarity_residual(arr)
+    eye = np.eye(arr.shape[0])
+    source_res = _gated_norm(arr.conj().T @ arr - eye, tol.unitarity)
     if source_res > tol.unitarity:
         raise ValueError(f"input fails unitarity: residual {source_res:.3e} > {tol.unitarity:.3e}")
-    eye = np.eye(arr.shape[0])
     try:
         v = arr / -_pole(arr)
         h = 1j * np.linalg.solve(eye + v, eye - v)
@@ -387,28 +420,34 @@ def random_system(
     raise ValueError(f"unknown phase mode {phase_mode!r}")
 
 
+def resonance_table(phases, tol: float) -> np.ndarray:
+    """R[b, c] = [z_b z_c == 1] over ``phases``: ``Phase.is_one`` of every pair sum at ``tol``.
+
+    Distinct phases admit at most one partner; a tolerance that gives a phase two is rejected.
+    The table is symmetric, since both sums of a pair are formed alike.
+    """
+    resonant = phase_sums(phases, 2).resonant(tol)
+    if (resonant.sum(axis=1) > 1).any():
+        raise ValueError(
+            "resonance tolerance admits multiple partners for one phase; "
+            "decrease the tolerance or separate the spectrum"
+        )
+    return resonant
+
+
 def resonant_partners(dec: SpectralDecomposition, tol: float | None = None) -> tuple[int | None, ...]:
     """For each spectral line, the index of the line it resonates with.
 
     Line b resonates with b' when z_b * z_b' == 1: exactly for exact phases,
     within ``tol`` on |z_b * z_b' - 1| otherwise.  Distinct phases admit at
     most one partner; ambiguity means the tolerance exceeds the phase
-    separation and is rejected.
+    separation and is rejected.  The pairing is symmetric, as its table is.
     """
     if tol is None:
         tol = dec.tolerances.resonance
-    resonant = phase_sums(dec.phases, 2).resonant(tol)
-    if (resonant.sum(axis=1) > 1).any():
-        raise ValueError(
-            "resonance tolerance admits multiple partners for one phase; "
-            "decrease the tolerance or separate the spectrum"
-        )
-    partners = tuple(int(c) if hit else None
-                     for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
-    for b, c in enumerate(partners):
-        if c is not None and partners[c] != b:
-            raise ValueError("resonance pairing is not symmetric; tolerance too large")
-    return partners
+    resonant = resonance_table(dec.phases, tol)
+    return tuple(int(c) if hit else None
+                 for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
 
 
 def antidiagonal_spectrum(dec: SpectralDecomposition, tol: float | None = None) -> tuple[Phase, ...]:
@@ -421,5 +460,5 @@ def invariant_projection(dec: SpectralDecomposition) -> np.ndarray:
     """Eigenprojection at phase 1, or the zero matrix when absent."""
     for line in dec.entries:
         if line.phase.is_one(dec.tolerances.resonance):
-            return line.projection.copy()
+            return line.projection
     return np.zeros((dec.dim, dec.dim), dtype=np.complex128)

@@ -157,6 +157,79 @@ def tuple_limit_oracle(dec, partition, ops, last_blocks=None, tol=1e-8):
     return total
 
 
+def contract_per_block(dec, partition, ops, tables):
+    """The per-block frame sweep that ``engines._contract`` replaced, kept as its reference.
+
+    Widens a class's block axis by B before it closes any other class, one
+    ``tensor[..., cols] @ a[cols]`` product per block, and builds every
+    projection's columns with ``flatnonzero``.
+    """
+    first, last = {}, {}
+    for pos, lab in enumerate(partition.labels, start=1):
+        first.setdefault(lab, pos)
+        last[lab] = pos
+    blk = dec.blocks
+    d, B = dec.dim, len(dec.entries)
+    cols = [np.flatnonzero(blk == b) for b in range(B)]
+    frame_ops = [dec.frame.conj().T @ a @ dec.frame for a in ops]
+    tensor = np.eye(d, dtype=np.complex128)
+    open_labels = []
+    for pos, lab in enumerate(partition.labels, start=1):
+        if pos > 1:
+            a = frame_ops[pos - 2]
+            prev = partition.labels[pos - 2]
+            if pos > 2 and last[prev] != pos - 1:
+                axis = open_labels.index(prev)
+                shape = list(tensor.shape)
+                shape[axis] *= B
+                parts = [tensor[..., c] @ a[c] for c in cols]
+                tensor = np.stack(parts, axis=axis + 1).reshape(shape)
+            else:
+                tensor = tensor @ a
+        table = tables[lab - 1]
+        if first[lab] == pos and last[lab] == pos:
+            tensor = tensor * table[blk]
+        elif first[lab] == pos:
+            open_labels.append(lab)
+            tensor = tensor[..., None, :, :]
+        elif last[lab] == pos:
+            axis = open_labels.index(lab)
+            if first[lab] == 1:
+                lift = table[blk].reshape(d, -1, B)[..., blk].transpose(1, 0, 2)
+            else:
+                lift = table.reshape(-1, 1, B)[..., blk]
+            later = len(open_labels) - 1 - axis
+            lift = lift.reshape(lift.shape[:1] + (1,) * later + lift.shape[1:])
+            tensor = (tensor * lift).sum(axis=axis)
+            open_labels.pop(axis)
+    return dec.frame @ tensor @ dec.frame.conj().T
+
+
+def pairwise_residuals(dec, source=None):
+    """Decomposition residuals measured on every projection and pair of projections by SVD.
+
+    The pairwise loop that the Gram-matrix bounds of ``decomposition_residuals`` replaced, kept as
+    their reference.
+    """
+    from entcesaro.spectral import reconstruct
+
+    def norm(x):
+        return np.linalg.norm(x, 2)
+
+    projections = dec.projections
+    out = {
+        "hermiticity": max(norm(q - q.conj().T) for q in projections),
+        "idempotency": max(norm(q @ q - q) for q in projections),
+        "orthogonality": max((norm(projections[a] @ projections[b])
+                              for a in range(len(projections)) for b in range(a + 1, len(projections))),
+                             default=0.0),
+        "completeness": norm(sum(projections) - np.eye(dec.dim)),
+    }
+    if source is not None:
+        out["reconstruction"] = norm(reconstruct(dec) - source)
+    return out
+
+
 def crossing_by_quadruple_scan(partition: Partition) -> bool:
     """O(m^4) definition of a crossing: a<b<c<d with a~c and b~d in other classes."""
     labels = partition.labels

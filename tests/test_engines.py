@@ -39,6 +39,7 @@ from entcesaro.spectral import (
 
 from conftest import (
     brute_force_mean,
+    contract_per_block,
     phase_sum_loop,
     random_ops,
     resonant_partners_loop,
@@ -166,6 +167,15 @@ class TestPhaseSumTables:
             (resonance,) = engines._resonance_tables(dec, p, tol)
             assert resonance.ravel().tolist() == [float(s.is_one(tol)) for s in loop]
             assert spectral_gap(dec, tol) == spectral_gap_loop(phases, partners)
+
+    @settings(max_examples=200, deadline=None)
+    @given(phase_lists())
+    def test_pair_table_is_symmetric(self, case):
+        # So the partner map is an involution, and resonant_partners needs no asymmetry check.
+        phases, _ = case
+        sums = phase_sums(phases, 2)
+        for field in (sums.turns, sums.exact, sums.numerators):
+            assert (field == field.T).all()
 
     def test_large_coprime_denominators_stay_exact(self):
         # 1/1000000007 would wrap in int64 once summed and multiplied by N; the numerators do not.
@@ -655,3 +665,70 @@ class TestTupleOracle:
             tuple_limit_oracle(dec, P1212, ops, last_blocks),
             atol=1e-12,
         )
+
+
+SWEEP_PARTITIONS = [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)] + [parse_partition("1,2,3,1,2,3,4,4")]
+# General partitions: a triple from slot 1, and a triple from slot 2 that closes where a pair widens.
+GENERAL_SWEEPS = [parse_partition("1,2,1,2,1"), parse_partition("1,2,2,3,2,3,1")]
+
+
+def _sweep_system(kind, seed):
+    """All blocks of rank 1 (Haar, or distinct sevenths that resonate in pairs), mixed ranks (exact
+    phases with repeats), or one block (U = zI)."""
+    d = 2 + seed % 5
+    if kind == "rank-one" and seed % 2:
+        rng = np.random.default_rng(seed)
+        return from_eigensystem([Phase.rational(int(k), 7) for k in rng.permutation(7)[:d]], haar_unitary(rng, d))[1]
+    if kind == "rank-one":
+        return random_system(seed, d, "haar")[1]
+    if kind == "mixed":
+        return degenerate_system(seed)[1]
+    d = 1 + seed % 4
+    return from_eigensystem([Phase.rational(seed % 5, 5)] * d, haar_unitary(np.random.default_rng(seed), d))[1]
+
+
+class TestPlannedSweep:
+    """``engines._contract`` against the per-block sweep it replaced (``conftest.contract_per_block``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["rank-one", "mixed", "single-block"]), st.integers(0, 2**16),
+           st.sampled_from(SWEEP_PARTITIONS + GENERAL_SWEEPS), st.sampled_from([1, 2, 7, 10**4]))
+    def test_mean_and_limits_match_the_per_block_sweep(self, kind, seed, p, n):
+        dec = _sweep_system(kind, seed)
+        rng = np.random.default_rng(seed)
+        ops = random_ops(rng, p.m - 1, dec.dim)
+        general = p in GENERAL_SWEEPS
+        scale = max(1.0, np.prod([np.linalg.norm(a) for a in ops]))
+        resonance = engines._resonance_tables(dec, p, None)
+        pairs = [
+            (cesaro_spectral(dec, p, ops, n, general=general).matrix,
+             contract_per_block(dec, p, ops, engines._kernel_tables(dec, p, n))),
+            (limit_operator(dec, p, ops, general=general), contract_per_block(dec, p, ops, resonance)),
+        ]
+        if not general:
+            sigma = antidiagonal_spectrum(dec)
+            subset = [ph for ph in sigma if rng.random() < 0.5]
+            chosen = np.isin(np.arange(len(dec.entries)), [dec.phases.index(ph) for ph in subset])
+            pairs.append((limit_truncated(dec, p, ops, subset),
+                          contract_per_block(dec, p, ops, [table * chosen for table in resonance])))
+        for got, ref in pairs:
+            assert np.linalg.norm(got - ref) <= 1e-12 * scale
+
+    def test_plan_peaks(self):
+        # Close while widening: 1,2,1,3,2,3 stays at B d^2; 1,2,3,1,2,3 holds classes 2 and 3 at slot 4.
+        assert engines._sweep_plan(P121323, 64, 64)[1] == 64**3
+        assert engines._sweep_plan(parse_partition("1,2,3,1,2,3"), 64, 64)[1] == 64**4
+        assert engines._sweep_plan(parse_partition("1,2,3,1,2,3,4,4"), 64, 64)[1] == 64**4
+        assert engines._sweep_plan(P1212, 3, 6)[1] == 3 * 36
+
+    def test_d64_crossing_triple_under_the_default_budget(self):
+        # Exact phases k/67: every block has rank 1, and K_67 equals R entry for entry.
+        u, dec = from_eigensystem([Phase.rational(k, 67) for k in range(64)],
+                                  haar_unitary(np.random.default_rng(67), 64))
+        ops = random_ops(np.random.default_rng(1), 5, 64)
+        mean = cesaro_spectral(dec, P121323, ops, 3).matrix
+        assert np.linalg.norm(mean - cesaro_direct(u, P121323, ops, 3).matrix) <= 1e-12
+        limit = limit_operator(dec, P121323, ops)
+        assert np.array_equal(limit, cesaro_spectral(dec, P121323, ops, 67).matrix)
+        with pytest.raises(BudgetError, match="planned peak of 1.678e[+]07 entries"):
+            limit_operator(dec, parse_partition("1,2,3,1,2,3"), ops)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from entcesaro import spectral
 from entcesaro.linalg import haar_unitary, operator_norm, unitarity_residual
+from conftest import pairwise_residuals
 from entcesaro.spectral import (
     FRAME_TOL,
     RECONSTRUCTION_TOL,
@@ -171,6 +172,25 @@ class TestValidateGates:
         assert np.linalg.norm(basis.conj().T @ basis - np.eye(4)) > FRAME_TOL
         from_eigensystem([Phase.rational(j, 4) for j in range(4)], basis)
 
+    def test_source_just_above_unitarity_tolerance_reports_operator_norm(self):
+        tol = Tolerances()
+        u = self._scaled_basis(4, 1.1 * tol.unitarity)
+        norm = np.linalg.norm(u.conj().T @ u - np.eye(4), 2)
+        with pytest.raises(ValueError, match=f"input fails unitarity: residual {norm:.3e} > {tol.unitarity:.3e}"):
+            decompose(u, tol)
+
+    def test_source_within_operator_norm_passes_a_failing_frobenius_test(self):
+        tol = Tolerances()
+        u = self._scaled_basis(4, 0.9 * tol.unitarity)
+        residual = u.conj().T @ u - np.eye(4)
+        assert np.linalg.norm(residual) > tol.unitarity
+        assert decompose(u, tol).source_unitarity == np.linalg.norm(residual, 2)
+
+    def test_source_unitarity_is_the_gate_value(self):
+        u = haar_unitary(np.random.default_rng(8), 6)
+        residual = np.linalg.norm(u.conj().T @ u - np.eye(6))
+        assert decompose(u).source_unitarity == residual >= np.linalg.norm(u.conj().T @ u - np.eye(6), 2)
+
     def test_reconstruction_just_above_tolerance_reports_operator_norm(self):
         _, dec = random_system(2, 4, "rational", 5)
         bump = np.zeros((4, 4), dtype=complex)
@@ -216,6 +236,15 @@ def _line_at(dec, turns):
     return line
 
 
+def _assert_frame_lines(dec):
+    """Each line's basis is its block of the frame, held as a view; its rank is the block's width."""
+    for b, line in enumerate(dec.entries):
+        assert line.rank == dec.bounds[b + 1] - dec.bounds[b] == np.count_nonzero(dec.blocks == b)
+        assert np.shares_memory(line.basis, dec.frame)
+        np.testing.assert_array_equal(line.basis, dec.frame[:, dec.blocks == b])
+        np.testing.assert_array_equal(line.projection, line.basis @ line.basis.conj().T)
+
+
 def _projection_atol(clusters, d):
     """Davis-Kahan: a backward error of 10 d eps moves a projection by at most that over the gap."""
     values = [np.exp(2j * np.pi * c[0]) for c in clusters]
@@ -233,6 +262,7 @@ class TestHardSpectra:
         assert len(dec.entries) == len(clusters)
         assert unitarity_residual(dec.frame) <= FRAME_TOL
         assert operator_norm(reconstruct(dec) - u) <= RECONSTRUCTION_TOL
+        _assert_frame_lines(dec)
         atol = _projection_atol(clusters, u.shape[0])
         for cluster, proj in zip(clusters, truth):
             line = _line_at(dec, cluster[0])
@@ -252,6 +282,29 @@ class TestHardSpectra:
             q, _ = np.linalg.qr(z[:, _circle_distance(schur_turns, cluster[0]) <= dec.tolerances.cluster])
             assert q.shape[1] == len(cluster)
             np.testing.assert_allclose(_line_at(dec, cluster[0]).projection, q @ q.conj().T, rtol=0, atol=atol)
+
+
+def _residual_systems():
+    for seed in range(3):
+        u = haar_unitary(np.random.default_rng(seed), 12)
+        yield f"haar-{seed}", u, decompose(u)
+        yield f"rational-{seed}", *random_system(seed, 10, "rational", 3)
+    for name in sorted(HARD_SPECTRA):
+        u, _ = _hard_system(HARD_SPECTRA[name], 0)
+        yield name, u, decompose(u)
+
+
+@pytest.mark.parametrize("name,u,dec", list(_residual_systems()), ids=lambda v: v if isinstance(v, str) else "")
+def test_residual_bounds_dominate_the_pairwise_measurement(name, u, dec):
+    bounds = decomposition_residuals(dec, u)
+    measured = pairwise_residuals(dec, u)
+    # The measurement forms each projection and product in floating point, d-term inner products
+    # whose rounding, up to about d eps, is not a residual of the projections themselves.
+    rounding = 4 * dec.dim * np.finfo(float).eps
+    for key, value in measured.items():
+        assert bounds[key] + rounding >= value, key
+    assert bounds["hermiticity"] == 0.0
+    assert bounds["reconstruction"] == measured["reconstruction"]
 
 
 # Spectra that stress the choice of the Cayley pole and the frame blocks.
@@ -317,6 +370,7 @@ class TestCayleyEigensolve:
         u, _, truth = _cayley_system(clusters, seed)
         dec = decompose(u)
         assert len(dec.entries) == len(clusters)
+        _assert_frame_lines(dec)
         # One cluster has the projection I; take its gap as the circle's diameter.
         atol = _projection_atol(clusters, u.shape[0]) if len(clusters) > 1 else 5 * u.shape[0] * np.finfo(float).eps
         for cluster, proj in zip(clusters, truth):
