@@ -242,7 +242,6 @@ def _assert_frame_lines(dec):
         assert line.rank == dec.bounds[b + 1] - dec.bounds[b] == np.count_nonzero(dec.blocks == b)
         assert np.shares_memory(line.basis, dec.frame)
         np.testing.assert_array_equal(line.basis, dec.frame[:, dec.blocks == b])
-        np.testing.assert_array_equal(line.projection, line.basis @ line.basis.conj().T)
 
 
 def _projection_atol(clusters, d):
