@@ -25,10 +25,10 @@ and for exact phases Python-int numerators over their common denominator L,
 so exact resonances and periodic zeros (a N = 0 mod L) stay exact.
 The contraction is planned from the partition and the block sizes before
 any product (``_sweep_plan``): which slot widens which class's block axis,
-and where a closing class is summed out inside that widening, so that two
-classes are held at once only when the partition forces it.  With every
-block of rank 1 (every Haar system) a widening is one broadcast product;
-larger blocks take one product per block of columns.
+and where a closing class is summed out before that widening, so that two
+classes are held at once only when the partition forces it.  It runs in
+the frame with every block zero-padded to the largest rank, where a
+widening is one product over the block axis.
 ``error_bound`` sums |prod K_N - prod R| times each tuple's block-chain
 norm.  ``budget`` caps the entries of the largest planned intermediate
 for the mean and limit, and the tuple count B^m for the bound.
@@ -45,17 +45,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, operator_norms, require_unitary
+from .linalg import _operator_norms, as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
 from .partitions import Partition, is_crossing, require_pair
 from .spectral import (
     Phase,
     PhaseSums,
     SpectralDecomposition,
+    _padded_frame,
+    _resonance_table,
     antidiagonal_spectrum,
-    frame_blocks,
     phase_sums,
     reconstruct,
-    resonance_table,
     resonant_partners,
 )
 
@@ -290,31 +290,31 @@ def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.
 
 def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -> list[np.ndarray]:
     tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
-    pairs = resonance_table(dec.phases, tol)  # rejects a tolerance that pairs phases ambiguously
+    pairs = _resonance_table(dec.phases, tol)  # rejects a tolerance that pairs phases ambiguously
     return _class_tables(p, lambda size: (pairs if size == 2 else phase_sums(dec.phases, size).resonant(tol))
                          .astype(float))
 
 
-def _sweep_plan(p: Partition, B: int, d: int) -> tuple[list[tuple[str, int | None, int | None]], int]:
+def _sweep_plan(p: Partition, B: int, D: int) -> tuple[list[tuple[str, int | None, int | None]], int]:
     """The steps of ``_contract``'s sweep, one per slot after the first, and its planned peak.
 
-    The swept tensor has one block axis per open class, in opening order, then (row, column).  A
-    class's axis records its blocks at its slots other than slot 1 (the row's block) and its last
-    (the column's block), so a pair from slot 1 or on adjacent slots needs none.  At slot s the
-    product with A~_{s-1} widens axis ``widened`` (if any) by the block of slot s-1, and
-    ``action`` is what the class at slot s does:
+    The swept tensor has one block axis per open class, in opening order, then (row, column), both
+    of width D, the padded frame's.  A class's axis records its blocks at its slots other than
+    slot 1 (the row's block) and its last (the column's block), so a pair from slot 1 or on
+    adjacent slots needs none.  At slot s the product with A~_{s-1} widens axis ``widened`` (if
+    any) by the block of slot s-1, and ``action`` is what the class at slot s does:
 
     * "weigh": its table weighs A~_{s-1} (a singleton: its columns; a pair on adjacent slots after
       slot 1: its rows and columns), so the class needs no axis;
     * "rows":  its table weighs the (row, column) blocks (a pair from slot 1);
     * "open":  a block axis opens for it;
     * "close": its axis ``closed`` is summed against its table;
-    * "fold":  the same, inside the widening (a class from after slot 1 closing where another
+    * "fold":  the same, before the widening (a class from after slot 1 closing where another
       class's axis widens), so no tensor holds both axes;
     * "":      nothing.
 
-    The peak is the entry count of the largest tensor the sweep forms: each step's input and its
-    widened tensor (after the fold).
+    The peak is the entry count of the largest tensor the sweep forms: the initial D x D one, and
+    each step's input and widened tensor (after the fold).
     """
     first, last = _first_last(p)
     size = {lab: p.labels.count(lab) for lab in p.labels}
@@ -326,7 +326,7 @@ def _sweep_plan(p: Partition, B: int, d: int) -> tuple[list[tuple[str, int | Non
     axes: list[int] = []  # class of each block axis
     extents: list[int] = []  # entries of each block axis
     steps = []
-    peak = d * d
+    peak = 1
     for pos in range(2, p.m + 1):
         lab = p.labels[pos - 1]
         before = math.prod(extents)
@@ -343,43 +343,46 @@ def _sweep_plan(p: Partition, B: int, d: int) -> tuple[list[tuple[str, int | Non
         else:
             action = ""
         widest = math.prod(extents) // (extents[closed] if action == "fold" else 1)
-        peak = max(peak, before * d * d, widest * d * d)
+        peak = max(peak, before, widest)
         if closed is not None:
             del axes[closed], extents[closed]
         if action == "open":
             axes.append(lab)
             extents.append(1)
         steps.append((action, widened, closed))
-    return steps, peak
+    return steps, peak * D * D
 
 
 def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int) -> np.ndarray:
     """Sum over block tuples t of prod_c tables[c][t_c] E_t1 A_1 E_t2 ... A_{m-1} E_tm.
 
-    In the frame W each E_b is the diagonal 0/1 mask ``blocks == b``, so the
-    sum is W M~ W* with M~ swept over A~_j = W* A_j W slot by slot, left to
-    right, as ``cesaro_direct`` sweeps the power table, by the steps of
-    ``_sweep_plan``.  Its planned peak is checked against ``budget`` before
-    any product.  Widening a block axis records the column block: with every
-    block of rank 1 (then B = d and block c is column c) that is one broadcast
-    product T[..., x, c] A~[c, y] with c moved onto the axis, and a fold first
-    sums the closing axis of T against its table in one matrix product;
-    otherwise each block of columns takes one product, and a fold sums the
-    closing axis out of each as it is formed.
+    In the frame W each E_b is the projection onto the columns of block b, so the sum is
+    W M~ W* with M~ swept over A~_j = W* A_j W slot by slot, left to right, as ``cesaro_direct``
+    sweeps the power table, by the steps of ``_sweep_plan``.  Its planned peak is checked
+    against ``budget`` before any product.  The sweep runs in the padded frame, where every
+    block has r columns (zero beyond its rank), so column c is (block b, position j) and
+    widening a block axis is one product T[..., x, b, j] A~[b, j, y] summed over j, with b
+    moved onto the axis.  A fold first sums the closing axis of T against its table, whose last
+    index is the block of y, in one matrix product.  With every block of rank 1 (every Haar
+    system) the padded frame is the frame and r = 1.
     """
-    d, B, blk = dec.dim, len(dec.entries), dec.blocks
-    steps, peak = _sweep_plan(p, B, d)
+    frame, _ = _padded_frame(dec)
+    B, D = len(dec.entries), frame.shape[1]
+    r = D // B
+    steps, peak = _sweep_plan(p, B, D)
     if peak > budget:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
     first, _ = _first_last(p)
-    rank_one = B == d
-    bounds = dec.bounds
-    frame_ops = dec.frame.conj().T @ np.stack(ops) @ dec.frame if ops else ()
+    blk = np.repeat(np.arange(B), r)  # block of each padded column
+    frame_ops = frame.conj().T @ np.stack(ops) @ frame if ops else ()
 
-    def spread(table):  # a class table indexed by frame column on every axis
-        return table if rank_one else table[np.ix_(*(blk,) * table.ndim)]
+    def spread(table):  # a class table indexed by padded column on every axis
+        for axis in range(table.ndim):
+            table = table.take(blk, axis)
+        return table
 
-    tensor = np.eye(d, dtype=np.complex128)
+    # Padded rows and columns meet zero rows of every A~ and zero columns of the frame.
+    tensor = np.eye(D, dtype=np.complex128)
     if p.labels.count(p.labels[0]) == 1:
         tensor = tensor * spread(tables[p.labels[0] - 1])
     for pos, (action, widened, closed) in enumerate(steps, start=2):
@@ -387,9 +390,9 @@ def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int
         a = frame_ops[pos - 2]
         if action == "weigh":
             a = a * spread(table)
-        if action in ("close", "fold"):
+        if action == "close":
             if first[pos - 1] == 1:
-                lift = table[blk].reshape(d, -1, B)[..., blk].transpose(1, 0, 2)
+                lift = table[blk].reshape(D, -1, B)[..., blk].transpose(1, 0, 2)
             else:
                 lift = table.reshape(-1, 1, B)[..., blk]
             later = tensor.ndim - 3 - closed  # block axes after the closed one
@@ -398,19 +401,14 @@ def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int
             tensor = tensor @ a
         else:
             axis = widened - (action == "fold" and closed < widened)
-            if rank_one:
-                if action == "fold":  # sum the closed axis first: (..., x, c) -> (..., x, c, y)
-                    tensor = np.moveaxis(tensor, closed, -1) @ table.reshape(-1, B)
-                else:
-                    tensor = tensor[..., None]
-                tensor = np.moveaxis(tensor, -2, axis + 1)
-                a = a.reshape((d,) + (1,) * (tensor.ndim - axis - 3) + (d,))
-                tensor = np.multiply(tensor, a, order="C")
+            if action == "fold":  # sum the closed axis first: (..., x, c) -> (..., x, c, block of y, 1)
+                tensor = (np.moveaxis(tensor, closed, -1) @ table.reshape(-1, B))[..., None]
             else:
-                parts = (tensor[..., s:e] @ a[s:e] for s, e in zip(bounds[:-1], bounds[1:]))
-                if action == "fold":  # each column block's product is summed out as it is formed
-                    parts = ((part * lift).sum(axis=closed) for part in parts)
-                tensor = np.stack(list(parts), axis=axis + 1)
+                tensor = tensor[..., None, None]
+            tensor = tensor.reshape(tensor.shape[:-3] + (B, r) + tensor.shape[-2:])
+            tensor = np.moveaxis(tensor, -4, axis + 1)  # (..., b, ..., x, j, block of y, position in it)
+            a = a.reshape((B,) + (1,) * (tensor.ndim - axis - 5) + (r, B, r))
+            tensor = np.einsum("...jcy,...jcy->...cy", tensor, a).reshape(tensor.shape[:-3] + (D,))
             tensor = tensor.reshape(tensor.shape[:axis] + (-1,) + tensor.shape[axis + 2:])
         if action == "rows":
             tensor = tensor * spread(table)
@@ -418,7 +416,7 @@ def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int
             tensor = (tensor * lift).sum(axis=closed)
         elif action == "open":
             tensor = tensor[..., None, :, :]
-    return dec.frame @ tensor @ dec.frame.conj().T
+    return frame @ tensor @ frame.conj().T
 
 
 def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> np.ndarray:
@@ -431,11 +429,12 @@ def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> 
     B = len(dec.entries)
     if B**p.m > budget:
         raise BudgetError(f"spectral engine: B^m = {B**p.m:.3e} exceeds budget {budget:.1e}")
-    diagonal = np.arange(B)
-    chain = frame_blocks(dec, np.eye(dec.dim))[diagonal, diagonal]  # E_t1 alone: identity blocks
+    frame, kept = _padded_frame(dec)
+    r = kept.size // B
+    chain = np.eye(r) * kept.reshape(B, 1, r)  # E_t1 alone: identity blocks
     for a in ops:
-        chain = chain[..., None, :, :] @ frame_blocks(dec, dec.frame.conj().T @ a @ dec.frame)
-    return operator_norms(chain)
+        chain = chain[..., None, :, :] @ (frame.conj().T @ a @ frame).reshape(B, r, B, r).swapaxes(1, 2)
+    return _operator_norms(chain)
 
 
 def _spread(p: Partition, tables) -> np.ndarray:
@@ -451,7 +450,8 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
 
     Mathematically identical to ``cesaro_direct`` for every N; the cost does
-    not depend on N.  ``budget`` caps the entries of the swept tensor.
+    not depend on N.  ``budget`` caps the entries of the largest intermediate
+    the planned sweep forms, the initial d x d one included.
     """
     start = time.perf_counter()
     p = _check_partition(p, general)

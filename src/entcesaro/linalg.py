@@ -9,7 +9,6 @@ __all__ = [
     "as_vector",
     "frobenius_norm",
     "operator_norm",
-    "operator_norms",
     "unitarity_residual",
     "require_unitary",
     "haar_unitary",
@@ -47,7 +46,7 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(as_operator(a), 2))
 
 
-def operator_norms(stack: np.ndarray) -> np.ndarray:
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
     """``operator_norm`` of each matrix in a stack of shape (..., r, r); |entry| when r == 1."""
     if stack.shape[-1] == 1:
         return np.abs(stack[..., 0, 0])

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_operator, frobenius_norm, haar_unitary, operator_norm, operator_norms, unitarity_residual
+from .linalg import _operator_norms, as_operator, frobenius_norm, haar_unitary, operator_norm
 
 __all__ = [
     "Phase",
@@ -32,8 +32,6 @@ __all__ = [
     "resonant_partners",
     "invariant_projection",
     "decomposition_residuals",
-    "frame_blocks",
-    "resonance_table",
 ]
 
 MAX_RANDOM_DIM = 64
@@ -200,8 +198,8 @@ class SpectralDecomposition:
     """Eigenphases with mutually orthogonal eigenprojections summing to I.
 
     ``frame`` is an orthonormal eigenbasis with the columns of each line contiguous and in line
-    order: column i lies in the eigenspace of line ``blocks[i]``, and line b spans the columns
-    ``bounds[b]:bounds[b + 1]``, which are its ``basis``.
+    order: column i lies in the eigenspace of line ``blocks[i]``, and line b's columns are its
+    ``basis``.
     """
 
     dim: int
@@ -219,11 +217,6 @@ class SpectralDecomposition:
     def projections(self) -> tuple[np.ndarray, ...]:
         return tuple(line.projection for line in self.entries)
 
-    @property
-    def bounds(self) -> np.ndarray:
-        """Column bounds of the lines in ``frame``: line b spans ``bounds[b]:bounds[b + 1]``."""
-        return np.searchsorted(self.blocks, np.arange(len(self.entries) + 1))
-
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     """Sum of phase * projection over all spectral lines, as W diag(z) W* from the frame."""
@@ -231,18 +224,20 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
 
 
-def frame_blocks(dec: SpectralDecomposition, mat) -> np.ndarray:
-    """The r_a x r_b blocks of a matrix in frame coordinates, zero-padded to the largest rank.
+def _padded_frame(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The frame with each line's block zero-padded to the largest rank r, shape (d, B * r), and a
+    mask of its columns that are frame columns.
 
-    Entry [a, b] of the result, shape (B, B, r, r), holds ``mat[bounds[a]:bounds[a + 1],
-    bounds[b]:bounds[b + 1]]`` in its top-left corner.
+    Padded column b * r + j is column j of line b's basis for j < rank, and zero beyond.  So
+    W_p^* M W_p, reshaped to (B, r, B, r), holds the r_a x r_b blocks of a matrix M in the frame,
+    zero-padded; with every block of rank 1, W_p is the frame itself.
     """
-    bounds = dec.bounds
-    within = np.arange(dec.dim) - bounds[dec.blocks]  # position of each column inside its block
-    r = int(np.diff(bounds).max())
-    out = np.zeros((len(dec.entries),) * 2 + (r, r), dtype=np.complex128)
-    out[dec.blocks[:, None], dec.blocks[None, :], within[:, None], within[None, :]] = mat
-    return out
+    ranks = np.bincount(dec.blocks)
+    r = int(ranks.max())
+    kept = (np.arange(r) < ranks[:, None]).ravel()
+    padded = np.zeros((dec.dim, kept.size), dtype=np.complex128)
+    padded[:, kept] = dec.frame
+    return padded, kept
 
 
 def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str, float]:
@@ -259,7 +254,11 @@ def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str
     """
     eye = np.eye(dec.dim)
     gram = dec.frame.conj().T @ dec.frame - eye
-    norms = operator_norms(frame_blocks(dec, gram))
+    _, kept = _padded_frame(dec)
+    B = len(dec.entries)
+    blocks = np.zeros((kept.size,) * 2, dtype=np.complex128)
+    blocks[np.ix_(kept, kept)] = gram
+    norms = _operator_norms(blocks.reshape(B, -1, B, kept.size // B).swapaxes(1, 2))
     scale = 1.0 + operator_norm(gram)
     out = {
         "hermiticity": 0.0,
@@ -370,20 +369,23 @@ def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.
     """Build (U, decomposition) from per-column phases and a unitary eigenbasis.
 
     Equal phases are merged into one projection.  The returned unitary is the
-    reconstruction itself, so the pair is exactly consistent.
+    reconstruction itself, so the pair is exactly consistent.  The eigenbasis is gated on
+    unitarity as ``decompose`` gates its input, and ``source_unitarity`` is that gate's value
+    for the returned unitary.
     """
     basis = as_operator(basis, name="eigenbasis")
     d = basis.shape[0]
     if len(phases) != d:
         raise ValueError(f"need {d} phases, got {len(phases)}")
-    res = unitarity_residual(basis)
+    eye = np.eye(d)
+    res = _gated_norm(basis.conj().T @ basis - eye, tol.unitarity)
     if res > tol.unitarity:
         raise ValueError(f"eigenbasis fails unitarity: residual {res:.3e}")
     groups: dict[Phase, int] = {}
     labels = np.array([groups.setdefault(ph, len(groups)) for ph in phases])
     dec = _with_frame(list(groups), basis, labels, 0.0, tol)
     u = reconstruct(dec)
-    dec = replace(dec, source_unitarity=unitarity_residual(u))
+    dec = replace(dec, source_unitarity=_gated_norm(u.conj().T @ u - eye, tol.unitarity))
     return u, _validate(dec, u)
 
 
@@ -420,7 +422,7 @@ def random_system(
     raise ValueError(f"unknown phase mode {phase_mode!r}")
 
 
-def resonance_table(phases, tol: float) -> np.ndarray:
+def _resonance_table(phases, tol: float) -> np.ndarray:
     """R[b, c] = [z_b z_c == 1] over ``phases``: ``Phase.is_one`` of every pair sum at ``tol``.
 
     Distinct phases admit at most one partner; a tolerance that gives a phase two is rejected.
@@ -445,7 +447,7 @@ def resonant_partners(dec: SpectralDecomposition, tol: float | None = None) -> t
     """
     if tol is None:
         tol = dec.tolerances.resonance
-    resonant = resonance_table(dec.phases, tol)
+    resonant = _resonance_table(dec.phases, tol)
     return tuple(int(c) if hit else None
                  for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
 

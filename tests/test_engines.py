@@ -721,6 +721,29 @@ class TestPlannedSweep:
         assert engines._sweep_plan(parse_partition("1,2,3,1,2,3,4,4"), 64, 64)[1] == 64**4
         assert engines._sweep_plan(P1212, 3, 6)[1] == 3 * 36
 
+    @pytest.mark.parametrize("labels", ["1,1", "1,2,2,1", "1,2,2,1,3,3"])
+    def test_budget_counts_the_starting_tensor_of_a_sweep_that_never_widens(self, labels):
+        p = parse_partition(labels)
+        dec = random_system(3, 8, "haar")[1]
+        ops = random_ops(np.random.default_rng(3), p.m - 1, 8)
+        steps, peak = engines._sweep_plan(p, 8, 8)
+        assert peak == 64 and all(widened is None for _, widened, _ in steps)
+        for run in (lambda budget: cesaro_spectral(dec, p, ops, 5, budget=budget),
+                    lambda budget: limit_operator(dec, p, ops, budget=budget)):
+            with pytest.raises(BudgetError, match="planned peak of 6.400e[+]01 entries"):
+                run(63)
+            run(64)
+
+    def test_budget_counts_the_padded_frame(self):
+        # Ranks 2, 1, 1: three blocks padded to width 2, so the sweep is 6 x 6 where d = 4.
+        u, dec = from_eigensystem([Phase.rational(k, 3) for k in (0, 0, 1, 2)],
+                                  haar_unitary(np.random.default_rng(4), 4))
+        ops = random_ops(np.random.default_rng(4), 3, 4)
+        with pytest.raises(BudgetError, match="planned peak of 1.080e[+]02 entries"):
+            cesaro_spectral(dec, P1212, ops, 5, budget=107)
+        mean = cesaro_spectral(dec, P1212, ops, 5, budget=108).matrix
+        assert np.linalg.norm(mean - cesaro_direct(u, P1212, ops, 5).matrix) <= 1e-12
+
     def test_d64_crossing_triple_under_the_default_budget(self):
         # Exact phases k/67: every block has rank 1, and K_67 equals R entry for entry.
         u, dec = from_eigensystem([Phase.rational(k, 67) for k in range(64)],
