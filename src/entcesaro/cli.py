@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 
-from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, make_system
 from .engines import (
     BudgetError,
     ConvergenceReport,
@@ -29,7 +28,6 @@ from .linalg import operator_norm
 from .partitions import is_crossing, render_partition
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .spectral import antidiagonal_spectrum, decomposition_residuals, invariant_projection
-from .verify import run_invariant_suite
 
 CSV_HEADER = "N,engine,error_op,error_frob,certified_bound,spectral_gap,seconds"
 
@@ -166,6 +164,8 @@ def cmd_converge(scenario: Scenario, args) -> int:
 
 
 def cmd_verify(scenario: Scenario, args) -> int:
+    from .verify import run_invariant_suite
+
     checks = run_invariant_suite(scenario)
     failures = 0
     for check in checks:
@@ -210,6 +210,8 @@ def cmd_bench(scenario: Scenario, args) -> int:
 
 
 def cmd_correlate(scenario: Scenario, args) -> int:
+    from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, make_system
+
     if scenario.partition is None:
         raise ScenarioError("the 'correlate' command needs a partition")
     p = scenario.partition

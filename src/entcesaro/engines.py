@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,10 +50,7 @@ from .linalg import _operator_norms, as_operator, as_vector, frobenius_norm, ope
 from .partitions import Partition, is_crossing, require_pair
 from .spectral import (
     Phase,
-    PhaseSums,
     SpectralDecomposition,
-    _padded_frame,
-    _resonance_table,
     antidiagonal_spectrum,
     phase_sums,
     reconstruct,
@@ -135,7 +133,8 @@ def _check_ops(p: Partition, ops, dim: int) -> list[np.ndarray]:
     return ops
 
 
-def _first_last(p: Partition) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=64)
+def _first_last(p: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """First and last slot (1-based) of each class, indexed by slot."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
@@ -143,8 +142,8 @@ def _first_last(p: Partition) -> tuple[list[int], list[int]]:
         first.setdefault(lab, pos)
         last[lab] = pos
     return (
-        [first[lab] for lab in p.labels],
-        [last[lab] for lab in p.labels],
+        tuple(first[lab] for lab in p.labels),
+        tuple(last[lab] for lab in p.labels),
     )
 
 
@@ -157,29 +156,7 @@ def kernel(phase: Phase, N) -> complex:
     (N sin(pi t)) with t in [-1/2, 1/2), which keeps full relative accuracy
     near resonance, where 1 - z cancels.
     """
-    return complex(_kernels(phase_sums([phase], 1), _check_horizon(N))[0])
-
-
-def _kernels(sums: PhaseSums, N: int) -> np.ndarray:
-    """``kernel`` of every phase sum in ``sums`` at horizon N."""
-    t = np.where(sums.turns < 0.5, sums.turns, sums.turns - 1.0)
-    # sin(pi N t) = (-1)^n sin(pi (N t - n)) with n the integer nearest N t,
-    # so the kernel vanishes exactly when N t is an integer.
-    n = np.round(N * t)
-    with np.errstate(divide="ignore", invalid="ignore"):  # z == 1 gives 0/0, then set to 1
-        ratio = np.where(n % 2, -1.0, 1.0) * np.sin(np.pi * (N * t - n)) / (N * np.sin(np.pi * t))
-        angle = math.pi * (N - 1) * t
-        out = np.empty(t.shape, dtype=np.complex128)
-        out.real, out.imag = np.cos(angle) * ratio, np.sin(angle) * ratio
-        out[t == 0.0] = 1.0
-        if sums.exact.any():
-            a = sums.numerators[sums.exact]
-            z = np.exp(2j * np.pi * sums.turns[sums.exact])
-            z_n = np.exp(2j * np.pi * (a * N % sums.denominator / sums.denominator).astype(float))
-            quotient = (1.0 - z_n) / (N * (1.0 - z))
-            quotient[a == 0] = 1.0
-            out[sums.exact] = quotient
-    return out
+    return complex(phase_sums([phase], 1).kernels(_check_horizon(N))[0])
 
 
 def mean_ergodic(u, N, unitarity_tol: float = 1e-10) -> np.ndarray:
@@ -285,17 +262,17 @@ def _class_tables(p: Partition, table_of_size) -> list[np.ndarray]:
 
 
 def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.ndarray]:
-    return _class_tables(p, lambda size: _kernels(phase_sums(dec.phases, size), N))
+    return _class_tables(p, lambda size: dec._phase_sums(size).kernels(N))
 
 
 def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -> list[np.ndarray]:
     tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
-    pairs = _resonance_table(dec.phases, tol)  # rejects a tolerance that pairs phases ambiguously
-    return _class_tables(p, lambda size: (pairs if size == 2 else phase_sums(dec.phases, size).resonant(tol))
-                         .astype(float))
+    pairs = dec._resonance(tol).table  # rejects a tolerance that pairs phases ambiguously
+    return _class_tables(p, lambda size: pairs if size == 2 else dec._phase_sums(size).resonant(tol).astype(float))
 
 
-def _sweep_plan(p: Partition, B: int, D: int) -> tuple[list[tuple[str, int | None, int | None]], int]:
+@lru_cache(maxsize=64)
+def _sweep_plan(p: Partition, B: int, D: int) -> tuple[tuple[tuple[str, int | None, int | None], ...], int]:
     """The steps of ``_contract``'s sweep, one per slot after the first, and its planned peak.
 
     The swept tensor has one block axis per open class, in opening order, then (row, column), both
@@ -350,7 +327,7 @@ def _sweep_plan(p: Partition, B: int, D: int) -> tuple[list[tuple[str, int | Non
             axes.append(lab)
             extents.append(1)
         steps.append((action, widened, closed))
-    return steps, peak * D * D
+    return tuple(steps), peak * D * D
 
 
 def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int) -> np.ndarray:
@@ -366,15 +343,14 @@ def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int
     index is the block of y, in one matrix product.  With every block of rank 1 (every Haar
     system) the padded frame is the frame and r = 1.
     """
-    frame, _ = _padded_frame(dec)
+    frame, frame_h, _, blk = dec._padded
     B, D = len(dec.entries), frame.shape[1]
     r = D // B
     steps, peak = _sweep_plan(p, B, D)
     if peak > budget:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
     first, _ = _first_last(p)
-    blk = np.repeat(np.arange(B), r)  # block of each padded column
-    frame_ops = frame.conj().T @ np.stack(ops) @ frame if ops else ()
+    frame_ops = frame_h @ np.stack(ops) @ frame if ops else ()
 
     def spread(table):  # a class table indexed by padded column on every axis
         for axis in range(table.ndim):
@@ -416,7 +392,7 @@ def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int
             tensor = (tensor * lift).sum(axis=closed)
         elif action == "open":
             tensor = tensor[..., None, :, :]
-    return frame @ tensor @ frame.conj().T
+    return frame @ tensor @ frame_h
 
 
 def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> np.ndarray:
@@ -429,11 +405,11 @@ def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> 
     B = len(dec.entries)
     if B**p.m > budget:
         raise BudgetError(f"spectral engine: B^m = {B**p.m:.3e} exceeds budget {budget:.1e}")
-    frame, kept = _padded_frame(dec)
+    frame, frame_h, kept, _ = dec._padded
     r = kept.size // B
     chain = np.eye(r) * kept.reshape(B, 1, r)  # E_t1 alone: identity blocks
     for a in ops:
-        chain = chain[..., None, :, :] @ (frame.conj().T @ a @ frame).reshape(B, r, B, r).swapaxes(1, 2)
+        chain = chain[..., None, :, :] @ (frame_h @ a @ frame).reshape(B, r, B, r).swapaxes(1, 2)
     return _operator_norms(chain)
 
 
@@ -569,12 +545,7 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
 
 def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None) -> float:
     """Smallest |1 - z*w| over non-resonant phase pairs; inf when none exist."""
-    partners = resonant_partners(dec, resonance_tol)
-    gaps = phase_sums(dec.phases, 2).distances()
-    for b, c in enumerate(partners):
-        if c is not None:
-            gaps[b, c] = np.inf
-    return float(gaps.min())
+    return dec._resonance(resonance_tol).gap
 
 
 def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,

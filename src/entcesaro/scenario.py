@@ -21,9 +21,9 @@ Example::
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,6 +101,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_positive(value) -> bool:
+    """JSON number that is finite and positive; ``bool`` is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value > 0
+
+
 def _seed(value, what: str):
     if value is not None and (not _is_int(value) or value < 0):
         raise _fail(f"{what} 'seed' must be a non-negative integer")
@@ -130,6 +135,8 @@ def _matrix_from_spec(spec: dict, what: str) -> np.ndarray:
 
 
 def _parse_phase(text) -> Phase:
+    from fractions import Fraction
+
     try:
         return Phase.from_fraction(Fraction(str(text)))
     except (ValueError, ZeroDivisionError):
@@ -142,9 +149,10 @@ def _build_unitary(spec, tol: Tolerances, seed: int):
     kind = spec["kind"]
     try:
         if kind == "diagonal-rational":
-            phases = [_parse_phase(t) for t in spec.get("phases", [])]
-            if not phases:
+            phases = spec.get("phases")
+            if not isinstance(phases, list) or not phases:
                 raise _fail("'diagonal-rational' needs a nonempty 'phases' list")
+            phases = [_parse_phase(t) for t in phases]
             return from_eigensystem(phases, np.eye(len(phases)), tol)
         if kind == "matrix":
             u = _matrix_from_spec(spec, "unitary")
@@ -182,8 +190,8 @@ def _build_operator(spec, dim: int, seed: int, index: int) -> np.ndarray:
         op_seed = _seed(spec.get("seed"), f"operator {index}")
         rng = np.random.default_rng(op_seed) if op_seed is not None else rng_for(seed, "operator", index)
         norm = spec.get("norm", 1.0)
-        if not isinstance(norm, (int, float)) or norm <= 0:
-            raise _fail(f"operator {index} 'norm' must be positive")
+        if not _is_positive(norm):
+            raise _fail(f"operator {index} 'norm' must be a positive finite number")
         return gaussian_operator(rng, dim, op_norm=float(norm))
     raise _fail(f"unknown operator kind {kind!r}")
 
@@ -200,8 +208,8 @@ def _build_state(spec, dim: int) -> np.ndarray:
     if kind == "trace":
         if "diag" in spec:
             diag = spec["diag"]
-            if not isinstance(diag, list) or len(diag) != dim:
-                raise _fail(f"trace state 'diag' needs {dim} entries")
+            if not isinstance(diag, list) or len(diag) != dim or not all(isinstance(v, (int, float)) for v in diag):
+                raise _fail(f"trace state 'diag' needs {dim} numbers")
             return np.diag([float(v) for v in diag]).astype(np.complex128)
         return _matrix_from_spec(spec, "trace state")
     raise _fail(f"unknown state kind {kind!r}")
@@ -219,8 +227,8 @@ def _parse_tolerances(spec) -> Tolerances:
     values = {}
     for key in known & set(spec):
         v = spec[key]
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise _fail(f"tolerance {key!r} must be a positive number")
+        if not _is_positive(v):
+            raise _fail(f"tolerance {key!r} must be a positive finite number")
         values[key] = float(v)
     return Tolerances(**values)
 
@@ -264,7 +272,7 @@ def scenario_from_dict(raw) -> Scenario:
         raise _fail("'Ns' must be strictly increasing")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise _fail("'seed' must be an integer")
 
     out = raw.get("out")

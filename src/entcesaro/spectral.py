@@ -11,11 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import _operator_norms, as_operator, frobenius_norm, haar_unitary, operator_norm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Phase",
@@ -58,6 +62,8 @@ class Phase:
 
     @classmethod
     def rational(cls, p: int, q: int) -> "Phase":
+        from fractions import Fraction
+
         f = Fraction(p, q) % 1
         return cls(float(f), f)
 
@@ -120,6 +126,7 @@ class PhaseSums:
     forms it: mod 1 with a result of 1.0 taken as 0.0, exact iff every summand is exact.
     Exact sums are ``numerators / denominator`` with Python-int numerators (object dtype, so
     a large denominator cannot overflow) and ``turns`` their correctly rounded float.
+    The horizon-independent factors of ``kernels`` are formed on its first call and kept.
     """
 
     turns: np.ndarray
@@ -139,14 +146,46 @@ class PhaseSums:
             out[self.exact] = self.numerators[self.exact] == 0
         return out
 
+    @cached_property
+    def _kernel_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Centred turns t in [-1/2, 1/2), sin(pi t), and the numerators a and 1 - z of the exact sums."""
+        t = np.where(self.turns < 0.5, self.turns, self.turns - 1.0)
+        return (t, np.sin(np.pi * t), self.numerators[self.exact],
+                1.0 - np.exp(2j * np.pi * self.turns[self.exact]))
 
-def phase_sums(phases, size: int) -> PhaseSums:
-    """``PhaseSums`` of ``size`` summands drawn from ``phases``, shape (len(phases),) * size."""
+    def kernels(self, N: int) -> np.ndarray:
+        """The Cesaro kernel (1/N) sum_{n<N} z^n of every sum at horizon N (``engines.kernel``)."""
+        t, sin_t, a, one_minus_z = self._kernel_factors
+        # sin(pi N t) = (-1)^n sin(pi (N t - n)) with n the integer nearest N t,
+        # so the kernel vanishes exactly when N t is an integer.
+        n = np.round(N * t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # z == 1 gives 0/0, then set to 1
+            ratio = np.where(n % 2, -1.0, 1.0) * np.sin(np.pi * (N * t - n)) / (N * sin_t)
+            angle = math.pi * (N - 1) * t
+            out = np.empty(t.shape, dtype=np.complex128)
+            out.real, out.imag = np.cos(angle) * ratio, np.sin(angle) * ratio
+            out[t == 0.0] = 1.0
+            if a.size:
+                z_n = np.exp(2j * np.pi * (a * N % self.denominator / self.denominator).astype(float))
+                quotient = (1.0 - z_n) / (N * one_minus_z)
+                quotient[a == 0] = 1.0
+                out[self.exact] = quotient
+        return out
+
+
+def _summands(phases) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Turns, exact mask, and numerators over the common denominator L of ``phases`` (0 when inexact), and L."""
     exact = np.array([ph.is_exact for ph in phases], dtype=bool)
-    step_turns = np.array([ph.turns for ph in phases], dtype=float)
+    turns = np.array([ph.turns for ph in phases], dtype=float)
     denominator = math.lcm(*(ph.frac.denominator for ph in phases if ph.is_exact))
-    step_num = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) if ph.is_exact else 0
-                         for ph in phases], dtype=object)
+    numerators = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) if ph.is_exact else 0
+                           for ph in phases], dtype=object)
+    return turns, exact, numerators, denominator
+
+
+def _sums(summands, size: int) -> PhaseSums:
+    """``PhaseSums`` of ``size`` summands drawn from the arrays ``_summands`` gives."""
+    step_turns, exact, step_num, denominator = summands
     turns, sums_exact, numerators = np.zeros(()), np.ones((), dtype=bool), np.zeros((), dtype=object)
     any_exact = bool(exact.any())
     for _ in range(size):
@@ -159,6 +198,11 @@ def phase_sums(phases, size: int) -> PhaseSums:
     return PhaseSums(turns, sums_exact, np.broadcast_to(numerators, turns.shape), denominator)
 
 
+def phase_sums(phases, size: int) -> PhaseSums:
+    """``PhaseSums`` of ``size`` summands drawn from ``phases``, shape (len(phases),) * size."""
+    return _sums(_summands(phases), size)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Tolerance policy for decomposition and resonance decisions."""
@@ -169,7 +213,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("unitarity", "cluster", "resonance"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN included
                 raise ValueError(f"tolerance {name} must be positive")
 
 
@@ -199,7 +243,12 @@ class SpectralDecomposition:
 
     ``frame`` is an orthonormal eigenbasis with the columns of each line contiguous and in line
     order: column i lies in the eigenspace of line ``blocks[i]``, and line b's columns are its
-    ``basis``.
+    ``basis``.  Decompositions built by this module hold ``frame`` and ``blocks`` read-only.
+
+    The tables the engines read are built on first use and kept on the instance, so each is built
+    once per decomposition: the phase sums of line pairs with the horizon-independent factors of
+    their kernels, one resonance record per resonance tolerance, and the padded frame.  An
+    instance from ``dataclasses.replace`` starts with none of them.
     """
 
     dim: int
@@ -217,27 +266,82 @@ class SpectralDecomposition:
     def projections(self) -> tuple[np.ndarray, ...]:
         return tuple(line.projection for line in self.entries)
 
+    @cached_property
+    def _summands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        return _summands(self.phases)
+
+    @cached_property
+    def _pair_sums(self) -> PhaseSums:
+        return _sums(self._summands, 2)
+
+    def _phase_sums(self, size: int) -> PhaseSums:
+        """``phase_sums(self.phases, size)``; the pair sums are the recorded ones."""
+        return self._pair_sums if size == 2 else _sums(self._summands, size)
+
+    @cached_property
+    def _resonances(self) -> dict[float, _Resonance]:
+        return {}
+
+    def _resonance(self, tol: float | None = None) -> _Resonance:
+        """The resonance record at ``tol``, by default the decomposition's resonance tolerance.
+
+        Line b resonates with c when z_b z_c == 1: ``Phase.is_one`` of their pair sum at ``tol``.
+        Distinct phases admit at most one partner; a tolerance that gives a phase two raises
+        ``ValueError`` on every call and is not recorded.  The table is symmetric, since both
+        sums of a pair are formed alike, so the pairing is too.
+        """
+        if tol is None:
+            tol = self.tolerances.resonance
+        record = self._resonances.get(tol)
+        if record is None:
+            resonant = self._pair_sums.resonant(tol)
+            if (resonant.sum(axis=1) > 1).any():
+                raise ValueError(
+                    "resonance tolerance admits multiple partners for one phase; "
+                    "decrease the tolerance or separate the spectrum"
+                )
+            partners = tuple(int(c) if hit else None
+                             for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
+            gap = float(np.where(resonant, np.inf, self._pair_sums.distances()).min())
+            record = self._resonances[tol] = _Resonance(_read_only(resonant.astype(float)), partners, gap)
+        return record
+
+    @cached_property
+    def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The frame with each line's block zero-padded to the largest rank r, shape (d, B * r), its
+        conjugate transpose, the mask of its columns that are frame columns, and the line of each
+        column.
+
+        Padded column b * r + j is column j of line b's basis for j < rank, and zero beyond.  So
+        W_p^* M W_p, reshaped to (B, r, B, r), holds the r_a x r_b blocks of a matrix M in the
+        frame, zero-padded; with every block of rank 1, W_p is the frame itself.
+        """
+        ranks = np.bincount(self.blocks)
+        r = int(ranks.max())
+        kept = (np.arange(r) < ranks[:, None]).ravel()
+        padded = np.zeros((self.dim, kept.size), dtype=np.complex128)
+        padded[:, kept] = self.frame
+        return tuple(_read_only(x) for x in (padded, padded.conj().T, kept, np.repeat(np.arange(len(ranks)), r)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Resonance:
+    """The resonance decisions of one decomposition at one tolerance."""
+
+    table: np.ndarray  # R[b, c] = [z_b z_c == 1] as 0.0 or 1.0
+    partners: tuple[int | None, ...]
+    gap: float  # smallest |1 - z_b z_c| over non-resonant pairs; inf when none exist
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     """Sum of phase * projection over all spectral lines, as W diag(z) W* from the frame."""
     z = np.array([line.phase.value() for line in dec.entries])
     return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
-
-
-def _padded_frame(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The frame with each line's block zero-padded to the largest rank r, shape (d, B * r), and a
-    mask of its columns that are frame columns.
-
-    Padded column b * r + j is column j of line b's basis for j < rank, and zero beyond.  So
-    W_p^* M W_p, reshaped to (B, r, B, r), holds the r_a x r_b blocks of a matrix M in the frame,
-    zero-padded; with every block of rank 1, W_p is the frame itself.
-    """
-    ranks = np.bincount(dec.blocks)
-    r = int(ranks.max())
-    kept = (np.arange(r) < ranks[:, None]).ravel()
-    padded = np.zeros((dec.dim, kept.size), dtype=np.complex128)
-    padded[:, kept] = dec.frame
-    return padded, kept
 
 
 def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str, float]:
@@ -254,7 +358,7 @@ def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str
     """
     eye = np.eye(dec.dim)
     gram = dec.frame.conj().T @ dec.frame - eye
-    _, kept = _padded_frame(dec)
+    kept = dec._padded[2]
     B = len(dec.entries)
     blocks = np.zeros((kept.size,) * 2, dtype=np.complex128)
     blocks[np.ix_(kept, kept)] = gram
@@ -281,7 +385,7 @@ def _with_frame(phases, frame, labels, source_unitarity: float, tol: Tolerances)
     order = np.argsort([ph.turns for ph in phases], kind="stable")
     blocks = np.argsort(order)[labels]
     perm = np.argsort(blocks, kind="stable")
-    frame, blocks = frame[:, perm], blocks[perm]
+    frame, blocks = _read_only(frame[:, perm]), _read_only(blocks[perm])
     bounds = np.searchsorted(blocks, np.arange(len(order) + 1))
     entries = tuple(SpectralLine(phases[b], frame[:, s:e])
                     for b, s, e in zip(order, bounds[:-1], bounds[1:]))
@@ -422,21 +526,6 @@ def random_system(
     raise ValueError(f"unknown phase mode {phase_mode!r}")
 
 
-def _resonance_table(phases, tol: float) -> np.ndarray:
-    """R[b, c] = [z_b z_c == 1] over ``phases``: ``Phase.is_one`` of every pair sum at ``tol``.
-
-    Distinct phases admit at most one partner; a tolerance that gives a phase two is rejected.
-    The table is symmetric, since both sums of a pair are formed alike.
-    """
-    resonant = phase_sums(phases, 2).resonant(tol)
-    if (resonant.sum(axis=1) > 1).any():
-        raise ValueError(
-            "resonance tolerance admits multiple partners for one phase; "
-            "decrease the tolerance or separate the spectrum"
-        )
-    return resonant
-
-
 def resonant_partners(dec: SpectralDecomposition, tol: float | None = None) -> tuple[int | None, ...]:
     """For each spectral line, the index of the line it resonates with.
 
@@ -445,11 +534,7 @@ def resonant_partners(dec: SpectralDecomposition, tol: float | None = None) -> t
     most one partner; ambiguity means the tolerance exceeds the phase
     separation and is rejected.  The pairing is symmetric, as its table is.
     """
-    if tol is None:
-        tol = dec.tolerances.resonance
-    resonant = _resonance_table(dec.phases, tol)
-    return tuple(int(c) if hit else None
-                 for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
+    return dec._resonance(tol).partners
 
 
 def antidiagonal_spectrum(dec: SpectralDecomposition, tol: float | None = None) -> tuple[Phase, ...]:

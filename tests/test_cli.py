@@ -1,7 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 from entcesaro.cli import main, report_csv, CSV_HEADER
 from entcesaro.engines import ConvergenceReport, ReportRow
@@ -64,19 +68,40 @@ class TestExitCodes:
         wrong = write_scenario(tmp_path, {"unitary": {"kind": "warp"}}, "wrong.json")
         assert run_cli(["decompose", "--scenario", wrong]) == 2
         random_unitary = {"kind": "random", "dim": 3, "phaseMode": "rational"}
-        for name, command, data in (
+        swap = {"kind": "matrix", "re": [[0, 1], [1, 0]]}
+        pair = {"unitary": swap, "partition": [1, 1], "operators": [{"kind": "random"}], "Ns": [10, 100]}
+        positive = "must be a positive finite number"
+        for name, command, data, message in (
             ("max_den.json", "decompose",
-             {"unitary": dict(random_unitary, maxDenominator="x")}),
+             {"unitary": dict(random_unitary, maxDenominator="x")}, "'maxDenominator' must be an integer"),
             ("op_seed.json", "mean",
              {"unitary": random_unitary, "partition": [1, 1],
-              "operators": [{"kind": "random", "seed": "abc"}]}),
+              "operators": [{"kind": "random", "seed": "abc"}]}, "operator 0 'seed'"),
             ("bool_ns.json", "converge",
              {"unitary": random_unitary, "partition": [1, 1],
-              "operators": [{"kind": "random"}], "Ns": [True]}),
+              "operators": [{"kind": "random"}], "Ns": [True]}, "'Ns' must be a list"),
+            # NaN passed the positivity test: with it the phase-0 line paired with nothing.
+            ("nan_resonance.json", "converge", dict(pair, tolerances={"resonance": math.nan}),
+             f"tolerance 'resonance' {positive}"),
+            ("nan_unitarity.json", "verify", dict(pair, tolerances={"unitarity": math.nan}),
+             f"tolerance 'unitarity' {positive}"),
+            ("nan_cluster.json", "decompose", dict(pair, tolerances={"cluster": math.nan}),
+             f"tolerance 'cluster' {positive}"),
+            ("bool_tolerance.json", "converge", dict(pair, tolerances={"resonance": True}),
+             f"tolerance 'resonance' {positive}"),
+            ("nan_norm.json", "limit", dict(pair, operators=[{"kind": "random", "norm": math.nan}]),
+             f"operator 0 'norm' {positive}"),
+            ("inf_norm.json", "converge", dict(pair, operators=[{"kind": "random", "norm": math.inf}]),
+             f"operator 0 'norm' {positive}"),
+            ("bool_norm.json", "mean", dict(pair, operators=[{"kind": "random", "norm": True}]),
+             f"operator 0 'norm' {positive}"),
+            ("bool_seed.json", "converge", dict(pair, seed=True), "'seed' must be an integer"),
         ):
             capsys.readouterr()
-            assert run_cli([command, "--scenario", write_scenario(tmp_path, data, name)]) == 2
-            assert "Traceback" not in capsys.readouterr().err
+            assert run_cli([command, "--scenario", write_scenario(tmp_path, data, name)]) == 2, name
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert message in err, (name, err)
 
     def test_command_needing_partition_fails_cleanly(self, tmp_path, capsys):
         data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}}
@@ -198,3 +223,29 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_defers_correlations_and_verify():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, entcesaro.cli; "
+            "print([m for m in ('entcesaro.correlations', 'entcesaro.verify') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_names_resolve_on_first_access():
+    import entcesaro
+    from entcesaro import correlations, engines, partitions, spectral
+
+    namespace = {}
+    exec("from entcesaro import *", namespace)
+    modules = (partitions, spectral, engines, correlations)
+    for name in entcesaro.__all__:
+        assert namespace[name] is getattr(entcesaro, name)
+        assert any(getattr(module, name, None) is namespace[name] for module in modules)
+        assert name in dir(entcesaro)
+    assert entcesaro.linalg.operator_norm(np.eye(2)) == 1.0
+    with pytest.raises(AttributeError):
+        entcesaro.no_such_name

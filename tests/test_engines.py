@@ -1,6 +1,6 @@
+import dataclasses
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,9 +26,12 @@ from entcesaro.linalg import haar_unitary, operator_norm
 from entcesaro.partitions import enumerate_pair_partitions, parse_partition
 from entcesaro.spectral import (
     Phase,
+    SpectralDecomposition,
+    SpectralLine,
     Tolerances,
     antidiagonal_spectrum,
     decompose,
+    decomposition_residuals,
     from_eigensystem,
     invariant_projection,
     phase_sums,
@@ -134,6 +137,14 @@ def _outcome(fn, *args):
         return "raised", str(exc)
 
 
+def _lines_only(phases, tol: float = 1e-8) -> SpectralDecomposition:
+    """A decomposition with one line per entry of ``phases`` on the standard basis, built without
+    validation, so that equal or clustered phases stay separate lines."""
+    eye = np.eye(len(phases))
+    lines = tuple(SpectralLine(ph, eye[:, [b]]) for b, ph in enumerate(phases))
+    return SpectralDecomposition(len(phases), lines, eye, np.arange(len(phases)), 0.0, Tolerances(resonance=tol))
+
+
 class TestPhaseSumTables:
     """The array phase-sum tables against the per-entry ``Phase`` loops in conftest."""
 
@@ -150,7 +161,7 @@ class TestPhaseSumTables:
             if s.is_exact:
                 assert Fraction(num, sums.denominator) == s.frac
 
-        dec = SimpleNamespace(phases=tuple(phases), tolerances=Tolerances(resonance=tol))
+        dec = _lines_only(phases, tol)
         p = parse_partition(",".join(["1"] * size))
         (table,) = engines._kernel_tables(dec, p, n)
         eps = np.finfo(float).eps
@@ -185,7 +196,7 @@ class TestPhaseSumTables:
         assert sums.denominator == 1000000007 * 998244353
         assert sums.resonant(1e-8).tolist() == [[False, True, False], [True, False, False],
                                                 [False, False, False]]
-        (table,) = engines._kernel_tables(SimpleNamespace(phases=tuple(phases)), P11, 1000000007)
+        (table,) = engines._kernel_tables(_lines_only(phases), P11, 1000000007)
         assert table[0, 0] == 0.0 and table[0, 1] == 1.0  # a period of 2/1000000007; a resonance
 
 
@@ -755,3 +766,89 @@ class TestPlannedSweep:
         assert np.array_equal(limit, cesaro_spectral(dec, P121323, ops, 67).matrix)
         with pytest.raises(BudgetError, match="planned peak of 1.678e[+]07 entries"):
             limit_operator(dec, parse_partition("1,2,3,1,2,3"), ops)
+
+
+def _record_outputs(dec, p, ops, resonance_tol=None):
+    """Every engine output that reads the decomposition's recorded tables."""
+    sigma = antidiagonal_spectrum(dec, resonance_tol)
+    return [
+        *engines._kernel_tables(dec, p, 1000),
+        *engines._resonance_tables(dec, p, resonance_tol),
+        cesaro_spectral(dec, p, ops, 7).matrix,
+        cesaro_spectral(dec, p, ops, 10**4).matrix,
+        limit_operator(dec, p, ops, resonance_tol),
+        limit_truncated(dec, p, ops, sigma, resonance_tol),
+        limit_truncated(dec, p, ops, sigma[:1], resonance_tol),
+        np.array(error_bounds(dec, p, ops, [3, 10**5], resonance_tol)),
+        np.array(list(decomposition_residuals(dec).values())),
+        np.array([-1 if c is None else c for c in resonant_partners(dec, resonance_tol)]),
+        np.array([ph.turns for ph in sigma]),
+        np.array(spectral_gap(dec, resonance_tol)),
+    ]
+
+
+def _assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSpectralRecord:
+    """The tables a decomposition records on first use: read again, never stale, never shared."""
+
+    @pytest.mark.parametrize("mode", ["haar", "rational"])
+    def test_repeated_calls_are_bit_identical_to_a_fresh_decomposition(self, mode):
+        u, dec = random_system(9, 5, mode, 4)
+        ops = random_ops(np.random.default_rng(9), 5, 5)
+        first = _record_outputs(dec, P121323, ops)
+        _assert_bit_identical(_record_outputs(dec, P121323, ops), first)
+        fresh = decompose(u) if mode == "haar" else random_system(9, 5, mode, 4)[1]
+        _assert_bit_identical(_record_outputs(fresh, P121323, ops), first)
+
+    def test_tolerances_keep_separate_records(self):
+        # 0.1 and 0.9 + 1e-7 resonate within 1e-5 (|zw - 1| = 6.3e-7) but not within 1e-8;
+        # within 2 every pair resonates, so each phase gets several partners.
+        phases = [Phase.from_turns(t) for t in (0.1, 0.9 + 1e-7, 0.5, 0.3)]
+        u, dec = from_eigensystem(phases, haar_unitary(np.random.default_rng(5), 4))
+        ops = random_ops(np.random.default_rng(5), 3, 4)
+        expected = {tol: _record_outputs(from_eigensystem(phases, haar_unitary(np.random.default_rng(5), 4))[1],
+                                         P1212, ops, tol) for tol in (None, 1e-5)}
+        assert resonant_partners(dec, 1e-5) != resonant_partners(dec)
+        for _ in range(2):
+            for tol in (None, 2.0, 1e-5, 2.0):
+                if tol == 2.0:
+                    with pytest.raises(ValueError, match="multiple partners"):
+                        limit_operator(dec, P1212, ops, tol)
+                    with pytest.raises(ValueError, match="multiple partners"):
+                        spectral_gap(dec, tol)
+                else:
+                    _assert_bit_identical(_record_outputs(dec, P1212, ops, tol), expected[tol])
+        assert 2.0 not in dec._resonances
+
+    def test_recorded_arrays_reject_writes(self):
+        _, dec = random_system(3, 4, "rational", 3)
+        limit_operator(dec, P1212, random_ops(np.random.default_rng(3), 3, 4))
+        arrays = [dec.frame, dec.blocks, *(line.basis for line in dec.entries), *dec._padded,
+                  *engines._resonance_tables(dec, P1212, None)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+    def test_replace_starts_an_empty_record(self):
+        _, dec = random_system(4, 4, "haar")
+        ops = random_ops(np.random.default_rng(4), 3, 4)
+        limit_operator(dec, P1212, ops)
+        assert {"_pair_sums", "_padded", "_resonances"} <= set(vars(dec))
+        copy = dataclasses.replace(dec, tolerances=Tolerances(resonance=1e-6))
+        assert not {"_summands", "_pair_sums", "_padded", "_resonances"} & set(vars(copy))
+        np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(dec, P1212, ops, 1e-6))
+
+    def test_budget_guard_runs_after_a_successful_call(self, rng):
+        _, dec = random_system(5, 4, "rational", 6)
+        ops = random_ops(rng, 3, 4)
+        cesaro_spectral(dec, P1212, ops, 10)
+        for _ in range(2):
+            with pytest.raises(BudgetError):
+                cesaro_spectral(dec, P1212, ops, 10, budget=10)
+            with pytest.raises(BudgetError):
+                limit_operator(dec, P1212, ops, budget=10)

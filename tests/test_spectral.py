@@ -479,6 +479,8 @@ def test_tolerances_validation():
         Tolerances(unitarity=0.0)
     with pytest.raises(ValueError):
         Tolerances(cluster=-1e-9)
+    with pytest.raises(ValueError):
+        Tolerances(resonance=float("nan"))
 
 
 def test_from_eigensystem_requires_matching_lengths():
