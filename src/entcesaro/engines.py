@@ -20,11 +20,14 @@ All three compute the same finite-N sum by different factorizations.  The
 limit swaps each class's kernel table for the resonance indicator R (phase
 sum equal to 1) in the same contraction; ``limit_truncated`` restricts R to
 chosen phases.  Every such table, the spectral gap and the resonance pairing
-read one array of class phase sums, ``spectral.phase_sums``: float turns,
+read one array of class phase sums (``spectral.PhaseSums``): float turns,
 and for exact phases Python-int numerators over their common denominator L,
-so exact resonances and periodic zeros (a N = 0 mod L) stay exact.
+so exact resonances and periodic zeros (a N = 0 mod L) stay exact.  The
+decomposition records these tables on first use, with the padded frame, so
+every call on it reads them: a horizon forms only the N-dependent factors
+of its kernel table, and each resonance tolerance is checked and tabled once.
 The contraction is planned from the partition and the block sizes before
-any product (``_sweep_plan``): which slot widens which class's block axis,
+any product (``_sweep_plan``, memoized): which slot widens which class's block axis,
 and where a closing class is summed out before that widening, so that two
 classes are held at once only when the partition forces it.  It runs in
 the frame with every block zero-padded to the largest rank, where a

@@ -124,11 +124,14 @@ def _matrix_from_spec(spec: dict, what: str) -> np.ndarray:
     re = spec.get("re")
     if re is None:
         raise _fail(f"{what} of kind 'matrix' needs 're'")
-    re_arr = np.asarray(re, dtype=float)
+    im = spec.get("im")
+    try:
+        re_arr = np.asarray(re, dtype=float)
+        im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=float)
+    except (TypeError, ValueError):
+        raise _fail(f"{what} 're' and 'im' must be arrays of numbers") from None
     if re_arr.ndim != 2:
         raise _fail(f"{what} 're' must be a 2-d array")
-    im = spec.get("im")
-    im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=float)
     if im_arr.shape != re_arr.shape:
         raise _fail(f"{what} 'im' shape differs from 're'")
     return re_arr + 1j * im_arr

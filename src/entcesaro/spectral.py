@@ -292,6 +292,8 @@ class SpectralDecomposition:
         """
         if tol is None:
             tol = self.tolerances.resonance
+        if not tol >= 0:  # NaN would pair nothing, and match no record
+            raise ValueError(f"resonance tolerance must be a non-negative number, got {tol!r}")
         record = self._resonances.get(tol)
         if record is None:
             resonant = self._pair_sums.resonant(tol)

@@ -96,6 +96,8 @@ class TestExitCodes:
             ("bool_norm.json", "mean", dict(pair, operators=[{"kind": "random", "norm": True}]),
              f"operator 0 'norm' {positive}"),
             ("bool_seed.json", "converge", dict(pair, seed=True), "'seed' must be an integer"),
+            ("dict_entries.json", "limit", dict(pair, operators=[{"kind": "matrix", "re": {}}]),
+             "operator 0 're' and 'im' must be arrays of numbers"),
         ):
             capsys.readouterr()
             assert run_cli([command, "--scenario", write_scenario(tmp_path, data, name)]) == 2, name

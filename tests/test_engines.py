@@ -824,6 +824,9 @@ class TestSpectralRecord:
                 else:
                     _assert_bit_identical(_record_outputs(dec, P1212, ops, tol), expected[tol])
         assert 2.0 not in dec._resonances
+        with pytest.raises(ValueError, match="non-negative"):
+            limit_operator(dec, P1212, ops, math.nan)
+        assert len(dec._resonances) == 2
 
     def test_recorded_arrays_reject_writes(self):
         _, dec = random_system(3, 4, "rational", 3)
