@@ -173,7 +173,7 @@ class PhaseSums:
         return out
 
 
-def _summands(phases) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _summands_of(phases) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Turns, exact mask, and numerators over the common denominator L of ``phases`` (0 when inexact), and L."""
     exact = np.array([ph.is_exact for ph in phases], dtype=bool)
     turns = np.array([ph.turns for ph in phases], dtype=float)
@@ -184,7 +184,7 @@ def _summands(phases) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
 
 
 def _sums(summands, size: int) -> PhaseSums:
-    """``PhaseSums`` of ``size`` summands drawn from the arrays ``_summands`` gives."""
+    """``PhaseSums`` of ``size`` summands drawn from the arrays ``_summands_of`` gives."""
     step_turns, exact, step_num, denominator = summands
     turns, sums_exact, numerators = np.zeros(()), np.ones((), dtype=bool), np.zeros((), dtype=object)
     any_exact = bool(exact.any())
@@ -200,7 +200,7 @@ def _sums(summands, size: int) -> PhaseSums:
 
 def phase_sums(phases, size: int) -> PhaseSums:
     """``PhaseSums`` of ``size`` summands drawn from ``phases``, shape (len(phases),) * size."""
-    return _sums(_summands(phases), size)
+    return _sums(_summands_of(phases), size)
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ class SpectralDecomposition:
 
     @cached_property
     def _summands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        return _summands(self.phases)
+        return _summands_of(self.phases)
 
     @cached_property
     def _pair_sums(self) -> PhaseSums:
