@@ -43,6 +43,7 @@ finite-dimensional extension is flagged and kept out of the default path.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -116,8 +117,9 @@ class ConvergenceReport:
 
 
 def _check_horizon(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"horizon N must be a positive integer, got {n!r}")
+    # The kernels take N to a float, so N must lie within the float range.
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= sys.float_info.max:
+        raise ValueError(f"horizon N must be a positive integer no larger than the largest float, got {n!r}")
     return int(n)
 
 

@@ -21,7 +21,7 @@ Example::
 from __future__ import annotations
 
 import json
-import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -102,8 +102,9 @@ def _is_int(value) -> bool:
 
 
 def _is_positive(value) -> bool:
-    """JSON number that is finite and positive; ``bool`` is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value > 0
+    """JSON number in (0, largest float]: NaN, Infinity and an integer beyond the float range are
+    not, and ``bool`` is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
 
 
 def _seed(value, what: str):
@@ -113,10 +114,13 @@ def _seed(value, what: str):
 
 
 def _complexify(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
+            return complex(value[0], value[1])
+    except OverflowError:  # an integer beyond the float range
+        pass
     raise _fail(f"{what} entries must be numbers or [re, im] pairs")
 
 
@@ -128,7 +132,7 @@ def _matrix_from_spec(spec: dict, what: str) -> np.ndarray:
     try:
         re_arr = np.asarray(re, dtype=float)
         im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _fail(f"{what} 're' and 'im' must be arrays of numbers") from None
     if re_arr.ndim != 2:
         raise _fail(f"{what} 're' must be a 2-d array")
@@ -211,9 +215,12 @@ def _build_state(spec, dim: int) -> np.ndarray:
     if kind == "trace":
         if "diag" in spec:
             diag = spec["diag"]
-            if not isinstance(diag, list) or len(diag) != dim or not all(isinstance(v, (int, float)) for v in diag):
-                raise _fail(f"trace state 'diag' needs {dim} numbers")
-            return np.diag([float(v) for v in diag]).astype(np.complex128)
+            if isinstance(diag, list) and len(diag) == dim and all(isinstance(v, (int, float)) for v in diag):
+                try:
+                    return np.diag([float(v) for v in diag]).astype(np.complex128)
+                except OverflowError:  # an integer beyond the float range
+                    pass
+            raise _fail(f"trace state 'diag' needs {dim} numbers")
         return _matrix_from_spec(spec, "trace state")
     raise _fail(f"unknown state kind {kind!r}")
 
@@ -269,8 +276,8 @@ def scenario_from_dict(raw) -> Scenario:
         raise _fail(f"unknown engine {engine!r}, expected one of {ENGINE_NAMES}")
 
     horizons = raw.get("Ns", [])
-    if not isinstance(horizons, list) or not all(_is_int(n) and n >= 1 for n in horizons):
-        raise _fail("'Ns' must be a list of positive integers")
+    if not isinstance(horizons, list) or not all(_is_int(n) and 1 <= n <= sys.float_info.max for n in horizons):
+        raise _fail("'Ns' must be a list of positive integers within the float range")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise _fail("'Ns' must be strictly increasing")
 

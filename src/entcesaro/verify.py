@@ -7,6 +7,7 @@ any fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,9 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     n_small = min(scenario.horizons[0], CROSS_CHECK_N) if scenario.horizons else CROSS_CHECK_N
     direct = cesaro_direct(u, p, inner, n_small)
     spectral = cesaro_spectral(dec, p, inner, n_small)
-    scale = 1.0
-    for a in inner:
-        scale *= max(frobenius_norm(a), 1e-300)
+    # Relative to the product of the norms; clamped after the product, which underflows to 0
+    # with two zero operators.
+    scale = max(math.prod(frobenius_norm(a) for a in inner), 1e-300)
     checks.append(_check(
         f"direct vs spectral at N={n_small}",
         frobenius_norm(direct.matrix - spectral.matrix) / scale,

@@ -95,6 +95,9 @@ class TestExitCodes:
              f"operator 0 'norm' {positive}"),
             ("bool_norm.json", "mean", dict(pair, operators=[{"kind": "random", "norm": True}]),
              f"operator 0 'norm' {positive}"),
+            ("huge_norm.json", "limit", dict(pair, operators=[{"kind": "random", "norm": 10**400}]),
+             f"operator 0 'norm' {positive}"),
+            ("huge_ns.json", "converge", dict(pair, Ns=[10, 10**400]), "'Ns' must be a list of positive integers"),
             ("bool_seed.json", "converge", dict(pair, seed=True), "'seed' must be an integer"),
             ("dict_entries.json", "limit", dict(pair, operators=[{"kind": "matrix", "re": {}}]),
              "operator 0 're' and 'im' must be arrays of numbers"),
@@ -104,6 +107,14 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert message in err, (name, err)
+
+    def test_verify_with_two_zero_operators(self, tmp_path, capsys):
+        # The product of their norms underflows to 0; the relative engine check must not divide by it.
+        zero = {"kind": "matrix", "re": [[0.0]]}
+        data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}, "partition": [1, 2, 1, 2],
+                "operators": [{"kind": "random"}, zero, zero], "Ns": [10]}
+        assert run_cli(["verify", "--scenario", write_scenario(tmp_path, data)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_command_needing_partition_fails_cleanly(self, tmp_path, capsys):
         data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}}

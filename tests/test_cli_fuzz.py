@@ -13,8 +13,9 @@ from entcesaro.cli import main
 
 COMMANDS = ("converge", "verify", "correlate", "mean", "limit", "decompose")
 
-# Values a scenario field might hold by mistake: non-finite numbers, booleans, null, strings.
-BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, False, None, "1", -1, 0]
+# Values a scenario field might hold by mistake: non-finite numbers, an integer beyond the float
+# range, booleans, null, strings.
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 10**400, True, False, None, "1", -1, 0]
 junk = st.one_of(st.sampled_from(BAD_NUMBERS), st.floats(allow_nan=True, allow_infinity=True),
                  st.integers(-10, 10**20), st.text(max_size=3), st.just([]), st.just({}))
 

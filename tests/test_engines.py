@@ -94,6 +94,8 @@ class TestKernel:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             kernel(Phase.rational(0, 1), 0)
+        with pytest.raises(ValueError, match="largest float"):  # the kernel takes N to a float
+            kernel(Phase.rational(1, 3), 10**400)
 
     @pytest.mark.parametrize("n", [100, 10**4])
     @pytest.mark.parametrize("turns", [1e-14, 1.6e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
