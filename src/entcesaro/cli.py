@@ -14,10 +14,11 @@ import time
 import numpy as np
 
 from .engines import (
+    ENGINE_NAMES,
+    ENGINES,
     BudgetError,
     ConvergenceReport,
     cesaro_direct,
-    cesaro_nested,
     cesaro_spectral,
     convergence_report,
     error_bounds,
@@ -109,13 +110,7 @@ def cmd_mean(scenario: Scenario, args) -> int:
     p = scenario.partition
     ops = scenario.operators(p.m - 1)
     horizon = args.N if args.N is not None else (scenario.horizons[-1] if scenario.horizons else 100)
-    engine = args.engine or scenario.engine
-    if engine == "direct":
-        result = cesaro_direct(u, p, ops, horizon)
-    elif engine == "nested":
-        result = cesaro_nested(dec, p, ops, horizon)
-    else:
-        result = cesaro_spectral(dec, p, ops, horizon)
+    result = ENGINES[args.engine or scenario.engine](u, dec, p, ops, horizon)
     print(f"partition {render_partition(p)}, engine {result.engine}, N={result.N}")
     print(f"operator norm {operator_norm(result.matrix):.12f}")
     print(f"elapsed {result.elapsed:.3f}s")
@@ -185,19 +180,16 @@ def cmd_bench(scenario: Scenario, args) -> int:
     u, dec = scenario.system()
     p = scenario.partition
     ops = scenario.operators(p.m - 1)
-    engines = ["spectral", "direct"] + ([] if is_crossing(p) else ["nested"])
+    runs = {"spectral": ENGINES["spectral"], **ENGINES}  # the spectral engine first: the reference
     print("N        engine    seconds      max|diff vs spectral|")
     for horizon in scenario.horizons:
         reference = None
-        for engine in engines:
+        for engine, run in runs.items():
+            if engine == "nested" and is_crossing(p):
+                continue
             start = time.perf_counter()
             try:
-                if engine == "direct":
-                    result = cesaro_direct(u, p, ops, horizon)
-                elif engine == "spectral":
-                    result = cesaro_spectral(dec, p, ops, horizon)
-                else:
-                    result = cesaro_nested(dec, p, ops, horizon)
+                result = run(u, dec, p, ops, horizon)
             except BudgetError:
                 print(f"{horizon:<8} {engine:<9} (skipped: over budget)")
                 continue
@@ -291,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         if name != "demo-appendix":
             cmd.add_argument("--scenario", required=True, help="path to the scenario JSON file")
-        cmd.add_argument("--engine", choices=("direct", "spectral", "nested"),
+        cmd.add_argument("--engine", choices=ENGINE_NAMES,
                          help="override the scenario engine")
         cmd.add_argument("--out", help="output CSV path")
         cmd.add_argument("--seed", type=int, help="override the scenario seed")

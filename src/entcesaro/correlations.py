@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import DIRECT_TUPLE_BUDGET, cesaro_direct, cesaro_spectral, limit_operator
+from .engines import ENGINES, limit_operator
 from .linalg import as_operator, as_vector, operator_norm
 from .partitions import Partition, require_pair
 from .spectral import (
@@ -210,11 +210,9 @@ def _inner_mean(sys: DynamicalSystem, spec: CorrelationSpec, N: int, engine: str
     inner = spec.ops[1:-1]
     if engine == "auto":
         engine = "direct" if N ** spec.partition.k <= _AUTO_DIRECT_TUPLES else "spectral"
-    if engine == "direct":
-        return cesaro_direct(sys.unitary, spec.partition, inner, N, budget=DIRECT_TUPLE_BUDGET)
-    if engine == "spectral":
-        return cesaro_spectral(sys.dec, spec.partition, inner, N)
-    raise ValueError(f"unknown engine {engine!r} for correlations")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} for correlations")
+    return ENGINES[engine](sys.unitary, sys.dec, spec.partition, inner, N)
 
 
 def cesaro_correlation(sys: DynamicalSystem, spec: CorrelationSpec, N: int,

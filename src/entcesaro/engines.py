@@ -7,7 +7,8 @@ The object of interest is the k-fold average
 over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
 
 * ``cesaro_direct``    walks the power table of U and contracts the sum
-  slot by slot, left to right (cost grows with N).
+  slot by slot, left to right (cost grows with N); a pair on adjacent slots
+  is summed into one d x d factor, so it holds no index axis.
 * ``cesaro_spectral``  inserts U = sum_b z_b E_b at every slot: a sum over
   block tuples t of prod_classes K_N(class phase sum) E_t1 A_1 ... E_tm,
   K_N the Cesaro kernel.  In the eigenframe W each E_b is a diagonal mask,
@@ -16,22 +17,34 @@ over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
   each by binary splitting of its sum over n (cost grows with log N);
   valid for non-crossing partitions only.
 
-All three compute the same finite-N sum by different factorizations.  The
-limit swaps each class's kernel table for the resonance indicator R (phase
-sum equal to 1) in the same contraction; ``limit_truncated`` restricts R to
-chosen phases.  Every such table, the spectral gap and the resonance pairing
-read one array of class phase sums (``spectral.PhaseSums``): float turns,
-and for exact phases Python-int numerators over their common denominator L,
-so exact resonances and periodic zeros (a N = 0 mod L) stay exact.  The
-decomposition records these tables on first use, with the padded frame, so
-every call on it reads them: a horizon forms only the N-dependent factors
-of its kernel table, and each resonance tolerance is checked and tabled once.
-The contraction is planned from the partition and the block sizes before
-any product (``_sweep_plan``, memoized): which slot widens which class's block axis,
+All three compute the same finite-N sum by different factorizations;
+``ENGINES`` maps each name to its call.  The limit swaps each class's
+kernel table for the resonance indicator R (phase sum equal to 1) in the
+same contraction; ``limit_truncated`` restricts R to chosen phases.  Every
+such table, the spectral gap and the resonance pairing read one array of
+class phase sums (``spectral.PhaseSums``): float turns, and for exact
+phases Python-int numerators over their common denominator L, so exact
+resonances and periodic zeros (a N = 0 mod L) stay exact.  The
+decomposition records these tables on first use, with the padded frame
+W_p (every block zero-padded to the largest rank r), so every call on it
+reads them: a horizon forms only the N-dependent factors of its kernel
+table, and each resonance tolerance is checked and tabled once.
+
+The mean, the limit and the truncated limit share one contraction core,
+``_contract``.  It reads arrays only: the stacked slot matrices
+S_j = W_p* A_j W_p of shape (m-1, D, D), the block layout (B blocks of
+r columns, D = B r), the class tables and the budget.  It returns the
+swept matrix in the frame; the caller applies W_p ... W_p*.  Each call
+checks its operators once, as one stack, and forms every S_j in one
+batched product, which also feeds the bound's chain norms.  The sweep is
+planned from the partition and the block layout before any product
+(``_sweep_plan``, memoized): which slot widens which class's block axis,
 and where a closing class is summed out before that widening, so that two
-classes are held at once only when the partition forces it.  It runs in
-the frame with every block zero-padded to the largest rank, where a
-widening is one product over the block axis.
+classes are held at once only when the partition forces it.
+``_sweep_steps`` fixes every step's reshape targets and transpose order
+once per (partition, B, r), so a widening is one transpose (a view) and
+one matrix product over the block's r positions, which at r = 1 is a
+broadcast outer product.
 ``error_bound`` sums |prod K_N - prod R| times each tuple's block-chain
 norm.  ``budget`` caps the entries of the largest planned intermediate
 for the mean and limit, and the tuple count B^m for the bound.
@@ -47,6 +60,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +99,6 @@ DIRECT_TUPLE_BUDGET = 10**8
 SPECTRAL_TUPLE_BUDGET = 10**7
 _SWEEP_ENTRY_BUDGET = 1 << 24  # complex entries allowed in one sweep intermediate
 
-ENGINE_NAMES = ("direct", "spectral", "nested")
-
 
 class BudgetError(ValueError):
     """Requested evaluation exceeds the configured work budget."""
@@ -123,19 +135,33 @@ def _check_horizon(n) -> int:
     return int(n)
 
 
+_require_pair = lru_cache(maxsize=64)(require_pair)
+
+
 def _check_partition(p, general: bool) -> Partition:
     if not isinstance(p, Partition):
         raise ValueError("expected a Partition")
     if not general:
-        require_pair(p)
+        _require_pair(p)
     return p
 
 
-def _check_ops(p: Partition, ops, dim: int) -> list[np.ndarray]:
-    ops = [as_operator(a, dim, name=f"operator {j + 1}") for j, a in enumerate(ops)]
-    if len(ops) != p.m - 1:
-        raise ValueError(f"partition on {p.m} slots needs {p.m - 1} operators, got {len(ops)}")
-    return ops
+def _check_ops(p: Partition, ops, dim: int) -> np.ndarray:
+    """The operators as one complex stack of shape (m - 1, dim, dim), checked at once.
+
+    Only when the stack fails its shape or finiteness check are the operators checked one by one,
+    for a message that names the first bad one.
+    """
+    try:
+        stack = np.asarray(ops, dtype=np.complex128)
+    except (TypeError, ValueError):  # a ragged list, or entries that are not numbers
+        stack = None
+    if stack is None or stack.shape != (p.m - 1, dim, dim) or not np.isfinite(stack).all():
+        checked = [as_operator(a, dim, name=f"operator {j + 1}") for j, a in enumerate(ops)]
+        if len(checked) != p.m - 1:
+            raise ValueError(f"partition on {p.m} slots needs {p.m - 1} operators, got {len(checked)}")
+        stack = np.array(checked, dtype=np.complex128).reshape(p.m - 1, dim, dim)  # no operators, or an iterator
+    return stack
 
 
 @lru_cache(maxsize=64)
@@ -181,14 +207,15 @@ def mean_ergodic(u, N, unitarity_tol: float = 1e-10) -> np.ndarray:
 
 
 def _max_open_axes(p: Partition, first: list[int], last: list[int]) -> int:
+    """The most index axes ``cesaro_direct``'s sweep holds at once; a pair on adjacent slots holds none."""
     open_count = 0
     worst = 0
     for pos in range(1, p.m + 1):
         idx = pos - 1
-        if first[idx] == pos and last[idx] != pos:
+        if first[idx] == pos and last[idx] > pos + 1:
             open_count += 1
         worst = max(worst, open_count)
-        if last[idx] == pos and first[idx] != pos:
+        if last[idx] == pos and first[idx] < pos - 1:
             open_count -= 1
     return worst
 
@@ -198,8 +225,9 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     """Finite-N entangled mean from the power table of U.
 
     The sum over index tuples is contracted slot by slot: each class opens an
-    axis of size N at its first slot and is summed out at its last slot.  The
-    contraction path is fixed, so results are reproducible bit for bit.
+    axis of size N at its first slot and is summed out at its last slot.  A
+    pair on adjacent slots opens none: its sum_n U^n A U^n is one d x d factor.
+    The contraction path is fixed, so results are reproducible bit for bit.
     """
     start = time.perf_counter()
     arr = as_operator(u, name="unitary")
@@ -223,13 +251,23 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     letters = iter("abcdefghijklmnopqrstuvw")
     open_axes: list[tuple[int, str]] = []  # (class label, axis letter), in axis order
     tensor = None
-    for pos, lab in enumerate(p.labels, start=1):
+    pos = 0
+    while pos < p.m:
+        pos += 1
         idx = pos - 1
+        lab = p.labels[idx]
         if tensor is not None:
             tensor = tensor @ ops[pos - 2]
+        if first[idx] == last[idx]:
+            factor = power_sum
+        elif first[idx] == pos and last[idx] == pos + 1:  # a pair on adjacent slots, both taken here
+            factor = (powers @ ops[pos - 1] @ powers).sum(axis=0)
+            pos += 1
+        else:
+            factor = None
         if tensor is None:
-            if first[idx] == last[idx]:
-                tensor = power_sum
+            if factor is not None:
+                tensor = factor
             else:
                 tensor = powers
                 open_axes.append((lab, next(letters)))
@@ -237,8 +275,8 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
         base = "".join(l for _, l in open_axes)
         open_labels = [c for c, _ in open_axes]
         if lab not in open_labels:
-            if first[idx] == last[idx]:
-                tensor = np.einsum(f"{base}xy,yz->{base}xz", tensor, power_sum)
+            if factor is not None:
+                tensor = np.einsum(f"{base}xy,yz->{base}xz", tensor, factor)
             else:
                 ell = next(letters)
                 tensor = np.einsum(f"{base}xy,{ell}yz->{base}{ell}xz", tensor, powers)
@@ -283,10 +321,10 @@ def _sweep_plan(p: Partition, B: int, D: int) -> tuple[tuple[tuple[str, int | No
     The swept tensor has one block axis per open class, in opening order, then (row, column), both
     of width D, the padded frame's.  A class's axis records its blocks at its slots other than
     slot 1 (the row's block) and its last (the column's block), so a pair from slot 1 or on
-    adjacent slots needs none.  At slot s the product with A~_{s-1} widens axis ``widened`` (if
+    adjacent slots needs none.  At slot s the product with S_{s-1} widens axis ``widened`` (if
     any) by the block of slot s-1, and ``action`` is what the class at slot s does:
 
-    * "weigh": its table weighs A~_{s-1} (a singleton: its columns; a pair on adjacent slots after
+    * "weigh": its table weighs S_{s-1} (a singleton: its columns; a pair on adjacent slots after
       slot 1: its rows and columns), so the class needs no axis;
     * "rows":  its table weighs the (row, column) blocks (a pair from slot 1);
     * "open":  a block axis opens for it;
@@ -335,86 +373,145 @@ def _sweep_plan(p: Partition, B: int, D: int) -> tuple[tuple[tuple[str, int | No
     return tuple(steps), peak * D * D
 
 
-def _contract(dec: SpectralDecomposition, p: Partition, ops, tables, budget: int) -> np.ndarray:
-    """Sum over block tuples t of prod_c tables[c][t_c] E_t1 A_1 E_t2 ... A_{m-1} E_tm.
+class _Step(NamedTuple):
+    """One step of ``_sweep_plan`` with the shapes of its products fixed for a block layout (B, r).
 
-    In the frame W each E_b is the projection onto the columns of block b, so the sum is
-    W M~ W* with M~ swept over A~_j = W* A_j W slot by slot, left to right, as ``cesaro_direct``
-    sweeps the power table, by the steps of ``_sweep_plan``.  Its planned peak is checked
-    against ``budget`` before any product.  The sweep runs in the padded frame, where every
-    block has r columns (zero beyond its rank), so column c is (block b, position j) and
-    widening a block axis is one product T[..., x, b, j] A~[b, j, y] summed over j, with b
-    moved onto the axis.  A fold first sums the closing axis of T against its table, whose last
-    index is the block of y, in one matrix product.  With every block of rank 1 (every Haar
-    system) the padded frame is the frame and r = 1.
+    The product with S leaves the tensor in ``shape``, with the axis of an opening class already
+    in place.  A widening views the tensor as (block axes..., x, b, j), the column split into its
+    block b and position j, transposes it by ``order`` to (..., widened axis, b, later axes..., x,
+    j) and groups it to ``grouped``; a fold moves the closing axis e in front of j, so the group is
+    (e, j).  One product with S viewed as ``weights`` (B, 1 per later axis, group, D) sums over the
+    group, and ``shape`` merges b into the widened axis.  With r = 1 and no fold the group has one
+    entry and the product is a broadcast outer product.
     """
-    frame, frame_h, _, blk = dec._padded
-    B, D = len(dec.entries), frame.shape[1]
-    r = D // B
-    steps, peak = _sweep_plan(p, B, D)
+
+    action: str
+    table: int  # index of the class table the step reads
+    shape: tuple[int, ...]
+    split: tuple[int, ...] | None = None  # the tensor as (block axes..., x, B, r)
+    order: tuple[int, ...] | None = None
+    grouped: tuple[int, ...] | None = None
+    weights: tuple[int, ...] | None = None
+    closed: int | None = None  # the block axis a close sums out
+    lift: tuple[int, ...] | None = None  # the shape of the closing table against the tensor
+    from_first: bool = False  # a closing class from slot 1, whose table's first axis is the row's block
+
+
+@lru_cache(maxsize=64)
+def _sweep_steps(p: Partition, B: int, r: int) -> tuple[np.ndarray, tuple[_Step, ...]]:
+    """The block of each padded column, and ``_sweep_plan``'s steps for the block layout (B, r),
+    each with its shapes fixed (``_Step``)."""
+    D = B * r
+    first, _ = _first_last(p)
+    extents: list[int] = []
+    compiled = []
+    for pos, (action, widened, closed) in enumerate(_sweep_plan(p, B, D)[0], start=2):
+        step = {"action": action, "table": p.labels[pos - 1] - 1}
+        opened = (1,) if action == "open" else ()
+        if widened is None:
+            step.update(shape=(*extents, *opened, D, D))
+        else:
+            n = len(extents)
+            fold = action == "fold"
+            kept = [i for i in range(n) if not (fold and i == closed)]
+            at = kept.index(widened) + 1
+            group = extents[closed] * r if fold else r
+            order = (*kept[:at], n + 1, *kept[at:], n, *([closed] if fold else []), n + 2)
+            sizes = [extents[i] for i in kept]
+            step.update(
+                split=(*extents, D, B, r),
+                order=order,
+                grouped=(*sizes[:at], B, *sizes[at:], D, group),
+                weights=(B, *(1,) * (len(kept) - at), group, D),
+                shape=(*sizes[:at - 1], sizes[at - 1] * B, *sizes[at:], *opened, D, D),
+            )
+            sizes[at - 1] *= B
+            extents = sizes
+        if action == "close":
+            later = len(extents) - 1 - closed
+            from_first = first[pos - 1] == 1
+            step.update(closed=closed, lift=(-1, *(1,) * later, D if from_first else 1, D), from_first=from_first)
+            del extents[closed]
+        elif action == "open":
+            extents.append(1)
+        compiled.append(_Step(**step))
+    blk = np.repeat(np.arange(B), r)
+    blk.flags.writeable = False
+    return blk, tuple(compiled)
+
+
+def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: int) -> np.ndarray:
+    """Sum over block tuples t of prod_c tables[c][t_c] P_t1 S_1 P_t2 ... S_{m-1} P_tm.
+
+    ``slots`` stacks the slot matrices S_j = W_p* A_j W_p, shape (m - 1, D, D), in a padded frame
+    W_p of B blocks with r columns each (D = B r, zero beyond a block's rank): column c is (block
+    b, position j), and P_b is the projection onto block b's columns.  The result is the swept
+    matrix in that frame; W_p (result) W_p* is the sum in the original basis.  The sweep runs slot
+    by slot, left to right, as ``cesaro_direct`` sweeps the power table, by the steps of
+    ``_sweep_plan`` in the shapes ``_sweep_steps`` fixed; the planned peak is checked against
+    ``budget`` before any product.
+    """
+    D = B * r
+    peak = _sweep_plan(p, B, D)[1]
     if peak > budget:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
-    first, _ = _first_last(p)
-    frame_ops = frame_h @ np.stack(ops) @ frame if ops else ()
+    blk, steps = _sweep_steps(p, B, r)
 
     def spread(table):  # a class table indexed by padded column on every axis
         for axis in range(table.ndim):
             table = table.take(blk, axis)
         return table
 
-    # Padded rows and columns meet zero rows of every A~ and zero columns of the frame.
+    # Padded rows and columns meet zero rows and columns of every S_j.
     tensor = np.eye(D, dtype=np.complex128)
     if p.labels.count(p.labels[0]) == 1:
         tensor = tensor * spread(tables[p.labels[0] - 1])
-    for pos, (action, widened, closed) in enumerate(steps, start=2):
-        table = tables[p.labels[pos - 1] - 1]
-        a = frame_ops[pos - 2]
-        if action == "weigh":
+    for a, step in zip(slots, steps):
+        table = tables[step.table]
+        if step.action == "weigh":
             a = a * spread(table)
-        if action == "close":
-            if first[pos - 1] == 1:
-                lift = table[blk].reshape(D, -1, B)[..., blk].transpose(1, 0, 2)
-            else:
-                lift = table.reshape(-1, 1, B)[..., blk]
-            later = tensor.ndim - 3 - closed  # block axes after the closed one
-            lift = lift.reshape(lift.shape[:1] + (1,) * later + lift.shape[1:])
-        if widened is None:
-            tensor = tensor @ a
+        if step.split is None:  # one matrix product over every row of the tensor
+            tensor = (tensor.reshape(-1, D) @ a).reshape(step.shape)
         else:
-            axis = widened - (action == "fold" and closed < widened)
-            if action == "fold":  # sum the closed axis first: (..., x, c) -> (..., x, c, block of y, 1)
-                tensor = (np.moveaxis(tensor, closed, -1) @ table.reshape(-1, B))[..., None]
-            else:
-                tensor = tensor[..., None, None]
-            tensor = tensor.reshape(tensor.shape[:-3] + (B, r) + tensor.shape[-2:])
-            tensor = np.moveaxis(tensor, -4, axis + 1)  # (..., b, ..., x, j, block of y, position in it)
-            a = a.reshape((B,) + (1,) * (tensor.ndim - axis - 5) + (r, B, r))
-            tensor = np.einsum("...jcy,...jcy->...cy", tensor, a).reshape(tensor.shape[:-3] + (D,))
-            tensor = tensor.reshape(tensor.shape[:axis] + (-1,) + tensor.shape[axis + 2:])
-        if action == "rows":
+            if step.action == "fold":  # S weighed by the closing table at the block of y: (b, e, j, y)
+                a = a.reshape(B, 1, r, D) * table.reshape(-1, B).take(blk, 1)[:, None, :]
+            grouped = tensor.reshape(step.split).transpose(step.order).reshape(step.grouped)
+            tensor = (grouped @ a.reshape(step.weights)).reshape(step.shape)
+        if step.action == "rows":
             tensor = tensor * spread(table)
-        elif action == "close":
-            tensor = (tensor * lift).sum(axis=closed)
-        elif action == "open":
-            tensor = tensor[..., None, :, :]
-    return frame @ tensor @ frame_h
+        elif step.action == "close":
+            table = table.take(blk, -1)
+            if step.from_first:  # (block of x, closing axis, y) -> (closing axis, x, y)
+                table = table.take(blk, 0).reshape(D, -1, D).transpose(1, 0, 2)
+            tensor = (tensor * table.reshape(step.lift)).sum(axis=step.closed)
+    return tensor
 
 
-def _chain_norms(dec: SpectralDecomposition, p: Partition, ops, budget: int) -> np.ndarray:
+def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """W_p* A_j W_p for the stack of operators in the decomposition's padded frame, and its (B, r)."""
+    frame, frame_h, _, _ = dec._padded
+    B = len(dec.entries)
+    return frame_h @ ops @ frame, B, frame.shape[1] // B
+
+
+def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tables, budget: int) -> np.ndarray:
+    """``_contract`` over the decomposition's padded frame, taken back to the original basis."""
+    frame, frame_h, _, _ = dec._padded
+    return frame @ _contract(p, *_slot_matrices(dec, ops), tables, budget) @ frame_h
+
+
+def _chain_norms(p: Partition, slots: np.ndarray, B: int, r: int, budget: int) -> np.ndarray:
     """||E_t1 A_1 E_t2 ... A_{m-1} E_tm|| for every block tuple t, shape (B,)*m.
 
-    Each chain's norm is that of the product of the r_b x r_c frame blocks of
-    A~_j = W* A_j W along t, zero-padded to the largest rank.  The tuples are
-    extended one slot at a time, so every prefix product is formed once.
+    Each chain's norm is that of the product of the r x r blocks of the slot matrices
+    S_j = W_p* A_j W_p along t, zero beyond each block's rank.  The tuples are extended one slot
+    at a time, so every prefix product is formed once.
     """
-    B = len(dec.entries)
     if B**p.m > budget:
         raise BudgetError(f"spectral engine: B^m = {B**p.m:.3e} exceeds budget {budget:.1e}")
-    frame, frame_h, kept, _ = dec._padded
-    r = kept.size // B
-    chain = np.eye(r) * kept.reshape(B, 1, r)  # E_t1 alone: identity blocks
-    for a in ops:
-        chain = chain[..., None, :, :] @ (frame_h @ a @ frame).reshape(B, r, B, r).swapaxes(1, 2)
+    chain = np.broadcast_to(np.eye(r), (B, r, r))  # E_t1 alone; padded rows of S_1 are zero
+    for a in slots:
+        chain = chain[..., None, :, :] @ a.reshape(B, r, B, r).swapaxes(1, 2)
     return _operator_norms(chain)
 
 
@@ -438,7 +535,7 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
     p = _check_partition(p, general)
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
-    matrix = _contract(dec, p, ops, _kernel_tables(dec, p, N), budget)
+    matrix = _spectral_sum(dec, p, ops, _kernel_tables(dec, p, N), budget)
     return CesaroResult(matrix, "spectral", N, time.perf_counter() - start)
 
 
@@ -478,6 +575,18 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     return CesaroResult(chain[0], "nested", N, time.perf_counter() - start)
 
 
+# Every engine's finite-N mean by name, called as (u, dec, p, ops, N, general=False).  The direct
+# engine reads U, or reconstructs it from ``dec`` when ``u`` is None; the nested engine takes pair
+# partitions only, whatever ``general`` says.
+ENGINES = {
+    "direct": lambda u, dec, p, ops, N, general=False: cesaro_direct(
+        reconstruct(dec) if u is None else u, p, ops, N, general=general),
+    "spectral": lambda u, dec, p, ops, N, general=False: cesaro_spectral(dec, p, ops, N, general=general),
+    "nested": lambda u, dec, p, ops, N, general=False: cesaro_nested(dec, p, ops, N),
+}
+ENGINE_NAMES = tuple(ENGINES)
+
+
 def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
                     resonance_tol: float | None = None) -> np.ndarray:
     """Partial limit sum restricted to class phases drawn from ``phases``.
@@ -487,7 +596,7 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
     plain one.  With the full antidiagonal spectrum this is the limit
     operator itself, bit for bit.
     """
-    require_pair(p)
+    p = _check_partition(p, general=False)
     ops = _check_ops(p, ops, dec.dim)
     partners = resonant_partners(dec, resonance_tol)
     index_of = {line.phase: b for b, line in enumerate(dec.entries)}
@@ -499,7 +608,7 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
         chosen[b] = 1.0
     # R_S[b, c] = [c in S and partners[c] == b]: the mask acts on the last slot.
     tables = [table * chosen for table in _resonance_tables(dec, p, resonance_tol)]
-    return _contract(dec, p, ops, tables, SPECTRAL_TUPLE_BUDGET)
+    return _spectral_sum(dec, p, ops, tables, SPECTRAL_TUPLE_BUDGET)
 
 
 def limit_operator(dec: SpectralDecomposition, p: Partition, ops,
@@ -508,7 +617,7 @@ def limit_operator(dec: SpectralDecomposition, p: Partition, ops,
     """Limit of the entangled mean: the sum over resonant block tuples."""
     p = _check_partition(p, general)
     ops = _check_ops(p, ops, dec.dim)
-    return _contract(dec, p, ops, _resonance_tables(dec, p, resonance_tol), budget)
+    return _spectral_sum(dec, p, ops, _resonance_tables(dec, p, resonance_tol), budget)
 
 
 def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y,
@@ -542,7 +651,7 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
     p = _check_partition(p, general)
     ops = _check_ops(p, ops, dec.dim)
     Ns = [_check_horizon(n) for n in Ns]
-    norms = _chain_norms(dec, p, ops, budget)
+    norms = _chain_norms(p, *_slot_matrices(dec, ops), budget)
     resonance = _spread(p, _resonance_tables(dec, p, resonance_tol))
     return [float(np.sum(np.abs(_spread(p, _kernel_tables(dec, p, n)) - resonance) * norms))
             for n in Ns]
@@ -567,15 +676,9 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     limit = limit_operator(dec, p, ops, resonance_tol, general=general)
     gap = spectral_gap(dec, resonance_tol)
     bounds = error_bounds(dec, p, ops, Ns, resonance_tol, general=general)
-    source = reconstruct(dec) if engine == "direct" else None
     rows = []
     for n, bound in zip(Ns, bounds):
-        if engine == "direct":
-            result = cesaro_direct(source, p, ops, n, general=general)
-        elif engine == "spectral":
-            result = cesaro_spectral(dec, p, ops, n, general=general)
-        else:
-            result = cesaro_nested(dec, p, ops, n)
+        result = ENGINES[engine](None, dec, p, ops, n, general)
         diff = result.matrix - limit
         rows.append(ReportRow(
             N=n,

@@ -154,6 +154,17 @@ class TestCesaroCorrelation:
         expected = system.expect(ops[0] @ mean @ ops[-1])
         assert cesaro_correlation(system, spec, n, engine=engine) == pytest.approx(expected, abs=1e-10)
 
+    def test_every_engine_by_name(self):
+        u, dec, omega, _ = invariant_system(17, 4)
+        ops = random_ops(np.random.default_rng(4), 5, 4)
+        system = make_system(u, omega, dec=dec)
+        spec = CorrelationSpec(P1221, tuple(ops))
+        expected = system.expect(ops[0] @ cesaro_spectral(dec, P1221, ops[1:-1], 12).matrix @ ops[-1])
+        for engine in ("auto", "direct", "spectral", "nested"):
+            assert cesaro_correlation(system, spec, 12, engine=engine) == pytest.approx(expected, abs=1e-10)
+        with pytest.raises(ValueError, match="unknown engine 'warp' for correlations"):
+            cesaro_correlation(system, spec, 12, engine="warp")
+
 
 class TestCorrelationLimit:
     def test_limit_within_certified_bound(self):

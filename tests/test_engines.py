@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -251,7 +253,8 @@ class TestCesaroDirect:
             expected = np.array([[1.0, 2.0 * s], [3.0 * s, 4.0]])
             np.testing.assert_allclose(cesaro_direct(DIAG_PM, P11, [a], n).matrix, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("labels,n", [("1,1", 9), ("1,2,2,1", 5), ("1,2,1,2", 4), ("1,2,1,3,2,3", 3)])
+    @pytest.mark.parametrize("labels,n", [("1,1", 9), ("1,2,2,1", 5), ("1,2,1,2", 4), ("1,2,1,3,2,3", 3),
+                                          ("1,2,2,1,3,3", 4), ("1,1,2,3,3,2", 4)])
     def test_matches_brute_force(self, rng, labels, n):
         p = parse_partition(labels)
         u = haar_unitary(rng, 3)
@@ -259,6 +262,30 @@ class TestCesaroDirect:
         got = cesaro_direct(u, p, ops, n).matrix
         expected = brute_force_mean(u, p, ops, n)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_adjacent_pair_opens_no_index_axis(self, rng):
+        # sum_n U^n A U^n is one d x d factor: the sweep holds N d^2 entries, not N^2 d^2.
+        u, dec = random_system(3, 4, "haar")
+        ops = random_ops(rng, 3, 4)
+        tracemalloc.start()
+        try:
+            mean = cesaro_direct(u, P1221, ops, 300).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert np.linalg.norm(mean - cesaro_nested(dec, P1221, ops, 300).matrix) <= 1e-12
+        np.testing.assert_allclose(cesaro_direct(u, P1221, ops, 40).matrix, brute_force_mean(u, P1221, ops, 40),
+                                   atol=1e-12)
+
+    def test_memory_budget_counts_the_axes_held(self, rng):
+        # N = 2100, d = 4: N d^2 entries fit the sweep budget, N^2 d^2 do not.
+        u, dec = random_system(5, 4, "haar")
+        ops = random_ops(rng, 3, 4)
+        mean = cesaro_direct(u, P1221, ops, 2100).matrix
+        assert np.linalg.norm(mean - cesaro_nested(dec, P1221, ops, 2100).matrix) <= 1e-12
+        with pytest.raises(BudgetError, match="memory budget"):
+            cesaro_direct(u, P1212, ops, 2100)
 
     def test_rejects_non_pair_without_general_flag(self, rng):
         p = parse_partition("1,2,1,2,1")
@@ -727,6 +754,21 @@ class TestPlannedSweep:
         for got, ref in pairs:
             assert np.linalg.norm(got - ref) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("p", SWEEP_PARTITIONS + GENERAL_SWEEPS, ids=str)
+    def test_core_on_slot_matrices_in_an_identity_frame(self, p):
+        # The core reads arrays only: dense slot matrices with every block of full rank r, random
+        # class tables, and a stand-in for the decomposition that the reference reads.
+        rng = np.random.default_rng(len(p.labels) * 31 + p.k)
+        for B, r in [(1, 1), (3, 1), (2, 2), (3, 2), (1, 3)]:
+            D = B * r
+            slots = np.array(random_ops(rng, p.m - 1, D)).reshape(p.m - 1, D, D)
+            tables = [rng.standard_normal((B,) * size) + 1j * rng.standard_normal((B,) * size)
+                      for size in (p.labels.count(lab) for lab in range(1, p.k + 1))]
+            frame = types.SimpleNamespace(dim=D, frame=np.eye(D), blocks=np.repeat(np.arange(B), r), entries=range(B))
+            scale = max(1.0, np.prod([np.linalg.norm(a) for a in slots])) * max(1.0, *(np.abs(t).max() for t in tables)) ** p.k
+            got = engines._contract(p, slots, B, r, tables, engines.SPECTRAL_TUPLE_BUDGET)
+            assert np.linalg.norm(got - contract_per_block(frame, p, list(slots), tables)) <= 1e-12 * scale
+
     def test_plan_peaks(self):
         # Close while widening: 1,2,1,3,2,3 stays at B d^2; 1,2,3,1,2,3 holds classes 2 and 3 at slot 4.
         assert engines._sweep_plan(P121323, 64, 64)[1] == 64**3
@@ -768,6 +810,73 @@ class TestPlannedSweep:
         assert np.array_equal(limit, cesaro_spectral(dec, P121323, ops, 67).matrix)
         with pytest.raises(BudgetError, match="planned peak of 1.678e[+]07 entries"):
             limit_operator(dec, parse_partition("1,2,3,1,2,3"), ops)
+
+
+class TestOperatorStack:
+    """The operators are checked as one stack; a failure names the first bad operator as before."""
+
+    @staticmethod
+    def _calls(dec):
+        sigma = antidiagonal_spectrum(dec)
+        return [lambda ops: cesaro_spectral(dec, P1212, ops, 10),
+                lambda ops: limit_operator(dec, P1212, ops),
+                lambda ops: limit_truncated(dec, P1212, ops, sigma)]
+
+    @pytest.mark.parametrize("case,message", [
+        ("ragged", r"operator 2 must be a nonempty square matrix, got shape \(4, 3\)"),
+        ("nan", "operator 3 contains non-finite entries"),
+        ("inf", "operator 1 contains non-finite entries"),
+        ("-inf", "operator 2 contains non-finite entries"),
+        ("dimension", "operator 1 has dimension 3, expected 4"),
+        ("count", "partition on 4 slots needs 3 operators, got 2"),
+        ("3-d", r"operator 1 must be a nonempty square matrix, got shape \(1, 4, 4\)"),
+    ])
+    def test_rejects_each_bad_stack_naming_the_operator(self, rng, case, message):
+        _, dec = random_system(6, 4, "rational", 4)
+        ops = random_ops(rng, 3, 4)
+        if case == "ragged":
+            ops[1] = ops[1][:, :3]
+        elif case in ("nan", "inf", "-inf"):
+            bad = {"nan": 2, "inf": 0, "-inf": 1}[case]
+            ops[bad] = ops[bad].copy()
+            ops[bad][1, 2] = float(case)
+        elif case == "dimension":
+            ops = [a[:3, :3] for a in ops]
+        elif case == "count":
+            ops = ops[:2]
+        else:
+            ops = [a[None] for a in ops]
+        for call in self._calls(dec):
+            with pytest.raises(ValueError, match=message):
+                call(ops)
+            if case != "ragged":
+                with pytest.raises(ValueError, match=message):  # the same operators as one array
+                    call(np.array(ops))
+
+    def test_accepts_lists_tuples_arrays_and_nested_lists(self, rng):
+        _, dec = random_system(6, 4, "rational", 4)
+        ops = random_ops(rng, 3, 4)
+        for call in self._calls(dec):
+            want = call(ops)
+            want = want.matrix if hasattr(want, "matrix") else want
+            for form in (tuple(ops), np.array(ops), [a.tolist() for a in ops], (a for a in ops)):
+                got = call(form)
+                assert np.array_equal(got.matrix if hasattr(got, "matrix") else got, want)
+
+    def test_one_slot_partition_takes_no_operators(self):
+        p = parse_partition("1")
+        u, dec = random_system(9, 3, "rational", 6)
+        for ops in ([], (), np.empty((0, 3, 3))):
+            np.testing.assert_allclose(cesaro_spectral(dec, p, ops, 7, general=True).matrix, mean_ergodic(u, 7),
+                                       atol=1e-12)
+            np.testing.assert_allclose(limit_operator(dec, p, ops, general=True), invariant_projection(dec),
+                                       atol=1e-12)
+            assert error_bound(dec, p, ops, 7, general=True) >= operator_norm(mean_ergodic(u, 7) -
+                                                                              invariant_projection(dec)) - 1e-12
+        for run in (lambda ops: cesaro_spectral(dec, p, ops, 7, general=True),
+                    lambda ops: limit_operator(dec, p, ops, general=True)):
+            with pytest.raises(ValueError, match="partition on 1 slots needs 0 operators, got 1"):
+                run([np.eye(3)])
 
 
 def _record_outputs(dec, p, ops, resonance_tol=None):
