@@ -489,14 +489,14 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: i
 
 def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> tuple[np.ndarray, int, int]:
     """W_p* A_j W_p for the stack of operators in the decomposition's padded frame, and its (B, r)."""
-    frame, frame_h, _, _ = dec._padded
+    frame, frame_h, _ = dec._padded
     B = len(dec.entries)
     return frame_h @ ops @ frame, B, frame.shape[1] // B
 
 
 def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tables, budget: int) -> np.ndarray:
     """``_contract`` over the decomposition's padded frame, taken back to the original basis."""
-    frame, frame_h, _, _ = dec._padded
+    frame, frame_h, _ = dec._padded
     return frame @ _contract(p, *_slot_matrices(dec, ops), tables, budget) @ frame_h
 
 

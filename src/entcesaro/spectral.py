@@ -309,10 +309,9 @@ class SpectralDecomposition:
         return record
 
     @cached_property
-    def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The frame with each line's block zero-padded to the largest rank r, shape (d, B * r), its
-        conjugate transpose, the mask of its columns that are frame columns, and the line of each
-        column.
+        conjugate transpose, and the mask of its columns that are frame columns.
 
         Padded column b * r + j is column j of line b's basis for j < rank, and zero beyond.  So
         W_p^* M W_p, reshaped to (B, r, B, r), holds the r_a x r_b blocks of a matrix M in the
@@ -323,7 +322,7 @@ class SpectralDecomposition:
         kept = (np.arange(r) < ranks[:, None]).ravel()
         padded = np.zeros((self.dim, kept.size), dtype=np.complex128)
         padded[:, kept] = self.frame
-        return tuple(_read_only(x) for x in (padded, padded.conj().T, kept, np.repeat(np.arange(len(ranks)), r)))
+        return tuple(_read_only(x) for x in (padded, padded.conj().T, kept))
 
 
 @dataclass(frozen=True, eq=False)
