@@ -88,6 +88,32 @@ def _print_matrix(mat: np.ndarray, label: str) -> None:
         print("  " + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row))
 
 
+def _inputs(scenario: Scenario, command: str, horizons: bool = False, edges: int = 0):
+    """(u, dec, p, ops) of a command that needs a partition (and, with ``horizons``, a nonempty 'Ns'),
+    with ``edges`` operators besides the partition's m - 1."""
+    if scenario.partition is None:
+        raise ScenarioError(f"the '{command}' command needs a partition")
+    if horizons and not scenario.horizons:
+        raise ScenarioError(f"the '{command}' command needs a nonempty 'Ns' list")
+    u, dec = scenario.system()
+    p = scenario.partition
+    return u, dec, p, scenario.operators(p.m - 1 + edges)
+
+
+def _emit_report(report: ConvergenceReport, out: str | None, timings: bool) -> int:
+    """Print the report's CSV and write it to ``out`` if given; 1 if a row breaks its certified bound."""
+    text = report_csv(report, include_timings=timings)
+    print(text, end="")
+    if out:
+        _write_atomic(out, text)
+        print(f"wrote {out}", file=sys.stderr)
+    bad = [row.N for row in report.rows if row.error_op > row.certified_bound + 1e-9]
+    if bad:
+        print(f"certified bound violated at N in {bad}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_decompose(scenario: Scenario, args) -> int:
     u, dec = scenario.system()
     sigma = set(antidiagonal_spectrum(dec))
@@ -104,11 +130,7 @@ def cmd_decompose(scenario: Scenario, args) -> int:
 
 
 def cmd_mean(scenario: Scenario, args) -> int:
-    if scenario.partition is None:
-        raise ScenarioError("the 'mean' command needs a partition")
-    u, dec = scenario.system()
-    p = scenario.partition
-    ops = scenario.operators(p.m - 1)
+    u, dec, p, ops = _inputs(scenario, "mean")
     horizon = args.N if args.N is not None else (scenario.horizons[-1] if scenario.horizons else 100)
     result = ENGINES[args.engine or scenario.engine](u, dec, p, ops, horizon)
     print(f"partition {render_partition(p)}, engine {result.engine}, N={result.N}")
@@ -119,11 +141,7 @@ def cmd_mean(scenario: Scenario, args) -> int:
 
 
 def cmd_limit(scenario: Scenario, args) -> int:
-    if scenario.partition is None:
-        raise ScenarioError("the 'limit' command needs a partition")
-    _, dec = scenario.system()
-    p = scenario.partition
-    ops = scenario.operators(p.m - 1)
+    _, dec, p, ops = _inputs(scenario, "limit")
     limit = limit_operator(dec, p, ops)
     norm = operator_norm(limit)
     product = 1.0
@@ -136,26 +154,9 @@ def cmd_limit(scenario: Scenario, args) -> int:
 
 
 def cmd_converge(scenario: Scenario, args) -> int:
-    if scenario.partition is None:
-        raise ScenarioError("the 'converge' command needs a partition")
-    if not scenario.horizons:
-        raise ScenarioError("the 'converge' command needs a nonempty 'Ns' list")
-    _, dec = scenario.system()
-    p = scenario.partition
-    ops = scenario.operators(p.m - 1)
-    engine = args.engine or scenario.engine
-    report = convergence_report(dec, p, ops, scenario.horizons, engine)
-    out = args.out or scenario.out
-    text = report_csv(report, include_timings=args.timings)
-    print(text, end="")
-    if out:
-        _write_atomic(out, text)
-        print(f"wrote {out}", file=sys.stderr)
-    bad = [row.N for row in report.rows if row.error_op > row.certified_bound + 1e-9]
-    if bad:
-        print(f"certified bound violated at N in {bad}", file=sys.stderr)
-        return 1
-    return 0
+    _, dec, p, ops = _inputs(scenario, "converge", horizons=True)
+    report = convergence_report(dec, p, ops, scenario.horizons, args.engine or scenario.engine)
+    return _emit_report(report, args.out or scenario.out, args.timings)
 
 
 def cmd_verify(scenario: Scenario, args) -> int:
@@ -173,13 +174,7 @@ def cmd_verify(scenario: Scenario, args) -> int:
 
 
 def cmd_bench(scenario: Scenario, args) -> int:
-    if scenario.partition is None:
-        raise ScenarioError("the 'bench' command needs a partition")
-    if not scenario.horizons:
-        raise ScenarioError("the 'bench' command needs a nonempty 'Ns' list")
-    u, dec = scenario.system()
-    p = scenario.partition
-    ops = scenario.operators(p.m - 1)
+    u, dec, p, ops = _inputs(scenario, "bench", horizons=True)
     runs = {"spectral": ENGINES["spectral"], **ENGINES}  # the spectral engine first: the reference
     print("N        engine    seconds      max|diff vs spectral|")
     for horizon in scenario.horizons:
@@ -204,11 +199,7 @@ def cmd_bench(scenario: Scenario, args) -> int:
 def cmd_correlate(scenario: Scenario, args) -> int:
     from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, make_system
 
-    if scenario.partition is None:
-        raise ScenarioError("the 'correlate' command needs a partition")
-    p = scenario.partition
-    u, dec = scenario.system()
-    ops = scenario.operators(p.m + 1)
+    u, dec, p, ops = _inputs(scenario, "correlate", edges=2)
     system = make_system(u, scenario.state(), dec=dec, tolerances=scenario.tolerances)
     spec = CorrelationSpec(p, tuple(ops))
     limit = correlation_limit(system, spec)
@@ -233,9 +224,7 @@ def cmd_demo_appendix(args) -> int:
         scenario_dict["seed"] = args.seed
     scenario = scenario_from_dict(scenario_dict)
 
-    u, dec = scenario.system()
-    p = scenario.partition
-    ops = scenario.operators(p.m - 1)
+    u, dec, p, ops = _inputs(scenario, "demo-appendix")
     print(f"entangled partition {render_partition(p)} on a dimension-{dec.dim} system")
     print("phases:", ", ".join(str(ph) for ph in dec.phases))
     print("antidiagonal spectrum:", ", ".join(str(ph) for ph in antidiagonal_spectrum(dec)))
@@ -251,16 +240,7 @@ def cmd_demo_appendix(args) -> int:
         return 1
 
     report = convergence_report(dec, p, ops, scenario.horizons, scenario.engine)
-    text = report_csv(report, include_timings=args.timings)
-    print(text, end="")
-    if args.out:
-        _write_atomic(args.out, text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    bad = [row.N for row in report.rows if row.error_op > row.certified_bound + 1e-9]
-    if bad:
-        print(f"certified bound violated at N in {bad}", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_report(report, args.out, args.timings)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,18 +36,20 @@ S_j = W_p* A_j W_p of shape (m-1, D, D), the block layout (B blocks of
 r columns, D = B r), the class tables and the budget.  It returns the
 swept matrix in the frame; the caller applies W_p ... W_p*.  Each call
 checks its operators once, as one stack, and forms every S_j in one
-batched product, which also feeds the bound's chain norms.  The sweep is
-planned from the partition and the block layout before any product
-(``_sweep_plan``, memoized): which slot widens which class's block axis,
-and where a closing class is summed out before that widening, so that two
-classes are held at once only when the partition forces it.
-``_sweep_steps`` fixes every step's reshape targets and transpose order
-once per (partition, B, r), so a widening is one transpose (a view) and
-one matrix product over the block's r positions, which at r = 1 is a
-broadcast outer product.
+batched product, which also feeds the bound's chain norms.
+
+Each sweep engine has one memoized plan that its budget check and its loop
+both read.  ``_sweep_steps`` plans ``_contract`` per (partition, B, r): which
+slot widens which class's block axis, where a closing class is summed out
+before that widening (so two classes are held at once only when the
+partition forces it), each step's reshapes and transpose, and the peak; a
+widening is one transpose (a view) and one matrix product over the block's r
+positions.  ``_direct_plan`` gives ``cesaro_direct``'s steps per partition
+(operator, factor, einsum subscripts) and the most index axes held at once.
 ``error_bound`` sums |prod K_N - prod R| times each tuple's block-chain
-norm.  ``budget`` caps the entries of the largest planned intermediate
-for the mean and limit, and the tuple count B^m for the bound.
+norm.  ``budget`` caps the entries of the largest planned tensor (D^2 times
+the block axes held for the mean and limits, N^h d^2 with h >= 1 index axes
+held for ``cesaro_direct``) and the tuple count B^m for the bound.
 
 Classes of size other than two are supported behind ``general=True``; that
 finite-dimensional extension is flagged and kept out of the default path.
@@ -95,9 +97,8 @@ __all__ = [
     "ENGINE_NAMES",
 ]
 
-DIRECT_TUPLE_BUDGET = 10**8
 SPECTRAL_TUPLE_BUDGET = 10**7
-_SWEEP_ENTRY_BUDGET = 1 << 24  # complex entries allowed in one sweep intermediate
+_SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's default budget: complex entries in its largest tensor
 
 
 class BudgetError(ValueError):
@@ -206,28 +207,64 @@ def mean_ergodic(u, N, unitarity_tol: float = 1e-10) -> np.ndarray:
     return total / N
 
 
-def _max_open_axes(p: Partition, first: list[int], last: list[int]) -> int:
-    """The most index axes ``cesaro_direct``'s sweep holds at once; a pair on adjacent slots holds none."""
-    open_count = 0
-    worst = 0
-    for pos in range(1, p.m + 1):
-        idx = pos - 1
-        if first[idx] == pos and last[idx] > pos + 1:
-            open_count += 1
-        worst = max(worst, open_count)
-        if last[idx] == pos and first[idx] < pos - 1:
-            open_count -= 1
-    return worst
+class _DirectStep(NamedTuple):
+    """One step of ``cesaro_direct``'s sweep: multiply the tensor by ``ops[op]``, then take in the factor.
+
+    The factor is the power table ("powers", one index axis of size N), the singleton sum
+    sum_n U^n ("sum"), or a pair on adjacent slots, sum_n U^n ops[op + 1] U^n ("pair").  The first
+    step (op = -1) starts the tensor from its factor.
+    """
+
+    op: int
+    factor: str
+    subscripts: str  # the einsum of (tensor, factor)
+
+
+@lru_cache(maxsize=64)
+def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], int]:
+    """``cesaro_direct``'s steps, and the most index axes its tensor holds at once.
+
+    Each class opens an axis of size N at its first slot and is summed out at its last; a singleton
+    and a pair on adjacent slots (both slots in one step) open none.
+    """
+    first, last = _first_last(p)
+    letters = iter("abcdefghijklmnopqrstuvw")
+    axes: dict[int, str] = {}  # the letter of each open class's axis, in axis order
+    steps = []
+    held = 0
+    pos = 1
+    while pos <= p.m:
+        lab = p.labels[pos - 1]
+        base, ell = "".join(axes.values()), ""
+        if first[pos - 1] == last[pos - 1]:
+            factor = "sum"
+        elif first[pos - 1] == pos and last[pos - 1] == pos + 1:
+            factor = "pair"
+        else:
+            factor = "powers"
+            if lab not in axes:
+                axes[lab] = next(letters)
+            ell = axes[lab]
+            if pos == last[pos - 1]:
+                del axes[lab]
+        held = max(held, len(axes))
+        out = "".join(axes.values())
+        steps.append(_DirectStep(pos - 2, factor, f"{base}xy,{ell}yz->{out}xz"))
+        pos += 2 if factor == "pair" else 1
+    return tuple(steps), held
 
 
 def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
-                  budget: int = DIRECT_TUPLE_BUDGET) -> CesaroResult:
+                  budget: int = _SWEEP_ENTRY_BUDGET) -> CesaroResult:
     """Finite-N entangled mean from the power table of U.
 
     The sum over index tuples is contracted slot by slot: each class opens an
     axis of size N at its first slot and is summed out at its last slot.  A
     pair on adjacent slots opens none: its sum_n U^n A U^n is one d x d factor.
-    The contraction path is fixed, so results are reproducible bit for bit.
+    The contraction path is fixed per partition (``_direct_plan``), so results
+    are reproducible bit for bit.  ``budget`` caps the entries of the largest
+    tensor the sweep forms, N^h d^2 with h the most index axes held at once
+    (at least 1: the power table).
     """
     start = time.perf_counter()
     arr = as_operator(u, name="unitary")
@@ -235,60 +272,21 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     ops = _check_ops(p, ops, arr.shape[0])
     N = _check_horizon(N)
     d = arr.shape[0]
-    if N**p.k > budget:
-        raise BudgetError(f"direct engine: N^k = {N**p.k:.3e} exceeds budget {budget:.1e}")
-    first, last = _first_last(p)
-    peak = max(_max_open_axes(p, first, last), 1)
-    if (N**peak) * d * d > _SWEEP_ENTRY_BUDGET:
-        raise BudgetError("direct engine: sweep intermediate exceeds the memory budget")
+    steps, held = _direct_plan(p)
+    entries = N ** max(held, 1) * d * d
+    if entries > budget:
+        shown = f"{entries:.3e}" if entries <= sys.float_info.max else f"more than {sys.float_info.max:.3e}"
+        raise BudgetError(f"direct engine: planned peak of {shown} entries exceeds the memory budget {budget:.1e}")
 
     powers = np.empty((N, d, d), dtype=np.complex128)
     powers[0] = np.eye(d)
     for n in range(1, N):
         powers[n] = powers[n - 1] @ arr
-    power_sum = powers.sum(axis=0)
-
-    letters = iter("abcdefghijklmnopqrstuvw")
-    open_axes: list[tuple[int, str]] = []  # (class label, axis letter), in axis order
+    factors = {"powers": powers, "sum": powers.sum(axis=0)}
     tensor = None
-    pos = 0
-    while pos < p.m:
-        pos += 1
-        idx = pos - 1
-        lab = p.labels[idx]
-        if tensor is not None:
-            tensor = tensor @ ops[pos - 2]
-        if first[idx] == last[idx]:
-            factor = power_sum
-        elif first[idx] == pos and last[idx] == pos + 1:  # a pair on adjacent slots, both taken here
-            factor = (powers @ ops[pos - 1] @ powers).sum(axis=0)
-            pos += 1
-        else:
-            factor = None
-        if tensor is None:
-            if factor is not None:
-                tensor = factor
-            else:
-                tensor = powers
-                open_axes.append((lab, next(letters)))
-            continue
-        base = "".join(l for _, l in open_axes)
-        open_labels = [c for c, _ in open_axes]
-        if lab not in open_labels:
-            if factor is not None:
-                tensor = np.einsum(f"{base}xy,yz->{base}xz", tensor, factor)
-            else:
-                ell = next(letters)
-                tensor = np.einsum(f"{base}xy,{ell}yz->{base}{ell}xz", tensor, powers)
-                open_axes.append((lab, ell))
-        else:
-            ell = open_axes[open_labels.index(lab)][1]
-            if pos == last[idx]:
-                out = "".join(l for c, l in open_axes if c != lab)
-                tensor = np.einsum(f"{base}xy,{ell}yz->{out}xz", tensor, powers)
-                open_axes.pop(open_labels.index(lab))
-            else:
-                tensor = np.einsum(f"{base}xy,{ell}yz->{base}xz", tensor, powers)
+    for step in steps:
+        factor = (powers @ ops[step.op + 1] @ powers).sum(axis=0) if step.factor == "pair" else factors[step.factor]
+        tensor = factor if tensor is None else np.einsum(step.subscripts, tensor @ ops[step.op], factor)
     matrix = tensor / float(N) ** p.k
     return CesaroResult(matrix, "direct", N, time.perf_counter() - start)
 
@@ -314,81 +312,38 @@ def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -
     return _class_tables(p, lambda size: pairs if size == 2 else dec._phase_sums(size).resonant(tol).astype(float))
 
 
-@lru_cache(maxsize=64)
-def _sweep_plan(p: Partition, B: int, D: int) -> tuple[tuple[tuple[str, int | None, int | None], ...], int]:
-    """The steps of ``_contract``'s sweep, one per slot after the first, and its planned peak.
+class _Step(NamedTuple):
+    """One step of ``_contract``'s sweep, at slot s: the product with S_{s-1}, in shapes fixed for a
+    block layout (B, r).
 
     The swept tensor has one block axis per open class, in opening order, then (row, column), both
-    of width D, the padded frame's.  A class's axis records its blocks at its slots other than
-    slot 1 (the row's block) and its last (the column's block), so a pair from slot 1 or on
-    adjacent slots needs none.  At slot s the product with S_{s-1} widens axis ``widened`` (if
-    any) by the block of slot s-1, and ``action`` is what the class at slot s does:
+    of width D = B r.  A class's axis records its blocks at its slots other than slot 1 (the row's
+    block) and its last (the column's block), so a pair from slot 1 or on adjacent slots needs none.
+    ``action`` is what the class at slot s does:
 
     * "weigh": its table weighs S_{s-1} (a singleton: its columns; a pair on adjacent slots after
       slot 1: its rows and columns), so the class needs no axis;
     * "rows":  its table weighs the (row, column) blocks (a pair from slot 1);
     * "open":  a block axis opens for it;
     * "close": its axis ``closed`` is summed against its table;
-    * "fold":  the same, before the widening (a class from after slot 1 closing where another
-      class's axis widens), so no tensor holds both axes;
+    * "fold":  the same, before a widening (a class from after slot 1 closing where another class's
+      axis widens), so no tensor holds both axes;
     * "":      nothing.
 
-    The peak is the entry count of the largest tensor the sweep forms: the initial D x D one, and
-    each step's input and widened tensor (after the fold).
-    """
-    first, last = _first_last(p)
-    size = {lab: p.labels.count(lab) for lab in p.labels}
-
-    def records(pos: int) -> bool:
-        adjacent_pair = size[p.labels[pos - 1]] == 2 and last[pos - 1] == pos + 1
-        return 1 < pos < last[pos - 1] and not adjacent_pair
-
-    axes: list[int] = []  # class of each block axis
-    extents: list[int] = []  # entries of each block axis
-    steps = []
-    peak = 1
-    for pos in range(2, p.m + 1):
-        lab = p.labels[pos - 1]
-        before = math.prod(extents)
-        widened = axes.index(p.labels[pos - 2]) if records(pos - 1) else None
-        if widened is not None:
-            extents[widened] *= B
-        closed = axes.index(lab) if pos == last[pos - 1] and lab in axes else None
-        if closed is not None:
-            action = "fold" if widened not in (None, closed) and first[pos - 1] > 1 else "close"
-        elif pos == last[pos - 1]:
-            action = "rows" if first[pos - 1] == 1 else "weigh"
-        elif records(pos) and lab not in axes:
-            action = "open"
-        else:
-            action = ""
-        widest = math.prod(extents) // (extents[closed] if action == "fold" else 1)
-        peak = max(peak, before, widest)
-        if closed is not None:
-            del axes[closed], extents[closed]
-        if action == "open":
-            axes.append(lab)
-            extents.append(1)
-        steps.append((action, widened, closed))
-    return tuple(steps), peak * D * D
-
-
-class _Step(NamedTuple):
-    """One step of ``_sweep_plan`` with the shapes of its products fixed for a block layout (B, r).
-
-    The product with S leaves the tensor in ``shape``, with the axis of an opening class already
-    in place.  A widening views the tensor as (block axes..., x, b, j), the column split into its
-    block b and position j, transposes it by ``order`` to (..., widened axis, b, later axes..., x,
-    j) and groups it to ``grouped``; a fold moves the closing axis e in front of j, so the group is
-    (e, j).  One product with S viewed as ``weights`` (B, 1 per later axis, group, D) sums over the
-    group, and ``shape`` merges b into the widened axis.  With r = 1 and no fold the group has one
-    entry and the product is a broadcast outer product.
+    The product leaves the tensor in ``shape``, with the axis of an opening class already in place.
+    A step whose slot s-1 is recorded widens that class's axis by the block of slot s-1: it views the
+    tensor as ``split`` (block axes..., x, b, j), the column split into its block b and position j,
+    transposes it by ``order`` to (..., widened axis, b, later axes..., x, j) and groups it to
+    ``grouped``; a fold moves the closing axis e in front of j, so the group is (e, j).  One product
+    with S viewed as ``weights`` (B, 1 per later axis, group, D) sums over the group, and ``shape``
+    merges b into the widened axis.  With r = 1 and no fold the group has one entry and the product
+    is a broadcast outer product.
     """
 
     action: str
     table: int  # index of the class table the step reads
     shape: tuple[int, ...]
-    split: tuple[int, ...] | None = None  # the tensor as (block axes..., x, B, r)
+    split: tuple[int, ...] | None = None  # the tensor as (block axes..., x, B, r); None: no widening
     order: tuple[int, ...] | None = None
     grouped: tuple[int, ...] | None = None
     weights: tuple[int, ...] | None = None
@@ -398,15 +353,33 @@ class _Step(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _sweep_steps(p: Partition, B: int, r: int) -> tuple[np.ndarray, tuple[_Step, ...]]:
-    """The block of each padded column, and ``_sweep_plan``'s steps for the block layout (B, r),
-    each with its shapes fixed (``_Step``)."""
+def _sweep_steps(p: Partition, B: int, r: int) -> tuple[np.ndarray, tuple[_Step, ...], int]:
+    """The plan of ``_contract``'s sweep for the block layout (B, r): the block of each padded
+    column, one ``_Step`` per slot after the first, and the planned peak, the entry count of the
+    largest tensor the sweep forms (the initial D x D one, and each step's input and product)."""
     D = B * r
-    first, _ = _first_last(p)
-    extents: list[int] = []
+    first, last = _first_last(p)
+
+    def records(pos: int) -> bool:  # neither slot 1, nor a class's last slot, nor a pair on adjacent slots
+        return 1 < pos < last[pos - 1] and (first[pos - 1], last[pos - 1]) != (pos, pos + 1)
+
+    axes: list[int] = []  # class of each block axis
+    extents: list[int] = []  # entries of each block axis
     compiled = []
-    for pos, (action, widened, closed) in enumerate(_sweep_plan(p, B, D)[0], start=2):
-        step = {"action": action, "table": p.labels[pos - 1] - 1}
+    peak = D * D
+    for pos in range(2, p.m + 1):
+        lab = p.labels[pos - 1]
+        widened = axes.index(p.labels[pos - 2]) if records(pos - 1) else None
+        closed = axes.index(lab) if pos == last[pos - 1] and lab in axes else None
+        if closed is not None:
+            action = "fold" if widened not in (None, closed) and first[pos - 1] > 1 else "close"
+        elif pos == last[pos - 1]:
+            action = "rows" if first[pos - 1] == 1 else "weigh"
+        elif records(pos) and lab not in axes:
+            action = "open"
+        else:
+            action = ""
+        step = {"action": action, "table": lab - 1}
         opened = (1,) if action == "open" else ()
         if widened is None:
             step.update(shape=(*extents, *opened, D, D))
@@ -426,18 +399,20 @@ def _sweep_steps(p: Partition, B: int, r: int) -> tuple[np.ndarray, tuple[_Step,
                 shape=(*sizes[:at - 1], sizes[at - 1] * B, *sizes[at:], *opened, D, D),
             )
             sizes[at - 1] *= B
-            extents = sizes
+            axes, extents = [axes[i] for i in kept], sizes
         if action == "close":
             later = len(extents) - 1 - closed
             from_first = first[pos - 1] == 1
             step.update(closed=closed, lift=(-1, *(1,) * later, D if from_first else 1, D), from_first=from_first)
-            del extents[closed]
+            del axes[closed], extents[closed]
         elif action == "open":
+            axes.append(lab)
             extents.append(1)
         compiled.append(_Step(**step))
+        peak = max(peak, math.prod(step["shape"]), math.prod(step.get("split", ())))
     blk = np.repeat(np.arange(B), r)
     blk.flags.writeable = False
-    return blk, tuple(compiled)
+    return blk, tuple(compiled), peak
 
 
 def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: int) -> np.ndarray:
@@ -447,15 +422,13 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: i
     W_p of B blocks with r columns each (D = B r, zero beyond a block's rank): column c is (block
     b, position j), and P_b is the projection onto block b's columns.  The result is the swept
     matrix in that frame; W_p (result) W_p* is the sum in the original basis.  The sweep runs slot
-    by slot, left to right, as ``cesaro_direct`` sweeps the power table, by the steps of
-    ``_sweep_plan`` in the shapes ``_sweep_steps`` fixed; the planned peak is checked against
-    ``budget`` before any product.
+    by slot, left to right, as ``cesaro_direct`` sweeps the power table, by the steps
+    ``_sweep_steps`` planned; the planned peak is checked against ``budget`` before any product.
     """
     D = B * r
-    peak = _sweep_plan(p, B, D)[1]
+    blk, steps, peak = _sweep_steps(p, B, r)
     if peak > budget:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
-    blk, steps = _sweep_steps(p, B, r)
 
     def spread(table):  # a class table indexed by padded column on every axis
         for axis in range(table.ndim):

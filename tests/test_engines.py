@@ -25,7 +25,7 @@ from entcesaro.engines import (
     spectral_gap,
 )
 from entcesaro.linalg import haar_unitary, operator_norm
-from entcesaro.partitions import enumerate_pair_partitions, parse_partition
+from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition
 from entcesaro.spectral import (
     Phase,
     SpectralDecomposition,
@@ -286,6 +286,26 @@ class TestCesaroDirect:
         assert np.linalg.norm(mean - cesaro_nested(dec, P1221, ops, 2100).matrix) <= 1e-12
         with pytest.raises(BudgetError, match="memory budget"):
             cesaro_direct(u, P1212, ops, 2100)
+
+    @pytest.mark.parametrize("labels,n", [("1,1,2,2,3,3", 500), ("1,2,2,1,3,3", 500), ("1,2,1,2,3,4,3,4", 200)])
+    def test_budget_counts_entries_not_index_tuples(self, rng, labels, n):
+        # N^k is over 10^8 here, but the sweep holds at most N^2 d^2 entries.
+        p = parse_partition(labels)
+        u, dec = random_system(11, 4, "haar")
+        ops = random_ops(rng, p.m - 1, 4)
+        mean = cesaro_direct(u, p, ops, n).matrix
+        scale = np.prod([np.linalg.norm(a) for a in ops])
+        assert np.linalg.norm(mean - cesaro_spectral(dec, p, ops, n).matrix) <= 1e-12 * scale
+        if not is_crossing(p):
+            assert np.linalg.norm(mean - cesaro_nested(dec, p, ops, n).matrix) <= 1e-12 * scale
+
+    def test_over_budget_message_names_the_planned_entries(self, rng):
+        u = haar_unitary(rng, 4)
+        with pytest.raises(BudgetError, match="planned peak of 7.056e[+]07 entries exceeds the memory budget"):
+            cesaro_direct(u, P1212, random_ops(rng, 3, 4), 2100)  # N^2 d^2
+        # A count beyond the float range is reported, not overflowed.
+        with pytest.raises(BudgetError, match="planned peak of more than 1.798e[+]308 entries"):
+            cesaro_direct(np.eye(2, dtype=complex), P1212, [np.eye(2)] * 3, 10**200)
 
     def test_rejects_non_pair_without_general_flag(self, rng):
         p = parse_partition("1,2,1,2,1")
@@ -771,18 +791,25 @@ class TestPlannedSweep:
 
     def test_plan_peaks(self):
         # Close while widening: 1,2,1,3,2,3 stays at B d^2; 1,2,3,1,2,3 holds classes 2 and 3 at slot 4.
-        assert engines._sweep_plan(P121323, 64, 64)[1] == 64**3
-        assert engines._sweep_plan(parse_partition("1,2,3,1,2,3"), 64, 64)[1] == 64**4
-        assert engines._sweep_plan(parse_partition("1,2,3,1,2,3,4,4"), 64, 64)[1] == 64**4
-        assert engines._sweep_plan(P1212, 3, 6)[1] == 3 * 36
+        assert engines._sweep_steps(P121323, 64, 1)[2] == 64**3
+        assert engines._sweep_steps(parse_partition("1,2,3,1,2,3"), 64, 1)[2] == 64**4
+        assert engines._sweep_steps(parse_partition("1,2,3,1,2,3,4,4"), 64, 1)[2] == 64**4
+        assert engines._sweep_steps(P1212, 3, 2)[2] == 3 * 36
+
+    @pytest.mark.parametrize("p", SWEEP_PARTITIONS + GENERAL_SWEEPS, ids=str)
+    def test_planned_peak_is_the_largest_tensor_the_steps_form(self, p):
+        for B, r in [(1, 1), (3, 1), (2, 2), (3, 2), (1, 3)]:
+            _, steps, peak = engines._sweep_steps(p, B, r)
+            formed = [math.prod(step.shape) for step in steps] + [math.prod(step.split or ()) for step in steps]
+            assert peak == max((B * r) ** 2, *formed)
 
     @pytest.mark.parametrize("labels", ["1,1", "1,2,2,1", "1,2,2,1,3,3"])
     def test_budget_counts_the_starting_tensor_of_a_sweep_that_never_widens(self, labels):
         p = parse_partition(labels)
         dec = random_system(3, 8, "haar")[1]
         ops = random_ops(np.random.default_rng(3), p.m - 1, 8)
-        steps, peak = engines._sweep_plan(p, 8, 8)
-        assert peak == 64 and all(widened is None for _, widened, _ in steps)
+        _, steps, peak = engines._sweep_steps(p, 8, 1)
+        assert peak == 64 and all(step.split is None for step in steps)
         for run in (lambda budget: cesaro_spectral(dec, p, ops, 5, budget=budget),
                     lambda budget: limit_operator(dec, p, ops, budget=budget)):
             with pytest.raises(BudgetError, match="planned peak of 6.400e[+]01 entries"):
