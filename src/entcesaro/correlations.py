@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import ENGINES, limit_operator
+from .engines import _SWEEP_ENTRY_BUDGET, ENGINES, _direct_entries, limit_operator
 from .linalg import as_operator, as_vector, operator_norm
 from .partitions import Partition, require_pair
 from .spectral import (
@@ -209,7 +209,9 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n,
 def _inner_mean(sys: DynamicalSystem, spec: CorrelationSpec, N: int, engine: str):
     inner = spec.ops[1:-1]
     if engine == "auto":
-        engine = "direct" if N ** spec.partition.k <= _AUTO_DIRECT_TUPLES else "spectral"
+        p = spec.partition
+        direct = N ** p.k <= _AUTO_DIRECT_TUPLES and _direct_entries(p, N, sys.dim) <= _SWEEP_ENTRY_BUDGET
+        engine = "direct" if direct else "spectral"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} for correlations")
     return ENGINES[engine](sys.unitary, sys.dec, spec.partition, inner, N)
@@ -221,6 +223,8 @@ def cesaro_correlation(sys: DynamicalSystem, spec: CorrelationSpec, N: int,
 
     By linearity this equals the state applied to A_0 * M_N * A_m with M_N
     the entangled mean of the inner observables, which is how it is computed.
+    ``engine="auto"`` takes the direct engine when N^k <= 100,000 and its planned
+    peak fits its default budget, the spectral engine otherwise.
     """
     ops = _check_spec(sys, spec)
     mean = _inner_mean(sys, spec, int(N), engine)

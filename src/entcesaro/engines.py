@@ -254,6 +254,11 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], int]:
     return tuple(steps), held
 
 
+def _direct_entries(p: Partition, N: int, d: int) -> int:
+    """Entries of the largest tensor ``cesaro_direct`` plans: N^h d^2, h the most index axes held (at least 1)."""
+    return N ** max(_direct_plan(p)[1], 1) * d * d
+
+
 def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
                   budget: int = _SWEEP_ENTRY_BUDGET) -> CesaroResult:
     """Finite-N entangled mean from the power table of U.
@@ -272,8 +277,8 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     ops = _check_ops(p, ops, arr.shape[0])
     N = _check_horizon(N)
     d = arr.shape[0]
-    steps, held = _direct_plan(p)
-    entries = N ** max(held, 1) * d * d
+    steps, _ = _direct_plan(p)
+    entries = _direct_entries(p, N, d)
     if entries > budget:
         shown = f"{entries:.3e}" if entries <= sys.float_info.max else f"more than {sys.float_info.max:.3e}"
         raise BudgetError(f"direct engine: planned peak of {shown} entries exceeds the memory budget {budget:.1e}")

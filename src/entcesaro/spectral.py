@@ -438,19 +438,52 @@ def _pole(arr: np.ndarray) -> complex:
     return cmath.exp(1j * math.acos((edges[j] + edges[j + 1]) / 2))
 
 
+# The pole tried first, at the irrational turn (sqrt(5) - 1) / 2, where no exact rational phase lies.
+_FIXED_POLE = cmath.exp(1j * math.pi * (math.sqrt(5.0) - 1.0))
+
+
+def _transform(arr: np.ndarray, pole: complex) -> np.ndarray:
+    """The Cayley transform H = i (I+V)^{-1} (I-V) of V = -U / pole, symmetrised."""
+    eye = np.eye(arr.shape[0])
+    v = arr / -pole
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    return (h + h.conj().T) / 2
+
+
+def _cayley(arr: np.ndarray) -> tuple[complex, np.ndarray]:
+    """The pole and the Cayley transform H of U about it that ``decompose`` diagonalises.
+
+    The fixed pole is kept when its H is finite with ||H||_F <= 2(d+1) sqrt(d); otherwise, or when
+    its solve is singular, the widest-gap pole of ``_pole`` is taken, which keeps every eigenvalue
+    |tan(phi/2)| <= 2(d+1) and so meets the same bound.
+    """
+    d = arr.shape[0]
+    try:
+        h = _transform(arr, _FIXED_POLE)
+        if frobenius_norm(h) <= 2 * (d + 1) * math.sqrt(d):  # NaN and inf fail
+            return _FIXED_POLE, h
+    except np.linalg.LinAlgError:
+        pass
+    pole = _pole(arr)
+    return pole, _transform(arr, pole)
+
+
 def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     """Spectral decomposition of a unitary from a Hermitian eigensolver.
 
-    The real parts cos(theta_j) leave a gap of width at least 2/(d+1) in [-1, 1], so the pole
-    e^{i psi} at its midpoint is at least 1/(d+1) from every eigenvalue.  With V = -e^{-i psi} U,
-    H = i (I+V)^{-1} (I-V) is Hermitian with eigenvalues tan(phi/2), phi the eigenphase of V:
-    injective in the eigenphase, and ||H|| <= 2(d+1).  So ``eigh(H)`` returns an orthonormal
-    eigenframe of U directly and no QR is needed.  The phases are the Rayleigh quotients w* U w,
-    exact to rounding whatever ||H||, clustered at ``tol.cluster`` turns with wrap-around at 0/1.
-    A cluster's columns are its frame block, and its phase that of the sum (so of the mean) of its
-    quotients.  All decomposition invariants are checked.  ``source_unitarity`` is the value the
-    unitarity gate measured: the Frobenius norm of U*U - I when that is within ``tol.unitarity``
-    (a bound on the operator norm), the operator norm otherwise.
+    With V = -U / e^{i psi} for a pole e^{i psi} off the spectrum, H = i (I+V)^{-1} (I-V) is
+    Hermitian with eigenvalues tan(phi/2), phi the eigenphase of V: injective in the eigenphase.
+    So ``eigh(H)`` returns an orthonormal eigenframe of U directly and no QR is needed.  The pole
+    is first a fixed one at an irrational turn; its H is kept when ||H||_F <= 2(d+1) sqrt(d).
+    Otherwise the real parts cos(theta_j) leave a gap of width at least 2/(d+1) in [-1, 1], and the
+    pole at its midpoint is at least 1/(d+1) from every eigenvalue, so ||H|| <= 2(d+1) and the
+    same Frobenius bound holds: every frame comes from an H within it.  The phases are the
+    Rayleigh quotients w* U w, exact to rounding whatever ||H||, clustered at ``tol.cluster`` turns
+    with wrap-around at 0/1.  A cluster's columns are its frame block, and its phase that of the
+    sum (so of the mean) of its quotients.  All decomposition invariants are checked.
+    ``source_unitarity`` is the value the unitarity gate measured: the Frobenius norm of U*U - I
+    when that is within ``tol.unitarity`` (a bound on the operator norm), the operator norm
+    otherwise.
     """
     arr = as_operator(u, name="unitary")
     eye = np.eye(arr.shape[0])
@@ -458,9 +491,7 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     if source_res > tol.unitarity:
         raise ValueError(f"input fails unitarity: residual {source_res:.3e} > {tol.unitarity:.3e}")
     try:
-        v = arr / -_pole(arr)
-        h = 1j * np.linalg.solve(eye + v, eye - v)
-        _, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+        _, vecs = np.linalg.eigh(_cayley(arr)[1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ValueError(f"eigensolver failure: {exc}") from exc
     eigs = np.einsum("ij,ij->j", vecs.conj(), arr @ vecs)

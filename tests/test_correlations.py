@@ -10,9 +10,10 @@ from entcesaro.correlations import (
     correlation_term,
     make_system,
 )
-from entcesaro.engines import cesaro_direct, cesaro_spectral, error_bound
-from entcesaro.linalg import operator_norm
+from entcesaro.engines import ENGINES, BudgetError, cesaro_direct, cesaro_spectral, error_bound
+from entcesaro.linalg import haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
+from entcesaro.spectral import Phase, from_eigensystem
 
 from conftest import invariant_system, random_ops
 
@@ -164,6 +165,28 @@ class TestCesaroCorrelation:
             assert cesaro_correlation(system, spec, 12, engine=engine) == pytest.approx(expected, abs=1e-10)
         with pytest.raises(ValueError, match="unknown engine 'warp' for correlations"):
             cesaro_correlation(system, spec, 12, engine="warp")
+
+    @pytest.mark.parametrize("labels,d,n,expected", [
+        # 300^2 tuples pass the tuple cap, but the direct sweep holds both axes: 300^2 * 16^2 entries.
+        ("1,2,1,2", 16, 300, "spectral"),
+        ("1,2,2,1,3,3", 6, 31, "direct"),  # one axis held: 31 * 6^2 entries
+        ("1,2,2,1,3,3", 6, 47, "spectral"),  # 47^3 tuples exceed the tuple cap
+    ])
+    def test_auto_takes_direct_only_where_its_tuples_and_peak_fit(self, monkeypatch, labels, d, n, expected):
+        p = parse_partition(labels)
+        basis = haar_unitary(np.random.default_rng(5), d)
+        u, dec = from_eigensystem([Phase.rational(k, 17) for k in range(d)], basis)
+        system = make_system(u, basis[:, 0], dec=dec)
+        spec = CorrelationSpec(p, tuple(random_ops(np.random.default_rng(6), p.m + 1, d)))
+        if expected == "spectral" and n ** p.k <= 100_000:
+            with pytest.raises(BudgetError, match="memory budget"):
+                cesaro_correlation(system, spec, n, engine="direct")
+        used = []
+        for name, call in list(ENGINES.items()):
+            monkeypatch.setitem(ENGINES, name, lambda *args, _name=name, _call=call: used.append(_name) or _call(*args))
+        value = cesaro_correlation(system, spec, n)
+        assert used == [expected]
+        assert value == cesaro_correlation(system, spec, n, engine=expected)
 
 
 class TestCorrelationLimit:

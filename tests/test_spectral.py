@@ -395,6 +395,45 @@ class TestCayleyEigensolve:
         assert abs(abs(pole) - 1.0) <= 1e-15
         assert np.abs(values - pole).min() >= 1.0 / (u.shape[0] + 1)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("clusters,system",
+                             [pytest.param(CAYLEY_SPECTRA[n], _cayley_system, id=n) for n in sorted(CAYLEY_SPECTRA)]
+                             + [pytest.param(HARD_SPECTRA[n], _hard_system, id=n) for n in sorted(HARD_SPECTRA)])
+    def test_transform_meets_the_frobenius_bound(self, clusters, system, seed):
+        u = system(clusters, seed)[0]
+        d = u.shape[0]
+        pole, h = spectral._cayley(u)
+        assert pole == spectral._FIXED_POLE or pole == spectral._pole(u)
+        assert np.linalg.norm(h) <= 2 * (d + 1) * np.sqrt(d)
+
+    def test_haar_draws_mostly_keep_the_fixed_pole(self):
+        kept = [spectral._cayley(haar_unitary(np.random.default_rng(seed), 64))[0] == spectral._FIXED_POLE
+                for seed in range(20)]
+        assert sum(kept) >= 18
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("offset", [0.0, 1e-12])
+    def test_eigenvalue_at_the_fixed_pole_takes_the_widest_gap_pole(self, offset, seed):
+        at_pole = np.angle(spectral._FIXED_POLE) / (2 * np.pi) % 1.0 + offset
+        clusters = [[at_pole] * 2, [0.1], [0.3], [0.45, 0.45], [0.9]]
+        turns = np.concatenate(clusters)
+        values = np.exp(2j * np.pi * turns)
+        values[:2] = spectral._FIXED_POLE * np.exp(2j * np.pi * offset)  # exactly the pole when offset is 0
+        labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+        w = haar_unitary(np.random.default_rng(seed), len(turns))
+        u = (w * values) @ w.conj().T
+        pole, h = spectral._cayley(u)
+        assert pole != spectral._FIXED_POLE and pole == spectral._pole(u)
+        assert np.linalg.norm(h) <= 2 * (len(turns) + 1) * np.sqrt(len(turns))
+        dec = decompose(u)
+        assert len(dec.entries) == len(clusters)
+        atol = _projection_atol(clusters, u.shape[0])
+        for c, cluster in enumerate(clusters):
+            line = _line_at(dec, cluster[0])
+            assert line.rank == len(cluster)
+            np.testing.assert_allclose(line.projection, w[:, labels == c] @ w[:, labels == c].conj().T,
+                                       rtol=0, atol=atol)
+
 
 class TestAntidiagonal:
     def test_examples(self):
