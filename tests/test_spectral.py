@@ -412,27 +412,22 @@ class TestCayleyEigensolve:
         assert sum(kept) >= 18
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("offset", [0.0, 1e-12])
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-4])
     def test_eigenvalue_at_the_fixed_pole_takes_the_widest_gap_pole(self, offset, seed):
         at_pole = np.angle(spectral._FIXED_POLE) / (2 * np.pi) % 1.0 + offset
         clusters = [[at_pole] * 2, [0.1], [0.3], [0.45, 0.45], [0.9]]
-        turns = np.concatenate(clusters)
-        values = np.exp(2j * np.pi * turns)
-        values[:2] = spectral._FIXED_POLE * np.exp(2j * np.pi * offset)  # exactly the pole when offset is 0
-        labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
-        w = haar_unitary(np.random.default_rng(seed), len(turns))
-        u = (w * values) @ w.conj().T
+        u, truth = _hard_system(clusters, seed)
+        d = u.shape[0]
         pole, h = spectral._cayley(u)
         assert pole != spectral._FIXED_POLE and pole == spectral._pole(u)
-        assert np.linalg.norm(h) <= 2 * (len(turns) + 1) * np.sqrt(len(turns))
+        assert np.linalg.norm(h) <= 2 * (d + 1) * np.sqrt(d)
         dec = decompose(u)
         assert len(dec.entries) == len(clusters)
-        atol = _projection_atol(clusters, u.shape[0])
-        for c, cluster in enumerate(clusters):
+        atol = _projection_atol(clusters, d)
+        for cluster, proj in zip(clusters, truth):
             line = _line_at(dec, cluster[0])
             assert line.rank == len(cluster)
-            np.testing.assert_allclose(line.projection, w[:, labels == c] @ w[:, labels == c].conj().T,
-                                       rtol=0, atol=atol)
+            np.testing.assert_allclose(line.projection, proj, rtol=0, atol=atol)
 
 
 class TestAntidiagonal:
