@@ -221,17 +221,21 @@ class _DirectStep(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], int]:
-    """``cesaro_direct``'s steps, and the most index axes its tensor holds at once.
+def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int, ...], ...]]:
+    """``cesaro_direct``'s steps, and the index axes of the arrays its sweep holds at once, one tuple
+    per point where its holdings peak.
 
     Each class opens an axis of size N at its first slot and is summed out at its last; a singleton
-    and a pair on adjacent slots (both slots in one step) open none.
+    and a pair on adjacent slots (both slots in one step) open none.  The power table (one axis) is
+    held throughout.  A step after the first holds its input tensor, then adds that tensor times
+    the operator and the einsum output; a pair's factor is formed first, through two products with
+    the power table.
     """
     first, last = _first_last(p)
     letters = iter("abcdefghijklmnopqrstuvw")
     axes: dict[int, str] = {}  # the letter of each open class's axis, in axis order
     steps = []
-    held = 0
+    loads = []
     pos = 1
     while pos <= p.m:
         lab = p.labels[pos - 1]
@@ -247,16 +251,21 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], int]:
             ell = axes[lab]
             if pos == last[pos - 1]:
                 del axes[lab]
-        held = max(held, len(axes))
         out = "".join(axes.values())
+        tensor = (len(base),) if steps else ()  # the tensor the step starts from; the first has none
+        if factor == "pair":  # the pair's two products with the power table
+            loads.append((1, *tensor, 1, 1))
+        # Then the tensor times the operator and the einsum output; the first step's output is its factor.
+        loads.append((1, *tensor, *((len(base), len(out)) if steps else ())))
         steps.append(_DirectStep(pos - 2, factor, f"{base}xy,{ell}yz->{out}xz"))
         pos += 2 if factor == "pair" else 1
-    return tuple(steps), held
+    return tuple(steps), tuple(loads)
 
 
 def _direct_entries(p: Partition, N: int, d: int) -> int:
-    """Entries of the largest tensor ``cesaro_direct`` plans: N^h d^2, h the most index axes held (at least 1)."""
-    return N ** max(_direct_plan(p)[1], 1) * d * d
+    """Entries ``cesaro_direct`` plans to hold at once at its peak: the largest sum of N^h d^2 over the
+    arrays held at one point of the sweep, h the index axes of each (``_direct_plan``)."""
+    return max(sum(N**h for h in load) for load in _direct_plan(p)[1]) * d * d
 
 
 def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
@@ -267,9 +276,10 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     axis of size N at its first slot and is summed out at its last slot.  A
     pair on adjacent slots opens none: its sum_n U^n A U^n is one d x d factor.
     The contraction path is fixed per partition (``_direct_plan``), so results
-    are reproducible bit for bit.  ``budget`` caps the entries of the largest
-    tensor the sweep forms, N^h d^2 with h the most index axes held at once
-    (at least 1: the power table).
+    are reproducible bit for bit.  ``budget`` caps the entries of the arrays
+    the sweep holds at once: the power table, and at each step the tensor,
+    its product with the operator and the einsum output, each N^h d^2 for h
+    index axes (``_direct_entries``).
     """
     start = time.perf_counter()
     arr = as_operator(u, name="unitary")
@@ -468,7 +478,7 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: i
 def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> tuple[np.ndarray, int, int]:
     """W_p* A_j W_p for the stack of operators in the decomposition's padded frame, and its (B, r)."""
     frame, frame_h, _ = dec._padded
-    B = len(dec.entries)
+    B = len(dec.spectrum.turns)
     return frame_h @ ops @ frame, B, frame.shape[1] // B
 
 
@@ -577,8 +587,8 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
     p = _check_partition(p, general=False)
     ops = _check_ops(p, ops, dec.dim)
     partners = resonant_partners(dec, resonance_tol)
-    index_of = {line.phase: b for b, line in enumerate(dec.entries)}
-    chosen = np.zeros(len(dec.entries))
+    index_of = {ph: b for b, ph in enumerate(dec.phases)}
+    chosen = np.zeros(len(dec.phases))
     for ph in phases:
         b = index_of.get(ph)
         if b is None or partners[b] is None:

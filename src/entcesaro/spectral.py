@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 MAX_RANDOM_DIM = 64
+# Horizons whose kernel tables one ``PhaseSums`` keeps, the oldest dropped first; a convergence
+# report's usual three horizons fit.
+KERNEL_MEMO_HORIZONS = 4
 
 # Residual ceilings every constructed decomposition must satisfy.
 PROJECTOR_TOL = 1e-10
@@ -126,7 +129,8 @@ class PhaseSums:
     forms it: mod 1 with a result of 1.0 taken as 0.0, exact iff every summand is exact.
     Exact sums are ``numerators / denominator`` with Python-int numerators (object dtype, so
     a large denominator cannot overflow) and ``turns`` their correctly rounded float.
-    The horizon-independent factors of ``kernels`` are formed on its first call and kept.
+    The horizon-independent factors of ``kernels`` are formed on its first call and kept, and so
+    is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was called at.
     """
 
     turns: np.ndarray
@@ -153,8 +157,24 @@ class PhaseSums:
         return (t, np.sin(np.pi * t), self.numerators[self.exact],
                 1.0 - np.exp(2j * np.pi * self.turns[self.exact]))
 
+    @cached_property
+    def _kernel_memo(self) -> dict[int, np.ndarray]:
+        return {}
+
     def kernels(self, N: int) -> np.ndarray:
-        """The Cesaro kernel (1/N) sum_{n<N} z^n of every sum at horizon N (``engines.kernel``)."""
+        """The Cesaro kernel (1/N) sum_{n<N} z^n of every sum at horizon N (``engines.kernel``).
+
+        The table is kept for later calls at N, so it is read-only: every caller shares it.
+        """
+        memo = self._kernel_memo
+        table = memo.get(N)
+        if table is None:
+            if len(memo) >= KERNEL_MEMO_HORIZONS:
+                del memo[next(iter(memo))]
+            table = memo[N] = _read_only(self._kernels(N))
+        return table
+
+    def _kernels(self, N: int) -> np.ndarray:
         t, sin_t, a, one_minus_z = self._kernel_factors
         # sin(pi N t) = (-1)^n sin(pi (N t - n)) with n the integer nearest N t,
         # so the kernel vanishes exactly when N t is an integer.
@@ -173,29 +193,29 @@ class PhaseSums:
         return out
 
 
-def _summands_of(phases) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Turns, exact mask, and numerators over the common denominator L of ``phases`` (0 when inexact), and L."""
+def _summands_of(phases) -> PhaseSums:
+    """``phases`` as arrays: their turns, exact mask, and numerators over the common denominator L of
+    the exact ones (0 when inexact), with L."""
     exact = np.array([ph.is_exact for ph in phases], dtype=bool)
     turns = np.array([ph.turns for ph in phases], dtype=float)
     denominator = math.lcm(*(ph.frac.denominator for ph in phases if ph.is_exact))
     numerators = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) if ph.is_exact else 0
                            for ph in phases], dtype=object)
-    return turns, exact, numerators, denominator
+    return PhaseSums(turns, exact, numerators, denominator)
 
 
-def _sums(summands, size: int) -> PhaseSums:
-    """``PhaseSums`` of ``size`` summands drawn from the arrays ``_summands_of`` gives."""
-    step_turns, exact, step_num, denominator = summands
+def _sums(summands: PhaseSums, size: int) -> PhaseSums:
+    """``PhaseSums`` of ``size`` summands drawn from the phases ``summands`` holds as arrays."""
     turns, sums_exact, numerators = np.zeros(()), np.ones((), dtype=bool), np.zeros((), dtype=object)
-    any_exact = bool(exact.any())
+    any_exact = bool(summands.exact.any())
     for _ in range(size):
-        sums_exact = sums_exact[..., None] & exact
-        turns = np.mod(turns[..., None] + step_turns, 1.0)
+        sums_exact = sums_exact[..., None] & summands.exact
+        turns = np.mod(turns[..., None] + summands.turns, 1.0)
         turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
         if any_exact:
-            numerators = (numerators[..., None] + step_num) % denominator
-            turns[sums_exact] = (numerators[sums_exact] / denominator).astype(float)
-    return PhaseSums(turns, sums_exact, np.broadcast_to(numerators, turns.shape), denominator)
+            numerators = (numerators[..., None] + summands.numerators) % summands.denominator
+            turns[sums_exact] = (numerators[sums_exact] / summands.denominator).astype(float)
+    return PhaseSums(turns, sums_exact, np.broadcast_to(numerators, turns.shape), summands.denominator)
 
 
 def phase_sums(phases, size: int) -> PhaseSums:
@@ -241,42 +261,56 @@ class SpectralLine:
 class SpectralDecomposition:
     """Eigenphases with mutually orthogonal eigenprojections summing to I.
 
-    ``frame`` is an orthonormal eigenbasis with the columns of each line contiguous and in line
-    order: column i lies in the eigenspace of line ``blocks[i]``, and line b's columns are its
-    ``basis``.  Decompositions built by this module hold ``frame`` and ``blocks`` read-only.
+    ``spectrum`` holds the phase of line b at index b, as arrays: float turns, the exact mask, and
+    Python-int numerators over the common denominator L of the exact phases (a ``PhaseSums`` of one
+    summand).  ``frame`` is an orthonormal eigenbasis with the columns of each line contiguous and
+    in line order: column i lies in the eigenspace of line ``blocks[i]``, and line b's columns are
+    its ``basis``.  Decompositions built by this module hold these arrays read-only.
 
-    The tables the engines read are built on first use and kept on the instance, so each is built
-    once per decomposition: the phase sums of line pairs with the horizon-independent factors of
-    their kernels, one resonance record per resonance tolerance, and the padded frame.  An
-    instance from ``dataclasses.replace`` starts with none of them.
+    ``phases`` and ``entries`` (one ``Phase`` and one ``SpectralLine`` per line) are built from
+    them on first read and kept; no engine reads them.  The tables the engines read are built on
+    first use and kept on the instance too, so each is built once per decomposition: the phase sums
+    of each class size with the horizon-independent factors of their kernels and the kernel tables
+    of recent horizons, one resonance record per resonance tolerance, and the padded frame.  An
+    instance from ``dataclasses.replace`` shares ``spectrum`` and starts with none of them.
     """
 
     dim: int
-    entries: tuple[SpectralLine, ...]
+    spectrum: PhaseSums
     frame: np.ndarray
     blocks: np.ndarray
     source_unitarity: float
     tolerances: Tolerances = field(default_factory=Tolerances)
 
-    @property
+    @cached_property
     def phases(self) -> tuple[Phase, ...]:
-        return tuple(line.phase for line in self.entries)
+        s = self.spectrum
+        if not s.exact.any():
+            return tuple(Phase(t) for t in s.turns.tolist())
+        from fractions import Fraction
+
+        return tuple(Phase(t, Fraction(a, s.denominator) if e else None)
+                     for t, e, a in zip(s.turns.tolist(), s.exact.tolist(), s.numerators.tolist()))
+
+    @cached_property
+    def entries(self) -> tuple[SpectralLine, ...]:
+        bounds = np.searchsorted(self.blocks, np.arange(len(self.phases) + 1)).tolist()
+        return tuple(SpectralLine(ph, self.frame[:, s:e]) for ph, s, e in zip(self.phases, bounds[:-1], bounds[1:]))
 
     @property
     def projections(self) -> tuple[np.ndarray, ...]:
         return tuple(line.projection for line in self.entries)
 
     @cached_property
-    def _summands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        return _summands_of(self.phases)
-
-    @cached_property
-    def _pair_sums(self) -> PhaseSums:
-        return _sums(self._summands, 2)
+    def _sums_by_size(self) -> dict[int, PhaseSums]:
+        return {}
 
     def _phase_sums(self, size: int) -> PhaseSums:
-        """``phase_sums(self.phases, size)``; the pair sums are the recorded ones."""
-        return self._pair_sums if size == 2 else _sums(self._summands, size)
+        """``phase_sums(self.phases, size)``, formed once per size."""
+        sums = self._sums_by_size.get(size)
+        if sums is None:
+            sums = self._sums_by_size[size] = _sums(self.spectrum, size)
+        return sums
 
     @cached_property
     def _resonances(self) -> dict[float, _Resonance]:
@@ -296,7 +330,7 @@ class SpectralDecomposition:
             raise ValueError(f"resonance tolerance must be a non-negative number, got {tol!r}")
         record = self._resonances.get(tol)
         if record is None:
-            resonant = self._pair_sums.resonant(tol)
+            resonant = self._phase_sums(2).resonant(tol)
             if (resonant.sum(axis=1) > 1).any():
                 raise ValueError(
                     "resonance tolerance admits multiple partners for one phase; "
@@ -304,7 +338,7 @@ class SpectralDecomposition:
                 )
             partners = tuple(int(c) if hit else None
                              for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
-            gap = float(np.where(resonant, np.inf, self._pair_sums.distances()).min())
+            gap = float(np.where(resonant, np.inf, self._phase_sums(2).distances()).min())
             record = self._resonances[tol] = _Resonance(_read_only(resonant.astype(float)), partners, gap)
         return record
 
@@ -340,8 +374,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
-    """Sum of phase * projection over all spectral lines, as W diag(z) W* from the frame."""
-    z = np.array([line.phase.value() for line in dec.entries])
+    """Sum of phase * projection over all spectral lines, as W diag(z) W* from the frame.
+
+    z = e^{2 pi i turns} rounds as ``Phase.value`` does, which gives exactly 1 at turns 0.
+    """
+    z = np.exp(2j * np.pi * dec.spectrum.turns)
     return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
 
 
@@ -360,7 +397,7 @@ def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str
     eye = np.eye(dec.dim)
     gram = dec.frame.conj().T @ dec.frame - eye
     kept = dec._padded[2]
-    B = len(dec.entries)
+    B = len(dec.spectrum.turns)
     blocks = np.zeros((kept.size,) * 2, dtype=np.complex128)
     blocks[np.ix_(kept, kept)] = gram
     norms = _operator_norms(blocks.reshape(B, -1, B, kept.size // B).swapaxes(1, 2))
@@ -377,20 +414,19 @@ def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str
     return out
 
 
-def _with_frame(phases, frame, labels, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
-    """Decomposition from an orthonormal frame whose column i lies in line ``labels[i]``.
+def _with_frame(phases: PhaseSums, frame, labels, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
+    """Decomposition from an orthonormal frame whose column i lies in the line of phase ``labels[i]``.
 
     Lines are sorted by phase and the columns regrouped to match, so each line's basis is a
-    contiguous block of the frame, held as a view.
+    contiguous block of the frame.
     """
-    order = np.argsort([ph.turns for ph in phases], kind="stable")
+    order = np.argsort(phases.turns, kind="stable")
     blocks = np.argsort(order)[labels]
     perm = np.argsort(blocks, kind="stable")
-    frame, blocks = _read_only(frame[:, perm]), _read_only(blocks[perm])
-    bounds = np.searchsorted(blocks, np.arange(len(order) + 1))
-    entries = tuple(SpectralLine(phases[b], frame[:, s:e])
-                    for b, s, e in zip(order, bounds[:-1], bounds[1:]))
-    return SpectralDecomposition(frame.shape[0], entries, frame, blocks, source_unitarity, tol)
+    spectrum = PhaseSums(*(_read_only(x[order]) for x in (phases.turns, phases.exact, phases.numerators)),
+                         phases.denominator)
+    return SpectralDecomposition(frame.shape[0], spectrum, _read_only(frame[:, perm]), _read_only(blocks[perm]),
+                                 source_unitarity, tol)
 
 
 def _gated_norm(residual: np.ndarray, tol: float) -> float:
@@ -411,11 +447,21 @@ def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
         norm = _gated_norm(residual, tol)
         if norm > tol:
             raise ValueError(f"decomposition fails {check} check: residual {norm:.3e}")
-    # Entries are sorted by turns, so the closest pair on the circle is adjacent.
-    turns = [line.phase.turns for line in dec.entries]
-    if np.diff(turns + [turns[0] + 1.0]).min() <= dec.tolerances.cluster:
+    # Lines are sorted by turns, so the closest pair on the circle is adjacent.
+    turns = dec.spectrum.turns
+    if np.diff(turns, append=turns[0] + 1.0).min() <= dec.tolerances.cluster:
         raise ValueError("decomposition has phases closer than the cluster tolerance")
     return dec
+
+
+def _turns(values: np.ndarray) -> np.ndarray:
+    """The angle of each complex value in turns, rounded as ``Phase.from_turns(cmath.phase(v) / 2 pi)``.
+
+    The angle is ``cmath.phase``'s: ``np.angle`` can differ from it in the last bit.
+    """
+    turns = np.mod(np.array([cmath.phase(v) for v in values.tolist()]) / (2.0 * math.pi), 1.0)
+    turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
+    return turns
 
 
 def _clusters(angles: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -496,8 +542,10 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
         raise ValueError(f"eigensolver failure: {exc}") from exc
     eigs = np.einsum("ij,ij->j", vecs.conj(), arr @ vecs)
     order, starts = _clusters(np.mod(np.angle(eigs) / (2.0 * math.pi), 1.0), tol.cluster)
-    phases = [Phase.from_turns(cmath.phase(m) / (2.0 * math.pi)) for m in np.add.reduceat(eigs[order], starts)]
-    labels = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    B = len(starts)
+    phases = PhaseSums(_turns(np.add.reduceat(eigs[order], starts)), np.zeros(B, dtype=bool),
+                       np.zeros(B, dtype=object), 1)
+    labels = np.repeat(np.arange(B), np.diff(starts, append=len(order)))
     return _validate(_with_frame(phases, vecs[:, order], labels, source_res, tol), arr)
 
 
@@ -519,7 +567,7 @@ def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.
         raise ValueError(f"eigenbasis fails unitarity: residual {res:.3e}")
     groups: dict[Phase, int] = {}
     labels = np.array([groups.setdefault(ph, len(groups)) for ph in phases])
-    dec = _with_frame(list(groups), basis, labels, 0.0, tol)
+    dec = _with_frame(_summands_of(list(groups)), basis, labels, 0.0, tol)
     u = reconstruct(dec)
     dec = replace(dec, source_unitarity=_gated_norm(u.conj().T @ u - eye, tol.unitarity))
     return u, _validate(dec, u)

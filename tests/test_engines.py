@@ -27,9 +27,10 @@ from entcesaro.engines import (
 from entcesaro.linalg import haar_unitary, operator_norm
 from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition
 from entcesaro.spectral import (
+    KERNEL_MEMO_HORIZONS,
     Phase,
+    PhaseSums,
     SpectralDecomposition,
-    SpectralLine,
     Tolerances,
     antidiagonal_spectrum,
     decompose,
@@ -145,8 +146,8 @@ def _lines_only(phases, tol: float = 1e-8) -> SpectralDecomposition:
     """A decomposition with one line per entry of ``phases`` on the standard basis, built without
     validation, so that equal or clustered phases stay separate lines."""
     eye = np.eye(len(phases))
-    lines = tuple(SpectralLine(ph, eye[:, [b]]) for b, ph in enumerate(phases))
-    return SpectralDecomposition(len(phases), lines, eye, np.arange(len(phases)), 0.0, Tolerances(resonance=tol))
+    return SpectralDecomposition(len(phases), phase_sums(phases, 1), eye, np.arange(len(phases)), 0.0,
+                                 Tolerances(resonance=tol))
 
 
 class TestPhaseSumTables:
@@ -278,6 +279,20 @@ class TestCesaroDirect:
         np.testing.assert_allclose(cesaro_direct(u, P1221, ops, 40).matrix, brute_force_mean(u, P1221, ops, 40),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("labels,n", [("1,2,1,2", 300), ("1,2,2,1", 300), ("1,2,1,3,2,3", 60)])
+    def test_peak_memory_is_within_the_planned_entries(self, rng, labels, n):
+        # The plan counts every array the sweep holds at once, 16 bytes per complex entry.
+        p = parse_partition(labels)
+        u = haar_unitary(rng, 4)
+        ops = random_ops(rng, p.m - 1, 4)
+        tracemalloc.start()
+        try:
+            cesaro_direct(u, p, ops, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * engines._direct_entries(p, n, 4) + 2**16
+
     def test_memory_budget_counts_the_axes_held(self, rng):
         # N = 2100, d = 4: N d^2 entries fit the sweep budget, N^2 d^2 do not.
         u, dec = random_system(5, 4, "haar")
@@ -301,8 +316,9 @@ class TestCesaroDirect:
 
     def test_over_budget_message_names_the_planned_entries(self, rng):
         u = haar_unitary(rng, 4)
-        with pytest.raises(BudgetError, match="planned peak of 7.056e[+]07 entries exceeds the memory budget"):
-            cesaro_direct(u, P1212, random_ops(rng, 3, 4), 2100)  # N^2 d^2
+        # At slot 3: the power table, the N^2 d^2 tensor and its product with the operator, the N d^2 output.
+        with pytest.raises(BudgetError, match="planned peak of 1.412e[+]08 entries exceeds the memory budget"):
+            cesaro_direct(u, P1212, random_ops(rng, 3, 4), 2100)
         # A count beyond the float range is reported, not overflowed.
         with pytest.raises(BudgetError, match="planned peak of more than 1.798e[+]308 entries"):
             cesaro_direct(np.eye(2, dtype=complex), P1212, [np.eye(2)] * 3, 10**200)
@@ -969,19 +985,58 @@ class TestSpectralRecord:
     def test_recorded_arrays_reject_writes(self):
         _, dec = random_system(3, 4, "rational", 3)
         limit_operator(dec, P1212, random_ops(np.random.default_rng(3), 3, 4))
-        arrays = [dec.frame, dec.blocks, *(line.basis for line in dec.entries), *dec._padded,
-                  *engines._resonance_tables(dec, P1212, None)]
+        arrays = [dec.frame, dec.blocks, dec.spectrum.turns, dec.spectrum.exact, dec.spectrum.numerators,
+                  *(line.basis for line in dec.entries), *dec._padded, *engines._resonance_tables(dec, P1212, None),
+                  *engines._kernel_tables(dec, P1212, 10)]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+    @pytest.mark.parametrize("mode", ["haar", "rational"])
+    def test_kept_kernel_tables_equal_fresh_ones(self, mode):
+        _, dec = random_system(6, 5, mode, 4)
+        for n in (7, 100, 7, 10**4, 100, 3, 11, 13, 7, 10**9, 100):
+            for size in (1, 2, 3):
+                sums = dec._phase_sums(size)
+                table = sums.kernels(n)
+                assert sums.kernels(n) is table
+                assert not table.flags.writeable
+                assert table.tobytes() == phase_sums(dec.phases, size).kernels(n).tobytes()
+                assert len(sums._kernel_memo) <= KERNEL_MEMO_HORIZONS
+
+    def test_kernel_memo_keeps_the_latest_horizons(self):
+        sums = phase_sums([Phase.from_turns(t) for t in (0.1, 0.35, 0.6)], 2)
+        for n in range(1, 11):
+            sums.kernels(n)
+        assert list(sums._kernel_memo) == list(range(11 - KERNEL_MEMO_HORIZONS, 11))
+
+    def test_convergence_report_computes_each_kernel_table_once(self, monkeypatch):
+        # The bound and the mean at each horizon read one table.
+        _, dec = random_system(8, 4, "haar")
+        computed = []
+        uncached = PhaseSums._kernels
+        monkeypatch.setattr(PhaseSums, "_kernels", lambda self, n: computed.append(n) or uncached(self, n))
+        convergence_report(dec, P1212, random_ops(np.random.default_rng(8), 3, 4), [10, 100, 1000])
+        assert sorted(computed) == [10, 100, 1000]
+
+    def test_engine_calls_build_no_phase_objects(self):
+        u = haar_unitary(np.random.default_rng(12), 6)
+        dec = decompose(u)
+        ops = random_ops(np.random.default_rng(12), 5, 6)
+        cesaro_spectral(dec, P121323, ops, 100)
+        limit_operator(dec, P121323, ops)
+        error_bounds(dec, P121323, ops, [10, 100])
+        for engine in engines.ENGINE_NAMES:
+            convergence_report(dec, P1221, ops[:3], [10, 100], engine=engine)
+        assert not {"entries", "phases"} & set(vars(dec))
 
     def test_replace_starts_an_empty_record(self):
         _, dec = random_system(4, 4, "haar")
         ops = random_ops(np.random.default_rng(4), 3, 4)
         limit_operator(dec, P1212, ops)
-        assert {"_pair_sums", "_padded", "_resonances"} <= set(vars(dec))
+        assert {"_sums_by_size", "_padded", "_resonances"} <= set(vars(dec))
         copy = dataclasses.replace(dec, tolerances=Tolerances(resonance=1e-6))
-        assert not {"_summands", "_pair_sums", "_padded", "_resonances"} & set(vars(copy))
+        assert not {"phases", "entries", "_sums_by_size", "_padded", "_resonances"} & set(vars(copy))
         np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(dec, P1212, ops, 1e-6))
 
     def test_budget_guard_runs_after_a_successful_call(self, rng):

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -253,6 +256,62 @@ def _projection_atol(clusters, d):
     values = [np.exp(2j * np.pi * c[0]) for c in clusters]
     gap = min(abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :])
     return 10 * d * np.finfo(float).eps / gap
+
+
+def _phase_path_reconstruct(dec):
+    """W diag(z) W* with each z from ``Phase.value``, as ``reconstruct`` formed it from the lines."""
+    z = np.array([ph.value() for ph in dec.phases])
+    return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
+
+
+def _array_phase_systems(name):
+    """(decompositions, their unitaries) of one kind, and the phases given to ``from_eigensystem`` (or None)."""
+    rng = np.random.default_rng(len(name))
+    if name == "haar":
+        return [(decompose(u), u, None) for u in (haar_unitary(rng, d) for d in (5, 17, 64))]
+    if name == "exact":
+        phases = [Phase.rational(int(rng.integers(0, q)), q) for q in rng.integers(1, 8, 12).tolist()]
+        return [(*from_eigensystem(phases, haar_unitary(rng, 12))[::-1], phases)]
+    if name == "merged":  # decompose merges the repeated exact phases into clusters
+        u, _ = random_system(4, 12, "rational", 3)
+        return [(decompose(u), u, None)]
+    # The seam: a cluster straddling 0/1, and phases whose turns round to 1.0 and are taken as 0.0.
+    u, _ = _hard_system(HARD_SPECTRA["seam-cluster"], 3)
+    phases = [Phase.from_turns(t) for t in (-1e-17, 0.5, 1.0 - 1e-7, 1e-7, 0.25)]
+    return [(decompose(u), u, None), (*from_eigensystem(phases, haar_unitary(rng, 5))[::-1], phases)]
+
+
+class TestArrayPhases:
+    """The phase arrays a decomposition stores give the phases and the reconstruction of the ``Phase``
+    path bit for bit: ``Phase.from_turns(cmath.phase(m) / 2 pi)`` of each cluster sum m, and
+    ``Phase.value``."""
+
+    def test_turns_round_as_cmath_phase(self):
+        # np.angle can differ from cmath.phase in the last bit; the turns must not.
+        rng = np.random.default_rng(15)
+        values = np.exp(2j * np.pi * rng.random(20000)) * rng.uniform(0.5, 2.0, 20000)
+        seam = [complex(x, y) for x in (1.0, -1.0, 1e-300) for y in (0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17)]
+        values = np.concatenate([values, seam])
+        expected = [Phase.from_turns(cmath.phase(v) / (2.0 * math.pi)).turns for v in values.tolist()]
+        assert spectral._turns(values).tolist() == expected
+
+    @pytest.mark.parametrize("name", ["haar", "exact", "merged", "seam"])
+    def test_phases_and_reconstruction_match_the_phase_path(self, monkeypatch, name):
+        sums = []  # the cluster sums m of each decompose call, in call order
+        turns_of = spectral._turns
+        monkeypatch.setattr(spectral, "_turns", lambda values: sums.append(values) or turns_of(values))
+        systems = _array_phase_systems(name)
+        for dec, u, given in systems:
+            if given is None:
+                lines = [Phase.from_turns(cmath.phase(m) / (2.0 * math.pi)) for m in sums.pop(0).tolist()]
+            else:
+                lines = list(dict.fromkeys(given))
+            expected = sorted(lines, key=lambda ph: ph.turns)
+            assert [(ph.turns, ph.frac) for ph in dec.phases] == [(ph.turns, ph.frac) for ph in expected]
+            assert reconstruct(dec).tobytes() == _phase_path_reconstruct(dec).tobytes()
+            if given is not None:  # the unitary from_eigensystem returns is the reconstruction
+                assert u.tobytes() == _phase_path_reconstruct(dec).tobytes()
+        assert not sums
 
 
 class TestHardSpectra:
