@@ -206,16 +206,17 @@ def _summands_of(phases) -> PhaseSums:
 
 def _sums(summands: PhaseSums, size: int) -> PhaseSums:
     """``PhaseSums`` of ``size`` summands drawn from the phases ``summands`` holds as arrays."""
+    step_turns, exact, step_num, denominator = summands.turns, summands.exact, summands.numerators, summands.denominator
     turns, sums_exact, numerators = np.zeros(()), np.ones((), dtype=bool), np.zeros((), dtype=object)
-    any_exact = bool(summands.exact.any())
+    any_exact = bool(exact.any())
     for _ in range(size):
-        sums_exact = sums_exact[..., None] & summands.exact
-        turns = np.mod(turns[..., None] + summands.turns, 1.0)
+        sums_exact = sums_exact[..., None] & exact
+        turns = np.mod(turns[..., None] + step_turns, 1.0)
         turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
         if any_exact:
-            numerators = (numerators[..., None] + summands.numerators) % summands.denominator
-            turns[sums_exact] = (numerators[sums_exact] / summands.denominator).astype(float)
-    return PhaseSums(turns, sums_exact, np.broadcast_to(numerators, turns.shape), summands.denominator)
+            numerators = (numerators[..., None] + step_num) % denominator
+            turns[sums_exact] = (numerators[sums_exact] / denominator).astype(float)
+    return PhaseSums(turns, sums_exact, np.broadcast_to(numerators, turns.shape), denominator)
 
 
 def phase_sums(phases, size: int) -> PhaseSums:
