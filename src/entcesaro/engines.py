@@ -34,22 +34,22 @@ The mean, the limit and the truncated limit share one contraction core,
 ``_contract``.  It reads arrays only: the stacked slot matrices
 S_j = W_p* A_j W_p of shape (m-1, D, D), the block layout (B blocks of
 r columns, D = B r), the class tables and the budget.  It returns the
-swept matrix in the frame; the caller applies W_p ... W_p*.  Each call
+summed matrix in the frame; the caller applies W_p ... W_p*.  Each call
 checks its operators once, as one stack, and forms every S_j in one
 batched product, which also feeds the bound's chain norms.
 
-Each sweep engine has one memoized plan that its budget check and its loop
-both read.  ``_sweep_steps`` plans ``_contract`` per (partition, B, r): which
-slot widens which class's block axis, where a closing class is summed out
-before that widening (so two classes are held at once only when the
-partition forces it), each step's reshapes and transpose, and the peak; a
-widening is one transpose (a view) and one matrix product over the block's r
-positions.  ``_direct_plan`` gives ``cesaro_direct``'s steps per partition
-(operator, factor, einsum subscripts) and the most index axes held at once.
-``error_bound`` sums |prod K_N - prod R| times each tuple's block-chain
-norm.  ``budget`` caps the entries of the largest planned tensor (D^2 times
-the block axes held for the mean and limits, N^h d^2 with h >= 1 index axes
-held for ``cesaro_direct``) and the tuple count B^m for the bound.
+Each engine has one memoized plan that its budget check and its loop both
+read.  ``_network`` plans ``_contract`` per (partition, B, r) as one tensor
+network: S_j on the block and position indices of slots j and j+1, each
+class table on the blocks of its slots.  numpy's greedy ``einsum_path``
+orders it once, whatever the budget, and each pairwise step is one
+transpose and reshape per operand and one matrix product.  ``_direct_plan``
+gives ``cesaro_direct``'s steps per partition (operator, factor, einsum
+subscripts) and the most index axes held at once.  ``error_bound`` sums
+|prod K_N - prod R| times each tuple's block-chain norm.  ``budget`` caps
+the entries of the largest planned tensor (any step's operand or result for
+the mean and limits, N^h d^2 with h >= 1 index axes held for
+``cesaro_direct``) and the tuple count B^m for the bound.
 
 Classes of size other than two are supported behind ``general=True``; that
 finite-dimensional extension is flagged and kept out of the default path.
@@ -58,6 +58,7 @@ finite-dimensional extension is flagged and kept out of the default path.
 from __future__ import annotations
 
 import math
+import string
 import sys
 import time
 from dataclasses import dataclass
@@ -227,9 +228,9 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
 
     Each class opens an axis of size N at its first slot and is summed out at its last; a singleton
     and a pair on adjacent slots (both slots in one step) open none.  The power table (one axis) is
-    held throughout.  A step after the first holds its input tensor, then adds that tensor times
-    the operator and the einsum output; a pair's factor is formed first, through two products with
-    the power table.
+    held throughout.  A step after the first holds its input tensor (unless that is the power table
+    itself), then adds that tensor times the operator and the einsum output; a pair's factor is
+    formed first, through two products with the power table.
     """
     first, last = _first_last(p)
     letters = iter("abcdefghijklmnopqrstuvw")
@@ -252,7 +253,9 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
             if pos == last[pos - 1]:
                 del axes[lab]
         out = "".join(axes.values())
-        tensor = (len(base),) if steps else ()  # the tensor the step starts from; the first has none
+        # The tensor the step starts from: none for the first, and after a first step that opened an
+        # axis it is the power table itself, already counted.
+        tensor = (len(base),) if steps and (len(steps) > 1 or steps[0].factor != "powers") else ()
         if factor == "pair":  # the pair's two products with the power table
             loads.append((1, *tensor, 1, 1))
         # Then the tensor times the operator and the einsum output; the first step's output is its factor.
@@ -327,107 +330,61 @@ def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -
     return _class_tables(p, lambda size: pairs if size == 2 else dec._phase_sums(size).resonant(tol).astype(float))
 
 
-class _Step(NamedTuple):
-    """One step of ``_contract``'s sweep, at slot s: the product with S_{s-1}, in shapes fixed for a
-    block layout (B, r).
-
-    The swept tensor has one block axis per open class, in opening order, then (row, column), both
-    of width D = B r.  A class's axis records its blocks at its slots other than slot 1 (the row's
-    block) and its last (the column's block), so a pair from slot 1 or on adjacent slots needs none.
-    ``action`` is what the class at slot s does:
-
-    * "weigh": its table weighs S_{s-1} (a singleton: its columns; a pair on adjacent slots after
-      slot 1: its rows and columns), so the class needs no axis;
-    * "rows":  its table weighs the (row, column) blocks (a pair from slot 1);
-    * "open":  a block axis opens for it;
-    * "close": its axis ``closed`` is summed against its table;
-    * "fold":  the same, before a widening (a class from after slot 1 closing where another class's
-      axis widens), so no tensor holds both axes;
-    * "":      nothing.
-
-    The product leaves the tensor in ``shape``, with the axis of an opening class already in place.
-    A step whose slot s-1 is recorded widens that class's axis by the block of slot s-1: it views the
-    tensor as ``split`` (block axes..., x, b, j), the column split into its block b and position j,
-    transposes it by ``order`` to (..., widened axis, b, later axes..., x, j) and groups it to
-    ``grouped``; a fold moves the closing axis e in front of j, so the group is (e, j).  One product
-    with S viewed as ``weights`` (B, 1 per later axis, group, D) sums over the group, and ``shape``
-    merges b into the widened axis.  With r = 1 and no fold the group has one entry and the product
-    is a broadcast outer product.
-    """
-
-    action: str
-    table: int  # index of the class table the step reads
-    shape: tuple[int, ...]
-    split: tuple[int, ...] | None = None  # the tensor as (block axes..., x, B, r); None: no widening
-    order: tuple[int, ...] | None = None
-    grouped: tuple[int, ...] | None = None
-    weights: tuple[int, ...] | None = None
-    closed: int | None = None  # the block axis a close sums out
-    lift: tuple[int, ...] | None = None  # the shape of the closing table against the tensor
-    from_first: bool = False  # a closing class from slot 1, whose table's first axis is the row's block
-
-
 @lru_cache(maxsize=64)
-def _sweep_steps(p: Partition, B: int, r: int) -> tuple[np.ndarray, tuple[_Step, ...], int]:
-    """The plan of ``_contract``'s sweep for the block layout (B, r): the block of each padded
-    column, one ``_Step`` per slot after the first, and the planned peak, the entry count of the
-    largest tensor the sweep forms (the initial D x D one, and each step's input and product)."""
-    D = B * r
-    first, last = _first_last(p)
+def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
+    """The plan of ``_contract`` for the block layout (B, r): its pairwise steps, the axis order that
+    takes the last result to (row, column), and the planned peak, the entry count of the largest
+    tensor any step forms (at least D^2, one slot matrix).
 
-    def records(pos: int) -> bool:  # neither slot 1, nor a class's last slot, nor a pair on adjacent slots
-        return 1 < pos < last[pos - 1] and (first[pos - 1], last[pos - 1]) != (pos, pos + 1)
+    Column c = (block b, position i) of slot j is a pair of indices (b_j, i_j): S_j sits on
+    (b_j, i_j, b_{j+1}, i_{j+1}), each class table on the b of its slots, the result on
+    (b_1, i_1, b_m, i_m); axes of size 1 (i when r = 1, b when B = 1) are left out.  numpy's greedy
+    ``einsum_path``, with no memory limit, orders the network once; a step of more than two
+    operands is taken pairwise.  A step (x, y, ...) transposes and groups operands x and y to
+    (kept, x only, summed) and (kept, summed, y only), multiplies them, and appends the result,
+    axes (kept, x only, y only), to the operand list.
+    """
+    if p.m == 1:  # einsum takes no output index twice; ``_contract`` takes the table's diagonal
+        return (), (), (B * r) ** 2
+    needed = p.m * ((B > 1) + (r > 1))  # einsum names each index by one letter
+    if needed > len(string.ascii_letters):
+        raise ValueError(f"spectral engine: a partition on {p.m} slots needs {needed} indices, more than 52")
+    letters = iter(string.ascii_letters)
+    block = [next(letters) if B > 1 else "" for _ in range(p.m)]
+    place = [next(letters) if r > 1 else "" for _ in range(p.m)]
+    size = dict.fromkeys(block, B) | dict.fromkeys(place, r)
+    terms = [block[j] + place[j] + block[j + 1] + place[j + 1] for j in range(p.m - 1)]
+    terms += ["".join(block[pos - 1] for pos in positions) for positions in p.class_positions()]
+    output = block[0] + place[0] + block[-1] + place[-1]
+    shapes = [np.broadcast_to(0.0, [size[c] for c in term]) for term in terms]  # no entries
+    path = np.einsum_path(",".join(terms) + "->" + output, *shapes, optimize=("greedy", sys.maxsize))[0]
 
-    axes: list[int] = []  # class of each block axis
-    extents: list[int] = []  # entries of each block axis
-    compiled = []
-    peak = D * D
-    for pos in range(2, p.m + 1):
-        lab = p.labels[pos - 1]
-        widened = axes.index(p.labels[pos - 2]) if records(pos - 1) else None
-        closed = axes.index(lab) if pos == last[pos - 1] and lab in axes else None
-        if closed is not None:
-            action = "fold" if widened not in (None, closed) and first[pos - 1] > 1 else "close"
-        elif pos == last[pos - 1]:
-            action = "rows" if first[pos - 1] == 1 else "weigh"
-        elif records(pos) and lab not in axes:
-            action = "open"
-        else:
-            action = ""
-        step = {"action": action, "table": lab - 1}
-        opened = (1,) if action == "open" else ()
-        if widened is None:
-            step.update(shape=(*extents, *opened, D, D))
-        else:
-            n = len(extents)
-            fold = action == "fold"
-            kept = [i for i in range(n) if not (fold and i == closed)]
-            at = kept.index(widened) + 1
-            group = extents[closed] * r if fold else r
-            order = (*kept[:at], n + 1, *kept[at:], n, *([closed] if fold else []), n + 2)
-            sizes = [extents[i] for i in kept]
-            step.update(
-                split=(*extents, D, B, r),
-                order=order,
-                grouped=(*sizes[:at], B, *sizes[at:], D, group),
-                weights=(B, *(1,) * (len(kept) - at), group, D),
-                shape=(*sizes[:at - 1], sizes[at - 1] * B, *sizes[at:], *opened, D, D),
-            )
-            sizes[at - 1] *= B
-            axes, extents = [axes[i] for i in kept], sizes
-        if action == "close":
-            later = len(extents) - 1 - closed
-            from_first = first[pos - 1] == 1
-            step.update(closed=closed, lift=(-1, *(1,) * later, D if from_first else 1, D), from_first=from_first)
-            del axes[closed], extents[closed]
-        elif action == "open":
-            axes.append(lab)
-            extents.append(1)
-        compiled.append(_Step(**step))
-        peak = max(peak, math.prod(step["shape"]), math.prod(step.get("split", ())))
-    blk = np.repeat(np.arange(B), r)
-    blk.flags.writeable = False
-    return blk, tuple(compiled), peak
+    def count(cs):
+        return math.prod(size[c] for c in cs)
+
+    live, steps = list(range(len(terms))), []
+    peak = (B * r) ** 2
+    for group in path[1:]:
+        ids = [live[i] for i in sorted(group)]
+        live = [t for t in live if t not in ids]
+        x = ids.pop(0)
+        while ids:  # numpy's step, taken pairwise from the left
+            y = ids.pop(0)
+            xs, ys = terms[x], terms[y]
+            later = "".join(terms[t] for t in live + ids) + output
+            kept = [c for c in xs if c in ys and c in later]
+            summed = [c for c in xs if c in ys and c not in later]
+            x_only = [c for c in xs if c not in ys]
+            y_only = [c for c in ys if c not in xs]
+            terms.append("".join(kept + x_only + y_only))
+            steps.append((x, y,
+                          tuple(map(xs.index, kept + x_only + summed)), (count(kept), count(x_only), count(summed)),
+                          tuple(map(ys.index, kept + summed + y_only)), (count(kept), count(summed), count(y_only)),
+                          tuple(size[c] for c in terms[-1]), bool(summed)))
+            peak = max(peak, count(xs), count(ys), count(terms[-1]))
+            x = len(terms) - 1
+        live.append(x)
+    return tuple(steps), tuple(map(terms[-1].index, output)), peak
 
 
 def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: int) -> np.ndarray:
@@ -435,44 +392,23 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: i
 
     ``slots`` stacks the slot matrices S_j = W_p* A_j W_p, shape (m - 1, D, D), in a padded frame
     W_p of B blocks with r columns each (D = B r, zero beyond a block's rank): column c is (block
-    b, position j), and P_b is the projection onto block b's columns.  The result is the swept
-    matrix in that frame; W_p (result) W_p* is the sum in the original basis.  The sweep runs slot
-    by slot, left to right, as ``cesaro_direct`` sweeps the power table, by the steps
-    ``_sweep_steps`` planned; the planned peak is checked against ``budget`` before any product.
+    b, position i), and P_b is the projection onto block b's columns.  The result is the summed
+    matrix in that frame; W_p (result) W_p* is the sum in the original basis.  The steps are those
+    ``_network`` planned; the planned peak is checked against ``budget`` before any product.
     """
-    D = B * r
-    blk, steps, peak = _sweep_steps(p, B, r)
+    steps, order, peak = _network(p, B, r)
     if peak > budget:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
-
-    def spread(table):  # a class table indexed by padded column on every axis
-        for axis in range(table.ndim):
-            table = table.take(blk, axis)
-        return table
-
-    # Padded rows and columns meet zero rows and columns of every S_j.
-    tensor = np.eye(D, dtype=np.complex128)
-    if p.labels.count(p.labels[0]) == 1:
-        tensor = tensor * spread(tables[p.labels[0] - 1])
-    for a, step in zip(slots, steps):
-        table = tables[step.table]
-        if step.action == "weigh":
-            a = a * spread(table)
-        if step.split is None:  # one matrix product over every row of the tensor
-            tensor = (tensor.reshape(-1, D) @ a).reshape(step.shape)
-        else:
-            if step.action == "fold":  # S weighed by the closing table at the block of y: (b, e, j, y)
-                a = a.reshape(B, 1, r, D) * table.reshape(-1, B).take(blk, 1)[:, None, :]
-            grouped = tensor.reshape(step.split).transpose(step.order).reshape(step.grouped)
-            tensor = (grouped @ a.reshape(step.weights)).reshape(step.shape)
-        if step.action == "rows":
-            tensor = tensor * spread(table)
-        elif step.action == "close":
-            table = table.take(blk, -1)
-            if step.from_first:  # (block of x, closing axis, y) -> (closing axis, x, y)
-                table = table.take(blk, 0).reshape(D, -1, D).transpose(1, 0, 2)
-            tensor = (tensor * table.reshape(step.lift)).sum(axis=step.closed)
-    return tensor
+    if p.m == 1:
+        return np.diag(np.repeat(tables[0], r)).astype(np.complex128)
+    operands = [*slots.reshape(p.m - 1, *(n for n in (B, r, B, r) if n > 1))]
+    operands += [table.reshape([n for n in table.shape if n > 1]) for table in tables]
+    for x, y, x_order, x_grouped, y_order, y_grouped, shape, summed in steps:
+        a = operands[x].transpose(x_order).reshape(x_grouped)
+        b = operands[y].transpose(y_order).reshape(y_grouped)
+        operands[x] = operands[y] = None
+        operands.append((a @ b if summed else a * b).reshape(shape))
+    return operands[-1].transpose(order).reshape(B * r, B * r)
 
 
 def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -516,8 +452,8 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
 
     Mathematically identical to ``cesaro_direct`` for every N; the cost does
-    not depend on N.  ``budget`` caps the entries of the largest intermediate
-    the planned sweep forms, the initial d x d one included.
+    not depend on N.  ``budget`` caps the entries of the largest tensor the
+    planned contraction forms, at least those of one d x d slot matrix.
     """
     start = time.perf_counter()
     p = _check_partition(p, general)
@@ -638,11 +574,15 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
     """``error_bound`` at every horizon in ``Ns``; the N-independent chain norms are built once."""
     p = _check_partition(p, general)
     ops = _check_ops(p, ops, dec.dim)
-    Ns = [_check_horizon(n) for n in Ns]
+    return list(_bounds(dec, p, ops, [_check_horizon(n) for n in Ns], resonance_tol, budget))
+
+
+def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, resonance_tol, budget: int):
+    """``error_bounds`` on checked arguments, one horizon at a time (its kernel tables still kept)."""
     norms = _chain_norms(p, *_slot_matrices(dec, ops), budget)
     resonance = _spread(p, _resonance_tables(dec, p, resonance_tol))
-    return [float(np.sum(np.abs(_spread(p, _kernel_tables(dec, p, n)) - resonance) * norms))
-            for n in Ns]
+    for n in Ns:
+        yield float(np.sum(np.abs(_spread(p, _kernel_tables(dec, p, n)) - resonance) * norms))
 
 
 def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None) -> float:
@@ -663,9 +603,9 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     ops = _check_ops(p, ops, dec.dim)
     limit = limit_operator(dec, p, ops, resonance_tol, general=general)
     gap = spectral_gap(dec, resonance_tol)
-    bounds = error_bounds(dec, p, ops, Ns, resonance_tol, general=general)
     rows = []
-    for n, bound in zip(Ns, bounds):
+    # Each horizon's mean right after its bound, which formed the kernel tables the mean reads.
+    for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, resonance_tol, SPECTRAL_TUPLE_BUDGET)):
         result = ENGINES[engine](None, dec, p, ops, n, general)
         diff = result.matrix - limit
         rows.append(ReportRow(

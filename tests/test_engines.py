@@ -293,6 +293,12 @@ class TestCesaroDirect:
             tracemalloc.stop()
         assert peak <= 16 * engines._direct_entries(p, n, 4) + 2**16
 
+    def test_plan_counts_the_power_table_once(self):
+        # After slot 1 opens class 1, the tensor is the power table itself.  At the peak, the last
+        # step, the sweep holds the power table, the tensor, its product with the operator and the
+        # d x d result.
+        assert engines._direct_entries(P1221, 300, 4) == (3 * 300 + 1) * 16
+
     def test_memory_budget_counts_the_axes_held(self, rng):
         # N = 2100, d = 4: N d^2 entries fit the sweep budget, N^2 d^2 do not.
         u, dec = random_system(5, 4, "haar")
@@ -806,17 +812,24 @@ class TestPlannedSweep:
             assert np.linalg.norm(got - contract_per_block(frame, p, list(slots), tables)) <= 1e-12 * scale
 
     def test_plan_peaks(self):
-        # Close while widening: 1,2,1,3,2,3 stays at B d^2; 1,2,3,1,2,3 holds classes 2 and 3 at slot 4.
-        assert engines._sweep_steps(P121323, 64, 1)[2] == 64**3
-        assert engines._sweep_steps(parse_partition("1,2,3,1,2,3"), 64, 1)[2] == 64**4
-        assert engines._sweep_steps(parse_partition("1,2,3,1,2,3,4,4"), 64, 1)[2] == 64**4
-        assert engines._sweep_steps(P1212, 3, 2)[2] == 3 * 36
+        # The crossing triples hold at most one block axis besides the frame's two: B d^2 at d = B = 64.
+        assert engines._network(P121323, 64, 1)[2] == 64**3
+        assert engines._network(parse_partition("1,2,3,1,2,3"), 64, 1)[2] == 64**3
+        assert engines._network(parse_partition("1,2,3,1,2,3,4,4"), 64, 1)[2] == 64**3
+        assert engines._network(P1212, 3, 2)[2] == 3 * 36
+
+    def test_a_network_with_more_indices_than_letters_is_refused(self):
+        p = parse_partition(",".join(str(1 + i // 2) for i in range(28)))  # 1,1,2,2,...,14,14
+        assert engines._network(p, 2, 1)[2] == engines._network(p, 1, 2)[2] == 4
+        with pytest.raises(ValueError, match="on 28 slots needs 56 indices, more than 52"):
+            engines._network(p, 2, 2)
 
     @pytest.mark.parametrize("p", SWEEP_PARTITIONS + GENERAL_SWEEPS, ids=str)
     def test_planned_peak_is_the_largest_tensor_the_steps_form(self, p):
         for B, r in [(1, 1), (3, 1), (2, 2), (3, 2), (1, 3)]:
-            _, steps, peak = engines._sweep_steps(p, B, r)
-            formed = [math.prod(step.shape) for step in steps] + [math.prod(step.split or ()) for step in steps]
+            steps, _, peak = engines._network(p, B, r)
+            # Each step's operands, grouped as the product reads them, and its result.
+            formed = [math.prod(step[i]) for step in steps for i in (3, 5, 6)]
             assert peak == max((B * r) ** 2, *formed)
 
     @pytest.mark.parametrize("labels", ["1,1", "1,2,2,1", "1,2,2,1,3,3"])
@@ -824,8 +837,7 @@ class TestPlannedSweep:
         p = parse_partition(labels)
         dec = random_system(3, 8, "haar")[1]
         ops = random_ops(np.random.default_rng(3), p.m - 1, 8)
-        _, steps, peak = engines._sweep_steps(p, 8, 1)
-        assert peak == 64 and all(step.split is None for step in steps)
+        assert engines._network(p, 8, 1)[2] == 64
         for run in (lambda budget: cesaro_spectral(dec, p, ops, 5, budget=budget),
                     lambda budget: limit_operator(dec, p, ops, budget=budget)):
             with pytest.raises(BudgetError, match="planned peak of 6.400e[+]01 entries"):
@@ -842,17 +854,27 @@ class TestPlannedSweep:
         mean = cesaro_spectral(dec, P1212, ops, 5, budget=108).matrix
         assert np.linalg.norm(mean - cesaro_direct(u, P1212, ops, 5).matrix) <= 1e-12
 
-    def test_d64_crossing_triple_under_the_default_budget(self):
+    @pytest.mark.parametrize("labels", ["1,2,1,3,2,3", "1,2,3,1,2,3", "1,2,3,1,2,3,4,4"])
+    def test_d64_crossing_triple_under_the_default_budget(self, labels):
         # Exact phases k/67: every block has rank 1, and K_67 equals R entry for entry.
+        p = parse_partition(labels)
         u, dec = from_eigensystem([Phase.rational(k, 67) for k in range(64)],
                                   haar_unitary(np.random.default_rng(67), 64))
-        ops = random_ops(np.random.default_rng(1), 5, 64)
-        mean = cesaro_spectral(dec, P121323, ops, 3).matrix
-        assert np.linalg.norm(mean - cesaro_direct(u, P121323, ops, 3).matrix) <= 1e-12
-        limit = limit_operator(dec, P121323, ops)
-        assert np.array_equal(limit, cesaro_spectral(dec, P121323, ops, 67).matrix)
+        ops = random_ops(np.random.default_rng(1), p.m - 1, 64)
+        mean = cesaro_spectral(dec, p, ops, 3).matrix
+        assert np.linalg.norm(mean - cesaro_direct(u, p, ops, 3).matrix) <= 1e-12
+        limit = limit_operator(dec, p, ops)
+        assert np.array_equal(limit, cesaro_spectral(dec, p, ops, 67).matrix)
+
+    def test_d64_fourfold_crossing_is_over_the_default_budget(self):
+        p = parse_partition("1,2,3,4,1,2,3,4")
+        dec = from_eigensystem([Phase.rational(k, 67) for k in range(64)],
+                               haar_unitary(np.random.default_rng(67), 64))[1]
+        ops = random_ops(np.random.default_rng(1), p.m - 1, 64)
         with pytest.raises(BudgetError, match="planned peak of 1.678e[+]07 entries"):
-            limit_operator(dec, parse_partition("1,2,3,1,2,3"), ops)
+            limit_operator(dec, p, ops)
+        with pytest.raises(BudgetError, match="planned peak of 1.678e[+]07 entries"):
+            cesaro_spectral(dec, p, ops, 3)
 
 
 class TestOperatorStack:
@@ -1010,14 +1032,16 @@ class TestSpectralRecord:
             sums.kernels(n)
         assert list(sums._kernel_memo) == list(range(11 - KERNEL_MEMO_HORIZONS, 11))
 
-    def test_convergence_report_computes_each_kernel_table_once(self, monkeypatch):
-        # The bound and the mean at each horizon read one table.
+    @pytest.mark.parametrize("Ns", [[10, 100, 1000], [1, 2, 3, 4, 5, 6]], ids=["three", "six"])
+    def test_convergence_report_computes_each_kernel_table_once(self, monkeypatch, Ns):
+        # The bound and the mean at each horizon read one table, also with more horizons than the
+        # decomposition keeps tables for.
         _, dec = random_system(8, 4, "haar")
         computed = []
         uncached = PhaseSums._kernels
         monkeypatch.setattr(PhaseSums, "_kernels", lambda self, n: computed.append(n) or uncached(self, n))
-        convergence_report(dec, P1212, random_ops(np.random.default_rng(8), 3, 4), [10, 100, 1000])
-        assert sorted(computed) == [10, 100, 1000]
+        convergence_report(dec, P1212, random_ops(np.random.default_rng(8), 3, 4), Ns)
+        assert sorted(computed) == Ns
 
     def test_engine_calls_build_no_phase_objects(self):
         u = haar_unitary(np.random.default_rng(12), 6)
