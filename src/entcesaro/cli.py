@@ -16,6 +16,7 @@ import numpy as np
 from .engines import (
     ENGINE_NAMES,
     ENGINES,
+    CERTIFICATE_SLACK,
     BudgetError,
     ConvergenceReport,
     cesaro_direct,
@@ -107,7 +108,7 @@ def _emit_report(report: ConvergenceReport, out: str | None, timings: bool) -> i
     if out:
         _write_atomic(out, text)
         print(f"wrote {out}", file=sys.stderr)
-    bad = [row.N for row in report.rows if row.error_op > row.certified_bound + 1e-9]
+    bad = [row.N for row in report.rows if row.error_op > row.certified_bound + CERTIFICATE_SLACK]
     if bad:
         print(f"certified bound violated at N in {bad}", file=sys.stderr)
         return 1
@@ -132,7 +133,7 @@ def cmd_decompose(scenario: Scenario, args) -> int:
 def cmd_mean(scenario: Scenario, args) -> int:
     u, dec, p, ops = _inputs(scenario, "mean")
     horizon = args.N if args.N is not None else (scenario.horizons[-1] if scenario.horizons else 100)
-    result = ENGINES[args.engine or scenario.engine](u, dec, p, ops, horizon)
+    result = ENGINES[scenario.engine](u, dec, p, ops, horizon)
     print(f"partition {render_partition(p)}, engine {result.engine}, N={result.N}")
     print(f"operator norm {operator_norm(result.matrix):.12f}")
     print(f"elapsed {result.elapsed:.3f}s")
@@ -155,7 +156,7 @@ def cmd_limit(scenario: Scenario, args) -> int:
 
 def cmd_converge(scenario: Scenario, args) -> int:
     _, dec, p, ops = _inputs(scenario, "converge", horizons=True)
-    report = convergence_report(dec, p, ops, scenario.horizons, args.engine or scenario.engine)
+    report = convergence_report(dec, p, ops, scenario.horizons, scenario.engine)
     return _emit_report(report, args.out or scenario.out, args.timings)
 
 
@@ -212,7 +213,7 @@ def cmd_correlate(scenario: Scenario, args) -> int:
         value = cesaro_correlation(system, spec, horizon)
         bound *= edge
         gap = abs(value - limit)
-        ok = gap <= bound + 1e-9
+        ok = gap <= bound + CERTIFICATE_SLACK
         failures += 0 if ok else 1
         print(f"{horizon:<8} {value.real:+.9f}{value.imag:+.9f}j   {gap:.3e}       {bound:.3e}")
     return 0 if failures == 0 else 1

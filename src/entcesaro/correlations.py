@@ -21,6 +21,7 @@ from .engines import _SWEEP_ENTRY_BUDGET, ENGINES, _direct_entries, limit_operat
 from .linalg import as_operator, as_vector, operator_norm
 from .partitions import Partition, require_pair
 from .spectral import (
+    RECONSTRUCTION_TOL,
     SpectralDecomposition,
     Tolerances,
     decompose,
@@ -110,7 +111,7 @@ def make_system(u, state, tol: float = STATE_TOL,
     else:
         if dec.dim != arr.shape[0]:
             raise ValueError("decomposition dimension does not match the unitary")
-        if operator_norm(reconstruct(dec) - arr) > max(1e-9, tol):
+        if operator_norm(reconstruct(dec) - arr) > max(RECONSTRUCTION_TOL, tol):
             raise ValueError("decomposition does not reconstruct the unitary")
     d = arr.shape[0]
     state_arr = np.asarray(state, dtype=np.complex128)

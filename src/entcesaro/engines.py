@@ -50,9 +50,6 @@ subscripts) and the most index axes held at once.  ``error_bound`` sums
 the entries of the largest planned tensor (any step's operand or result for
 the mean and limits, N^h d^2 with h >= 1 index axes held for
 ``cesaro_direct``) and the tuple count B^m for the bound.
-
-Classes of size other than two are supported behind ``general=True``; that
-finite-dimensional extension is flagged and kept out of the default path.
 """
 
 from __future__ import annotations
@@ -99,6 +96,7 @@ __all__ = [
 ]
 
 SPECTRAL_TUPLE_BUDGET = 10**7
+CERTIFICATE_SLACK = 1e-9  # how far a computed error may exceed its certified bound and still pass
 _SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's default budget: complex entries in its largest tensor
 
 
@@ -140,11 +138,10 @@ def _check_horizon(n) -> int:
 _require_pair = lru_cache(maxsize=64)(require_pair)
 
 
-def _check_partition(p, general: bool) -> Partition:
+def _check_partition(p) -> Partition:
     if not isinstance(p, Partition):
         raise ValueError("expected a Partition")
-    if not general:
-        _require_pair(p)
+    _require_pair(p)
     return p
 
 
@@ -162,22 +159,8 @@ def _check_ops(p: Partition, ops, dim: int) -> np.ndarray:
         checked = [as_operator(a, dim, name=f"operator {j + 1}") for j, a in enumerate(ops)]
         if len(checked) != p.m - 1:
             raise ValueError(f"partition on {p.m} slots needs {p.m - 1} operators, got {len(checked)}")
-        stack = np.array(checked, dtype=np.complex128).reshape(p.m - 1, dim, dim)  # no operators, or an iterator
+        stack = np.array(checked, dtype=np.complex128)
     return stack
-
-
-@lru_cache(maxsize=64)
-def _first_last(p: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First and last slot (1-based) of each class, indexed by slot."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for pos, lab in enumerate(p.labels, start=1):
-        first.setdefault(lab, pos)
-        last[lab] = pos
-    return (
-        tuple(first[lab] for lab in p.labels),
-        tuple(last[lab] for lab in p.labels),
-    )
 
 
 def kernel(phase: Phase, N) -> complex:
@@ -211,9 +194,8 @@ def mean_ergodic(u, N, unitarity_tol: float = 1e-10) -> np.ndarray:
 class _DirectStep(NamedTuple):
     """One step of ``cesaro_direct``'s sweep: multiply the tensor by ``ops[op]``, then take in the factor.
 
-    The factor is the power table ("powers", one index axis of size N), the singleton sum
-    sum_n U^n ("sum"), or a pair on adjacent slots, sum_n U^n ops[op + 1] U^n ("pair").  The first
-    step (op = -1) starts the tensor from its factor.
+    The factor is the power table ("powers", one index axis of size N) or a pair on adjacent slots,
+    sum_n U^n ops[op + 1] U^n ("pair").  The first step (op = -1) starts the tensor from its factor.
     """
 
     op: int
@@ -226,13 +208,13 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
     """``cesaro_direct``'s steps, and the index axes of the arrays its sweep holds at once, one tuple
     per point where its holdings peak.
 
-    Each class opens an axis of size N at its first slot and is summed out at its last; a singleton
-    and a pair on adjacent slots (both slots in one step) open none.  The power table (one axis) is
-    held throughout.  A step after the first holds its input tensor (unless that is the power table
+    Each class opens an axis of size N at its first slot and is summed out at its last; a pair on
+    adjacent slots (both slots in one step) opens none.  The power table (one axis) is held
+    throughout.  A step after the first holds its input tensor (unless that is the power table
     itself), then adds that tensor times the operator and the einsum output; a pair's factor is
     formed first, through two products with the power table.
     """
-    first, last = _first_last(p)
+    pairs = _require_pair(p).class_pairs
     letters = iter("abcdefghijklmnopqrstuvw")
     axes: dict[int, str] = {}  # the letter of each open class's axis, in axis order
     steps = []
@@ -241,16 +223,14 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
     while pos <= p.m:
         lab = p.labels[pos - 1]
         base, ell = "".join(axes.values()), ""
-        if first[pos - 1] == last[pos - 1]:
-            factor = "sum"
-        elif first[pos - 1] == pos and last[pos - 1] == pos + 1:
+        if pairs[lab - 1] == (pos, pos + 1):
             factor = "pair"
         else:
             factor = "powers"
             if lab not in axes:
                 axes[lab] = next(letters)
             ell = axes[lab]
-            if pos == last[pos - 1]:
+            if pos == pairs[lab - 1][1]:
                 del axes[lab]
         out = "".join(axes.values())
         # The tensor the step starts from: none for the first, and after a first step that opened an
@@ -271,8 +251,7 @@ def _direct_entries(p: Partition, N: int, d: int) -> int:
     return max(sum(N**h for h in load) for load in _direct_plan(p)[1]) * d * d
 
 
-def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
-                  budget: int = _SWEEP_ENTRY_BUDGET) -> CesaroResult:
+def cesaro_direct(u, p: Partition, ops, N, *, budget: int = _SWEEP_ENTRY_BUDGET) -> CesaroResult:
     """Finite-N entangled mean from the power table of U.
 
     The sum over index tuples is contracted slot by slot: each class opens an
@@ -286,7 +265,7 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     """
     start = time.perf_counter()
     arr = as_operator(u, name="unitary")
-    p = _check_partition(p, general)
+    p = _check_partition(p)
     ops = _check_ops(p, ops, arr.shape[0])
     N = _check_horizon(N)
     d = arr.shape[0]
@@ -300,34 +279,22 @@ def cesaro_direct(u, p: Partition, ops, N, *, general: bool = False,
     powers[0] = np.eye(d)
     for n in range(1, N):
         powers[n] = powers[n - 1] @ arr
-    factors = {"powers": powers, "sum": powers.sum(axis=0)}
     tensor = None
     for step in steps:
-        factor = (powers @ ops[step.op + 1] @ powers).sum(axis=0) if step.factor == "pair" else factors[step.factor]
+        factor = (powers @ ops[step.op + 1] @ powers).sum(axis=0) if step.factor == "pair" else powers
         tensor = factor if tensor is None else np.einsum(step.subscripts, tensor @ ops[step.op], factor)
     matrix = tensor / float(N) ** p.k
     return CesaroResult(matrix, "direct", N, time.perf_counter() - start)
 
 
-def _class_tables(p: Partition, table_of_size) -> list[np.ndarray]:
-    """Per class, ``table_of_size(s)`` for its size s: one entry per block tuple.
-
-    Axis j of a class's table is the block at the class's j-th slot; classes
-    of equal size share one table.
-    """
-    sizes = [p.labels.count(lab) for lab in range(1, p.k + 1)]
-    by_size = {size: table_of_size(size) for size in set(sizes)}
-    return [by_size[size] for size in sizes]
-
-
 def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.ndarray]:
-    return _class_tables(p, lambda size: dec._phase_sums(size).kernels(N))
+    """Per class, the (B, B) kernel table K_N over the blocks at its two slots; the classes share one."""
+    return [dec._pair_sums.kernels(N)] * p.k
 
 
 def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -> list[np.ndarray]:
-    tol = dec.tolerances.resonance if resonance_tol is None else resonance_tol
-    pairs = dec._resonance(tol).table  # rejects a tolerance that pairs phases ambiguously
-    return _class_tables(p, lambda size: pairs if size == 2 else dec._phase_sums(size).resonant(tol).astype(float))
+    """Per class, the (B, B) resonance indicator R; rejects a tolerance that pairs phases ambiguously."""
+    return [dec._resonance(resonance_tol).table] * p.k
 
 
 @lru_cache(maxsize=64)
@@ -344,8 +311,6 @@ def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int
     (kept, x only, summed) and (kept, summed, y only), multiplies them, and appends the result,
     axes (kept, x only, y only), to the operand list.
     """
-    if p.m == 1:  # einsum takes no output index twice; ``_contract`` takes the table's diagonal
-        return (), (), (B * r) ** 2
     needed = p.m * ((B > 1) + (r > 1))  # einsum names each index by one letter
     if needed > len(string.ascii_letters):
         raise ValueError(f"spectral engine: a partition on {p.m} slots needs {needed} indices, more than 52")
@@ -399,8 +364,6 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: i
     steps, order, peak = _network(p, B, r)
     if peak > budget:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
-    if p.m == 1:
-        return np.diag(np.repeat(tables[0], r)).astype(np.complex128)
     operands = [*slots.reshape(p.m - 1, *(n for n in (B, r, B, r) if n > 1))]
     operands += [table.reshape([n for n in table.shape if n > 1]) for table in tables]
     for x, y, x_order, x_grouped, y_order, y_grouped, shape, summed in steps:
@@ -448,7 +411,7 @@ def _spread(p: Partition, tables) -> np.ndarray:
 
 
 def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
-                    general: bool = False, budget: int = SPECTRAL_TUPLE_BUDGET) -> CesaroResult:
+                    budget: int = SPECTRAL_TUPLE_BUDGET) -> CesaroResult:
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
 
     Mathematically identical to ``cesaro_direct`` for every N; the cost does
@@ -456,7 +419,7 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
     planned contraction forms, at least those of one d x d slot matrix.
     """
     start = time.perf_counter()
-    p = _check_partition(p, general)
+    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
     matrix = _spectral_sum(dec, p, ops, _kernel_tables(dec, p, N), budget)
@@ -472,7 +435,7 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     up to rounding, but it is only defined for non-crossing pair partitions.
     """
     start = time.perf_counter()
-    p = _check_partition(p, general=False)
+    p = _check_partition(p)
     if is_crossing(p):
         raise ValueError("nested engine requires a non-crossing pair partition")
     ops = _check_ops(p, ops, dec.dim)
@@ -499,14 +462,12 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     return CesaroResult(chain[0], "nested", N, time.perf_counter() - start)
 
 
-# Every engine's finite-N mean by name, called as (u, dec, p, ops, N, general=False).  The direct
-# engine reads U, or reconstructs it from ``dec`` when ``u`` is None; the nested engine takes pair
-# partitions only, whatever ``general`` says.
+# Every engine's finite-N mean by name, called as (u, dec, p, ops, N).  The direct engine reads U,
+# or reconstructs it from ``dec`` when ``u`` is None.
 ENGINES = {
-    "direct": lambda u, dec, p, ops, N, general=False: cesaro_direct(
-        reconstruct(dec) if u is None else u, p, ops, N, general=general),
-    "spectral": lambda u, dec, p, ops, N, general=False: cesaro_spectral(dec, p, ops, N, general=general),
-    "nested": lambda u, dec, p, ops, N, general=False: cesaro_nested(dec, p, ops, N),
+    "direct": lambda u, dec, p, ops, N: cesaro_direct(reconstruct(dec) if u is None else u, p, ops, N),
+    "spectral": lambda u, dec, p, ops, N: cesaro_spectral(dec, p, ops, N),
+    "nested": lambda u, dec, p, ops, N: cesaro_nested(dec, p, ops, N),
 }
 ENGINE_NAMES = tuple(ENGINES)
 
@@ -520,7 +481,7 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
     plain one.  With the full antidiagonal spectrum this is the limit
     operator itself, bit for bit.
     """
-    p = _check_partition(p, general=False)
+    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     partners = resonant_partners(dec, resonance_tol)
     index_of = {ph: b for b, ph in enumerate(dec.phases)}
@@ -536,10 +497,9 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
 
 
 def limit_operator(dec: SpectralDecomposition, p: Partition, ops,
-                   resonance_tol: float | None = None, *, general: bool = False,
-                   budget: int = SPECTRAL_TUPLE_BUDGET) -> np.ndarray:
+                   resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> np.ndarray:
     """Limit of the entangled mean: the sum over resonant block tuples."""
-    p = _check_partition(p, general)
+    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     return _spectral_sum(dec, p, ops, _resonance_tables(dec, p, resonance_tol), budget)
 
@@ -556,8 +516,7 @@ def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y,
 
 
 def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
-                resonance_tol: float | None = None, *, general: bool = False,
-                budget: int = SPECTRAL_TUPLE_BUDGET) -> float:
+                resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> float:
     """Certified bound on the operator-norm distance of M_N from the limit.
 
     Sums |kernel product - resonance indicator| times the operator norm of
@@ -565,14 +524,13 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
     triangle inequality this dominates the true error of the spectral
     representation.
     """
-    return error_bounds(dec, p, ops, [N], resonance_tol, general=general, budget=budget)[0]
+    return error_bounds(dec, p, ops, [N], resonance_tol, budget=budget)[0]
 
 
 def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
-                 resonance_tol: float | None = None, *, general: bool = False,
-                 budget: int = SPECTRAL_TUPLE_BUDGET) -> list[float]:
+                 resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> list[float]:
     """``error_bound`` at every horizon in ``Ns``; the N-independent chain norms are built once."""
-    p = _check_partition(p, general)
+    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     return list(_bounds(dec, p, ops, [_check_horizon(n) for n in Ns], resonance_tol, budget))
 
@@ -591,22 +549,21 @@ def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None)
 
 
 def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
-                       engine: str = "spectral", resonance_tol: float | None = None, *,
-                       general: bool = False) -> ConvergenceReport:
+                       engine: str = "spectral", resonance_tol: float | None = None) -> ConvergenceReport:
     """Measured error against the limit, with certified bound, per horizon."""
     Ns = [(_check_horizon(n)) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("horizons must be strictly increasing")
     if engine not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINE_NAMES}")
-    p = _check_partition(p, general)
+    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    limit = limit_operator(dec, p, ops, resonance_tol, general=general)
+    limit = limit_operator(dec, p, ops, resonance_tol)
     gap = spectral_gap(dec, resonance_tol)
     rows = []
     # Each horizon's mean right after its bound, which formed the kernel tables the mean reads.
     for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, resonance_tol, SPECTRAL_TUPLE_BUDGET)):
-        result = ENGINES[engine](None, dec, p, ops, n, general)
+        result = ENGINES[engine](None, dec, p, ops, n)
         diff = result.matrix - limit
         rows.append(ReportRow(
             N=n,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .engines import ENGINE_NAMES
 from .linalg import gaussian_operator
-from .partitions import Partition, canonicalize
+from .partitions import Partition, canonicalize, require_pair
 from .spectral import (
     Phase,
     SpectralDecomposition,
@@ -268,6 +268,7 @@ def scenario_from_dict(raw) -> Scenario:
             raise _fail("'partition' must be a nonempty integer array")
         try:
             partition = canonicalize(labels)
+            require_pair(partition)
         except ValueError as exc:
             raise _fail(f"bad partition: {exc}") from exc
 

@@ -271,8 +271,8 @@ class SpectralDecomposition:
     ``phases`` and ``entries`` (one ``Phase`` and one ``SpectralLine`` per line) are built from
     them on first read and kept; no engine reads them.  The tables the engines read are built on
     first use and kept on the instance too, so each is built once per decomposition: the phase sums
-    of each class size with the horizon-independent factors of their kernels and the kernel tables
-    of recent horizons, one resonance record per resonance tolerance, and the padded frame.  An
+    of block pairs with the horizon-independent factors of their kernels and the kernel tables of
+    recent horizons, one resonance record per resonance tolerance, and the padded frame.  An
     instance from ``dataclasses.replace`` shares ``spectrum`` and starts with none of them.
     """
 
@@ -303,15 +303,9 @@ class SpectralDecomposition:
         return tuple(line.projection for line in self.entries)
 
     @cached_property
-    def _sums_by_size(self) -> dict[int, PhaseSums]:
-        return {}
-
-    def _phase_sums(self, size: int) -> PhaseSums:
-        """``phase_sums(self.phases, size)``, formed once per size."""
-        sums = self._sums_by_size.get(size)
-        if sums is None:
-            sums = self._sums_by_size[size] = _sums(self.spectrum, size)
-        return sums
+    def _pair_sums(self) -> PhaseSums:
+        """``phase_sums(self.phases, 2)``: the phase sums of a pair class, one per block pair."""
+        return _sums(self.spectrum, 2)
 
     @cached_property
     def _resonances(self) -> dict[float, _Resonance]:
@@ -331,7 +325,7 @@ class SpectralDecomposition:
             raise ValueError(f"resonance tolerance must be a non-negative number, got {tol!r}")
         record = self._resonances.get(tol)
         if record is None:
-            resonant = self._phase_sums(2).resonant(tol)
+            resonant = self._pair_sums.resonant(tol)
             if (resonant.sum(axis=1) > 1).any():
                 raise ValueError(
                     "resonance tolerance admits multiple partners for one phase; "
@@ -339,7 +333,7 @@ class SpectralDecomposition:
                 )
             partners = tuple(int(c) if hit else None
                              for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
-            gap = float(np.where(resonant, np.inf, self._phase_sums(2).distances()).min())
+            gap = float(np.where(resonant, np.inf, self._pair_sums.distances()).min())
             record = self._resonances[tol] = _Resonance(_read_only(resonant.astype(float)), partners, gap)
         return record
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engines import (
+    CERTIFICATE_SLACK,
     BudgetError,
     cesaro_direct,
     cesaro_nested,
@@ -33,7 +34,6 @@ ORACLE_REL_TOL = 1e-9
 NESTED_TOL = 1e-10
 MEAN_NORM_SLACK = 1e-9
 LIMIT_NORM_SLACK = 1e-10
-ROW_SLACK = 1e-9
 FORM_SLACK = 1e-10
 CROSS_CHECK_N = 20
 FORM_DRAWS = 10
@@ -133,10 +133,10 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
         try:
             report = convergence_report(dec, p, inner, scenario.horizons, scenario.engine)
             worst = max(row.error_op - row.certified_bound for row in report.rows)
-            checks.append(_check("report rows within certified bound", worst, ROW_SLACK))
+            checks.append(_check("report rows within certified bound", worst, CERTIFICATE_SLACK))
         except BudgetError as exc:
             checks.append(Check("report rows within certified bound", False,
-                                float("inf"), ROW_SLACK, str(exc)))
+                                float("inf"), CERTIFICATE_SLACK, str(exc)))
 
     if has_state:
         checks.extend(_correlation_checks(scenario, u, dec, p, ops_all, n_small, report))
@@ -178,5 +178,5 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, report) -> list[C
     edge = operator_norm(ops_all[0]) * operator_norm(ops_all[-1])
     deviation = abs(cesaro_correlation(system, spec, horizon) - correlation_limit(system, spec))
     checks.append(_check("correlation limit within certified bound",
-                         deviation, gap_bound * edge + ROW_SLACK))
+                         deviation, gap_bound * edge + CERTIFICATE_SLACK))
     return checks

@@ -116,6 +116,14 @@ class TestExitCodes:
         assert run_cli(["verify", "--scenario", write_scenario(tmp_path, data)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["converge", "mean", "limit", "verify", "bench"])
+    def test_non_pair_partition_is_a_malformed_scenario(self, tmp_path, capsys, command):
+        data = dict(ENGINE_SCENARIO, partition=[1, 2, 1, 2, 1], operators=[{"kind": "random"}] * 4)
+        assert run_cli([command, "--scenario", write_scenario(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "bad partition: class 1 has 3 elements, pair partition required" in err
+
     def test_command_needing_partition_fails_cleanly(self, tmp_path, capsys):
         data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}}
         path = write_scenario(tmp_path, data)

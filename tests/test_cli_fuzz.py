@@ -110,13 +110,15 @@ def _bad(value) -> bool:
 
 
 def _must_exit_2(raw, command) -> bool:
-    """Whether ``command`` reads a top-level seed, tolerance or operator norm that is a bool or not finite.
+    """Whether ``command`` reads a non-pair partition, or a top-level seed, tolerance or operator norm
+    that is a bool or not finite.
 
-    Seeds and tolerances are read when the scenario loads; operator norms when a command with a
-    partition builds its operators, which ``decompose`` never does.
+    Partitions, seeds and tolerances are read when the scenario loads; operator norms when a command
+    with a partition builds its operators, which ``decompose`` never does.
     """
     tolerances = raw.get("tolerances")
-    if _bad(raw.get("seed")) or (isinstance(tolerances, dict) and any(map(_bad, tolerances.values()))):
+    if raw.get("partition") == [1, 1, 1] or _bad(raw.get("seed")) or (
+            isinstance(tolerances, dict) and any(map(_bad, tolerances.values()))):
         return True
     specs = raw["operators"] if isinstance(raw["operators"], list) else []
     bad_norm = any(isinstance(s, dict) and s.get("kind") == "random" and _bad(s.get("norm")) for s in specs)

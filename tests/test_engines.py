@@ -166,22 +166,24 @@ class TestPhaseSumTables:
             if s.is_exact:
                 assert Fraction(num, sums.denominator) == s.frac
 
-        dec = _lines_only(phases, tol)
-        p = parse_partition(",".join(["1"] * size))
-        (table,) = engines._kernel_tables(dec, p, n)
         eps = np.finfo(float).eps
-        for value, s in zip(table.ravel(), loop):
+        for value, s in zip(sums.kernels(n).ravel(), loop):
             ref = scalar_kernel(s, n)
             assert (value == 0) == (ref == 0)  # exact zeros stay exact
             assert abs(value - ref) <= 4 * eps * abs(ref)
 
+        # The engines' tables: one pair class, on the decomposition's recorded pair sums.
+        dec = _lines_only(phases, tol)
+        pair_loop = phase_sum_loop(phases, 2)
+        (table,) = engines._kernel_tables(dec, P11, n)
+        assert table.tobytes() == phase_sums(phases, 2).kernels(n).tobytes()
         outcome, partners = _outcome(resonant_partners_loop, phases, tol)
         assert _outcome(resonant_partners, dec, tol) == (outcome, partners)
         if outcome == "raised":  # an ambiguous or asymmetric pairing
-            assert _outcome(engines._resonance_tables, dec, p, tol) == (outcome, partners)
+            assert _outcome(engines._resonance_tables, dec, P11, tol) == (outcome, partners)
         else:
-            (resonance,) = engines._resonance_tables(dec, p, tol)
-            assert resonance.ravel().tolist() == [float(s.is_one(tol)) for s in loop]
+            (resonance,) = engines._resonance_tables(dec, P11, tol)
+            assert resonance.ravel().tolist() == [float(s.is_one(tol)) for s in pair_loop]
             assert spectral_gap(dec, tol) == spectral_gap_loop(phases, partners)
 
     @settings(max_examples=200, deadline=None)
@@ -328,13 +330,6 @@ class TestCesaroDirect:
         # A count beyond the float range is reported, not overflowed.
         with pytest.raises(BudgetError, match="planned peak of more than 1.798e[+]308 entries"):
             cesaro_direct(np.eye(2, dtype=complex), P1212, [np.eye(2)] * 3, 10**200)
-
-    def test_rejects_non_pair_without_general_flag(self, rng):
-        p = parse_partition("1,2,1,2,1")
-        ops = random_ops(rng, 4, 2)
-        with pytest.raises(ValueError):
-            cesaro_direct(np.eye(2, dtype=complex), p, ops, 3)
-        cesaro_direct(np.eye(2, dtype=complex), p, ops, 3, general=True)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -620,44 +615,39 @@ class TestConvergenceReport:
             convergence_report(dec, P1221, ops, [5, 10], engine="warp")
 
 
-class TestGeneralPartitions:
-    @pytest.mark.parametrize("labels,n", [("1,1,1", 6), ("1,2,1,2,1", 4), ("1,2,2,2,1", 4)])
-    def test_direct_matches_spectral(self, rng, labels, n):
+# Every public engine entry point, called as (u, dec, p, ops, **keywords).
+ENTRY_POINTS = {
+    "cesaro_direct": lambda u, dec, p, ops, **kw: cesaro_direct(u, p, ops, 3, **kw),
+    "cesaro_spectral": lambda u, dec, p, ops, **kw: cesaro_spectral(dec, p, ops, 3, **kw),
+    "cesaro_nested": lambda u, dec, p, ops, **kw: cesaro_nested(dec, p, ops, 3, **kw),
+    "limit_operator": lambda u, dec, p, ops, **kw: limit_operator(dec, p, ops, **kw),
+    "limit_truncated": lambda u, dec, p, ops, **kw: limit_truncated(dec, p, ops, antidiagonal_spectrum(dec), **kw),
+    "form_value": lambda u, dec, p, ops, **kw: form_value(dec, p, ops, np.ones(dec.dim), np.ones(dec.dim), **kw),
+    "error_bound": lambda u, dec, p, ops, **kw: error_bound(dec, p, ops, 3, **kw),
+    "error_bounds": lambda u, dec, p, ops, **kw: error_bounds(dec, p, ops, [3, 5], **kw),
+    "convergence_report": lambda u, dec, p, ops, **kw: convergence_report(dec, p, ops, [3, 5], **kw),
+    **{f"ENGINES[{name}]": lambda u, dec, p, ops, run=run, **kw: run(u, dec, p, ops, 3, **kw)
+       for name, run in engines.ENGINES.items()},
+}
+# The calls that must refuse a ``general=`` keyword.
+FORMER_GENERAL = ["cesaro_direct", "cesaro_spectral", "limit_operator", "error_bound", "error_bounds",
+                  "convergence_report", *(f"ENGINES[{name}]" for name in engines.ENGINE_NAMES)]
+
+
+class TestPairPartitionsOnly:
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("labels", ["1,1,1", "1,2,1,2,1"])
+    def test_rejects_a_non_pair_partition(self, rng, name, labels):
         p = parse_partition(labels)
         u, dec = random_system(31, 3, "rational", 6)
-        ops = random_ops(rng, p.m - 1, 3)
-        direct = cesaro_direct(u, p, ops, n, general=True).matrix
-        spectral = cesaro_spectral(dec, p, ops, n, general=True).matrix
-        np.testing.assert_allclose(direct, spectral, atol=1e-11)
-        np.testing.assert_allclose(direct, brute_force_mean(u, p, ops, n), atol=1e-11)
+        with pytest.raises(ValueError, match="class 1 has 3 elements, pair partition required"):
+            ENTRY_POINTS[name](u, dec, p, random_ops(rng, p.m - 1, 3))
 
-    def test_limit_under_identity_dynamics(self, rng):
-        p = parse_partition("1,1,1")
-        dec = decompose(np.eye(3, dtype=complex))
-        ops = random_ops(rng, 2, 3)
-        np.testing.assert_allclose(
-            limit_operator(dec, p, ops, general=True), ops[0] @ ops[1], atol=1e-12
-        )
-
-    def test_one_slot_partition_reduces_to_plain_mean(self):
-        p = parse_partition("1")
-        u, dec = random_system(9, 3, "rational", 6)
-        direct = cesaro_direct(u, p, [], 7, general=True).matrix
-        spectral = cesaro_spectral(dec, p, [], 7, general=True).matrix
-        np.testing.assert_allclose(direct, mean_ergodic(u, 7), atol=1e-12)
-        np.testing.assert_allclose(spectral, mean_ergodic(u, 7), atol=1e-12)
-        np.testing.assert_allclose(
-            limit_operator(dec, p, [], general=True), invariant_projection(dec), atol=1e-12
-        )
-
-    def test_limit_certified_by_bound(self, rng):
-        p = parse_partition("1,2,1,2,1")
+    @pytest.mark.parametrize("name", FORMER_GENERAL)
+    def test_takes_no_general_keyword(self, rng, name):
         u, dec = random_system(31, 3, "rational", 6)
-        ops = random_ops(rng, p.m - 1, 3)
-        s = limit_operator(dec, p, ops, general=True)
-        for n in (100, 1000):
-            mean = cesaro_spectral(dec, p, ops, n, general=True).matrix
-            assert operator_norm(mean - s) <= error_bound(dec, p, ops, n, general=True) + 1e-9
+        with pytest.raises(TypeError, match="unexpected keyword argument 'general'"):
+            ENTRY_POINTS[name](u, dec, P1212, random_ops(rng, 3, 3), general=True)
 
 
 class TestMeanNormBound:
@@ -696,14 +686,6 @@ class TestTupleOracle:
         expected = tuple_bound_oracle(dec, P121323, ops, n)
         assert error_bound(dec, P121323, ops, n) == pytest.approx(expected, rel=1e-12)
 
-    def test_bound_general_partition(self, rng):
-        p = parse_partition("1,2,1,2,1")
-        _, dec = random_system(31, 3, "rational", 6)
-        ops = random_ops(rng, 4, 3)
-        for n in (4, 100):
-            expected = tuple_bound_oracle(dec, p, ops, n)
-            assert error_bound(dec, p, ops, n, general=True) == pytest.approx(expected, rel=1e-12)
-
     def test_report_bounds_match_error_bound(self, rng):
         _, dec = degenerate_system(4)
         ops = random_ops(rng, 5, 6)
@@ -716,14 +698,8 @@ class TestTupleOracle:
         ops = random_ops(rng, 5, 6)
         Ns = [1, 7, 100, 10007]
         assert error_bounds(dec, P121323, ops, Ns) == [error_bound(dec, P121323, ops, n) for n in Ns]
-        p = parse_partition("1,2,1,2,1")
-        _, dec = random_system(31, 3, "haar")
-        ops = random_ops(rng, 4, 3)
-        assert error_bounds(dec, p, ops, Ns, 1e-9, general=True) == [
-            error_bound(dec, p, ops, n, 1e-9, general=True) for n in Ns
-        ]
         with pytest.raises(ValueError):
-            error_bounds(dec, p, ops, [10, 0], general=True)
+            error_bounds(dec, P121323, ops, [10, 0])
 
     def test_mean_and_limit_on_degenerate_crossing_case(self, rng):
         u, dec = degenerate_system(5)
@@ -750,7 +726,8 @@ class TestTupleOracle:
 
 
 SWEEP_PARTITIONS = [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)] + [parse_partition("1,2,3,1,2,3,4,4")]
-# General partitions: a triple from slot 1, and a triple from slot 2 that closes where a pair widens.
+# Partitions with classes of other sizes, for the contraction core alone: a triple from slot 1, and a
+# triple from slot 2 that closes where a pair widens.
 GENERAL_SWEEPS = [parse_partition("1,2,1,2,1"), parse_partition("1,2,2,3,2,3,1")]
 
 
@@ -774,25 +751,22 @@ class TestPlannedSweep:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["rank-one", "mixed", "single-block"]), st.integers(0, 2**16),
-           st.sampled_from(SWEEP_PARTITIONS + GENERAL_SWEEPS), st.sampled_from([1, 2, 7, 10**4]))
+           st.sampled_from(SWEEP_PARTITIONS), st.sampled_from([1, 2, 7, 10**4]))
     def test_mean_and_limits_match_the_per_block_sweep(self, kind, seed, p, n):
         dec = _sweep_system(kind, seed)
         rng = np.random.default_rng(seed)
         ops = random_ops(rng, p.m - 1, dec.dim)
-        general = p in GENERAL_SWEEPS
         scale = max(1.0, np.prod([np.linalg.norm(a) for a in ops]))
         resonance = engines._resonance_tables(dec, p, None)
+        sigma = antidiagonal_spectrum(dec)
+        subset = [ph for ph in sigma if rng.random() < 0.5]
+        chosen = np.isin(np.arange(len(dec.entries)), [dec.phases.index(ph) for ph in subset])
         pairs = [
-            (cesaro_spectral(dec, p, ops, n, general=general).matrix,
-             contract_per_block(dec, p, ops, engines._kernel_tables(dec, p, n))),
-            (limit_operator(dec, p, ops, general=general), contract_per_block(dec, p, ops, resonance)),
+            (cesaro_spectral(dec, p, ops, n).matrix, contract_per_block(dec, p, ops, engines._kernel_tables(dec, p, n))),
+            (limit_operator(dec, p, ops), contract_per_block(dec, p, ops, resonance)),
+            (limit_truncated(dec, p, ops, subset),
+             contract_per_block(dec, p, ops, [table * chosen for table in resonance])),
         ]
-        if not general:
-            sigma = antidiagonal_spectrum(dec)
-            subset = [ph for ph in sigma if rng.random() < 0.5]
-            chosen = np.isin(np.arange(len(dec.entries)), [dec.phases.index(ph) for ph in subset])
-            pairs.append((limit_truncated(dec, p, ops, subset),
-                          contract_per_block(dec, p, ops, [table * chosen for table in resonance])))
         for got, ref in pairs:
             assert np.linalg.norm(got - ref) <= 1e-12 * scale
 
@@ -928,21 +902,6 @@ class TestOperatorStack:
                 got = call(form)
                 assert np.array_equal(got.matrix if hasattr(got, "matrix") else got, want)
 
-    def test_one_slot_partition_takes_no_operators(self):
-        p = parse_partition("1")
-        u, dec = random_system(9, 3, "rational", 6)
-        for ops in ([], (), np.empty((0, 3, 3))):
-            np.testing.assert_allclose(cesaro_spectral(dec, p, ops, 7, general=True).matrix, mean_ergodic(u, 7),
-                                       atol=1e-12)
-            np.testing.assert_allclose(limit_operator(dec, p, ops, general=True), invariant_projection(dec),
-                                       atol=1e-12)
-            assert error_bound(dec, p, ops, 7, general=True) >= operator_norm(mean_ergodic(u, 7) -
-                                                                              invariant_projection(dec)) - 1e-12
-        for run in (lambda ops: cesaro_spectral(dec, p, ops, 7, general=True),
-                    lambda ops: limit_operator(dec, p, ops, general=True)):
-            with pytest.raises(ValueError, match="partition on 1 slots needs 0 operators, got 1"):
-                run([np.eye(3)])
-
 
 def _record_outputs(dec, p, ops, resonance_tol=None):
     """Every engine output that reads the decomposition's recorded tables."""
@@ -1018,13 +977,12 @@ class TestSpectralRecord:
     def test_kept_kernel_tables_equal_fresh_ones(self, mode):
         _, dec = random_system(6, 5, mode, 4)
         for n in (7, 100, 7, 10**4, 100, 3, 11, 13, 7, 10**9, 100):
-            for size in (1, 2, 3):
-                sums = dec._phase_sums(size)
-                table = sums.kernels(n)
-                assert sums.kernels(n) is table
-                assert not table.flags.writeable
-                assert table.tobytes() == phase_sums(dec.phases, size).kernels(n).tobytes()
-                assert len(sums._kernel_memo) <= KERNEL_MEMO_HORIZONS
+            sums = dec._pair_sums
+            table = sums.kernels(n)
+            assert sums.kernels(n) is table
+            assert not table.flags.writeable
+            assert table.tobytes() == phase_sums(dec.phases, 2).kernels(n).tobytes()
+            assert len(sums._kernel_memo) <= KERNEL_MEMO_HORIZONS
 
     def test_kernel_memo_keeps_the_latest_horizons(self):
         sums = phase_sums([Phase.from_turns(t) for t in (0.1, 0.35, 0.6)], 2)
@@ -1058,9 +1016,9 @@ class TestSpectralRecord:
         _, dec = random_system(4, 4, "haar")
         ops = random_ops(np.random.default_rng(4), 3, 4)
         limit_operator(dec, P1212, ops)
-        assert {"_sums_by_size", "_padded", "_resonances"} <= set(vars(dec))
+        assert {"_pair_sums", "_padded", "_resonances"} <= set(vars(dec))
         copy = dataclasses.replace(dec, tolerances=Tolerances(resonance=1e-6))
-        assert not {"phases", "entries", "_sums_by_size", "_padded", "_resonances"} & set(vars(copy))
+        assert not {"phases", "entries", "_pair_sums", "_padded", "_resonances"} & set(vars(copy))
         np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(dec, P1212, ops, 1e-6))
 
     def test_budget_guard_runs_after_a_successful_call(self, rng):

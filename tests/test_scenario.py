@@ -102,6 +102,8 @@ def test_tolerance_overrides():
     {"tolerances": {"warp": 1}},
     {"tolerances": {"resonance": -1}},
     {"operators": {"kind": "random"}},
+    {"partition": [1, 1, 1]},
+    {"partition": [1, 2, 1, 2, 1]},
 ])
 def test_malformed_scenarios_rejected(mutation):
     data = dict(BASE)
