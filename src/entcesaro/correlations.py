@@ -13,10 +13,11 @@ to A_0 * limit_operator * A_m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .engines import _SWEEP_ENTRY_BUDGET, ENGINES, _direct_entries, limit_operator
 from .linalg import as_operator, as_vector, operator_norm
 from .partitions import Partition, require_pair
@@ -44,8 +45,7 @@ STATE_TOL = 1e-10
 _AUTO_DIRECT_TUPLES = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class VectorState:
+class VectorState(NamedTuple):
     """Unit vector fixed by the unitary; the state is A -> <A omega, omega>."""
 
     omega: np.ndarray
@@ -54,8 +54,7 @@ class VectorState:
         return complex(np.vdot(self.omega, a @ self.omega))
 
 
-@dataclass(frozen=True, eq=False)
-class TraceState:
+class TraceState(NamedTuple):
     """Invariant density operator; the state is A -> tr(T A)."""
 
     density: np.ndarray
@@ -64,8 +63,7 @@ class TraceState:
         return complex(np.einsum("ij,ji->", self.density, a))
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicalSystem:
+class DynamicalSystem(NamedTuple):
     unitary: np.ndarray
     dec: SpectralDecomposition
     state: VectorState | TraceState
@@ -78,20 +76,19 @@ class DynamicalSystem:
         return self.state.value(a)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationSpec:
+class CorrelationSpec(Record):
     """A pair partition plus the 2k+1 observables A_0 ... A_2k."""
 
-    partition: Partition
-    ops: tuple[np.ndarray, ...]
+    _fields = ("partition", "ops")
 
-    def __post_init__(self):
-        require_pair(self.partition)
-        if len(self.ops) != self.partition.m + 1:
+    def __init__(self, partition: Partition, ops: tuple[np.ndarray, ...]):
+        require_pair(partition)
+        if len(ops) != partition.m + 1:
             raise ValueError(
-                f"partition on {self.partition.m} slots needs {self.partition.m + 1} "
-                f"observables, got {len(self.ops)}"
+                f"partition on {partition.m} slots needs {partition.m + 1} "
+                f"observables, got {len(ops)}"
             )
+        self.__dict__.update(partition=partition, ops=ops)
 
 
 def make_system(u, state, tol: float = STATE_TOL,

@@ -55,10 +55,8 @@ the mean and limits, N^h d^2 with h >= 1 index axes held for
 from __future__ import annotations
 
 import math
-import string
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -98,22 +96,21 @@ __all__ = [
 SPECTRAL_TUPLE_BUDGET = 10**7
 CERTIFICATE_SLACK = 1e-9  # how far a computed error may exceed its certified bound and still pass
 _SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's default budget: complex entries in its largest tensor
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's index names
 
 
 class BudgetError(ValueError):
     """Requested evaluation exceeds the configured work budget."""
 
 
-@dataclass(frozen=True, eq=False)
-class CesaroResult:
+class CesaroResult(NamedTuple):
     matrix: np.ndarray
     engine: str
     N: int
     elapsed: float
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     N: int
     error_op: float
     error_frob: float
@@ -122,8 +119,7 @@ class ReportRow:
     seconds: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     rows: tuple[ReportRow, ...]
     spectral_gap: float
 
@@ -312,9 +308,9 @@ def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int
     axes (kept, x only, y only), to the operand list.
     """
     needed = p.m * ((B > 1) + (r > 1))  # einsum names each index by one letter
-    if needed > len(string.ascii_letters):
+    if needed > len(_LETTERS):
         raise ValueError(f"spectral engine: a partition on {p.m} slots needs {needed} indices, more than 52")
-    letters = iter(string.ascii_letters)
+    letters = iter(_LETTERS)
     block = [next(letters) if B > 1 else "" for _ in range(p.m)]
     place = [next(letters) if r > 1 else "" for _ in range(p.m)]
     size = dict.fromkeys(block, B) | dict.fromkeys(place, r)

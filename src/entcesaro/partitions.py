@@ -7,7 +7,9 @@ occurrence, so set-level equality of partitions is plain sequence equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from ._record import ValueRecord
 
 __all__ = [
     "Partition",
@@ -24,17 +26,17 @@ __all__ = [
 ENUMERATION_MAX_K = 6  # (2k-1)!! = 10395 at k=6; larger sweeps are not useful at desk scale
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A canonical partition of {1,...,m} into k classes."""
+class Partition(ValueRecord):
+    """A canonical partition of {1,...,m} into k classes; ``labels`` is kept as a tuple."""
 
-    labels: tuple[int, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels):
+        labels = tuple(labels)
+        if not labels:
             raise ValueError("partition must have at least one element")
         next_new = 1
-        for pos, lab in enumerate(self.labels, start=1):
+        for pos, lab in enumerate(labels, start=1):
             if not isinstance(lab, int) or isinstance(lab, bool):
                 raise ValueError(f"label at position {pos} is not an integer: {lab!r}")
             if lab < 1:
@@ -46,6 +48,10 @@ class Partition:
                 )
             if lab == next_new:
                 next_new += 1
+        self.__dict__["labels"] = labels
+
+    def _values(self) -> tuple:
+        return (self.labels,)
 
     @property
     def m(self) -> int:
@@ -69,8 +75,7 @@ class Partition:
         return render_partition(self)
 
 
-@dataclass(frozen=True)
-class PartitionStructure:
+class PartitionStructure(NamedTuple):
     """Class pairs (i_l, j_l) of a pair partition, with i_l < j_l.
 
     ``i_max`` is the largest first element over all classes; every position

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import sys
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,18 +51,23 @@ def rng_for(seed: int, *names) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
-@dataclass
 class Scenario:
-    unitary_spec: dict
-    partition: Partition | None
-    operator_specs: list | None
-    state_spec: dict | None
-    engine: str
-    horizons: list[int]
-    tolerances: Tolerances
-    seed: int
-    out: str | None
-    _system: tuple[np.ndarray, SpectralDecomposition] | None = field(default=None, repr=False)
+    """A parsed scenario; mutable, so that command line options can override ``seed`` and ``engine``."""
+
+    def __init__(self, unitary_spec: dict, partition: Partition | None, operator_specs: list | None,
+                 state_spec: dict | None, engine: str, horizons: list[int], tolerances: Tolerances,
+                 seed: int, out: str | None,
+                 _system: tuple[np.ndarray, SpectralDecomposition] | None = None):
+        self.unitary_spec = unitary_spec
+        self.partition = partition
+        self.operator_specs = operator_specs
+        self.state_spec = state_spec
+        self.engine = engine
+        self.horizons = horizons
+        self.tolerances = tolerances
+        self.seed = seed
+        self.out = out
+        self._system = _system
 
     def system(self) -> tuple[np.ndarray, SpectralDecomposition]:
         if self._system is None:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ._record import Record, ValueRecord
 from .linalg import _operator_norms, as_operator, frobenius_norm, haar_unitary, operator_norm
 
 if TYPE_CHECKING:
@@ -52,16 +52,20 @@ RECONSTRUCTION_TOL = 1e-9
 FRAME_TOL = PROJECTOR_TOL / 2
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(ValueRecord):
     """A point on the unit circle, stored as an angle in turns.
 
     ``turns`` is always in [0, 1).  When ``frac`` is set the phase is exact
     and ``turns == float(frac)``; arithmetic on exact phases stays exact.
     """
 
-    turns: float
-    frac: Fraction | None = None
+    _fields = ("turns", "frac")
+
+    def __init__(self, turns: float, frac: Fraction | None = None):
+        self.__dict__.update(turns=turns, frac=frac)
+
+    def _values(self) -> tuple:
+        return (self.turns, self.frac)
 
     @classmethod
     def rational(cls, p: int, q: int) -> "Phase":
@@ -121,8 +125,7 @@ class Phase:
         return repr(self.turns)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSums:
+class PhaseSums(Record):
     """Every sum of ``size`` phases of a list, one entry per index tuple, as arrays.
 
     Entry (i_1, ..., i_s) is ((0 + p_i1) + p_i2) + ... + p_is formed as ``Phase.__add__``
@@ -133,10 +136,10 @@ class PhaseSums:
     is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was called at.
     """
 
-    turns: np.ndarray
-    exact: np.ndarray
-    numerators: np.ndarray
-    denominator: int
+    _fields = ("turns", "exact", "numerators", "denominator")
+
+    def __init__(self, turns: np.ndarray, exact: np.ndarray, numerators: np.ndarray, denominator: int):
+        self.__dict__.update(turns=turns, exact=exact, numerators=numerators, denominator=denominator)
 
     def distances(self) -> np.ndarray:
         """|z - 1| of every sum; ``hypot`` rounds it as ``abs(phase.value() - 1.0)`` does."""
@@ -224,22 +227,22 @@ def phase_sums(phases, size: int) -> PhaseSums:
     return _sums(_summands_of(phases), size)
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(ValueRecord):
     """Tolerance policy for decomposition and resonance decisions."""
 
-    unitarity: float = 1e-10
-    cluster: float = 1e-8
-    resonance: float = 1e-8
+    _fields = ("unitarity", "cluster", "resonance")
 
-    def __post_init__(self):
-        for name in ("unitarity", "cluster", "resonance"):
-            if not getattr(self, name) > 0:  # NaN included
+    def __init__(self, unitarity: float = 1e-10, cluster: float = 1e-8, resonance: float = 1e-8):
+        for name, value in zip(self._fields, (unitarity, cluster, resonance)):
+            if not value > 0:  # NaN included
                 raise ValueError(f"tolerance {name} must be positive")
+        self.__dict__.update(unitarity=unitarity, cluster=cluster, resonance=resonance)
+
+    def _values(self) -> tuple:
+        return (self.unitarity, self.cluster, self.resonance)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralLine:
+class SpectralLine(NamedTuple):
     """An eigenphase with its block of the frame: orthonormal columns spanning the eigenspace.
 
     ``basis`` is a view of the decomposition's frame; the projection ``basis @ basis^*`` is formed
@@ -258,8 +261,7 @@ class SpectralLine:
         return self.basis @ self.basis.conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Eigenphases with mutually orthogonal eigenprojections summing to I.
 
     ``spectrum`` holds the phase of line b at index b, as arrays: float turns, the exact mask, and
@@ -272,16 +274,16 @@ class SpectralDecomposition:
     them on first read and kept; no engine reads them.  The tables the engines read are built on
     first use and kept on the instance too, so each is built once per decomposition: the phase sums
     of block pairs with the horizon-independent factors of their kernels and the kernel tables of
-    recent horizons, one resonance record per resonance tolerance, and the padded frame.  An
-    instance from ``dataclasses.replace`` shares ``spectrum`` and starts with none of them.
+    recent horizons, one resonance record per resonance tolerance, and the padded frame.  A new
+    ``SpectralDecomposition`` built from its fields shares ``spectrum`` and starts with none of them.
     """
 
-    dim: int
-    spectrum: PhaseSums
-    frame: np.ndarray
-    blocks: np.ndarray
-    source_unitarity: float
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    _fields = ("dim", "spectrum", "frame", "blocks", "source_unitarity", "tolerances")
+
+    def __init__(self, dim: int, spectrum: PhaseSums, frame: np.ndarray, blocks: np.ndarray,
+                 source_unitarity: float, tolerances: Tolerances = Tolerances()):
+        self.__dict__.update(dim=dim, spectrum=spectrum, frame=frame, blocks=blocks,
+                             source_unitarity=source_unitarity, tolerances=tolerances)
 
     @cached_property
     def phases(self) -> tuple[Phase, ...]:
@@ -354,8 +356,7 @@ class SpectralDecomposition:
         return tuple(_read_only(x) for x in (padded, padded.conj().T, kept))
 
 
-@dataclass(frozen=True, eq=False)
-class _Resonance:
+class _Resonance(NamedTuple):
     """The resonance decisions of one decomposition at one tolerance."""
 
     table: np.ndarray  # R[b, c] = [z_b z_c == 1] as 0.0 or 1.0
@@ -564,7 +565,8 @@ def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.
     labels = np.array([groups.setdefault(ph, len(groups)) for ph in phases])
     dec = _with_frame(_summands_of(list(groups)), basis, labels, 0.0, tol)
     u = reconstruct(dec)
-    dec = replace(dec, source_unitarity=_gated_norm(u.conj().T @ u - eye, tol.unitarity))
+    dec = SpectralDecomposition(dec.dim, dec.spectrum, dec.frame, dec.blocks,
+                                _gated_norm(u.conj().T @ u - eye, tol.unitarity), tol)
     return u, _validate(dec, u)
 
 

@@ -8,7 +8,7 @@ any fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ CROSS_CHECK_N = 20
 FORM_DRAWS = 10
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     value: float

@@ -1,6 +1,7 @@
 """Shared test helpers: independent brute-force oracles and system builders."""
 
 import cmath
+import importlib.util
 import itertools
 import math
 import os
@@ -9,7 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# The package under test is the one ``import entcesaro`` finds (an installed package, or the tree on
+# PYTHONPATH); the checkout's src/ is used only when there is none.
+if importlib.util.find_spec("entcesaro") is None:
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from entcesaro.partitions import Partition  # noqa: E402
 

@@ -256,6 +256,24 @@ def test_cli_import_defers_correlations_and_verify():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_import_generates_no_record_code():
+    """Start-up loads neither ``dataclasses`` nor ``string``: no record generates and execs methods at import.
+
+    The modules are counted against those numpy, argparse and json load, whatever their version.
+    """
+    import entcesaro
+
+    env = dict(os.environ)
+    tree = os.path.dirname(os.path.dirname(os.path.abspath(entcesaro.__file__)))
+    env["PYTHONPATH"] = tree + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, numpy, argparse, json; before = set(sys.modules); "
+            "import entcesaro.cli, entcesaro.correlations, entcesaro.verify; "
+            "print(sorted({'dataclasses', 'string'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_package_names_resolve_on_first_access():
     import entcesaro
     from entcesaro import correlations, engines, partitions, spectral

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import types
@@ -1017,7 +1016,8 @@ class TestSpectralRecord:
         ops = random_ops(np.random.default_rng(4), 3, 4)
         limit_operator(dec, P1212, ops)
         assert {"_pair_sums", "_padded", "_resonances"} <= set(vars(dec))
-        copy = dataclasses.replace(dec, tolerances=Tolerances(resonance=1e-6))
+        copy = SpectralDecomposition(dec.dim, dec.spectrum, dec.frame, dec.blocks, dec.source_unitarity,
+                                     Tolerances(resonance=1e-6))
         assert not {"phases", "entries", "_pair_sums", "_padded", "_resonances"} & set(vars(copy))
         np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(dec, P1212, ops, 1e-6))
 
