@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from .engines import _SWEEP_ENTRY_BUDGET, ENGINES, _direct_entries, limit_operator
+from .engines import _SWEEP_ENTRY_BUDGET, ENGINES, _check_horizon, _direct_entries, limit_operator
 from .linalg import as_operator, as_vector, operator_norm
 from .partitions import Partition, require_pair
 from .spectral import (
@@ -167,11 +167,12 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n,
     """
     ops = _check_spec(sys, spec)
     p = spec.partition
-    n = [int(v) for v in n]
+    n = list(n)
     if len(n) != p.k:
         raise ValueError(f"need {p.k} exponents, got {len(n)}")
-    if any(v < 0 for v in n):
-        raise ValueError("exponents must be nonnegative")
+    if any(not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0 for v in n):
+        raise ValueError(f"exponents must be nonnegative integers, got {n!r}")
+    n = [int(v) for v in n]
     u = sys.unitary
     u_star = u.conj().T
 
@@ -225,7 +226,7 @@ def cesaro_correlation(sys: DynamicalSystem, spec: CorrelationSpec, N: int,
     peak fits its default budget, the spectral engine otherwise.
     """
     ops = _check_spec(sys, spec)
-    mean = _inner_mean(sys, spec, int(N), engine)
+    mean = _inner_mean(sys, spec, _check_horizon(N), engine)
     return sys.expect(ops[0] @ mean.matrix @ ops[-1])
 
 

@@ -30,13 +30,14 @@ W_p (every block zero-padded to the largest rank r), so every call on it
 reads them: a horizon forms only the N-dependent factors of its kernel
 table, and each resonance tolerance is checked and tabled once.
 
-The mean, the limit and the truncated limit share one contraction core,
-``_contract``.  It reads arrays only: the stacked slot matrices
-S_j = W_p* A_j W_p of shape (m-1, D, D), the block layout (B blocks of
-r columns, D = B r), the class tables and the budget.  It returns the
+The mean, the limit, the truncated limit and the certified bound share one
+contraction core, ``_contract``.  It reads arrays only: the stacked slot
+matrices S_j = W_p* A_j W_p of shape (m-1, D, D), the block layout (B blocks
+of r columns, D = B r), the class tables and the budget.  It returns the
 summed matrix in the frame; the caller applies W_p ... W_p*.  Each call
 checks its operators once, as one stack, and forms every S_j in one
-batched product, which also feeds the bound's chain norms.
+batched product.  ``error_bound`` telescopes prod K_N - prod R over the
+classes into k contractions and sums their norms, with a rounding allowance.
 
 Each engine has one memoized plan that its budget check and its loop both
 read.  ``_network`` plans ``_contract`` per (partition, B, r) as one tensor
@@ -45,11 +46,10 @@ class table on the blocks of its slots.  numpy's greedy ``einsum_path``
 orders it once, whatever the budget, and each pairwise step is one
 transpose and reshape per operand and one matrix product.  ``_direct_plan``
 gives ``cesaro_direct``'s steps per partition (operator, factor, einsum
-subscripts) and the most index axes held at once.  ``error_bound`` sums
-|prod K_N - prod R| times each tuple's block-chain norm.  ``budget`` caps
-the entries of the largest planned tensor (any step's operand or result for
-the mean and limits, N^h d^2 with h >= 1 index axes held for
-``cesaro_direct``) and the tuple count B^m for the bound.
+subscripts) and the most index axes held at once.  ``budget`` caps the
+entries of the largest planned tensor: any step's operand or result for the
+mean, the limits and the bound, N^h d^2 with h >= 1 index axes held for
+``cesaro_direct``.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _operator_norms, as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
+from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
 from .partitions import Partition, is_crossing, require_pair
 from .spectral import (
+    FRAME_TOL,
     Phase,
     SpectralDecomposition,
     antidiagonal_spectrum,
@@ -383,29 +384,6 @@ def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tab
     return frame @ _contract(p, *_slot_matrices(dec, ops), tables, budget) @ frame_h
 
 
-def _chain_norms(p: Partition, slots: np.ndarray, B: int, r: int, budget: int) -> np.ndarray:
-    """||E_t1 A_1 E_t2 ... A_{m-1} E_tm|| for every block tuple t, shape (B,)*m.
-
-    Each chain's norm is that of the product of the r x r blocks of the slot matrices
-    S_j = W_p* A_j W_p along t, zero beyond each block's rank.  The tuples are extended one slot
-    at a time, so every prefix product is formed once.
-    """
-    if B**p.m > budget:
-        raise BudgetError(f"spectral engine: B^m = {B**p.m:.3e} exceeds budget {budget:.1e}")
-    chain = np.broadcast_to(np.eye(r), (B, r, r))  # E_t1 alone; padded rows of S_1 are zero
-    for a in slots:
-        chain = chain[..., None, :, :] @ a.reshape(B, r, B, r).swapaxes(1, 2)
-    return _operator_norms(chain)
-
-
-def _spread(p: Partition, tables) -> np.ndarray:
-    """Product over classes of the class tables, broadcast to one axis per slot."""
-    total = np.ones((1,) * p.m)
-    for lab, table in enumerate(tables, start=1):
-        total = total * table.reshape([table.shape[0] if l == lab else 1 for l in p.labels])
-    return total
-
-
 def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
                     budget: int = SPECTRAL_TUPLE_BUDGET) -> CesaroResult:
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
@@ -515,17 +493,24 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
                 resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> float:
     """Certified bound on the operator-norm distance of M_N from the limit.
 
-    Sums |kernel product - resonance indicator| times the operator norm of
-    the block chain over all B^m block tuples (``budget`` caps B^m); by the
-    triangle inequality this dominates the true error of the spectral
-    representation.
+    It certifies the spectral representation in the computed frame W (||W*W - I|| <= FRAME_TOL):
+    the sums over block tuples that ``cesaro_spectral`` and ``limit_operator`` evaluate, whose
+    difference weighs each tuple by prod K - prod R.  Telescoped over the classes,
+    prod K - prod R = sum_l (prod_{j<l} R_j)(K_l - R_l)(prod_{j>l} K_j), so M_N - L is
+    sum_l W_p X_l W_p*, X_l the contraction with K - R at class l, R before it and K after.  The
+    bound is (1 + FRAME_TOL)(1 + g) sum_l (||X_l||_2 + g ||Y_l||_F).  Y_l, the same contraction over
+    |W_p*| |A_j| |W_p| with the tables' magnitudes, bounds X_l's rounding entry by entry, for
+    g = n eps / (1 - n eps) and n = 2 d + 4 m + the planned steps' summed lengths; at a float
+    resonance, where K - 1 cancels, its table at class l also holds |K|.  A term with an all-zero
+    table is skipped: identity dynamics give 0.0, and with no resonance X_1 = M_N is the one term.
+    ``budget`` caps each contraction's planned entries, as for the mean.
     """
     return error_bounds(dec, p, ops, [N], resonance_tol, budget=budget)[0]
 
 
 def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
                  resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> list[float]:
-    """``error_bound`` at every horizon in ``Ns``; the N-independent chain norms are built once."""
+    """``error_bound`` at every horizon in ``Ns``; the slot matrices are formed once."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     return list(_bounds(dec, p, ops, [_check_horizon(n) for n in Ns], resonance_tol, budget))
@@ -533,10 +518,23 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
 
 def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, resonance_tol, budget: int):
     """``error_bounds`` on checked arguments, one horizon at a time (its kernel tables still kept)."""
-    norms = _chain_norms(p, *_slot_matrices(dec, ops), budget)
-    resonance = _spread(p, _resonance_tables(dec, p, resonance_tol))
-    for n in Ns:
-        yield float(np.sum(np.abs(_spread(p, _kernel_tables(dec, p, n)) - resonance) * norms))
+    frame, frame_h, _ = dec._padded
+    slots, B, r = _slot_matrices(dec, ops)
+    abs_slots = np.abs(frame_h) @ np.abs(ops) @ np.abs(frame)
+    n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length
+    g = n * np.finfo(float).eps / (1 - n * np.finfo(float).eps)
+    resonance = _resonance_tables(dec, p, resonance_tol)
+    floating = resonance[0] * (dec._pair_sums.turns != 0.0)  # resonant with K != 1, so K - 1 cancels
+    for N in Ns:
+        kernels = _kernel_tables(dec, p, N)
+        total = 0.0
+        for c in range(p.k):  # the term with K - R at class c, R before it and K after
+            tables = [*resonance[:c], kernels[c] - resonance[c], *kernels[c + 1:]]
+            abs_tables = [*resonance[:c], abs(tables[c]) + floating * abs(kernels[c]), *map(abs, kernels[c + 1:])]
+            if all(table.any() for table in abs_tables):  # else the term is zero
+                total += (operator_norm(_contract(p, slots, B, r, tables, budget))
+                          + g * frobenius_norm(_contract(p, abs_slots, B, r, abs_tables, budget)))
+        yield float((1 + FRAME_TOL) * (1 + g) * total)
 
 
 def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None) -> float:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import entcesaro
 from entcesaro.cli import main as cli_main
 from entcesaro.correlations import CorrelationSpec, cesaro_correlation, correlation_limit, correlation_term, make_system
 from entcesaro.engines import (
@@ -30,7 +31,9 @@ from entcesaro.spectral import antidiagonal_spectrum, decompose, invariant_proje
 
 from conftest import crossing_by_quadruple_scan, invariant_system, random_ops
 
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+# The tree that holds the entcesaro these tests import (the checkout's src/, another tree on
+# PYTHONPATH, or site-packages), put first on PYTHONPATH so that subprocesses test the same package.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(entcesaro.__file__)))
 
 
 def report(criterion, message):

@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+import entcesaro
 from entcesaro.cli import main, report_csv, CSV_HEADER
 from entcesaro.engines import ConvergenceReport, ReportRow
 
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+# The tree that holds the entcesaro these tests import (the checkout's src/, another tree on
+# PYTHONPATH, or site-packages), put first on PYTHONPATH so that subprocesses test the same package.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(entcesaro.__file__)))
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -47,6 +50,16 @@ CORRELATE_SCENARIO = {
     "seed": 2,
 }
 
+# A Haar system at the largest random dimension: the certified bound no longer walks its 64^4 block tuples.
+HAAR64_SCENARIO = {
+    "unitary": {"kind": "random", "dim": 64, "seed": 3, "phaseMode": "haar"},
+    "partition": [1, 2, 1, 2],
+    "operators": [{"kind": "random"} for _ in range(3)],
+    "engine": "spectral",
+    "Ns": [100, 1000, 10000],
+    "seed": 5,
+}
+
 
 def run_cli(args):
     return main(list(args))
@@ -58,6 +71,13 @@ class TestExitCodes:
         assert run_cli(["verify", "--scenario", path]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_converge_and_verify_certify_a_dimension_64_haar_scenario(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, HAAR64_SCENARIO)
+        assert run_cli(["converge", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert run_cli(["verify", "--scenario", path]) == 0
+        assert "14/14 checks passed" in capsys.readouterr().out
 
     def test_malformed_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -261,11 +281,8 @@ def test_package_import_generates_no_record_code():
 
     The modules are counted against those numpy, argparse and json load, whatever their version.
     """
-    import entcesaro
-
     env = dict(os.environ)
-    tree = os.path.dirname(os.path.dirname(os.path.abspath(entcesaro.__file__)))
-    env["PYTHONPATH"] = tree + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     code = ("import sys, numpy, argparse, json; before = set(sys.modules); "
             "import entcesaro.cli, entcesaro.correlations, entcesaro.verify; "
             "print(sorted({'dataclasses', 'string'} & (set(sys.modules) - before)))")

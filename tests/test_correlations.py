@@ -111,8 +111,24 @@ class TestCorrelationTerm:
         with pytest.raises(ValueError):
             correlation_term(system, spec, [-1])
 
+    @pytest.mark.parametrize("exponent", [1.7, 2.0, True, np.float64(3.0), "2"])
+    def test_rejects_non_integer_exponents(self, exponent):
+        system = make_system(DIAG_PM, np.array([1.0, 0.0]))
+        spec = CorrelationSpec(P11, (SWAP, SWAP, np.eye(2, dtype=complex)))
+        with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+            correlation_term(system, spec, [exponent])
+        assert correlation_term(system, spec, [np.int64(3)]) == correlation_term(system, spec, [3])
+
 
 class TestCesaroCorrelation:
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, 0, "3"])
+    def test_rejects_a_horizon_that_is_not_a_positive_integer(self, horizon):
+        system = make_system(DIAG_PM, np.array([1.0, 0.0]))
+        spec = CorrelationSpec(P11, (SWAP, SWAP, np.eye(2, dtype=complex)))
+        for engine in ("auto", *ENGINES):
+            with pytest.raises(ValueError, match="horizon N must be a positive integer"):
+                cesaro_correlation(system, spec, horizon, engine=engine)
+
     def test_identity_dynamics(self, rng):
         ops = random_ops(rng, 5, 3)
         system = make_system(np.eye(3, dtype=complex), np.array([1.0, 0.0, 0.0]))
