@@ -1,6 +1,6 @@
 """Command line front end: scenario in, machine-readable reports out.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed scenario.
+Exit codes: 0 success, 1 verification failure, 2 malformed scenario or unwritable report.
 """
 
 from __future__ import annotations
@@ -102,11 +102,16 @@ def _inputs(scenario: Scenario, command: str, horizons: bool = False, edges: int
 
 
 def _emit_report(report: ConvergenceReport, out: str | None, timings: bool) -> int:
-    """Print the report's CSV and write it to ``out`` if given; 1 if a row breaks its certified bound."""
+    """Print the report's CSV and write it to ``out`` if given; 1 if a row breaks its certified bound,
+    2 if ``out`` cannot be written."""
     text = report_csv(report, include_timings=timings)
     print(text, end="")
     if out:
-        _write_atomic(out, text)
+        try:
+            _write_atomic(out, text)
+        except OSError as exc:
+            print(f"error: cannot write report to {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"wrote {out}", file=sys.stderr)
     bad = [row.N for row in report.rows if row.error_op > row.certified_bound + CERTIFICATE_SLACK]
     if bad:

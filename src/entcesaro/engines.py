@@ -94,7 +94,7 @@ __all__ = [
     "ENGINE_NAMES",
 ]
 
-SPECTRAL_TUPLE_BUDGET = 10**7
+SPECTRAL_ENTRY_BUDGET = 10**7  # the spectral engines' default budget: entries in the largest planned tensor
 CERTIFICATE_SLACK = 1e-9  # how far a computed error may exceed its certified bound and still pass
 _SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's default budget: complex entries in its largest tensor
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's index names
@@ -385,7 +385,7 @@ def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tab
 
 
 def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
-                    budget: int = SPECTRAL_TUPLE_BUDGET) -> CesaroResult:
+                    budget: int = SPECTRAL_ENTRY_BUDGET) -> CesaroResult:
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
 
     Mathematically identical to ``cesaro_direct`` for every N; the cost does
@@ -467,11 +467,11 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
         chosen[b] = 1.0
     # R_S[b, c] = [c in S and partners[c] == b]: the mask acts on the last slot.
     tables = [table * chosen for table in _resonance_tables(dec, p, resonance_tol)]
-    return _spectral_sum(dec, p, ops, tables, SPECTRAL_TUPLE_BUDGET)
+    return _spectral_sum(dec, p, ops, tables, SPECTRAL_ENTRY_BUDGET)
 
 
 def limit_operator(dec: SpectralDecomposition, p: Partition, ops,
-                   resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> np.ndarray:
+                   resonance_tol: float | None = None, *, budget: int = SPECTRAL_ENTRY_BUDGET) -> np.ndarray:
     """Limit of the entangled mean: the sum over resonant block tuples."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
@@ -490,7 +490,7 @@ def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y,
 
 
 def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
-                resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> float:
+                resonance_tol: float | None = None, *, budget: int = SPECTRAL_ENTRY_BUDGET) -> float:
     """Certified bound on the operator-norm distance of M_N from the limit.
 
     It certifies the spectral representation in the computed frame W (||W*W - I|| <= FRAME_TOL):
@@ -509,7 +509,7 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
 
 
 def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
-                 resonance_tol: float | None = None, *, budget: int = SPECTRAL_TUPLE_BUDGET) -> list[float]:
+                 resonance_tol: float | None = None, *, budget: int = SPECTRAL_ENTRY_BUDGET) -> list[float]:
     """``error_bound`` at every horizon in ``Ns``; the slot matrices are formed once."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
@@ -556,7 +556,7 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     gap = spectral_gap(dec, resonance_tol)
     rows = []
     # Each horizon's mean right after its bound, which formed the kernel tables the mean reads.
-    for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, resonance_tol, SPECTRAL_TUPLE_BUDGET)):
+    for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, resonance_tol, SPECTRAL_ENTRY_BUDGET)):
         result = ENGINES[engine](None, dec, p, ops, n)
         diff = result.matrix - limit
         rows.append(ReportRow(

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -63,6 +64,19 @@ HAAR64_SCENARIO = {
 
 def run_cli(args):
     return main(list(args))
+
+
+def subprocess_env(**extra):
+    """The environment of a subprocess that imports the same entcesaro as these tests."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_module(args):
+    """``python -m entcesaro`` with ``args``, the way the command runs in its own process."""
+    return subprocess.run([sys.executable, "-m", "entcesaro", *args], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=300)
 
 
 class TestExitCodes:
@@ -149,6 +163,20 @@ class TestExitCodes:
         path = write_scenario(tmp_path, data)
         assert run_cli(["converge", "--scenario", path]) == 2
 
+    def test_unwritable_report_path_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "report.csv")
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        in_scenario = write_scenario(tmp_path, dict(ENGINE_SCENARIO, out=out), "with_out.json")
+        for argv in (["converge", "--scenario", path, "--out", out],
+                     ["converge", "--scenario", in_scenario],
+                     ["demo-appendix", "--out", out]):
+            assert run_cli(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert CSV_HEADER in captured.out  # the report is printed before the write fails
+            assert "Traceback" not in captured.err
+            assert f"error: cannot write report to {out}: No such file or directory" in captured.err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestCommands:
     def test_decompose_output(self, tmp_path, capsys):
@@ -230,11 +258,8 @@ class TestDeterminism:
         outputs = []
         for threads, name in (("1", "t1.csv"), ("4", "t4.csv")):
             out = tmp_path / name
-            env = dict(os.environ)
-            env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-            env["OMP_NUM_THREADS"] = threads
-            env["OPENBLAS_NUM_THREADS"] = threads
-            env["MKL_NUM_THREADS"] = threads
+            env = subprocess_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                                 MKL_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "entcesaro", "converge",
                  "--scenario", path, "--out", str(out)],
@@ -243,6 +268,64 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestProcessEntry:
+    """``python -m entcesaro`` and the console script run ``entcesaro.__main__.run``, which freezes the
+    collector around ``cli.main``; ``cli.main`` itself leaves the collector alone."""
+
+    def test_module_output_matches_in_process_main(self, tmp_path, capsys):
+        converge = write_scenario(tmp_path, ENGINE_SCENARIO)
+        correlate = write_scenario(tmp_path, CORRELATE_SCENARIO, "correlate.json")
+        in_process, child = tmp_path / "in-process.csv", tmp_path / "child.csv"
+        cases = ((["converge", "--scenario", converge, "--out", str(in_process)],
+                  ["converge", "--scenario", converge, "--out", str(child)]),
+                 (["verify", "--scenario", correlate],) * 2)
+        for in_process_argv, child_argv in cases:
+            assert run_cli(in_process_argv) == 0
+            expected = capsys.readouterr().out
+            proc = run_module(child_argv)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == expected
+        assert child.read_bytes() == in_process.read_bytes()
+
+    def test_exit_codes_pass_through(self, tmp_path):
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{", encoding="utf-8")
+        over_budget = ["mean", "--scenario", path, "--engine", "direct", "--N", "10000000"]
+        for argv, code, message in ((["decompose", "--scenario", path], 0, ""),
+                                    (over_budget, 1, "error: direct engine: planned peak"),
+                                    (["verify", "--scenario", str(bad)], 2, "scenario error:"),
+                                    (["verify"], 2, "required: --scenario")):
+            proc = run_module(argv)
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys, enabled):
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(["converge", "--scenario", path]) == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.enable()
+
+    def test_run_freezes_and_importing_the_entry_does_not(self, tmp_path):
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        code = ("import gc, sys, entcesaro.__main__ as entry; "
+                "print(gc.isenabled(), gc.get_freeze_count()); "
+                "sys.argv[1:] = ['decompose', '--scenario', sys.argv[1]]; code = entry.run(); "
+                "print(code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, path], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "True 0"
+        assert proc.stderr.strip() == "0 True True"
 
 
 def test_report_csv_formatting():
@@ -258,8 +341,7 @@ def test_report_csv_formatting():
 
 
 def test_cli_import_loads_no_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = subprocess_env()
     code = "import sys, entcesaro.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -267,8 +349,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_defers_correlations_and_verify():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = subprocess_env()
     code = ("import sys, entcesaro.cli; "
             "print([m for m in ('entcesaro.correlations', 'entcesaro.verify') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -281,8 +362,7 @@ def test_package_import_generates_no_record_code():
 
     The modules are counted against those numpy, argparse and json load, whatever their version.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = subprocess_env()
     code = ("import sys, numpy, argparse, json; before = set(sys.modules); "
             "import entcesaro.cli, entcesaro.correlations, entcesaro.verify; "
             "print(sorted({'dataclasses', 'string'} & (set(sys.modules) - before)))")

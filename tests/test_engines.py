@@ -812,7 +812,7 @@ class TestPlannedSweep:
                       for size in (p.labels.count(lab) for lab in range(1, p.k + 1))]
             frame = types.SimpleNamespace(dim=D, frame=np.eye(D), blocks=np.repeat(np.arange(B), r), entries=range(B))
             scale = max(1.0, np.prod([np.linalg.norm(a) for a in slots])) * max(1.0, *(np.abs(t).max() for t in tables)) ** p.k
-            got = engines._contract(p, slots, B, r, tables, engines.SPECTRAL_TUPLE_BUDGET)
+            got = engines._contract(p, slots, B, r, tables, engines.SPECTRAL_ENTRY_BUDGET)
             assert np.linalg.norm(got - contract_per_block(frame, p, list(slots), tables)) <= 1e-12 * scale
 
     def test_plan_peaks(self):
