@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -52,9 +53,21 @@ DEMO_CROSS_CHECK_N = 30
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it over ``path``.
+
+    The file gets the mode ``open(path, "w")`` would give it, not ``mkstemp``'s 0600: the mode of
+    the file it replaces, or 0666 less the umask when ``path`` is new.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -255,28 +268,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="entangled Cesaro means of unitary dynamics: engines, limits, reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "decompose": "print eigenphases, the antidiagonal spectrum, and residuals",
-        "mean": "evaluate one entangled Cesaro mean",
-        "limit": "evaluate the limit operator and its norm bound",
-        "converge": "emit a CSV convergence report with certified bounds",
-        "verify": "run the full invariant suite; exit 0 iff all checks pass",
-        "bench": "time the engines against each other across horizons",
-        "correlate": "compare correlation averages against their limit",
-        "demo-appendix": "built-in demonstration on the partition 1,2,1,3,2,3",
+    options = {
+        "--engine": dict(choices=ENGINE_NAMES, help="override the scenario engine"),
+        "--N": dict(type=int, help="horizon for the evaluation"),
+        "--out": dict(help="output CSV path"),
+        "--timings": dict(action="store_true", help="include wall time in CSV output (breaks byte reproducibility)"),
     }
-    for name, help_text in commands.items():
+    # Each command takes --seed, every command but demo-appendix --scenario, and only the options it reads.
+    commands = {
+        "decompose": ("print eigenphases, the antidiagonal spectrum, and residuals", ()),
+        "mean": ("evaluate one entangled Cesaro mean", ("--engine", "--N")),
+        "limit": ("evaluate the limit operator and its norm bound", ()),
+        "converge": ("emit a CSV convergence report with certified bounds", ("--engine", "--out", "--timings")),
+        "verify": ("run the full invariant suite; exit 0 iff all checks pass", ("--engine",)),
+        "bench": ("time the engines against each other across horizons", ()),
+        "correlate": ("compare correlation averages against their limit", ()),
+        "demo-appendix": ("built-in demonstration on the partition 1,2,1,3,2,3", ("--out", "--timings")),
+    }
+    for name, (help_text, reads) in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         if name != "demo-appendix":
             cmd.add_argument("--scenario", required=True, help="path to the scenario JSON file")
-        cmd.add_argument("--engine", choices=ENGINE_NAMES,
-                         help="override the scenario engine")
-        cmd.add_argument("--out", help="output CSV path")
         cmd.add_argument("--seed", type=int, help="override the scenario seed")
-        cmd.add_argument("--timings", action="store_true",
-                         help="include wall time in CSV output (breaks byte reproducibility)")
-        if name == "mean":
-            cmd.add_argument("--N", type=int, help="horizon for the evaluation")
+        for option in reads:
+            cmd.add_argument(option, **options[option])
     return parser
 
 
@@ -288,7 +303,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario.seed = args.seed
-        if args.engine is not None:
+        if getattr(args, "engine", None) is not None:
             scenario.engine = args.engine
         handler = {
             "decompose": cmd_decompose,

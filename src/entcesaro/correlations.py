@@ -91,8 +91,7 @@ class CorrelationSpec(Record):
         self.__dict__.update(partition=partition, ops=ops)
 
 
-def make_system(u, state, tol: float = STATE_TOL,
-                dec: SpectralDecomposition | None = None,
+def make_system(u, state, *, dec: SpectralDecomposition | None = None,
                 tolerances: Tolerances = Tolerances()) -> DynamicalSystem:
     """Validate a unitary plus invariant state into a DynamicalSystem.
 
@@ -100,7 +99,8 @@ def make_system(u, state, tol: float = STATE_TOL,
     (density operator).  Vector states must satisfy U omega = omega; trace
     states must be positive, trace one, commute with U, and be supported
     inside the invariant eigenspace.  Invariance of the induced state under
-    conjugation by U is verified on the matrix-unit basis.
+    conjugation by U is verified on the matrix-unit basis.  Every state check
+    allows ``STATE_TOL``.
     """
     arr = as_operator(u, name="unitary")
     if dec is None:
@@ -108,7 +108,7 @@ def make_system(u, state, tol: float = STATE_TOL,
     else:
         if dec.dim != arr.shape[0]:
             raise ValueError("decomposition dimension does not match the unitary")
-        if operator_norm(reconstruct(dec) - arr) > max(RECONSTRUCTION_TOL, tol):
+        if operator_norm(reconstruct(dec) - arr) > RECONSTRUCTION_TOL:
             raise ValueError("decomposition does not reconstruct the unitary")
     d = arr.shape[0]
     state_arr = np.asarray(state, dtype=np.complex128)
@@ -118,32 +118,32 @@ def make_system(u, state, tol: float = STATE_TOL,
         if norm == 0.0:
             raise ValueError("state vector must be nonzero")
         omega = omega / norm
-        if float(np.linalg.norm(arr @ omega - omega)) > tol:
+        if float(np.linalg.norm(arr @ omega - omega)) > STATE_TOL:
             raise ValueError("state vector is not invariant under the unitary")
         # Matrix-unit invariance check: omega(e_pq) = conj(omega_p) omega_q,
         # so invariance amounts to U* omega reproducing the same rank-one table.
         pulled = arr.conj().T @ omega
-        if float(np.linalg.norm(np.outer(pulled.conj(), pulled) - np.outer(omega.conj(), omega))) > tol:
+        if float(np.linalg.norm(np.outer(pulled.conj(), pulled) - np.outer(omega.conj(), omega))) > STATE_TOL:
             raise ValueError("state is not invariant on the matrix-unit basis")
         return DynamicalSystem(arr, dec, VectorState(omega))
     if state_arr.ndim == 2:
         t = as_operator(state_arr, d, name="density")
-        if operator_norm(t - t.conj().T) > tol:
+        if operator_norm(t - t.conj().T) > STATE_TOL:
             raise ValueError("density operator must be self-adjoint")
         eigs = np.linalg.eigvalsh(t)
-        if float(eigs.min()) < -tol:
+        if float(eigs.min()) < -STATE_TOL:
             raise ValueError(f"density operator must be positive, min eigenvalue {eigs.min():.3e}")
         trace = complex(np.trace(t))
-        if abs(trace - 1.0) > tol:
+        if abs(trace - 1.0) > STATE_TOL:
             raise ValueError(f"density operator must have trace one, got {trace:.6f}")
-        if operator_norm(arr @ t - t) > tol or operator_norm(t @ arr - t) > tol:
+        if operator_norm(arr @ t - t) > STATE_TOL or operator_norm(t @ arr - t) > STATE_TOL:
             raise ValueError("density operator is not fixed by the unitary (UT = T = TU fails)")
         e1 = invariant_projection(dec)
-        if operator_norm((np.eye(d) - e1) @ t) > tol:
+        if operator_norm((np.eye(d) - e1) @ t) > STATE_TOL:
             raise ValueError("density operator is not supported inside the invariant eigenspace")
         # Matrix-unit invariance: omega(e_pq) = T_qp, and conjugating the unit
         # by U transposes into U* T U, which must equal T.
-        if operator_norm(arr.conj().T @ t @ arr - t) > tol:
+        if operator_norm(arr.conj().T @ t @ arr - t) > STATE_TOL:
             raise ValueError("state is not invariant on the matrix-unit basis")
         return DynamicalSystem(arr, dec, TraceState(t))
     raise ValueError("state must be a vector or a square matrix")
@@ -230,9 +230,8 @@ def cesaro_correlation(sys: DynamicalSystem, spec: CorrelationSpec, N: int,
     return sys.expect(ops[0] @ mean.matrix @ ops[-1])
 
 
-def correlation_limit(sys: DynamicalSystem, spec: CorrelationSpec,
-                      resonance_tol: float | None = None) -> complex:
+def correlation_limit(sys: DynamicalSystem, spec: CorrelationSpec) -> complex:
     """Limit of the correlation averages: state of A_0 * limit_operator * A_m."""
     ops = _check_spec(sys, spec)
-    limit = limit_operator(sys.dec, spec.partition, ops[1:-1], resonance_tol)
+    limit = limit_operator(sys.dec, spec.partition, ops[1:-1])
     return sys.expect(ops[0] @ limit @ ops[-1])

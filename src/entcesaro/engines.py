@@ -28,7 +28,8 @@ resonances and periodic zeros (a N = 0 mod L) stay exact.  The
 decomposition records these tables on first use, with the padded frame
 W_p (every block zero-padded to the largest rank r), so every call on it
 reads them: a horizon forms only the N-dependent factors of its kernel
-table, and each resonance tolerance is checked and tabled once.
+table, and the resonance table is checked and formed once, at the
+decomposition's resonance tolerance (``dec.tolerances.resonance``).
 
 The mean, the limit, the truncated limit and the certified bound share one
 contraction core, ``_contract``.  It reads arrays only: the stacked slot
@@ -68,6 +69,7 @@ from .spectral import (
     FRAME_TOL,
     Phase,
     SpectralDecomposition,
+    Tolerances,
     antidiagonal_spectrum,
     phase_sums,
     reconstruct,
@@ -172,9 +174,9 @@ def kernel(phase: Phase, N) -> complex:
     return complex(phase_sums([phase], 1).kernels(_check_horizon(N))[0])
 
 
-def mean_ergodic(u, N, unitarity_tol: float = 1e-10) -> np.ndarray:
-    """(1/N) sum_{n<N} U^n, evaluated by binary splitting of the sum."""
-    arr = require_unitary(u, unitarity_tol)
+def mean_ergodic(u, N) -> np.ndarray:
+    """(1/N) sum_{n<N} U^n, evaluated by binary splitting of the sum; U is gated at ``Tolerances().unitarity``."""
+    arr = require_unitary(u, Tolerances().unitarity)
     N = _check_horizon(N)
     d = arr.shape[0]
     total = np.eye(d, dtype=np.complex128)  # sum over n < 1
@@ -289,9 +291,9 @@ def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.
     return [dec._pair_sums.kernels(N)] * p.k
 
 
-def _resonance_tables(dec: SpectralDecomposition, p: Partition, resonance_tol) -> list[np.ndarray]:
+def _resonance_tables(dec: SpectralDecomposition, p: Partition) -> list[np.ndarray]:
     """Per class, the (B, B) resonance indicator R; rejects a tolerance that pairs phases ambiguously."""
-    return [dec._resonance(resonance_tol).table] * p.k
+    return [dec._resonance.table] * p.k
 
 
 @lru_cache(maxsize=64)
@@ -446,8 +448,7 @@ ENGINES = {
 ENGINE_NAMES = tuple(ENGINES)
 
 
-def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
-                    resonance_tol: float | None = None) -> np.ndarray:
+def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases) -> np.ndarray:
     """Partial limit sum restricted to class phases drawn from ``phases``.
 
     Every element of ``phases`` must lie in the antidiagonal spectrum.  The
@@ -457,7 +458,7 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
     """
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    partners = resonant_partners(dec, resonance_tol)
+    partners = resonant_partners(dec)
     index_of = {ph: b for b, ph in enumerate(dec.phases)}
     chosen = np.zeros(len(dec.phases))
     for ph in phases:
@@ -466,31 +467,30 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases,
             raise ValueError(f"phase {ph} is not in the antidiagonal spectrum")
         chosen[b] = 1.0
     # R_S[b, c] = [c in S and partners[c] == b]: the mask acts on the last slot.
-    tables = [table * chosen for table in _resonance_tables(dec, p, resonance_tol)]
+    tables = [table * chosen for table in _resonance_tables(dec, p)]
     return _spectral_sum(dec, p, ops, tables, SPECTRAL_ENTRY_BUDGET)
 
 
-def limit_operator(dec: SpectralDecomposition, p: Partition, ops,
-                   resonance_tol: float | None = None, *, budget: int = SPECTRAL_ENTRY_BUDGET) -> np.ndarray:
+def limit_operator(dec: SpectralDecomposition, p: Partition, ops, *,
+                   budget: int = SPECTRAL_ENTRY_BUDGET) -> np.ndarray:
     """Limit of the entangled mean: the sum over resonant block tuples."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    return _spectral_sum(dec, p, ops, _resonance_tables(dec, p, resonance_tol), budget)
+    return _spectral_sum(dec, p, ops, _resonance_tables(dec, p), budget)
 
 
-def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y,
-               phases=None, resonance_tol: float | None = None) -> complex:
+def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y, phases=None) -> complex:
     """Sesquilinear form <S^F x, y> of the (truncated) limit operator."""
     x = as_vector(x, dec.dim, name="x")
     y = as_vector(y, dec.dim, name="y")
     if phases is None:
-        phases = antidiagonal_spectrum(dec, resonance_tol)
-    s = limit_truncated(dec, p, ops, phases, resonance_tol)
+        phases = antidiagonal_spectrum(dec)
+    s = limit_truncated(dec, p, ops, phases)
     return complex(np.vdot(y, s @ x))
 
 
-def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
-                resonance_tol: float | None = None, *, budget: int = SPECTRAL_ENTRY_BUDGET) -> float:
+def error_bound(dec: SpectralDecomposition, p: Partition, ops, N, *,
+                budget: int = SPECTRAL_ENTRY_BUDGET) -> float:
     """Certified bound on the operator-norm distance of M_N from the limit.
 
     It certifies the spectral representation in the computed frame W (||W*W - I|| <= FRAME_TOL):
@@ -505,25 +505,25 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N,
     table is skipped: identity dynamics give 0.0, and with no resonance X_1 = M_N is the one term.
     ``budget`` caps each contraction's planned entries, as for the mean.
     """
-    return error_bounds(dec, p, ops, [N], resonance_tol, budget=budget)[0]
+    return error_bounds(dec, p, ops, [N], budget=budget)[0]
 
 
-def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns,
-                 resonance_tol: float | None = None, *, budget: int = SPECTRAL_ENTRY_BUDGET) -> list[float]:
+def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns, *,
+                 budget: int = SPECTRAL_ENTRY_BUDGET) -> list[float]:
     """``error_bound`` at every horizon in ``Ns``; the slot matrices are formed once."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    return list(_bounds(dec, p, ops, [_check_horizon(n) for n in Ns], resonance_tol, budget))
+    return list(_bounds(dec, p, ops, [_check_horizon(n) for n in Ns], budget))
 
 
-def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, resonance_tol, budget: int):
+def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, budget: int):
     """``error_bounds`` on checked arguments, one horizon at a time (its kernel tables still kept)."""
     frame, frame_h, _ = dec._padded
     slots, B, r = _slot_matrices(dec, ops)
     abs_slots = np.abs(frame_h) @ np.abs(ops) @ np.abs(frame)
     n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length
     g = n * np.finfo(float).eps / (1 - n * np.finfo(float).eps)
-    resonance = _resonance_tables(dec, p, resonance_tol)
+    resonance = _resonance_tables(dec, p)
     floating = resonance[0] * (dec._pair_sums.turns != 0.0)  # resonant with K != 1, so K - 1 cancels
     for N in Ns:
         kernels = _kernel_tables(dec, p, N)
@@ -537,13 +537,13 @@ def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, reson
         yield float((1 + FRAME_TOL) * (1 + g) * total)
 
 
-def spectral_gap(dec: SpectralDecomposition, resonance_tol: float | None = None) -> float:
+def spectral_gap(dec: SpectralDecomposition) -> float:
     """Smallest |1 - z*w| over non-resonant phase pairs; inf when none exist."""
-    return dec._resonance(resonance_tol).gap
+    return dec._resonance.gap
 
 
 def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
-                       engine: str = "spectral", resonance_tol: float | None = None) -> ConvergenceReport:
+                       engine: str = "spectral") -> ConvergenceReport:
     """Measured error against the limit, with certified bound, per horizon."""
     Ns = [(_check_horizon(n)) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
@@ -552,11 +552,11 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINE_NAMES}")
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    limit = limit_operator(dec, p, ops, resonance_tol)
-    gap = spectral_gap(dec, resonance_tol)
+    limit = limit_operator(dec, p, ops)
+    gap = spectral_gap(dec)
     rows = []
     # Each horizon's mean right after its bound, which formed the kernel tables the mean reads.
-    for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, resonance_tol, SPECTRAL_ENTRY_BUDGET)):
+    for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, SPECTRAL_ENTRY_BUDGET)):
         result = ENGINES[engine](None, dec, p, ops, n)
         diff = result.matrix - limit
         rows.append(ReportRow(

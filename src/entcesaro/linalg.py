@@ -46,13 +46,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(as_operator(a), 2))
 
 
-def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """``operator_norm`` of each matrix in a stack of shape (..., r, r); |entry| when r == 1."""
-    if stack.shape[-1] == 1:
-        return np.abs(stack[..., 0, 0])
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
-
-
 def unitarity_residual(u) -> float:
     """Operator-norm distance of U*U from the identity."""
     arr = as_operator(u, name="unitary")

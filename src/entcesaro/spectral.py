@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .linalg import _operator_norms, as_operator, frobenius_norm, haar_unitary, operator_norm
+from .linalg import as_operator, frobenius_norm, haar_unitary, operator_norm
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -43,13 +43,10 @@ MAX_RANDOM_DIM = 64
 # report's usual three horizons fit.
 KERNEL_MEMO_HORIZONS = 4
 
-# Residual ceilings every constructed decomposition must satisfy.
-PROJECTOR_TOL = 1e-10
+# Residual ceilings every constructed decomposition must satisfy: the frame's ||W*W - I|| and
+# the reconstruction's ||W diag(z) W* - U||.
+FRAME_TOL = 5e-11
 RECONSTRUCTION_TOL = 1e-9
-# With e = ||W*W - I||, each projection W_b W_b* has idempotency and
-# orthogonality residuals at most e(1 + e) and the completeness residual is e;
-# half of PROJECTOR_TOL leaves room for the rounding of those products.
-FRAME_TOL = PROJECTOR_TOL / 2
 
 
 class Phase(ValueRecord):
@@ -274,7 +271,7 @@ class SpectralDecomposition(Record):
     them on first read and kept; no engine reads them.  The tables the engines read are built on
     first use and kept on the instance too, so each is built once per decomposition: the phase sums
     of block pairs with the horizon-independent factors of their kernels and the kernel tables of
-    recent horizons, one resonance record per resonance tolerance, and the padded frame.  A new
+    recent horizons, the resonance record at its resonance tolerance, and the padded frame.  A new
     ``SpectralDecomposition`` built from its fields shares ``spectrum`` and starts with none of them.
     """
 
@@ -310,34 +307,24 @@ class SpectralDecomposition(Record):
         return _sums(self.spectrum, 2)
 
     @cached_property
-    def _resonances(self) -> dict[float, _Resonance]:
-        return {}
+    def _resonance(self) -> _Resonance:
+        """The resonance record at the decomposition's resonance tolerance.
 
-    def _resonance(self, tol: float | None = None) -> _Resonance:
-        """The resonance record at ``tol``, by default the decomposition's resonance tolerance.
-
-        Line b resonates with c when z_b z_c == 1: ``Phase.is_one`` of their pair sum at ``tol``.
-        Distinct phases admit at most one partner; a tolerance that gives a phase two raises
-        ``ValueError`` on every call and is not recorded.  The table is symmetric, since both
-        sums of a pair are formed alike, so the pairing is too.
+        Line b resonates with c when z_b z_c == 1: ``Phase.is_one`` of their pair sum at the
+        tolerance.  Distinct phases admit at most one partner; a tolerance that gives a phase two
+        raises ``ValueError`` on every read, and nothing is recorded.  The table is symmetric, since
+        both sums of a pair are formed alike, so the pairing is too.
         """
-        if tol is None:
-            tol = self.tolerances.resonance
-        if not tol >= 0:  # NaN would pair nothing, and match no record
-            raise ValueError(f"resonance tolerance must be a non-negative number, got {tol!r}")
-        record = self._resonances.get(tol)
-        if record is None:
-            resonant = self._pair_sums.resonant(tol)
-            if (resonant.sum(axis=1) > 1).any():
-                raise ValueError(
-                    "resonance tolerance admits multiple partners for one phase; "
-                    "decrease the tolerance or separate the spectrum"
-                )
-            partners = tuple(int(c) if hit else None
-                             for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
-            gap = float(np.where(resonant, np.inf, self._pair_sums.distances()).min())
-            record = self._resonances[tol] = _Resonance(_read_only(resonant.astype(float)), partners, gap)
-        return record
+        tol = self.tolerances.resonance
+        resonant = self._pair_sums.resonant(tol)
+        if (resonant.sum(axis=1) > 1).any():
+            raise ValueError(
+                "resonance tolerance admits multiple partners for one phase; "
+                "decrease the tolerance or separate the spectrum"
+            )
+        partners = tuple(int(c) if hit else None for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
+        gap = float(np.where(resonant, np.inf, self._pair_sums.distances()).min())
+        return _Resonance(_read_only(resonant.astype(float)), partners, gap)
 
     @cached_property
     def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -357,7 +344,7 @@ class SpectralDecomposition(Record):
 
 
 class _Resonance(NamedTuple):
-    """The resonance decisions of one decomposition at one tolerance."""
+    """The resonance decisions of one decomposition at its resonance tolerance."""
 
     table: np.ndarray  # R[b, c] = [z_b z_c == 1] as 0.0 or 1.0
     partners: tuple[int | None, ...]
@@ -379,30 +366,15 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
 
 
 def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str, float]:
-    """Bounds on the residuals of the decomposition invariants, from the Gram matrix G = W*W.
+    """The frame residual ||W*W - I||, the source's stored unitarity residual and, when ``source`` is
+    given, the reconstruction residual against it.
 
-    Line b's projection is W_b W_b^* for its frame block W_b, and ||W_b||^2 = ||G_bb|| <= 1 + e
-    with e = ||G - I||.  So its idempotency residual W_b (G_bb - I) W_b^* is at most
-    (1 + e) ||G_bb - I||, the orthogonality residual W_a G_ab W_b^* of two lines at most
-    (1 + e) ||G_ab||, the completeness residual is ||W W^* - I||, and every projection is
-    Hermitian by construction.  Each value bounds the residual it names.
-
-    When ``source`` is given, the reconstruction residual against it is
-    included; otherwise that key reports the stored construction-time value.
+    The frame residual e implies the projection invariants: line b's projection W_b W_b^* is
+    Hermitian by construction, its idempotency and orthogonality residuals are at most (1 + e) e,
+    and the completeness residual ||W W^* - I|| is e.
     """
-    eye = np.eye(dec.dim)
-    gram = dec.frame.conj().T @ dec.frame - eye
-    kept = dec._padded[2]
-    B = len(dec.spectrum.turns)
-    blocks = np.zeros((kept.size,) * 2, dtype=np.complex128)
-    blocks[np.ix_(kept, kept)] = gram
-    norms = _operator_norms(blocks.reshape(B, -1, B, kept.size // B).swapaxes(1, 2))
-    scale = 1.0 + operator_norm(gram)
     out = {
-        "hermiticity": 0.0,
-        "idempotency": scale * float(np.diagonal(norms).max()),
-        "orthogonality": scale * float(norms[~np.eye(len(norms), dtype=bool)].max(initial=0.0)),
-        "completeness": operator_norm(dec.frame @ dec.frame.conj().T - eye),
+        "frame": operator_norm(dec.frame.conj().T @ dec.frame - np.eye(dec.dim)),
         "unitarity": dec.source_unitarity,
     }
     if source is not None:
@@ -603,20 +575,20 @@ def random_system(
     raise ValueError(f"unknown phase mode {phase_mode!r}")
 
 
-def resonant_partners(dec: SpectralDecomposition, tol: float | None = None) -> tuple[int | None, ...]:
+def resonant_partners(dec: SpectralDecomposition) -> tuple[int | None, ...]:
     """For each spectral line, the index of the line it resonates with.
 
     Line b resonates with b' when z_b * z_b' == 1: exactly for exact phases,
-    within ``tol`` on |z_b * z_b' - 1| otherwise.  Distinct phases admit at
-    most one partner; ambiguity means the tolerance exceeds the phase
-    separation and is rejected.  The pairing is symmetric, as its table is.
+    within ``dec.tolerances.resonance`` on |z_b * z_b' - 1| otherwise.  Distinct
+    phases admit at most one partner; ambiguity means the tolerance exceeds the
+    phase separation and is rejected.  The pairing is symmetric, as its table is.
     """
-    return dec._resonance(tol).partners
+    return dec._resonance.partners
 
 
-def antidiagonal_spectrum(dec: SpectralDecomposition, tol: float | None = None) -> tuple[Phase, ...]:
+def antidiagonal_spectrum(dec: SpectralDecomposition) -> tuple[Phase, ...]:
     """Phases whose product with some phase of the decomposition equals 1."""
-    partners = resonant_partners(dec, tol)
+    partners = resonant_partners(dec)
     return tuple(dec.phases[b] for b in range(len(partners)) if partners[b] is not None)
 
 

@@ -26,7 +26,7 @@ from .engines import (
 from .linalg import frobenius_norm, operator_norm
 from .partitions import is_crossing
 from .scenario import Scenario, rng_for
-from .spectral import PROJECTOR_TOL, RECONSTRUCTION_TOL, antidiagonal_spectrum, decomposition_residuals
+from .spectral import FRAME_TOL, RECONSTRUCTION_TOL, antidiagonal_spectrum, decomposition_residuals
 
 __all__ = ["Check", "run_invariant_suite"]
 
@@ -59,8 +59,7 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
 
     residuals = decomposition_residuals(dec, u)
     checks.append(_check("unitarity", residuals["unitarity"], tol.unitarity))
-    for key in ("hermiticity", "idempotency", "orthogonality", "completeness"):
-        checks.append(_check(f"projection {key}", residuals[key], PROJECTOR_TOL))
+    checks.append(_check("frame orthonormality", residuals["frame"], FRAME_TOL))
     checks.append(_check("reconstruction", residuals["reconstruction"], RECONSTRUCTION_TOL))
 
     sigma = antidiagonal_spectrum(dec)

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import entcesaro
+from entcesaro.__main__ import BROKEN_PIPE_EXIT
 from entcesaro.cli import main, report_csv, CSV_HEADER
 from entcesaro.engines import ConvergenceReport, ReportRow
 
@@ -91,7 +93,7 @@ class TestExitCodes:
         assert run_cli(["converge", "--scenario", path]) == 0
         capsys.readouterr()
         assert run_cli(["verify", "--scenario", path]) == 0
-        assert "14/14 checks passed" in capsys.readouterr().out
+        assert "11/11 checks passed" in capsys.readouterr().out
 
     def test_malformed_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -176,6 +178,53 @@ class TestExitCodes:
             assert "Traceback" not in captured.err
             assert f"error: cannot write report to {out}: No such file or directory" in captured.err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("decompose", ["--engine", "direct"]),
+        ("mean", ["--out", "report.csv"]),
+        ("limit", ["--timings"]),
+        ("verify", ["--out", "report.csv"]),
+        ("bench", ["--engine", "direct"]),
+        ("correlate", ["--timings"]),
+        ("demo-appendix", ["--engine", "direct"]),
+    ])
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, monkeypatch, command, flag):
+        # converge reads every option it takes, so it has none to refuse.
+        monkeypatch.chdir(tmp_path)
+        argv = [command] if command == "demo-appendix" else [command, "--scenario", write_scenario(tmp_path, ENGINE_SCENARIO)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+class TestReportMode:
+    """A report gets the mode ``open(path, "w")`` would give it."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_a_new_report_takes_its_mode_from_the_umask(self, tmp_path, capsys, umask):
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        for argv, out in ((["converge", "--scenario", path, "--out"], tmp_path / "converge.csv"),
+                          (["demo-appendix", "--out"], tmp_path / "demo.csv")):
+            old = os.umask(umask)
+            try:
+                assert run_cli([*argv, str(out)]) == 0
+            finally:
+                os.umask(old)
+            assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_a_replaced_report_keeps_its_mode(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        for argv, out in ((["converge", "--scenario", path, "--out"], tmp_path / "converge.csv"),
+                          (["demo-appendix", "--out"], tmp_path / "demo.csv")):
+            out.write_text("old", encoding="utf-8")
+            out.chmod(0o604)
+            assert run_cli([*argv, str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o604
+            assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["converge.csv", "demo.csv", "scenario.json"]
 
 
 class TestCommands:
@@ -302,6 +351,26 @@ class TestProcessEntry:
             assert proc.returncode == code, (argv, proc.stderr)
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGPIPE exit status")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["converge", "verify", "decompose"])
+    def test_a_closed_stdout_exits_without_a_traceback(self, tmp_path, command, unbuffered):
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:  # the first print raises, not the flush at the end
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "entcesaro", command, "--scenario", path], cwd=tmp_path,
+                                  env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=300)
+        finally:
+            os.close(write)
+        assert proc.returncode == BROKEN_PIPE_EXIT, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys, enabled):

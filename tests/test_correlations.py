@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entcesaro.correlations import (
+    STATE_TOL,
     CorrelationSpec,
     TraceState,
     VectorState,
@@ -32,6 +33,24 @@ class TestMakeSystem:
             make_system(DIAG_PM, np.array([1.0, 1.0]) / np.sqrt(2))
         with pytest.raises(ValueError):
             make_system(DIAG_PM, np.zeros(2))
+
+    def test_state_checks_read_one_tolerance(self):
+        # Under diag(1, -1), omega = (1, delta) / norm has ||U omega - omega|| = 2 delta / norm, and its
+        # matrix-unit residual is 2 sqrt(2) delta / norm^2.
+        for delta, invariant in ((0.3 * STATE_TOL, True), (0.6 * STATE_TOL, False)):
+            omega = np.array([1.0, delta])
+            if invariant:
+                assert isinstance(make_system(DIAG_PM, omega).state, VectorState)
+            else:
+                with pytest.raises(ValueError, match="not invariant"):
+                    make_system(DIAG_PM, omega)
+        # There is no per-call tolerance, so a NaN cannot accept a state that U does not fix.
+        with pytest.raises(ValueError, match="not invariant"):
+            make_system(DIAG_PM, np.array([0.0, 1.0]))
+        with pytest.raises(TypeError):
+            make_system(DIAG_PM, np.array([0.0, 1.0]), tol=float("nan"))
+        with pytest.raises(TypeError):  # the decomposition and its tolerances are keywords
+            make_system(DIAG_PM, np.array([1.0, 0.0]), float("nan"))
 
     def test_vector_state_is_normalized(self):
         system = make_system(np.eye(2, dtype=complex), np.array([3.0, 0.0]))

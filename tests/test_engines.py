@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import types
@@ -177,13 +178,13 @@ class TestPhaseSumTables:
         (table,) = engines._kernel_tables(dec, P11, n)
         assert table.tobytes() == phase_sums(phases, 2).kernels(n).tobytes()
         outcome, partners = _outcome(resonant_partners_loop, phases, tol)
-        assert _outcome(resonant_partners, dec, tol) == (outcome, partners)
+        assert _outcome(resonant_partners, dec) == (outcome, partners)
         if outcome == "raised":  # an ambiguous or asymmetric pairing
-            assert _outcome(engines._resonance_tables, dec, P11, tol) == (outcome, partners)
+            assert _outcome(engines._resonance_tables, dec, P11) == (outcome, partners)
         else:
-            (resonance,) = engines._resonance_tables(dec, P11, tol)
+            (resonance,) = engines._resonance_tables(dec, P11)
             assert resonance.ravel().tolist() == [float(s.is_one(tol)) for s in pair_loop]
-            assert spectral_gap(dec, tol) == spectral_gap_loop(phases, partners)
+            assert spectral_gap(dec) == spectral_gap_loop(phases, partners)
 
     @settings(max_examples=200, deadline=None)
     @given(phase_lists())
@@ -219,6 +220,15 @@ class TestMeanErgodic:
         for n in (1, 2, 3, 17, 64):
             literal = sum(np.linalg.matrix_power(u, j) for j in range(n)) / n
             np.testing.assert_allclose(mean_ergodic(u, n), literal, atol=1e-12)
+
+    def test_unitarity_gate_is_the_default_tolerance(self):
+        tol = Tolerances().unitarity
+        u = haar_unitary(np.random.default_rng(3), 4)
+        mean_ergodic(u * np.sqrt(1.0 + 0.9 * tol), 10)  # ||U*U - I|| = 0.9 tol
+        with pytest.raises(ValueError, match="fails unitarity"):
+            mean_ergodic(u * np.sqrt(1.0 + 1.1 * tol), 10)
+        with pytest.raises(TypeError):
+            mean_ergodic(u, 10, unitarity_tol=1.0)
 
     def test_kernel_decay_bound(self):
         u = np.diag([np.exp(2j * np.pi / 5)])
@@ -787,7 +797,7 @@ class TestPlannedSweep:
         rng = np.random.default_rng(seed)
         ops = random_ops(rng, p.m - 1, dec.dim)
         scale = max(1.0, np.prod([np.linalg.norm(a) for a in ops]))
-        resonance = engines._resonance_tables(dec, p, None)
+        resonance = engines._resonance_tables(dec, p)
         sigma = antidiagonal_spectrum(dec)
         subset = [ph for ph in sigma if rng.random() < 0.5]
         chosen = np.isin(np.arange(len(dec.entries)), [dec.phases.index(ph) for ph in subset])
@@ -933,22 +943,33 @@ class TestOperatorStack:
                 assert np.array_equal(got.matrix if hasattr(got, "matrix") else got, want)
 
 
-def _record_outputs(dec, p, ops, resonance_tol=None):
+def test_the_resonance_tolerance_is_read_from_the_decomposition_only():
+    from entcesaro.correlations import correlation_limit
+
+    for fn in (limit_operator, limit_truncated, form_value, error_bound, error_bounds, spectral_gap,
+               convergence_report, resonant_partners, antidiagonal_spectrum, correlation_limit):
+        assert not [name for name in inspect.signature(fn).parameters if "tol" in name], fn.__name__
+    _, dec = random_system(3, 4, "rational", 3)
+    with pytest.raises(TypeError):
+        limit_operator(dec, P1212, random_ops(np.random.default_rng(3), 3, 4), 1e-6)
+
+
+def _record_outputs(dec, p, ops):
     """Every engine output that reads the decomposition's recorded tables."""
-    sigma = antidiagonal_spectrum(dec, resonance_tol)
+    sigma = antidiagonal_spectrum(dec)
     return [
         *engines._kernel_tables(dec, p, 1000),
-        *engines._resonance_tables(dec, p, resonance_tol),
+        *engines._resonance_tables(dec, p),
         cesaro_spectral(dec, p, ops, 7).matrix,
         cesaro_spectral(dec, p, ops, 10**4).matrix,
-        limit_operator(dec, p, ops, resonance_tol),
-        limit_truncated(dec, p, ops, sigma, resonance_tol),
-        limit_truncated(dec, p, ops, sigma[:1], resonance_tol),
-        np.array(error_bounds(dec, p, ops, [3, 10**5], resonance_tol)),
+        limit_operator(dec, p, ops),
+        limit_truncated(dec, p, ops, sigma),
+        limit_truncated(dec, p, ops, sigma[:1]),
+        np.array(error_bounds(dec, p, ops, [3, 10**5])),
         np.array(list(decomposition_residuals(dec).values())),
-        np.array([-1 if c is None else c for c in resonant_partners(dec, resonance_tol)]),
+        np.array([-1 if c is None else c for c in resonant_partners(dec)]),
         np.array([ph.turns for ph in sigma]),
-        np.array(spectral_gap(dec, resonance_tol)),
+        np.array(spectral_gap(dec)),
     ]
 
 
@@ -970,34 +991,37 @@ class TestSpectralRecord:
         fresh = decompose(u) if mode == "haar" else random_system(9, 5, mode, 4)[1]
         _assert_bit_identical(_record_outputs(fresh, P121323, ops), first)
 
-    def test_tolerances_keep_separate_records(self):
+    def test_the_resonance_tolerance_decides_the_record(self):
         # 0.1 and 0.9 + 1e-7 resonate within 1e-5 (|zw - 1| = 6.3e-7) but not within 1e-8;
         # within 2 every pair resonates, so each phase gets several partners.
         phases = [Phase.from_turns(t) for t in (0.1, 0.9 + 1e-7, 0.5, 0.3)]
-        u, dec = from_eigensystem(phases, haar_unitary(np.random.default_rng(5), 4))
+
+        def built(tol):
+            return from_eigensystem(phases, haar_unitary(np.random.default_rng(5), 4), Tolerances(resonance=tol))[1]
+
         ops = random_ops(np.random.default_rng(5), 3, 4)
-        expected = {tol: _record_outputs(from_eigensystem(phases, haar_unitary(np.random.default_rng(5), 4))[1],
-                                         P1212, ops, tol) for tol in (None, 1e-5)}
-        assert resonant_partners(dec, 1e-5) != resonant_partners(dec)
+        decs = {tol: built(tol) for tol in (1e-8, 2.0, 1e-5)}
+        expected = {tol: _record_outputs(built(tol), P1212, ops) for tol in (1e-8, 1e-5)}
+        assert resonant_partners(decs[1e-5]) != resonant_partners(decs[1e-8])
         for _ in range(2):
-            for tol in (None, 2.0, 1e-5, 2.0):
+            for tol, dec in decs.items():
                 if tol == 2.0:
                     with pytest.raises(ValueError, match="multiple partners"):
-                        limit_operator(dec, P1212, ops, tol)
+                        limit_operator(dec, P1212, ops)
                     with pytest.raises(ValueError, match="multiple partners"):
-                        spectral_gap(dec, tol)
+                        spectral_gap(dec)
                 else:
-                    _assert_bit_identical(_record_outputs(dec, P1212, ops, tol), expected[tol])
-        assert 2.0 not in dec._resonances
-        with pytest.raises(ValueError, match="non-negative"):
-            limit_operator(dec, P1212, ops, math.nan)
-        assert len(dec._resonances) == 2
+                    _assert_bit_identical(_record_outputs(dec, P1212, ops), expected[tol])
+        assert "_resonance" not in vars(decs[2.0])
+        with pytest.raises(ValueError, match="must be positive"):
+            Tolerances(resonance=math.nan)
+        assert all("_resonance" in vars(decs[tol]) for tol in (1e-8, 1e-5))
 
     def test_recorded_arrays_reject_writes(self):
         _, dec = random_system(3, 4, "rational", 3)
         limit_operator(dec, P1212, random_ops(np.random.default_rng(3), 3, 4))
         arrays = [dec.frame, dec.blocks, dec.spectrum.turns, dec.spectrum.exact, dec.spectrum.numerators,
-                  *(line.basis for line in dec.entries), *dec._padded, *engines._resonance_tables(dec, P1212, None),
+                  *(line.basis for line in dec.entries), *dec._padded, *engines._resonance_tables(dec, P1212),
                   *engines._kernel_tables(dec, P1212, 10)]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -1046,11 +1070,12 @@ class TestSpectralRecord:
         _, dec = random_system(4, 4, "haar")
         ops = random_ops(np.random.default_rng(4), 3, 4)
         limit_operator(dec, P1212, ops)
-        assert {"_pair_sums", "_padded", "_resonances"} <= set(vars(dec))
+        assert {"_pair_sums", "_padded", "_resonance"} <= set(vars(dec))
         copy = SpectralDecomposition(dec.dim, dec.spectrum, dec.frame, dec.blocks, dec.source_unitarity,
                                      Tolerances(resonance=1e-6))
-        assert not {"phases", "entries", "_pair_sums", "_padded", "_resonances"} & set(vars(copy))
-        np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(dec, P1212, ops, 1e-6))
+        assert not {"phases", "entries", "_pair_sums", "_padded", "_resonance"} & set(vars(copy))
+        _, at_tolerance = random_system(4, 4, "haar", tol=Tolerances(resonance=1e-6))
+        np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(at_tolerance, P1212, ops))
 
     def test_budget_guard_runs_after_a_successful_call(self, rng):
         _, dec = random_system(5, 4, "rational", 6)

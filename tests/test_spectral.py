@@ -103,10 +103,12 @@ class TestDecompose:
         u = haar_unitary(np.random.default_rng(seed), 5)
         dec = decompose(u)
         res = decomposition_residuals(dec, u)
-        assert res["hermiticity"] <= 1e-10
-        assert res["idempotency"] <= 1e-10
-        assert res["orthogonality"] <= 1e-10
-        assert res["completeness"] <= 1e-10
+        assert res["frame"] <= FRAME_TOL
+        measured = pairwise_residuals(dec, u)
+        assert measured["hermiticity"] <= 1e-10
+        assert measured["idempotency"] <= 1e-10
+        assert measured["orthogonality"] <= 1e-10
+        assert measured["completeness"] <= 1e-10
         assert res["reconstruction"] <= 1e-10
 
     def test_degenerate_eigenvalues_merge_into_one_projection(self):
@@ -197,6 +199,24 @@ class TestValidateGates:
     def test_source_unitarity_does_not_depend_on_the_constructor(self):
         u, dec = random_system(2, 6, "rational", 5)
         assert dec.source_unitarity == decompose(u).source_unitarity == np.linalg.norm(u.conj().T @ u - np.eye(6))
+
+    @pytest.mark.parametrize("factor, passed", [(1.1, False), (0.9, True)])
+    def test_verify_checks_the_frame_against_its_tolerance(self, monkeypatch, factor, passed):
+        from entcesaro.scenario import scenario_from_dict
+        from entcesaro.verify import run_invariant_suite
+
+        scenario = scenario_from_dict({"unitary": {"kind": "random", "dim": 4, "seed": 5,
+                                                   "phaseMode": "rational", "maxDenominator": 4}})
+        u, dec = scenario.system()
+        # Built directly, so no construction gate runs: scaled by sqrt(1 + r), the frame has
+        # ||W*W - I|| = r, and its reconstruction residual r stays within RECONSTRUCTION_TOL.
+        scaled = spectral.SpectralDecomposition(dec.dim, dec.spectrum, dec.frame * np.sqrt(1.0 + factor * FRAME_TOL),
+                                                dec.blocks, dec.source_unitarity, dec.tolerances)
+        monkeypatch.setattr(scenario, "system", lambda: (u, scaled))
+        checks = {check.name: check for check in run_invariant_suite(scenario)}
+        assert checks["frame orthonormality"].passed is passed
+        assert checks["frame orthonormality"].threshold == FRAME_TOL
+        assert all(check.passed for name, check in checks.items() if name != "frame orthonormality")
 
     def test_reconstruction_just_above_tolerance_reports_operator_norm(self):
         _, dec = random_system(2, 4, "rational", 5)
@@ -358,15 +378,20 @@ def _residual_systems():
 
 @pytest.mark.parametrize("name,u,dec", list(_residual_systems()), ids=lambda v: v if isinstance(v, str) else "")
 def test_residual_bounds_dominate_the_pairwise_measurement(name, u, dec):
-    bounds = decomposition_residuals(dec, u)
+    residuals = decomposition_residuals(dec, u)
     measured = pairwise_residuals(dec, u)
+    # The frame residual e implies every projection residual: the projections are Hermitian by
+    # construction, idempotency and orthogonality are at most (1 + e) e, and completeness is e.
+    e = residuals["frame"]
+    bounds = {"hermiticity": 0.0, "idempotency": (1 + e) * e, "orthogonality": (1 + e) * e,
+              "completeness": e, "reconstruction": residuals["reconstruction"]}
     # The measurement forms each projection and product in floating point, d-term inner products
     # whose rounding, up to about d eps, is not a residual of the projections themselves.
     rounding = 4 * dec.dim * np.finfo(float).eps
     for key, value in measured.items():
         assert bounds[key] + rounding >= value, key
-    assert bounds["hermiticity"] == 0.0
-    assert bounds["reconstruction"] == measured["reconstruction"]
+    assert set(residuals) == {"frame", "unitarity", "reconstruction"}
+    assert residuals["reconstruction"] == measured["reconstruction"]
 
 
 # Spectra that stress the choice of the Cayley pole and the frame blocks.
