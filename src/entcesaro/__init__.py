@@ -9,13 +9,11 @@ from importlib import import_module
 _EXPORTS = {
     "partitions": (
         "Partition",
-        "PartitionStructure",
         "enumerate_pair_partitions",
         "is_crossing",
         "parse_partition",
         "remove_last_class",
         "render_partition",
-        "require_pair",
     ),
     "spectral": (
         "Phase",

@@ -115,17 +115,24 @@ def _inputs(scenario: Scenario, command: str, horizons: bool = False, edges: int
 
 
 def _emit_report(report: ConvergenceReport, out: str | None, timings: bool) -> int:
-    """Print the report's CSV and write it to ``out`` if given; 1 if a row breaks its certified bound,
-    2 if ``out`` cannot be written."""
+    """Write the report's CSV to ``out`` if given, then print it; 2 if ``out`` cannot be written, else 1
+    if a row breaks its certified bound.
+
+    The file is written first, so a reader of stdout that has gone away does not stop it.
+    """
     text = report_csv(report, include_timings=timings)
-    print(text, end="")
+    note, code = None, 0
     if out:
         try:
             _write_atomic(out, text)
+            note = f"wrote {out}"
         except OSError as exc:
-            print(f"error: cannot write report to {out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {out}", file=sys.stderr)
+            note, code = f"error: cannot write report to {out}: {exc.strerror or exc}", 2
+    print(text, end="")
+    if note:
+        print(note, file=sys.stderr)
+    if code:
+        return code
     bad = [row.N for row in report.rows if row.error_op > row.certified_bound + CERTIFICATE_SLACK]
     if bad:
         print(f"certified bound violated at N in {bad}", file=sys.stderr)
@@ -262,6 +269,17 @@ def cmd_demo_appendix(args) -> int:
     return _emit_report(report, args.out, args.timings)
 
 
+def _horizon(text: str) -> int:
+    """The value of ``--N``: an integer from 1 to the largest float, as a scenario's 'Ns' entries are."""
+    try:
+        n = int(text)
+        if 1 <= n <= sys.float_info.max:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"horizon N must be a positive integer within the float range, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entcesaro",
@@ -270,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
         "--engine": dict(choices=ENGINE_NAMES, help="override the scenario engine"),
-        "--N": dict(type=int, help="horizon for the evaluation"),
+        "--N": dict(type=_horizon, help="horizon for the evaluation"),
         "--out": dict(help="output CSV path"),
         "--timings": dict(action="store_true", help="include wall time in CSV output (breaks byte reproducibility)"),
     }
@@ -303,8 +321,12 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario.seed = args.seed
-        if getattr(args, "engine", None) is not None:
-            scenario.engine = args.engine
+        if hasattr(args, "engine"):  # the commands that run the scenario's engine
+            if args.engine is not None:
+                scenario.engine = args.engine
+            if scenario.engine == "nested" and scenario.partition is not None and is_crossing(scenario.partition):
+                raise ScenarioError(f"the nested engine requires a non-crossing pair partition, "
+                                    f"got {render_partition(scenario.partition)}")
         handler = {
             "decompose": cmd_decompose,
             "mean": cmd_mean,

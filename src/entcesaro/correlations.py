@@ -20,7 +20,7 @@ import numpy as np
 from ._record import Record
 from .engines import _SWEEP_ENTRY_BUDGET, ENGINES, _check_horizon, _direct_entries, limit_operator
 from .linalg import as_operator, as_vector, operator_norm
-from .partitions import Partition, require_pair
+from .partitions import Partition
 from .spectral import (
     RECONSTRUCTION_TOL,
     SpectralDecomposition,
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 STATE_TOL = 1e-10
+# How far correlation_term's sandwiched form may differ from its automorphism form, per unit of the
+# largest operator norm.
+IDENTITY_TOL = 1e-10
 _AUTO_DIRECT_TUPLES = 100_000
 
 
@@ -82,7 +85,6 @@ class CorrelationSpec(Record):
     _fields = ("partition", "ops")
 
     def __init__(self, partition: Partition, ops: tuple[np.ndarray, ...]):
-        require_pair(partition)
         if len(ops) != partition.m + 1:
             raise ValueError(
                 f"partition on {partition.m} slots needs {partition.m + 1} "
@@ -153,17 +155,17 @@ def _check_spec(sys: DynamicalSystem, spec: CorrelationSpec) -> list[np.ndarray]
     return [as_operator(a, sys.dim, name=f"observable {j}") for j, a in enumerate(spec.ops)]
 
 
-def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n,
-                     check_identity: bool = True, identity_tol: float = 1e-10) -> complex:
+def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n) -> complex:
     """One correlation value at the index tuple n = (n_1, ..., n_k).
 
-    Evaluates the automorphism form with cumulative exponents and, when
-    ``check_identity`` is set, also the sandwiched form
+    Evaluates the automorphism form with cumulative exponents and also the
+    sandwiched form
 
         omega(A_0 U^{n_a(1)} A_1 U^{n_a(2)} ... A_{m-1} U^{n_a(m)} A_m),
 
-    raising if the two disagree beyond ``identity_tol`` (they are equal
-    because every index occurs twice and the state is invariant).
+    raising if the two disagree beyond ``IDENTITY_TOL`` times the largest
+    operator norm, at least 1 (they are equal because every index occurs
+    twice and the state is invariant).
     """
     ops = _check_spec(sys, spec)
     p = spec.partition
@@ -192,16 +194,13 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n,
         product = product @ conjugated
     value = sys.expect(product)
 
-    if check_identity:
-        sandwich = ops[0]
-        for i, lab in enumerate(p.labels, start=1):
-            sandwich = sandwich @ u_power(n[lab - 1]) @ ops[i]
-        other = sys.expect(sandwich)
-        scale = max(1.0, max(operator_norm(a) for a in ops))
-        if abs(value - other) > identity_tol * scale:
-            raise ValueError(
-                f"correlation identity violated: |{value} - {other}| > {identity_tol:.1e}"
-            )
+    sandwich = ops[0]
+    for i, lab in enumerate(p.labels, start=1):
+        sandwich = sandwich @ u_power(n[lab - 1]) @ ops[i]
+    other = sys.expect(sandwich)
+    scale = max(1.0, max(operator_norm(a) for a in ops))
+    if abs(value - other) > IDENTITY_TOL * scale:
+        raise ValueError(f"correlation identity violated: |{value} - {other}| > {IDENTITY_TOL:.1e}")
     return value
 
 

@@ -64,14 +64,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
-from .partitions import Partition, is_crossing, require_pair
+from .partitions import Partition, is_crossing
 from .spectral import (
     FRAME_TOL,
     Phase,
     SpectralDecomposition,
     Tolerances,
+    _summands_of,
     antidiagonal_spectrum,
-    phase_sums,
     reconstruct,
     resonant_partners,
 )
@@ -134,13 +134,9 @@ def _check_horizon(n) -> int:
     return int(n)
 
 
-_require_pair = lru_cache(maxsize=64)(require_pair)
-
-
 def _check_partition(p) -> Partition:
     if not isinstance(p, Partition):
         raise ValueError("expected a Partition")
-    _require_pair(p)
     return p
 
 
@@ -171,7 +167,7 @@ def kernel(phase: Phase, N) -> complex:
     (N sin(pi t)) with t in [-1/2, 1/2), which keeps full relative accuracy
     near resonance, where 1 - z cancels.
     """
-    return complex(phase_sums([phase], 1).kernels(_check_horizon(N))[0])
+    return complex(_summands_of([phase]).kernels(_check_horizon(N))[0])
 
 
 def mean_ergodic(u, N) -> np.ndarray:
@@ -213,7 +209,7 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
     itself), then adds that tensor times the operator and the einsum output; a pair's factor is
     formed first, through two products with the power table.
     """
-    pairs = _require_pair(p).class_pairs
+    pairs = p.class_pairs
     letters = iter("abcdefghijklmnopqrstuvw")
     axes: dict[int, str] = {}  # the letter of each open class's axis, in axis order
     steps = []
@@ -286,16 +282,6 @@ def cesaro_direct(u, p: Partition, ops, N, *, budget: int = _SWEEP_ENTRY_BUDGET)
     return CesaroResult(matrix, "direct", N, time.perf_counter() - start)
 
 
-def _kernel_tables(dec: SpectralDecomposition, p: Partition, N: int) -> list[np.ndarray]:
-    """Per class, the (B, B) kernel table K_N over the blocks at its two slots; the classes share one."""
-    return [dec._pair_sums.kernels(N)] * p.k
-
-
-def _resonance_tables(dec: SpectralDecomposition, p: Partition) -> list[np.ndarray]:
-    """Per class, the (B, B) resonance indicator R; rejects a tolerance that pairs phases ambiguously."""
-    return [dec._resonance.table] * p.k
-
-
 @lru_cache(maxsize=64)
 def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
     """The plan of ``_contract`` for the block layout (B, r): its pairwise steps, the axis order that
@@ -318,7 +304,7 @@ def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int
     place = [next(letters) if r > 1 else "" for _ in range(p.m)]
     size = dict.fromkeys(block, B) | dict.fromkeys(place, r)
     terms = [block[j] + place[j] + block[j + 1] + place[j + 1] for j in range(p.m - 1)]
-    terms += ["".join(block[pos - 1] for pos in positions) for positions in p.class_positions()]
+    terms += [block[i - 1] + block[j - 1] for i, j in p.class_pairs]
     output = block[0] + place[0] + block[-1] + place[-1]
     shapes = [np.broadcast_to(0.0, [size[c] for c in term]) for term in terms]  # no entries
     path = np.einsum_path(",".join(terms) + "->" + output, *shapes, optimize=("greedy", sys.maxsize))[0]
@@ -398,7 +384,7 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
-    matrix = _spectral_sum(dec, p, ops, _kernel_tables(dec, p, N), budget)
+    matrix = _spectral_sum(dec, p, ops, [dec._pair_sums.kernels(N)] * p.k, budget)
     return CesaroResult(matrix, "spectral", N, time.perf_counter() - start)
 
 
@@ -467,7 +453,7 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases) -> np
             raise ValueError(f"phase {ph} is not in the antidiagonal spectrum")
         chosen[b] = 1.0
     # R_S[b, c] = [c in S and partners[c] == b]: the mask acts on the last slot.
-    tables = [table * chosen for table in _resonance_tables(dec, p)]
+    tables = [dec._resonance.table * chosen] * p.k
     return _spectral_sum(dec, p, ops, tables, SPECTRAL_ENTRY_BUDGET)
 
 
@@ -476,7 +462,7 @@ def limit_operator(dec: SpectralDecomposition, p: Partition, ops, *,
     """Limit of the entangled mean: the sum over resonant block tuples."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    return _spectral_sum(dec, p, ops, _resonance_tables(dec, p), budget)
+    return _spectral_sum(dec, p, ops, [dec._resonance.table] * p.k, budget)
 
 
 def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y, phases=None) -> complex:
@@ -523,14 +509,16 @@ def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, budge
     abs_slots = np.abs(frame_h) @ np.abs(ops) @ np.abs(frame)
     n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length
     g = n * np.finfo(float).eps / (1 - n * np.finfo(float).eps)
-    resonance = _resonance_tables(dec, p)
-    floating = resonance[0] * (dec._pair_sums.turns != 0.0)  # resonant with K != 1, so K - 1 cancels
+    resonance = dec._resonance.table
+    floating = resonance * (dec._pair_sums.turns != 0.0)  # resonant with K != 1, so K - 1 cancels
     for N in Ns:
-        kernels = _kernel_tables(dec, p, N)
+        kernels = dec._pair_sums.kernels(N)
+        abs_kernels = abs(kernels)
         total = 0.0
         for c in range(p.k):  # the term with K - R at class c, R before it and K after
-            tables = [*resonance[:c], kernels[c] - resonance[c], *kernels[c + 1:]]
-            abs_tables = [*resonance[:c], abs(tables[c]) + floating * abs(kernels[c]), *map(abs, kernels[c + 1:])]
+            after = p.k - 1 - c
+            tables = [resonance] * c + [kernels - resonance] + [kernels] * after
+            abs_tables = [resonance] * c + [abs(tables[c]) + floating * abs_kernels] + [abs_kernels] * after
             if all(table.any() for table in abs_tables):  # else the term is zero
                 total += (operator_norm(_contract(p, slots, B, r, tables, budget))
                           + g * frobenius_norm(_contract(p, abs_slots, B, r, abs_tables, budget)))

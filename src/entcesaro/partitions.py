@@ -1,23 +1,21 @@
-"""Partitions of {1,...,m} in canonical form, with pair/crossing structure.
+"""Pair partitions of {1,...,2k} in canonical form, with their crossing structure.
 
 A partition is stored as its label sequence: position i (1-based) belongs
 to class ``labels[i-1]``.  Canonical form numbers classes by order of first
 occurrence, so set-level equality of partitions is plain sequence equality.
+Every class has exactly two positions: a ``Partition`` is a pair partition
+by construction.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from ._record import ValueRecord
 
 __all__ = [
     "Partition",
-    "PartitionStructure",
     "canonicalize",
     "parse_partition",
     "render_partition",
-    "require_pair",
     "is_crossing",
     "enumerate_pair_partitions",
     "remove_last_class",
@@ -27,7 +25,11 @@ ENUMERATION_MAX_K = 6  # (2k-1)!! = 10395 at k=6; larger sweeps are not useful a
 
 
 class Partition(ValueRecord):
-    """A canonical partition of {1,...,m} into k classes; ``labels`` is kept as a tuple."""
+    """A canonical pair partition of {1,...,2k} into k classes; ``labels`` is kept as a tuple.
+
+    ``class_pairs`` holds the positions (i, j), i < j, of each class, indexed by class label - 1.
+    A class with other than two positions is refused.
+    """
 
     _fields = ("labels",)
 
@@ -35,20 +37,24 @@ class Partition(ValueRecord):
         labels = tuple(labels)
         if not labels:
             raise ValueError("partition must have at least one element")
-        next_new = 1
+        positions: list[list[int]] = []
         for pos, lab in enumerate(labels, start=1):
             if not isinstance(lab, int) or isinstance(lab, bool):
                 raise ValueError(f"label at position {pos} is not an integer: {lab!r}")
             if lab < 1:
                 raise ValueError(f"label at position {pos} must be positive, got {lab}")
-            if lab > next_new:
+            if lab > len(positions) + 1:
                 raise ValueError(
                     f"labels are not canonical at position {pos}: "
-                    f"got {lab}, expected a value <= {next_new}"
+                    f"got {lab}, expected a value <= {len(positions) + 1}"
                 )
-            if lab == next_new:
-                next_new += 1
-        self.__dict__["labels"] = labels
+            if lab == len(positions) + 1:
+                positions.append([])
+            positions[lab - 1].append(pos)
+        for lab, ps in enumerate(positions, start=1):
+            if len(ps) != 2:
+                raise ValueError(f"class {lab} has {len(ps)} elements, pair partition required")
+        self.__dict__.update(labels=labels, class_pairs=tuple(map(tuple, positions)))
 
     def _values(self) -> tuple:
         return (self.labels,)
@@ -59,37 +65,14 @@ class Partition(ValueRecord):
 
     @property
     def k(self) -> int:
-        return max(self.labels)
-
-    def class_positions(self) -> list[tuple[int, ...]]:
-        """1-based positions of each class, indexed by class label - 1."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for pos, lab in enumerate(self.labels, start=1):
-            out[lab - 1].append(pos)
-        return [tuple(ps) for ps in out]
-
-    def is_pair(self) -> bool:
-        return all(len(ps) == 2 for ps in self.class_positions())
+        return len(self.class_pairs)
 
     def __str__(self):
         return render_partition(self)
 
 
-class PartitionStructure(NamedTuple):
-    """Class pairs (i_l, j_l) of a pair partition, with i_l < j_l.
-
-    ``i_max`` is the largest first element over all classes; every position
-    after it is a second element, so ``j_next = i_max + 1`` always exists.
-    ``j_next`` is bookkeeping only, no engine behavior depends on it.
-    """
-
-    class_pairs: tuple[tuple[int, int], ...]
-    i_max: int
-    j_next: int
-
-
 def canonicalize(labels) -> Partition:
-    """Relabel classes by order of first occurrence (1, 2, ...)."""
+    """Relabel classes by order of first occurrence (1, 2, ...) into a pair partition."""
     seq = list(labels)
     if not seq:
         raise ValueError("partition must have at least one element")
@@ -126,19 +109,6 @@ def render_partition(p: Partition) -> str:
     return ",".join(str(lab) for lab in p.labels)
 
 
-def require_pair(p: Partition) -> PartitionStructure:
-    """Return the (i_l, j_l) class pairs of a pair partition, sorted by class."""
-    pairs = []
-    for lab, positions in enumerate(p.class_positions(), start=1):
-        if len(positions) != 2:
-            raise ValueError(
-                f"class {lab} has {len(positions)} elements, pair partition required"
-            )
-        pairs.append((positions[0], positions[1]))
-    i_max = max(i for i, _ in pairs)
-    return PartitionStructure(tuple(pairs), i_max, i_max + 1)
-
-
 def is_crossing(p: Partition) -> bool:
     """True iff positions a<b<c<d exist with a,c in one class and b,d in another.
 
@@ -146,7 +116,6 @@ def is_crossing(p: Partition) -> bool:
     when every second occurrence closes the most recently opened class.  The
     O(m^4) quadruple scan is kept in the test suite as the independent oracle.
     """
-    require_pair(p)
     stack: list[int] = []
     seen: set[int] = set()
     for lab in p.labels:
@@ -196,9 +165,8 @@ def remove_last_class(p: Partition) -> tuple[Partition, int]:
     Returns the re-canonicalized partition on 2k-2 elements together with
     k_beta, the first position of the deleted class in the original partition.
     """
-    structure = require_pair(p)
     if p.k < 2:
         raise ValueError("need at least two classes to remove one")
-    i_k, j_k = structure.class_pairs[p.k - 1]
+    i_k, j_k = p.class_pairs[-1]
     labels = [lab for pos, lab in enumerate(p.labels, start=1) if pos not in (i_k, j_k)]
     return canonicalize(labels), i_k

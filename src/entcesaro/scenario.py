@@ -28,7 +28,7 @@ import numpy as np
 
 from .engines import ENGINE_NAMES
 from .linalg import gaussian_operator
-from .partitions import Partition, canonicalize, require_pair
+from .partitions import Partition, canonicalize
 from .spectral import (
     Phase,
     SpectralDecomposition,
@@ -272,7 +272,6 @@ def scenario_from_dict(raw) -> Scenario:
             raise _fail("'partition' must be a nonempty integer array")
         try:
             partition = canonicalize(labels)
-            require_pair(partition)
         except ValueError as exc:
             raise _fail(f"bad partition: {exc}") from exc
 

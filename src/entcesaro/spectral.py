@@ -27,7 +27,6 @@ __all__ = [
     "SpectralLine",
     "SpectralDecomposition",
     "PhaseSums",
-    "phase_sums",
     "decompose",
     "reconstruct",
     "from_eigensystem",
@@ -123,14 +122,14 @@ class Phase(ValueRecord):
 
 
 class PhaseSums(Record):
-    """Every sum of ``size`` phases of a list, one entry per index tuple, as arrays.
+    """Phases, or the sums of every pair of them, as arrays.
 
-    Entry (i_1, ..., i_s) is ((0 + p_i1) + p_i2) + ... + p_is formed as ``Phase.__add__``
-    forms it: mod 1 with a result of 1.0 taken as 0.0, exact iff every summand is exact.
-    Exact sums are ``numerators / denominator`` with Python-int numerators (object dtype, so
-    a large denominator cannot overflow) and ``turns`` their correctly rounded float.
-    The horizon-independent factors of ``kernels`` are formed on its first call and kept, and so
-    is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was called at.
+    A sum is p_b + p_c formed as ``Phase.__add__`` forms it: mod 1 with a result of 1.0 taken as
+    0.0, exact iff both summands are exact.  Exact entries are ``numerators / denominator`` with
+    Python-int numerators (object dtype, so a large denominator cannot overflow) and ``turns`` their
+    correctly rounded float.  The horizon-independent factors of ``kernels`` are formed on its first
+    call and kept, and so is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was
+    called at.
     """
 
     _fields = ("turns", "exact", "numerators", "denominator")
@@ -194,34 +193,30 @@ class PhaseSums(Record):
 
 
 def _summands_of(phases) -> PhaseSums:
-    """``phases`` as arrays: their turns, exact mask, and numerators over the common denominator L of
-    the exact ones (0 when inexact), with L."""
+    """``phases`` as arrays: their turns mod 1 (a result of 1.0 taken as 0.0), exact mask, and
+    numerators mod L over the common denominator L of the exact ones (0 when inexact), with L.  An
+    exact phase's turns are its numerator over L, correctly rounded."""
     exact = np.array([ph.is_exact for ph in phases], dtype=bool)
-    turns = np.array([ph.turns for ph in phases], dtype=float)
+    turns = np.mod(np.array([ph.turns for ph in phases], dtype=float), 1.0)
+    turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
     denominator = math.lcm(*(ph.frac.denominator for ph in phases if ph.is_exact))
-    numerators = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) if ph.is_exact else 0
-                           for ph in phases], dtype=object)
+    numerators = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) % denominator
+                           if ph.is_exact else 0 for ph in phases], dtype=object)
+    turns[exact] = (numerators[exact] / denominator).astype(float)
     return PhaseSums(turns, exact, numerators, denominator)
 
 
-def _sums(summands: PhaseSums, size: int) -> PhaseSums:
-    """``PhaseSums`` of ``size`` summands drawn from the phases ``summands`` holds as arrays."""
-    step_turns, exact, step_num, denominator = summands.turns, summands.exact, summands.numerators, summands.denominator
-    turns, sums_exact, numerators = np.zeros(()), np.ones((), dtype=bool), np.zeros((), dtype=object)
-    any_exact = bool(exact.any())
-    for _ in range(size):
-        sums_exact = sums_exact[..., None] & exact
-        turns = np.mod(turns[..., None] + step_turns, 1.0)
-        turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
-        if any_exact:
-            numerators = (numerators[..., None] + step_num) % denominator
-            turns[sums_exact] = (numerators[sums_exact] / denominator).astype(float)
-    return PhaseSums(turns, sums_exact, np.broadcast_to(numerators, turns.shape), denominator)
-
-
-def phase_sums(phases, size: int) -> PhaseSums:
-    """``PhaseSums`` of ``size`` summands drawn from ``phases``, shape (len(phases),) * size."""
-    return _sums(_summands_of(phases), size)
+def _pairs_of(summands: PhaseSums) -> PhaseSums:
+    """``PhaseSums`` of every pair of the phases ``summands`` holds, entry (b, c) the sum p_b + p_c."""
+    turns = np.mod(summands.turns[:, None] + summands.turns, 1.0)
+    turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
+    exact = summands.exact[:, None] & summands.exact
+    denominator = summands.denominator
+    numerators = np.zeros((), dtype=object)
+    if summands.exact.any():
+        numerators = (summands.numerators[:, None] + summands.numerators) % denominator
+        turns[exact] = (numerators[exact] / denominator).astype(float)
+    return PhaseSums(turns, exact, np.broadcast_to(numerators, turns.shape), denominator)
 
 
 class Tolerances(ValueRecord):
@@ -303,8 +298,8 @@ class SpectralDecomposition(Record):
 
     @cached_property
     def _pair_sums(self) -> PhaseSums:
-        """``phase_sums(self.phases, 2)``: the phase sums of a pair class, one per block pair."""
-        return _sums(self.spectrum, 2)
+        """The phase sums of a pair class, one per block pair."""
+        return _pairs_of(self.spectrum)
 
     @cached_property
     def _resonance(self) -> _Resonance:

@@ -158,7 +158,7 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, mean, report) -> 
     for _ in range(5):
         n = [int(v) for v in rng.integers(0, 30, size=p.k)]
         try:
-            correlation_term(system, spec, n, check_identity=True)
+            correlation_term(system, spec, n)
         except ValueError:
             worst = float("inf")
     checks.append(_check("correlation proof identity", worst, 0.0))

@@ -208,7 +208,7 @@ def test_criterion_6_correlation_limits():
 
         for _ in range(5):
             tuple_n = [int(v) for v in rng.integers(0, 50, size=p.k)]
-            correlation_term(system, spec, tuple_n, check_identity=True, identity_tol=1e-10)
+            correlation_term(system, spec, tuple_n)  # raises beyond IDENTITY_TOL = 1e-10
             identity_checks += 1
     assert identity_checks == 100
     report(6, f"20 systems (10 vector, 10 trace), worst limit margin {worst:.2e}, "

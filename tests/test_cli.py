@@ -160,6 +160,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "bad partition: class 1 has 3 elements, pair partition required" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "x", "1e3", pytest.param(str(10**400), id="10**400")])
+    def test_a_horizon_that_is_not_a_positive_integer_exits_2(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["mean", "--scenario", path, "--N", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --N: horizon N must be a positive integer within the float range, got '{value}'" in err
+
+    @pytest.mark.parametrize("command", ["converge", "mean", "verify"])
+    def test_the_nested_engine_on_a_crossing_partition_is_a_malformed_scenario(self, tmp_path, capsys, command):
+        crossing = dict(ENGINE_SCENARIO, partition=[1, 2, 1, 2])
+        nested = write_scenario(tmp_path, dict(crossing, engine="nested"), "nested.json")
+        spectral = write_scenario(tmp_path, crossing, "spectral.json")
+        message = "scenario error: the nested engine requires a non-crossing pair partition, got 1,2,1,2"
+        for argv in (["--scenario", nested], ["--scenario", spectral, "--engine", "nested"]):
+            assert run_cli([command, *argv]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""  # refused before any check or report line
+            assert message in captured.err
+        # The option overrides the scenario's engine, and a command that runs no engine ignores it.
+        assert run_cli([command, "--scenario", nested, "--engine", "spectral"]) == 0
+        assert run_cli(["limit", "--scenario", nested]) == 0
+
     def test_command_needing_partition_fails_cleanly(self, tmp_path, capsys):
         data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}}
         path = write_scenario(tmp_path, data)
@@ -174,7 +198,7 @@ class TestExitCodes:
                      ["demo-appendix", "--out", out]):
             assert run_cli(argv) == 2, argv
             captured = capsys.readouterr()
-            assert CSV_HEADER in captured.out  # the report is printed before the write fails
+            assert CSV_HEADER in captured.out  # the report is printed although the write failed
             assert "Traceback" not in captured.err
             assert f"error: cannot write report to {out}: No such file or directory" in captured.err
         assert not (tmp_path / "missing").exists()
@@ -356,7 +380,9 @@ class TestProcessEntry:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["converge", "verify", "decompose"])
     def test_a_closed_stdout_exits_without_a_traceback(self, tmp_path, command, unbuffered):
+        # converge writes its report before it prints, so the report is written in both modes.
         path = write_scenario(tmp_path, ENGINE_SCENARIO)
+        out = ["--out", "report.csv"] if command == "converge" else []
         env = subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:  # the first print raises, not the flush at the end
@@ -364,13 +390,16 @@ class TestProcessEntry:
         read, write = os.pipe()
         os.close(read)  # the reader is gone before the command writes
         try:
-            proc = subprocess.run([sys.executable, "-m", "entcesaro", command, "--scenario", path], cwd=tmp_path,
-                                  env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=300)
+            proc = subprocess.run([sys.executable, "-m", "entcesaro", command, "--scenario", path, *out],
+                                  cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=300)
         finally:
             os.close(write)
         assert proc.returncode == BROKEN_PIPE_EXIT, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+        if out:
+            report = (tmp_path / "report.csv").read_text(encoding="utf-8")
+            assert report.startswith(CSV_HEADER + "\n") and len(report.splitlines()) == 1 + len(ENGINE_SCENARIO["Ns"])
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys, enabled):

@@ -21,6 +21,7 @@ junk = st.one_of(st.sampled_from(BAD_NUMBERS), st.floats(allow_nan=True, allow_i
 
 
 PARTITIONS = [[1, 1], [1, 2, 1, 2], [1, 2, 2, 1], [1, 2, 1, 3, 2, 3], [1, 1, 1]]
+CROSSING = [[1, 2, 1, 2], [1, 2, 1, 3, 2, 3]]
 PHASES = ["0/1", "1/2", "1/3", "2/3", "1/4", "3/4"]
 TOLERANCES = {"unitarity": [1e-10, 1e-8], "cluster": [1e-8, 1e-6], "resonance": [1e-10, 1e-8, 1e-6, 1e-2]}
 
@@ -111,14 +112,18 @@ def _bad(value) -> bool:
 
 def _must_exit_2(raw, command) -> bool:
     """Whether ``command`` reads a non-pair partition, or a top-level seed, tolerance or operator norm
-    that is a bool or not finite.
+    that is a bool or not finite, or runs the nested engine on a crossing partition.
 
-    Partitions, seeds and tolerances are read when the scenario loads; operator norms when a command
+    Partitions, seeds and tolerances are read when the scenario loads; the engine is checked against
+    the partition right after, by the commands that run it; operator norms are read when a command
     with a partition builds its operators, which ``decompose`` never does.
     """
     tolerances = raw.get("tolerances")
     if raw.get("partition") == [1, 1, 1] or _bad(raw.get("seed")) or (
             isinstance(tolerances, dict) and any(map(_bad, tolerances.values()))):
+        return True
+    if (command in ("converge", "mean", "verify") and raw.get("engine") == "nested"
+            and raw.get("partition") in CROSSING):
         return True
     specs = raw["operators"] if isinstance(raw["operators"], list) else []
     bad_norm = any(isinstance(s, dict) and s.get("kind") == "random" and _bad(s.get("norm")) for s in specs)

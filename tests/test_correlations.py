@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from entcesaro.correlations import (
+    IDENTITY_TOL,
     STATE_TOL,
     CorrelationSpec,
+    DynamicalSystem,
     TraceState,
     VectorState,
     cesaro_correlation,
@@ -14,7 +18,7 @@ from entcesaro.correlations import (
 from entcesaro.engines import ENGINES, BudgetError, cesaro_direct, cesaro_spectral, error_bound
 from entcesaro.linalg import haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
-from entcesaro.spectral import Phase, from_eigensystem
+from entcesaro.spectral import Phase, decompose, from_eigensystem
 
 from conftest import invariant_system, random_ops
 
@@ -110,9 +114,10 @@ class TestCorrelationTerm:
         ops = random_ops(rng, 5, 4)
         system = make_system(u, omega, dec=dec)
         spec = CorrelationSpec(P1212, tuple(ops))
+        scale = max(1.0, max(operator_norm(a) for a in ops))
         for _ in range(25):
             n = [int(v) for v in rng.integers(0, 40, size=2)]
-            value = correlation_term(system, spec, n, check_identity=True, identity_tol=1e-12)
+            value = correlation_term(system, spec, n)
             # independent re-evaluation of the automorphism form
             gamma = ops[0].copy()
             cumulative = 0
@@ -121,6 +126,29 @@ class TestCorrelationTerm:
                 um = np.linalg.matrix_power(u, cumulative)
                 gamma = gamma @ (um @ ops[i] @ um.conj().T)
             assert value == pytest.approx(complex(np.vdot(omega, gamma @ omega)), abs=1e-11)
+            # and of the sandwiched form, which must agree to 1e-12 per unit of the largest norm
+            sandwich = ops[0].copy()
+            for i, lab in enumerate(P1212.labels, start=1):
+                sandwich = sandwich @ np.linalg.matrix_power(u, n[lab - 1]) @ ops[i]
+            assert abs(value - complex(np.vdot(omega, sandwich @ omega))) <= 1e-12 * scale
+
+    def test_the_identity_is_checked_at_one_constant(self):
+        # Under U = diag(1, i) the state of omega = (1, delta) / norm is not invariant: with every
+        # observable I, the automorphism form is omega(I) = 1 and the sandwiched form omega(U^2) differs
+        # from it by 2 delta^2 / (1 + delta^2), here ratio * IDENTITY_TOL.
+        u = np.diag([1.0, 1j])
+        spec = CorrelationSpec(P11, (np.eye(2, dtype=complex),) * 3)
+        for ratio, passes in ((0.5, True), (2.0, False)):
+            delta = math.sqrt(ratio * IDENTITY_TOL / (2.0 - ratio * IDENTITY_TOL))
+            system = DynamicalSystem(u, decompose(u), VectorState(np.array([1.0, delta]) / math.hypot(1.0, delta)))
+            if passes:
+                assert correlation_term(system, spec, [1]) == pytest.approx(1.0, abs=1e-15)
+            else:
+                with pytest.raises(ValueError, match="correlation identity violated"):
+                    correlation_term(system, spec, [1])
+        for keyword in ("check_identity", "identity_tol"):
+            with pytest.raises(TypeError):
+                correlation_term(system, spec, [1], **{keyword: 1e-6})
 
     def test_rejects_bad_exponents(self):
         system = make_system(DIAG_PM, np.array([1.0, 0.0]))

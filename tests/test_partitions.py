@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from entcesaro.partitions import (
     Partition,
@@ -9,7 +9,6 @@ from entcesaro.partitions import (
     parse_partition,
     remove_last_class,
     render_partition,
-    require_pair,
 )
 
 from conftest import crossing_by_quadruple_scan
@@ -19,7 +18,7 @@ def test_parse_examples():
     p = parse_partition("1,2,2,1")
     assert p.labels == (1, 2, 2, 1)
     assert (p.m, p.k) == (4, 2)
-    assert p.class_positions() == [(1, 4), (2, 3)]
+    assert p.class_pairs == ((1, 4), (2, 3))
 
     p = parse_partition("1,1")
     assert (p.m, p.k) == (2, 1)
@@ -28,8 +27,26 @@ def test_parse_examples():
 
 
 def test_parse_accepts_non_surjective_labels():
-    assert parse_partition("1,3").labels == (1, 2)
-    assert parse_partition("5,5,9").labels == (1, 1, 2)
+    assert parse_partition("1,3,1,3").labels == (1, 2, 1, 2)
+    assert parse_partition("5,5,9,9").labels == (1, 1, 2, 2)
+
+
+PAIR_MESSAGE = "class {} has {} elements, pair partition required"
+
+
+@pytest.mark.parametrize("build, lab, count", [
+    (lambda: Partition((1, 1, 1)), 1, 3),
+    (lambda: Partition((1, 2, 2, 3, 3)), 1, 1),
+    (lambda: parse_partition("1,3"), 1, 1),
+    (lambda: parse_partition("1,2,2,2,1"), 2, 3),
+    (lambda: canonicalize([5, 5, 9]), 2, 1),
+    (lambda: canonicalize([7]), 1, 1),
+])
+def test_a_class_without_two_positions_is_refused(build, lab, count):
+    # A Partition is a pair partition by construction: every way to build one checks it.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == PAIR_MESSAGE.format(lab, count)
 
 
 @pytest.mark.parametrize("text", ["", " ", "1,,2", "1,x", "0,1", "-1,1", "1.5,2"])
@@ -47,29 +64,18 @@ def test_partition_constructor_requires_canonical_labels():
         Partition(())
 
 
-def test_require_pair_examples():
-    s = require_pair(parse_partition("1,2,1,2"))
-    assert s.class_pairs == ((1, 3), (2, 4))
-    assert s.i_max == 2
-    assert s.j_next == 3
-
-    s = require_pair(parse_partition("1,2,2,1"))
-    assert s.class_pairs == ((1, 4), (2, 3))
-    assert s.i_max == 2
-
-    with pytest.raises(ValueError):
-        require_pair(parse_partition("1,1,1"))
-    with pytest.raises(ValueError):
-        require_pair(parse_partition("1,2,2"))
+def test_class_pairs_examples():
+    assert parse_partition("1,2,1,2").class_pairs == ((1, 3), (2, 4))
+    assert parse_partition("1,2,2,1").class_pairs == ((1, 4), (2, 3))
+    assert parse_partition("1,1").class_pairs == ((1, 2),)
 
 
-def test_require_pair_tiles_all_positions():
+def test_class_pairs_tile_all_positions():
     for p in enumerate_pair_partitions(3):
-        s = require_pair(p)
-        flat = sorted(pos for pair in s.class_pairs for pos in pair)
+        flat = sorted(pos for pair in p.class_pairs for pos in pair)
         assert flat == list(range(1, p.m + 1))
-        assert all(i < j for i, j in s.class_pairs)
-        assert s.i_max == max(i for i, _ in s.class_pairs)
+        assert all(i < j for i, j in p.class_pairs)
+        assert [p.labels[i - 1] for i, _ in p.class_pairs] == list(range(1, p.k + 1))
 
 
 def test_crossing_examples():
@@ -77,8 +83,6 @@ def test_crossing_examples():
     assert is_crossing(parse_partition("1,2,2,1")) is False
     assert is_crossing(parse_partition("1,1,2,2")) is False
     assert is_crossing(parse_partition("1,2,1,3,2,3")) is True
-    with pytest.raises(ValueError):
-        is_crossing(parse_partition("1,1,1"))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -93,7 +97,7 @@ def test_enumeration_counts_match_double_factorial():
         parts = enumerate_pair_partitions(k)
         assert len(parts) == count
         assert len(set(parts)) == count
-        assert all(p.is_pair() and p.m == 2 * k for p in parts)
+        assert all(p.m == 2 * k and len(p.class_pairs) == k for p in parts)
         assert [p.labels for p in parts] == sorted(p.labels for p in parts)
 
 
@@ -132,7 +136,14 @@ def test_remove_last_class_chain_terminates(k):
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=12))
+@example([5, 5, 9, 9])
+@example([3, 1, 6, 3, 1, 6])
 def test_canonicalize_idempotent(labels):
+    # Arbitrary label lists: canonicalize succeeds exactly on those where every label occurs twice.
+    if any(labels.count(lab) != 2 for lab in labels):
+        with pytest.raises(ValueError, match="pair partition required"):
+            canonicalize(labels)
+        return
     p = canonicalize(labels)
     assert parse_partition(render_partition(p)) == p
     assert canonicalize(p.labels) == p

@@ -8,7 +8,7 @@ import pytest
 from entcesaro.correlations import CorrelationSpec, DynamicalSystem, TraceState, VectorState
 from entcesaro.engines import CesaroResult, ConvergenceReport, ReportRow, cesaro_direct, cesaro_spectral
 from entcesaro.linalg import haar_unitary
-from entcesaro.partitions import Partition, PartitionStructure, parse_partition, require_pair
+from entcesaro.partitions import Partition, parse_partition
 from entcesaro.scenario import Scenario
 from entcesaro.spectral import (
     Phase,
@@ -35,7 +35,6 @@ ROW = ReportRow(**ROW_FIELDS)
 # Per record: its class, the fields given by keyword, and the defaults of the fields left out.
 RECORDS = {
     "Partition": (Partition, {"labels": (1, 2, 2, 1)}, {}),
-    "PartitionStructure": (PartitionStructure, {"class_pairs": ((1, 4), (2, 3)), "i_max": 2, "j_next": 3}, {}),
     "Phase": (Phase, {"turns": 0.25}, {"frac": None}),
     "Tolerances": (Tolerances, {"cluster": 1e-6}, {"unitarity": 1e-10, "resonance": 1e-8}),
     "PhaseSums": (PhaseSums, {"turns": SUMS.turns, "exact": SUMS.exact, "numerators": SUMS.numerators,
@@ -100,7 +99,7 @@ def test_records_without_value_equality_compare_by_identity():
 def test_a_partition_from_a_list_is_the_parsed_partition():
     p = Partition([1, 2, 1, 2])
     assert p.labels == (1, 2, 1, 2) and p == parse_partition("1,2,1,2")
-    assert require_pair(p) == PartitionStructure(((1, 3), (2, 4)), 2, 3)
+    assert p.class_pairs == ((1, 3), (2, 4))
     u = haar_unitary(np.random.default_rng(3), 3)
     dec = decompose(u)
     ops = random_ops(np.random.default_rng(3), 3, 3)
