@@ -30,7 +30,7 @@ from .engines import (
 from .linalg import operator_norm
 from .partitions import is_crossing, render_partition
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
-from .spectral import antidiagonal_spectrum, decomposition_residuals, invariant_projection
+from .spectral import antidiagonal_spectrum, decomposition_residuals
 
 CSV_HEADER = "N,engine,error_op,error_frob,certified_bound,spectral_gap,seconds"
 
@@ -142,14 +142,13 @@ def _emit_report(report: ConvergenceReport, out: str | None, timings: bool) -> i
 
 def cmd_decompose(scenario: Scenario, args) -> int:
     u, dec = scenario.system()
-    sigma = set(antidiagonal_spectrum(dec))
-    print(f"dimension {dec.dim}, {len(dec.entries)} spectral lines")
+    partners, one = dec._resonance.partners, dec._resonance.one
+    ranks = np.bincount(dec.blocks).tolist()
+    print(f"dimension {dec.dim}, {len(ranks)} spectral lines")
     print("phase  rank  antidiagonal")
-    for line in dec.entries:
-        mark = "yes" if line.phase in sigma else "no"
-        print(f"{str(line.phase):>12}  {line.rank:>4}  {mark}")
-    e1 = invariant_projection(dec)
-    print(f"invariant projection rank {round(float(np.trace(e1).real))}")
+    for phase, rank, partner in zip(dec.phases, ranks, partners):
+        print(f"{str(phase):>12}  {rank:>4}  {'no' if partner is None else 'yes'}")
+    print(f"invariant projection rank {0 if one is None else ranks[one]}")
     for name, value in decomposition_residuals(dec, u).items():
         print(f"residual {name}: {value:.3e}")
     return 0

@@ -56,8 +56,7 @@ class Scenario:
 
     def __init__(self, unitary_spec: dict, partition: Partition | None, operator_specs: list | None,
                  state_spec: dict | None, engine: str, horizons: list[int], tolerances: Tolerances,
-                 seed: int, out: str | None,
-                 _system: tuple[np.ndarray, SpectralDecomposition] | None = None):
+                 seed: int, out: str | None):
         self.unitary_spec = unitary_spec
         self.partition = partition
         self.operator_specs = operator_specs
@@ -67,7 +66,7 @@ class Scenario:
         self.tolerances = tolerances
         self.seed = seed
         self.out = out
-        self._system = _system
+        self._system: tuple[np.ndarray, SpectralDecomposition] | None = None
 
     def system(self) -> tuple[np.ndarray, SpectralDecomposition]:
         if self._system is None:

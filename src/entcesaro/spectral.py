@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .linalg import as_operator, frobenius_norm, haar_unitary, operator_norm
+from .linalg import _gated_norm, as_operator, frobenius_norm, haar_unitary, operator_norm, require_unitary
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -308,7 +308,9 @@ class SpectralDecomposition(Record):
         Line b resonates with c when z_b z_c == 1: ``Phase.is_one`` of their pair sum at the
         tolerance.  Distinct phases admit at most one partner; a tolerance that gives a phase two
         raises ``ValueError`` on every read, and nothing is recorded.  The table is symmetric, since
-        both sums of a pair are formed alike, so the pairing is too.
+        both sums of a pair are formed alike, so the pairing is too.  The phase-1 line resonates
+        with itself and lies nearer +1 than -1, the other root of z^2 = 1; an exact phase-1 line has
+        numerator 0.
         """
         tol = self.tolerances.resonance
         resonant = self._pair_sums.resonant(tol)
@@ -319,7 +321,9 @@ class SpectralDecomposition(Record):
             )
         partners = tuple(int(c) if hit else None for c, hit in zip(resonant.argmax(axis=1), resonant.any(axis=1)))
         gap = float(np.where(resonant, np.inf, self._pair_sums.distances()).min())
-        return _Resonance(_read_only(resonant.astype(float)), partners, gap)
+        turns = self.spectrum.turns
+        ones = np.flatnonzero(resonant.diagonal() & (np.minimum(turns, 1.0 - turns) < 0.25))
+        return _Resonance(_read_only(resonant.astype(float)), partners, gap, int(ones[0]) if ones.size else None)
 
     @cached_property
     def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,6 +348,7 @@ class _Resonance(NamedTuple):
     table: np.ndarray  # R[b, c] = [z_b z_c == 1] as 0.0 or 1.0
     partners: tuple[int | None, ...]
     gap: float  # smallest |1 - z_b z_c| over non-resonant pairs; inf when none exist
+    one: int | None  # the phase-1 line: its own partner, nearer +1 than -1; None when absent
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -390,16 +395,6 @@ def _with_frame(phases: PhaseSums, frame, labels, source_unitarity: float, tol: 
                          phases.denominator)
     return SpectralDecomposition(frame.shape[0], spectrum, _read_only(frame[:, perm]), _read_only(blocks[perm]),
                                  source_unitarity, tol)
-
-
-def _gated_norm(residual: np.ndarray, tol: float) -> float:
-    """Frobenius norm of ``residual`` when within ``tol``, its operator norm otherwise.
-
-    The Frobenius norm bounds the operator norm, so the value is within ``tol`` exactly when the
-    operator norm is; the SVD runs only when the Frobenius test fails.
-    """
-    norm = frobenius_norm(residual)
-    return norm if norm <= tol else operator_norm(residual)
 
 
 def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
@@ -490,15 +485,9 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     Rayleigh quotients w* U w, exact to rounding whatever ||H||, clustered at ``tol.cluster`` turns
     with wrap-around at 0/1.  A cluster's columns are its frame block, and its phase that of the
     sum (so of the mean) of its quotients.  All decomposition invariants are checked.
-    ``source_unitarity`` is the value the unitarity gate measured: the Frobenius norm of U*U - I
-    when that is within ``tol.unitarity`` (a bound on the operator norm), the operator norm
-    otherwise.
+    ``source_unitarity`` is the value the unitarity gate ``linalg.require_unitary`` measured.
     """
-    arr = as_operator(u, name="unitary")
-    eye = np.eye(arr.shape[0])
-    source_res = _gated_norm(arr.conj().T @ arr - eye, tol.unitarity)
-    if source_res > tol.unitarity:
-        raise ValueError(f"input fails unitarity: residual {source_res:.3e} > {tol.unitarity:.3e}")
+    arr, source_res = require_unitary(u, tol.unitarity, name="input")
     try:
         _, vecs = np.linalg.eigh(_cayley(arr)[1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -520,20 +509,16 @@ def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.
     unitarity as ``decompose`` gates its input, and ``source_unitarity`` is that gate's value
     for the returned unitary.
     """
-    basis = as_operator(basis, name="eigenbasis")
+    basis, _ = require_unitary(basis, tol.unitarity, name="eigenbasis")
     d = basis.shape[0]
     if len(phases) != d:
         raise ValueError(f"need {d} phases, got {len(phases)}")
-    eye = np.eye(d)
-    res = _gated_norm(basis.conj().T @ basis - eye, tol.unitarity)
-    if res > tol.unitarity:
-        raise ValueError(f"eigenbasis fails unitarity: residual {res:.3e}")
     groups: dict[Phase, int] = {}
     labels = np.array([groups.setdefault(ph, len(groups)) for ph in phases])
     dec = _with_frame(_summands_of(list(groups)), basis, labels, 0.0, tol)
     u = reconstruct(dec)
     dec = SpectralDecomposition(dec.dim, dec.spectrum, dec.frame, dec.blocks,
-                                _gated_norm(u.conj().T @ u - eye, tol.unitarity), tol)
+                                _gated_norm(u.conj().T @ u - np.eye(d), tol.unitarity), tol)
     return u, _validate(dec, u)
 
 
@@ -588,8 +573,10 @@ def antidiagonal_spectrum(dec: SpectralDecomposition) -> tuple[Phase, ...]:
 
 
 def invariant_projection(dec: SpectralDecomposition) -> np.ndarray:
-    """Eigenprojection at phase 1, or the zero matrix when absent."""
-    for line in dec.entries:
-        if line.phase.is_one(dec.tolerances.resonance):
-            return line.projection
-    return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
+    """Eigenprojection of the resonance record's phase-1 line, or the zero matrix when absent."""
+    one = dec._resonance.one
+    if one is None:
+        return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
+    start, stop = np.searchsorted(dec.blocks, (one, one + 1))
+    basis = dec.frame[:, start:stop]
+    return basis @ basis.conj().T

@@ -55,23 +55,19 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     """All scenario-level invariants; correlation checks run when a state is given."""
     checks: list[Check] = []
     u, dec = scenario.system()
-    tol = scenario.tolerances
 
     residuals = decomposition_residuals(dec, u)
-    checks.append(_check("unitarity", residuals["unitarity"], tol.unitarity))
+    checks.append(_check("unitarity", residuals["unitarity"], dec.tolerances.unitarity))
     checks.append(_check("frame orthonormality", residuals["frame"], FRAME_TOL))
     checks.append(_check("reconstruction", residuals["reconstruction"], RECONSTRUCTION_TOL))
 
-    sigma = antidiagonal_spectrum(dec)
-    conj_closed = all(ph.conjugate() in sigma for ph in sigma)
+    # Both read the resonance record the limit reads: the partner of a line in the antidiagonal
+    # spectrum is its conjugate, and the phase-1 line is its own partner.
+    partners, one = dec._resonance.partners, dec._resonance.one
+    conj_closed = all(partners[c] == b for b, c in enumerate(partners) if c is not None)
     checks.append(_check("antidiagonal conjugation closure", 0.0 if conj_closed else 1.0, 0.0))
-    zero_present = any(ph.is_one(tol.resonance) for ph in dec.phases)
-    zero_in_sigma = any(ph.is_one(tol.resonance) for ph in sigma)
-    checks.append(_check(
-        "phase 1 in antidiagonal spectrum",
-        0.0 if (zero_in_sigma or not zero_present) else 1.0,
-        0.0,
-    ))
+    checks.append(_check("phase 1 in antidiagonal spectrum",
+                         0.0 if one is None or partners[one] == one else 1.0, 0.0))
 
     if scenario.partition is None or scenario.operator_specs is None:
         return checks
@@ -109,7 +105,7 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     checks.append(_check("limit norm bound", operator_norm(limit),
                          product_norm + LIMIT_NORM_SLACK))
 
-    truncated = limit_truncated(dec, p, inner, sigma)
+    truncated = limit_truncated(dec, p, inner, antidiagonal_spectrum(dec))
     checks.append(_check(
         "full truncation reproduces the limit",
         0.0 if np.array_equal(truncated, limit) else 1.0,

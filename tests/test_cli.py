@@ -64,6 +64,16 @@ HAAR64_SCENARIO = {
 }
 
 
+
+def diagonal_matrix_scenario(turns):
+    """A 'matrix' scenario of the diagonal unitary with eigenphases ``turns``, partition 1,2,1,2."""
+    d = len(turns)
+    diag = [[[f(2 * math.pi * t) if i == j else 0.0 for j in range(d)] for i, t in enumerate(turns)]
+            for f in (math.cos, math.sin)]
+    return {"unitary": {"kind": "matrix", "re": diag[0], "im": diag[1]}, "partition": [1, 2, 1, 2],
+            "operators": [{"kind": "random"} for _ in range(3)], "Ns": [10, 100], "seed": 3}
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -94,6 +104,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli(["verify", "--scenario", path]) == 0
         assert "11/11 checks passed" in capsys.readouterr().out
+
+    # 0.7 + 3e-11 resonates with 0.3 but is not its exact conjugate; 1e-9 is within the resonance
+    # tolerance of 1 but does not resonate with itself.  Neither system has a phase-1 line.
+    @pytest.mark.parametrize("turns", [(0.3, 0.7 + 3e-11, 0.1, 0.55), (1e-9, 0.3, 0.55)],
+                             ids=["near-conjugate", "near-one"])
+    def test_verify_passes_on_float_phases_that_resonate_inexactly(self, tmp_path, capsys, turns):
+        path = write_scenario(tmp_path, diagonal_matrix_scenario(turns))
+        assert run_cli(["verify", "--scenario", path]) == 0
+        assert "11/11 checks passed" in capsys.readouterr().out
+        assert run_cli(["decompose", "--scenario", path]) == 0
+        assert "invariant projection rank 0\n" in capsys.readouterr().out
 
     def test_malformed_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

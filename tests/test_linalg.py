@@ -87,12 +87,21 @@ def test_haar_unitary_is_unitary_and_seeded():
     u2 = haar_unitary(np.random.default_rng(5), 6)
     assert np.array_equal(u1, u2)
     assert unitarity_residual(u1) <= 1e-12
-    require_unitary(u1, 1e-10)
+    arr, residual = require_unitary(u1, 1e-10)
+    assert arr is u1 and residual == np.linalg.norm(u1.conj().T @ u1 - np.eye(6))
 
 
 def test_require_unitary_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unitary fails unitarity: residual 3\.000e\+00 > 1\.000e-10"):
         require_unitary(np.diag([1.0, 2.0]), 1e-10)
+    # (1 + e) W has W*W - I = ((1 + e)^2 - 1) I: the Frobenius norm, twice the operator norm at d = 4,
+    # fails the tolerance and the operator norm decides.
+    u = haar_unitary(np.random.default_rng(5), 4) * np.sqrt(1.0 + 0.9e-10)
+    residual = u.conj().T @ u - np.eye(4)
+    assert np.linalg.norm(residual) > 1e-10
+    assert require_unitary(u, 1e-10)[1] == np.linalg.norm(residual, 2)
+    with pytest.raises(ValueError, match="eigenbasis fails unitarity"):
+        require_unitary(u, 0.5e-10, name="eigenbasis")
 
 
 def test_gaussian_operator_norm_target(rng):

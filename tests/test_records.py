@@ -43,7 +43,7 @@ RECORDS = {
     "SpectralDecomposition": (SpectralDecomposition, {"dim": 2, "spectrum": SUMS, "frame": EYE,
                                                       "blocks": DEC.blocks, "source_unitarity": 0.0},
                               {"tolerances": Tolerances()}),
-    "_Resonance": (_Resonance, {"table": np.zeros((2, 2)), "partners": (None, None), "gap": 1.0}, {}),
+    "_Resonance": (_Resonance, {"table": np.zeros((2, 2)), "partners": (None, None), "gap": 1.0, "one": None}, {}),
     "CesaroResult": (CesaroResult, {"matrix": EYE, "engine": "direct", "N": 3, "elapsed": 0.5}, {}),
     "ReportRow": (ReportRow, ROW_FIELDS, {}),
     "ConvergenceReport": (ConvergenceReport, {"rows": (ROW,), "spectral_gap": 0.5}, {}),
@@ -54,8 +54,7 @@ RECORDS = {
     "CorrelationSpec": (CorrelationSpec, {"partition": P1212, "ops": (EYE,) * 5}, {}),
     "Scenario": (Scenario, {"unitary_spec": {"kind": "random", "dim": 2}, "partition": P1212,
                             "operator_specs": None, "state_spec": None, "engine": "spectral",
-                            "horizons": [10], "tolerances": Tolerances(), "seed": 0, "out": None},
-                 {"_system": None}),
+                            "horizons": [10], "tolerances": Tolerances(), "seed": 0, "out": None}, {}),
 }
 
 

@@ -26,6 +26,18 @@ from entcesaro.spectral import (
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+# Diagonal unitaries whose float phases split the scalar rules from the resonance record at the
+# default tolerance 1e-8: 0.7 + 3e-11 resonates with 0.3 but is not its exact conjugate, and 1e-9
+# is within the tolerance of 1 (|z - 1| = 6.3e-9) but does not resonate with itself (|z^2 - 1| = 1.3e-8).
+FLOAT_RESONANCE_TURNS = {
+    "near-conjugate": (0.3, 0.7 + 3e-11, 0.1, 0.55),
+    "near-one": (1e-9, 0.3, 0.55),
+}
+
+
+def diagonal_system(turns):
+    return decompose(np.diag(np.exp(2j * np.pi * np.array(turns))))
+
 
 def antidiagonal_by_product_scan(dec, tol=1e-8):
     """Independent oracle: pairwise scan of |z*w - 1| over complex values."""
@@ -541,16 +553,25 @@ class TestAntidiagonal:
             assert ph.conjugate() in sigma
 
     def test_phase_one_always_antidiagonal(self):
-        u, dec = random_system(2, 4, "rational", 6)
-        if any(ph.is_one(1e-8) for ph in dec.phases):
-            assert any(ph.is_one(1e-8) for ph in antidiagonal_spectrum(dec))
+        # The lines the invariant projection acts on: the rational system's phase 0/1, and none of the
+        # float systems'.  Each lies in the antidiagonal spectrum.
+        expected = {"rational": [0], "near-conjugate": [], "near-one": []}
+        for name, dec in [("rational", random_system(2, 4, "rational", 6)[1]),
+                          *((name, diagonal_system(t)) for name, t in FLOAT_RESONANCE_TURNS.items())]:
+            e1 = invariant_projection(dec)
+            sigma = antidiagonal_spectrum(dec)
+            hit = [b for b in range(len(dec.phases)) if np.linalg.norm(e1 @ dec.frame[:, dec.blocks == b]) > 0.5]
+            assert hit == expected[name]
+            assert all(dec.phases[b] in sigma for b in hit)
 
     def test_partner_map_is_symmetric_involution(self):
-        _, dec = random_system(13, 6, "rational", 6)
-        partners = resonant_partners(dec)
-        for b, c in enumerate(partners):
-            if c is not None:
-                assert partners[c] == b
+        for dec in (random_system(13, 6, "rational", 6)[1], *map(diagonal_system, FLOAT_RESONANCE_TURNS.values())):
+            partners = resonant_partners(dec)
+            for b, c in enumerate(partners):
+                if c is not None:
+                    assert partners[c] == b
+                    assert abs(dec.phases[b].value() * dec.phases[c].value() - 1.0) <= dec.tolerances.resonance
+        assert resonant_partners(diagonal_system(FLOAT_RESONANCE_TURNS["near-conjugate"])) == (None, 3, None, 1)
 
 
 class TestInvariantProjection:
@@ -563,6 +584,9 @@ class TestInvariantProjection:
         )
         dec = decompose(np.diag([np.exp(2j * np.pi / 5)]))
         np.testing.assert_array_equal(invariant_projection(dec), np.zeros((1, 1)))
+        # 1e-9 turns is within the tolerance of 1 but does not resonate with itself.
+        dec = diagonal_system(FLOAT_RESONANCE_TURNS["near-one"])
+        np.testing.assert_array_equal(invariant_projection(dec), np.zeros((3, 3)))
 
 
 class TestRandomSystem:
