@@ -9,7 +9,6 @@ __all__ = [
     "as_vector",
     "frobenius_norm",
     "operator_norm",
-    "unitarity_residual",
     "require_unitary",
     "haar_unitary",
     "gaussian_operator",
@@ -44,12 +43,6 @@ def frobenius_norm(a) -> float:
 def operator_norm(a) -> float:
     """Largest singular value, from the LAPACK singular value decomposition."""
     return float(np.linalg.norm(as_operator(a), 2))
-
-
-def unitarity_residual(u) -> float:
-    """Operator-norm distance of U*U from the identity."""
-    arr = as_operator(u, name="unitary")
-    return operator_norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
 
 
 def _gated_norm(residual: np.ndarray, tol: float) -> float:

@@ -117,14 +117,15 @@ def _seed(value, what: str):
 
 
 def _complexify(value, what: str) -> complex:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
     try:
-        if isinstance(value, (int, float)):
-            return complex(value)
-        if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-            return complex(value[0], value[1])
+        if all(isinstance(v, (int, float)) for v in parts):
+            z = complex(*parts)
+            if np.isfinite(z):  # JSON's NaN and Infinity are not
+                return z
     except OverflowError:  # an integer beyond the float range
         pass
-    raise _fail(f"{what} entries must be numbers or [re, im] pairs")
+    raise _fail(f"{what} entries must be finite numbers or [re, im] pairs")
 
 
 def _matrix_from_spec(spec: dict, what: str) -> np.ndarray:
@@ -141,6 +142,8 @@ def _matrix_from_spec(spec: dict, what: str) -> np.ndarray:
         raise _fail(f"{what} 're' must be a 2-d array")
     if im_arr.shape != re_arr.shape:
         raise _fail(f"{what} 'im' shape differs from 're'")
+    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):  # JSON's NaN and Infinity
+        raise _fail(f"{what} 're' and 'im' must hold finite numbers")
     return re_arr + 1j * im_arr
 
 
@@ -220,10 +223,12 @@ def _build_state(spec, dim: int) -> np.ndarray:
             diag = spec["diag"]
             if isinstance(diag, list) and len(diag) == dim and all(isinstance(v, (int, float)) for v in diag):
                 try:
-                    return np.diag([float(v) for v in diag]).astype(np.complex128)
+                    values = np.array(diag, dtype=float)
+                    if np.isfinite(values).all():
+                        return np.diag(values).astype(np.complex128)
                 except OverflowError:  # an integer beyond the float range
                     pass
-            raise _fail(f"trace state 'diag' needs {dim} numbers")
+            raise _fail(f"trace state 'diag' needs {dim} finite numbers")
         return _matrix_from_spec(spec, "trace state")
     raise _fail(f"unknown state kind {kind!r}")
 

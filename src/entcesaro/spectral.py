@@ -49,10 +49,10 @@ RECONSTRUCTION_TOL = 1e-9
 
 
 class Phase(ValueRecord):
-    """A point on the unit circle, stored as an angle in turns.
+    """A point on the unit circle, stored as an angle in turns: how a phase is read in and printed.
 
-    ``turns`` is always in [0, 1).  When ``frac`` is set the phase is exact
-    and ``turns == float(frac)``; arithmetic on exact phases stays exact.
+    ``turns`` is always in [0, 1), and ``turns == float(frac)`` when ``frac`` makes it exact.  Phases
+    compare and hash by value; sums, kernels and resonance are formed on ``PhaseSums`` arrays only.
     """
 
     _fields = ("turns", "frac")
@@ -86,32 +86,6 @@ class Phase(ValueRecord):
     def is_exact(self) -> bool:
         return self.frac is not None
 
-    def value(self) -> complex:
-        if self.frac is not None and self.frac == 0:
-            return 1.0 + 0.0j
-        return cmath.exp(2j * math.pi * self.turns)
-
-    def conjugate(self) -> "Phase":
-        if self.frac is not None:
-            return Phase.from_fraction(-self.frac)
-        return Phase.from_turns(-self.turns)
-
-    def __add__(self, other: "Phase") -> "Phase":
-        if self.frac is not None and other.frac is not None:
-            return Phase.from_fraction(self.frac + other.frac)
-        return Phase.from_turns(self.turns + other.turns)
-
-    def power(self, n: int) -> "Phase":
-        if self.frac is not None:
-            return Phase.from_fraction(self.frac * n)
-        return Phase.from_turns(self.turns * n)
-
-    def is_one(self, tol: float) -> bool:
-        """Whether this phase equals 1 on the circle, within |z - 1| <= tol."""
-        if self.frac is not None:
-            return self.frac == 0
-        return abs(self.value() - 1.0) <= tol
-
     def __format__(self, spec):
         return format(str(self), spec)
 
@@ -124,12 +98,11 @@ class Phase(ValueRecord):
 class PhaseSums(Record):
     """Phases, or the sums of every pair of them, as arrays.
 
-    A sum is p_b + p_c formed as ``Phase.__add__`` forms it: mod 1 with a result of 1.0 taken as
-    0.0, exact iff both summands are exact.  Exact entries are ``numerators / denominator`` with
-    Python-int numerators (object dtype, so a large denominator cannot overflow) and ``turns`` their
-    correctly rounded float.  The horizon-independent factors of ``kernels`` are formed on its first
-    call and kept, and so is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was
-    called at.
+    The sum of turns t_b and t_c is fl(t_b + t_c) mod 1 with a result of 1.0 taken as 0.0; it is
+    exact iff both summands are.  Exact entries are ``numerators / denominator`` with Python-int
+    numerators (object dtype, so a large denominator cannot overflow) and ``turns`` their correctly
+    rounded float.  The horizon-independent factors of ``kernels`` are formed on its first call and
+    kept, and so is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was called at.
     """
 
     _fields = ("turns", "exact", "numerators", "denominator")
@@ -138,12 +111,12 @@ class PhaseSums(Record):
         self.__dict__.update(turns=turns, exact=exact, numerators=numerators, denominator=denominator)
 
     def distances(self) -> np.ndarray:
-        """|z - 1| of every sum; ``hypot`` rounds it as ``abs(phase.value() - 1.0)`` does."""
+        """|e^{2 pi i s} - 1| of every sum s, the ``hypot`` of the real and imaginary parts."""
         diff = np.exp(2j * np.pi * self.turns) - 1.0
         return np.hypot(diff.real, diff.imag)
 
     def resonant(self, tol: float) -> np.ndarray:
-        """``Phase.is_one`` of every sum: numerator 0 when exact, |z - 1| <= tol otherwise."""
+        """Whether each sum is 1 on the circle: numerator 0 when exact, ``distances`` <= tol otherwise."""
         out = self.distances() <= tol
         if self.exact.any():
             out[self.exact] = self.numerators[self.exact] == 0
@@ -245,10 +218,6 @@ class SpectralLine(NamedTuple):
     basis: np.ndarray
 
     @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
     def projection(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
@@ -263,7 +232,8 @@ class SpectralDecomposition(Record):
     its ``basis``.  Decompositions built by this module hold these arrays read-only.
 
     ``phases`` and ``entries`` (one ``Phase`` and one ``SpectralLine`` per line) are built from
-    them on first read and kept; no engine reads them.  The tables the engines read are built on
+    them on first read and kept: ``phases`` to print and to match the phases ``limit_truncated`` is
+    given, ``entries`` for readers outside the package.  The tables the engines read are built on
     first use and kept on the instance too, so each is built once per decomposition: the phase sums
     of block pairs with the horizon-independent factors of their kernels and the kernel tables of
     recent horizons, the resonance record at its resonance tolerance, and the padded frame.  A new
@@ -292,10 +262,6 @@ class SpectralDecomposition(Record):
         bounds = np.searchsorted(self.blocks, np.arange(len(self.phases) + 1)).tolist()
         return tuple(SpectralLine(ph, self.frame[:, s:e]) for ph, s, e in zip(self.phases, bounds[:-1], bounds[1:]))
 
-    @property
-    def projections(self) -> tuple[np.ndarray, ...]:
-        return tuple(line.projection for line in self.entries)
-
     @cached_property
     def _pair_sums(self) -> PhaseSums:
         """The phase sums of a pair class, one per block pair."""
@@ -305,12 +271,12 @@ class SpectralDecomposition(Record):
     def _resonance(self) -> _Resonance:
         """The resonance record at the decomposition's resonance tolerance.
 
-        Line b resonates with c when z_b z_c == 1: ``Phase.is_one`` of their pair sum at the
-        tolerance.  Distinct phases admit at most one partner; a tolerance that gives a phase two
-        raises ``ValueError`` on every read, and nothing is recorded.  The table is symmetric, since
-        both sums of a pair are formed alike, so the pairing is too.  The phase-1 line resonates
-        with itself and lies nearer +1 than -1, the other root of z^2 = 1; an exact phase-1 line has
-        numerator 0.
+        Line b resonates with c when z_b z_c == 1: their pair sum s has numerator 0 when exact, and
+        |e^{2 pi i s} - 1| (``PhaseSums.distances``) within the tolerance otherwise.  Distinct phases
+        admit at most one partner; a tolerance that gives a phase two raises ``ValueError`` on every
+        read, and nothing is recorded.  The table is symmetric, since both sums of a pair are formed
+        alike, so the pairing is too.  The phase-1 line resonates with itself and lies nearer +1
+        than -1, the other root of z^2 = 1; an exact phase-1 line has numerator 0.
         """
         tol = self.tolerances.resonance
         resonant = self._pair_sums.resonant(tol)
@@ -359,7 +325,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     """Sum of phase * projection over all spectral lines, as W diag(z) W* from the frame.
 
-    z = e^{2 pi i turns} rounds as ``Phase.value`` does, which gives exactly 1 at turns 0.
+    z = e^{2 pi i turns} from ``np.exp``, which gives exactly 1 at turns 0.
     """
     z = np.exp(2j * np.pi * dec.spectrum.turns)
     return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T

@@ -142,8 +142,9 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, mean, report) -> 
     from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, correlation_term, make_system
 
     checks: list[Check] = []
+    state = scenario.state()  # a malformed state spec is a ScenarioError, not a failed check
     try:
-        system = make_system(u, scenario.state(), dec=dec, tolerances=scenario.tolerances)
+        system = make_system(u, state, dec=dec, tolerances=scenario.tolerances)
     except ValueError as exc:
         return [Check("state validation", False, float("inf"), 0.0, str(exc))]
     checks.append(_check("state validation", 0.0, 0.0))

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,11 +57,46 @@ def _class_blocks(partition, blocks):
     return out.values()
 
 
+def phase_sum(phases):
+    """The sum of ``phases`` folded left to right from exact 0, as (turns, frac).
+
+    While every summand so far is exact the sum is a ``Fraction`` mod 1 and turns its float; from
+    the first float summand on it is the float (a + b) % 1.0, with 1.0 read as 0.0, and frac None.
+    Only the ``turns`` and ``frac`` fields of each phase are read.
+    """
+    turns, frac = 0.0, Fraction(0)
+    for ph in phases:
+        if frac is not None and ph.frac is not None:
+            frac = (frac + ph.frac) % 1
+            turns = float(frac)
+        else:
+            frac = None
+            turns = (turns + ph.turns) % 1.0
+            if turns == 1.0:
+                turns = 0.0
+    return turns, frac
+
+
+def phase_value(turns, frac):
+    """e^{2 pi i turns}, exactly 1 for an exact phase 0."""
+    return 1.0 + 0.0j if frac == 0 else cmath.exp(2j * math.pi * turns)
+
+
+def resonates(turns, frac, tol):
+    """Whether the phase is 1 on the circle: frac 0 when exact, |e^{2 pi i turns} - 1| <= tol otherwise."""
+    if frac is not None:
+        return frac == 0
+    return abs(phase_value(turns, frac) - 1.0) <= tol
+
+
+def projections(dec):
+    """W_b W_b^* of every line b, from the frame's columns of that line."""
+    cols = [dec.frame[:, dec.blocks == b] for b in range(int(dec.blocks.max()) + 1)]
+    return [w @ w.conj().T for w in cols]
+
+
 def _phase_sum(dec, blocks):
-    total = dec.phases[blocks[0]]
-    for b in blocks[1:]:
-        total = total + dec.phases[b]
-    return total
+    return phase_sum(dec.phases[b] for b in blocks)
 
 
 def block_tuple_chains(dec, partition, ops):
@@ -68,25 +104,26 @@ def block_tuple_chains(dec, partition, ops):
 
     A literal loop over ``itertools.product``; one full product per tuple.
     """
-    projections = dec.projections
-    for blocks in itertools.product(range(len(projections)), repeat=partition.m):
-        chain = projections[blocks[0]]
+    lines = projections(dec)
+    for blocks in itertools.product(range(len(lines)), repeat=partition.m):
+        chain = lines[blocks[0]]
         for a, b in zip(ops, blocks[1:]):
-            chain = chain @ a @ projections[b]
+            chain = chain @ a @ lines[b]
         yield blocks, chain
 
 
-def scalar_kernel(phase, N):
-    """Cesaro kernel of one phase, one ``Phase`` at a time: the reference for the array kernel.
+def scalar_kernel(turns, frac, N):
+    """Cesaro kernel of one phase (turns, frac): the reference for the array kernel.
 
-    Exact phases take (1 - z^N) / (N (1 - z)) with z^N from rational
-    arithmetic; float phases take the Dirichlet form with t in [-1/2, 1/2).
+    Exact phases take (1 - z^N) / (N (1 - z)) with z^N from ``Fraction`` arithmetic; float phases
+    take the Dirichlet form with t in [-1/2, 1/2).
     """
-    if phase.is_exact:
-        if phase.frac == 0:
+    if frac is not None:
+        if frac == 0:
             return 1.0 + 0.0j
-        return (1.0 - phase.power(N).value()) / (N * (1.0 - phase.value()))
-    t = phase.turns if phase.turns < 0.5 else phase.turns - 1.0
+        power = frac * N % 1
+        return (1.0 - phase_value(float(power), power)) / (N * (1.0 - phase_value(turns, frac)))
+    t = turns if turns < 0.5 else turns - 1.0
     if t == 0.0:
         return 1.0 + 0.0j
     n = round(N * t)
@@ -95,24 +132,19 @@ def scalar_kernel(phase, N):
 
 
 def phase_sum_loop(phases, size):
-    """Every sum of ``size`` phases, folded left to right with ``Phase.__add__`` from exact 0.
+    """Every sum of ``size`` phases as (turns, frac), by ``phase_sum``.
 
     Returns the flat list of sums in index-tuple order, as a table of shape
     (len(phases),) * size would hold them.
     """
-    from entcesaro.spectral import Phase
-
-    sums = [Phase.rational(0, 1)]
-    for _ in range(size):
-        sums = [total + ph for total in sums for ph in phases]
-    return sums
+    return [phase_sum(combo) for combo in itertools.product(phases, repeat=size)]
 
 
 def resonant_partners_loop(phases, tol):
-    """The partner of each phase by a double loop over ``Phase.__add__`` and ``is_one``."""
+    """The partner of each phase by a double loop over ``phase_sum`` and ``resonates``."""
     partners = []
     for zb in phases:
-        matches = [c for c, zc in enumerate(phases) if (zb + zc).is_one(tol)]
+        matches = [c for c, zc in enumerate(phases) if resonates(*phase_sum((zb, zc)), tol)]
         if len(matches) > 1:
             raise ValueError(
                 "resonance tolerance admits multiple partners for one phase; "
@@ -131,7 +163,7 @@ def spectral_gap_loop(phases, partners):
     for b in range(len(phases)):
         for c in range(len(phases)):
             if partners[b] != c:
-                gap = min(gap, abs(1.0 - (phases[b] + phases[c]).value()))
+                gap = min(gap, abs(1.0 - phase_value(*phase_sum((phases[b], phases[c])))))
     return gap
 
 
@@ -140,7 +172,7 @@ def tuple_bound_oracle(dec, partition, ops, N, tol=1e-8):
     total = 0.0
     for blocks, chain in block_tuple_chains(dec, partition, ops):
         sums = [_phase_sum(dec, cls) for cls in _class_blocks(partition, blocks)]
-        weight = abs(np.prod([scalar_kernel(s, N) for s in sums]) - float(all(s.is_one(tol) for s in sums)))
+        weight = abs(np.prod([scalar_kernel(*s, N) for s in sums]) - float(all(resonates(*s, tol) for s in sums)))
         total += weight * np.linalg.svd(chain, compute_uv=False)[0]
     return total
 
@@ -154,7 +186,7 @@ def tuple_limit_oracle(dec, partition, ops, last_blocks=None, tol=1e-8):
     total = np.zeros((dec.dim, dec.dim), dtype=complex)
     for blocks, chain in block_tuple_chains(dec, partition, ops):
         classes = list(_class_blocks(partition, blocks))
-        if all(_phase_sum(dec, cls).is_one(tol) for cls in classes) and (
+        if all(resonates(*_phase_sum(dec, cls), tol) for cls in classes) and (
             last_blocks is None or all(cls[-1] in last_blocks for cls in classes)
         ):
             total += chain
@@ -173,7 +205,7 @@ def contract_per_block(dec, partition, ops, tables):
         first.setdefault(lab, pos)
         last[lab] = pos
     blk = dec.blocks
-    d, B = dec.dim, len(dec.entries)
+    d, B = dec.dim, int(dec.blocks.max()) + 1
     cols = [np.flatnonzero(blk == b) for b in range(B)]
     frame_ops = [dec.frame.conj().T @ a @ dec.frame for a in ops]
     tensor = np.eye(d, dtype=np.complex128)
@@ -220,14 +252,14 @@ def pairwise_residuals(dec, source=None):
     def norm(x):
         return np.linalg.norm(x, 2)
 
-    projections = dec.projections
+    lines = projections(dec)
     out = {
-        "hermiticity": max(norm(q - q.conj().T) for q in projections),
-        "idempotency": max(norm(q @ q - q) for q in projections),
-        "orthogonality": max((norm(projections[a] @ projections[b])
-                              for a in range(len(projections)) for b in range(a + 1, len(projections))),
+        "hermiticity": max(norm(q - q.conj().T) for q in lines),
+        "idempotency": max(norm(q @ q - q) for q in lines),
+        "orthogonality": max((norm(lines[a] @ lines[b])
+                              for a in range(len(lines)) for b in range(a + 1, len(lines))),
                              default=0.0),
-        "completeness": norm(sum(projections) - np.eye(dec.dim)),
+        "completeness": norm(sum(lines) - np.eye(dec.dim)),
     }
     if source is not None:
         out["reconstruction"] = norm(reconstruct(dec) - source)
@@ -270,11 +302,11 @@ def invariant_system(seed, d, zero_multiplicity=1, max_denominator=6):
     from entcesaro.spectral import Phase, from_eigensystem
 
     rng = np.random.default_rng(seed)
-    phases = [Phase.rational(0, 1)] * zero_multiplicity
-    while len(phases) < d:
+    fracs = [Fraction(0)] * zero_multiplicity
+    while len(fracs) < d:
         q = int(rng.integers(2, max_denominator + 1))
-        p = int(rng.integers(1, q))
-        phases.append(Phase.rational(p, q))
+        fracs.append(Fraction(int(rng.integers(1, q)), q))
+    phases = [Phase(float(f), f) for f in fracs]
     basis = haar_unitary(rng, d)
     u, dec = from_eigensystem(phases, basis)
     return u, dec, basis[:, 0], basis

@@ -29,7 +29,7 @@ from entcesaro.linalg import haar_unitary, operator_norm
 from entcesaro.partitions import Partition, enumerate_pair_partitions, is_crossing, remove_last_class
 from entcesaro.spectral import antidiagonal_spectrum, decompose, invariant_projection, random_system
 
-from conftest import crossing_by_quadruple_scan, invariant_system, random_ops
+from conftest import crossing_by_quadruple_scan, invariant_system, phase_value, random_ops, resonates
 
 # The tree that holds the entcesaro these tests import (the checkout's src/, another tree on
 # PYTHONPATH, or site-packages), put first on PYTHONPATH so that subprocesses test the same package.
@@ -141,7 +141,7 @@ def test_criterion_4_mean_ergodic_bound():
         u = haar_unitary(np.random.default_rng(70_000 + seed), 4)
         dec = decompose(u)
         gap = min(
-            (abs(1.0 - ph.value()) for ph in dec.phases if not ph.is_one(1e-8)),
+            (abs(1.0 - phase_value(ph.turns, ph.frac)) for ph in dec.phases if not resonates(ph.turns, ph.frac, 1e-8)),
             default=np.inf,
         )
         if gap < 0.1:

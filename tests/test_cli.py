@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import entcesaro
+from entcesaro import cli
 from entcesaro.__main__ import BROKEN_PIPE_EXIT
 from entcesaro.cli import main, report_csv, CSV_HEADER
 from entcesaro.engines import ConvergenceReport, ReportRow
@@ -158,6 +159,19 @@ class TestExitCodes:
             ("bool_seed.json", "converge", dict(pair, seed=True), "'seed' must be an integer"),
             ("dict_entries.json", "limit", dict(pair, operators=[{"kind": "matrix", "re": {}}]),
              "operator 0 're' and 'im' must be arrays of numbers"),
+            # JSON reads NaN and Infinity; they were refused only later, as a verification failure (exit 1).
+            ("nan_operator.json", "converge",
+             dict(pair, operators=[{"kind": "matrix", "re": [[1, 0], [0, math.nan]]}]),
+             "operator 0 're' and 'im' must hold finite numbers"),
+            ("inf_operator.json", "verify",
+             dict(pair, operators=[{"kind": "matrix", "re": [[1, 0], [0, 1]], "im": [[0, math.inf], [0, 0]]}]),
+             "operator 0 're' and 'im' must hold finite numbers"),
+            ("nan_diag.json", "correlate",
+             dict(pair, operators=[{"kind": "random"}] * 3, state={"kind": "trace", "diag": [1, math.nan]}),
+             "trace state 'diag' needs 2 finite numbers"),
+            ("nan_omega.json", "verify",
+             dict(pair, operators=[{"kind": "random"}] * 3, state={"kind": "vector", "omega": [1, math.nan]}),
+             "omega entries must be finite numbers or [re, im] pairs"),
         ):
             capsys.readouterr()
             assert run_cli([command, "--scenario", write_scenario(tmp_path, data, name)]) == 2, name
@@ -322,6 +336,15 @@ class TestCommands:
         assert run_cli(["correlate", "--scenario", path]) == 0
         out = capsys.readouterr().out
         assert "correlation limit" in out
+
+    def test_correlate_names_the_horizons_that_break_the_bound(self, tmp_path, capsys, monkeypatch):
+        # A bound of zero at every horizon, below each nonzero distance from the limit.
+        monkeypatch.setattr(cli, "error_bounds", lambda dec, p, ops, horizons: [0.0] * len(horizons))
+        path = write_scenario(tmp_path, CORRELATE_SCENARIO)
+        assert run_cli(["correlate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert "correlation limit" in captured.out
+        assert captured.err == "certified bound violated at N in [100, 1000]\n"
 
     def test_verify_correlate_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)

@@ -7,8 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from entcesaro import spectral
-from entcesaro.linalg import haar_unitary, operator_norm, unitarity_residual
-from conftest import pairwise_residuals
+from entcesaro.linalg import haar_unitary, operator_norm
+from conftest import pairwise_residuals, phase_value, resonates
 from entcesaro.spectral import (
     FRAME_TOL,
     RECONSTRUCTION_TOL,
@@ -41,7 +41,7 @@ def diagonal_system(turns):
 
 def antidiagonal_by_product_scan(dec, tol=1e-8):
     """Independent oracle: pairwise scan of |z*w - 1| over complex values."""
-    values = [ph.value() for ph in dec.phases]
+    values = [phase_value(ph.turns, ph.frac) for ph in dec.phases]
     out = []
     for b, z in enumerate(values):
         if any(abs(z * w - 1.0) <= tol for w in values):
@@ -57,38 +57,31 @@ class TestPhase:
         assert Phase.rational(5, 4).frac == Fraction(1, 4)
         assert Phase.rational(-1, 4).frac == Fraction(3, 4)
 
-    def test_value_and_conjugate(self):
-        ph = Phase.rational(1, 3)
-        assert ph.value() == pytest.approx(np.exp(2j * np.pi / 3))
-        assert ph.conjugate().frac == Fraction(2, 3)
-        assert Phase.rational(0, 1).conjugate().frac == 0
-        f = Phase.from_turns(0.25)
-        assert f.conjugate().turns == 0.75
+    def test_constructors_normalise_mod_1(self):
+        assert Phase.from_turns(1.25).turns == 0.25
+        assert Phase.from_turns(-0.25).turns == 0.75
+        assert Phase.from_turns(-1e-20).turns == 0.0  # the modulo rounds to 1.0, read as 0.0
+        assert Phase.from_fraction(Fraction(-1, 3)) == Phase.rational(2, 3)
+        assert not Phase.from_turns(0.5).is_exact and Phase.rational(1, 2).is_exact
 
-    def test_addition_stays_exact(self):
-        total = Phase.rational(1, 3) + Phase.rational(2, 3)
-        assert total.frac == 0
-        assert total.is_one(0.0)
-        mixed = Phase.rational(1, 3) + Phase.from_turns(1 / 3)
-        assert mixed.frac is None
+    def test_str_and_format_print_the_fraction_or_the_float(self):
+        assert str(Phase.rational(2, 4)) == "1/2"
+        assert str(Phase.from_turns(0.25)) == "0.25"
+        assert f"{Phase.rational(1, 3):>6}|{Phase.from_turns(0.5):<5}|" == "   1/3|0.5  |"
 
-    def test_power(self):
-        assert Phase.rational(1, 2).power(4).frac == 0
-        assert Phase.rational(1, 3).power(2).frac == Fraction(2, 3)
-
-    def test_is_one_tolerance(self):
-        assert Phase.from_turns(0.0).is_one(1e-12)
-        assert Phase.from_turns(1e-12).is_one(1e-8)
-        assert not Phase.from_turns(0.25).is_one(1e-8)
-        # exact phases never resonate approximately
-        assert not Phase.rational(1, 10**6).is_one(1e-2)
+    def test_equal_phases_merge_into_one_line(self):
+        # from_eigensystem groups its phases by equality and hash, whichever constructor made them.
+        phases = [Phase.rational(1, 3), Phase.from_fraction(Fraction(4, 3)), Phase.rational(0, 1)]
+        _, dec = from_eigensystem(phases, np.eye(3))
+        assert dec.phases == (Phase.rational(0, 1), Phase.rational(1, 3))
+        assert dec.blocks.tolist() == [0, 1, 1]
 
 
 class TestDecompose:
     def test_identity(self):
         dec = decompose(np.eye(3, dtype=complex))
         assert len(dec.entries) == 1
-        assert dec.entries[0].phase.is_one(1e-12)
+        assert resonates(dec.phases[0].turns, dec.phases[0].frac, 1e-12)
         np.testing.assert_allclose(dec.entries[0].projection, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
@@ -127,10 +120,10 @@ class TestDecompose:
         phases = [Phase.rational(1, 3), Phase.rational(1, 3), Phase.rational(0, 1)]
         basis = haar_unitary(np.random.default_rng(9), 3)
         u, built = from_eigensystem(phases, basis)
-        assert [line.rank for line in built.entries] == [1, 2]
+        assert [line.basis.shape[1] for line in built.entries] == [1, 2]
         dec = decompose(u)
         assert len(dec.entries) == 2
-        assert [line.rank for line in dec.entries] == [1, 2]
+        assert [line.basis.shape[1] for line in dec.entries] == [1, 2]
         for got, expected in zip(dec.entries, built.entries):
             np.testing.assert_allclose(got.projection, expected.projection, atol=1e-10)
 
@@ -139,7 +132,7 @@ class TestDecompose:
         u = np.diag([np.exp(2j * np.pi * t) for t in angles])
         dec = decompose(u)
         assert len(dec.entries) == 1
-        assert dec.entries[0].phase.is_one(1e-8)
+        assert resonates(dec.phases[0].turns, dec.phases[0].frac, 1e-8)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -154,17 +147,17 @@ class TestFrame:
         _, rational = random_system(seed, 6, "rational", 4)
         haar = decompose(haar_unitary(np.random.default_rng(seed), 5))
         for dec in (rational, haar):
-            assert unitarity_residual(dec.frame) <= 1e-12
+            assert operator_norm(dec.frame.conj().T @ dec.frame - np.eye(dec.dim)) <= 1e-12
             for b, line in enumerate(dec.entries):
                 cols = dec.frame[:, dec.blocks == b]
-                assert cols.shape[1] == line.rank
+                assert cols.shape[1] == line.basis.shape[1]
                 np.testing.assert_allclose(cols @ cols.conj().T, line.projection, atol=1e-12)
 
     def test_rejects_frame_outside_projector_tolerance(self):
         # Residual 7e-11 passes the 1e-10 unitarity tolerance of the basis but
         # not the frame check, which must keep every projector residual <= 1e-10.
         basis = haar_unitary(np.random.default_rng(3), 3) * (1.0 + 3.5e-11)
-        assert 6e-11 < unitarity_residual(basis) < 1e-10
+        assert 6e-11 < operator_norm(basis.conj().T @ basis - np.eye(3)) < 1e-10
         with pytest.raises(ValueError, match="frame"):
             from_eigensystem([Phase.rational(j, 3) for j in range(3)], basis)
 
@@ -278,7 +271,7 @@ def _line_at(dec, turns):
 def _assert_frame_lines(dec):
     """Each line's basis is its block of the frame, held as a view; its rank is the block's width."""
     for b, line in enumerate(dec.entries):
-        assert line.rank == np.count_nonzero(dec.blocks == b)
+        assert line.basis.shape[1] == np.count_nonzero(dec.blocks == b)
         assert np.shares_memory(line.basis, dec.frame)
         np.testing.assert_array_equal(line.basis, dec.frame[:, dec.blocks == b])
 
@@ -291,8 +284,8 @@ def _projection_atol(clusters, d):
 
 
 def _phase_path_reconstruct(dec):
-    """W diag(z) W* with each z from ``Phase.value``, as ``reconstruct`` formed it from the lines."""
-    z = np.array([ph.value() for ph in dec.phases])
+    """W diag(z) W* with each z from ``cmath.exp`` of one phase at a time, exactly 1 at an exact 0."""
+    z = np.array([phase_value(ph.turns, ph.frac) for ph in dec.phases])
     return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
 
 
@@ -354,13 +347,13 @@ class TestHardSpectra:
         u, truth = _hard_system(clusters, seed)
         dec = decompose(u)
         assert len(dec.entries) == len(clusters)
-        assert unitarity_residual(dec.frame) <= FRAME_TOL
+        assert operator_norm(dec.frame.conj().T @ dec.frame - np.eye(dec.dim)) <= FRAME_TOL
         assert operator_norm(reconstruct(dec) - u) <= RECONSTRUCTION_TOL
         _assert_frame_lines(dec)
         atol = _projection_atol(clusters, u.shape[0])
         for cluster, proj in zip(clusters, truth):
             line = _line_at(dec, cluster[0])
-            assert line.rank == len(cluster)
+            assert line.basis.shape[1] == len(cluster)
             np.testing.assert_allclose(line.projection, proj, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("name", sorted(HARD_SPECTRA))
@@ -474,14 +467,14 @@ class TestCayleyEigensolve:
         atol = _projection_atol(clusters, u.shape[0]) if len(clusters) > 1 else 5 * u.shape[0] * np.finfo(float).eps
         for cluster, proj in zip(clusters, truth):
             line = _line_at(dec, cluster[0])
-            assert line.rank == len(cluster)
+            assert line.basis.shape[1] == len(cluster)
             np.testing.assert_allclose(line.projection, proj, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("name", sorted(CAYLEY_SPECTRA))
     def test_reconstruct_is_the_spectral_sum(self, name):
         u, _, _ = _cayley_system(CAYLEY_SPECTRA[name], 0)
         dec = decompose(u)
-        spectral_sum = sum(line.phase.value() * line.projection for line in dec.entries)
+        spectral_sum = sum(phase_value(line.phase.turns, line.phase.frac) * line.projection for line in dec.entries)
         np.testing.assert_allclose(reconstruct(dec), spectral_sum, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("name", sorted(CAYLEY_SPECTRA))
@@ -522,7 +515,7 @@ class TestCayleyEigensolve:
         atol = _projection_atol(clusters, d)
         for cluster, proj in zip(clusters, truth):
             line = _line_at(dec, cluster[0])
-            assert line.rank == len(cluster)
+            assert line.basis.shape[1] == len(cluster)
             np.testing.assert_allclose(line.projection, proj, rtol=0, atol=atol)
 
 
@@ -534,7 +527,7 @@ class TestAntidiagonal:
         golden = 0.3819660112501051
         dec = decompose(np.diag([1.0, np.exp(2j * np.pi * golden)]))
         sigma = antidiagonal_spectrum(dec)
-        assert len(sigma) == 1 and sigma[0].is_one(1e-8)
+        assert len(sigma) == 1 and resonates(sigma[0].turns, sigma[0].frac, 1e-8)
 
         dec = decompose(np.diag([np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)]))
         assert len(antidiagonal_spectrum(dec)) == 2
@@ -548,9 +541,9 @@ class TestAntidiagonal:
     @pytest.mark.parametrize("seed", range(8))
     def test_closed_under_conjugation(self, seed):
         _, dec = random_system(seed, 5, "rational", 8)
-        sigma = antidiagonal_spectrum(dec)
-        for ph in sigma:
-            assert ph.conjugate() in sigma
+        fracs = {ph.frac for ph in antidiagonal_spectrum(dec)}
+        for frac in fracs:
+            assert -frac % 1 in fracs
 
     def test_phase_one_always_antidiagonal(self):
         # The lines the invariant projection acts on: the rational system's phase 0/1, and none of the
@@ -570,7 +563,8 @@ class TestAntidiagonal:
             for b, c in enumerate(partners):
                 if c is not None:
                     assert partners[c] == b
-                    assert abs(dec.phases[b].value() * dec.phases[c].value() - 1.0) <= dec.tolerances.resonance
+                    z, w = (phase_value(dec.phases[j].turns, dec.phases[j].frac) for j in (b, c))
+                    assert abs(z * w - 1.0) <= dec.tolerances.resonance
         assert resonant_partners(diagonal_system(FLOAT_RESONANCE_TURNS["near-conjugate"])) == (None, 3, None, 1)
 
 
