@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from .engines import _SWEEP_ENTRY_BUDGET, ENGINES, _check_horizon, _direct_entries, limit_operator
-from .linalg import as_operator, as_vector, operator_norm
+from .engines import _check_horizon, _engine, limit_operator
+from .linalg import _gated_norm, as_operator, as_vector, operator_norm
 from .partitions import Partition
 from .spectral import (
     RECONSTRUCTION_TOL,
@@ -45,7 +45,6 @@ STATE_TOL = 1e-10
 # How far correlation_term's sandwiched form may differ from its automorphism form, per unit of the
 # largest operator norm.
 IDENTITY_TOL = 1e-10
-_AUTO_DIRECT_TUPLES = 100_000
 
 
 class VectorState(NamedTuple):
@@ -110,7 +109,7 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None,
     else:
         if dec.dim != arr.shape[0]:
             raise ValueError("decomposition dimension does not match the unitary")
-        if operator_norm(reconstruct(dec) - arr) > RECONSTRUCTION_TOL:
+        if _gated_norm(reconstruct(dec) - arr, RECONSTRUCTION_TOL) > RECONSTRUCTION_TOL:
             raise ValueError("decomposition does not reconstruct the unitary")
     d = arr.shape[0]
     state_arr = np.asarray(state, dtype=np.complex128)
@@ -130,7 +129,7 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None,
         return DynamicalSystem(arr, dec, VectorState(omega))
     if state_arr.ndim == 2:
         t = as_operator(state_arr, d, name="density")
-        if operator_norm(t - t.conj().T) > STATE_TOL:
+        if _gated_norm(t - t.conj().T, STATE_TOL) > STATE_TOL:
             raise ValueError("density operator must be self-adjoint")
         eigs = np.linalg.eigvalsh(t)
         if float(eigs.min()) < -STATE_TOL:
@@ -138,14 +137,14 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None,
         trace = complex(np.trace(t))
         if abs(trace - 1.0) > STATE_TOL:
             raise ValueError(f"density operator must have trace one, got {trace:.6f}")
-        if operator_norm(arr @ t - t) > STATE_TOL or operator_norm(t @ arr - t) > STATE_TOL:
+        if _gated_norm(arr @ t - t, STATE_TOL) > STATE_TOL or _gated_norm(t @ arr - t, STATE_TOL) > STATE_TOL:
             raise ValueError("density operator is not fixed by the unitary (UT = T = TU fails)")
         e1 = invariant_projection(dec)
-        if operator_norm((np.eye(d) - e1) @ t) > STATE_TOL:
+        if _gated_norm((np.eye(d) - e1) @ t, STATE_TOL) > STATE_TOL:
             raise ValueError("density operator is not supported inside the invariant eigenspace")
         # Matrix-unit invariance: omega(e_pq) = T_qp, and conjugating the unit
         # by U transposes into U* T U, which must equal T.
-        if operator_norm(arr.conj().T @ t @ arr - t) > STATE_TOL:
+        if _gated_norm(arr.conj().T @ t @ arr - t, STATE_TOL) > STATE_TOL:
             raise ValueError("state is not invariant on the matrix-unit basis")
         return DynamicalSystem(arr, dec, TraceState(t))
     raise ValueError("state must be a vector or a square matrix")
@@ -198,34 +197,25 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n) -> complex:
     for i, lab in enumerate(p.labels, start=1):
         sandwich = sandwich @ u_power(n[lab - 1]) @ ops[i]
     other = sys.expect(sandwich)
-    scale = max(1.0, max(operator_norm(a) for a in ops))
-    if abs(value - other) > IDENTITY_TOL * scale:
+    gap = abs(value - other)
+    # The scale is at least 1, so the operator norms are needed only past IDENTITY_TOL itself.
+    if gap > IDENTITY_TOL and gap > IDENTITY_TOL * max(1.0, max(operator_norm(a) for a in ops)):
         raise ValueError(f"correlation identity violated: |{value} - {other}| > {IDENTITY_TOL:.1e}")
     return value
 
 
-def _inner_mean(sys: DynamicalSystem, spec: CorrelationSpec, N: int, engine: str):
-    inner = spec.ops[1:-1]
-    if engine == "auto":
-        p = spec.partition
-        direct = N ** p.k <= _AUTO_DIRECT_TUPLES and _direct_entries(p, N, sys.dim) <= _SWEEP_ENTRY_BUDGET
-        engine = "direct" if direct else "spectral"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} for correlations")
-    return ENGINES[engine](sys.unitary, sys.dec, spec.partition, inner, N)
-
-
 def cesaro_correlation(sys: DynamicalSystem, spec: CorrelationSpec, N: int,
-                       engine: str = "auto") -> complex:
+                       engine: str = "spectral") -> complex:
     """Cesaro average of the correlation terms up to horizon N.
 
     By linearity this equals the state applied to A_0 * M_N * A_m with M_N
     the entangled mean of the inner observables, which is how it is computed.
-    ``engine="auto"`` takes the direct engine when N^k <= 100,000 and its planned
-    peak fits its default budget, the spectral engine otherwise.
+    M_N comes from ``engines.ENGINES[engine]``; the default, the spectral
+    engine, evaluates the representation that ``error_bound`` certifies.
     """
     ops = _check_spec(sys, spec)
-    mean = _inner_mean(sys, spec, _check_horizon(N), engine)
+    N = _check_horizon(N)
+    mean = _engine(engine)(sys.unitary, sys.dec, spec.partition, ops[1:-1], N)
     return sys.expect(ops[0] @ mean.matrix @ ops[-1])
 
 

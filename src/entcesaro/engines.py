@@ -434,6 +434,13 @@ ENGINES = {
 ENGINE_NAMES = tuple(ENGINES)
 
 
+def _engine(name: str):
+    """``ENGINES[name]``; ``ValueError`` naming the engines when there is none by that name."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}, expected one of {ENGINE_NAMES}")
+    return ENGINES[name]
+
+
 def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases) -> np.ndarray:
     """Partial limit sum restricted to class phases drawn from ``phases``.
 
@@ -536,8 +543,7 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     Ns = [(_check_horizon(n)) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("horizons must be strictly increasing")
-    if engine not in ENGINE_NAMES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINE_NAMES}")
+    run = _engine(engine)
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     limit = limit_operator(dec, p, ops)
@@ -545,7 +551,7 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     rows = []
     # Each horizon's mean right after its bound, which formed the kernel tables the mean reads.
     for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, SPECTRAL_ENTRY_BUDGET)):
-        result = ENGINES[engine](None, dec, p, ops, n)
+        result = run(None, dec, p, ops, n)
         diff = result.matrix - limit
         rows.append(ReportRow(
             N=n,

@@ -499,6 +499,30 @@ def test_cli_import_defers_correlations_and_verify():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_on_matrix_specs_loads_no_numpy_random(tmp_path):
+    """``verify`` draws its form probes and index tuples from ``random``, not ``numpy.random``.
+
+    Counted against what importing numpy loads, whatever its version.
+    """
+    ops = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+           [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    path = write_scenario(tmp_path, {
+        "unitary": {"kind": "matrix", "re": np.diag([1, -1, 1]).tolist()},
+        "partition": [1, 2, 2, 1],
+        "operators": [{"kind": "matrix", "re": a} for a in ops],
+        "state": {"kind": "trace", "diag": [0.5, 0, 0.5]},
+        "Ns": [10, 100],
+    })
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; from entcesaro.cli import main; "
+            "code = main(['verify', '--scenario', sys.argv[1]]); "
+            "print(code, before, 'numpy.random' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, path], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert "PASS  correlation proof identity" in proc.stdout
+    code, before, after = proc.stderr.split()
+    assert code == "0" and after == before
+
+
 def test_package_import_generates_no_record_code():
     """Start-up loads neither ``dataclasses`` nor ``string``: no record generates and execs methods at import.
 

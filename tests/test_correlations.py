@@ -15,7 +15,7 @@ from entcesaro.correlations import (
     correlation_term,
     make_system,
 )
-from entcesaro.engines import ENGINES, BudgetError, cesaro_direct, cesaro_spectral, error_bound
+from entcesaro.engines import ENGINES, cesaro_direct, cesaro_spectral, error_bound
 from entcesaro.linalg import haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
 from entcesaro.spectral import Phase, decompose, from_eigensystem
@@ -172,7 +172,7 @@ class TestCesaroCorrelation:
     def test_rejects_a_horizon_that_is_not_a_positive_integer(self, horizon):
         system = make_system(DIAG_PM, np.array([1.0, 0.0]))
         spec = CorrelationSpec(P11, (SWAP, SWAP, np.eye(2, dtype=complex)))
-        for engine in ("auto", *ENGINES):
+        for engine in ENGINES:
             with pytest.raises(ValueError, match="horizon N must be a positive integer"):
                 cesaro_correlation(system, spec, horizon, engine=engine)
 
@@ -224,32 +224,26 @@ class TestCesaroCorrelation:
         system = make_system(u, omega, dec=dec)
         spec = CorrelationSpec(P1221, tuple(ops))
         expected = system.expect(ops[0] @ cesaro_spectral(dec, P1221, ops[1:-1], 12).matrix @ ops[-1])
-        for engine in ("auto", "direct", "spectral", "nested"):
+        for engine in ("direct", "spectral", "nested"):
             assert cesaro_correlation(system, spec, 12, engine=engine) == pytest.approx(expected, abs=1e-10)
-        with pytest.raises(ValueError, match="unknown engine 'warp' for correlations"):
+        with pytest.raises(ValueError, match=r"unknown engine 'warp', expected one of \('direct', 'spectral', 'nested'\)"):
             cesaro_correlation(system, spec, 12, engine="warp")
 
-    @pytest.mark.parametrize("labels,d,n,expected", [
-        # 300^2 tuples pass the tuple cap, but the direct sweep holds both axes: 300^2 * 16^2 entries.
-        ("1,2,1,2", 16, 300, "spectral"),
-        ("1,2,2,1,3,3", 6, 31, "direct"),  # one axis held: 31 * 6^2 entries
-        ("1,2,2,1,3,3", 6, 47, "spectral"),  # 47^3 tuples exceed the tuple cap
-    ])
-    def test_auto_takes_direct_only_where_its_tuples_and_peak_fit(self, monkeypatch, labels, d, n, expected):
+    @pytest.mark.parametrize("labels,d,n", [("1,2,1,2", 16, 300), ("1,2,2,1,3,3", 6, 31), ("1,2,2,1,3,3", 6, 47)])
+    def test_default_is_one_spectral_evaluation(self, monkeypatch, labels, d, n):
         p = parse_partition(labels)
         basis = haar_unitary(np.random.default_rng(5), d)
         u, dec = from_eigensystem([Phase.rational(k, 17) for k in range(d)], basis)
         system = make_system(u, basis[:, 0], dec=dec)
         spec = CorrelationSpec(p, tuple(random_ops(np.random.default_rng(6), p.m + 1, d)))
-        if expected == "spectral" and n ** p.k <= 100_000:
-            with pytest.raises(BudgetError, match="memory budget"):
-                cesaro_correlation(system, spec, n, engine="direct")
+        spectral = cesaro_correlation(system, spec, n, engine="spectral")
         used = []
         for name, call in list(ENGINES.items()):
             monkeypatch.setitem(ENGINES, name, lambda *args, _name=name, _call=call: used.append(_name) or _call(*args))
-        value = cesaro_correlation(system, spec, n)
-        assert used == [expected]
-        assert value == cesaro_correlation(system, spec, n, engine=expected)
+        assert cesaro_correlation(system, spec, n) == spectral
+        assert used == ["spectral"]
+        with pytest.raises(ValueError, match="unknown engine 'auto', expected one of"):
+            cesaro_correlation(system, spec, n, engine="auto")
 
 
 class TestCorrelationLimit:

@@ -651,7 +651,7 @@ class TestConvergenceReport:
             convergence_report(dec, P1221, ops, [10, 10])
         with pytest.raises(ValueError):
             convergence_report(dec, P1221, ops, [10, 5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unknown engine 'warp', expected one of \('direct', 'spectral', 'nested'\)"):
             convergence_report(dec, P1221, ops, [5, 10], engine="warp")
 
 

@@ -54,7 +54,8 @@ def test_diagonal_rational_unitary():
     np.testing.assert_allclose(
         u, np.diag([1.0, -1.0, np.exp(4j * np.pi / 3)]), atol=1e-14
     )
-    assert [str(ph) for ph in dec.phases] == ["0/1", "1/3", "1/2"] or len(dec.entries) == 3
+    assert [str(ph) for ph in dec.phases] == ["0/1", "1/2", "2/3"]
+    assert np.bincount(dec.blocks).tolist() == [1, 1, 1]
 
 
 def test_matrix_unitary_and_operator():
