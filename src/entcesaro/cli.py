@@ -10,7 +10,6 @@ import os
 import stat
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -20,14 +19,12 @@ from .engines import (
     CERTIFICATE_SLACK,
     BudgetError,
     ConvergenceReport,
-    cesaro_direct,
-    cesaro_spectral,
     convergence_report,
     error_bounds,
     limit_operator,
     spectral_gap,
 )
-from .linalg import operator_norm
+from .linalg import norm_product, operator_norm, rounding_gap
 from .partitions import is_crossing, render_partition
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .spectral import antidiagonal_spectrum, decomposition_residuals
@@ -168,12 +165,8 @@ def cmd_mean(scenario: Scenario, args) -> int:
 def cmd_limit(scenario: Scenario, args) -> int:
     _, dec, p, ops = _inputs(scenario, "limit")
     limit = limit_operator(dec, p, ops)
-    norm = operator_norm(limit)
-    product = 1.0
-    for a in ops:
-        product *= operator_norm(a)
     print(f"partition {render_partition(p)}")
-    print(f"limit operator norm {norm:.12f} (operator norm product {product:.12f})")
+    print(f"limit operator norm {operator_norm(limit):.12f} (operator norm product {norm_product(ops):.12f})")
     _print_matrix(limit, "limit")
     return 0
 
@@ -200,24 +193,25 @@ def cmd_verify(scenario: Scenario, args) -> int:
 
 def cmd_bench(scenario: Scenario, args) -> int:
     u, dec, p, ops = _inputs(scenario, "bench", horizons=True)
-    runs = {"spectral": ENGINES["spectral"], **ENGINES}  # the spectral engine first: the reference
-    print("N        engine    seconds      max|diff vs spectral|")
+
+    def run(engine, horizon):
+        try:
+            return ENGINES[engine](u, dec, p, ops, horizon)
+        except BudgetError:
+            return None
+
+    print("N        engine    seconds      |diff vs spectral| / norm product")
     for horizon in scenario.horizons:
-        reference = None
-        for engine, run in runs.items():
+        reference = run("spectral", horizon)
+        for engine in ENGINES:
             if engine == "nested" and is_crossing(p):
                 continue
-            start = time.perf_counter()
-            try:
-                result = run(u, dec, p, ops, horizon)
-            except BudgetError:
+            result = reference if engine == "spectral" else run(engine, horizon)
+            if result is None:
                 print(f"{horizon:<8} {engine:<9} (skipped: over budget)")
                 continue
-            elapsed = time.perf_counter() - start
-            if engine == "spectral":
-                reference = result.matrix
-            diff = "" if reference is None else f"{np.abs(result.matrix - reference).max():.3e}"
-            print(f"{horizon:<8} {engine:<9} {elapsed:<12.6f} {diff}")
+            diff = "" if reference is None else f"{rounding_gap(result.matrix, reference.matrix, ops):.3e}"
+            print(f"{horizon:<8} {engine:<9} {result.elapsed:<12.6f} {diff}")
     return 0
 
 
@@ -257,14 +251,13 @@ def cmd_demo_appendix(args) -> int:
     print("antidiagonal spectrum:", ", ".join(str(ph) for ph in antidiagonal_spectrum(dec)))
     print(f"spectral gap: {spectral_gap(dec):.6f}")
 
-    check_n = DEMO_CROSS_CHECK_N
-    direct = cesaro_direct(u, p, ops, check_n)
-    spectral = cesaro_spectral(dec, p, ops, check_n)
-    agreement = float(np.abs(direct.matrix - spectral.matrix).max())
-    print(f"direct vs spectral at N={check_n}: max deviation {agreement:.3e}")
-    if agreement > 1e-10:
-        print("engines disagree beyond tolerance", file=sys.stderr)
-        return 1
+    from .verify import engine_checks  # here, so that importing the CLI loads no verify
+
+    for check in engine_checks(u, dec, p, ops, DEMO_CROSS_CHECK_N)[0]:
+        print(f"{check.name}: |diff| / norm product {check.value:.3e}")
+        if not check.passed:
+            print("engines disagree beyond tolerance", file=sys.stderr)
+            return 1
 
     report = convergence_report(dec, p, ops, scenario.horizons, scenario.engine)
     return _emit_report(report, args.out, args.timings)

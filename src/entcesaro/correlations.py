@@ -19,7 +19,7 @@ import numpy as np
 
 from ._record import Record
 from .engines import _check_horizon, _engine, limit_operator
-from .linalg import _gated_norm, as_operator, as_vector, operator_norm
+from .linalg import ROUNDING_TOL, _gated_norm, as_operator, as_vector, rounding_gap
 from .partitions import Partition
 from .spectral import (
     RECONSTRUCTION_TOL,
@@ -42,9 +42,6 @@ __all__ = [
 ]
 
 STATE_TOL = 1e-10
-# How far correlation_term's sandwiched form may differ from its automorphism form, per unit of the
-# largest operator norm.
-IDENTITY_TOL = 1e-10
 
 
 class VectorState(NamedTuple):
@@ -162,9 +159,9 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n) -> complex:
 
         omega(A_0 U^{n_a(1)} A_1 U^{n_a(2)} ... A_{m-1} U^{n_a(m)} A_m),
 
-    raising if the two disagree beyond ``IDENTITY_TOL`` times the largest
-    operator norm, at least 1 (they are equal because every index occurs
-    twice and the state is invariant).
+    raising if the two disagree beyond ``linalg.ROUNDING_TOL`` times the
+    product of the 2k+1 operator norms (they are equal because every index
+    occurs twice and the state is invariant).
     """
     ops = _check_spec(sys, spec)
     p = spec.partition
@@ -197,10 +194,10 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n) -> complex:
     for i, lab in enumerate(p.labels, start=1):
         sandwich = sandwich @ u_power(n[lab - 1]) @ ops[i]
     other = sys.expect(sandwich)
-    gap = abs(value - other)
-    # The scale is at least 1, so the operator norms are needed only past IDENTITY_TOL itself.
-    if gap > IDENTITY_TOL and gap > IDENTITY_TOL * max(1.0, max(operator_norm(a) for a in ops)):
-        raise ValueError(f"correlation identity violated: |{value} - {other}| > {IDENTITY_TOL:.1e}")
+    gap = rounding_gap(value, other, ops)
+    if gap > ROUNDING_TOL:
+        raise ValueError(f"correlation identity violated: |{value} - {other}| / norm product = {gap:.3e}"
+                         f" > {ROUNDING_TOL:.1e}")
     return value
 
 

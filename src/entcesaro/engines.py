@@ -436,7 +436,7 @@ ENGINE_NAMES = tuple(ENGINES)
 
 def _engine(name: str):
     """``ENGINES[name]``; ``ValueError`` naming the engines when there is none by that name."""
-    if name not in ENGINES:
+    if name not in ENGINE_NAMES:  # a tuple, so an unhashable name is unknown too
         raise ValueError(f"unknown engine {name!r}, expected one of {ENGINE_NAMES}")
     return ENGINES[name]
 

@@ -1,6 +1,8 @@
-"""Dense complex matrix helpers: norms, unitarity residuals, random matrices."""
+"""Dense complex matrix helpers: norms, the rounding tolerance, the unitarity gate, random matrices."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -10,6 +12,9 @@ __all__ = [
     "frobenius_norm",
     "operator_norm",
     "require_unitary",
+    "ROUNDING_TOL",
+    "norm_product",
+    "rounding_gap",
     "haar_unitary",
     "gaussian_operator",
 ]
@@ -43,6 +48,22 @@ def frobenius_norm(a) -> float:
 def operator_norm(a) -> float:
     """Largest singular value, from the LAPACK singular value decomposition."""
     return float(np.linalg.norm(as_operator(a), 2))
+
+
+# How far two evaluations of one quantity multilinear in some operators may differ, per unit of the
+# product of their operator norms (``rounding_gap``), so that no verdict depends on the operators' scale.
+ROUNDING_TOL = 1e-10
+
+
+def norm_product(ops) -> float:
+    """The product of the operator norms of ``ops``, clamped at 1e-300 so that a zero operator, or a
+    product that underflows, leaves it positive."""
+    return max(math.prod(operator_norm(a) for a in ops), 1e-300)
+
+
+def rounding_gap(a, b, ops) -> float:
+    """||a - b||_F per unit of ``norm_product(ops)``: the measure that ``ROUNDING_TOL`` bounds."""
+    return frobenius_norm(np.asarray(a) - np.asarray(b)) / norm_product(ops)
 
 
 def _gated_norm(residual: np.ndarray, tol: float) -> float:

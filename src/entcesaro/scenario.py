@@ -26,7 +26,7 @@ import zlib
 
 import numpy as np
 
-from .engines import ENGINE_NAMES
+from .engines import _engine
 from .linalg import gaussian_operator
 from .partitions import Partition, canonicalize
 from .spectral import (
@@ -280,8 +280,10 @@ def scenario_from_dict(raw) -> Scenario:
             raise _fail(f"bad partition: {exc}") from exc
 
     engine = raw.get("engine", "spectral")
-    if engine not in ENGINE_NAMES:
-        raise _fail(f"unknown engine {engine!r}, expected one of {ENGINE_NAMES}")
+    try:
+        _engine(engine)
+    except ValueError as exc:
+        raise _fail(str(exc)) from exc
 
     horizons = raw.get("Ns", [])
     if not isinstance(horizons, list) or not all(_is_int(n) and 1 <= n <= sys.float_info.max for n in horizons):

@@ -7,7 +7,6 @@ any fails.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import NamedTuple
 
@@ -15,27 +14,20 @@ import numpy as np
 
 from .engines import (
     CERTIFICATE_SLACK,
+    ENGINES,
     BudgetError,
-    cesaro_direct,
-    cesaro_nested,
-    cesaro_spectral,
     convergence_report,
     error_bound,
     limit_operator,
     limit_truncated,
 )
-from .linalg import frobenius_norm, operator_norm
+from .linalg import ROUNDING_TOL, norm_product, operator_norm, rounding_gap
 from .partitions import is_crossing
 from .scenario import Scenario
 from .spectral import FRAME_TOL, RECONSTRUCTION_TOL, antidiagonal_spectrum, decomposition_residuals
 
-__all__ = ["Check", "run_invariant_suite"]
+__all__ = ["Check", "engine_checks", "run_invariant_suite"]
 
-ORACLE_REL_TOL = 1e-9
-NESTED_TOL = 1e-10
-MEAN_NORM_SLACK = 1e-9
-LIMIT_NORM_SLACK = 1e-10
-FORM_SLACK = 1e-10
 CROSS_CHECK_N = 20
 FORM_DRAWS = 10
 
@@ -79,32 +71,15 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     inner = ops_all[1:-1] if has_state else ops_all
 
     n_small = min(scenario.horizons[0], CROSS_CHECK_N) if scenario.horizons else CROSS_CHECK_N
-    direct = cesaro_direct(u, p, inner, n_small)
-    spectral = cesaro_spectral(dec, p, inner, n_small)
-    # Relative to the product of the norms; clamped after the product, which underflows to 0
-    # with two zero operators.
-    scale = max(math.prod(frobenius_norm(a) for a in inner), 1e-300)
-    checks.append(_check(
-        f"direct vs spectral at N={n_small}",
-        frobenius_norm(direct.matrix - spectral.matrix) / scale,
-        ORACLE_REL_TOL,
-    ))
-    if not is_crossing(p):
-        nested = cesaro_nested(dec, p, inner, n_small)
-        checks.append(_check(
-            f"nested vs direct at N={n_small}",
-            frobenius_norm(nested.matrix - direct.matrix),
-            NESTED_TOL,
-        ))
+    cross_checks, means = engine_checks(u, dec, p, inner, n_small)
+    checks.extend(cross_checks)
 
-    product_norm = 1.0
-    for a in inner:
-        product_norm *= operator_norm(a)
+    # ||M_N||, ||L|| and |<S x, y>| / (|x| |y|) are at most the norm product, up to rounding.
+    product = norm_product(inner)
+    norm_bound = product + ROUNDING_TOL * product
     limit = limit_operator(dec, p, inner)
-    checks.append(_check("mean norm bound", operator_norm(direct.matrix),
-                         product_norm + MEAN_NORM_SLACK))
-    checks.append(_check("limit norm bound", operator_norm(limit),
-                         product_norm + LIMIT_NORM_SLACK))
+    checks.append(_check("mean norm bound", operator_norm(means["direct"]), norm_bound))
+    checks.append(_check("limit norm bound", operator_norm(limit), norm_bound))
 
     truncated = limit_truncated(dec, p, inner, antidiagonal_spectrum(dec))
     checks.append(_check(
@@ -114,16 +89,14 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     ))
 
     rng = random.Random(f"{scenario.seed}/verify/form")
-    worst_excess = 0.0
+    worst = 0.0
     for _ in range(FORM_DRAWS):
         x, y = (np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(dec.dim)])
                 for _ in range(2))
-        bound = float(np.linalg.norm(x)) * float(np.linalg.norm(y)) * product_norm
         value = abs(complex(np.vdot(y, truncated @ x)))  # the form <S x, y> of the truncated limit
-        worst_excess = max(worst_excess, value - bound)
-    checks.append(_check("sesquilinear form bound", worst_excess, FORM_SLACK))
+        worst = max(worst, value / (float(np.linalg.norm(x)) * float(np.linalg.norm(y))))
+    checks.append(_check("sesquilinear form bound", worst, norm_bound))
 
-    report = None
     if scenario.horizons:
         try:
             report = convergence_report(dec, p, inner, scenario.horizons, scenario.engine)
@@ -134,12 +107,22 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
                                 float("inf"), CERTIFICATE_SLACK, str(exc)))
 
     if has_state:
-        checks.extend(_correlation_checks(scenario, u, dec, p, ops_all, n_small, spectral.matrix, report))
+        checks.extend(_correlation_checks(scenario, u, dec, p, ops_all, n_small, means["direct"]))
     return checks
 
 
-def _correlation_checks(scenario, u, dec, p, ops_all, n_small, mean, report) -> list[Check]:
-    """``mean`` is the spectral mean of the inner operators at ``n_small``."""
+def engine_checks(u, dec, p, ops, N) -> tuple[list[Check], dict[str, np.ndarray]]:
+    """Each engine that evaluates ``p`` (the nested one only on a non-crossing partition) against the
+    spectral mean at N by ``rounding_gap``, in ``ENGINES`` order; with the means by engine name."""
+    means = {name: run(u, dec, p, ops, N).matrix for name, run in ENGINES.items()
+             if name != "nested" or not is_crossing(p)}
+    checks = [_check(f"{name} vs spectral at N={N}", rounding_gap(mean, means["spectral"], ops), ROUNDING_TOL)
+              for name, mean in means.items() if name != "spectral"]
+    return checks, means
+
+
+def _correlation_checks(scenario, u, dec, p, ops_all, n_small, direct_mean) -> list[Check]:
+    """``direct_mean`` is the direct engine's mean of the inner operators at ``n_small``."""
     from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, correlation_term, make_system
 
     checks: list[Check] = []
@@ -161,16 +144,13 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, mean, report) -> 
             worst = float("inf")
     checks.append(_check("correlation proof identity", worst, 0.0))
 
-    via_state = system.expect(ops_all[0] @ mean @ ops_all[-1])
+    # The state of A_0 (direct mean) A_m against cesaro_correlation, which runs the spectral engine.
+    via_state = system.expect(ops_all[0] @ direct_mean @ ops_all[-1])
     value = cesaro_correlation(system, spec, n_small)
-    checks.append(_check("correlation cross-module identity",
-                         abs(via_state - value), 1e-10))
+    checks.append(_check("correlation cross-module identity", rounding_gap(via_state, value, ops_all), ROUNDING_TOL))
 
     horizon = scenario.horizons[-1] if scenario.horizons else 10**4
-    if report is not None:  # its last row already holds the bound at this horizon
-        gap_bound = report.rows[-1].certified_bound
-    else:
-        gap_bound = error_bound(dec, p, ops_all[1:-1], horizon)
+    gap_bound = error_bound(dec, p, ops_all[1:-1], horizon)
     edge = operator_norm(ops_all[0]) * operator_norm(ops_all[-1])
     deviation = abs(cesaro_correlation(system, spec, horizon) - correlation_limit(system, spec))
     checks.append(_check("correlation limit within certified bound",

@@ -551,3 +551,20 @@ def test_package_names_resolve_on_first_access():
     assert entcesaro.linalg.operator_norm(np.eye(2)) == 1.0
     with pytest.raises(AttributeError):
         entcesaro.no_such_name
+
+
+def test_bench_and_demo_compare_engines_by_the_relative_gap(tmp_path, capsys):
+    """``bench`` lists the engines in ``ENGINES`` order against the spectral mean, each gap per unit of the
+    operators' norm product; ``demo-appendix`` prints its cross-check in the same measure."""
+    from entcesaro.engines import ENGINES
+
+    path = write_scenario(tmp_path, dict(ENGINE_SCENARIO, Ns=[5]))
+    assert run_cli(["bench", "--scenario", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "N        engine    seconds      |diff vs spectral| / norm product"
+    rows = [line.split() for line in lines[1:]]
+    assert [row[1] for row in rows] == list(ENGINES)
+    assert all(float(row[3]) <= 1e-10 for row in rows)
+    assert rows[1][1:4:2] == ["spectral", "0.000e+00"]
+    assert run_cli(["demo-appendix", "--out", str(tmp_path / "demo.csv")]) == 0
+    assert "direct vs spectral at N=30: |diff| / norm product " in capsys.readouterr().out

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from entcesaro.correlations import (
-    IDENTITY_TOL,
     STATE_TOL,
     CorrelationSpec,
     DynamicalSystem,
@@ -16,7 +15,7 @@ from entcesaro.correlations import (
     make_system,
 )
 from entcesaro.engines import ENGINES, cesaro_direct, cesaro_spectral, error_bound
-from entcesaro.linalg import haar_unitary, operator_norm
+from entcesaro.linalg import ROUNDING_TOL as IDENTITY_TOL, haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
 from entcesaro.spectral import Phase, decompose, from_eigensystem
 

@@ -139,3 +139,14 @@ def test_rng_for_is_deterministic_and_name_sensitive():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("engine", ["warp", ["spectral"], {"name": "direct"}, None])
+def test_unknown_engine_message_is_the_engines_message(engine):
+    from entcesaro.engines import _engine
+
+    with pytest.raises(ValueError) as expected:
+        _engine(engine)
+    with pytest.raises(ScenarioError) as got:
+        scenario_from_dict(dict(BASE, engine=engine))
+    assert str(got.value) == f"malformed scenario: {expected.value}"
