@@ -16,7 +16,6 @@ import numpy as np
 from .engines import (
     ENGINE_NAMES,
     ENGINES,
-    CERTIFICATE_SLACK,
     BudgetError,
     ConvergenceReport,
     convergence_report,
@@ -24,7 +23,7 @@ from .engines import (
     limit_operator,
     spectral_gap,
 )
-from .linalg import norm_product, operator_norm, rounding_gap
+from .linalg import ROUNDING_TOL, bound_excess, norm_product, operator_norm, rounding_gap
 from .partitions import is_crossing, render_partition
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .spectral import antidiagonal_spectrum, decomposition_residuals
@@ -99,21 +98,21 @@ def _print_matrix(mat: np.ndarray, label: str) -> None:
         print("  " + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row))
 
 
-def _inputs(scenario: Scenario, command: str, horizons: bool = False, edges: int = 0):
-    """(u, dec, p, ops) of a command that needs a partition (and, with ``horizons``, a nonempty 'Ns'),
-    with ``edges`` operators besides the partition's m - 1."""
+def _inputs(scenario: Scenario, command: str, horizons: bool = False, edges: bool = False):
+    """(u, dec, p, ops) of a command that needs a partition (and, with ``horizons``, a nonempty 'Ns'):
+    the inner operators of the partition's mean, or with ``edges`` every operator the scenario lists."""
     if scenario.partition is None:
         raise ScenarioError(f"the '{command}' command needs a partition")
     if horizons and not scenario.horizons:
         raise ScenarioError(f"the '{command}' command needs a nonempty 'Ns' list")
     u, dec = scenario.system()
-    p = scenario.partition
-    return u, dec, p, scenario.operators(p.m - 1 + edges)
+    ops, inner = scenario.partition_operators()
+    return u, dec, scenario.partition, ops if edges else inner
 
 
-def _emit_report(report: ConvergenceReport, out: str | None, timings: bool) -> int:
+def _emit_report(report: ConvergenceReport, ops, out: str | None, timings: bool) -> int:
     """Write the report's CSV to ``out`` if given, then print it; 2 if ``out`` cannot be written, else 1
-    if a row breaks its certified bound.
+    if a row's error fails its certified bound by ``bound_excess`` over ``ops``, the report's operators.
 
     The file is written first, so a reader of stdout that has gone away does not stop it.
     """
@@ -130,11 +129,10 @@ def _emit_report(report: ConvergenceReport, out: str | None, timings: bool) -> i
         print(note, file=sys.stderr)
     if code:
         return code
-    bad = [row.N for row in report.rows if row.error_op > row.certified_bound + CERTIFICATE_SLACK]
+    bad = [row.N for row in report.rows if bound_excess(row.error_op, row.certified_bound, ops) > ROUNDING_TOL]
     if bad:
         print(f"certified bound violated at N in {bad}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if bad else 0
 
 
 def cmd_decompose(scenario: Scenario, args) -> int:
@@ -174,7 +172,7 @@ def cmd_limit(scenario: Scenario, args) -> int:
 def cmd_converge(scenario: Scenario, args) -> int:
     _, dec, p, ops = _inputs(scenario, "converge", horizons=True)
     report = convergence_report(dec, p, ops, scenario.horizons, scenario.engine)
-    return _emit_report(report, args.out or scenario.out, args.timings)
+    return _emit_report(report, ops, args.out or scenario.out, args.timings)
 
 
 def cmd_verify(scenario: Scenario, args) -> int:
@@ -218,8 +216,9 @@ def cmd_bench(scenario: Scenario, args) -> int:
 def cmd_correlate(scenario: Scenario, args) -> int:
     from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, make_system
 
-    u, dec, p, ops = _inputs(scenario, "correlate", edges=2)
-    system = make_system(u, scenario.state(), dec=dec, tolerances=scenario.tolerances)
+    state = scenario.state()  # first, so that a scenario without a state is refused as such
+    u, dec, p, ops = _inputs(scenario, "correlate", edges=True)
+    system = make_system(u, state, dec=dec, tolerances=scenario.tolerances)
     spec = CorrelationSpec(p, tuple(ops))
     limit = correlation_limit(system, spec)
     edge = operator_norm(ops[0]) * operator_norm(ops[-1])
@@ -231,7 +230,7 @@ def cmd_correlate(scenario: Scenario, args) -> int:
         value = cesaro_correlation(system, spec, horizon)
         bound *= edge
         gap = abs(value - limit)
-        if not gap <= bound + CERTIFICATE_SLACK:
+        if not bound_excess(gap, bound, ops) <= ROUNDING_TOL:
             bad.append(horizon)
         print(f"{horizon:<8} {value.real:+.9f}{value.imag:+.9f}j   {gap:.3e}       {bound:.3e}")
     if bad:
@@ -260,7 +259,7 @@ def cmd_demo_appendix(args) -> int:
             return 1
 
     report = convergence_report(dec, p, ops, scenario.horizons, scenario.engine)
-    return _emit_report(report, args.out, args.timings)
+    return _emit_report(report, ops, args.out, args.timings)
 
 
 def _horizon(text: str) -> int:
@@ -286,19 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": dict(help="output CSV path"),
         "--timings": dict(action="store_true", help="include wall time in CSV output (breaks byte reproducibility)"),
     }
-    # Each command takes --seed, every command but demo-appendix --scenario, and only the options it reads.
+    # Each command's handler, help and the options it reads; all take --seed, all but demo-appendix --scenario.
     commands = {
-        "decompose": ("print eigenphases, the antidiagonal spectrum, and residuals", ()),
-        "mean": ("evaluate one entangled Cesaro mean", ("--engine", "--N")),
-        "limit": ("evaluate the limit operator and its norm bound", ()),
-        "converge": ("emit a CSV convergence report with certified bounds", ("--engine", "--out", "--timings")),
-        "verify": ("run the full invariant suite; exit 0 iff all checks pass", ("--engine",)),
-        "bench": ("time the engines against each other across horizons", ()),
-        "correlate": ("compare correlation averages against their limit", ()),
-        "demo-appendix": ("built-in demonstration on the partition 1,2,1,3,2,3", ("--out", "--timings")),
+        "decompose": (cmd_decompose, "print eigenphases, the antidiagonal spectrum, and residuals", ()),
+        "mean": (cmd_mean, "evaluate one entangled Cesaro mean", ("--engine", "--N")),
+        "limit": (cmd_limit, "evaluate the limit operator and its norm bound", ()),
+        "converge": (cmd_converge, "emit a CSV convergence report with certified bounds",
+                     ("--engine", "--out", "--timings")),
+        "verify": (cmd_verify, "run the full invariant suite; exit 0 iff all checks pass", ("--engine",)),
+        "bench": (cmd_bench, "time the engines against each other across horizons", ()),
+        "correlate": (cmd_correlate, "compare correlation averages against their limit", ()),
+        "demo-appendix": (cmd_demo_appendix, "built-in demonstration on the partition 1,2,1,3,2,3",
+                          ("--out", "--timings")),
     }
-    for name, (help_text, reads) in commands.items():
+    for name, (handler, help_text, reads) in commands.items():
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         if name != "demo-appendix":
             cmd.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         cmd.add_argument("--seed", type=int, help="override the scenario seed")
@@ -311,7 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "demo-appendix":
-            return cmd_demo_appendix(args)
+            return args.handler(args)
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario.seed = args.seed
@@ -321,16 +323,7 @@ def main(argv=None) -> int:
             if scenario.engine == "nested" and scenario.partition is not None and is_crossing(scenario.partition):
                 raise ScenarioError(f"the nested engine requires a non-crossing pair partition, "
                                     f"got {render_partition(scenario.partition)}")
-        handler = {
-            "decompose": cmd_decompose,
-            "mean": cmd_mean,
-            "limit": cmd_limit,
-            "converge": cmd_converge,
-            "verify": cmd_verify,
-            "bench": cmd_bench,
-            "correlate": cmd_correlate,
-        }[args.command]
-        return handler(scenario, args)
+        return args.handler(scenario, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

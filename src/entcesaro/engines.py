@@ -97,7 +97,6 @@ __all__ = [
 ]
 
 SPECTRAL_ENTRY_BUDGET = 10**7  # the spectral engines' default budget: entries in the largest planned tensor
-CERTIFICATE_SLACK = 1e-9  # how far a computed error may exceed its certified bound and still pass
 _SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's default budget: complex entries in its largest tensor
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's index names
 

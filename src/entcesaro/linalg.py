@@ -15,6 +15,7 @@ __all__ = [
     "ROUNDING_TOL",
     "norm_product",
     "rounding_gap",
+    "bound_excess",
     "haar_unitary",
     "gaussian_operator",
 ]
@@ -50,8 +51,8 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(as_operator(a), 2))
 
 
-# How far two evaluations of one quantity multilinear in some operators may differ, per unit of the
-# product of their operator norms (``rounding_gap``), so that no verdict depends on the operators' scale.
+# How far two evaluations of one quantity multilinear in some operators may differ (``rounding_gap``), or an
+# error exceed its certified bound (``bound_excess``), per unit of their operators' norm product.
 ROUNDING_TOL = 1e-10
 
 
@@ -64,6 +65,12 @@ def norm_product(ops) -> float:
 def rounding_gap(a, b, ops) -> float:
     """||a - b||_F per unit of ``norm_product(ops)``: the measure that ``ROUNDING_TOL`` bounds."""
     return frobenius_norm(np.asarray(a) - np.asarray(b)) / norm_product(ops)
+
+
+def bound_excess(error: float, bound: float, ops) -> float:
+    """(error - bound) per unit of ``norm_product(ops)``: an error passes its certified bound when this is at
+    most ``ROUNDING_TOL``, the ``rounding_gap`` allowed between any engine's mean and the certified one."""
+    return (error - bound) / norm_product(ops)
 
 
 def _gated_norm(residual: np.ndarray, tol: float) -> float:

@@ -88,6 +88,12 @@ class Scenario:
             for j, spec in enumerate(self.operator_specs)
         ]
 
+    def partition_operators(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(all, inner): the listed A_0 ... A_m with a state or A_1 ... A_{m-1} without, and A_1 ... A_{m-1}."""
+        edges = self.state_spec is not None
+        ops = self.operators(self.partition.m - 1 + 2 * edges)
+        return ops, ops[1:-1] if edges else ops
+
     def state(self) -> np.ndarray:
         if self.state_spec is None:
             raise ScenarioError("scenario has no 'state' entry")

@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .engines import (
-    CERTIFICATE_SLACK,
     ENGINES,
     BudgetError,
     convergence_report,
@@ -21,7 +20,7 @@ from .engines import (
     limit_operator,
     limit_truncated,
 )
-from .linalg import ROUNDING_TOL, norm_product, operator_norm, rounding_gap
+from .linalg import ROUNDING_TOL, bound_excess, norm_product, operator_norm, rounding_gap
 from .partitions import is_crossing
 from .scenario import Scenario
 from .spectral import FRAME_TOL, RECONSTRUCTION_TOL, antidiagonal_spectrum, decomposition_residuals
@@ -66,9 +65,7 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
         return checks
 
     p = scenario.partition
-    has_state = scenario.state_spec is not None
-    ops_all = scenario.operators(p.m + 1 if has_state else p.m - 1)
-    inner = ops_all[1:-1] if has_state else ops_all
+    ops_all, inner = scenario.partition_operators()
 
     n_small = min(scenario.horizons[0], CROSS_CHECK_N) if scenario.horizons else CROSS_CHECK_N
     cross_checks, means = engine_checks(u, dec, p, inner, n_small)
@@ -100,13 +97,12 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     if scenario.horizons:
         try:
             report = convergence_report(dec, p, inner, scenario.horizons, scenario.engine)
-            worst = max(row.error_op - row.certified_bound for row in report.rows)
-            checks.append(_check("report rows within certified bound", worst, CERTIFICATE_SLACK))
+            worst, detail = max(bound_excess(row.error_op, row.certified_bound, inner) for row in report.rows), ""
         except BudgetError as exc:
-            checks.append(Check("report rows within certified bound", False,
-                                float("inf"), CERTIFICATE_SLACK, str(exc)))
+            worst, detail = float("inf"), str(exc)
+        checks.append(_check("report rows within certified bound", worst, ROUNDING_TOL, detail))
 
-    if has_state:
+    if scenario.state_spec is not None:
         checks.extend(_correlation_checks(scenario, u, dec, p, ops_all, n_small, means["direct"]))
     return checks
 
@@ -150,9 +146,8 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, direct_mean) -> l
     checks.append(_check("correlation cross-module identity", rounding_gap(via_state, value, ops_all), ROUNDING_TOL))
 
     horizon = scenario.horizons[-1] if scenario.horizons else 10**4
-    gap_bound = error_bound(dec, p, ops_all[1:-1], horizon)
-    edge = operator_norm(ops_all[0]) * operator_norm(ops_all[-1])
+    bound = error_bound(dec, p, ops_all[1:-1], horizon) * (operator_norm(ops_all[0]) * operator_norm(ops_all[-1]))
     deviation = abs(cesaro_correlation(system, spec, horizon) - correlation_limit(system, spec))
     checks.append(_check("correlation limit within certified bound",
-                         deviation, gap_bound * edge + CERTIFICATE_SLACK))
+                         bound_excess(deviation, bound, ops_all), ROUNDING_TOL))
     return checks

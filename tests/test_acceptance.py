@@ -25,7 +25,7 @@ from entcesaro.engines import (
     limit_operator,
     mean_ergodic,
 )
-from entcesaro.linalg import haar_unitary, operator_norm
+from entcesaro.linalg import ROUNDING_TOL, bound_excess, haar_unitary, operator_norm
 from entcesaro.partitions import Partition, enumerate_pair_partitions, is_crossing, remove_last_class
 from entcesaro.spectral import antidiagonal_spectrum, decompose, invariant_projection, random_system
 
@@ -84,7 +84,7 @@ def test_criterion_2_convergence_witness():
         rep = convergence_report(dec, p, ops, horizons, engine="spectral")
         assert rep.spectral_gap >= 0.1, f"system gap {rep.spectral_gap} below premise"
         for row in rep.rows:
-            assert row.error_op <= row.certified_bound + 1e-9, (
+            assert bound_excess(row.error_op, row.certified_bound, ops) <= ROUNDING_TOL, (
                 f"case {case}: error {row.error_op:.3e} above bound {row.certified_bound:.3e} at N={row.N}"
             )
             worst_margin = max(worst_margin, row.error_op - row.certified_bound)
@@ -169,7 +169,7 @@ def test_criterion_5_appendix_regression(tmp_path):
     n = 10**4
     err = operator_norm(cesaro_spectral(dec, p, ops, n).matrix - limit_operator(dec, p, ops))
     bound = error_bound(dec, p, ops, n)
-    assert err <= bound + 1e-9, f"error {err:.3e} above certified bound {bound:.3e}"
+    assert bound_excess(err, bound, ops) <= ROUNDING_TOL, f"error {err:.3e} above certified bound {bound:.3e}"
 
     out = tmp_path / "demo.csv"
     exit_code = cli_main(["demo-appendix", "--out", str(out)])
@@ -203,12 +203,12 @@ def test_criterion_6_correlation_limits():
         deviation = abs(cesaro_correlation(system, spec, n) - correlation_limit(system, spec))
         budget = error_bound(dec, p, ops[1:-1], n)
         budget *= operator_norm(ops[0]) * operator_norm(ops[-1])
-        assert deviation <= budget + 1e-9, f"case {case}: {deviation:.3e} > {budget:.3e}"
+        assert bound_excess(deviation, budget, ops) <= ROUNDING_TOL, f"case {case}: {deviation:.3e} > {budget:.3e}"
         worst = max(worst, deviation - budget)
 
         for _ in range(5):
             tuple_n = [int(v) for v in rng.integers(0, 50, size=p.k)]
-            correlation_term(system, spec, tuple_n)  # raises beyond IDENTITY_TOL = 1e-10
+            correlation_term(system, spec, tuple_n)  # raises beyond ROUNDING_TOL times the observables' norm product
             identity_checks += 1
     assert identity_checks == 100
     report(6, f"20 systems (10 vector, 10 trace), worst limit margin {worst:.2e}, "

@@ -13,7 +13,8 @@ import entcesaro
 from entcesaro import cli
 from entcesaro.__main__ import BROKEN_PIPE_EXIT
 from entcesaro.cli import main, report_csv, CSV_HEADER
-from entcesaro.engines import ConvergenceReport, ReportRow
+from entcesaro.engines import ConvergenceReport, ReportRow, convergence_report
+from entcesaro.scenario import load_scenario
 
 # The tree that holds the entcesaro these tests import (the checkout's src/, another tree on
 # PYTHONPATH, or site-packages), put first on PYTHONPATH so that subprocesses test the same package.
@@ -52,6 +53,16 @@ CORRELATE_SCENARIO = {
     "engine": "spectral",
     "Ns": [100, 1000],
     "seed": 2,
+}
+
+# A trace state on the two phase-0 lines of exact phases, partition 1,2,2,1, so the nested engine runs too.
+TRACE_CORRELATE_SCENARIO = {
+    "unitary": {"kind": "diagonal-rational", "phases": ["0/1", "0/1", "1/2", "1/3"]},
+    "partition": [1, 2, 2, 1],
+    "operators": [{"kind": "random"} for _ in range(5)],
+    "state": {"kind": "trace", "diag": [0.5, 0.5, 0, 0]},
+    "Ns": [31, 1000],
+    "seed": 7,
 }
 
 # A Haar system at the largest random dimension: the certified bound no longer walks its 64^4 block tuples.
@@ -349,6 +360,24 @@ class TestCommands:
     def test_verify_correlate_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)
         assert run_cli(["verify", "--scenario", path]) == 0
+
+    @pytest.mark.parametrize("data", [CORRELATE_SCENARIO, TRACE_CORRELATE_SCENARIO], ids=["vector", "trace"])
+    def test_the_mean_commands_read_the_inner_operators_of_a_state_scenario(self, tmp_path, capsys, data):
+        path = write_scenario(tmp_path, data)
+        for command in ("mean", "limit", "bench"):
+            assert run_cli([command, "--scenario", path]) == 0, (command, capsys.readouterr().err)
+        capsys.readouterr()
+        assert run_cli(["converge", "--scenario", path]) == 0
+        scenario = load_scenario(path)
+        _, dec = scenario.system()
+        p = scenario.partition
+        report = convergence_report(dec, p, scenario.operators(p.m + 1)[1:-1], scenario.horizons, scenario.engine)
+        assert capsys.readouterr().out == report_csv(report)
+
+    def test_correlate_refuses_a_scenario_without_a_state(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, dict(ENGINE_SCENARIO, operators=[{"kind": "random"}] * 5))
+        assert run_cli(["correlate", "--scenario", path]) == 2
+        assert capsys.readouterr().err == "scenario error: scenario has no 'state' entry\n"
 
     def test_demo_appendix(self, tmp_path, capsys):
         out_path = tmp_path / "demo.csv"

@@ -15,7 +15,7 @@ from entcesaro.correlations import (
     make_system,
 )
 from entcesaro.engines import ENGINES, cesaro_direct, cesaro_spectral, error_bound
-from entcesaro.linalg import ROUNDING_TOL as IDENTITY_TOL, haar_unitary, operator_norm
+from entcesaro.linalg import ROUNDING_TOL, ROUNDING_TOL as IDENTITY_TOL, bound_excess, haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
 from entcesaro.spectral import Phase, decompose, from_eigensystem
 
@@ -262,7 +262,7 @@ class TestCorrelationLimit:
             deviation = abs(cesaro_correlation(system, spec, n) - correlation_limit(system, spec))
             budget = error_bound(dec, P1212, ops[1:-1], n)
             budget *= operator_norm(ops[0]) * operator_norm(ops[-1])
-            assert deviation <= budget + 1e-9
+            assert bound_excess(deviation, budget, ops) <= ROUNDING_TOL
 
     def test_rank_one_trace_state_reproduces_vector_state(self):
         u, dec, omega, _ = invariant_system(19, 3)

@@ -24,7 +24,7 @@ from entcesaro.engines import (
     mean_ergodic,
     spectral_gap,
 )
-from entcesaro.linalg import haar_unitary, operator_norm
+from entcesaro.linalg import ROUNDING_TOL, bound_excess, haar_unitary, operator_norm
 from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition
 from entcesaro.spectral import (
     KERNEL_MEMO_HORIZONS,
@@ -641,7 +641,7 @@ class TestConvergenceReport:
         ops = random_ops(rng, 3, 3)
         report = convergence_report(dec, P1221, ops, [5, 10, 20], engine=engine)
         for row in report.rows:
-            assert row.error_op <= row.certified_bound + 1e-9
+            assert bound_excess(row.error_op, row.certified_bound, ops) <= ROUNDING_TOL
             assert row.engine == engine
 
     def test_rejects_bad_horizons_and_engine(self, rng):
