@@ -51,6 +51,7 @@ _EXPORTS = {
         "CorrelationSpec",
         "DynamicalSystem",
         "cesaro_correlation",
+        "correlation_bounds",
         "correlation_limit",
         "correlation_term",
         "make_system",

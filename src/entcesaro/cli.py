@@ -19,7 +19,6 @@ from .engines import (
     BudgetError,
     ConvergenceReport,
     convergence_report,
-    error_bounds,
     limit_operator,
     spectral_gap,
 )
@@ -214,21 +213,19 @@ def cmd_bench(scenario: Scenario, args) -> int:
 
 
 def cmd_correlate(scenario: Scenario, args) -> int:
-    from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, make_system
+    from .correlations import CorrelationSpec, cesaro_correlation, correlation_bounds, correlation_limit, make_system
 
     state = scenario.state()  # first, so that a scenario without a state is refused as such
     u, dec, p, ops = _inputs(scenario, "correlate", edges=True)
     system = make_system(u, state, dec=dec, tolerances=scenario.tolerances)
     spec = CorrelationSpec(p, tuple(ops))
     limit = correlation_limit(system, spec)
-    edge = operator_norm(ops[0]) * operator_norm(ops[-1])
     print(f"correlation limit: {limit.real:+.12f}{limit.imag:+.12f}j")
     print("N        value                          |value-limit|   certified")
     bad = []
     horizons = scenario.horizons or [100]
-    for horizon, bound in zip(horizons, error_bounds(dec, p, ops[1:-1], horizons)):
+    for horizon, bound in zip(horizons, correlation_bounds(system, spec, horizons)):
         value = cesaro_correlation(system, spec, horizon)
-        bound *= edge
         gap = abs(value - limit)
         if not bound_excess(gap, bound, ops) <= ROUNDING_TOL:
             bad.append(horizon)

@@ -1,9 +1,8 @@
 """Multiple correlations of finite-dimensional dynamical systems.
 
-A system is a unitary U together with an invariant state: either a unit
-vector fixed by U, or a positive trace-one density operator commuting with
-U and supported inside the invariant eigenspace.  The automorphism is
-conjugation by U; correlations average state values of products
+A system is a unitary U together with an invariant state A -> tr(T A), given
+by its density operator T; a unit vector omega fixed by U gives T = omega omega*.
+The automorphism is conjugation by U; correlations average state values of products
 
     A_0 g^{c_1}(A_1) g^{c_2}(A_2) ... g^{c_m}(A_m),   c_i = n_a(1) + ... + n_a(i),
 
@@ -18,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from .engines import _check_horizon, _engine, limit_operator
-from .linalg import ROUNDING_TOL, _gated_norm, as_operator, as_vector, rounding_gap
+from .engines import _check_horizon, _engine, error_bounds, limit_operator
+from .linalg import ROUNDING_TOL, _gated_norm, as_operator, as_vector, operator_norm, rounding_gap
 from .partitions import Partition
 from .spectral import (
     RECONSTRUCTION_TOL,
@@ -31,48 +30,31 @@ from .spectral import (
 )
 
 __all__ = [
-    "VectorState",
-    "TraceState",
     "DynamicalSystem",
     "CorrelationSpec",
     "make_system",
     "correlation_term",
     "cesaro_correlation",
     "correlation_limit",
+    "correlation_bounds",
 ]
 
 STATE_TOL = 1e-10
 
 
-class VectorState(NamedTuple):
-    """Unit vector fixed by the unitary; the state is A -> <A omega, omega>."""
-
-    omega: np.ndarray
-
-    def value(self, a: np.ndarray) -> complex:
-        return complex(np.vdot(self.omega, a @ self.omega))
-
-
-class TraceState(NamedTuple):
-    """Invariant density operator; the state is A -> tr(T A)."""
-
-    density: np.ndarray
-
-    def value(self, a: np.ndarray) -> complex:
-        return complex(np.einsum("ij,ji->", self.density, a))
-
-
 class DynamicalSystem(NamedTuple):
+    """A unitary, its decomposition, and the density operator T of an invariant state A -> tr(T A)."""
+
     unitary: np.ndarray
     dec: SpectralDecomposition
-    state: VectorState | TraceState
+    density: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.dec.dim
 
     def expect(self, a: np.ndarray) -> complex:
-        return self.state.value(a)
+        return complex(np.einsum("ij,ji->", self.density, a))
 
 
 class CorrelationSpec(Record):
@@ -93,12 +75,10 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None,
                 tolerances: Tolerances = Tolerances()) -> DynamicalSystem:
     """Validate a unitary plus invariant state into a DynamicalSystem.
 
-    ``state`` is a vector (vector state, normalized here) or a square matrix
-    (density operator).  Vector states must satisfy U omega = omega; trace
-    states must be positive, trace one, commute with U, and be supported
-    inside the invariant eigenspace.  Invariance of the induced state under
-    conjugation by U is verified on the matrix-unit basis.  Every state check
-    allows ``STATE_TOL``.
+    ``state`` is a density operator T, or a nonzero vector omega that stands for T = omega omega* / |omega|^2.
+    T must be self-adjoint, positive, of trace one, fixed by U (UT = T = TU; for rank one, U omega = omega)
+    and supported inside the invariant eigenspace, and the state must be invariant under conjugation by U
+    on the matrix-unit basis (U* T U = T).  Every check allows ``STATE_TOL``.
     """
     arr = as_operator(u, name="unitary")
     if dec is None:
@@ -109,42 +89,33 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None,
         if _gated_norm(reconstruct(dec) - arr, RECONSTRUCTION_TOL) > RECONSTRUCTION_TOL:
             raise ValueError("decomposition does not reconstruct the unitary")
     d = arr.shape[0]
-    state_arr = np.asarray(state, dtype=np.complex128)
-    if state_arr.ndim == 1:
-        omega = as_vector(state_arr, d, name="omega")
+    t = np.asarray(state, dtype=np.complex128)
+    if t.ndim == 1:
+        omega = as_vector(t, d, name="omega")
         norm = float(np.linalg.norm(omega))
         if norm == 0.0:
             raise ValueError("state vector must be nonzero")
         omega = omega / norm
-        if float(np.linalg.norm(arr @ omega - omega)) > STATE_TOL:
-            raise ValueError("state vector is not invariant under the unitary")
-        # Matrix-unit invariance check: omega(e_pq) = conj(omega_p) omega_q,
-        # so invariance amounts to U* omega reproducing the same rank-one table.
-        pulled = arr.conj().T @ omega
-        if float(np.linalg.norm(np.outer(pulled.conj(), pulled) - np.outer(omega.conj(), omega))) > STATE_TOL:
-            raise ValueError("state is not invariant on the matrix-unit basis")
-        return DynamicalSystem(arr, dec, VectorState(omega))
-    if state_arr.ndim == 2:
-        t = as_operator(state_arr, d, name="density")
-        if _gated_norm(t - t.conj().T, STATE_TOL) > STATE_TOL:
-            raise ValueError("density operator must be self-adjoint")
-        eigs = np.linalg.eigvalsh(t)
-        if float(eigs.min()) < -STATE_TOL:
-            raise ValueError(f"density operator must be positive, min eigenvalue {eigs.min():.3e}")
-        trace = complex(np.trace(t))
-        if abs(trace - 1.0) > STATE_TOL:
-            raise ValueError(f"density operator must have trace one, got {trace:.6f}")
-        if _gated_norm(arr @ t - t, STATE_TOL) > STATE_TOL or _gated_norm(t @ arr - t, STATE_TOL) > STATE_TOL:
-            raise ValueError("density operator is not fixed by the unitary (UT = T = TU fails)")
-        e1 = invariant_projection(dec)
-        if _gated_norm((np.eye(d) - e1) @ t, STATE_TOL) > STATE_TOL:
-            raise ValueError("density operator is not supported inside the invariant eigenspace")
-        # Matrix-unit invariance: omega(e_pq) = T_qp, and conjugating the unit
-        # by U transposes into U* T U, which must equal T.
-        if _gated_norm(arr.conj().T @ t @ arr - t, STATE_TOL) > STATE_TOL:
-            raise ValueError("state is not invariant on the matrix-unit basis")
-        return DynamicalSystem(arr, dec, TraceState(t))
-    raise ValueError("state must be a vector or a square matrix")
+        t = np.outer(omega, omega.conj())
+    t = as_operator(t, d, name="density")
+    if _gated_norm(t - t.conj().T, STATE_TOL) > STATE_TOL:
+        raise ValueError("density operator must be self-adjoint")
+    eigs = np.linalg.eigvalsh(t)
+    if float(eigs.min()) < -STATE_TOL:
+        raise ValueError(f"density operator must be positive, min eigenvalue {eigs.min():.3e}")
+    trace = complex(np.trace(t))
+    if abs(trace - 1.0) > STATE_TOL:
+        raise ValueError(f"density operator must have trace one, got {trace:.6f}")
+    if _gated_norm(arr @ t - t, STATE_TOL) > STATE_TOL or _gated_norm(t @ arr - t, STATE_TOL) > STATE_TOL:
+        raise ValueError("state is not invariant under the unitary (UT = T = TU fails)")
+    e1 = invariant_projection(dec)
+    if _gated_norm((np.eye(d) - e1) @ t, STATE_TOL) > STATE_TOL:
+        raise ValueError("density operator is not supported inside the invariant eigenspace")
+    # Matrix-unit invariance: omega(e_pq) = T_qp, and conjugating the unit
+    # by U transposes into U* T U, which must equal T.
+    if _gated_norm(arr.conj().T @ t @ arr - t, STATE_TOL) > STATE_TOL:
+        raise ValueError("state is not invariant on the matrix-unit basis")
+    return DynamicalSystem(arr, dec, t)
 
 
 def _check_spec(sys: DynamicalSystem, spec: CorrelationSpec) -> list[np.ndarray]:
@@ -221,3 +192,11 @@ def correlation_limit(sys: DynamicalSystem, spec: CorrelationSpec) -> complex:
     ops = _check_spec(sys, spec)
     limit = limit_operator(sys.dec, spec.partition, ops[1:-1])
     return sys.expect(ops[0] @ limit @ ops[-1])
+
+
+def correlation_bounds(sys: DynamicalSystem, spec: CorrelationSpec, Ns) -> list[float]:
+    """Certified bounds on |cesaro_correlation - correlation_limit| at the horizons ``Ns``: the state has
+    norm one, so each is ||A_0|| ||A_m|| times the ``engines.error_bounds`` of the inner observables."""
+    ops = _check_spec(sys, spec)
+    edge = operator_norm(ops[0]) * operator_norm(ops[-1])
+    return [bound * edge for bound in error_bounds(sys.dec, spec.partition, ops[1:-1], Ns)]

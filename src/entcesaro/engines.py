@@ -360,14 +360,14 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: i
 
 def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> tuple[np.ndarray, int, int]:
     """W_p* A_j W_p for the stack of operators in the decomposition's padded frame, and its (B, r)."""
-    frame, frame_h, _ = dec._padded
+    frame, frame_h = dec._padded
     B = len(dec.spectrum.turns)
     return frame_h @ ops @ frame, B, frame.shape[1] // B
 
 
 def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tables, budget: int) -> np.ndarray:
     """``_contract`` over the decomposition's padded frame, taken back to the original basis."""
-    frame, frame_h, _ = dec._padded
+    frame, frame_h = dec._padded
     return frame @ _contract(p, *_slot_matrices(dec, ops), tables, budget) @ frame_h
 
 
@@ -510,7 +510,7 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns, *,
 
 def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, budget: int):
     """``error_bounds`` on checked arguments, one horizon at a time (its kernel tables still kept)."""
-    frame, frame_h, _ = dec._padded
+    frame, frame_h = dec._padded
     slots, B, r = _slot_matrices(dec, ops)
     abs_slots = np.abs(frame_h) @ np.abs(ops) @ np.abs(frame)
     n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length

@@ -235,7 +235,10 @@ def _build_state(spec, dim: int) -> np.ndarray:
                 except OverflowError:  # an integer beyond the float range
                     pass
             raise _fail(f"trace state 'diag' needs {dim} finite numbers")
-        return _matrix_from_spec(spec, "trace state")
+        mat = _matrix_from_spec(spec, "trace state")
+        if mat.shape != (dim, dim):
+            raise _fail(f"trace state has shape {mat.shape}, system dimension is {dim}")
+        return mat
     raise _fail(f"unknown state kind {kind!r}")
 
 

@@ -292,9 +292,9 @@ class SpectralDecomposition(Record):
         return _Resonance(_read_only(resonant.astype(float)), partners, gap, int(ones[0]) if ones.size else None)
 
     @cached_property
-    def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The frame with each line's block zero-padded to the largest rank r, shape (d, B * r), its
-        conjugate transpose, and the mask of its columns that are frame columns.
+    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The frame with each line's block zero-padded to the largest rank r, shape (d, B * r), and
+        its conjugate transpose.
 
         Padded column b * r + j is column j of line b's basis for j < rank, and zero beyond.  So
         W_p^* M W_p, reshaped to (B, r, B, r), holds the r_a x r_b blocks of a matrix M in the
@@ -305,7 +305,7 @@ class SpectralDecomposition(Record):
         kept = (np.arange(r) < ranks[:, None]).ravel()
         padded = np.zeros((self.dim, kept.size), dtype=np.complex128)
         padded[:, kept] = self.frame
-        return tuple(_read_only(x) for x in (padded, padded.conj().T, kept))
+        return _read_only(padded), _read_only(padded.conj().T)
 
 
 class _Resonance(NamedTuple):

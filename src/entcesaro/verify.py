@@ -16,7 +16,6 @@ from .engines import (
     ENGINES,
     BudgetError,
     convergence_report,
-    error_bound,
     limit_operator,
     limit_truncated,
 )
@@ -119,7 +118,8 @@ def engine_checks(u, dec, p, ops, N) -> tuple[list[Check], dict[str, np.ndarray]
 
 def _correlation_checks(scenario, u, dec, p, ops_all, n_small, direct_mean) -> list[Check]:
     """``direct_mean`` is the direct engine's mean of the inner operators at ``n_small``."""
-    from .correlations import CorrelationSpec, cesaro_correlation, correlation_limit, correlation_term, make_system
+    from .correlations import CorrelationSpec, cesaro_correlation, correlation_bounds, correlation_limit
+    from .correlations import correlation_term, make_system
 
     checks: list[Check] = []
     state = scenario.state()  # a malformed state spec is a ScenarioError, not a failed check
@@ -146,7 +146,7 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, direct_mean) -> l
     checks.append(_check("correlation cross-module identity", rounding_gap(via_state, value, ops_all), ROUNDING_TOL))
 
     horizon = scenario.horizons[-1] if scenario.horizons else 10**4
-    bound = error_bound(dec, p, ops_all[1:-1], horizon) * (operator_norm(ops_all[0]) * operator_norm(ops_all[-1]))
+    bound = correlation_bounds(system, spec, [horizon])[0]
     deviation = abs(cesaro_correlation(system, spec, horizon) - correlation_limit(system, spec))
     checks.append(_check("correlation limit within certified bound",
                          bound_excess(deviation, bound, ops_all), ROUNDING_TOL))

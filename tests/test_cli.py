@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import entcesaro
-from entcesaro import cli
+from entcesaro import cli, correlations
 from entcesaro.__main__ import BROKEN_PIPE_EXIT
 from entcesaro.cli import main, report_csv, CSV_HEADER
 from entcesaro.engines import ConvergenceReport, ReportRow, convergence_report
@@ -63,6 +63,31 @@ TRACE_CORRELATE_SCENARIO = {
     "state": {"kind": "trace", "diag": [0.5, 0.5, 0, 0]},
     "Ns": [31, 1000],
     "seed": 7,
+}
+
+# A unit vector state on four phase-0 lines and its trace twin T = omega omega*: every entry of T is exact.
+OMEGA = [0.5, 0.5j, -0.5, 0.5, 0.0, 0.0]
+VECTOR_CORRELATE_SCENARIO = {
+    "unitary": {"kind": "diagonal-rational", "phases": ["0/1", "0/1", "0/1", "0/1", "1/2", "1/3"]},
+    "partition": [1, 2, 1, 2],
+    "operators": [{"kind": "random"} for _ in range(5)],
+    "state": {"kind": "vector", "omega": [[w.real, w.imag] for w in OMEGA]},
+    "Ns": [31, 1000],
+    "seed": 4,
+}
+TWIN_DENSITY = np.outer(OMEGA, np.conj(OMEGA))
+TWIN_CORRELATE_SCENARIO = dict(VECTOR_CORRELATE_SCENARIO, state={
+    "kind": "trace", "re": TWIN_DENSITY.real.tolist(), "im": TWIN_DENSITY.imag.tolist()})
+
+# Partition 1,1 on phases 0 and 1/3 with A_0 = I, A_1 = e_0 e_1* and A_2 = e_1 e_0*: the correlation at N is the
+# kernel K_N(-1/3), its limit is 0, and its certified bound equals that distance.
+TIGHT_CORRELATE_SCENARIO = {
+    "unitary": {"kind": "diagonal-rational", "phases": ["0/1", "1/3"]},
+    "partition": [1, 1],
+    "operators": [{"kind": "identity"}, {"kind": "matrix", "re": [[0, 1], [0, 0]]},
+                  {"kind": "matrix", "re": [[0, 0], [1, 0]]}],
+    "state": {"kind": "vector", "omega": [1, 0]},
+    "Ns": [10, 100],
 }
 
 # A Haar system at the largest random dimension: the certified bound no longer walks its 64^4 block tuples.
@@ -183,6 +208,12 @@ class TestExitCodes:
             ("nan_omega.json", "verify",
              dict(pair, operators=[{"kind": "random"}] * 3, state={"kind": "vector", "omega": [1, math.nan]}),
              "omega entries must be finite numbers or [re, im] pairs"),
+            # A trace matrix of another dimension was refused only by the state checks (exit 1).
+            *((f"wrong_shape_{command}.json", command,
+               dict(pair, operators=[{"kind": "random"}] * 3,
+                    state={"kind": "trace", "re": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+               "malformed scenario: trace state has shape (3, 3), system dimension is 2")
+              for command in ("correlate", "verify")),
         ):
             capsys.readouterr()
             assert run_cli([command, "--scenario", write_scenario(tmp_path, data, name)]) == 2, name
@@ -350,12 +381,35 @@ class TestCommands:
 
     def test_correlate_names_the_horizons_that_break_the_bound(self, tmp_path, capsys, monkeypatch):
         # A bound of zero at every horizon, below each nonzero distance from the limit.
-        monkeypatch.setattr(cli, "error_bounds", lambda dec, p, ops, horizons: [0.0] * len(horizons))
+        monkeypatch.setattr(correlations, "correlation_bounds", lambda system, spec, horizons: [0.0] * len(horizons))
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)
         assert run_cli(["correlate", "--scenario", path]) == 1
         captured = capsys.readouterr()
         assert "correlation limit" in captured.out
         assert captured.err == "certified bound violated at N in [100, 1000]\n"
+
+    def test_correlate_and_verify_read_one_correlation_bound(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, TIGHT_CORRELATE_SCENARIO)
+        assert run_cli(["correlate", "--scenario", path]) == 0
+        assert "10       +0.100000000-0.000000000j   1.000e-01       1.000e-01\n" in capsys.readouterr().out
+        assert run_cli(["verify", "--scenario", path]) == 0
+        capsys.readouterr()
+        bounds = correlations.correlation_bounds
+        monkeypatch.setattr(correlations, "correlation_bounds", lambda *args: [b / 2 for b in bounds(*args)])
+        assert run_cli(["correlate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert "10       +0.100000000-0.000000000j   1.000e-01       5.000e-02\n" in captured.out
+        assert captured.err == "certified bound violated at N in [10, 100]\n"
+        assert run_cli(["verify", "--scenario", path]) == 1
+        assert "FAIL  correlation limit within certified bound" in capsys.readouterr().out
+
+    def test_a_vector_state_and_its_trace_twin_print_the_same_bytes(self, tmp_path, capsys):
+        outputs = []
+        for name, data in (("vector.json", VECTOR_CORRELATE_SCENARIO), ("twin.json", TWIN_CORRELATE_SCENARIO)):
+            assert run_cli(["correlate", "--scenario", write_scenario(tmp_path, data, name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 4
 
     def test_verify_correlate_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)

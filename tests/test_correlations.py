@@ -7,9 +7,8 @@ from entcesaro.correlations import (
     STATE_TOL,
     CorrelationSpec,
     DynamicalSystem,
-    TraceState,
-    VectorState,
     cesaro_correlation,
+    correlation_bounds,
     correlation_limit,
     correlation_term,
     make_system,
@@ -31,21 +30,21 @@ P1212 = parse_partition("1,2,1,2")
 class TestMakeSystem:
     def test_vector_state_examples(self):
         sys1 = make_system(DIAG_PM, np.array([1.0, 0.0]))
-        assert isinstance(sys1.state, VectorState)
+        np.testing.assert_array_equal(sys1.density, np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             make_system(DIAG_PM, np.array([1.0, 1.0]) / np.sqrt(2))
         with pytest.raises(ValueError):
             make_system(DIAG_PM, np.zeros(2))
 
     def test_state_checks_read_one_tolerance(self):
-        # Under diag(1, -1), omega = (1, delta) / norm has ||U omega - omega|| = 2 delta / norm, and its
-        # matrix-unit residual is 2 sqrt(2) delta / norm^2.
+        # Under diag(1, -1), omega = (1, delta) / norm has density T = omega omega*, and
+        # ||UT - T||_F = ||U omega - omega|| = 2 delta / norm.
         for delta, invariant in ((0.3 * STATE_TOL, True), (0.6 * STATE_TOL, False)):
             omega = np.array([1.0, delta])
             if invariant:
-                assert isinstance(make_system(DIAG_PM, omega).state, VectorState)
+                assert make_system(DIAG_PM, omega).density.shape == (2, 2)
             else:
-                with pytest.raises(ValueError, match="not invariant"):
+                with pytest.raises(ValueError, match=r"state is not invariant under the unitary \(UT = T = TU fails\)"):
                     make_system(DIAG_PM, omega)
         # There is no per-call tolerance, so a NaN cannot accept a state that U does not fix.
         with pytest.raises(ValueError, match="not invariant"):
@@ -56,12 +55,12 @@ class TestMakeSystem:
             make_system(DIAG_PM, np.array([1.0, 0.0]), float("nan"))
 
     def test_vector_state_is_normalized(self):
-        system = make_system(np.eye(2, dtype=complex), np.array([3.0, 0.0]))
-        assert np.linalg.norm(system.state.omega) == pytest.approx(1.0)
+        system = make_system(np.eye(2, dtype=complex), np.array([3.0, 4.0j]))
+        np.testing.assert_allclose(system.density, np.array([[9.0, -12.0j], [12.0j, 16.0]]) / 25.0, atol=1e-15)
 
     def test_trace_state_examples(self):
         sys2 = make_system(DIAG_PM, np.diag([1.0, 0.0]).astype(complex))
-        assert isinstance(sys2.state, TraceState)
+        np.testing.assert_array_equal(sys2.density, np.diag([1.0, 0.0]))
         # not supported inside the invariant eigenspace
         with pytest.raises(ValueError):
             make_system(DIAG_PM, np.diag([0.0, 1.0]).astype(complex))
@@ -75,11 +74,21 @@ class TestMakeSystem:
         with pytest.raises(ValueError):
             make_system(np.eye(2, dtype=complex), np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    def test_a_vector_state_meets_the_support_check(self):
+        # ||U omega - omega|| is 2 pi 2e-8 5e-4 / norm, about 6.3e-11, within STATE_TOL, but 5e-4 of omega lies
+        # on the line of phase 2e-8, which is not the phase-1 line at the resonance tolerance 1e-8.
+        u = np.diag([1.0, np.exp(2j * np.pi * 2e-8)])
+        omega = np.array([1.0, 5e-4]) / math.hypot(1.0, 5e-4)
+        for state in (omega, np.outer(omega, omega.conj())):
+            with pytest.raises(ValueError, match="^density operator is not supported inside the invariant eigenspace$"):
+                make_system(u, state)
+        assert make_system(u, np.array([1.0, 0.0])).density[0, 0] == 1.0
+
     def test_trace_state_with_rotated_support(self):
         u, dec, omega, basis = invariant_system(5, 4, zero_multiplicity=2)
         t = 0.5 * np.outer(basis[:, 0], basis[:, 0].conj()) + 0.5 * np.outer(basis[:, 1], basis[:, 1].conj())
         system = make_system(u, t, dec=dec)
-        assert isinstance(system.state, TraceState)
+        np.testing.assert_array_equal(system.density, t)
 
     def test_state_invariance_under_conjugation(self):
         u, dec, omega, _ = invariant_system(7, 4)
@@ -139,7 +148,8 @@ class TestCorrelationTerm:
         spec = CorrelationSpec(P11, (np.eye(2, dtype=complex),) * 3)
         for ratio, passes in ((0.5, True), (2.0, False)):
             delta = math.sqrt(ratio * IDENTITY_TOL / (2.0 - ratio * IDENTITY_TOL))
-            system = DynamicalSystem(u, decompose(u), VectorState(np.array([1.0, delta]) / math.hypot(1.0, delta)))
+            omega = np.array([1.0, delta]) / math.hypot(1.0, delta)
+            system = DynamicalSystem(u, decompose(u), np.outer(omega, omega.conj()))
             if passes:
                 assert correlation_term(system, spec, [1]) == pytest.approx(1.0, abs=1e-15)
             else:
@@ -264,6 +274,16 @@ class TestCorrelationLimit:
             budget *= operator_norm(ops[0]) * operator_norm(ops[-1])
             assert bound_excess(deviation, budget, ops) <= ROUNDING_TOL
 
+    def test_correlation_bounds_scale_the_operator_bounds_by_the_edge_norms(self):
+        u, dec, omega, _ = invariant_system(3, 4, zero_multiplicity=2)
+        ops = random_ops(np.random.default_rng(3), 5, 4)
+        system, spec = make_system(u, omega, dec=dec), CorrelationSpec(P1212, tuple(ops))
+        Ns = [10, 100, 10**4]
+        edge = operator_norm(ops[0]) * operator_norm(ops[-1])
+        assert correlation_bounds(system, spec, Ns) == [error_bound(dec, P1212, ops[1:-1], n) * edge for n in Ns]
+        with pytest.raises(ValueError, match="horizon N must be a positive integer"):
+            correlation_bounds(system, spec, [10, 0])
+
     def test_rank_one_trace_state_reproduces_vector_state(self):
         u, dec, omega, _ = invariant_system(19, 3)
         rng = np.random.default_rng(6)
@@ -271,12 +291,9 @@ class TestCorrelationLimit:
         vec_sys = make_system(u, omega, dec=dec)
         trace_sys = make_system(u, np.outer(omega, omega.conj()), dec=dec)
         spec = CorrelationSpec(P11, tuple(ops))
-        assert cesaro_correlation(trace_sys, spec, 7) == pytest.approx(
-            cesaro_correlation(vec_sys, spec, 7), abs=1e-12
-        )
-        assert correlation_limit(trace_sys, spec) == pytest.approx(
-            correlation_limit(vec_sys, spec), abs=1e-12
-        )
+        np.testing.assert_array_equal(trace_sys.density, vec_sys.density)
+        assert cesaro_correlation(trace_sys, spec, 7) == cesaro_correlation(vec_sys, spec, 7)
+        assert correlation_limit(trace_sys, spec) == correlation_limit(vec_sys, spec)
 
 
 class TestCorrelationSpec:

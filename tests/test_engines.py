@@ -1038,8 +1038,9 @@ class TestSpectralRecord:
     def test_recorded_arrays_reject_writes(self):
         _, dec = random_system(3, 4, "rational", 3)
         limit_operator(dec, P1212, random_ops(np.random.default_rng(3), 3, 4))
+        frame, frame_h = dec._padded
         arrays = [dec.frame, dec.blocks, dec.spectrum.turns, dec.spectrum.exact, dec.spectrum.numerators,
-                  *(line.basis for line in dec.entries), *dec._padded, dec._resonance.table,
+                  *(line.basis for line in dec.entries), frame, frame_h, dec._resonance.table,
                   dec._pair_sums.kernels(10)]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):

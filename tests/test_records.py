@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entcesaro.correlations import CorrelationSpec, DynamicalSystem, TraceState, VectorState
+from entcesaro.correlations import CorrelationSpec, DynamicalSystem
 from entcesaro.engines import CesaroResult, ConvergenceReport, ReportRow, cesaro_direct, cesaro_spectral
 from entcesaro.linalg import haar_unitary
 from entcesaro.partitions import Partition, parse_partition
@@ -48,9 +48,7 @@ RECORDS = {
     "ReportRow": (ReportRow, ROW_FIELDS, {}),
     "ConvergenceReport": (ConvergenceReport, {"rows": (ROW,), "spectral_gap": 0.5}, {}),
     "Check": (Check, {"name": "unitarity", "passed": True, "value": 0.0, "threshold": 1e-10}, {"detail": ""}),
-    "VectorState": (VectorState, {"omega": EYE[0]}, {}),
-    "TraceState": (TraceState, {"density": EYE / 2}, {}),
-    "DynamicalSystem": (DynamicalSystem, {"unitary": EYE, "dec": DEC, "state": TraceState(EYE / 2)}, {}),
+    "DynamicalSystem": (DynamicalSystem, {"unitary": EYE, "dec": DEC, "density": EYE / 2}, {}),
     "CorrelationSpec": (CorrelationSpec, {"partition": P1212, "ops": (EYE,) * 5}, {}),
     "Scenario": (Scenario, {"unitary_spec": {"kind": "random", "dim": 2}, "partition": P1212,
                             "operator_specs": None, "state_spec": None, "engine": "spectral",
