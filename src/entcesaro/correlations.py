@@ -92,6 +92,8 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None,
     t = np.asarray(state, dtype=np.complex128)
     if t.ndim == 1:
         omega = as_vector(t, d, name="omega")
+        exponent = int(np.frexp(np.abs([omega.real, omega.imag]).max())[1])  # that of its largest entry
+        omega = omega * 2.0 ** min(1 - exponent, 1023)  # exact, so that its norm cannot under- or overflow
         norm = float(np.linalg.norm(omega))
         if norm == 0.0:
             raise ValueError("state vector must be nonzero")

@@ -25,20 +25,20 @@ such table, the spectral gap and the resonance pairing read one array of
 class phase sums (``spectral.PhaseSums``): float turns, and for exact
 phases Python-int numerators over their common denominator L, so exact
 resonances and periodic zeros (a N = 0 mod L) stay exact.  The
-decomposition records these tables on first use, with the padded frame
-W_p (every block zero-padded to the largest rank r), so every call on it
-reads them: a horizon forms only the N-dependent factors of its kernel
-table, and the resonance table is checked and formed once, at the
-decomposition's resonance tolerance (``dec.tolerances.resonance``).
+decomposition records these tables and the padded frame W_p (every block
+zero-padded to the largest rank r) on first use: a horizon forms only the
+N-dependent factors of its kernel table, and the resonance table is checked
+and formed once, at ``dec.tolerances.resonance``.
 
 The mean, the limit, the truncated limit and the certified bound share one
-contraction core, ``_contract``.  It reads arrays only: the stacked slot
-matrices S_j = W_p* A_j W_p of shape (m-1, D, D), the block layout (B blocks
-of r columns, D = B r), the class tables and the budget.  It returns the
-summed matrix in the frame; the caller applies W_p ... W_p*.  Each call
-checks its operators once, as one stack, and forms every S_j in one
-batched product.  ``error_bound`` telescopes prod K_N - prod R over the
-classes into k contractions and sums their norms, with a rounding allowance.
+contraction core, ``_contract``, of the stacked slot matrices
+S_j = W_p* A_j W_p (shape (m-1, D, D), B blocks of r columns, D = B r) and
+the class tables; it returns the sum in the frame (zero, with no product,
+when a table is all zero), and each call forms every S_j in one batched
+product.  Telescoped over the classes, prod K_N - prod R gives k
+contractions X_l whose sum is W_p*(M_N - L)W_p: ``error_bound`` is its norm
+plus a rounding allowance, and the spectral ``convergence_report`` reads
+its error from that sum.
 
 Each engine has one memoized plan that its budget check and its loop both
 read.  ``_network`` plans ``_contract`` per (partition, B, r) as one tensor
@@ -113,6 +113,8 @@ class CesaroResult(NamedTuple):
 
 
 class ReportRow(NamedTuple):
+    """One horizon of a convergence report; ``seconds`` is the row's wall time, its bound plus its mean."""
+
     N: int
     error_op: float
     error_frob: float
@@ -343,11 +345,14 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: i
     W_p of B blocks with r columns each (D = B r, zero beyond a block's rank): column c is (block
     b, position i), and P_b is the projection onto block b's columns.  The result is the summed
     matrix in that frame; W_p (result) W_p* is the sum in the original basis.  The steps are those
-    ``_network`` planned; the planned peak is checked against ``budget`` before any product.
+    ``_network`` planned, after the planned peak is checked against ``budget``; an all-zero table
+    gives the zero matrix with no product.
     """
     steps, order, peak = _network(p, B, r)
     if peak > budget:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
+    if not all(table.any() for table in tables):  # an all-zero table gives a zero sum
+        return np.zeros((B * r, B * r), np.result_type(slots, *tables))
     operands = [*slots.reshape(p.m - 1, *(n for n in (B, r, B, r) if n > 1))]
     operands += [table.reshape([n for n in table.shape if n > 1]) for table in tables]
     for x, y, x_order, x_grouped, y_order, y_grouped, shape, summed in steps:
@@ -485,17 +490,17 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N, *,
                 budget: int = SPECTRAL_ENTRY_BUDGET) -> float:
     """Certified bound on the operator-norm distance of M_N from the limit.
 
-    It certifies the spectral representation in the computed frame W (||W*W - I|| <= FRAME_TOL):
-    the sums over block tuples that ``cesaro_spectral`` and ``limit_operator`` evaluate, whose
-    difference weighs each tuple by prod K - prod R.  Telescoped over the classes,
-    prod K - prod R = sum_l (prod_{j<l} R_j)(K_l - R_l)(prod_{j>l} K_j), so M_N - L is
-    sum_l W_p X_l W_p*, X_l the contraction with K - R at class l, R before it and K after.  The
-    bound is (1 + FRAME_TOL)(1 + g) sum_l (||X_l||_2 + g ||Y_l||_F).  Y_l, the same contraction over
-    |W_p*| |A_j| |W_p| with the tables' magnitudes, bounds X_l's rounding entry by entry, for
-    g = n eps / (1 - n eps) and n = 2 d + 4 m + the planned steps' summed lengths; at a float
-    resonance, where K - 1 cancels, its table at class l also holds |K|.  A term with an all-zero
-    table is skipped: identity dynamics give 0.0, and with no resonance X_1 = M_N is the one term.
-    ``budget`` caps each contraction's planned entries, as for the mean.
+    It certifies the spectral representation in the computed frame W (||W*W - I|| <= FRAME_TOL).  Telescoped
+    over the classes, its tuple weight prod K - prod R = sum_l (prod_{j<l} R_j)(K_l - R_l)(prod_{j>l} K_j), so
+    M_N - L = W_p S W_p* for S = sum_l X_l, X_l the contraction with K - R at class l, R before it and K after.
+    The bound is (1 + FRAME_TOL)(1 + g)(||X||_2 + g sum_l ||Y_l||_F) for X the computed S.  Rounding: each
+    product summed into an entry of X_l meets at most n = 2 d + 4 m + the planned steps' summed lengths
+    roundings, so |fl(X_l) - X_l| <= g_n Y_l entrywise for g_n = n eps / (1 - n eps), Y_l the contraction
+    over |W_p*| |A_j| |W_p| with the tables' magnitudes (at a float resonance, where K - 1 cancels, its table
+    at class l also holds |K|).  Summing the j terms that are not all zero adds j - 1 roundings (an all-zero
+    term adds exactly), so |X - S| <= g sum_l Y_l for g = g_{n+j-1}, and ||S||_2 <= ||X||_2 + g sum_l ||Y_l||_F;
+    1 + g allows for the rounding of the norms and of Y_l.  Identity dynamics give 0.0; with no resonance,
+    X_1 = W_p* M_N W_p is the one term.  ``budget`` caps each contraction's planned entries.
     """
     return error_bounds(dec, p, ops, [N], budget=budget)[0]
 
@@ -505,30 +510,30 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns, *,
     """``error_bound`` at every horizon in ``Ns``; the slot matrices are formed once."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    return list(_bounds(dec, p, ops, [_check_horizon(n) for n in Ns], budget))
+    return [bound for _, bound in _differences(dec, p, ops, [_check_horizon(n) for n in Ns], budget)]
 
 
-def _bounds(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, budget: int):
-    """``error_bounds`` on checked arguments, one horizon at a time (its kernel tables still kept)."""
-    frame, frame_h = dec._padded
+def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, budget: int):
+    """Per horizon in ``Ns`` (arguments checked), X = fl(sum_l X_l), which is W_p*(M_N - L)W_p in the
+    padded frame, and ``error_bound`` at N; one horizon at a time, each from its kept kernel table."""
     slots, B, r = _slot_matrices(dec, ops)
-    abs_slots = np.abs(frame_h) @ np.abs(ops) @ np.abs(frame)
+    abs_slots = np.abs(dec._padded[1]) @ np.abs(ops) @ np.abs(dec._padded[0])
     n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length
-    g = n * np.finfo(float).eps / (1 - n * np.finfo(float).eps)
     resonance = dec._resonance.table
     floating = resonance * (dec._pair_sums.turns != 0.0)  # resonant with K != 1, so K - 1 cancels
     for N in Ns:
         kernels = dec._pair_sums.kernels(N)
         abs_kernels = abs(kernels)
-        total = 0.0
-        for c in range(p.k):  # the term with K - R at class c, R before it and K after
-            after = p.k - 1 - c
-            tables = [resonance] * c + [kernels - resonance] + [kernels] * after
-            abs_tables = [resonance] * c + [abs(tables[c]) + floating * abs_kernels] + [abs_kernels] * after
-            if all(table.any() for table in abs_tables):  # else the term is zero
-                total += (operator_norm(_contract(p, slots, B, r, tables, budget))
-                          + g * frobenius_norm(_contract(p, abs_slots, B, r, abs_tables, budget)))
-        yield float((1 + FRAME_TOL) * (1 + g) * total)
+        terms, allowance = [], 0.0
+        for c in range(p.k):  # X_c: K - R at class c, R before it and K after
+            tables = [resonance] * c + [kernels - resonance] + [kernels] * (p.k - 1 - c)
+            abs_tables = [resonance] * c + [abs(tables[c]) + floating * abs_kernels] + [abs_kernels] * (p.k - 1 - c)
+            terms.append(_contract(p, slots, B, r, tables, budget))
+            allowance += frobenius_norm(_contract(p, abs_slots, B, r, abs_tables, budget))
+        terms = [x for x in terms if x.any()] or terms[:1]  # an all-zero term adds exactly
+        g = (n + len(terms) - 1) * np.finfo(float).eps / (1 - (n + len(terms) - 1) * np.finfo(float).eps)
+        x = sum(terms[1:], terms[0])
+        yield x, float((1 + FRAME_TOL) * (1 + g) * (operator_norm(x) + g * allowance))
 
 
 def spectral_gap(dec: SpectralDecomposition) -> float:
@@ -538,26 +543,19 @@ def spectral_gap(dec: SpectralDecomposition) -> float:
 
 def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
                        engine: str = "spectral") -> ConvergenceReport:
-    """Measured error against the limit, with certified bound, per horizon."""
+    """Measured error against the limit, with certified bound, per horizon: on the spectral engine from the
+    bound's X (no mean, no limit formed), on the others as their mean minus ``limit_operator``."""
     Ns = [(_check_horizon(n)) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("horizons must be strictly increasing")
     run = _engine(engine)
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    limit = limit_operator(dec, p, ops)
-    gap = spectral_gap(dec)
-    rows = []
-    # Each horizon's mean right after its bound, which formed the kernel tables the mean reads.
-    for n, bound in zip(Ns, _bounds(dec, p, ops, Ns, SPECTRAL_ENTRY_BUDGET)):
-        result = run(None, dec, p, ops, n)
-        diff = result.matrix - limit
-        rows.append(ReportRow(
-            N=n,
-            error_op=operator_norm(diff),
-            error_frob=frobenius_norm(diff),
-            certified_bound=bound,
-            engine=engine,
-            seconds=result.elapsed,
-        ))
-    return ConvergenceReport(tuple(rows), gap)
+    frame, frame_h = dec._padded
+    limit = None if engine == "spectral" else limit_operator(dec, p, ops)
+    rows, start = [], time.perf_counter()
+    for n, (x, bound) in zip(Ns, _differences(dec, p, ops, Ns, SPECTRAL_ENTRY_BUDGET)):
+        diff = frame @ x @ frame_h if limit is None else run(None, dec, p, ops, n).matrix - limit
+        rows.append(ReportRow(n, operator_norm(diff), frobenius_norm(diff), bound, engine, time.perf_counter() - start))
+        start = time.perf_counter()
+    return ConvergenceReport(tuple(rows), spectral_gap(dec))

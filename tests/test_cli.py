@@ -411,6 +411,15 @@ class TestCommands:
         assert outputs[0] == outputs[1]
         assert outputs[0].count("\n") == 4
 
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_correlate_reads_a_tiny_or_huge_state_vector(self, tmp_path, capsys, size):
+        outputs = []
+        for scale in (1.0, size):
+            data = dict(VECTOR_CORRELATE_SCENARIO, state={"kind": "vector", "omega": [scale, 0, 0, 0, 0, 0]})
+            assert run_cli(["correlate", "--scenario", write_scenario(tmp_path, data)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_verify_correlate_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)
         assert run_cli(["verify", "--scenario", path]) == 0

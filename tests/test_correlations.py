@@ -58,6 +58,16 @@ class TestMakeSystem:
         system = make_system(np.eye(2, dtype=complex), np.array([3.0, 4.0j]))
         np.testing.assert_allclose(system.density, np.array([[9.0, -12.0j], [12.0j, 16.0]]) / 25.0, atol=1e-15)
 
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_a_tiny_or_huge_vector_state_is_normalized(self, size):
+        # The squared entries under- or overflow; the vector is scaled by a power of two before its norm.
+        np.testing.assert_array_equal(make_system(np.eye(2), [size, 0.0]).density, np.diag([1.0, 0.0]))
+        near = 2.0 ** round(np.log2(size))  # a power of two, so the scaled vector is exact
+        np.testing.assert_array_equal(make_system(np.eye(2), [3.0 * near, 4.0j * near]).density,
+                                      make_system(np.eye(2), [3.0, 4.0j]).density)
+        with pytest.raises(ValueError, match="^state vector must be nonzero$"):
+            make_system(np.eye(2), [0.0, 0.0])
+
     def test_trace_state_examples(self):
         sys2 = make_system(DIAG_PM, np.diag([1.0, 0.0]).astype(complex))
         np.testing.assert_array_equal(sys2.density, np.diag([1.0, 0.0]))

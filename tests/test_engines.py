@@ -24,7 +24,7 @@ from entcesaro.engines import (
     mean_ergodic,
     spectral_gap,
 )
-from entcesaro.linalg import ROUNDING_TOL, bound_excess, haar_unitary, operator_norm
+from entcesaro.linalg import ROUNDING_TOL, bound_excess, haar_unitary, norm_product, operator_norm
 from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition
 from entcesaro.spectral import (
     KERNEL_MEMO_HORIZONS,
@@ -709,6 +709,20 @@ def degenerate_system(seed):
     return from_eigensystem(phases, haar_unitary(np.random.default_rng(seed), 6))
 
 
+def orthogonal_system(seed, d):
+    """A real orthogonal U: every line resonates with its conjugate line, so the limit is nonzero."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    u = (q * np.sign(np.diag(r))).astype(complex)
+    return u, decompose(u)
+
+
+def float_resonance_system(seed):
+    """Float phases of which 0.1 and 0.9 + delta resonate at 0.9 times the resonance tolerance."""
+    delta = math.asin(0.45e-8) / math.pi  # |e^{2 pi i delta} - 1| = 0.9e-8
+    phases = [Phase.from_turns(t) for t in (0.1, 0.9 + delta, 0.35, 0.6)]
+    return from_eigensystem(phases, haar_unitary(np.random.default_rng(seed), 4))
+
+
 def measured_error(u, dec, p, ops, n):
     """||M_N - limit||, M_N by the brute-force tuple loop when it has at most 10^3 tuples, else by the
     spectral engine."""
@@ -739,10 +753,8 @@ class TestTupleOracle:
     @pytest.mark.parametrize("n", [7, 10**3, 10**6, 10**9])
     def test_bound_at_a_float_resonance_inside_the_tolerance(self, rng, n):
         # z_0 z_1 lies 0.9 tol from 1, so the pair resonates with a kernel K != 1: K - 1 cancels.
-        delta = math.asin(0.45e-8) / math.pi  # |e^{2 pi i delta} - 1| = 0.9e-8
-        phases = [Phase.from_turns(t) for t in (0.1, 0.9 + delta, 0.35, 0.6)]
-        u, dec = from_eigensystem(phases, haar_unitary(np.random.default_rng(7), 4))
-        distance = abs(phase_value(*phase_sum(phases[:2])) - 1.0)
+        u, dec = float_resonance_system(7)
+        distance = abs(phase_value(*phase_sum([dec.phases[0], dec.phases[-1]])) - 1.0)
         assert 0.89 * dec.tolerances.resonance < distance < 0.91 * dec.tolerances.resonance
         assert resonant_partners(dec) == (3, None, None, 0)  # lines sorted by turns: 0.9 + delta is last
         ops = random_ops(rng, 5, 4)
@@ -787,7 +799,67 @@ class TestTupleOracle:
         )
 
 
-SWEEP_PARTITIONS = [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)] + [parse_partition("1,2,3,1,2,3,4,4")]
+PAIR_PARTITIONS = [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)]
+RESONANT_SYSTEMS = {
+    "rational-rank-2": lambda: degenerate_system(3),
+    "orthogonal": lambda: orthogonal_system(5, 6),
+    "float-resonance": lambda: float_resonance_system(7),
+}
+
+
+class TestSummedDifference:
+    """The spectral report reads M_N - L from the bound's summed difference W_p (sum_l X_l) W_p*, so its
+    error is checked here against means and limits it does not form."""
+
+    @staticmethod
+    def spectral_report(monkeypatch, dec, p, ops, Ns):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectral report formed a mean or a limit")
+
+        monkeypatch.setattr(engines, "cesaro_spectral", refuse)
+        monkeypatch.setattr(engines, "limit_operator", refuse)
+        report = convergence_report(dec, p, ops, Ns)
+        monkeypatch.undo()
+        return report
+
+    @pytest.mark.parametrize("system", RESONANT_SYSTEMS)
+    @pytest.mark.parametrize("p", PAIR_PARTITIONS, ids=str)
+    def test_errors_match_the_direct_mean_minus_the_limit(self, monkeypatch, system, p):
+        u, dec = RESONANT_SYSTEMS[system]()
+        ops = random_ops(np.random.default_rng(len(p.labels)), p.m - 1, dec.dim)
+        Ns = [7, 20]
+        report = self.spectral_report(monkeypatch, dec, p, ops, Ns)
+        limit = limit_operator(dec, p, ops)
+        assert operator_norm(limit) > 0.0
+        for row in report.rows:
+            diff = cesaro_direct(u, p, ops, row.N).matrix - limit
+            assert abs(row.error_op - operator_norm(diff)) <= ROUNDING_TOL * norm_product(ops)
+            assert abs(row.error_frob - np.linalg.norm(diff)) <= ROUNDING_TOL * norm_product(ops)
+            assert bound_excess(row.error_op, row.certified_bound, ops) <= ROUNDING_TOL
+
+    @pytest.mark.parametrize("p", PAIR_PARTITIONS, ids=str)
+    def test_errors_on_a_haar_system_are_the_mean_minus_the_limit_bit_for_bit(self, monkeypatch, p):
+        _, dec = random_system(12, 5, "haar")
+        ops = random_ops(np.random.default_rng(len(p.labels)), p.m - 1, 5)
+        Ns = [7, 100, 10**4]
+        report = self.spectral_report(monkeypatch, dec, p, ops, Ns)
+        limit = limit_operator(dec, p, ops)
+        for row in report.rows:
+            diff = cesaro_spectral(dec, p, ops, row.N).matrix - limit
+            assert (row.error_op, row.error_frob) == (operator_norm(diff), float(np.linalg.norm(diff)))
+
+    @pytest.mark.parametrize("system, labels", [("orthogonal-16", "1,2,1,2"), ("orthogonal-16", "1,2,2,1"),
+                                                ("rational-rank-2", "1,2,1,2"), ("rational-rank-2", "1,2,2,1")])
+    def test_the_bound_is_the_error_up_to_its_allowance(self, system, labels):
+        # The norm of the summed difference: the sum of the terms' norms was 1.3-2 times the error here.
+        _, dec = orthogonal_system(5, 16) if system == "orthogonal-16" else degenerate_system(3)
+        p = parse_partition(labels)
+        ops = random_ops(np.random.default_rng(5), p.m - 1, dec.dim)
+        for row in convergence_report(dec, p, ops, [100, 10**4]).rows:
+            assert 0.0 < row.error_op <= row.certified_bound <= row.error_op * (1 + 1e-6)
+
+
+SWEEP_PARTITIONS = PAIR_PARTITIONS + [parse_partition("1,2,3,1,2,3,4,4")]
 
 
 def _sweep_system(kind, seed):
@@ -1065,7 +1137,7 @@ class TestSpectralRecord:
 
     @pytest.mark.parametrize("Ns", [[10, 100, 1000], [1, 2, 3, 4, 5, 6]], ids=["three", "six"])
     def test_convergence_report_computes_each_kernel_table_once(self, monkeypatch, Ns):
-        # The bound and the mean at each horizon read one table, also with more horizons than the
+        # The bound and the error at each horizon read one table, also with more horizons than the
         # decomposition keeps tables for.
         _, dec = random_system(8, 4, "haar")
         computed = []
