@@ -217,7 +217,7 @@ def cmd_correlate(scenario: Scenario, args) -> int:
 
     state = scenario.state()  # first, so that a scenario without a state is refused as such
     u, dec, p, ops = _inputs(scenario, "correlate", edges=True)
-    system = make_system(u, state, dec=dec, tolerances=scenario.tolerances)
+    system = make_system(u, state, dec=dec)
     spec = CorrelationSpec(p, tuple(ops))
     limit = correlation_limit(system, spec)
     print(f"correlation limit: {limit.real:+.12f}{limit.imag:+.12f}j")

@@ -17,13 +17,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from .engines import _check_horizon, _engine, error_bounds, limit_operator
+from .engines import cesaro_spectral, error_bounds, limit_operator
 from .linalg import ROUNDING_TOL, _gated_norm, as_operator, as_vector, operator_norm, rounding_gap
 from .partitions import Partition
 from .spectral import (
     RECONSTRUCTION_TOL,
     SpectralDecomposition,
-    Tolerances,
     decompose,
     invariant_projection,
     reconstruct,
@@ -71,18 +70,17 @@ class CorrelationSpec(Record):
         self.__dict__.update(partition=partition, ops=ops)
 
 
-def make_system(u, state, *, dec: SpectralDecomposition | None = None,
-                tolerances: Tolerances = Tolerances()) -> DynamicalSystem:
+def make_system(u, state, *, dec: SpectralDecomposition | None = None) -> DynamicalSystem:
     """Validate a unitary plus invariant state into a DynamicalSystem.
 
     ``state`` is a density operator T, or a nonzero vector omega that stands for T = omega omega* / |omega|^2.
     T must be self-adjoint, positive, of trace one, fixed by U (UT = T = TU; for rank one, U omega = omega)
     and supported inside the invariant eigenspace, and the state must be invariant under conjugation by U
-    on the matrix-unit basis (U* T U = T).  Every check allows ``STATE_TOL``.
+    on the matrix-unit basis (U* T U = T).  Every check allows ``STATE_TOL``.  ``dec`` defaults to ``decompose(u)``.
     """
     arr = as_operator(u, name="unitary")
     if dec is None:
-        dec = decompose(arr, tolerances)
+        dec = decompose(arr)
     else:
         if dec.dim != arr.shape[0]:
             raise ValueError("decomposition dimension does not match the unitary")
@@ -174,18 +172,14 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n) -> complex:
     return value
 
 
-def cesaro_correlation(sys: DynamicalSystem, spec: CorrelationSpec, N: int,
-                       engine: str = "spectral") -> complex:
+def cesaro_correlation(sys: DynamicalSystem, spec: CorrelationSpec, N: int) -> complex:
     """Cesaro average of the correlation terms up to horizon N.
 
-    By linearity this equals the state applied to A_0 * M_N * A_m with M_N
-    the entangled mean of the inner observables, which is how it is computed.
-    M_N comes from ``engines.ENGINES[engine]``; the default, the spectral
-    engine, evaluates the representation that ``error_bound`` certifies.
+    By linearity this is the state applied to A_0 * M_N * A_m, which is how it is computed: M_N is the
+    ``cesaro_spectral`` mean of the inner observables, the representation that ``error_bound`` certifies.
     """
     ops = _check_spec(sys, spec)
-    N = _check_horizon(N)
-    mean = _engine(engine)(sys.unitary, sys.dec, spec.partition, ops[1:-1], N)
+    mean = cesaro_spectral(sys.dec, spec.partition, ops[1:-1], N)
     return sys.expect(ops[0] @ mean.matrix @ ops[-1])
 
 

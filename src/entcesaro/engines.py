@@ -40,17 +40,18 @@ contractions X_l whose sum is W_p*(M_N - L)W_p: ``error_bound`` is its norm
 plus a rounding allowance, and the spectral ``convergence_report`` reads
 its error from that sum.
 
-Each engine has one memoized plan that its budget check and its loop both
+Each engine has one memoized plan that its memory check and its loop both
 read.  ``_network`` plans ``_contract`` per (partition, B, r) as one tensor
 network: S_j on the block and position indices of slots j and j+1, each
 class table on the blocks of its slots.  numpy's greedy ``einsum_path``
-orders it once, whatever the budget, and each pairwise step is one
+orders it once, whatever the cap, and each pairwise step is one
 transpose and reshape per operand and one matrix product.  ``_direct_plan``
 gives ``cesaro_direct``'s steps per partition (operator, factor, einsum
-subscripts) and the most index axes held at once.  ``budget`` caps the
-entries of the largest planned tensor: any step's operand or result for the
-mean, the limits and the bound, N^h d^2 with h >= 1 index axes held for
-``cesaro_direct``.
+subscripts) and the most index axes held at once.  Module constants, read
+at every call, cap the entries of the largest planned tensor: any step's
+operand or result for the mean, the limits and the bound
+(``SPECTRAL_ENTRY_BUDGET``), N^h d^2 for h index axes held by ``cesaro_direct``
+(``_SWEEP_ENTRY_BUDGET``).
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ __all__ = [
     "ENGINE_NAMES",
 ]
 
-SPECTRAL_ENTRY_BUDGET = 10**7  # the spectral engines' default budget: entries in the largest planned tensor
-_SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's default budget: complex entries in its largest tensor
+SPECTRAL_ENTRY_BUDGET = 10**7  # the spectral engines' memory cap: entries in the largest planned tensor
+_SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's memory cap: complex entries it holds at once
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's index names
 
 
@@ -247,15 +248,15 @@ def _direct_entries(p: Partition, N: int, d: int) -> int:
     return max(sum(N**h for h in load) for load in _direct_plan(p)[1]) * d * d
 
 
-def cesaro_direct(u, p: Partition, ops, N, *, budget: int = _SWEEP_ENTRY_BUDGET) -> CesaroResult:
+def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     """Finite-N entangled mean from the power table of U.
 
     The sum over index tuples is contracted slot by slot: each class opens an
     axis of size N at its first slot and is summed out at its last slot.  A
     pair on adjacent slots opens none: its sum_n U^n A U^n is one d x d factor.
     The contraction path is fixed per partition (``_direct_plan``), so results
-    are reproducible bit for bit.  ``budget`` caps the entries of the arrays
-    the sweep holds at once: the power table, and at each step the tensor,
+    are reproducible bit for bit.  ``_SWEEP_ENTRY_BUDGET`` caps the entries of
+    the arrays the sweep holds at once: the power table, and at each step the tensor,
     its product with the operator and the einsum output, each N^h d^2 for h
     index axes (``_direct_entries``).
     """
@@ -267,9 +268,10 @@ def cesaro_direct(u, p: Partition, ops, N, *, budget: int = _SWEEP_ENTRY_BUDGET)
     d = arr.shape[0]
     steps, _ = _direct_plan(p)
     entries = _direct_entries(p, N, d)
-    if entries > budget:
+    if entries > _SWEEP_ENTRY_BUDGET:
         shown = f"{entries:.3e}" if entries <= sys.float_info.max else f"more than {sys.float_info.max:.3e}"
-        raise BudgetError(f"direct engine: planned peak of {shown} entries exceeds the memory budget {budget:.1e}")
+        raise BudgetError(f"direct engine: planned peak of {shown} entries exceeds the memory budget "
+                          f"{_SWEEP_ENTRY_BUDGET:.1e}")
 
     powers = np.empty((N, d, d), dtype=np.complex128)
     powers[0] = np.eye(d)
@@ -338,19 +340,20 @@ def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int
     return tuple(steps), tuple(map(terms[-1].index, output)), peak
 
 
-def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables, budget: int) -> np.ndarray:
+def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables) -> np.ndarray:
     """Sum over block tuples t of prod_c tables[c][t_c] P_t1 S_1 P_t2 ... S_{m-1} P_tm.
 
     ``slots`` stacks the slot matrices S_j = W_p* A_j W_p, shape (m - 1, D, D), in a padded frame
     W_p of B blocks with r columns each (D = B r, zero beyond a block's rank): column c is (block
     b, position i), and P_b is the projection onto block b's columns.  The result is the summed
     matrix in that frame; W_p (result) W_p* is the sum in the original basis.  The steps are those
-    ``_network`` planned, after the planned peak is checked against ``budget``; an all-zero table
+    ``_network`` planned, after the planned peak is checked against ``SPECTRAL_ENTRY_BUDGET``; an all-zero table
     gives the zero matrix with no product.
     """
     steps, order, peak = _network(p, B, r)
-    if peak > budget:
-        raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget {budget:.1e}")
+    if peak > SPECTRAL_ENTRY_BUDGET:
+        raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget "
+                          f"{SPECTRAL_ENTRY_BUDGET:.1e}")
     if not all(table.any() for table in tables):  # an all-zero table gives a zero sum
         return np.zeros((B * r, B * r), np.result_type(slots, *tables))
     operands = [*slots.reshape(p.m - 1, *(n for n in (B, r, B, r) if n > 1))]
@@ -370,25 +373,24 @@ def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> tuple[np.ndar
     return frame_h @ ops @ frame, B, frame.shape[1] // B
 
 
-def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tables, budget: int) -> np.ndarray:
+def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tables) -> np.ndarray:
     """``_contract`` over the decomposition's padded frame, taken back to the original basis."""
     frame, frame_h = dec._padded
-    return frame @ _contract(p, *_slot_matrices(dec, ops), tables, budget) @ frame_h
+    return frame @ _contract(p, *_slot_matrices(dec, ops), tables) @ frame_h
 
 
-def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N, *,
-                    budget: int = SPECTRAL_ENTRY_BUDGET) -> CesaroResult:
+def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroResult:
     """Finite-N entangled mean as a kernel-weighted sum over projection tuples.
 
     Mathematically identical to ``cesaro_direct`` for every N; the cost does
-    not depend on N.  ``budget`` caps the entries of the largest tensor the
-    planned contraction forms, at least those of one d x d slot matrix.
+    not depend on N.  ``SPECTRAL_ENTRY_BUDGET`` caps the entries of the largest
+    tensor the planned contraction forms, at least those of one slot matrix.
     """
     start = time.perf_counter()
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
-    matrix = _spectral_sum(dec, p, ops, [dec._pair_sums.kernels(N)] * p.k, budget)
+    matrix = _spectral_sum(dec, p, ops, [dec._pair_sums.kernels(N)] * p.k)
     return CesaroResult(matrix, "spectral", N, time.perf_counter() - start)
 
 
@@ -428,10 +430,9 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     return CesaroResult(chain[0], "nested", N, time.perf_counter() - start)
 
 
-# Every engine's finite-N mean by name, called as (u, dec, p, ops, N).  The direct engine reads U,
-# or reconstructs it from ``dec`` when ``u`` is None.
+# Every engine's finite-N mean by name, called as (u, dec, p, ops, N); the direct engine reads U.
 ENGINES = {
-    "direct": lambda u, dec, p, ops, N: cesaro_direct(reconstruct(dec) if u is None else u, p, ops, N),
+    "direct": lambda u, dec, p, ops, N: cesaro_direct(u, p, ops, N),
     "spectral": lambda u, dec, p, ops, N: cesaro_spectral(dec, p, ops, N),
     "nested": lambda u, dec, p, ops, N: cesaro_nested(dec, p, ops, N),
 }
@@ -465,15 +466,14 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases) -> np
         chosen[b] = 1.0
     # R_S[b, c] = [c in S and partners[c] == b]: the mask acts on the last slot.
     tables = [dec._resonance.table * chosen] * p.k
-    return _spectral_sum(dec, p, ops, tables, SPECTRAL_ENTRY_BUDGET)
+    return _spectral_sum(dec, p, ops, tables)
 
 
-def limit_operator(dec: SpectralDecomposition, p: Partition, ops, *,
-                   budget: int = SPECTRAL_ENTRY_BUDGET) -> np.ndarray:
+def limit_operator(dec: SpectralDecomposition, p: Partition, ops) -> np.ndarray:
     """Limit of the entangled mean: the sum over resonant block tuples."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    return _spectral_sum(dec, p, ops, [dec._resonance.table] * p.k, budget)
+    return _spectral_sum(dec, p, ops, [dec._resonance.table] * p.k)
 
 
 def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y, phases=None) -> complex:
@@ -486,8 +486,7 @@ def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y, phases=None)
     return complex(np.vdot(y, s @ x))
 
 
-def error_bound(dec: SpectralDecomposition, p: Partition, ops, N, *,
-                budget: int = SPECTRAL_ENTRY_BUDGET) -> float:
+def error_bound(dec: SpectralDecomposition, p: Partition, ops, N) -> float:
     """Certified bound on the operator-norm distance of M_N from the limit.
 
     It certifies the spectral representation in the computed frame W (||W*W - I|| <= FRAME_TOL).  Telescoped
@@ -500,20 +499,19 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N, *,
     at class l also holds |K|).  Summing the j terms that are not all zero adds j - 1 roundings (an all-zero
     term adds exactly), so |X - S| <= g sum_l Y_l for g = g_{n+j-1}, and ||S||_2 <= ||X||_2 + g sum_l ||Y_l||_F;
     1 + g allows for the rounding of the norms and of Y_l.  Identity dynamics give 0.0; with no resonance,
-    X_1 = W_p* M_N W_p is the one term.  ``budget`` caps each contraction's planned entries.
+    X_1 = W_p* M_N W_p is the one term.
     """
-    return error_bounds(dec, p, ops, [N], budget=budget)[0]
+    return error_bounds(dec, p, ops, [N])[0]
 
 
-def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns, *,
-                 budget: int = SPECTRAL_ENTRY_BUDGET) -> list[float]:
+def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns) -> list[float]:
     """``error_bound`` at every horizon in ``Ns``; the slot matrices are formed once."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    return [bound for _, bound in _differences(dec, p, ops, [_check_horizon(n) for n in Ns], budget)]
+    return [bound for _, bound in _differences(dec, p, ops, [_check_horizon(n) for n in Ns])]
 
 
-def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, budget: int):
+def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns):
     """Per horizon in ``Ns`` (arguments checked), X = fl(sum_l X_l), which is W_p*(M_N - L)W_p in the
     padded frame, and ``error_bound`` at N; one horizon at a time, each from its kept kernel table."""
     slots, B, r = _slot_matrices(dec, ops)
@@ -528,8 +526,8 @@ def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns, 
         for c in range(p.k):  # X_c: K - R at class c, R before it and K after
             tables = [resonance] * c + [kernels - resonance] + [kernels] * (p.k - 1 - c)
             abs_tables = [resonance] * c + [abs(tables[c]) + floating * abs_kernels] + [abs_kernels] * (p.k - 1 - c)
-            terms.append(_contract(p, slots, B, r, tables, budget))
-            allowance += frobenius_norm(_contract(p, abs_slots, B, r, abs_tables, budget))
+            terms.append(_contract(p, slots, B, r, tables))
+            allowance += frobenius_norm(_contract(p, abs_slots, B, r, abs_tables))
         terms = [x for x in terms if x.any()] or terms[:1]  # an all-zero term adds exactly
         g = (n + len(terms) - 1) * np.finfo(float).eps / (1 - (n + len(terms) - 1) * np.finfo(float).eps)
         x = sum(terms[1:], terms[0])
@@ -544,7 +542,8 @@ def spectral_gap(dec: SpectralDecomposition) -> float:
 def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
                        engine: str = "spectral") -> ConvergenceReport:
     """Measured error against the limit, with certified bound, per horizon: on the spectral engine from the
-    bound's X (no mean, no limit formed), on the others as their mean minus ``limit_operator``."""
+    bound's X (no mean, no limit formed), on the others as their mean minus ``limit_operator``.  The direct
+    engine's mean, like the nested one's, is of V = W diag(z) W* (``reconstruct(dec)``), not of the source U."""
     Ns = [(_check_horizon(n)) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("horizons must be strictly increasing")
@@ -552,10 +551,11 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     frame, frame_h = dec._padded
+    u = reconstruct(dec) if engine == "direct" else None  # the nested engine forms V itself
     limit = None if engine == "spectral" else limit_operator(dec, p, ops)
     rows, start = [], time.perf_counter()
-    for n, (x, bound) in zip(Ns, _differences(dec, p, ops, Ns, SPECTRAL_ENTRY_BUDGET)):
-        diff = frame @ x @ frame_h if limit is None else run(None, dec, p, ops, n).matrix - limit
+    for n, (x, bound) in zip(Ns, _differences(dec, p, ops, Ns)):
+        diff = frame @ x @ frame_h if limit is None else run(u, dec, p, ops, n).matrix - limit
         rows.append(ReportRow(n, operator_norm(diff), frobenius_norm(diff), bound, engine, time.perf_counter() - start))
         start = time.perf_counter()
     return ConvergenceReport(tuple(rows), spectral_gap(dec))

@@ -33,9 +33,9 @@ def as_operator(a, dim: int | None = None, name: str = "operator") -> np.ndarray
     return arr
 
 
-def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
+def as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if dim is not None and arr.shape[0] != dim:
+    if arr.shape[0] != dim:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {dim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -104,12 +104,10 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * diag
 
 
-def gaussian_operator(rng: np.random.Generator, d: int, op_norm: float | None = None) -> np.ndarray:
-    """Complex Gaussian matrix, optionally rescaled to a target operator norm."""
+def gaussian_operator(rng: np.random.Generator, d: int, op_norm: float) -> np.ndarray:
+    """Complex Gaussian matrix rescaled to the operator norm ``op_norm``."""
     a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0 * d)
-    if op_norm is not None:
-        current = operator_norm(a)
-        if current == 0.0:
-            raise ValueError("cannot rescale a zero matrix to a target norm")
-        a = a * (op_norm / current)
-    return a
+    current = operator_norm(a)
+    if current == 0.0:
+        raise ValueError("cannot rescale a zero matrix to a target norm")
+    return a * (op_norm / current)

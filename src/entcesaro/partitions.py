@@ -9,6 +9,8 @@ by construction.
 
 from __future__ import annotations
 
+import operator
+
 from ._record import ValueRecord
 
 __all__ = [
@@ -24,6 +26,18 @@ __all__ = [
 ENUMERATION_MAX_K = 6  # (2k-1)!! = 10395 at k=6; larger sweeps are not useful at desk scale
 
 
+def _labels(labels) -> tuple[int, ...]:
+    """``labels`` as a tuple of positive Python ints; a label may be any integer but a bool, such as a numpy
+    integer (one with ``__index__``).  A tuple of Python ints is returned as it is."""
+    labels = tuple(labels)
+    for pos, lab in enumerate(labels, start=1):
+        if isinstance(lab, bool) or not hasattr(lab, "__index__"):
+            raise ValueError(f"label at position {pos} is not an integer: {lab!r}")
+        if lab < 1:
+            raise ValueError(f"label at position {pos} must be positive, got {lab}")
+    return labels if all(type(lab) is int for lab in labels) else tuple(map(operator.index, labels))
+
+
 class Partition(ValueRecord):
     """A canonical pair partition of {1,...,2k} into k classes; ``labels`` is kept as a tuple.
 
@@ -34,15 +48,11 @@ class Partition(ValueRecord):
     _fields = ("labels",)
 
     def __init__(self, labels):
-        labels = tuple(labels)
+        labels = _labels(labels)
         if not labels:
             raise ValueError("partition must have at least one element")
         positions: list[list[int]] = []
         for pos, lab in enumerate(labels, start=1):
-            if not isinstance(lab, int) or isinstance(lab, bool):
-                raise ValueError(f"label at position {pos} is not an integer: {lab!r}")
-            if lab < 1:
-                raise ValueError(f"label at position {pos} must be positive, got {lab}")
             if lab > len(positions) + 1:
                 raise ValueError(
                     f"labels are not canonical at position {pos}: "
@@ -73,20 +83,8 @@ class Partition(ValueRecord):
 
 def canonicalize(labels) -> Partition:
     """Relabel classes by order of first occurrence (1, 2, ...) into a pair partition."""
-    seq = list(labels)
-    if not seq:
-        raise ValueError("partition must have at least one element")
-    relabel: dict[int, int] = {}
-    out = []
-    for pos, lab in enumerate(seq, start=1):
-        if not isinstance(lab, int) or isinstance(lab, bool):
-            raise ValueError(f"label at position {pos} is not an integer: {lab!r}")
-        if lab < 1:
-            raise ValueError(f"label at position {pos} must be positive, got {lab}")
-        if lab not in relabel:
-            relabel[lab] = len(relabel) + 1
-        out.append(relabel[lab])
-    return Partition(tuple(out))
+    relabel: dict[int, int] = {}  # each label's class number, in order of first occurrence
+    return Partition([relabel.setdefault(lab, len(relabel) + 1) for lab in _labels(labels)])
 
 
 def parse_partition(text: str) -> Partition:

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 MAX_RANDOM_DIM = 64
-# Horizons whose kernel tables one ``PhaseSums`` keeps, the oldest dropped first; a convergence
-# report's usual three horizons fit.
+# Horizons whose kernel tables one ``PhaseSums`` keeps, the oldest dropped first: a correlation reads
+# each horizon's table twice (bound, then value), and repeated means re-read a few horizons' tables.
 KERNEL_MEMO_HORIZONS = 4
 
 # Residual ceilings every constructed decomposition must satisfy: the frame's ||W*W - I|| and
@@ -331,21 +331,19 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
 
 
-def decomposition_residuals(dec: SpectralDecomposition, source=None) -> dict[str, float]:
-    """The frame residual ||W*W - I||, the source's stored unitarity residual and, when ``source`` is
-    given, the reconstruction residual against it.
+def decomposition_residuals(dec: SpectralDecomposition, source) -> dict[str, float]:
+    """The frame residual ||W*W - I||, the source's stored unitarity residual and the reconstruction
+    residual ||W diag(z) W* - source||.
 
     The frame residual e implies the projection invariants: line b's projection W_b W_b^* is
     Hermitian by construction, its idempotency and orthogonality residuals are at most (1 + e) e,
     and the completeness residual ||W W^* - I|| is e.
     """
-    out = {
+    return {
         "frame": operator_norm(dec.frame.conj().T @ dec.frame - np.eye(dec.dim)),
         "unitarity": dec.source_unitarity,
+        "reconstruction": operator_norm(reconstruct(dec) - as_operator(source)),
     }
-    if source is not None:
-        out["reconstruction"] = operator_norm(reconstruct(dec) - as_operator(source))
-    return out
 
 
 def _with_frame(phases: PhaseSums, frame, labels, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:

@@ -124,7 +124,7 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, direct_mean) -> l
     checks: list[Check] = []
     state = scenario.state()  # a malformed state spec is a ScenarioError, not a failed check
     try:
-        system = make_system(u, state, dec=dec, tolerances=scenario.tolerances)
+        system = make_system(u, state, dec=dec)
     except ValueError as exc:
         return [Check("state validation", False, float("inf"), 0.0, str(exc))]
     checks.append(_check("state validation", 0.0, 0.0))

@@ -87,8 +87,8 @@ def test_a_correlation_value_moved_by_twice_its_allowance_fails_at_every_scale(t
     assert run_cli(tmp_path, "correlate", data) == 0
     exact = correlations.cesaro_correlation
 
-    def moved(system, spec, N, engine="spectral"):
-        return exact(system, spec, N, engine) + 2 * ROUNDING_TOL * norm_product(spec.ops)
+    def moved(system, spec, N):
+        return exact(system, spec, N) + 2 * ROUNDING_TOL * norm_product(spec.ops)
 
     monkeypatch.setattr(correlations, "cesaro_correlation", moved)
     capsys.readouterr()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entcesaro import correlations
 from entcesaro.correlations import (
     STATE_TOL,
     CorrelationSpec,
@@ -13,7 +14,7 @@ from entcesaro.correlations import (
     correlation_term,
     make_system,
 )
-from entcesaro.engines import ENGINES, cesaro_direct, cesaro_spectral, error_bound
+from entcesaro.engines import cesaro_direct, cesaro_spectral, error_bound
 from entcesaro.linalg import ROUNDING_TOL, ROUNDING_TOL as IDENTITY_TOL, bound_excess, haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
 from entcesaro.spectral import Phase, decompose, from_eigensystem
@@ -191,9 +192,8 @@ class TestCesaroCorrelation:
     def test_rejects_a_horizon_that_is_not_a_positive_integer(self, horizon):
         system = make_system(DIAG_PM, np.array([1.0, 0.0]))
         spec = CorrelationSpec(P11, (SWAP, SWAP, np.eye(2, dtype=complex)))
-        for engine in ENGINES:
-            with pytest.raises(ValueError, match="horizon N must be a positive integer"):
-                cesaro_correlation(system, spec, horizon, engine=engine)
+        with pytest.raises(ValueError, match="horizon N must be a positive integer"):
+            cesaro_correlation(system, spec, horizon)
 
     def test_identity_dynamics(self, rng):
         ops = random_ops(rng, 5, 3)
@@ -235,34 +235,24 @@ class TestCesaroCorrelation:
         else:
             mean = cesaro_spectral(dec, P1212, ops[1:-1], n).matrix
         expected = system.expect(ops[0] @ mean @ ops[-1])
-        assert cesaro_correlation(system, spec, n, engine=engine) == pytest.approx(expected, abs=1e-10)
-
-    def test_every_engine_by_name(self):
-        u, dec, omega, _ = invariant_system(17, 4)
-        ops = random_ops(np.random.default_rng(4), 5, 4)
-        system = make_system(u, omega, dec=dec)
-        spec = CorrelationSpec(P1221, tuple(ops))
-        expected = system.expect(ops[0] @ cesaro_spectral(dec, P1221, ops[1:-1], 12).matrix @ ops[-1])
-        for engine in ("direct", "spectral", "nested"):
-            assert cesaro_correlation(system, spec, 12, engine=engine) == pytest.approx(expected, abs=1e-10)
-        with pytest.raises(ValueError, match=r"unknown engine 'warp', expected one of \('direct', 'spectral', 'nested'\)"):
-            cesaro_correlation(system, spec, 12, engine="warp")
+        assert cesaro_correlation(system, spec, n) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("labels,d,n", [("1,2,1,2", 16, 300), ("1,2,2,1,3,3", 6, 31), ("1,2,2,1,3,3", 6, 47)])
-    def test_default_is_one_spectral_evaluation(self, monkeypatch, labels, d, n):
+    def test_is_one_spectral_evaluation(self, monkeypatch, labels, d, n):
         p = parse_partition(labels)
         basis = haar_unitary(np.random.default_rng(5), d)
         u, dec = from_eigensystem([Phase.rational(k, 17) for k in range(d)], basis)
         system = make_system(u, basis[:, 0], dec=dec)
-        spec = CorrelationSpec(p, tuple(random_ops(np.random.default_rng(6), p.m + 1, d)))
-        spectral = cesaro_correlation(system, spec, n, engine="spectral")
+        ops = random_ops(np.random.default_rng(6), p.m + 1, d)
+        spec = CorrelationSpec(p, tuple(ops))
+        spectral = system.expect(ops[0] @ cesaro_spectral(dec, p, ops[1:-1], n).matrix @ ops[-1])
         used = []
-        for name, call in list(ENGINES.items()):
-            monkeypatch.setitem(ENGINES, name, lambda *args, _name=name, _call=call: used.append(_name) or _call(*args))
+        monkeypatch.setattr(correlations, "cesaro_spectral",
+                            lambda *args: used.append(args[3]) or cesaro_spectral(*args))
         assert cesaro_correlation(system, spec, n) == spectral
-        assert used == ["spectral"]
-        with pytest.raises(ValueError, match="unknown engine 'auto', expected one of"):
-            cesaro_correlation(system, spec, n, engine="auto")
+        assert used == [n]
+        with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
+            cesaro_correlation(system, spec, n, engine="direct")
 
 
 class TestCorrelationLimit:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import tracemalloc
 import types
 from fractions import Fraction
@@ -9,6 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entcesaro import engines
+from entcesaro.correlations import (
+    CorrelationSpec,
+    cesaro_correlation,
+    correlation_bounds,
+    correlation_limit,
+    make_system,
+)
 from entcesaro.engines import (
     BudgetError,
     cesaro_direct,
@@ -24,7 +32,7 @@ from entcesaro.engines import (
     mean_ergodic,
     spectral_gap,
 )
-from entcesaro.linalg import ROUNDING_TOL, bound_excess, haar_unitary, norm_product, operator_norm
+from entcesaro.linalg import ROUNDING_TOL, bound_excess, frobenius_norm, haar_unitary, norm_product, operator_norm
 from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition
 from entcesaro.spectral import (
     KERNEL_MEMO_HORIZONS,
@@ -367,11 +375,12 @@ class TestCesaroDirect:
         with pytest.raises(ValueError):
             cesaro_direct(np.eye(3, dtype=complex), P1212, [np.eye(3)] * 2, 3)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         with pytest.raises(BudgetError):
             cesaro_direct(np.eye(2, dtype=complex), P1212, [np.eye(2)] * 3, 10**5)
+        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", 10)
         with pytest.raises(BudgetError):
-            cesaro_direct(np.eye(2, dtype=complex), P11, [np.eye(2)], 100, budget=10)
+            cesaro_direct(np.eye(2, dtype=complex), P11, [np.eye(2)], 100)
 
 
 class TestOracleEquivalence:
@@ -402,11 +411,12 @@ class TestOracleEquivalence:
         b = cesaro_spectral(dec, P1212, ops, 100).matrix
         assert np.array_equal(a, b)
 
-    def test_spectral_budget_guard(self, rng):
+    def test_spectral_budget_guard(self, rng, monkeypatch):
         _, dec = random_system(5, 4, "rational", 6)
         ops = random_ops(rng, 3, 4)
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 10)
         with pytest.raises(BudgetError):
-            cesaro_spectral(dec, P1212, ops, 10, budget=10)
+            cesaro_spectral(dec, P1212, ops, 10)
 
 
 class TestCesaroNested:
@@ -654,6 +664,19 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match=r"unknown engine 'warp', expected one of \('direct', 'spectral', 'nested'\)"):
             convergence_report(dec, P1221, ops, [5, 10], engine="warp")
 
+    @pytest.mark.parametrize("labels", ["1,2,1,2", "1,2,2,1"])
+    def test_direct_rows_are_the_direct_mean_of_the_reconstruction(self, labels):
+        # Like the nested engine, a report's direct engine evaluates V = W diag(z) W*, not the source U.
+        p = parse_partition(labels)
+        u = haar_unitary(np.random.default_rng(3), 8)
+        dec = decompose(u)
+        ops = random_ops(np.random.default_rng(3), p.m - 1, 8)
+        report = convergence_report(dec, p, ops, [7, 100], engine="direct")
+        v, limit = reconstruct(dec), limit_operator(dec, p, ops)
+        for row in report.rows:
+            diff = cesaro_direct(v, p, ops, row.N).matrix - limit
+            assert (row.error_op, row.error_frob) == (operator_norm(diff), frobenius_norm(diff))
+
 
 # Every public engine entry point, called as (u, dec, p, ops, **keywords).
 ENTRY_POINTS = {
@@ -669,9 +692,10 @@ ENTRY_POINTS = {
     **{f"ENGINES[{name}]": lambda u, dec, p, ops, run=run, **kw: run(u, dec, p, ops, 3, **kw)
        for name, run in engines.ENGINES.items()},
 }
-# The calls that must refuse a ``general=`` keyword.
+# The calls that must refuse a ``general=`` keyword, and those that must refuse a ``budget=`` keyword.
 FORMER_GENERAL = ["cesaro_direct", "cesaro_spectral", "limit_operator", "error_bound", "error_bounds",
                   "convergence_report", *(f"ENGINES[{name}]" for name in engines.ENGINE_NAMES)]
+FORMER_BUDGET = ["cesaro_direct", "cesaro_spectral", "limit_operator", "error_bound", "error_bounds"]
 
 
 class TestPairPartitionsOnly:
@@ -689,6 +713,13 @@ class TestPairPartitionsOnly:
         u, dec = random_system(31, 3, "rational", 6)
         with pytest.raises(TypeError, match="unexpected keyword argument 'general'"):
             ENTRY_POINTS[name](u, dec, P1212, random_ops(rng, 3, 3), general=True)
+
+    @pytest.mark.parametrize("name", FORMER_BUDGET)
+    def test_takes_no_budget_keyword(self, rng, name):
+        # The memory caps are the module constants SPECTRAL_ENTRY_BUDGET and _SWEEP_ENTRY_BUDGET.
+        u, dec = random_system(31, 3, "rational", 6)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'budget'"):
+            ENTRY_POINTS[name](u, dec, P1212, random_ops(rng, 3, 3), budget=10**9)
 
 
 class TestMeanNormBound:
@@ -912,7 +943,7 @@ class TestPlannedSweep:
             tables = [rng.standard_normal((B, B)) + 1j * rng.standard_normal((B, B)) for _ in range(p.k)]
             frame = types.SimpleNamespace(dim=D, frame=np.eye(D), blocks=np.repeat(np.arange(B), r))
             scale = max(1.0, np.prod([np.linalg.norm(a) for a in slots])) * max(1.0, *(np.abs(t).max() for t in tables)) ** p.k
-            got = engines._contract(p, slots, B, r, tables, engines.SPECTRAL_ENTRY_BUDGET)
+            got = engines._contract(p, slots, B, r, tables)
             assert np.linalg.norm(got - contract_per_block(frame, p, list(slots), tables)) <= 1e-12 * scale
 
     def test_plan_peaks(self):
@@ -937,25 +968,28 @@ class TestPlannedSweep:
             assert peak == max((B * r) ** 2, *formed)
 
     @pytest.mark.parametrize("labels", ["1,1", "1,2,2,1", "1,2,2,1,3,3"])
-    def test_budget_counts_the_starting_tensor_of_a_sweep_that_never_widens(self, labels):
+    def test_budget_counts_the_starting_tensor_of_a_sweep_that_never_widens(self, labels, monkeypatch):
         p = parse_partition(labels)
         dec = random_system(3, 8, "haar")[1]
         ops = random_ops(np.random.default_rng(3), p.m - 1, 8)
         assert engines._network(p, 8, 1)[2] == 64
-        for run in (lambda budget: cesaro_spectral(dec, p, ops, 5, budget=budget),
-                    lambda budget: limit_operator(dec, p, ops, budget=budget)):
+        for run in (lambda: cesaro_spectral(dec, p, ops, 5), lambda: limit_operator(dec, p, ops)):
+            monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 63)
             with pytest.raises(BudgetError, match="planned peak of 6.400e[+]01 entries"):
-                run(63)
-            run(64)
+                run()
+            monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 64)
+            run()
 
-    def test_budget_counts_the_padded_frame(self):
+    def test_budget_counts_the_padded_frame(self, monkeypatch):
         # Ranks 2, 1, 1: three blocks padded to width 2, so the sweep is 6 x 6 where d = 4.
         u, dec = from_eigensystem([Phase.rational(k, 3) for k in (0, 0, 1, 2)],
                                   haar_unitary(np.random.default_rng(4), 4))
         ops = random_ops(np.random.default_rng(4), 3, 4)
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 107)
         with pytest.raises(BudgetError, match="planned peak of 1.080e[+]02 entries"):
-            cesaro_spectral(dec, P1212, ops, 5, budget=107)
-        mean = cesaro_spectral(dec, P1212, ops, 5, budget=108).matrix
+            cesaro_spectral(dec, P1212, ops, 5)
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 108)
+        mean = cesaro_spectral(dec, P1212, ops, 5).matrix
         assert np.linalg.norm(mean - cesaro_direct(u, P1212, ops, 5).matrix) <= 1e-12
 
     @pytest.mark.parametrize("labels", ["1,2,1,3,2,3", "1,2,3,1,2,3", "1,2,3,1,2,3,4,4"])
@@ -1056,7 +1090,7 @@ def _record_outputs(dec, p, ops):
         limit_truncated(dec, p, ops, sigma),
         limit_truncated(dec, p, ops, sigma[:1]),
         np.array(error_bounds(dec, p, ops, [3, 10**5])),
-        np.array(list(decomposition_residuals(dec).values())),
+        np.array(list(decomposition_residuals(dec, reconstruct(dec)).values())),
         np.array([-1 if c is None else c for c in resonant_partners(dec)]),
         np.array([ph.turns for ph in sigma]),
         np.array(spectral_gap(dec)),
@@ -1168,12 +1202,71 @@ class TestSpectralRecord:
         _, at_tolerance = random_system(4, 4, "haar", tol=Tolerances(resonance=1e-6))
         np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(at_tolerance, P1212, ops))
 
-    def test_budget_guard_runs_after_a_successful_call(self, rng):
+    def test_budget_guard_runs_after_a_successful_call(self, rng, monkeypatch):
         _, dec = random_system(5, 4, "rational", 6)
         ops = random_ops(rng, 3, 4)
         cesaro_spectral(dec, P1212, ops, 10)
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 10)
         for _ in range(2):
             with pytest.raises(BudgetError):
-                cesaro_spectral(dec, P1212, ops, 10, budget=10)
+                cesaro_spectral(dec, P1212, ops, 10)
             with pytest.raises(BudgetError):
-                limit_operator(dec, P1212, ops, budget=10)
+                limit_operator(dec, P1212, ops)
+
+
+def _capped_system():
+    """A d = 6 system with a Haar eigenbasis, float phases and a state on its phase-0 line, with a
+    correlation on 1,2,1,2; six blocks of rank 1."""
+    rng = np.random.default_rng(6)
+    basis = haar_unitary(rng, 6)
+    u, dec = from_eigensystem([Phase.from_turns(t) for t in (0.0, *rng.random(5))], basis)
+    return make_system(u, basis[:, 0], dec=dec), CorrelationSpec(P1212, tuple(random_ops(rng, 5, 6)))
+
+
+# Every call that runs a planned spectral contraction, on (system, spec): the spectral entry points on the
+# inner operators, the correlations on all of them.
+SPECTRAL_CALLS = {
+    "cesaro_spectral": lambda s, c: cesaro_spectral(s.dec, c.partition, c.ops[1:-1], 5),
+    "limit_operator": lambda s, c: limit_operator(s.dec, c.partition, c.ops[1:-1]),
+    "limit_truncated": lambda s, c: limit_truncated(s.dec, c.partition, c.ops[1:-1], antidiagonal_spectrum(s.dec)),
+    "form_value": lambda s, c: form_value(s.dec, c.partition, c.ops[1:-1], np.ones(6), np.ones(6)),
+    "error_bound": lambda s, c: error_bound(s.dec, c.partition, c.ops[1:-1], 5),
+    "error_bounds": lambda s, c: error_bounds(s.dec, c.partition, c.ops[1:-1], [5, 50]),
+    **{f"convergence_report[{name}]": lambda s, c, name=name: convergence_report(
+        s.dec, c.partition, c.ops[1:-1], [5, 50], engine=name) for name in ("spectral", "direct")},
+    "cesaro_correlation": lambda s, c: cesaro_correlation(s, c, 5),
+    "correlation_limit": correlation_limit,
+    "correlation_bounds": lambda s, c: correlation_bounds(s, c, [5, 50]),
+}
+# Every call that runs the direct engine's sweep at N = 5.
+DIRECT_CALLS = {
+    "cesaro_direct": lambda s, c: cesaro_direct(s.unitary, c.partition, c.ops[1:-1], 5),
+    "ENGINES[direct]": lambda s, c: engines.ENGINES["direct"](s.unitary, s.dec, c.partition, c.ops[1:-1], 5),
+    "convergence_report[direct]": lambda s, c: convergence_report(s.dec, c.partition, c.ops[1:-1], [5], "direct"),
+}
+
+
+class TestMemoryCaps:
+    """One module constant caps each engine's planned peak, read by every entry point when it is called."""
+
+    @pytest.mark.parametrize("name", SPECTRAL_CALLS)
+    def test_the_spectral_cap_covers_every_entry_point(self, monkeypatch, name):
+        system, spec = _capped_system()
+        assert len(system.dec.spectrum.turns) == 6
+        peak = engines._network(P1212, 6, 1)[2]
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", peak - 1)
+        message = re.escape(f"spectral engine: planned peak of {peak:.3e} entries exceeds")
+        with pytest.raises(BudgetError, match=message):
+            SPECTRAL_CALLS[name](system, spec)
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", peak)
+        SPECTRAL_CALLS[name](system, spec)
+
+    @pytest.mark.parametrize("name", DIRECT_CALLS)
+    def test_the_sweep_cap_covers_every_direct_entry_point(self, monkeypatch, name):
+        system, spec = _capped_system()
+        peak = engines._direct_entries(P1212, 5, 6)
+        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", peak - 1)
+        with pytest.raises(BudgetError, match=re.escape(f"direct engine: planned peak of {peak:.3e} entries exceeds")):
+            DIRECT_CALLS[name](system, spec)
+        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", peak)
+        DIRECT_CALLS[name](system, spec)

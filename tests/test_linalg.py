@@ -65,11 +65,11 @@ def test_as_operator_validation():
 
 
 def test_as_vector_validation():
-    assert as_vector([1, 2]).dtype == np.complex128
+    assert as_vector([1, 2], 2).dtype == np.complex128
     with pytest.raises(ValueError):
         as_vector([1, 2], dim=3)
     with pytest.raises(ValueError):
-        as_vector([np.inf, 0])
+        as_vector([np.inf, 0], 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -78,7 +78,7 @@ def test_non_finite_imaginary_part_alone_is_rejected(bad):
     with pytest.raises(ValueError, match="non-finite"):
         as_operator(np.array([[entry, 0], [0, 1]]))
     with pytest.raises(ValueError, match="non-finite"):
-        as_vector([0, entry])
+        as_vector([0, entry], 2)
 
 
 def test_haar_unitary_is_unitary_and_seeded():

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -53,6 +56,21 @@ def test_a_class_without_two_positions_is_refused(build, lab, count):
 def test_parse_rejects_bad_input(text):
     with pytest.raises(ValueError):
         parse_partition(text)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_numpy_integer_labels_give_the_tuple_partition(dtype):
+    want = Partition((1, 2, 1, 2))
+    for p in (Partition(np.array([1, 2, 1, 2], dtype=dtype)), canonicalize(np.array([3, 5, 3, 5], dtype=dtype))):
+        assert p == want and hash(p) == hash(want)
+        assert [type(lab) for lab in p.labels] == [int] * 4
+
+
+@pytest.mark.parametrize("bad", [True, np.float64(1.0)])
+def test_a_bool_or_float_label_is_refused(bad):
+    for build in (Partition, canonicalize):
+        with pytest.raises(ValueError, match=re.escape(f"label at position 1 is not an integer: {bad!r}")):
+            build([bad, 1])
 
 
 def test_partition_constructor_requires_canonical_labels():
