@@ -24,7 +24,7 @@ from .engines import (
 )
 from .linalg import ROUNDING_TOL, bound_excess, norm_product, operator_norm, rounding_gap
 from .partitions import is_crossing, render_partition
-from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
+from .scenario import Scenario, ScenarioError, load_scenario
 from .spectral import antidiagonal_spectrum, decomposition_residuals
 
 CSV_HEADER = "N,engine,error_op,error_frob,certified_bound,spectral_gap,seconds"
@@ -239,7 +239,7 @@ def cmd_demo_appendix(args) -> int:
     scenario_dict = dict(DEMO_SCENARIO)
     if args.seed is not None:
         scenario_dict["seed"] = args.seed
-    scenario = scenario_from_dict(scenario_dict)
+    scenario = Scenario(scenario_dict)
 
     u, dec, p, ops = _inputs(scenario, "demo-appendix")
     print(f"entangled partition {render_partition(p)} on a dimension-{dec.dim} system")

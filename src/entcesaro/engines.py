@@ -142,6 +142,13 @@ def _check_partition(p) -> Partition:
     return p
 
 
+def _check_nested(p: Partition) -> Partition:
+    """``p`` if the nested engine evaluates it, that is if it does not cross."""
+    if is_crossing(p):
+        raise ValueError("nested engine requires a non-crossing pair partition")
+    return p
+
+
 def _check_ops(p: Partition, ops, dim: int) -> np.ndarray:
     """The operators as one complex stack of shape (m - 1, dim, dim), checked at once.
 
@@ -271,7 +278,7 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     if entries > _SWEEP_ENTRY_BUDGET:
         shown = f"{entries:.3e}" if entries <= sys.float_info.max else f"more than {sys.float_info.max:.3e}"
         raise BudgetError(f"direct engine: planned peak of {shown} entries exceeds the memory budget "
-                          f"{_SWEEP_ENTRY_BUDGET:.1e}")
+                          f"{_SWEEP_ENTRY_BUDGET}")
 
     powers = np.empty((N, d, d), dtype=np.complex128)
     powers[0] = np.eye(d)
@@ -353,7 +360,7 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables) -> np.nda
     steps, order, peak = _network(p, B, r)
     if peak > SPECTRAL_ENTRY_BUDGET:
         raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget "
-                          f"{SPECTRAL_ENTRY_BUDGET:.1e}")
+                          f"{SPECTRAL_ENTRY_BUDGET}")
     if not all(table.any() for table in tables):  # an all-zero table gives a zero sum
         return np.zeros((B * r, B * r), np.result_type(slots, *tables))
     operands = [*slots.reshape(p.m - 1, *(n for n in (B, r, B, r) if n > 1))]
@@ -403,9 +410,7 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     up to rounding, but it is only defined for non-crossing pair partitions.
     """
     start = time.perf_counter()
-    p = _check_partition(p)
-    if is_crossing(p):
-        raise ValueError("nested engine requires a non-crossing pair partition")
+    p = _check_nested(_check_partition(p))
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
     u = reconstruct(dec)
@@ -549,6 +554,8 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
         raise ValueError("horizons must be strictly increasing")
     run = _engine(engine)
     p = _check_partition(p)
+    if engine == "nested":  # refused before any contraction
+        _check_nested(p)
     ops = _check_ops(p, ops, dec.dim)
     frame, frame_h = dec._padded
     u = reconstruct(dec) if engine == "direct" else None  # the nested engine forms V itself

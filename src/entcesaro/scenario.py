@@ -28,7 +28,7 @@ import numpy as np
 
 from .engines import _engine
 from .linalg import gaussian_operator
-from .partitions import Partition, canonicalize
+from .partitions import canonicalize
 from .spectral import (
     Phase,
     SpectralDecomposition,
@@ -38,7 +38,7 @@ from .spectral import (
     random_system,
 )
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_from_dict", "rng_for"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "rng_for"]
 
 
 class ScenarioError(ValueError):
@@ -52,20 +52,53 @@ def rng_for(seed: int, *names) -> np.random.Generator:
 
 
 class Scenario:
-    """A parsed scenario; mutable, so that command line options can override ``seed`` and ``engine``."""
+    """A scenario read from its JSON object; mutable, so that command line options can override ``seed`` and
+    ``engine``.  The top-level fields are checked here, the unitary, operator and state specs when built."""
 
-    def __init__(self, unitary_spec: dict, partition: Partition | None, operator_specs: list | None,
-                 state_spec: dict | None, engine: str, horizons: list[int], tolerances: Tolerances,
-                 seed: int, out: str | None):
-        self.unitary_spec = unitary_spec
-        self.partition = partition
-        self.operator_specs = operator_specs
-        self.state_spec = state_spec
-        self.engine = engine
-        self.horizons = horizons
-        self.tolerances = tolerances
-        self.seed = seed
-        self.out = out
+    def __init__(self, raw):
+        if not isinstance(raw, dict):
+            raise _fail("top level must be an object")
+        if "unitary" not in raw:
+            raise _fail("missing 'unitary'")
+        self.unitary_spec = raw["unitary"]
+
+        self.partition = None
+        if "partition" in raw:
+            labels = raw["partition"]
+            if not isinstance(labels, list) or not labels:
+                raise _fail("'partition' must be a nonempty integer array")
+            try:
+                self.partition = canonicalize(labels)
+            except ValueError as exc:
+                raise _fail(f"bad partition: {exc}") from exc
+
+        self.engine = raw.get("engine", "spectral")
+        try:
+            _engine(self.engine)
+        except ValueError as exc:
+            raise _fail(str(exc)) from exc
+
+        horizons = raw.get("Ns", [])
+        if not isinstance(horizons, list) or not all(_is_int(n) and 1 <= n <= sys.float_info.max for n in horizons):
+            raise _fail("'Ns' must be a list of positive integers within the float range")
+        if any(b <= a for a, b in zip(horizons, horizons[1:])):
+            raise _fail("'Ns' must be strictly increasing")
+        self.horizons = list(horizons)
+
+        self.seed = raw.get("seed", 0)
+        if not _is_int(self.seed):
+            raise _fail("'seed' must be an integer")
+
+        self.out = raw.get("out")
+        if self.out is not None and not isinstance(self.out, str):
+            raise _fail("'out' must be a string path")
+
+        self.operator_specs = raw.get("operators")
+        if self.operator_specs is not None and not isinstance(self.operator_specs, list):
+            raise _fail("'operators' must be a list")
+
+        self.state_spec = raw.get("state")
+        self.tolerances = _parse_tolerances(raw.get("tolerances"))
         self._system: tuple[np.ndarray, SpectralDecomposition] | None = None
 
     def system(self) -> tuple[np.ndarray, SpectralDecomposition]:
@@ -110,47 +143,46 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_positive(value) -> bool:
-    """JSON number in (0, largest float]: NaN, Infinity and an integer beyond the float range are
-    not, and ``bool`` is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
-
-
 def _seed(value, what: str):
     if value is not None and (not _is_int(value) or value < 0):
         raise _fail(f"{what} 'seed' must be a non-negative integer")
     return value
 
 
-def _complexify(value, what: str) -> complex:
-    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+def _numbers(value, message: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array.  Anything else is ``_fail(message)``: a bool,
+    a string or null, NaN and Infinity (which Python's JSON reader accepts), an integer beyond the float
+    range, and ragged lists."""
     try:
-        if all(isinstance(v, (int, float)) for v in parts):
-            z = complex(*parts)
-            if np.isfinite(z):  # JSON's NaN and Infinity are not
-                return z
-    except OverflowError:  # an integer beyond the float range
+        entries = np.array(value, dtype=object)
+        if all(type(v) in (int, float) for v in entries.flat):
+            numbers = entries.astype(float)
+            if np.isfinite(numbers).all():
+                return numbers
+    except (TypeError, ValueError, OverflowError):  # ragged lists; an integer beyond the float range
         pass
-    raise _fail(f"{what} entries must be finite numbers or [re, im] pairs")
+    raise _fail(message)
+
+
+def _positive(value, message: str) -> float:
+    """One JSON number in (0, largest float]; anything else is ``_fail(message)``."""
+    number = _numbers(value, message)
+    if number.ndim or not number > 0:
+        raise _fail(message)
+    return float(number)
 
 
 def _matrix_from_spec(spec: dict, what: str) -> np.ndarray:
-    re = spec.get("re")
-    if re is None:
+    if spec.get("re") is None:
         raise _fail(f"{what} of kind 'matrix' needs 're'")
-    im = spec.get("im")
-    try:
-        re_arr = np.asarray(re, dtype=float)
-        im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise _fail(f"{what} 're' and 'im' must be arrays of numbers") from None
-    if re_arr.ndim != 2:
+    message = f"{what} 're' and 'im' must hold finite numbers"
+    re = _numbers(spec["re"], message)
+    im = np.zeros_like(re) if spec.get("im") is None else _numbers(spec["im"], message)
+    if re.ndim != 2:
         raise _fail(f"{what} 're' must be a 2-d array")
-    if im_arr.shape != re_arr.shape:
+    if im.shape != re.shape:
         raise _fail(f"{what} 'im' shape differs from 're'")
-    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):  # JSON's NaN and Infinity
-        raise _fail(f"{what} 're' and 'im' must hold finite numbers")
-    return re_arr + 1j * im_arr
+    return re + 1j * im
 
 
 def _parse_phase(text) -> Phase:
@@ -208,10 +240,8 @@ def _build_operator(spec, dim: int, seed: int, index: int) -> np.ndarray:
     if kind == "random":
         op_seed = _seed(spec.get("seed"), f"operator {index}")
         rng = np.random.default_rng(op_seed) if op_seed is not None else rng_for(seed, "operator", index)
-        norm = spec.get("norm", 1.0)
-        if not _is_positive(norm):
-            raise _fail(f"operator {index} 'norm' must be a positive finite number")
-        return gaussian_operator(rng, dim, op_norm=float(norm))
+        norm = _positive(spec.get("norm", 1.0), f"operator {index} 'norm' must be a positive finite number")
+        return gaussian_operator(rng, dim, op_norm=norm)
     raise _fail(f"unknown operator kind {kind!r}")
 
 
@@ -223,18 +253,18 @@ def _build_state(spec, dim: int) -> np.ndarray:
         omega = spec.get("omega")
         if not isinstance(omega, list) or len(omega) != dim:
             raise _fail(f"vector state needs 'omega' with {dim} entries")
-        return np.array([_complexify(v, "omega") for v in omega])
+        message = "omega entries must be finite numbers or [re, im] pairs"
+        entries = [_numbers(v, message) for v in omega]
+        if any(z.shape not in ((), (2,)) for z in entries):
+            raise _fail(message)
+        return np.array([complex(*z.flat) for z in entries])
     if kind == "trace":
         if "diag" in spec:
-            diag = spec["diag"]
-            if isinstance(diag, list) and len(diag) == dim and all(isinstance(v, (int, float)) for v in diag):
-                try:
-                    values = np.array(diag, dtype=float)
-                    if np.isfinite(values).all():
-                        return np.diag(values).astype(np.complex128)
-                except OverflowError:  # an integer beyond the float range
-                    pass
-            raise _fail(f"trace state 'diag' needs {dim} finite numbers")
+            message = f"trace state 'diag' needs {dim} finite numbers"
+            values = _numbers(spec["diag"], message)
+            if values.shape != (dim,):
+                raise _fail(message)
+            return np.diag(values).astype(np.complex128)
         mat = _matrix_from_spec(spec, "trace state")
         if mat.shape != (dim, dim):
             raise _fail(f"trace state has shape {mat.shape}, system dimension is {dim}")
@@ -253,10 +283,7 @@ def _parse_tolerances(spec) -> Tolerances:
         raise _fail(f"unknown tolerance keys {sorted(unknown)}")
     values = {}
     for key in known & set(spec):
-        v = spec[key]
-        if not _is_positive(v):
-            raise _fail(f"tolerance {key!r} must be a positive finite number")
-        values[key] = float(v)
+        values[key] = _positive(spec[key], f"tolerance {key!r} must be a positive finite number")
     return Tolerances(**values)
 
 
@@ -268,60 +295,4 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
-
-
-def scenario_from_dict(raw) -> Scenario:
-    if not isinstance(raw, dict):
-        raise _fail("top level must be an object")
-
-    if "unitary" not in raw:
-        raise _fail("missing 'unitary'")
-
-    partition = None
-    if "partition" in raw:
-        labels = raw["partition"]
-        if not isinstance(labels, list) or not labels:
-            raise _fail("'partition' must be a nonempty integer array")
-        try:
-            partition = canonicalize(labels)
-        except ValueError as exc:
-            raise _fail(f"bad partition: {exc}") from exc
-
-    engine = raw.get("engine", "spectral")
-    try:
-        _engine(engine)
-    except ValueError as exc:
-        raise _fail(str(exc)) from exc
-
-    horizons = raw.get("Ns", [])
-    if not isinstance(horizons, list) or not all(_is_int(n) and 1 <= n <= sys.float_info.max for n in horizons):
-        raise _fail("'Ns' must be a list of positive integers within the float range")
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise _fail("'Ns' must be strictly increasing")
-
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        raise _fail("'seed' must be an integer")
-
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise _fail("'out' must be a string path")
-
-    operator_specs = raw.get("operators")
-    if operator_specs is not None and not isinstance(operator_specs, list):
-        raise _fail("'operators' must be a list")
-
-    state_spec = raw.get("state")
-
-    return Scenario(
-        unitary_spec=raw["unitary"],
-        partition=partition,
-        operator_specs=operator_specs,
-        state_spec=state_spec,
-        engine=engine,
-        horizons=list(horizons),
-        tolerances=_parse_tolerances(raw.get("tolerances")),
-        seed=seed,
-        out=out,
-    )
+    return Scenario(raw)

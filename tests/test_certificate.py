@@ -10,7 +10,7 @@ import pytest
 from entcesaro import cli, correlations
 from entcesaro.engines import ENGINES
 from entcesaro.linalg import ROUNDING_TOL, norm_product
-from entcesaro.scenario import scenario_from_dict
+from entcesaro.scenario import Scenario
 from entcesaro.verify import run_invariant_suite
 
 SCALES = [1e-3, 1.0, 100.0, 1000.0]
@@ -39,7 +39,7 @@ def run_cli(tmp_path, command, data):
 
 
 def report_check(data):
-    checks = {check.name: check for check in run_invariant_suite(scenario_from_dict(data))}
+    checks = {check.name: check for check in run_invariant_suite(Scenario(data))}
     return checks["report rows within certified bound"]
 
 
@@ -94,5 +94,5 @@ def test_a_correlation_value_moved_by_twice_its_allowance_fails_at_every_scale(t
     capsys.readouterr()
     assert run_cli(tmp_path, "correlate", data) == 1
     assert capsys.readouterr().err == "certified bound violated at N in [60]\n"
-    checks = {check.name: check for check in run_invariant_suite(scenario_from_dict(data))}
+    checks = {check.name: check for check in run_invariant_suite(Scenario(data))}
     assert not checks["correlation limit within certified bound"].passed

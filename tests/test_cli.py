@@ -194,7 +194,22 @@ class TestExitCodes:
             ("huge_ns.json", "converge", dict(pair, Ns=[10, 10**400]), "'Ns' must be a list of positive integers"),
             ("bool_seed.json", "converge", dict(pair, seed=True), "'seed' must be an integer"),
             ("dict_entries.json", "limit", dict(pair, operators=[{"kind": "matrix", "re": {}}]),
-             "operator 0 're' and 'im' must be arrays of numbers"),
+             "operator 0 're' and 'im' must hold finite numbers"),
+            # Every number is a JSON number: a string or a bool was read as one, a ragged array is none.
+            *((f"string_unitary_{command}.json", command,
+               dict(pair, unitary={"kind": "matrix", "re": [["0", "1"], ["1", "0"]]}),
+               "unitary 're' and 'im' must hold finite numbers") for command in ("decompose", "converge")),
+            ("bool_operator.json", "mean",
+             dict(pair, operators=[{"kind": "matrix", "re": [[1, 0], [0, 1]], "im": [[True, False], [False, True]]}]),
+             "operator 0 're' and 'im' must hold finite numbers"),
+            ("ragged_operator.json", "limit", dict(pair, operators=[{"kind": "matrix", "re": [[1, 0], [0, [1]]]}]),
+             "operator 0 're' and 'im' must hold finite numbers"),
+            ("bool_diag.json", "correlate",
+             dict(pair, operators=[{"kind": "random"}] * 3, state={"kind": "trace", "diag": [True, 0]}),
+             "trace state 'diag' needs 2 finite numbers"),
+            ("bool_omega.json", "verify",
+             dict(pair, operators=[{"kind": "random"}] * 3, state={"kind": "vector", "omega": [True, 0]}),
+             "omega entries must be finite numbers or [re, im] pairs"),
             # JSON reads NaN and Infinity; they were refused only later, as a verification failure (exit 1).
             ("nan_operator.json", "converge",
              dict(pair, operators=[{"kind": "matrix", "re": [[1, 0], [0, math.nan]]}]),

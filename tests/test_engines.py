@@ -1270,3 +1270,23 @@ class TestMemoryCaps:
             DIRECT_CALLS[name](system, spec)
         monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", peak)
         DIRECT_CALLS[name](system, spec)
+
+    def test_a_nested_report_refuses_a_crossing_partition_before_any_contraction(self, monkeypatch):
+        system, spec = _capped_system()
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", engines._network(P1212, 6, 1)[2] - 1)
+        calls, contract = [], engines._contract
+        monkeypatch.setattr(engines, "_contract", lambda *args: calls.append(args) or contract(*args))
+        with pytest.raises(ValueError, match="^nested engine requires a non-crossing pair partition$") as refused:
+            convergence_report(system.dec, P1212, spec.ops[1:-1], [10, 100], "nested")
+        assert refused.type is ValueError and calls == []
+
+    def test_each_message_prints_its_cap_exactly(self, monkeypatch):
+        system, spec = _capped_system()
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 215)  # the plan's peak is 216
+        with pytest.raises(BudgetError) as spectral:
+            limit_operator(system.dec, P1212, spec.ops[1:-1])
+        assert str(spectral.value) == "spectral engine: planned peak of 2.160e+02 entries exceeds budget 215"
+        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", 2159)  # the sweep's peak at N = 5 is 2160
+        with pytest.raises(BudgetError) as direct:
+            cesaro_direct(system.unitary, P1212, spec.ops[1:-1], 5)
+        assert str(direct.value) == "direct engine: planned peak of 2.160e+03 entries exceeds the memory budget 2159"

@@ -50,14 +50,20 @@ RECORDS = {
     "Check": (Check, {"name": "unitarity", "passed": True, "value": 0.0, "threshold": 1e-10}, {"detail": ""}),
     "DynamicalSystem": (DynamicalSystem, {"unitary": EYE, "dec": DEC, "density": EYE / 2}, {}),
     "CorrelationSpec": (CorrelationSpec, {"partition": P1212, "ops": (EYE,) * 5}, {}),
-    "Scenario": (Scenario, {"unitary_spec": {"kind": "random", "dim": 2}, "partition": P1212,
-                            "operator_specs": None, "state_spec": None, "engine": "spectral",
-                            "horizons": [10], "tolerances": Tolerances(), "seed": 0, "out": None}, {}),
 }
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", [*RECORDS, "Scenario"])
 def test_record_fields_and_mutability(name):
+    if name == "Scenario":  # read from a JSON object, and mutable: the command line overrides the seed and the engine
+        unitary = {"kind": "random", "dim": 2}
+        record = Scenario({"unitary": unitary, "partition": [1, 2, 1, 2], "Ns": [10]})
+        assert record.unitary_spec is unitary
+        assert (record.partition, record.operator_specs, record.state_spec, record.engine, record.horizons,
+                record.tolerances, record.seed, record.out) == (P1212, None, None, "spectral", [10], Tolerances(), 0, None)
+        record.seed, record.engine = 5, "direct"
+        assert (record.seed, record.engine) == (5, "direct")
+        return
     cls, given, defaults = RECORDS[name]
     record = cls(**given)
     for field, value in given.items():
@@ -65,10 +71,6 @@ def test_record_fields_and_mutability(name):
     for field, value in defaults.items():
         assert getattr(record, field) == value
     field = next(iter(given))
-    if cls is Scenario:  # the command line overrides the seed and the engine
-        record.seed, record.engine = 5, "direct"
-        assert (record.seed, record.engine) == (5, "direct")
-        return
     for attempt in (lambda: setattr(record, field, None), lambda: setattr(record, "extra", None),
                     lambda: delattr(record, field)):
         with pytest.raises(AttributeError):

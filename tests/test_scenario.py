@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entcesaro.linalg import operator_norm
-from entcesaro.scenario import ScenarioError, load_scenario, rng_for, scenario_from_dict
+from entcesaro.scenario import Scenario, ScenarioError, load_scenario, rng_for
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -47,7 +47,7 @@ def test_operators_derive_from_scenario_seed(tmp_path):
 
 
 def test_diagonal_rational_unitary():
-    scenario = scenario_from_dict({
+    scenario = Scenario({
         "unitary": {"kind": "diagonal-rational", "phases": ["0/1", "1/2", "2/3"]},
     })
     u, dec = scenario.system()
@@ -59,7 +59,7 @@ def test_diagonal_rational_unitary():
 
 
 def test_matrix_unitary_and_operator():
-    scenario = scenario_from_dict({
+    scenario = Scenario({
         "unitary": {"kind": "matrix", "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]},
         "partition": [1, 1],
         "operators": [{"kind": "matrix", "re": [[1, 0], [0, 2]]}],
@@ -74,14 +74,14 @@ def test_state_specs():
         "unitary": {"kind": "diagonal-rational", "phases": ["0/1", "1/2"]},
         "state": {"kind": "vector", "omega": [[1.0, 0.0], 0.0]},
     }
-    scenario = scenario_from_dict(base)
+    scenario = Scenario(base)
     np.testing.assert_array_equal(scenario.state(), np.array([1.0, 0.0], dtype=complex))
-    scenario = scenario_from_dict(dict(base, state={"kind": "trace", "diag": [1.0, 0.0]}))
+    scenario = Scenario(dict(base, state={"kind": "trace", "diag": [1.0, 0.0]}))
     np.testing.assert_array_equal(scenario.state(), np.diag([1.0, 0.0]))
 
 
 def test_tolerance_overrides():
-    scenario = scenario_from_dict({
+    scenario = Scenario({
         "unitary": {"kind": "diagonal-rational", "phases": ["0/1"]},
         "tolerances": {"resonance": 1e-6},
     })
@@ -111,7 +111,7 @@ def test_malformed_scenarios_rejected(mutation):
     data.update(mutation)
     data = {k: v for k, v in data.items() if v is not None}
     with pytest.raises(ScenarioError):
-        scenario = scenario_from_dict(data)
+        scenario = Scenario(data)
         scenario.system()
         scenario.operators(3)
 
@@ -148,5 +148,5 @@ def test_unknown_engine_message_is_the_engines_message(engine):
     with pytest.raises(ValueError) as expected:
         _engine(engine)
     with pytest.raises(ScenarioError) as got:
-        scenario_from_dict(dict(BASE, engine=engine))
+        Scenario(dict(BASE, engine=engine))
     assert str(got.value) == f"malformed scenario: {expected.value}"

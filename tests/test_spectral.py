@@ -207,11 +207,11 @@ class TestValidateGates:
 
     @pytest.mark.parametrize("factor, passed", [(1.1, False), (0.9, True)])
     def test_verify_checks_the_frame_against_its_tolerance(self, monkeypatch, factor, passed):
-        from entcesaro.scenario import scenario_from_dict
+        from entcesaro.scenario import Scenario
         from entcesaro.verify import run_invariant_suite
 
-        scenario = scenario_from_dict({"unitary": {"kind": "random", "dim": 4, "seed": 5,
-                                                   "phaseMode": "rational", "maxDenominator": 4}})
+        scenario = Scenario({"unitary": {"kind": "random", "dim": 4, "seed": 5,
+                                         "phaseMode": "rational", "maxDenominator": 4}})
         u, dec = scenario.system()
         # Built directly, so no construction gate runs: scaled by sqrt(1 + r), the frame has
         # ||W*W - I|| = r, and its reconstruction residual r stays within RECONSTRUCTION_TOL.

@@ -6,7 +6,7 @@ import pytest
 
 from entcesaro.correlations import CorrelationSpec, correlation_term, make_system
 from entcesaro.engines import ENGINES
-from entcesaro.scenario import scenario_from_dict
+from entcesaro.scenario import Scenario
 from entcesaro.spectral import PhaseSums
 from entcesaro.verify import run_invariant_suite
 
@@ -39,7 +39,7 @@ SCENARIOS = pytest.mark.parametrize("make", [haar_scenario, identity_scenario, c
 
 
 def checks_of(data):
-    return {check.name: check for check in run_invariant_suite(scenario_from_dict(data))}
+    return {check.name: check for check in run_invariant_suite(Scenario(data))}
 
 
 @SCENARIOS
@@ -76,7 +76,7 @@ def test_every_other_engine_is_checked_against_the_spectral_mean_in_engines_orde
 
 
 def test_the_correlation_identity_holds_on_norm_100_observables():
-    scenario = scenario_from_dict(correlation_scenario(100.0))
+    scenario = Scenario(correlation_scenario(100.0))
     u, dec = scenario.system()
     system = make_system(u, scenario.state(), dec=dec)
     spec = CorrelationSpec(scenario.partition, tuple(scenario.operators(5)))
