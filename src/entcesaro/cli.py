@@ -15,15 +15,17 @@ import numpy as np
 
 from .engines import (
     ENGINE_NAMES,
-    ENGINES,
     BudgetError,
     ConvergenceReport,
+    _check_horizon,
+    _engine,
+    _engines_for,
     convergence_report,
     limit_operator,
     spectral_gap,
 )
 from .linalg import ROUNDING_TOL, bound_excess, norm_product, operator_norm, rounding_gap
-from .partitions import is_crossing, render_partition
+from .partitions import render_partition
 from .scenario import Scenario, ScenarioError, load_scenario
 from .spectral import antidiagonal_spectrum, decomposition_residuals
 
@@ -151,7 +153,7 @@ def cmd_decompose(scenario: Scenario, args) -> int:
 def cmd_mean(scenario: Scenario, args) -> int:
     u, dec, p, ops = _inputs(scenario, "mean")
     horizon = args.N if args.N is not None else (scenario.horizons[-1] if scenario.horizons else 100)
-    result = ENGINES[scenario.engine](u, dec, p, ops, horizon)
+    result = _engine(scenario.engine)(u, dec, p, ops, horizon)
     print(f"partition {render_partition(p)}, engine {result.engine}, N={result.N}")
     print(f"operator norm {operator_norm(result.matrix):.12f}")
     print(f"elapsed {result.elapsed:.3f}s")
@@ -193,16 +195,14 @@ def cmd_bench(scenario: Scenario, args) -> int:
 
     def run(engine, horizon):
         try:
-            return ENGINES[engine](u, dec, p, ops, horizon)
+            return _engine(engine)(u, dec, p, ops, horizon)
         except BudgetError:
             return None
 
     print("N        engine    seconds      |diff vs spectral| / norm product")
     for horizon in scenario.horizons:
         reference = run("spectral", horizon)
-        for engine in ENGINES:
-            if engine == "nested" and is_crossing(p):
-                continue
+        for engine in _engines_for(p):
             result = reference if engine == "spectral" else run(engine, horizon)
             if result is None:
                 print(f"{horizon:<8} {engine:<9} (skipped: over budget)")
@@ -260,14 +260,12 @@ def cmd_demo_appendix(args) -> int:
 
 
 def _horizon(text: str) -> int:
-    """The value of ``--N``: an integer from 1 to the largest float, as a scenario's 'Ns' entries are."""
+    """The value of ``--N``: an integer the engines take as a horizon (``_check_horizon``)."""
     try:
-        n = int(text)
-        if 1 <= n <= sys.float_info.max:
-            return n
+        return _check_horizon(int(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"horizon N must be a positive integer within the float range, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"horizon N must be a positive integer within the float range, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,9 +315,10 @@ def main(argv=None) -> int:
         if hasattr(args, "engine"):  # the commands that run the scenario's engine
             if args.engine is not None:
                 scenario.engine = args.engine
-            if scenario.engine == "nested" and scenario.partition is not None and is_crossing(scenario.partition):
-                raise ScenarioError(f"the nested engine requires a non-crossing pair partition, "
-                                    f"got {render_partition(scenario.partition)}")
+            try:
+                _engine(scenario.engine, scenario.partition)
+            except ValueError as exc:  # the engine does not evaluate the partition
+                raise ScenarioError(str(exc)) from None
         return args.handler(scenario, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
   so the sum is one contraction over W* A_j W (cost independent of N).
 * ``cesaro_nested``    collapses innermost adjacent class pairs recursively,
   each by binary splitting of its sum over n (cost grows with log N);
-  valid for non-crossing partitions only.
+  valid for non-crossing partitions only, which the gate ``_engine`` checks.
 
 All three compute the same finite-N sum by different factorizations;
 ``ENGINES`` maps each name to its call.  The limit swaps each class's
@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
-from .partitions import Partition, is_crossing
+from .partitions import Partition, is_crossing, render_partition
 from .spectral import (
     FRAME_TOL,
     Phase,
@@ -139,13 +139,6 @@ def _check_horizon(n) -> int:
 def _check_partition(p) -> Partition:
     if not isinstance(p, Partition):
         raise ValueError("expected a Partition")
-    return p
-
-
-def _check_nested(p: Partition) -> Partition:
-    """``p`` if the nested engine evaluates it, that is if it does not cross."""
-    if is_crossing(p):
-        raise ValueError("nested engine requires a non-crossing pair partition")
     return p
 
 
@@ -410,7 +403,7 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     up to rounding, but it is only defined for non-crossing pair partitions.
     """
     start = time.perf_counter()
-    p = _check_nested(_check_partition(p))
+    _engine("nested", _check_partition(p))
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
     u = reconstruct(dec)
@@ -444,10 +437,17 @@ ENGINES = {
 ENGINE_NAMES = tuple(ENGINES)
 
 
-def _engine(name: str):
-    """``ENGINES[name]``; ``ValueError`` naming the engines when there is none by that name."""
+def _engines_for(p: Partition) -> tuple[str, ...]:
+    """The engines that evaluate ``p``, in ``ENGINES`` order: the nested one only if ``p`` does not cross."""
+    return tuple(name for name in ENGINE_NAMES if name != "nested" or not is_crossing(p))
+
+
+def _engine(name: str, p: Partition | None = None):
+    """``ENGINES[name]``; ``ValueError`` for an unknown name, and given ``p`` for one not in ``_engines_for(p)``."""
     if name not in ENGINE_NAMES:  # a tuple, so an unhashable name is unknown too
         raise ValueError(f"unknown engine {name!r}, expected one of {ENGINE_NAMES}")
+    if p is not None and name not in _engines_for(p):
+        raise ValueError(f"nested engine requires a non-crossing pair partition, got {render_partition(p)}")
     return ENGINES[name]
 
 
@@ -552,10 +552,7 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     Ns = [(_check_horizon(n)) for n in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("horizons must be strictly increasing")
-    run = _engine(engine)
-    p = _check_partition(p)
-    if engine == "nested":  # refused before any contraction
-        _check_nested(p)
+    run = _engine(engine, _check_partition(p))  # refused before any contraction
     ops = _check_ops(p, ops, dec.dim)
     frame, frame_h = dec._padded
     u = reconstruct(dec) if engine == "direct" else None  # the nested engine forms V itself

@@ -12,15 +12,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import engines
 from .engines import (
-    ENGINES,
     BudgetError,
+    _engine,
+    _engines_for,
     convergence_report,
     limit_operator,
     limit_truncated,
 )
 from .linalg import ROUNDING_TOL, bound_excess, norm_product, operator_norm, rounding_gap
-from .partitions import is_crossing
 from .scenario import Scenario
 from .spectral import FRAME_TOL, RECONSTRUCTION_TOL, antidiagonal_spectrum, decomposition_residuals
 
@@ -66,7 +67,10 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     p = scenario.partition
     ops_all, inner = scenario.partition_operators()
 
+    # The largest N up to CROSS_CHECK_N and the first horizon whose direct sweep fits the direct engine's cap.
     n_small = min(scenario.horizons[0], CROSS_CHECK_N) if scenario.horizons else CROSS_CHECK_N
+    while n_small > 1 and engines._direct_entries(p, n_small, dec.dim) > engines._SWEEP_ENTRY_BUDGET:
+        n_small -= 1
     cross_checks, means = engine_checks(u, dec, p, inner, n_small)
     checks.extend(cross_checks)
 
@@ -107,10 +111,9 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
 
 
 def engine_checks(u, dec, p, ops, N) -> tuple[list[Check], dict[str, np.ndarray]]:
-    """Each engine that evaluates ``p`` (the nested one only on a non-crossing partition) against the
-    spectral mean at N by ``rounding_gap``, in ``ENGINES`` order; with the means by engine name."""
-    means = {name: run(u, dec, p, ops, N).matrix for name, run in ENGINES.items()
-             if name != "nested" or not is_crossing(p)}
+    """Each engine that evaluates ``p`` (``_engines_for``) against the spectral mean at N by ``rounding_gap``,
+    in ``ENGINES`` order; with the means by engine name."""
+    means = {name: _engine(name)(u, dec, p, ops, N).matrix for name in _engines_for(p)}
     checks = [_check(f"{name} vs spectral at N={N}", rounding_gap(mean, means["spectral"], ops), ROUNDING_TOL)
               for name, mean in means.items() if name != "spectral"]
     return checks, means

@@ -14,7 +14,10 @@ from entcesaro import cli, correlations
 from entcesaro.__main__ import BROKEN_PIPE_EXIT
 from entcesaro.cli import main, report_csv, CSV_HEADER
 from entcesaro.engines import ConvergenceReport, ReportRow, convergence_report
+from entcesaro.partitions import enumerate_pair_partitions, render_partition
 from entcesaro.scenario import load_scenario
+
+from conftest import crossing_by_quadruple_scan
 
 # The tree that holds the entcesaro these tests import (the checkout's src/, another tree on
 # PYTHONPATH, or site-packages), put first on PYTHONPATH so that subprocesses test the same package.
@@ -266,7 +269,7 @@ class TestExitCodes:
         crossing = dict(ENGINE_SCENARIO, partition=[1, 2, 1, 2])
         nested = write_scenario(tmp_path, dict(crossing, engine="nested"), "nested.json")
         spectral = write_scenario(tmp_path, crossing, "spectral.json")
-        message = "scenario error: the nested engine requires a non-crossing pair partition, got 1,2,1,2"
+        message = "scenario error: nested engine requires a non-crossing pair partition, got 1,2,1,2"
         for argv in (["--scenario", nested], ["--scenario", spectral, "--engine", "nested"]):
             assert run_cli([command, *argv]) == 2, argv
             captured = capsys.readouterr()
@@ -387,6 +390,18 @@ class TestCommands:
         assert run_cli(["bench", "--scenario", path]) == 0
         out = capsys.readouterr().out
         assert "spectral" in out and "direct" in out and "nested" in out
+
+    @pytest.mark.parametrize("p", [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)], ids=render_partition)
+    def test_bench_and_verify_run_the_nested_engine_exactly_on_non_crossing_partitions(self, tmp_path, capsys, p):
+        data = dict(ENGINE_SCENARIO, partition=list(p.labels), operators=[{"kind": "random"}] * (p.m - 1), Ns=[5, 50])
+        path = write_scenario(tmp_path, data)
+        expected = ["direct", "spectral"] + ([] if crossing_by_quadruple_scan(p) else ["nested"])
+        assert run_cli(["bench", "--scenario", path]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[:2] for row in rows] == [[n, name] for n in ("5", "50") for name in expected]
+        assert run_cli(["verify", "--scenario", path]) == 0
+        checks = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if " vs spectral" in line]
+        assert checks == [f"PASS  {name} vs spectral at N=5" for name in expected if name != "spectral"]
 
     def test_correlate(self, tmp_path, capsys):
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)

@@ -33,7 +33,7 @@ from entcesaro.engines import (
     spectral_gap,
 )
 from entcesaro.linalg import ROUNDING_TOL, bound_excess, frobenius_norm, haar_unitary, norm_product, operator_norm
-from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition
+from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition, render_partition
 from entcesaro.spectral import (
     KERNEL_MEMO_HORIZONS,
     Phase,
@@ -55,6 +55,7 @@ from entcesaro.spectral import (
 from conftest import (
     brute_force_mean,
     contract_per_block,
+    crossing_by_quadruple_scan,
     phase_sum,
     phase_sum_loop,
     phase_value,
@@ -73,6 +74,8 @@ P11 = parse_partition("1,1")
 P1212 = parse_partition("1,2,1,2")
 P1221 = parse_partition("1,2,2,1")
 P121323 = parse_partition("1,2,1,3,2,3")
+# Every pair partition with k <= 3: one with k = 1, three with k = 2 and fifteen with k = 3.
+PAIR_PARTITIONS = [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)]
 
 
 class TestKernel:
@@ -459,6 +462,35 @@ class TestCesaroNested:
         _, dec = random_system(1, 2, "haar")
         with pytest.raises(ValueError):
             cesaro_nested(dec, P1212, random_ops(rng, 3, 2), 5)
+
+
+class TestEngineReach:
+    """``_engines_for`` names the engines that evaluate a partition, and ``_engine`` is the one gate: the
+    nested engine is refused on exactly the crossing partitions, with one message, wherever it is asked for."""
+
+    @pytest.mark.parametrize("p", PAIR_PARTITIONS, ids=render_partition)
+    def test_the_nested_engine_evaluates_exactly_the_non_crossing_partitions(self, rng, p):
+        crossing = crossing_by_quadruple_scan(p)
+        assert engines._engines_for(p) == (("direct", "spectral") if crossing else ("direct", "spectral", "nested"))
+        for name in engines._engines_for(p):
+            assert engines._engine(name, p) is engines.ENGINES[name]
+        _, dec = random_system(4, 3, "rational", 4)
+        ops = random_ops(rng, p.m - 1, 3)
+        calls = [lambda: engines._engine("nested", p), lambda: cesaro_nested(dec, p, ops, 5),
+                 lambda: convergence_report(dec, p, ops, [5, 50], "nested")]
+        message = f"nested engine requires a non-crossing pair partition, got {render_partition(p)}"
+        for call in calls:
+            if crossing:
+                with pytest.raises(ValueError) as refused:
+                    call()
+                assert refused.type is ValueError and str(refused.value) == message
+            else:
+                call()
+
+    def test_an_unknown_name_is_refused_before_the_partition_is_read(self):
+        message = r"^unknown engine 'warp', expected one of \('direct', 'spectral', 'nested'\)$"
+        with pytest.raises(ValueError, match=message):
+            engines._engine("warp", P1212)
 
 
 class TestLimitOperator:
@@ -1276,7 +1308,8 @@ class TestMemoryCaps:
         monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", engines._network(P1212, 6, 1)[2] - 1)
         calls, contract = [], engines._contract
         monkeypatch.setattr(engines, "_contract", lambda *args: calls.append(args) or contract(*args))
-        with pytest.raises(ValueError, match="^nested engine requires a non-crossing pair partition$") as refused:
+        message = "^nested engine requires a non-crossing pair partition, got 1,2,1,2$"
+        with pytest.raises(ValueError, match=message) as refused:
             convergence_report(system.dec, P1212, spec.ops[1:-1], [10, 100], "nested")
         assert refused.type is ValueError and calls == []
 

@@ -4,6 +4,7 @@ depends on the operators' scale, and a wrong engine fails at every scale."""
 import numpy as np
 import pytest
 
+from entcesaro import engines
 from entcesaro.correlations import CorrelationSpec, correlation_term, make_system
 from entcesaro.engines import ENGINES
 from entcesaro.scenario import Scenario
@@ -93,3 +94,16 @@ def test_the_cross_module_identity_fails_on_a_wrong_spectral_mean(monkeypatch):
     checks = checks_of(correlation_scenario(1.0))
     assert not checks["correlation cross-module identity"].passed
     assert not checks["direct vs spectral at N=20"].passed
+
+
+@pytest.mark.parametrize("first, fits", [(100, 20), (100, 19), (100, 13), (7, 20), (7, 5)])
+def test_the_cross_check_horizon_is_the_largest_within_20_the_first_horizon_and_the_cap(monkeypatch, first, fits):
+    # The cap admits the direct sweep up to N = fits: every check passes, the cross-checks at the largest N
+    # that is at most 20, the first horizon and fits.
+    data = dict(haar_scenario(1.0), Ns=[first, 1000])
+    monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", engines._direct_entries(Scenario(data).partition, fits, 4))
+    checks = checks_of(data)
+    assert all(check.passed for check in checks.values()), checks
+    n = min(first, fits, 20)
+    assert [name for name in checks if " vs spectral" in name] == [f"{name} vs spectral at N={n}"
+                                                                    for name in ("direct", "nested")]
