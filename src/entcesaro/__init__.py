@@ -51,7 +51,7 @@ _EXPORTS = {
         "CorrelationSpec",
         "DynamicalSystem",
         "cesaro_correlation",
-        "correlation_bounds",
+        "correlation_deviations",
         "correlation_limit",
         "correlation_term",
         "make_system",

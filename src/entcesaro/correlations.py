@@ -17,10 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from .engines import cesaro_spectral, error_bounds, limit_operator
-from .linalg import ROUNDING_TOL, _gated_norm, as_operator, as_vector, operator_norm, rounding_gap
+from .engines import _check_horizon, _check_partition, _differences, cesaro_spectral, limit_operator
+from .linalg import ROUNDING_TOL, _gamma, _gated_norm, _unit_scale, as_operator, as_vector, operator_norm, rounding_gap
 from .partitions import Partition
 from .spectral import (
+    FRAME_TOL,
     RECONSTRUCTION_TOL,
     SpectralDecomposition,
     decompose,
@@ -35,7 +36,7 @@ __all__ = [
     "correlation_term",
     "cesaro_correlation",
     "correlation_limit",
-    "correlation_bounds",
+    "correlation_deviations",
 ]
 
 STATE_TOL = 1e-10
@@ -90,8 +91,7 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None) -> Dynami
     t = np.asarray(state, dtype=np.complex128)
     if t.ndim == 1:
         omega = as_vector(t, d, name="omega")
-        exponent = int(np.frexp(np.abs([omega.real, omega.imag]).max())[1])  # that of its largest entry
-        omega = omega * 2.0 ** min(1 - exponent, 1023)  # exact, so that its norm cannot under- or overflow
+        omega = omega * _unit_scale(omega)
         norm = float(np.linalg.norm(omega))
         if norm == 0.0:
             raise ValueError("state vector must be nonzero")
@@ -190,9 +190,33 @@ def correlation_limit(sys: DynamicalSystem, spec: CorrelationSpec) -> complex:
     return sys.expect(ops[0] @ limit @ ops[-1])
 
 
-def correlation_bounds(sys: DynamicalSystem, spec: CorrelationSpec, Ns) -> list[float]:
-    """Certified bounds on |cesaro_correlation - correlation_limit| at the horizons ``Ns``: the state has
-    norm one, so each is ||A_0|| ||A_m|| times the ``engines.error_bounds`` of the inner observables."""
+def correlation_deviations(sys: DynamicalSystem, spec: CorrelationSpec, Ns) -> list[tuple[complex, float]]:
+    """Per horizon in ``Ns``, the distance of the correlation average from its limit, with its certified bound.
+
+    The distance is the state of A_0 (M_N - L) A_m, read from ``engines._differences``'s X, which is
+    S = W_p*(M_N - L)W_p up to rounding: delta = tr(T A_0 W_p X W_p* A_m), evaluated as ``sys.expect`` of
+    (A_0 W_p) X (W_p* A_m).  The bound is (1 + g)(|delta| + g tr(|T| |A_0| |W_p| |X| |W_p*| |A_m|)
+    + (1 + FRAME_TOL) ||A_0|| ||A_m|| r), with r >= ||S - X||_2 the radius ``_differences`` yields.
+
+    Proof.  With E = S - X, the true distance is tr(T A_0 W_p X W_p* A_m) + tr(T A_0 W_p E W_p* A_m).  The
+    second term is at most ||T||_1 ||A_0|| ||W_p||^2 ||E||_2 ||A_m|| <= (1 + FRAME_TOL) ||A_0|| ||A_m|| r, since
+    the state has trace norm one and ||W_p||^2 = ||W_p* W_p|| <= 1 + ||W*W - I||.  The first is delta up to
+    its rounding: the four products have inner lengths d, D, D, d (D the padded frame's width) and the trace
+    sums d^2 terms; a complex product adds one rounding to its length, so each term meets at most
+    n = 2 d + 2 D + d^2 + 5 roundings, and the computed delta errs by at most g_n times the same chain
+    over the magnitudes (``linalg._gamma``).  The outer 1 + g allows for the rounding of that chain, of the
+    norms and of the sum.
+    """
     ops = _check_spec(sys, spec)
-    edge = operator_norm(ops[0]) * operator_norm(ops[-1])
-    return [bound * edge for bound in error_bounds(sys.dec, spec.partition, ops[1:-1], Ns)]
+    p, dec, d = _check_partition(spec.partition), sys.dec, sys.dim
+    frame, frame_h = dec._padded
+    left, right = ops[0] @ frame, frame_h @ ops[-1]
+    abs_left, abs_right = np.abs(sys.density) @ np.abs(ops[0]) @ np.abs(frame), np.abs(frame_h) @ np.abs(ops[-1])
+    g = _gamma(2 * d + 2 * frame.shape[1] + d * d + 5)
+    edge = (1 + FRAME_TOL) * operator_norm(ops[0]) * operator_norm(ops[-1])
+    out = []
+    for x, _, radius in _differences(dec, p, np.array(ops[1:-1]), [_check_horizon(n) for n in Ns]):
+        deviation = sys.expect(left @ x @ right)
+        rounding = float(np.trace(abs_left @ np.abs(x) @ abs_right))
+        out.append((deviation, float((1 + g) * (abs(deviation) + g * rounding + edge * radius))))
+    return out

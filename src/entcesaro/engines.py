@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
+from .linalg import _gamma, as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
 from .partitions import Partition, is_crossing, render_partition
 from .spectral import (
     FRAME_TOL,
@@ -513,12 +513,13 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns) -> list[floa
     """``error_bound`` at every horizon in ``Ns``; the slot matrices are formed once."""
     p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
-    return [bound for _, bound in _differences(dec, p, ops, [_check_horizon(n) for n in Ns])]
+    return [bound for _, bound, _ in _differences(dec, p, ops, [_check_horizon(n) for n in Ns])]
 
 
 def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns):
-    """Per horizon in ``Ns`` (arguments checked), X = fl(sum_l X_l), which is W_p*(M_N - L)W_p in the
-    padded frame, and ``error_bound`` at N; one horizon at a time, each from its kept kernel table."""
+    """Per horizon in ``Ns`` (arguments checked), X = fl(sum_l X_l), which is S = W_p*(M_N - L)W_p in the
+    padded frame up to rounding, ``error_bound`` at N, and the radius (1 + g) g sum_l ||Y_l||_F >= ||S - X||_2
+    of ``error_bound``'s proof; one horizon at a time, each from its kept kernel table."""
     slots, B, r = _slot_matrices(dec, ops)
     abs_slots = np.abs(dec._padded[1]) @ np.abs(ops) @ np.abs(dec._padded[0])
     n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length
@@ -534,9 +535,9 @@ def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns):
             terms.append(_contract(p, slots, B, r, tables))
             allowance += frobenius_norm(_contract(p, abs_slots, B, r, abs_tables))
         terms = [x for x in terms if x.any()] or terms[:1]  # an all-zero term adds exactly
-        g = (n + len(terms) - 1) * np.finfo(float).eps / (1 - (n + len(terms) - 1) * np.finfo(float).eps)
-        x = sum(terms[1:], terms[0])
-        yield x, float((1 + FRAME_TOL) * (1 + g) * (operator_norm(x) + g * allowance))
+        g = _gamma(n + len(terms) - 1)
+        x, radius = sum(terms[1:], terms[0]), g * allowance
+        yield x, float((1 + FRAME_TOL) * (1 + g) * (operator_norm(x) + radius)), float((1 + g) * radius)
 
 
 def spectral_gap(dec: SpectralDecomposition) -> float:
@@ -558,7 +559,7 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
     u = reconstruct(dec) if engine == "direct" else None  # the nested engine forms V itself
     limit = None if engine == "spectral" else limit_operator(dec, p, ops)
     rows, start = [], time.perf_counter()
-    for n, (x, bound) in zip(Ns, _differences(dec, p, ops, Ns)):
+    for n, (x, bound, _) in zip(Ns, _differences(dec, p, ops, Ns)):
         diff = frame @ x @ frame_h if limit is None else run(u, dec, p, ops, n).matrix - limit
         rows.append(ReportRow(n, operator_norm(diff), frobenius_norm(diff), bound, engine, time.perf_counter() - start))
         start = time.perf_counter()

@@ -42,8 +42,31 @@ def as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _unit_scale(a: np.ndarray) -> float:
+    """The power of two that takes the largest real or imaginary part of ``a`` into [1, 2), at most 2^1023:
+    scaling by it is exact, so a norm of the scaled entries cannot under- or overflow."""
+    exponent = int(np.frexp(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))[1])
+    return 2.0 ** min(1 - exponent, 1023)
+
+
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """The Frobenius norm.  Outside [2^-500, 2^500], where squared entries may have under- or overflowed, it
+    is taken again of the entries scaled by ``_unit_scale``, and scaled back."""
+    arr = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if 2.0**-500 <= norm <= 2.0**500:
+        return norm
+    scale = _unit_scale(arr)
+    return float(np.linalg.norm(arr * scale)) / scale
+
+
+def _gamma(n: int) -> float:
+    """g_n = n eps / (1 - n eps), eps the machine epsilon: a complex product summed through at most n real
+    roundings errs by at most g_n times its magnitude (eps is twice the unit roundoff, which covers the
+    sqrt 2 of a complex modulus)."""
+    eps = np.finfo(float).eps
+    return n * eps / (1 - n * eps)
 
 
 def operator_norm(a) -> float:

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 MAX_RANDOM_DIM = 64
-# Horizons whose kernel tables one ``PhaseSums`` keeps, the oldest dropped first: a correlation reads
-# each horizon's table twice (bound, then value), and repeated means re-read a few horizons' tables.
+# Horizons whose kernel tables one ``PhaseSums`` keeps, the oldest dropped first: repeated means, as in
+# ``verify`` or a benchmark pass, re-read a few horizons' tables.
 KERNEL_MEMO_HORIZONS = 4
 
 # Residual ceilings every constructed decomposition must satisfy: the frame's ||W*W - I|| and
@@ -136,14 +136,18 @@ class PhaseSums(Record):
     def kernels(self, N: int) -> np.ndarray:
         """The Cesaro kernel (1/N) sum_{n<N} z^n of every sum at horizon N (``engines.kernel``).
 
-        The table is kept for later calls at N, so it is read-only: every caller shares it.
+        The table is kept for later calls at N, so it is read-only: every caller shares it.  A table that
+        is not finite (float sums from N ~ 5.7e307, where pi (N - 1) overflows) raises ``ValueError``.
         """
         memo = self._kernel_memo
         table = memo.get(N)
         if table is None:
+            table = self._kernels(N)
+            if not np.isfinite(table).all():
+                raise ValueError(f"the kernel table at horizon N={N:.6e} is not finite")
             if len(memo) >= KERNEL_MEMO_HORIZONS:
                 del memo[next(iter(memo))]
-            table = memo[N] = _read_only(self._kernels(N))
+            table = memo[N] = _read_only(table)
         return table
 
     def _kernels(self, N: int) -> np.ndarray:

@@ -121,7 +121,7 @@ def engine_checks(u, dec, p, ops, N) -> tuple[list[Check], dict[str, np.ndarray]
 
 def _correlation_checks(scenario, u, dec, p, ops_all, n_small, direct_mean) -> list[Check]:
     """``direct_mean`` is the direct engine's mean of the inner operators at ``n_small``."""
-    from .correlations import CorrelationSpec, cesaro_correlation, correlation_bounds, correlation_limit
+    from .correlations import CorrelationSpec, cesaro_correlation, correlation_deviations, correlation_limit
     from .correlations import correlation_term, make_system
 
     checks: list[Check] = []
@@ -148,8 +148,9 @@ def _correlation_checks(scenario, u, dec, p, ops_all, n_small, direct_mean) -> l
     value = cesaro_correlation(system, spec, n_small)
     checks.append(_check("correlation cross-module identity", rounding_gap(via_state, value, ops_all), ROUNDING_TOL))
 
+    # The bound read from the summed difference, against the mean's value minus the limit's, formed apart.
     horizon = scenario.horizons[-1] if scenario.horizons else 10**4
-    bound = correlation_bounds(system, spec, [horizon])[0]
+    bound = correlation_deviations(system, spec, [horizon])[0][1]
     deviation = abs(cesaro_correlation(system, spec, horizon) - correlation_limit(system, spec))
     checks.append(_check("correlation limit within certified bound",
                          bound_excess(deviation, bound, ops_all), ROUNDING_TOL))

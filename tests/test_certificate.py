@@ -1,6 +1,6 @@
 """The certificate rule: an error passes its certified bound when it exceeds it by at most ``ROUNDING_TOL``
 times the operators' norm product (``linalg.bound_excess``).  So correct runs pass at every operator
-scale, and a wrong mean or correlation value fails at every scale."""
+scale, and a wrong mean, correlation value or correlation bound fails at every scale."""
 
 import json
 
@@ -82,17 +82,30 @@ def test_a_wrong_direct_mean_fails_the_certificate_at_every_scale(tmp_path, caps
 
 
 @pytest.mark.parametrize("norm", SCALES)
-def test_a_correlation_value_moved_by_twice_its_allowance_fails_at_every_scale(tmp_path, capsys, monkeypatch, norm):
+def test_a_correlation_bound_or_value_off_by_twice_its_allowance_fails_at_every_scale(tmp_path, capsys, monkeypatch,
+                                                                                      norm):
     data = correlation_scenario(norm)
     assert run_cli(tmp_path, "correlate", data) == 0
+    checks = {check.name: check for check in run_invariant_suite(Scenario(data))}
+    assert checks["correlation limit within certified bound"].passed
+    # ``correlate`` reads the value and the bound from one function: lower each bound by twice the allowance.
+    deviations = correlations.correlation_deviations
+
+    def lowered(system, spec, Ns):
+        allowance = ROUNDING_TOL * norm_product(spec.ops)
+        return [(deviation, bound - 2 * allowance) for deviation, bound in deviations(system, spec, Ns)]
+
+    monkeypatch.setattr(correlations, "correlation_deviations", lowered)
+    capsys.readouterr()
+    assert run_cli(tmp_path, "correlate", data) == 1
+    assert capsys.readouterr().err == "certified bound violated at N in [60]\n"
+    monkeypatch.undo()
+    # ``verify`` checks the bound against the mean's value minus the limit's: move the value instead.
     exact = correlations.cesaro_correlation
 
     def moved(system, spec, N):
         return exact(system, spec, N) + 2 * ROUNDING_TOL * norm_product(spec.ops)
 
     monkeypatch.setattr(correlations, "cesaro_correlation", moved)
-    capsys.readouterr()
-    assert run_cli(tmp_path, "correlate", data) == 1
-    assert capsys.readouterr().err == "certified bound violated at N in [60]\n"
     checks = {check.name: check for check in run_invariant_suite(Scenario(data))}
     assert not checks["correlation limit within certified bound"].passed

@@ -279,6 +279,17 @@ class TestExitCodes:
         assert run_cli([command, "--scenario", nested, "--engine", "spectral"]) == 0
         assert run_cli(["limit", "--scenario", nested]) == 0
 
+    def test_a_horizon_whose_kernel_table_is_not_finite_is_refused_by_name(self, tmp_path, capsys):
+        # From N ~ 5.7e307, pi (N - 1) overflows and a float phase's kernel is NaN; the table is refused
+        # before any contraction, so no header, row or limit line is printed.
+        haar = {"unitary": {"kind": "random", "dim": 3, "seed": 1}, "partition": [1, 1],
+                "operators": [{"kind": "random"}], "Ns": [10**308], "seed": 1}
+        state = dict(diagonal_matrix_scenario([0.0, 0.1234, 0.377]), partition=[1, 1], Ns=[10**308],
+                     operators=[{"kind": "random"}] * 3, state={"kind": "vector", "omega": [1, 0, 0]})
+        for command, data in (("converge", haar), ("mean", haar), ("correlate", state)):
+            assert run_cli([command, "--scenario", write_scenario(tmp_path, data)]) == 1, command
+            assert capsys.readouterr() == ("", "error: the kernel table at horizon N=1.000000e+308 is not finite\n")
+
     def test_command_needing_partition_fails_cleanly(self, tmp_path, capsys):
         data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}}
         path = write_scenario(tmp_path, data)
@@ -403,6 +414,15 @@ class TestCommands:
         checks = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if " vs spectral" in line]
         assert checks == [f"PASS  {name} vs spectral at N=5" for name in expected if name != "spectral"]
 
+    def test_converge_reads_the_frobenius_norm_of_a_tiny_difference(self, tmp_path, capsys):
+        # At N = 10^300 the difference is near 1e-300, whose squared entries underflow.
+        data = {"unitary": {"kind": "diagonal-rational", "phases": ["0", "1/3", "2/3"]}, "partition": [1, 1],
+                "operators": [{"kind": "random"}], "Ns": [10**300], "seed": 1}
+        assert run_cli(["converge", "--scenario", write_scenario(tmp_path, data)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        error_op, error_frob = float(row[2]), float(row[3])
+        assert 0.0 < error_op <= error_frob <= math.sqrt(3) * error_op
+
     def test_correlate(self, tmp_path, capsys):
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)
         assert run_cli(["correlate", "--scenario", path]) == 0
@@ -411,7 +431,9 @@ class TestCommands:
 
     def test_correlate_names_the_horizons_that_break_the_bound(self, tmp_path, capsys, monkeypatch):
         # A bound of zero at every horizon, below each nonzero distance from the limit.
-        monkeypatch.setattr(correlations, "correlation_bounds", lambda system, spec, horizons: [0.0] * len(horizons))
+        deviations = correlations.correlation_deviations
+        monkeypatch.setattr(correlations, "correlation_deviations",
+                            lambda *args: [(deviation, 0.0) for deviation, _ in deviations(*args)])
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)
         assert run_cli(["correlate", "--scenario", path]) == 1
         captured = capsys.readouterr()
@@ -424,8 +446,9 @@ class TestCommands:
         assert "10       +0.100000000-0.000000000j   1.000e-01       1.000e-01\n" in capsys.readouterr().out
         assert run_cli(["verify", "--scenario", path]) == 0
         capsys.readouterr()
-        bounds = correlations.correlation_bounds
-        monkeypatch.setattr(correlations, "correlation_bounds", lambda *args: [b / 2 for b in bounds(*args)])
+        deviations = correlations.correlation_deviations
+        monkeypatch.setattr(correlations, "correlation_deviations",
+                            lambda *args: [(deviation, bound / 2) for deviation, bound in deviations(*args)])
         assert run_cli(["correlate", "--scenario", path]) == 1
         captured = capsys.readouterr()
         assert "10       +0.100000000-0.000000000j   1.000e-01       5.000e-02\n" in captured.out

@@ -1,4 +1,8 @@
+import importlib.util
 import math
+import os
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,23 +13,25 @@ from entcesaro.correlations import (
     CorrelationSpec,
     DynamicalSystem,
     cesaro_correlation,
-    correlation_bounds,
+    correlation_deviations,
     correlation_limit,
     correlation_term,
     make_system,
 )
-from entcesaro.engines import cesaro_direct, cesaro_spectral, error_bound
+from entcesaro.engines import cesaro_direct, cesaro_nested, cesaro_spectral, error_bound
 from entcesaro.linalg import ROUNDING_TOL, ROUNDING_TOL as IDENTITY_TOL, bound_excess, haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
+from entcesaro.scenario import load_scenario
 from entcesaro.spectral import Phase, decompose, from_eigensystem
 
-from conftest import invariant_system, random_ops
+from conftest import _class_blocks, block_tuple_chains, brute_force_mean, invariant_system, phase_sum, random_ops
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 DIAG_PM = np.diag([1.0, -1.0]).astype(complex)
 P11 = parse_partition("1,1")
 P1221 = parse_partition("1,2,2,1")
 P1212 = parse_partition("1,2,1,2")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 class TestMakeSystem:
@@ -274,16 +280,6 @@ class TestCorrelationLimit:
             budget *= operator_norm(ops[0]) * operator_norm(ops[-1])
             assert bound_excess(deviation, budget, ops) <= ROUNDING_TOL
 
-    def test_correlation_bounds_scale_the_operator_bounds_by_the_edge_norms(self):
-        u, dec, omega, _ = invariant_system(3, 4, zero_multiplicity=2)
-        ops = random_ops(np.random.default_rng(3), 5, 4)
-        system, spec = make_system(u, omega, dec=dec), CorrelationSpec(P1212, tuple(ops))
-        Ns = [10, 100, 10**4]
-        edge = operator_norm(ops[0]) * operator_norm(ops[-1])
-        assert correlation_bounds(system, spec, Ns) == [error_bound(dec, P1212, ops[1:-1], n) * edge for n in Ns]
-        with pytest.raises(ValueError, match="horizon N must be a positive integer"):
-            correlation_bounds(system, spec, [10, 0])
-
     def test_rank_one_trace_state_reproduces_vector_state(self):
         u, dec, omega, _ = invariant_system(19, 3)
         rng = np.random.default_rng(6)
@@ -294,6 +290,112 @@ class TestCorrelationLimit:
         np.testing.assert_array_equal(trace_sys.density, vec_sys.density)
         assert cesaro_correlation(trace_sys, spec, 7) == cesaro_correlation(vec_sys, spec, 7)
         assert correlation_limit(trace_sys, spec) == correlation_limit(vec_sys, spec)
+
+
+def _mp_deviations(dec, spec, density, Ns):
+    """The true distance of the correlation average from its limit at each horizon, in 50 digits, for a
+    system of exact phases whose frame is exact: the sum over block tuples of the state of
+    A_0 E_t1 A_1 ... E_tm A_m times prod_classes K_N - prod_classes R."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        to_mp = np.vectorize(mpmath.mpc, otypes=[object])
+        ops = [to_mp(a) for a in spec.ops]
+        outer = to_mp(density) @ ops[0]
+        terms = []  # (class phase sums, state value) per block tuple
+        for blocks, chain in block_tuple_chains(dec, spec.partition, ops[1:-1]):
+            sums = [phase_sum(dec.phases[b] for b in cls)[1] for cls in _class_blocks(spec.partition, blocks)]
+            terms.append((sums, np.trace(outer @ chain @ ops[-1])))
+
+        def kernel(s, N):  # (1/N) sum_{n<N} e^{2 pi i s n} of an exact turn s
+            if s == 0:
+                return mpmath.mpf(1)
+            power = s * N % 1
+            return (1 - mpmath.expjpi(2 * mpmath.mpf(power.numerator) / power.denominator)) / (
+                N * (1 - mpmath.expjpi(2 * mpmath.mpf(s.numerator) / s.denominator)))
+
+        return [complex(sum((math.prod(kernel(s, N) for s in sums) - all(s == 0 for s in sums)) * value
+                            for sums, value in terms)) for N in Ns]
+
+
+def _diagonal_correlation(phases, labels, seed):
+    """Exact phases on the diagonal (the frame is the identity, exact), random observables, and a trace state
+    on the phase-0 lines with an off-diagonal entry."""
+    p = parse_partition(labels)
+    u, dec = from_eigensystem([Phase.from_fraction(Fraction(f)) for f in phases], np.eye(len(phases)))
+    zero = [i for i, f in enumerate(phases) if Fraction(f) == 0]
+    density = np.zeros((len(phases), len(phases)), dtype=complex)
+    density[np.ix_(zero, zero)] = [[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]
+    ops = random_ops(np.random.default_rng(seed), p.m + 1, len(phases), unit="operator")
+    return make_system(u, density, dec=dec), CorrelationSpec(p, tuple(ops))
+
+
+def _real_orthogonal_correlation(labels, d=16, seed=5):
+    """U = diag(1, Q) with Q real orthogonal, so every line resonates with its conjugate, the vector state e_0,
+    and random observables of unit operator norm."""
+    p = parse_partition(labels)
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))
+    u = np.eye(d, dtype=complex)
+    u[1:, 1:] = q * np.sign(np.diag(r))
+    system = make_system(u, np.eye(d)[0])
+    return system, CorrelationSpec(p, tuple(random_ops(rng, p.m + 1, d, unit="operator")))
+
+
+class TestCorrelationDeviations:
+    @pytest.mark.parametrize("labels", ["1,2,1,2", "1,2,2,1"])
+    def test_the_bound_exceeds_the_true_distance_at_every_horizon(self, labels):
+        # At N = 10^9 + 7 the float difference of the mean's value and the limit's loses 3e-8 to 2e-7 relative
+        # here, so the reference is the 50-digit sum over block tuples.
+        system, spec = _diagonal_correlation(["0", "0", "1/2", "1/3", "2/3", "1/7"], labels, 11)
+        Ns = [31, 10007, 10**6 + 3, 10**9 + 7]
+        for N, true, (deviation, bound) in zip(Ns, _mp_deviations(system.dec, spec, system.density, Ns),
+                                               correlation_deviations(system, spec, Ns)):
+            assert abs(true) < bound, N
+            assert abs(deviation - true) <= bound - abs(deviation), N
+            assert bound <= abs(true) * (1 + 1e-9), N
+
+    def test_the_bound_dominates_the_brute_force_and_nested_values_at_a_float_resonance(self):
+        # 0.3 and 0.7 + delta resonate at 0.9 of the resonance tolerance: |e^{2 pi i delta} - 1| = 0.9e-8.
+        delta = math.asin(0.45e-8) / math.pi
+        basis = haar_unitary(np.random.default_rng(7), 4)
+        u, dec = from_eigensystem([Phase.from_turns(t) for t in (0.0, 0.3, 0.7 + delta, 0.45)], basis)
+        p = parse_partition("1,2,2,1")
+        system = make_system(u, basis[:, 0], dec=dec)
+        assert sum(c is not None for c in dec._resonance.partners) == 3  # phase 0 and the pair resonate
+        spec = CorrelationSpec(p, tuple(random_ops(np.random.default_rng(8), p.m + 1, 4, unit="operator")))
+        limit = correlation_limit(system, spec)
+        a0, am = spec.ops[0], spec.ops[-1]
+        for N, (_, bound) in zip((31, 97), correlation_deviations(system, spec, [31, 97])):
+            for mean in (brute_force_mean(u, p, spec.ops[1:-1], N),
+                         cesaro_nested(system.dec, p, spec.ops[1:-1], N).matrix):
+                error = abs(system.expect(a0 @ mean @ am) - limit)
+                assert bound_excess(error, bound, spec.ops) <= ROUNDING_TOL
+
+    @pytest.mark.parametrize("labels", ["1,2,1,2", "1,2,2,1"])
+    def test_the_bound_is_the_distance_up_to_rounding_on_real_orthogonal_dynamics(self, labels):
+        # The excess is X's rounding radius times ||A_0|| ||A_m||, about 8e-13 here: at a float resonance the
+        # radius's magnitude contraction holds |K| ~ 1.  That is 2.3e-6 of the distance at N = 10^4.
+        system, spec = _real_orthogonal_correlation(labels)
+        Ns, slack = [100, 1000, 10**4], [1e-6, 1e-6, 1e-5]
+        for (deviation, bound), allowed in zip(correlation_deviations(system, spec, Ns), slack):
+            assert abs(deviation) <= bound <= abs(deviation) * (1 + allowed)
+
+    def test_the_bound_is_the_distance_up_to_rounding_on_the_benchmark_base_system(self, tmp_path, monkeypatch):
+        spec_file = importlib.util.spec_from_file_location("perfbench_inputs", os.path.join(PERFBENCH, "inputs.py"))
+        inputs = importlib.util.module_from_spec(spec_file)
+        monkeypatch.setitem(sys.modules, spec_file.name, inputs)  # where its dataclass reads its own module
+        spec_file.loader.exec_module(inputs)
+        scenario = load_scenario(inputs.exact_correlate(1, str(tmp_path))[0].path)
+        u, dec = scenario.system()
+        system = make_system(u, scenario.state(), dec=dec)
+        spec = CorrelationSpec(scenario.partition, tuple(scenario.partition_operators()[0]))
+        for deviation, bound in correlation_deviations(system, spec, scenario.horizons):
+            assert abs(deviation) <= bound <= abs(deviation) * (1 + 1e-6)
+
+    def test_rejects_a_horizon_that_is_not_a_positive_integer(self):
+        system, spec = _diagonal_correlation(["0", "0", "1/2", "1/3"], "1,2,1,2", 3)
+        with pytest.raises(ValueError, match="horizon N must be a positive integer"):
+            correlation_deviations(system, spec, [10, 0])
 
 
 class TestCorrelationSpec:

@@ -13,7 +13,7 @@ from entcesaro import engines
 from entcesaro.correlations import (
     CorrelationSpec,
     cesaro_correlation,
-    correlation_bounds,
+    correlation_deviations,
     correlation_limit,
     make_system,
 )
@@ -237,6 +237,16 @@ class TestPhaseSumTables:
                                                 [False, False, False]]
         table = _lines_only(phases)._pair_sums.kernels(1000000007)
         assert table[0, 0] == 0.0 and table[0, 1] == 1.0  # a period of 2/1000000007; a resonance
+
+
+    def test_a_table_that_is_not_finite_is_refused_with_its_horizon(self):
+        # pi (N - 1) overflows from N ~ 5.7e307, so a float sum's kernel is NaN there.
+        sums = pair_sums([Phase.from_turns(0.3), Phase.from_turns(0.45)])
+        assert np.isfinite(sums.kernels(10**307)).all()
+        with pytest.raises(ValueError, match=r"^the kernel table at horizon N=1\.000000e\+308 is not finite$"):
+            sums.kernels(10**308)
+        with pytest.raises(ValueError, match="not finite"):
+            kernel(Phase.from_turns(0.3), 10**308)
 
 
 class TestMeanErgodic:
@@ -922,6 +932,14 @@ class TestSummedDifference:
             assert 0.0 < row.error_op <= row.certified_bound <= row.error_op * (1 + 1e-6)
 
 
+    def test_the_rounding_radius_survives_a_difference_near_1e_minus_300(self):
+        # At N = 10^300 the magnitude contractions are near 1e-300, whose squared entries underflow.
+        _, dec = from_eigensystem([Phase.rational(k, 3) for k in range(3)], np.eye(3))
+        ops = np.array(random_ops(np.random.default_rng(1), 1, 3))
+        (x, bound, radius), = engines._differences(dec, P11, ops, [10**300])
+        assert 0.0 < radius < 1e-12 * operator_norm(x) < bound
+
+
 SWEEP_PARTITIONS = PAIR_PARTITIONS + [parse_partition("1,2,3,1,2,3,4,4")]
 
 
@@ -1268,7 +1286,7 @@ SPECTRAL_CALLS = {
         s.dec, c.partition, c.ops[1:-1], [5, 50], engine=name) for name in ("spectral", "direct")},
     "cesaro_correlation": lambda s, c: cesaro_correlation(s, c, 5),
     "correlation_limit": correlation_limit,
-    "correlation_bounds": lambda s, c: correlation_bounds(s, c, [5, 50]),
+    "correlation_deviations": lambda s, c: correlation_deviations(s, c, [5, 50]),
 }
 # Every call that runs the direct engine's sweep at N = 5.
 DIRECT_CALLS = {

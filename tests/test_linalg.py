@@ -112,3 +112,15 @@ def test_gaussian_operator_norm_target(rng):
 
 def test_frobenius_norm():
     assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("exponent", [-1060, -600, 0, 600, 1020])
+def test_frobenius_norm_scales_exactly_by_powers_of_two(rng, exponent):
+    # Squaring entries near 1e-300 underflows and near 1e300 overflows; the norm scales first, exactly.
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    scaled = frobenius_norm(a * 2.0**exponent)
+    if exponent < -1022:  # subnormal entries keep only some of their bits
+        assert scaled == pytest.approx(frobenius_norm(a) * 2.0**exponent, rel=1e-3, abs=0.0)
+    else:
+        assert scaled == frobenius_norm(a) * 2.0**exponent
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
