@@ -231,6 +231,7 @@ def cmd_correlate(scenario: Scenario, args) -> int:
     for horizon, (deviation, bound) in zip(horizons, deviations):
         value = limit + deviation
         print(f"{horizon:<8} {value.real:+.9f}{value.imag:+.9f}j   {abs(deviation):.3e}       {bound:.3e}")
+    # bound >= |deviation| by construction, so this fails only on a NaN; ``verify`` checks a mean formed apart
     return _violations([(n, abs(deviation), bound) for n, (deviation, bound) in zip(horizons, deviations)], ops)
 
 

@@ -193,9 +193,9 @@ def correlation_limit(sys: DynamicalSystem, spec: CorrelationSpec) -> complex:
 def correlation_deviations(sys: DynamicalSystem, spec: CorrelationSpec, Ns) -> list[tuple[complex, float]]:
     """Per horizon in ``Ns``, the distance of the correlation average from its limit, with its certified bound.
 
-    The distance is the state of A_0 (M_N - L) A_m, read from ``engines._differences``'s X, which is
-    S = W_p*(M_N - L)W_p up to rounding: delta = tr(T A_0 W_p X W_p* A_m), evaluated as ``sys.expect`` of
-    (A_0 W_p) X (W_p* A_m).  The bound is (1 + g)(|delta| + g tr(|T| |A_0| |W_p| |X| |W_p*| |A_m|)
+    The distance is the state of A_0 (M_N - L) A_m, read from ``engines._differences``'s X, the computed
+    S = sum_l X_l with M_N - L = W_p S W_p* (``error_bound``'s S): delta = tr(T A_0 W_p X W_p* A_m), evaluated
+    as ``sys.expect`` of (A_0 W_p) X (W_p* A_m).  The bound is (1 + g)(|delta| + g tr(|T| |A_0| |W_p| |X| |W_p*| |A_m|)
     + (1 + FRAME_TOL) ||A_0|| ||A_m|| r), with r >= ||S - X||_2 the radius ``_differences`` yields.
 
     Proof.  With E = S - X, the true distance is tr(T A_0 W_p X W_p* A_m) + tr(T A_0 W_p E W_p* A_m).  The

@@ -36,9 +36,9 @@ S_j = W_p* A_j W_p (shape (m-1, D, D), B blocks of r columns, D = B r) and
 the class tables; it returns the sum in the frame (zero, with no product,
 when a table is all zero), and each call forms every S_j in one batched
 product.  Telescoped over the classes, prod K_N - prod R gives k
-contractions X_l whose sum is W_p*(M_N - L)W_p: ``error_bound`` is its norm
-plus a rounding allowance, and the spectral ``convergence_report`` reads
-its error from that sum.
+contractions X_l whose sum S has M_N - L = W_p S W_p*: ``error_bound`` is
+its norm plus a rounding allowance, and the spectral ``convergence_report``
+reads its error from that sum.
 
 Each engine has one memoized plan that its memory check and its loop both
 read.  ``_network`` plans ``_contract`` per (partition, B, r) as one tensor
@@ -517,9 +517,9 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns) -> list[floa
 
 
 def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns):
-    """Per horizon in ``Ns`` (arguments checked), X = fl(sum_l X_l), which is S = W_p*(M_N - L)W_p in the
-    padded frame up to rounding, ``error_bound`` at N, and the radius (1 + g) g sum_l ||Y_l||_F >= ||S - X||_2
-    of ``error_bound``'s proof; one horizon at a time, each from its kept kernel table."""
+    """Per horizon in ``Ns`` (arguments checked), X = fl(sum_l X_l), the computed S = sum_l X_l with
+    M_N - L = W_p S W_p* in the padded frame, ``error_bound`` at N, and the radius (1 + g) g sum_l ||Y_l||_F
+    >= ||S - X||_2 of ``error_bound``'s proof; one horizon at a time, each from its kept kernel table."""
     slots, B, r = _slot_matrices(dec, ops)
     abs_slots = np.abs(dec._padded[1]) @ np.abs(ops) @ np.abs(dec._padded[0])
     n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length

@@ -50,13 +50,9 @@ def _unit_scale(a: np.ndarray) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """The Frobenius norm.  Outside [2^-500, 2^500], where squared entries may have under- or overflowed, it
-    is taken again of the entries scaled by ``_unit_scale``, and scaled back."""
+    """The Frobenius norm, taken of the entries scaled by ``_unit_scale`` and scaled back, so that no squared
+    entry under- or overflows."""
     arr = np.asarray(a)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
-    if 2.0**-500 <= norm <= 2.0**500:
-        return norm
     scale = _unit_scale(arr)
     return float(np.linalg.norm(arr * scale)) / scale
 
