@@ -176,16 +176,21 @@ def mean_ergodic(u, N) -> np.ndarray:
     """(1/N) sum_{n<N} U^n, evaluated by binary splitting of the sum; U is gated at ``Tolerances().unitarity``."""
     arr, _ = require_unitary(u, Tolerances().unitarity)
     N = _check_horizon(N)
-    d = arr.shape[0]
-    total = np.eye(d, dtype=np.complex128)  # sum over n < 1
-    power = arr.copy()
+    eye = np.eye(arr.shape[0], dtype=np.complex128)
+    return _power_sum(arr, eye, eye, N) / N
+
+
+def _power_sum(left: np.ndarray, mid: np.ndarray, right: np.ndarray, N: int) -> np.ndarray:
+    """sum_{n<N} left^n mid right^n by binary splitting: the sum over n < 2c is the sum over n < c plus
+    left^c times it times right^c, and a set bit of N then adds the term n = 2c."""
+    total, power_l, power_r = mid, left, right  # the sum over n < 1, and the powers c = 1
     for bit in bin(N)[3:]:
-        total = total + power @ total
-        power = power @ power
+        total = total + power_l @ total @ power_r
+        power_l, power_r = power_l @ power_l, power_r @ power_r
         if bit == "1":
-            total = total + power
-            power = power @ arr
-    return total / N
+            total = total + power_l @ mid @ power_r
+            power_l, power_r = power_l @ left, power_r @ right
+    return total
 
 
 class _DirectStep(NamedTuple):
@@ -412,16 +417,7 @@ def cesaro_nested(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroRes
     labels = list(p.labels)
     while labels:
         pair_at = next(i for i in range(len(labels) - 1) if labels[i] == labels[i + 1])
-        mid = chain[pair_at + 1]
-        # Binary splitting of sum_{n<N} U^n mid U^n, as in mean_ergodic.
-        total = mid
-        power = u
-        for bit in bin(N)[3:]:
-            total = total + power @ total @ power
-            power = power @ power
-            if bit == "1":
-                total = total + power @ mid @ power
-                power = power @ u
+        total = _power_sum(u, chain[pair_at + 1], u, N)
         merged = chain[pair_at] @ (total / N) @ chain[pair_at + 2]
         chain = chain[:pair_at] + [merged] + chain[pair_at + 3 :]
         labels = labels[:pair_at] + labels[pair_at + 2 :]

@@ -118,8 +118,7 @@ class PhaseSums(Record):
     def resonant(self, tol: float) -> np.ndarray:
         """Whether each sum is 1 on the circle: numerator 0 when exact, ``distances`` <= tol otherwise."""
         out = self.distances() <= tol
-        if self.exact.any():
-            out[self.exact] = self.numerators[self.exact] == 0
+        out[self.exact] = self.numerators[self.exact] == 0
         return out
 
     @cached_property
@@ -161,11 +160,10 @@ class PhaseSums(Record):
             out = np.empty(t.shape, dtype=np.complex128)
             out.real, out.imag = np.cos(angle) * ratio, np.sin(angle) * ratio
             out[t == 0.0] = 1.0
-            if a.size:
-                z_n = np.exp(2j * np.pi * (a * N % self.denominator / self.denominator).astype(float))
-                quotient = (1.0 - z_n) / (N * one_minus_z)
-                quotient[a == 0] = 1.0
-                out[self.exact] = quotient
+            z_n = np.exp(2j * np.pi * (a * N % self.denominator / self.denominator).astype(float))
+            quotient = (1.0 - z_n) / (N * one_minus_z)
+            quotient[a == 0] = 1.0
+            out[self.exact] = quotient
         return out
 
 
@@ -188,12 +186,9 @@ def _pairs_of(summands: PhaseSums) -> PhaseSums:
     turns = np.mod(summands.turns[:, None] + summands.turns, 1.0)
     turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
     exact = summands.exact[:, None] & summands.exact
-    denominator = summands.denominator
-    numerators = np.zeros((), dtype=object)
-    if summands.exact.any():
-        numerators = (summands.numerators[:, None] + summands.numerators) % denominator
-        turns[exact] = (numerators[exact] / denominator).astype(float)
-    return PhaseSums(turns, exact, np.broadcast_to(numerators, turns.shape), denominator)
+    numerators = (summands.numerators[:, None] + summands.numerators) % summands.denominator
+    turns[exact] = (numerators[exact] / summands.denominator).astype(float)
+    return PhaseSums(turns, exact, numerators, summands.denominator)
 
 
 class Tolerances(ValueRecord):
