@@ -163,11 +163,11 @@ def _check_ops(p: Partition, ops, dim: int) -> np.ndarray:
 def kernel(phase: Phase, N) -> complex:
     """Cesaro kernel (1/N) sum_{n<N} z^n for z the given phase.
 
-    Equals 1 at z == 1 and (1 - z^N) / (N (1 - z)) otherwise; an exact phase
-    a/L takes z^N from the integer a N mod L, so periodic zeros are exact.
-    Float phases use the Dirichlet form e^{i pi (N-1) t} sin(pi N t) /
-    (N sin(pi t)) with t in [-1/2, 1/2), which keeps full relative accuracy
-    near resonance, where 1 - z cancels.
+    Equals 1 at z == 1 and otherwise, float or exact, the Dirichlet form
+    e^{i pi (N-1) t} sin(pi N t) / (N sin(pi t)) with t in [-1/2, 1/2), accurate
+    near resonance, where 1 - z cancels.  An exact phase c/L reduces N t and
+    (N - 1) t from the integers N c and (N - 1) c, so periodic zeros are exact
+    and its kernel stays finite up to the largest float horizon.
     """
     return complex(_summands_of([phase]).kernels(_check_horizon(N))[0])
 

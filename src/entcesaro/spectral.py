@@ -122,11 +122,15 @@ class PhaseSums(Record):
         return out
 
     @cached_property
-    def _kernel_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Centred turns t in [-1/2, 1/2), sin(pi t), and the numerators a and 1 - z of the exact sums."""
+    def _kernel_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centred turns t in [-1/2, 1/2), sin(pi t), and the centred numerators c of the exact sums, in
+        [-L/2, L/2), whose t is c / L rounded once."""
+        L = self.denominator
+        c = self.numerators[self.exact]
+        c = np.where(2 * c < L, c, c - L)
         t = np.where(self.turns < 0.5, self.turns, self.turns - 1.0)
-        return (t, np.sin(np.pi * t), self.numerators[self.exact],
-                1.0 - np.exp(2j * np.pi * self.turns[self.exact]))
+        t[self.exact] = (c / L).astype(float)
+        return t, np.sin(np.pi * t), c
 
     @cached_property
     def _kernel_memo(self) -> dict[int, np.ndarray]:
@@ -150,20 +154,22 @@ class PhaseSums(Record):
         return table
 
     def _kernels(self, N: int) -> np.ndarray:
-        t, sin_t, a, one_minus_z = self._kernel_factors
-        # sin(pi N t) = (-1)^n sin(pi (N t - n)) with n the integer nearest N t,
-        # so the kernel vanishes exactly when N t is an integer.
-        n = np.round(N * t)
+        t, sin_t, c = self._kernel_factors
+        L = self.denominator
+        # The Dirichlet form e^{i pi (N-1) t} (-1)^n sin(pi (N t - n)) / (N sin(pi t)) with n the integer nearest
+        # N t, so the kernel vanishes exactly when N t is an integer.  An exact sum t = c / L takes the parity of
+        # n, N t - n and (N - 1) t mod 2 in (-1, 1] from Python ints, each rounded once.
         with np.errstate(divide="ignore", invalid="ignore"):  # z == 1 gives 0/0, then set to 1
-            ratio = np.where(n % 2, -1.0, 1.0) * np.sin(np.pi * (N * t - n)) / (N * sin_t)
-            angle = math.pi * (N - 1) * t
+            n = np.round(N * t)
+            odd, frac, angle = n % 2, N * t - n, math.pi * (N - 1) * t
+            m = (2 * N * c + L) // (2 * L)  # the integer nearest N c / L
+            odd[self.exact] = m % 2
+            frac[self.exact] = (N * c - m * L) / L
+            angle[self.exact] = math.pi * ((L - (L - (N - 1) * c) % (2 * L)) / L)
+            ratio = np.where(odd, -1.0, 1.0) * np.sin(np.pi * frac) / (N * sin_t)
             out = np.empty(t.shape, dtype=np.complex128)
             out.real, out.imag = np.cos(angle) * ratio, np.sin(angle) * ratio
             out[t == 0.0] = 1.0
-            z_n = np.exp(2j * np.pi * (a * N % self.denominator / self.denominator).astype(float))
-            quotient = (1.0 - z_n) / (N * one_minus_z)
-            quotient[a == 0] = 1.0
-            out[self.exact] = quotient
         return out
 
 

@@ -112,17 +112,28 @@ def block_tuple_chains(dec, partition, ops):
         yield blocks, chain
 
 
+def exact_kernel(frac, N):
+    """Cesaro kernel of an exact phase in mpmath at its working precision: 1 at phase 0, otherwise
+    (1 - z^N) / (N (1 - z)) with z^N from ``Fraction`` arithmetic, so a periodic zero is exactly 0."""
+    import mpmath
+
+    if frac == 0:
+        return mpmath.mpf(1)
+    z, z_n = (mpmath.expjpi(2 * mpmath.mpf(f.numerator) / f.denominator) for f in (frac, frac * N % 1))
+    return (1 - z_n) / (N * (1 - z))
+
+
 def scalar_kernel(turns, frac, N):
     """Cesaro kernel of one phase (turns, frac): the reference for the array kernel.
 
-    Exact phases take (1 - z^N) / (N (1 - z)) with z^N from ``Fraction`` arithmetic; float phases
-    take the Dirichlet form with t in [-1/2, 1/2).
+    Exact phases take ``exact_kernel`` in 50-digit mpmath; float phases take the Dirichlet form with
+    t in [-1/2, 1/2).
     """
     if frac is not None:
-        if frac == 0:
-            return 1.0 + 0.0j
-        power = frac * N % 1
-        return (1.0 - phase_value(float(power), power)) / (N * (1.0 - phase_value(turns, frac)))
+        import mpmath
+
+        with mpmath.workdps(50):
+            return complex(exact_kernel(frac, N))
     t = turns if turns < 0.5 else turns - 1.0
     if t == 0.0:
         return 1.0 + 0.0j

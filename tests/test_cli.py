@@ -423,6 +423,16 @@ class TestCommands:
         error_op, error_frob = float(row[2]), float(row[3])
         assert 0.0 < error_op <= error_frob <= math.sqrt(3) * error_op
 
+    def test_converge_reads_exact_kernels_at_the_largest_horizons(self, tmp_path):
+        # At N = 10^308 the kernels of 1/3 and 2/3 are about 1e-308, just above the subnormal range.
+        data = {"unitary": {"kind": "diagonal-rational", "phases": ["0", "1/3", "2/3"]}, "partition": [1, 1],
+                "operators": [{"kind": "random"}], "Ns": [10**308], "seed": 1}
+        proc = run_module(["converge", "--scenario", write_scenario(tmp_path, data)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        row = proc.stdout.splitlines()[1].split(",")
+        error_op, certified_bound = float(row[2]), float(row[4])
+        assert 0.0 < error_op <= certified_bound
+
     def test_correlate(self, tmp_path, capsys):
         path = write_scenario(tmp_path, CORRELATE_SCENARIO)
         assert run_cli(["correlate", "--scenario", path]) == 0

@@ -1,13 +1,14 @@
 import inspect
 import math
 import re
+import sys
 import tracemalloc
 import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entcesaro import engines
 from entcesaro.correlations import (
@@ -56,6 +57,7 @@ from conftest import (
     brute_force_mean,
     contract_per_block,
     crossing_by_quadruple_scan,
+    exact_kernel,
     phase_sum,
     phase_sum_loop,
     phase_value,
@@ -188,6 +190,8 @@ class TestPhaseSumTables:
 
     @settings(max_examples=300, deadline=None)
     @given(phase_lists(), st.sampled_from([1, 2]), st.sampled_from([1, 2, 3, 7, 100, 10**4, 999999937, 10**9]))
+    # Near resonance, where 1 - z cancels: the imaginary part of the kernel is about pi / 998244353.
+    @example(([Phase.rational(1, 998244353)], 1e-8), 1, 2)
     def test_tables_match_the_loops(self, case, size, n):
         phases, tol = case
         loop = phase_sum_loop(phases, size)
@@ -238,6 +242,29 @@ class TestPhaseSumTables:
         table = _lines_only(phases)._pair_sums.kernels(1000000007)
         assert table[0, 0] == 0.0 and table[0, 1] == 1.0  # a period of 2/1000000007; a resonance
 
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [10**300, 10**307, 10**308, int(sys.float_info.max)],
+                             ids=["1e300", "1e307", "1e308", "max"])
+    def test_exact_kernels_hold_up_to_the_largest_horizon(self, n):
+        # Against ``exact_kernel`` in 80-digit mpmath: relative to the kernel where it is a normal double,
+        # absolute in the subnormal range, and exactly 0 at periodic zeros.
+        mpmath = pytest.importorskip("mpmath")
+        phases = [Phase.rational(p, q) for p, q in [(1, 3), (2, 3), (1, 7), (1, 1000000007), (1, 4), (1, 2)]]
+        sums = pair_sums(phases)
+        cases = [(kernel(ph, n), ph.frac) for ph in phases]
+        cases += [(value, Fraction(num, sums.denominator)) for value, num in
+                  zip(sums.kernels(n).ravel().tolist(), sums.numerators.ravel().tolist())]
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        with mpmath.workdps(80):
+            for value, frac in cases:
+                ref = exact_kernel(frac, n)
+                if ref == 0:
+                    assert value == 0, frac
+                elif abs(ref) >= tiny:
+                    assert abs(mpmath.mpc(value) - ref) <= 8 * eps * abs(ref), frac
+                else:
+                    assert abs(mpmath.mpc(value) - ref) <= 16 * 2.0**-1074, frac
 
     def test_a_table_that_is_not_finite_is_refused_with_its_horizon(self):
         # pi (N - 1) overflows from N ~ 5.7e307, so a float sum's kernel is NaN there.
@@ -654,6 +681,25 @@ class TestErrorBound:
         limit = limit_operator(dec, p, ops)
         for n, bound in zip(Ns, error_bounds(dec, p, ops, Ns)):
             assert operator_norm(cesaro_spectral(dec, p, ops, n).matrix - limit) <= bound
+
+    @pytest.mark.parametrize("s", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 8)], ids=str)
+    @pytest.mark.parametrize("L", [998244353, 1000000007])
+    def test_certifies_near_resonant_exact_sums(self, L, s):
+        # The sum of s + 1/L and 1 - s is 1/L, where 1 - z cancels.  On diagonal U and partition 1,1 the mean
+        # minus the limit is A_bc (K_N(t_b + t_c) - R_bc), entrywise; its norm is taken in 40-digit mpmath.
+        mpmath = pytest.importorskip("mpmath")
+        fracs = [(s + Fraction(1, L)) % 1, 1 - s, Fraction(1, 2)]
+        _, dec = from_eigensystem([Phase.from_fraction(f) for f in fracs], np.eye(3))
+        sums = [[(fb + fc) % 1 for fc in fracs] for fb in fracs]
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            for n in (2, 3, 5, 31, 1001):
+                with mpmath.workdps(40):
+                    diff = mpmath.matrix([[mpmath.mpc(complex(a[b, c])) * (exact_kernel(t, n) - (t == 0))
+                                           for c, t in enumerate(row)] for b, row in enumerate(sums)])
+                    error = max(mpmath.svd_c(diff, compute_uv=False))
+                assert error_bound(dec, P11, [a], n) >= error, (seed, n)
 
     def test_decays_like_one_over_n(self):
         rng = np.random.default_rng(0)
