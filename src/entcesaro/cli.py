@@ -90,13 +90,18 @@ def report_csv(report: ConvergenceReport, include_timings: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _complex_text(z: complex, places: int) -> str:
+    """``z`` as signed real and imaginary parts to ``places`` decimals; a part that rounds to zero prints as +0."""
+    return "".join(f"{round(float(x), places) + 0.0:+.{places}f}" for x in (z.real, z.imag)) + "j"
+
+
 def _print_matrix(mat: np.ndarray, label: str) -> None:
     print(f"{label}:")
     if mat.shape[0] > 8:
         print(f"  ({mat.shape[0]}x{mat.shape[1]} matrix suppressed)")
         return
     for row in mat:
-        print("  " + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row))
+        print("  " + "  ".join(_complex_text(v, 6) for v in row))
 
 
 def _inputs(scenario: Scenario, command: str, horizons: bool = False, edges: bool = False):
@@ -226,11 +231,11 @@ def cmd_correlate(scenario: Scenario, args) -> int:
     limit = correlation_limit(system, spec)
     horizons = scenario.horizons or [100]
     deviations = correlation_deviations(system, spec, horizons)  # every horizon before the first line
-    print(f"correlation limit: {limit.real:+.12f}{limit.imag:+.12f}j")
+    print(f"correlation limit: {_complex_text(limit, 12)}")
     print("N        value                          |value-limit|   certified")
     for horizon, (deviation, bound) in zip(horizons, deviations):
         value = limit + deviation
-        print(f"{horizon:<8} {value.real:+.9f}{value.imag:+.9f}j   {abs(deviation):.3e}       {bound:.3e}")
+        print(f"{horizon:<8} {_complex_text(value, 9)}   {abs(deviation):.3e}       {bound:.3e}")
     # bound >= |deviation| by construction, so this fails only on a NaN; ``verify`` checks a mean formed apart
     return _violations([(n, abs(deviation), bound) for n, (deviation, bound) in zip(horizons, deviations)], ops)
 

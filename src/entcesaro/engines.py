@@ -7,8 +7,8 @@ The object of interest is the k-fold average
 over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
 
 * ``cesaro_direct``    walks the power table of U and contracts the sum
-  slot by slot, left to right (cost grows with N); a pair on adjacent slots
-  is summed into one d x d factor, so it holds no index axis.
+  slot by slot, left to right (cost grows with N); ``_power_sum`` sums a pair
+  on adjacent slots into one d x d factor, which holds no index axis.
 * ``cesaro_spectral``  inserts U = sum_b z_b E_b at every slot: a sum over
   block tuples t of prod_classes K_N(class phase sum) E_t1 A_1 ... E_tm,
   K_N the Cesaro kernel.  In the eigenframe W each E_b is a diagonal mask,
@@ -143,11 +143,12 @@ def _check_partition(p) -> Partition:
 
 
 def _check_ops(p: Partition, ops, dim: int) -> np.ndarray:
-    """The operators as one complex stack of shape (m - 1, dim, dim), checked at once.
+    """The operators as one complex stack of shape (m - 1, dim, dim), checked at once; ``p`` is checked first.
 
     Only when the stack fails its shape or finiteness check are the operators checked one by one,
     for a message that names the first bad one.
     """
+    _check_partition(p)
     try:
         stack = np.asarray(ops, dtype=np.complex128)
     except (TypeError, ValueError):  # a ragged list, or entries that are not numbers
@@ -197,7 +198,7 @@ class _DirectStep(NamedTuple):
     """One step of ``cesaro_direct``'s sweep: multiply the tensor by ``ops[op]``, then take in the factor.
 
     The factor is the power table ("powers", one index axis of size N) or a pair on adjacent slots,
-    sum_n U^n ops[op + 1] U^n ("pair").  The first step (op = -1) starts the tensor from its factor.
+    ``_power_sum``'s sum_n U^n ops[op + 1] U^n ("pair").  The first step (op = -1) starts from its factor.
     """
 
     op: int
@@ -211,10 +212,10 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
     per point where its holdings peak.
 
     Each class opens an axis of size N at its first slot and is summed out at its last; a pair on
-    adjacent slots (both slots in one step) opens none.  The power table (one axis) is held
-    throughout.  A step after the first holds its input tensor (unless that is the power table
-    itself), then adds that tensor times the operator and the einsum output; a pair's factor is
-    formed first, through two products with the power table.
+    adjacent slots (both slots in one step) opens none, its d x d factor summed by the doubling loop.
+    The power table (one axis) is held throughout.  A step after the first holds its input tensor
+    (unless that is the power table itself), then adds that tensor times the operator and the
+    einsum output.  The few d x d arrays of the doubling loop are not counted.
     """
     pairs = p.class_pairs
     letters = iter("abcdefghijklmnopqrstuvw")
@@ -238,9 +239,7 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
         # The tensor the step starts from: none for the first, and after a first step that opened an
         # axis it is the power table itself, already counted.
         tensor = (len(base),) if steps and (len(steps) > 1 or steps[0].factor != "powers") else ()
-        if factor == "pair":  # the pair's two products with the power table
-            loads.append((1, *tensor, 1, 1))
-        # Then the tensor times the operator and the einsum output; the first step's output is its factor.
+        # The tensor times the operator and the einsum output; the first step's output is its factor.
         loads.append((1, *tensor, *((len(base), len(out)) if steps else ())))
         steps.append(_DirectStep(pos - 2, factor, f"{base}xy,{ell}yz->{out}xz"))
         pos += 2 if factor == "pair" else 1
@@ -253,30 +252,37 @@ def _direct_entries(p: Partition, N: int, d: int) -> int:
     return max(sum(N**h for h in load) for load in _direct_plan(p)[1]) * d * d
 
 
+def _direct_horizon(p: Partition, N: int, d: int) -> int:
+    """The largest horizon up to N, and at least 1, whose direct sweep fits ``_SWEEP_ENTRY_BUDGET``."""
+    return next((n for n in range(N, 1, -1) if _direct_entries(p, n, d) <= _SWEEP_ENTRY_BUDGET), 1)
+
+
+def _refuse_over_cap(engine: str, peak: int, cap: int) -> None:
+    """``BudgetError`` naming the engine, its planned peak of entries and its cap, when the peak exceeds it."""
+    if peak > cap:
+        shown = f"{peak:.3e}" if peak <= sys.float_info.max else f"more than {sys.float_info.max:.3e}"
+        raise BudgetError(f"{engine} engine: planned peak of {shown} entries exceeds the memory budget {cap}")
+
+
 def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     """Finite-N entangled mean from the power table of U.
 
     The sum over index tuples is contracted slot by slot: each class opens an
     axis of size N at its first slot and is summed out at its last slot.  A
-    pair on adjacent slots opens none: its sum_n U^n A U^n is one d x d factor.
-    The contraction path is fixed per partition (``_direct_plan``), so results
-    are reproducible bit for bit.  ``_SWEEP_ENTRY_BUDGET`` caps the entries of
-    the arrays the sweep holds at once: the power table, and at each step the tensor,
-    its product with the operator and the einsum output, each N^h d^2 for h
-    index axes (``_direct_entries``).
+    pair on adjacent slots opens none: the doubling loop ``_power_sum`` sums its
+    sum_n U^n A U^n into one d x d factor from U alone.  The contraction path is
+    fixed per partition (``_direct_plan``), so results are reproducible bit for
+    bit.  ``_SWEEP_ENTRY_BUDGET`` caps the entries of the arrays the sweep holds
+    at once: the power table, and at each step the tensor, its product with the
+    operator and the einsum output, each N^h d^2 for h index axes (``_direct_entries``).
     """
     start = time.perf_counter()
     arr = as_operator(u, name="unitary")
-    p = _check_partition(p)
     ops = _check_ops(p, ops, arr.shape[0])
     N = _check_horizon(N)
     d = arr.shape[0]
     steps, _ = _direct_plan(p)
-    entries = _direct_entries(p, N, d)
-    if entries > _SWEEP_ENTRY_BUDGET:
-        shown = f"{entries:.3e}" if entries <= sys.float_info.max else f"more than {sys.float_info.max:.3e}"
-        raise BudgetError(f"direct engine: planned peak of {shown} entries exceeds the memory budget "
-                          f"{_SWEEP_ENTRY_BUDGET}")
+    _refuse_over_cap("direct", _direct_entries(p, N, d), _SWEEP_ENTRY_BUDGET)
 
     powers = np.empty((N, d, d), dtype=np.complex128)
     powers[0] = np.eye(d)
@@ -284,7 +290,7 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
         powers[n] = powers[n - 1] @ arr
     tensor = None
     for step in steps:
-        factor = (powers @ ops[step.op + 1] @ powers).sum(axis=0) if step.factor == "pair" else powers
+        factor = _power_sum(arr, ops[step.op + 1], arr, N) if step.factor == "pair" else powers
         tensor = factor if tensor is None else np.einsum(step.subscripts, tensor @ ops[step.op], factor)
     matrix = tensor / float(N) ** p.k
     return CesaroResult(matrix, "direct", N, time.perf_counter() - start)
@@ -356,9 +362,7 @@ def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables) -> np.nda
     gives the zero matrix with no product.
     """
     steps, order, peak = _network(p, B, r)
-    if peak > SPECTRAL_ENTRY_BUDGET:
-        raise BudgetError(f"spectral engine: planned peak of {peak:.3e} entries exceeds budget "
-                          f"{SPECTRAL_ENTRY_BUDGET}")
+    _refuse_over_cap("spectral", peak, SPECTRAL_ENTRY_BUDGET)
     if not all(table.any() for table in tables):  # an all-zero table gives a zero sum
         return np.zeros((B * r, B * r), np.result_type(slots, *tables))
     operands = [*slots.reshape(p.m - 1, *(n for n in (B, r, B, r) if n > 1))]
@@ -392,7 +396,6 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroR
     tensor the planned contraction forms, at least those of one slot matrix.
     """
     start = time.perf_counter()
-    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
     matrix = _spectral_sum(dec, p, ops, [dec._pair_sums.kernels(N)] * p.k)
@@ -455,7 +458,6 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases) -> np
     plain one.  With the full antidiagonal spectrum this is the limit
     operator itself, bit for bit.
     """
-    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     partners = resonant_partners(dec)
     index_of = {ph: b for b, ph in enumerate(dec.phases)}
@@ -472,7 +474,6 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases) -> np
 
 def limit_operator(dec: SpectralDecomposition, p: Partition, ops) -> np.ndarray:
     """Limit of the entangled mean: the sum over resonant block tuples."""
-    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     return _spectral_sum(dec, p, ops, [dec._resonance.table] * p.k)
 
@@ -507,7 +508,6 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N) -> float:
 
 def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns) -> list[float]:
     """``error_bound`` at every horizon in ``Ns``; the slot matrices are formed once."""
-    p = _check_partition(p)
     ops = _check_ops(p, ops, dec.dim)
     return [bound for _, bound, _ in _differences(dec, p, ops, [_check_horizon(n) for n in Ns])]
 

@@ -217,8 +217,7 @@ def _build_unitary(spec, tol: Tolerances, seed: int):
             if not _is_int(max_den):
                 raise _fail("'maxDenominator' must be an integer")
             u_seed = _seed(spec.get("seed"), "unitary")
-            entropy = u_seed if u_seed is not None else [seed & 0xFFFFFFFF, zlib.crc32(b"unitary")]
-            return random_system(entropy, dim, mode, max_den, tol)
+            return random_system(u_seed if u_seed is not None else rng_for(seed, "unitary"), dim, mode, max_den, tol)
     except ScenarioError:
         raise
     except ValueError as exc:

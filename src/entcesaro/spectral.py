@@ -48,6 +48,12 @@ FRAME_TOL = 5e-11
 RECONSTRUCTION_TOL = 1e-9
 
 
+def _fold(turns):
+    """Turns mod 1, in [0, 1): a result of 1.0, a rounding artifact of the modulo, is taken as 0.0."""
+    turns = np.mod(turns, 1.0)
+    return np.where(turns == 1.0, 0.0, turns)
+
+
 class Phase(ValueRecord):
     """A point on the unit circle, stored as an angle in turns: how a phase is read in and printed.
 
@@ -67,8 +73,7 @@ class Phase(ValueRecord):
     def rational(cls, p: int, q: int) -> "Phase":
         from fractions import Fraction
 
-        f = Fraction(p, q) % 1
-        return cls(float(f), f)
+        return cls.from_fraction(Fraction(p, q))
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Phase":
@@ -77,10 +82,7 @@ class Phase(ValueRecord):
 
     @classmethod
     def from_turns(cls, t: float) -> "Phase":
-        t = float(t) % 1.0
-        if t == 1.0:  # rounding artifact of the modulo
-            t = 0.0
-        return cls(t, None)
+        return cls(float(_fold(float(t))), None)
 
     @property
     def is_exact(self) -> bool:
@@ -174,12 +176,11 @@ class PhaseSums(Record):
 
 
 def _summands_of(phases) -> PhaseSums:
-    """``phases`` as arrays: their turns mod 1 (a result of 1.0 taken as 0.0), exact mask, and
-    numerators mod L over the common denominator L of the exact ones (0 when inexact), with L.  An
-    exact phase's turns are its numerator over L, correctly rounded."""
+    """``phases`` as arrays: their turns mod 1 (``_fold``), exact mask, and numerators mod L over the
+    common denominator L of the exact ones (0 when inexact), with L.  An exact phase's turns are its
+    numerator over L, correctly rounded."""
     exact = np.array([ph.is_exact for ph in phases], dtype=bool)
-    turns = np.mod(np.array([ph.turns for ph in phases], dtype=float), 1.0)
-    turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
+    turns = _fold(np.array([ph.turns for ph in phases], dtype=float))
     denominator = math.lcm(*(ph.frac.denominator for ph in phases if ph.is_exact))
     numerators = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) % denominator
                            if ph.is_exact else 0 for ph in phases], dtype=object)
@@ -189,8 +190,7 @@ def _summands_of(phases) -> PhaseSums:
 
 def _pairs_of(summands: PhaseSums) -> PhaseSums:
     """``PhaseSums`` of every pair of the phases ``summands`` holds, entry (b, c) the sum p_b + p_c."""
-    turns = np.mod(summands.turns[:, None] + summands.turns, 1.0)
-    turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
+    turns = _fold(summands.turns[:, None] + summands.turns)
     exact = summands.exact[:, None] & summands.exact
     numerators = (summands.numerators[:, None] + summands.numerators) % summands.denominator
     turns[exact] = (numerators[exact] / summands.denominator).astype(float)
@@ -238,7 +238,7 @@ class SpectralDecomposition(Record):
 
     ``phases`` and ``entries`` (one ``Phase`` and one ``SpectralLine`` per line) are built from
     them on first read and kept: ``phases`` to print and to match the phases ``limit_truncated`` is
-    given, ``entries`` for readers outside the package.  The tables the engines read are built on
+    given, ``entries`` for line projections.  The tables the engines read are built on
     first use and kept on the instance too, so each is built once per decomposition: the phase sums
     of block pairs with the horizon-independent factors of their kernels and the kernel tables of
     recent horizons, the resonance record at its resonance tolerance, and the padded frame.  A new
@@ -344,11 +344,13 @@ def decomposition_residuals(dec: SpectralDecomposition, source) -> dict[str, flo
     Hermitian by construction, its idempotency and orthogonality residuals are at most (1 + e) e,
     and the completeness residual ||W W^* - I|| is e.
     """
-    return {
-        "frame": operator_norm(dec.frame.conj().T @ dec.frame - np.eye(dec.dim)),
-        "unitarity": dec.source_unitarity,
-        "reconstruction": operator_norm(reconstruct(dec) - as_operator(source)),
-    }
+    frame, reconstruction = map(operator_norm, _residual_matrices(dec, source))
+    return {"frame": frame, "unitarity": dec.source_unitarity, "reconstruction": reconstruction}
+
+
+def _residual_matrices(dec: SpectralDecomposition, source) -> tuple[np.ndarray, np.ndarray]:
+    """W*W - I and W diag(z) W* - source, whose norms are the frame and the reconstruction residuals."""
+    return dec.frame.conj().T @ dec.frame - np.eye(dec.dim), reconstruct(dec) - as_operator(source)
 
 
 def _with_frame(phases: PhaseSums, frame, labels, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
@@ -367,10 +369,8 @@ def _with_frame(phases: PhaseSums, frame, labels, source_unitarity: float, tol: 
 
 
 def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
-    for check, tol, residual in (
-        ("frame orthonormality", FRAME_TOL, dec.frame.conj().T @ dec.frame - np.eye(dec.dim)),
-        ("reconstruction", RECONSTRUCTION_TOL, reconstruct(dec) - as_operator(source)),
-    ):
+    checks = (("frame orthonormality", FRAME_TOL), ("reconstruction", RECONSTRUCTION_TOL))
+    for (check, tol), residual in zip(checks, _residual_matrices(dec, source)):
         norm = _gated_norm(residual, tol)
         if norm > tol:
             raise ValueError(f"decomposition fails {check} check: residual {norm:.3e}")
@@ -386,9 +386,7 @@ def _turns(values: np.ndarray) -> np.ndarray:
 
     The angle is ``cmath.phase``'s: ``np.angle`` can differ from it in the last bit.
     """
-    turns = np.mod(np.array([cmath.phase(v) for v in values.tolist()]) / (2.0 * math.pi), 1.0)
-    turns[turns == 1.0] = 0.0  # rounding artifact of the modulo, as in Phase.from_turns
-    return turns
+    return _fold(np.array([cmath.phase(v) for v in values.tolist()]) / (2.0 * math.pi))
 
 
 def _clusters(angles: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -546,6 +544,4 @@ def invariant_projection(dec: SpectralDecomposition) -> np.ndarray:
     one = dec._resonance.one
     if one is None:
         return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    start, stop = np.searchsorted(dec.blocks, (one, one + 1))
-    basis = dec.frame[:, start:stop]
-    return basis @ basis.conj().T
+    return dec.entries[one].projection

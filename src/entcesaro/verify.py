@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import engines
 from .engines import (
     BudgetError,
+    _direct_horizon,
     _engine,
     _engines_for,
     convergence_report,
@@ -68,9 +68,7 @@ def run_invariant_suite(scenario: Scenario) -> list[Check]:
     ops_all, inner = scenario.partition_operators()
 
     # The largest N up to CROSS_CHECK_N and the first horizon whose direct sweep fits the direct engine's cap.
-    n_small = min(scenario.horizons[0], CROSS_CHECK_N) if scenario.horizons else CROSS_CHECK_N
-    while n_small > 1 and engines._direct_entries(p, n_small, dec.dim) > engines._SWEEP_ENTRY_BUDGET:
-        n_small -= 1
+    n_small = _direct_horizon(p, min([*scenario.horizons[:1], CROSS_CHECK_N]), dec.dim)
     cross_checks, means = engine_checks(u, dec, p, inner, n_small)
     checks.extend(cross_checks)
 

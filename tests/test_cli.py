@@ -453,7 +453,7 @@ class TestCommands:
     def test_correlate_and_verify_read_one_correlation_bound(self, tmp_path, capsys, monkeypatch):
         path = write_scenario(tmp_path, TIGHT_CORRELATE_SCENARIO)
         assert run_cli(["correlate", "--scenario", path]) == 0
-        assert "10       +0.100000000-0.000000000j   1.000e-01       1.000e-01\n" in capsys.readouterr().out
+        assert "10       +0.100000000+0.000000000j   1.000e-01       1.000e-01\n" in capsys.readouterr().out
         assert run_cli(["verify", "--scenario", path]) == 0
         capsys.readouterr()
         deviations = correlations.correlation_deviations
@@ -461,7 +461,7 @@ class TestCommands:
                             lambda *args: [(deviation, bound / 2) for deviation, bound in deviations(*args)])
         assert run_cli(["correlate", "--scenario", path]) == 1
         captured = capsys.readouterr()
-        assert "10       +0.100000000-0.000000000j   1.000e-01       5.000e-02\n" in captured.out
+        assert "10       +0.100000000+0.000000000j   1.000e-01       5.000e-02\n" in captured.out
         assert captured.err == "certified bound violated at N in [10, 100]\n"
         assert run_cli(["verify", "--scenario", path]) == 1
         assert "FAIL  correlation limit within certified bound" in capsys.readouterr().out

@@ -359,7 +359,8 @@ class TestCesaroDirect:
         np.testing.assert_allclose(cesaro_direct(u, P1221, ops, 40).matrix, brute_force_mean(u, P1221, ops, 40),
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("labels,n", [("1,2,1,2", 300), ("1,2,2,1", 300), ("1,2,1,3,2,3", 60)])
+    @pytest.mark.parametrize("labels,n", [("1,2,1,2", 300), ("1,2,2,1", 300), ("1,2,1,3,2,3", 60), ("1,1", 300),
+                                          ("1,1,2,2,3,3", 300)])
     def test_peak_memory_is_within_the_planned_entries(self, rng, labels, n):
         # The plan counts every array the sweep holds at once, 16 bytes per complex entry.
         p = parse_partition(labels)
@@ -378,6 +379,12 @@ class TestCesaroDirect:
         # step, the sweep holds the power table, the tensor, its product with the operator and the
         # d x d result.
         assert engines._direct_entries(P1221, 300, 4) == (3 * 300 + 1) * 16
+
+    def test_an_adjacent_pair_holds_no_n_sized_products(self):
+        # The doubling loop sums a pair's factor from U alone: 1,1 holds the power table only, and
+        # 1,1,2,2,3,3 at its peak adds the d x d tensor, its product with the operator and the output.
+        assert engines._direct_entries(P11, 300, 4) == 300 * 16
+        assert engines._direct_entries(parse_partition("1,1,2,2,3,3"), 300, 4) == (300 + 3) * 16
 
     def test_memory_budget_counts_the_axes_held(self, rng):
         # N = 2100, d = 4: N d^2 entries fit the sweep budget, N^2 d^2 do not.
@@ -1382,7 +1389,7 @@ class TestMemoryCaps:
         monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 215)  # the plan's peak is 216
         with pytest.raises(BudgetError) as spectral:
             limit_operator(system.dec, P1212, spec.ops[1:-1])
-        assert str(spectral.value) == "spectral engine: planned peak of 2.160e+02 entries exceeds budget 215"
+        assert str(spectral.value) == "spectral engine: planned peak of 2.160e+02 entries exceeds the memory budget 215"
         monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", 2159)  # the sweep's peak at N = 5 is 2160
         with pytest.raises(BudgetError) as direct:
             cesaro_direct(system.unitary, P1212, spec.ops[1:-1], 5)

@@ -61,6 +61,7 @@ class TestPhase:
         assert Phase.from_turns(1.25).turns == 0.25
         assert Phase.from_turns(-0.25).turns == 0.75
         assert Phase.from_turns(-1e-20).turns == 0.0  # the modulo rounds to 1.0, read as 0.0
+        assert Phase.from_turns(-(2.0**-60)).turns == 0.0
         assert Phase.from_fraction(Fraction(-1, 3)) == Phase.rational(2, 3)
         assert not Phase.from_turns(0.5).is_exact and Phase.rational(1, 2).is_exact
 
@@ -319,6 +320,13 @@ class TestArrayPhases:
         values = np.concatenate([values, seam])
         expected = [Phase.from_turns(cmath.phase(v) / (2.0 * math.pi)).turns for v in values.tolist()]
         assert spectral._turns(values).tolist() == expected
+        assert spectral._turns(np.array([complex(1.0, -1e-300)])).tolist() == [0.0]  # the modulo rounds to 1.0
+
+    def test_the_phase_arrays_read_a_modulo_of_one_as_zero(self):
+        # As Phase.from_turns and _turns do: the turns of a phase, and a pair sum that rounds to 1.0.
+        assert spectral._summands_of([Phase(-(2.0**-60)), Phase(0.25)]).turns.tolist() == [0.0, 0.25]
+        pairs = spectral._pairs_of(spectral._summands_of([Phase(0.5), Phase(0.5 - 2.0**-54)]))
+        assert pairs.turns[0, 1] == pairs.turns[1, 0] == 0.0
 
     @pytest.mark.parametrize("name", ["haar", "exact", "merged", "seam"])
     def test_phases_and_reconstruction_match_the_phase_path(self, monkeypatch, name):
