@@ -194,25 +194,24 @@ def correlation_deviations(sys: DynamicalSystem, spec: CorrelationSpec, Ns) -> l
     """Per horizon in ``Ns``, the distance of the correlation average from its limit, with its certified bound.
 
     The distance is the state of A_0 (M_N - L) A_m, read from ``engines._differences``'s X, the computed
-    S = sum_l X_l with M_N - L = W_p S W_p* (``error_bound``'s S): delta = tr(T A_0 W_p X W_p* A_m), evaluated
-    as ``sys.expect`` of (A_0 W_p) X (W_p* A_m).  The bound is (1 + g)(|delta| + g tr(|T| |A_0| |W_p| |X| |W_p*| |A_m|)
+    S = sum_l X_l with M_N - L = W S W* (``error_bound``'s S): delta = tr(T A_0 W X W* A_m), evaluated
+    as ``sys.expect`` of (A_0 W) X (W* A_m).  The bound is (1 + g)(|delta| + g tr(|T| |A_0| |W| |X| |W*| |A_m|)
     + (1 + FRAME_TOL) ||A_0|| ||A_m|| r), with r >= ||S - X||_2 the radius ``_differences`` yields.
 
-    Proof.  With E = S - X, the true distance is tr(T A_0 W_p X W_p* A_m) + tr(T A_0 W_p E W_p* A_m).  The
-    second term is at most ||T||_1 ||A_0|| ||W_p||^2 ||E||_2 ||A_m|| <= (1 + FRAME_TOL) ||A_0|| ||A_m|| r, since
-    the state has trace norm one and ||W_p||^2 = ||W_p* W_p|| <= 1 + ||W*W - I||.  The first is delta up to
-    its rounding: the four products have inner lengths d, D, D, d (D the padded frame's width) and the trace
-    sums d^2 terms; a complex product adds one rounding to its length, so each term meets at most
-    n = 2 d + 2 D + d^2 + 5 roundings, and the computed delta errs by at most g_n times the same chain
-    over the magnitudes (``linalg._gamma``).  The outer 1 + g allows for the rounding of that chain, of the
-    norms and of the sum.
+    Proof.  With E = S - X, the true distance is tr(T A_0 W X W* A_m) + tr(T A_0 W E W* A_m).  The
+    second term is at most ||T||_1 ||A_0|| ||W||^2 ||E||_2 ||A_m|| <= (1 + FRAME_TOL) ||A_0|| ||A_m|| r, since
+    the state has trace norm one and ||W||^2 = ||W* W|| <= 1 + ||W*W - I||.  The first is delta up to
+    its rounding: the four products have inner lengths d each and the trace sums d^2 terms; a complex
+    product adds one rounding to its length, so each term meets at most n = 4 d + d^2 + 5 roundings,
+    and the computed delta errs by at most g_n times the same chain over the magnitudes
+    (``linalg._gamma``).  The outer 1 + g allows for the rounding of that chain, of the norms and of the sum.
     """
     ops = _check_spec(sys, spec)
     p, dec, d = _check_partition(spec.partition), sys.dec, sys.dim
-    frame, frame_h = dec._padded
+    frame, frame_h = dec.frame, dec._frame_h
     left, right = ops[0] @ frame, frame_h @ ops[-1]
     abs_left, abs_right = np.abs(sys.density) @ np.abs(ops[0]) @ np.abs(frame), np.abs(frame_h) @ np.abs(ops[-1])
-    g = _gamma(2 * d + 2 * frame.shape[1] + d * d + 5)
+    g = _gamma(4 * d + d * d + 5)
     edge = (1 + FRAME_TOL) * operator_norm(ops[0]) * operator_norm(ops[-1])
     out = []
     for x, _, radius in _differences(dec, p, np.array(ops[1:-1]), [_check_horizon(n) for n in Ns]):

@@ -25,25 +25,25 @@ such table, the spectral gap and the resonance pairing read one array of
 class phase sums (``spectral.PhaseSums``): float turns, and for exact
 phases Python-int numerators over their common denominator L, so exact
 resonances and periodic zeros (a N = 0 mod L) stay exact.  The
-decomposition records these tables and the padded frame W_p (every block
-zero-padded to the largest rank r) on first use: a horizon forms only the
-N-dependent factors of its kernel table, and the resonance table is checked
-and formed once, at ``dec.tolerances.resonance``.
+decomposition records these tables, W* and the block pair of every pair of
+frame columns on first use: a horizon forms only the N-dependent factors of
+its kernel table, and the resonance table is checked and formed once, at
+``dec.tolerances.resonance``.
 
 The mean, the limit, the truncated limit and the certified bound share one
 contraction core, ``_contract``, of the stacked slot matrices
-S_j = W_p* A_j W_p (shape (m-1, D, D), B blocks of r columns, D = B r) and
-the class tables; it returns the sum in the frame (zero, with no product,
-when a table is all zero), and each call forms every S_j in one batched
-product.  Telescoped over the classes, prod K_N - prod R gives k
-contractions X_l whose sum S has M_N - L = W_p S W_p*: ``error_bound`` is
-its norm plus a rounding allowance, and the spectral ``convergence_report``
-reads its error from that sum.
+S_j = W* A_j W (shape (m-1, d, d)) and the class tables, each read at the
+blocks of every column pair (shape (d, d)); it returns the sum in the frame
+(zero, with no product, when a table is all zero), and each call forms
+every S_j in one batched product.  Telescoped over the classes,
+prod K_N - prod R gives k contractions X_l whose sum S has
+M_N - L = W S W*: ``error_bound`` is its norm plus a rounding allowance,
+and the spectral ``convergence_report`` reads its error from that sum.
 
 Each engine has one memoized plan that its memory check and its loop both
-read.  ``_network`` plans ``_contract`` per (partition, B, r) as one tensor
-network: S_j on the block and position indices of slots j and j+1, each
-class table on the blocks of its slots.  numpy's greedy ``einsum_path``
+read.  ``_network`` plans ``_contract`` per (partition, d) as one tensor
+network: S_j on the column indices of slots j and j+1, each class table on
+the indices of its slots.  numpy's greedy ``einsum_path``
 orders it once, whatever the cap, and each pairwise step is one
 transpose and reshape per operand and one matrix product.  ``_direct_plan``
 gives ``cesaro_direct``'s steps per partition (operator, factor, einsum
@@ -56,7 +56,6 @@ operand or result for the mean, the limits and the bound
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from functools import lru_cache
@@ -213,34 +212,41 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
 
     Each class opens an axis of size N at its first slot and is summed out at its last; a pair on
     adjacent slots (both slots in one step) opens none, its d x d factor summed by the doubling loop.
-    The power table (one axis) is held throughout.  A step after the first holds its input tensor
-    (unless that is the power table itself), then adds that tensor times the operator and the
-    einsum output.  The few d x d arrays of the doubling loop are not counted.
+    Each class that opens an axis names it by its own letter, x, y and z naming the matrix axes.  The
+    power table (one axis) is built and held throughout only when some class opens an axis.  The
+    first step holds its factor; a step after the first holds its input tensor (unless that is the
+    power table itself), then adds that tensor times the operator and the einsum output.  The few
+    d x d arrays of the doubling loop are not counted.
     """
     pairs = p.class_pairs
-    letters = iter("abcdefghijklmnopqrstuvw")
+    opened = [lab for lab, (first, last) in enumerate(pairs, start=1) if last > first + 1]
+    if len(opened) > 49:
+        raise ValueError(f"direct engine: a partition on {p.m} slots needs {len(opened)} index axes, more than 49")
+    letter = dict(zip(opened, (c for c in _LETTERS if c not in "xyz")))
+    table = (1,) if opened else ()  # the power table's axis
     axes: dict[int, str] = {}  # the letter of each open class's axis, in axis order
+    tensor = None  # the axes of the tensor a step starts from; () when it is the power table itself
     steps = []
     loads = []
     pos = 1
     while pos <= p.m:
         lab = p.labels[pos - 1]
         base, ell = "".join(axes.values()), ""
-        if pairs[lab - 1] == (pos, pos + 1):
-            factor = "pair"
-        else:
-            factor = "powers"
-            if lab not in axes:
-                axes[lab] = next(letters)
-            ell = axes[lab]
+        if lab in letter:
+            factor, ell = "powers", letter[lab]
             if pos == pairs[lab - 1][1]:
                 del axes[lab]
+            else:
+                axes[lab] = ell
+        else:
+            factor = "pair"
         out = "".join(axes.values())
-        # The tensor the step starts from: none for the first, and after a first step that opened an
-        # axis it is the power table itself, already counted.
-        tensor = (len(base),) if steps and (len(steps) > 1 or steps[0].factor != "powers") else ()
-        # The tensor times the operator and the einsum output; the first step's output is its factor.
-        loads.append((1, *tensor, *((len(base), len(out)) if steps else ())))
+        if tensor is None:  # the first step's output is its factor: the power table, or a pair's d x d sum
+            tensor = () if factor == "powers" else (0,)
+            loads.append((*table, *tensor))
+        else:  # the tensor, the tensor times the operator and the einsum output
+            loads.append((*table, *tensor, len(base), len(out)))
+            tensor = (len(out),)
         steps.append(_DirectStep(pos - 2, factor, f"{base}xy,{ell}yz->{out}xz"))
         pos += 2 if factor == "pair" else 1
     return tuple(steps), tuple(loads)
@@ -272,8 +278,9 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     pair on adjacent slots opens none: the doubling loop ``_power_sum`` sums its
     sum_n U^n A U^n into one d x d factor from U alone.  The contraction path is
     fixed per partition (``_direct_plan``), so results are reproducible bit for
-    bit.  ``_SWEEP_ENTRY_BUDGET`` caps the entries of the arrays the sweep holds
-    at once: the power table, and at each step the tensor, its product with the
+    bit.  The power table is built only when some class opens an axis.
+    ``_SWEEP_ENTRY_BUDGET`` caps the entries of the arrays the sweep holds at
+    once: the power table, and at each step the tensor, its product with the
     operator and the einsum output, each N^h d^2 for h index axes (``_direct_entries``).
     """
     start = time.perf_counter()
@@ -284,10 +291,11 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     steps, _ = _direct_plan(p)
     _refuse_over_cap("direct", _direct_entries(p, N, d), _SWEEP_ENTRY_BUDGET)
 
-    powers = np.empty((N, d, d), dtype=np.complex128)
-    powers[0] = np.eye(d)
-    for n in range(1, N):
-        powers[n] = powers[n - 1] @ arr
+    if any(step.factor == "powers" for step in steps):  # some class opens an axis
+        powers = np.empty((N, d, d), dtype=np.complex128)
+        powers[0] = np.eye(d)
+        for n in range(1, N):
+            powers[n] = powers[n - 1] @ arr
     tensor = None
     for step in steps:
         factor = _power_sum(arr, ops[step.op + 1], arr, N) if step.factor == "pair" else powers
@@ -297,37 +305,32 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
 
 
 @lru_cache(maxsize=64)
-def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
-    """The plan of ``_contract`` for the block layout (B, r): its pairwise steps, the axis order that
-    takes the last result to (row, column), and the planned peak, the entry count of the largest
-    tensor any step forms (at least D^2, one slot matrix).
+def _network(p: Partition, d: int) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
+    """The plan of ``_contract`` in a frame of d columns: its pairwise steps, the axis order that takes
+    the last result to (row, column), and the planned peak, the entry count of the largest tensor any
+    step forms (at least d^2, one slot matrix).
 
-    Column c = (block b, position i) of slot j is a pair of indices (b_j, i_j): S_j sits on
-    (b_j, i_j, b_{j+1}, i_{j+1}), each class table on the b of its slots, the result on
-    (b_1, i_1, b_m, i_m); axes of size 1 (i when r = 1, b when B = 1) are left out.  numpy's greedy
-    ``einsum_path``, with no memory limit, orders the network once; a step of more than two
+    Slot j holds one column index i_j: S_j sits on (i_j, i_{j+1}), each class table on the indices of
+    its two slots, the result on (i_1, i_m); at d = 1 these axes of size 1 are left out.  numpy's
+    greedy ``einsum_path``, with no memory limit, orders the network once; a step of more than two
     operands is taken pairwise.  A step (x, y, ...) transposes and groups operands x and y to
     (kept, x only, summed) and (kept, summed, y only), multiplies them, and appends the result,
     axes (kept, x only, y only), to the operand list.
     """
-    needed = p.m * ((B > 1) + (r > 1))  # einsum names each index by one letter
-    if needed > len(_LETTERS):
-        raise ValueError(f"spectral engine: a partition on {p.m} slots needs {needed} indices, more than 52")
-    letters = iter(_LETTERS)
-    block = [next(letters) if B > 1 else "" for _ in range(p.m)]
-    place = [next(letters) if r > 1 else "" for _ in range(p.m)]
-    size = dict.fromkeys(block, B) | dict.fromkeys(place, r)
-    terms = [block[j] + place[j] + block[j + 1] + place[j + 1] for j in range(p.m - 1)]
-    terms += [block[i - 1] + block[j - 1] for i, j in p.class_pairs]
-    output = block[0] + place[0] + block[-1] + place[-1]
-    shapes = [np.broadcast_to(0.0, [size[c] for c in term]) for term in terms]  # no entries
+    if d > 1 and p.m > len(_LETTERS):  # einsum names each index by one letter
+        raise ValueError(f"spectral engine: a partition on {p.m} slots needs {p.m} indices, more than 52")
+    index = [_LETTERS[j] if d > 1 else "" for j in range(p.m)]
+    terms = [index[j] + index[j + 1] for j in range(p.m - 1)]
+    terms += [index[i - 1] + index[j - 1] for i, j in p.class_pairs]
+    output = index[0] + index[-1]
+    shapes = [np.broadcast_to(0.0, (d,) * len(term)) for term in terms]  # no entries
     path = np.einsum_path(",".join(terms) + "->" + output, *shapes, optimize=("greedy", sys.maxsize))[0]
 
     def count(cs):
-        return math.prod(size[c] for c in cs)
+        return d ** len(cs)
 
     live, steps = list(range(len(terms))), []
-    peak = (B * r) ** 2
+    peak = d * d
     for group in path[1:]:
         ids = [live[i] for i in sorted(group)]
         live = [t for t in live if t not in ids]
@@ -344,48 +347,48 @@ def _network(p: Partition, B: int, r: int) -> tuple[tuple[tuple, ...], tuple[int
             steps.append((x, y,
                           tuple(map(xs.index, kept + x_only + summed)), (count(kept), count(x_only), count(summed)),
                           tuple(map(ys.index, kept + summed + y_only)), (count(kept), count(summed), count(y_only)),
-                          tuple(size[c] for c in terms[-1]), bool(summed)))
+                          (d,) * len(terms[-1]), bool(summed)))
             peak = max(peak, count(xs), count(ys), count(terms[-1]))
             x = len(terms) - 1
         live.append(x)
     return tuple(steps), tuple(map(terms[-1].index, output)), peak
 
 
-def _contract(p: Partition, slots: np.ndarray, B: int, r: int, tables) -> np.ndarray:
-    """Sum over block tuples t of prod_c tables[c][t_c] P_t1 S_1 P_t2 ... S_{m-1} P_tm.
+def _contract(p: Partition, slots: np.ndarray, tables) -> np.ndarray:
+    """Sum over column tuples (i_1, ..., i_m) of prod_c tables[c][i_a, i_b] S_1[i_1, i_2] ... S_{m-1}[i_{m-1}, i_m],
+    class c on slots a < b, as the matrix on (i_1, i_m).
 
-    ``slots`` stacks the slot matrices S_j = W_p* A_j W_p, shape (m - 1, D, D), in a padded frame
-    W_p of B blocks with r columns each (D = B r, zero beyond a block's rank): column c is (block
-    b, position i), and P_b is the projection onto block b's columns.  The result is the summed
-    matrix in that frame; W_p (result) W_p* is the sum in the original basis.  The steps are those
-    ``_network`` planned, after the planned peak is checked against ``SPECTRAL_ENTRY_BUDGET``; an all-zero table
-    gives the zero matrix with no product.
+    ``slots`` stacks the slot matrices S_j = W* A_j W, shape (m - 1, d, d), in the eigenframe W, where each
+    projection E_b is the diagonal mask of block b's columns; ``tables`` holds each class's (B, B) block table
+    read at the blocks of every column pair, shape (d, d) (``dec._column_pairs``).  So the result is the sum
+    over block tuples in the frame, and W (result) W* is the sum in the original basis.  The steps are those
+    ``_network`` planned, after the planned peak is checked against ``SPECTRAL_ENTRY_BUDGET``; an all-zero
+    table gives the zero matrix with no product.
     """
-    steps, order, peak = _network(p, B, r)
+    d = slots.shape[-1]
+    steps, order, peak = _network(p, d)
     _refuse_over_cap("spectral", peak, SPECTRAL_ENTRY_BUDGET)
     if not all(table.any() for table in tables):  # an all-zero table gives a zero sum
-        return np.zeros((B * r, B * r), np.result_type(slots, *tables))
-    operands = [*slots.reshape(p.m - 1, *(n for n in (B, r, B, r) if n > 1))]
-    operands += [table.reshape([n for n in table.shape if n > 1]) for table in tables]
+        return np.zeros((d, d), np.result_type(slots, *tables))
+    square = (d, d) if d > 1 else ()  # the network leaves out axes of size 1
+    operands = [*slots.reshape(p.m - 1, *square), *(table.reshape(square) for table in tables)]
     for x, y, x_order, x_grouped, y_order, y_grouped, shape, summed in steps:
         a = operands[x].transpose(x_order).reshape(x_grouped)
         b = operands[y].transpose(y_order).reshape(y_grouped)
         operands[x] = operands[y] = None
         operands.append((a @ b if summed else a * b).reshape(shape))
-    return operands[-1].transpose(order).reshape(B * r, B * r)
+    return operands[-1].transpose(order).reshape(d, d)
 
 
-def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """W_p* A_j W_p for the stack of operators in the decomposition's padded frame, and its (B, r)."""
-    frame, frame_h = dec._padded
-    B = len(dec.spectrum.turns)
-    return frame_h @ ops @ frame, B, frame.shape[1] // B
+def _slot_matrices(dec: SpectralDecomposition, ops: np.ndarray) -> np.ndarray:
+    """W* A_j W for the stack of operators in the decomposition's frame."""
+    return dec._frame_h @ ops @ dec.frame
 
 
-def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, tables) -> np.ndarray:
-    """``_contract`` over the decomposition's padded frame, taken back to the original basis."""
-    frame, frame_h = dec._padded
-    return frame @ _contract(p, *_slot_matrices(dec, ops), tables) @ frame_h
+def _spectral_sum(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``_contract`` with the block table ``table`` at every class, taken back to the original basis."""
+    tables = [table.take(dec._column_pairs)] * p.k
+    return dec.frame @ _contract(p, _slot_matrices(dec, ops), tables) @ dec._frame_h
 
 
 def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroResult:
@@ -398,7 +401,7 @@ def cesaro_spectral(dec: SpectralDecomposition, p: Partition, ops, N) -> CesaroR
     start = time.perf_counter()
     ops = _check_ops(p, ops, dec.dim)
     N = _check_horizon(N)
-    matrix = _spectral_sum(dec, p, ops, [dec._pair_sums.kernels(N)] * p.k)
+    matrix = _spectral_sum(dec, p, ops, dec._pair_sums.kernels(N))
     return CesaroResult(matrix, "spectral", N, time.perf_counter() - start)
 
 
@@ -468,14 +471,13 @@ def limit_truncated(dec: SpectralDecomposition, p: Partition, ops, phases) -> np
             raise ValueError(f"phase {ph} is not in the antidiagonal spectrum")
         chosen[b] = 1.0
     # R_S[b, c] = [c in S and partners[c] == b]: the mask acts on the last slot.
-    tables = [dec._resonance.table * chosen] * p.k
-    return _spectral_sum(dec, p, ops, tables)
+    return _spectral_sum(dec, p, ops, dec._resonance.table * chosen)
 
 
 def limit_operator(dec: SpectralDecomposition, p: Partition, ops) -> np.ndarray:
     """Limit of the entangled mean: the sum over resonant block tuples."""
     ops = _check_ops(p, ops, dec.dim)
-    return _spectral_sum(dec, p, ops, [dec._resonance.table] * p.k)
+    return _spectral_sum(dec, p, ops, dec._resonance.table)
 
 
 def form_value(dec: SpectralDecomposition, p: Partition, ops, x, y, phases=None) -> complex:
@@ -493,15 +495,15 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N) -> float:
 
     It certifies the spectral representation in the computed frame W (||W*W - I|| <= FRAME_TOL).  Telescoped
     over the classes, its tuple weight prod K - prod R = sum_l (prod_{j<l} R_j)(K_l - R_l)(prod_{j>l} K_j), so
-    M_N - L = W_p S W_p* for S = sum_l X_l, X_l the contraction with K - R at class l, R before it and K after.
+    M_N - L = W S W* for S = sum_l X_l, X_l the contraction with K - R at class l, R before it and K after.
     The bound is (1 + FRAME_TOL)(1 + g)(||X||_2 + g sum_l ||Y_l||_F) for X the computed S.  Rounding: each
     product summed into an entry of X_l meets at most n = 2 d + 4 m + the planned steps' summed lengths
     roundings, so |fl(X_l) - X_l| <= g_n Y_l entrywise for g_n = n eps / (1 - n eps), Y_l the contraction
-    over |W_p*| |A_j| |W_p| with the tables' magnitudes (at a float resonance, where K - 1 cancels, its table
+    over |W*| |A_j| |W| with the tables' magnitudes (at a float resonance, where K - 1 cancels, its table
     at class l also holds |K|).  Summing the j terms that are not all zero adds j - 1 roundings (an all-zero
     term adds exactly), so |X - S| <= g sum_l Y_l for g = g_{n+j-1}, and ||S||_2 <= ||X||_2 + g sum_l ||Y_l||_F;
     1 + g allows for the rounding of the norms and of Y_l.  Identity dynamics give 0.0; with no resonance,
-    X_1 = W_p* M_N W_p is the one term.
+    X_1 = W* M_N W is the one term.
     """
     return error_bounds(dec, p, ops, [N])[0]
 
@@ -514,22 +516,23 @@ def error_bounds(dec: SpectralDecomposition, p: Partition, ops, Ns) -> list[floa
 
 def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns):
     """Per horizon in ``Ns`` (arguments checked), X = fl(sum_l X_l), the computed S = sum_l X_l with
-    M_N - L = W_p S W_p* in the padded frame, ``error_bound`` at N, and the radius (1 + g) g sum_l ||Y_l||_F
+    M_N - L = W S W* in the frame, ``error_bound`` at N, and the radius (1 + g) g sum_l ||Y_l||_F
     >= ||S - X||_2 of ``error_bound``'s proof; one horizon at a time, each from its kept kernel table."""
-    slots, B, r = _slot_matrices(dec, ops)
-    abs_slots = np.abs(dec._padded[1]) @ np.abs(ops) @ np.abs(dec._padded[0])
-    n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, B, r)[0])  # step[3][2]: its summed length
-    resonance = dec._resonance.table
-    floating = resonance * (dec._pair_sums.turns != 0.0)  # resonant with K != 1, so K - 1 cancels
+    slots = _slot_matrices(dec, ops)
+    abs_slots = np.abs(dec._frame_h) @ np.abs(ops) @ np.abs(dec.frame)
+    n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, dec.dim)[0])  # step[3][2]: its summed length
+    pairs = dec._column_pairs
+    resonance = dec._resonance.table.take(pairs)
+    floating = resonance * (dec._pair_sums.turns.take(pairs) != 0.0)  # resonant with K != 1, so K - 1 cancels
     for N in Ns:
-        kernels = dec._pair_sums.kernels(N)
+        kernels = dec._pair_sums.kernels(N).take(pairs)
         abs_kernels = abs(kernels)
         terms, allowance = [], 0.0
         for c in range(p.k):  # X_c: K - R at class c, R before it and K after
             tables = [resonance] * c + [kernels - resonance] + [kernels] * (p.k - 1 - c)
             abs_tables = [resonance] * c + [abs(tables[c]) + floating * abs_kernels] + [abs_kernels] * (p.k - 1 - c)
-            terms.append(_contract(p, slots, B, r, tables))
-            allowance += frobenius_norm(_contract(p, abs_slots, B, r, abs_tables))
+            terms.append(_contract(p, slots, tables))
+            allowance += frobenius_norm(_contract(p, abs_slots, abs_tables))
         terms = [x for x in terms if x.any()] or terms[:1]  # an all-zero term adds exactly
         g = _gamma(n + len(terms) - 1)
         x, radius = sum(terms[1:], terms[0]), g * allowance
@@ -551,12 +554,11 @@ def convergence_report(dec: SpectralDecomposition, p: Partition, ops, Ns,
         raise ValueError("horizons must be strictly increasing")
     run = _engine(engine, _check_partition(p))  # refused before any contraction
     ops = _check_ops(p, ops, dec.dim)
-    frame, frame_h = dec._padded
     u = reconstruct(dec) if engine == "direct" else None  # the nested engine forms V itself
     limit = None if engine == "spectral" else limit_operator(dec, p, ops)
     rows, start = [], time.perf_counter()
     for n, (x, bound, _) in zip(Ns, _differences(dec, p, ops, Ns)):
-        diff = frame @ x @ frame_h if limit is None else run(u, dec, p, ops, n).matrix - limit
+        diff = dec.frame @ x @ dec._frame_h if limit is None else run(u, dec, p, ops, n).matrix - limit
         rows.append(ReportRow(n, operator_norm(diff), frobenius_norm(diff), bound, engine, time.perf_counter() - start))
         start = time.perf_counter()
     return ConvergenceReport(tuple(rows), spectral_gap(dec))

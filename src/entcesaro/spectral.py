@@ -238,11 +238,13 @@ class SpectralDecomposition(Record):
 
     ``phases`` and ``entries`` (one ``Phase`` and one ``SpectralLine`` per line) are built from
     them on first read and kept: ``phases`` to print and to match the phases ``limit_truncated`` is
-    given, ``entries`` for line projections.  The tables the engines read are built on
+    given, ``entries`` for line projections.  In the frame W, line b's projection is the diagonal
+    mask of its columns, so the engines contract in W itself.  The tables they read are built on
     first use and kept on the instance too, so each is built once per decomposition: the phase sums
     of block pairs with the horizon-independent factors of their kernels and the kernel tables of
-    recent horizons, the resonance record at its resonance tolerance, and the padded frame.  A new
-    ``SpectralDecomposition`` built from its fields shares ``spectrum`` and starts with none of them.
+    recent horizons, the resonance record at its resonance tolerance, W* and the block pair of each
+    pair of frame columns.  A new ``SpectralDecomposition`` built from its fields shares ``spectrum``
+    and starts with none of them.
     """
 
     _fields = ("dim", "spectrum", "frame", "blocks", "source_unitarity", "tolerances")
@@ -297,20 +299,15 @@ class SpectralDecomposition(Record):
         return _Resonance(_read_only(resonant.astype(float)), partners, gap, int(ones[0]) if ones.size else None)
 
     @cached_property
-    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The frame with each line's block zero-padded to the largest rank r, shape (d, B * r), and
-        its conjugate transpose.
+    def _frame_h(self) -> np.ndarray:
+        """W*, the conjugate transpose of the frame."""
+        return _read_only(self.frame.conj().T)
 
-        Padded column b * r + j is column j of line b's basis for j < rank, and zero beyond.  So
-        W_p^* M W_p, reshaped to (B, r, B, r), holds the r_a x r_b blocks of a matrix M in the
-        frame, zero-padded; with every block of rank 1, W_p is the frame itself.
-        """
-        ranks = np.bincount(self.blocks)
-        r = int(ranks.max())
-        kept = (np.arange(r) < ranks[:, None]).ravel()
-        padded = np.zeros((self.dim, kept.size), dtype=np.complex128)
-        padded[:, kept] = self.frame
-        return _read_only(padded), _read_only(padded.conj().T)
+    @cached_property
+    def _column_pairs(self) -> np.ndarray:
+        """Entry (i, j) is blocks[i] B + blocks[j]: a (B, B) block table's ``take`` of it reads the
+        table at the blocks of frame columns i and j."""
+        return _read_only(self.blocks[:, None] * len(self.spectrum.turns) + self.blocks)
 
 
 class _Resonance(NamedTuple):

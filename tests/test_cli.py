@@ -145,6 +145,15 @@ class TestExitCodes:
         assert run_cli(["verify", "--scenario", path]) == 0
         assert "11/11 checks passed" in capsys.readouterr().out
 
+    def test_verify_and_the_direct_mean_hold_24_classes_open_at_once(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"unitary": {"kind": "diagonal-rational", "phases": ["0", "1/2"]},
+                                         "partition": [*range(1, 25)] * 2, "operators": [{"kind": "identity"}] * 47,
+                                         "Ns": [5]})
+        assert run_cli(["verify", "--scenario", path]) == 0
+        out, err = capsys.readouterr()
+        assert "direct vs spectral at N=1" in out and "11/11 checks passed" in out and "Traceback" not in err
+        assert run_cli(["mean", "--engine", "direct", "--N", "1", "--scenario", path]) == 0
+
     # 0.7 + 3e-11 resonates with 0.3 but is not its exact conjugate; 1e-9 is within the resonance
     # tolerance of 1 but does not resonate with itself.  Neither system has a phase-1 line.
     @pytest.mark.parametrize("turns", [(0.3, 0.7 + 3e-11, 0.1, 0.55), (1e-9, 0.3, 0.55)],

@@ -381,10 +381,26 @@ class TestCesaroDirect:
         assert engines._direct_entries(P1221, 300, 4) == (3 * 300 + 1) * 16
 
     def test_an_adjacent_pair_holds_no_n_sized_products(self):
-        # The doubling loop sums a pair's factor from U alone: 1,1 holds the power table only, and
-        # 1,1,2,2,3,3 at its peak adds the d x d tensor, its product with the operator and the output.
-        assert engines._direct_entries(P11, 300, 4) == 300 * 16
-        assert engines._direct_entries(parse_partition("1,1,2,2,3,3"), 300, 4) == (300 + 3) * 16
+        # The doubling loop sums a pair's factor from U alone, and no power table is built: 1,1 holds its
+        # d x d factor, and 1,1,2,2,3,3 at its peak the d x d tensor, its product with the operator and the
+        # output, at every horizon.
+        for n in (1, 300, 10**9):
+            assert engines._direct_entries(P11, n, 4) == 16
+            assert engines._direct_entries(parse_partition("1,1,2,2,3,3"), n, 4) == 3 * 16
+
+    def test_twenty_four_classes_open_at_once(self):
+        # 1..24,1..24 holds 24 index axes at once: each class names its axis by its own letter.
+        p = parse_partition(",".join(map(str, [*range(1, 25)] * 2)))
+        u = np.diag([1.0, -1.0]).astype(complex)
+        mean = cesaro_direct(u, p, [np.eye(2)] * 47, 1).matrix
+        np.testing.assert_array_equal(mean, np.eye(2))
+        assert engines._direct_horizon(p, 5, 2) == 1
+
+    def test_a_partition_with_more_class_axes_than_letters_is_refused(self):
+        p = parse_partition(",".join(map(str, [*range(1, 51)] * 2)))
+        message = "^direct engine: a partition on 100 slots needs 50 index axes, more than 49$"
+        with pytest.raises(ValueError, match=message):
+            cesaro_direct(np.eye(2, dtype=complex), p, [np.eye(2)] * 99, 1)
 
     def test_memory_budget_counts_the_axes_held(self, rng):
         # N = 2100, d = 4: N d^2 entries fit the sweep budget, N^2 d^2 do not.
@@ -425,7 +441,7 @@ class TestCesaroDirect:
     def test_budget_guard(self, monkeypatch):
         with pytest.raises(BudgetError):
             cesaro_direct(np.eye(2, dtype=complex), P1212, [np.eye(2)] * 3, 10**5)
-        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", 10)
+        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", 3)  # 1,1 holds its 2 x 2 factor
         with pytest.raises(BudgetError):
             cesaro_direct(np.eye(2, dtype=complex), P11, [np.eye(2)], 100)
 
@@ -934,7 +950,7 @@ RESONANT_SYSTEMS = {
 
 
 class TestSummedDifference:
-    """The spectral report reads M_N - L from the bound's summed difference W_p (sum_l X_l) W_p*, so its
+    """The spectral report reads M_N - L from the bound's summed difference W (sum_l X_l) W*, so its
     error is checked here against means and limits it does not form."""
 
     @staticmethod
@@ -1037,45 +1053,50 @@ class TestPlannedSweep:
 
     @pytest.mark.parametrize("p", SWEEP_PARTITIONS, ids=str)
     def test_core_on_slot_matrices_in_an_identity_frame(self, p):
-        # The core reads arrays only: dense slot matrices with every block of full rank r, random
-        # class tables, and a stand-in for the decomposition that the reference reads.
+        # The core reads arrays only: dense slot matrices, random class tables read at the blocks of
+        # each column pair, and a stand-in for the decomposition that the reference reads.
         rng = np.random.default_rng(len(p.labels) * 31 + p.k)
-        for B, r in [(1, 1), (3, 1), (2, 2), (3, 2), (1, 3)]:
-            D = B * r
-            slots = np.array(random_ops(rng, p.m - 1, D)).reshape(p.m - 1, D, D)
+        for ranks in [(1,), (1, 1, 1), (2, 2), (2, 2, 2), (3,), (2, 1, 3)]:
+            B, d = len(ranks), sum(ranks)
+            blocks = np.repeat(np.arange(B), ranks)
+            slots = np.array(random_ops(rng, p.m - 1, d)).reshape(p.m - 1, d, d)
             tables = [rng.standard_normal((B, B)) + 1j * rng.standard_normal((B, B)) for _ in range(p.k)]
-            frame = types.SimpleNamespace(dim=D, frame=np.eye(D), blocks=np.repeat(np.arange(B), r))
+            frame = types.SimpleNamespace(dim=d, frame=np.eye(d), blocks=blocks)
             scale = max(1.0, np.prod([np.linalg.norm(a) for a in slots])) * max(1.0, *(np.abs(t).max() for t in tables)) ** p.k
-            got = engines._contract(p, slots, B, r, tables)
+            got = engines._contract(p, slots, [t.take(blocks[:, None] * B + blocks) for t in tables])
             assert np.linalg.norm(got - contract_per_block(frame, p, list(slots), tables)) <= 1e-12 * scale
 
     def test_plan_peaks(self):
-        # The crossing triples hold at most one block axis besides the frame's two: B d^2 at d = B = 64.
-        assert engines._network(P121323, 64, 1)[2] == 64**3
-        assert engines._network(parse_partition("1,2,3,1,2,3"), 64, 1)[2] == 64**3
-        assert engines._network(parse_partition("1,2,3,1,2,3,4,4"), 64, 1)[2] == 64**3
-        assert engines._network(P1212, 3, 2)[2] == 3 * 36
+        # The crossing triples hold at most one column index besides the result's two: d^3 at d = 64,
+        # whatever the ranks of the blocks.  The fourfold crossing holds d^4.
+        assert engines._network(P121323, 64)[2] == 64**3
+        assert engines._network(parse_partition("1,2,3,1,2,3"), 64)[2] == 64**3
+        assert engines._network(parse_partition("1,2,3,1,2,3,4,4"), 64)[2] == 64**3
+        assert engines._network(parse_partition("1,2,3,4,1,2,3,4"), 6)[2] == 6**4
 
     def test_a_network_with_more_indices_than_letters_is_refused(self):
-        p = parse_partition(",".join(str(1 + i // 2) for i in range(28)))  # 1,1,2,2,...,14,14
-        assert engines._network(p, 2, 1)[2] == engines._network(p, 1, 2)[2] == 4
-        with pytest.raises(ValueError, match="on 28 slots needs 56 indices, more than 52"):
-            engines._network(p, 2, 2)
+        # One index per slot: 52 slots are planned, 54 are refused unless every axis has size 1.
+        wide = parse_partition(",".join(str(1 + i // 2) for i in range(52)))  # 1,1,2,2,...,26,26
+        assert engines._network(wide, 2)[2] == 4
+        p = parse_partition(",".join(str(1 + i // 2) for i in range(54)))
+        assert engines._network(p, 1)[2] == 1
+        with pytest.raises(ValueError, match="on 54 slots needs 54 indices, more than 52"):
+            engines._network(p, 2)
 
     @pytest.mark.parametrize("p", SWEEP_PARTITIONS, ids=str)
     def test_planned_peak_is_the_largest_tensor_the_steps_form(self, p):
-        for B, r in [(1, 1), (3, 1), (2, 2), (3, 2), (1, 3)]:
-            steps, _, peak = engines._network(p, B, r)
+        for d in (1, 2, 3, 4, 6):
+            steps, _, peak = engines._network(p, d)
             # Each step's operands, grouped as the product reads them, and its result.
             formed = [math.prod(step[i]) for step in steps for i in (3, 5, 6)]
-            assert peak == max((B * r) ** 2, *formed)
+            assert peak == max(d * d, *formed)
 
     @pytest.mark.parametrize("labels", ["1,1", "1,2,2,1", "1,2,2,1,3,3"])
     def test_budget_counts_the_starting_tensor_of_a_sweep_that_never_widens(self, labels, monkeypatch):
         p = parse_partition(labels)
         dec = random_system(3, 8, "haar")[1]
         ops = random_ops(np.random.default_rng(3), p.m - 1, 8)
-        assert engines._network(p, 8, 1)[2] == 64
+        assert engines._network(p, 8)[2] == 64
         for run in (lambda: cesaro_spectral(dec, p, ops, 5), lambda: limit_operator(dec, p, ops)):
             monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 63)
             with pytest.raises(BudgetError, match="planned peak of 6.400e[+]01 entries"):
@@ -1083,17 +1104,35 @@ class TestPlannedSweep:
             monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 64)
             run()
 
-    def test_budget_counts_the_padded_frame(self, monkeypatch):
-        # Ranks 2, 1, 1: three blocks padded to width 2, so the sweep is 6 x 6 where d = 4.
-        u, dec = from_eigensystem([Phase.rational(k, 3) for k in (0, 0, 1, 2)],
-                                  haar_unitary(np.random.default_rng(4), 4))
+    def test_budget_counts_the_frame_whatever_the_ranks(self, monkeypatch):
+        # Ranks 2, 1, 1 at d = 4 plan the network of a Haar d = 4 system: d^3 = 64 entries on 1,2,1,2.
+        systems = [from_eigensystem([Phase.rational(k, 3) for k in (0, 0, 1, 2)],
+                                    haar_unitary(np.random.default_rng(4), 4)), random_system(4, 4, "haar")]
         ops = random_ops(np.random.default_rng(4), 3, 4)
-        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 107)
-        with pytest.raises(BudgetError, match="planned peak of 1.080e[+]02 entries"):
-            cesaro_spectral(dec, P1212, ops, 5)
-        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 108)
-        mean = cesaro_spectral(dec, P1212, ops, 5).matrix
-        assert np.linalg.norm(mean - cesaro_direct(u, P1212, ops, 5).matrix) <= 1e-12
+        assert engines._network(P1212, 4)[2] == 64
+        for u, dec in systems:
+            monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 63)
+            with pytest.raises(BudgetError, match="planned peak of 6.400e[+]01 entries"):
+                cesaro_spectral(dec, P1212, ops, 5)
+            monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", 64)
+            mean = cesaro_spectral(dec, P1212, ops, 5).matrix
+            assert np.linalg.norm(mean - cesaro_direct(u, P1212, ops, 5).matrix) <= 1e-12
+
+    @pytest.mark.parametrize("labels", ["1,2,1,2", "1,2,1,3,2,3"])
+    def test_d64_rank_8_line_under_the_default_budget(self, labels):
+        # One rank-8 phase-0 line and 56 simple lines plan the d^3 entries of a Haar d = 64 system; a frame
+        # padded to rank 8 (57 blocks of 8 columns) would plan 57 * 456^2 = 1.185e7.
+        p = parse_partition(labels)
+        u, dec = from_eigensystem([Phase.rational(0, 1)] * 8 + [Phase.rational(k, 67) for k in range(1, 57)],
+                                  haar_unitary(np.random.default_rng(8), 64))
+        ops = random_ops(np.random.default_rng(1), p.m - 1, 64)
+        mean = cesaro_spectral(dec, p, ops, 3).matrix
+        if p == P1212:
+            limit = limit_operator(dec, p, ops)
+            assert np.linalg.norm(mean - contract_per_block(dec, p, ops, [dec._pair_sums.kernels(3)] * 2)) <= 1e-12
+            assert np.linalg.norm(limit - contract_per_block(dec, p, ops, [dec._resonance.table] * 2)) <= 1e-12
+        else:  # the per-block sweep would hold 57^2 d^2 entries here
+            assert np.linalg.norm(mean - cesaro_direct(u, p, ops, 3).matrix) <= 1e-12
 
     @pytest.mark.parametrize("labels", ["1,2,1,3,2,3", "1,2,3,1,2,3", "1,2,3,1,2,3,4,4"])
     def test_d64_crossing_triple_under_the_default_budget(self, labels):
@@ -1247,9 +1286,8 @@ class TestSpectralRecord:
     def test_recorded_arrays_reject_writes(self):
         _, dec = random_system(3, 4, "rational", 3)
         limit_operator(dec, P1212, random_ops(np.random.default_rng(3), 3, 4))
-        frame, frame_h = dec._padded
         arrays = [dec.frame, dec.blocks, dec.spectrum.turns, dec.spectrum.exact, dec.spectrum.numerators,
-                  *(line.basis for line in dec.entries), frame, frame_h, dec._resonance.table,
+                  *(line.basis for line in dec.entries), dec._frame_h, dec._column_pairs, dec._resonance.table,
                   dec._pair_sums.kernels(10)]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -1298,10 +1336,10 @@ class TestSpectralRecord:
         _, dec = random_system(4, 4, "haar")
         ops = random_ops(np.random.default_rng(4), 3, 4)
         limit_operator(dec, P1212, ops)
-        assert {"_pair_sums", "_padded", "_resonance"} <= set(vars(dec))
+        assert {"_pair_sums", "_frame_h", "_column_pairs", "_resonance"} <= set(vars(dec))
         copy = SpectralDecomposition(dec.dim, dec.spectrum, dec.frame, dec.blocks, dec.source_unitarity,
                                      Tolerances(resonance=1e-6))
-        assert not {"phases", "entries", "_pair_sums", "_padded", "_resonance"} & set(vars(copy))
+        assert not {"phases", "entries", "_pair_sums", "_frame_h", "_column_pairs", "_resonance"} & set(vars(copy))
         _, at_tolerance = random_system(4, 4, "haar", tol=Tolerances(resonance=1e-6))
         np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(at_tolerance, P1212, ops))
 
@@ -1356,7 +1394,7 @@ class TestMemoryCaps:
     def test_the_spectral_cap_covers_every_entry_point(self, monkeypatch, name):
         system, spec = _capped_system()
         assert len(system.dec.spectrum.turns) == 6
-        peak = engines._network(P1212, 6, 1)[2]
+        peak = engines._network(P1212, 6)[2]
         monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", peak - 1)
         message = re.escape(f"spectral engine: planned peak of {peak:.3e} entries exceeds")
         with pytest.raises(BudgetError, match=message):
@@ -1376,7 +1414,7 @@ class TestMemoryCaps:
 
     def test_a_nested_report_refuses_a_crossing_partition_before_any_contraction(self, monkeypatch):
         system, spec = _capped_system()
-        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", engines._network(P1212, 6, 1)[2] - 1)
+        monkeypatch.setattr(engines, "SPECTRAL_ENTRY_BUDGET", engines._network(P1212, 6)[2] - 1)
         calls, contract = [], engines._contract
         monkeypatch.setattr(engines, "_contract", lambda *args: calls.append(args) or contract(*args))
         message = "^nested engine requires a non-crossing pair partition, got 1,2,1,2$"
