@@ -42,9 +42,9 @@ and the spectral ``convergence_report`` reads its error from that sum.
 
 Each engine has one memoized plan that its memory check and its loop both
 read.  ``_network`` plans ``_contract`` per (partition, d) as one tensor
-network: S_j on the column indices of slots j and j+1, each class table on
-the indices of its slots.  numpy's greedy ``einsum_path``
-orders it once, whatever the cap, and each pairwise step is one
+network on slot numbers: S_j on the column indices of slots j and j+1, each
+class table on the indices of its slots.  It orders the network once,
+whatever the cap, by numpy's greedy pair rule, and each pairwise step is one
 transpose and reshape per operand and one matrix product.  ``_direct_plan``
 gives ``cesaro_direct``'s steps per partition (operator, factor, einsum
 subscripts) and the most index axes held at once.  Module constants, read
@@ -58,7 +58,9 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -182,22 +184,27 @@ def mean_ergodic(u, N) -> np.ndarray:
 
 def _power_sum(left: np.ndarray, mid: np.ndarray, right: np.ndarray, N: int) -> np.ndarray:
     """sum_{n<N} left^n mid right^n by binary splitting: the sum over n < 2c is the sum over n < c plus
-    left^c times it times right^c, and a set bit of N then adds the term n = 2c."""
+    left^c times it times right^c, and a set bit of N then adds the term n = 2c.  A sum that is not
+    finite (powers that overflow) raises ``ValueError``."""
     total, power_l, power_r = mid, left, right  # the sum over n < 1, and the powers c = 1
-    for bit in bin(N)[3:]:
-        total = total + power_l @ total @ power_r
-        power_l, power_r = power_l @ power_l, power_r @ power_r
-        if bit == "1":
-            total = total + power_l @ mid @ power_r
-            power_l, power_r = power_l @ left, power_r @ right
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit in bin(N)[3:]:
+            total = total + power_l @ total @ power_r
+            power_l, power_r = power_l @ power_l, power_r @ power_r
+            if bit == "1":
+                total = total + power_l @ mid @ power_r
+                power_l, power_r = power_l @ left, power_r @ right
+    if not np.isfinite(total).all():
+        raise ValueError(f"the power sum at horizon N={N:.6e} is not finite")
     return total
 
 
 class _DirectStep(NamedTuple):
     """One step of ``cesaro_direct``'s sweep: multiply the tensor by ``ops[op]``, then take in the factor.
 
-    The factor is the power table ("powers", one index axis of size N) or a pair on adjacent slots,
-    ``_power_sum``'s sum_n U^n ops[op + 1] U^n ("pair").  The first step (op = -1) starts from its factor.
+    The factor is the power table (one index axis of size N), where a class opens its axis ("opens") or
+    sums it out ("closes"), or a pair on adjacent slots, ``_power_sum``'s sum_n U^n ops[op + 1] U^n
+    ("pair").  The first step (op = -1) starts from its factor.
     """
 
     op: int
@@ -233,8 +240,8 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
         lab = p.labels[pos - 1]
         base, ell = "".join(axes.values()), ""
         if lab in letter:
-            factor, ell = "powers", letter[lab]
-            if pos == pairs[lab - 1][1]:
+            factor, ell = ("closes" if pos == pairs[lab - 1][1] else "opens"), letter[lab]
+            if factor == "closes":
                 del axes[lab]
             else:
                 axes[lab] = ell
@@ -242,7 +249,7 @@ def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int
             factor = "pair"
         out = "".join(axes.values())
         if tensor is None:  # the first step's output is its factor: the power table, or a pair's d x d sum
-            tensor = () if factor == "powers" else (0,)
+            tensor = () if factor == "opens" else (0,)
             loads.append((*table, *tensor))
         else:  # the tensor, the tensor times the operator and the einsum output
             loads.append((*table, *tensor, len(base), len(out)))
@@ -291,17 +298,18 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     steps, _ = _direct_plan(p)
     _refuse_over_cap("direct", _direct_entries(p, N, d), _SWEEP_ENTRY_BUDGET)
 
-    if any(step.factor == "powers" for step in steps):  # some class opens an axis
+    if any(step.factor == "opens" for step in steps):
         powers = np.empty((N, d, d), dtype=np.complex128)
         powers[0] = np.eye(d)
         for n in range(1, N):
             powers[n] = powers[n - 1] @ arr
     tensor = None
-    for step in steps:
-        factor = _power_sum(arr, ops[step.op + 1], arr, N) if step.factor == "pair" else powers
+    for step in steps:  # each class's sum is divided by N where it is formed
+        factor = _power_sum(arr, ops[step.op + 1], arr, N) / N if step.factor == "pair" else powers
         tensor = factor if tensor is None else np.einsum(step.subscripts, tensor @ ops[step.op], factor)
-    matrix = tensor / float(N) ** p.k
-    return CesaroResult(matrix, "direct", N, time.perf_counter() - start)
+        if step.factor == "closes":
+            tensor /= N
+    return CesaroResult(tensor, "direct", N, time.perf_counter() - start)
 
 
 @lru_cache(maxsize=64)
@@ -310,47 +318,43 @@ def _network(p: Partition, d: int) -> tuple[tuple[tuple, ...], tuple[int, ...], 
     the last result to (row, column), and the planned peak, the entry count of the largest tensor any
     step forms (at least d^2, one slot matrix).
 
-    Slot j holds one column index i_j: S_j sits on (i_j, i_{j+1}), each class table on the indices of
-    its two slots, the result on (i_1, i_m); at d = 1 these axes of size 1 are left out.  numpy's
-    greedy ``einsum_path``, with no memory limit, orders the network once; a step of more than two
-    operands is taken pairwise.  A step (x, y, ...) transposes and groups operands x and y to
-    (kept, x only, summed) and (kept, summed, y only), multiplies them, and appends the result,
-    axes (kept, x only, y only), to the operand list.
+    Slot j (from 0) holds one column index: S_j sits on (j, j + 1), each class table on its two slots,
+    the result on (0, m - 1).  Each step takes the live pair x < y sharing an index that removes the
+    most entries, then needs the fewest multiply-adds (d^|x or y|, twice that if an index is summed),
+    then comes first by (max(y, operands given - 1), x, y): numpy's greedy ``einsum_path`` rule and pair
+    order, so at d > 1 the plans are numpy's.  A step (x, y) groups x to (kept, x only, summed) and y to
+    (kept, summed, y only), multiplies them, and appends the result, on (kept, x only, y only).
     """
-    if d > 1 and p.m > len(_LETTERS):  # einsum names each index by one letter
-        raise ValueError(f"spectral engine: a partition on {p.m} slots needs {p.m} indices, more than 52")
-    index = [_LETTERS[j] if d > 1 else "" for j in range(p.m)]
-    terms = [index[j] + index[j + 1] for j in range(p.m - 1)]
-    terms += [index[i - 1] + index[j - 1] for i, j in p.class_pairs]
-    output = index[0] + index[-1]
-    shapes = [np.broadcast_to(0.0, (d,) * len(term)) for term in terms]  # no entries
-    path = np.einsum_path(",".join(terms) + "->" + output, *shapes, optimize=("greedy", sys.maxsize))[0]
+    terms = [(j, j + 1) for j in range(p.m - 1)] + [(a - 1, b - 1) for a, b in p.class_pairs]
+    output, given = (0, p.m - 1), len(terms)
 
     def count(cs):
         return d ** len(cs)
 
-    live, steps = list(range(len(terms))), []
-    peak = d * d
-    for group in path[1:]:
-        ids = [live[i] for i in sorted(group)]
-        live = [t for t in live if t not in ids]
-        x = ids.pop(0)
-        while ids:  # numpy's step, taken pairwise from the left
-            y = ids.pop(0)
-            xs, ys = terms[x], terms[y]
-            later = "".join(terms[t] for t in live + ids) + output
-            kept = [c for c in xs if c in ys and c in later]
-            summed = [c for c in xs if c in ys and c not in later]
-            x_only = [c for c in xs if c not in ys]
-            y_only = [c for c in ys if c not in xs]
-            terms.append("".join(kept + x_only + y_only))
-            steps.append((x, y,
-                          tuple(map(xs.index, kept + x_only + summed)), (count(kept), count(x_only), count(summed)),
-                          tuple(map(ys.index, kept + summed + y_only)), (count(kept), count(summed), count(y_only)),
-                          (d,) * len(terms[-1]), bool(summed)))
-            peak = max(peak, count(xs), count(ys), count(terms[-1]))
-            x = len(terms) - 1
-        live.append(x)
+    def groups(x, y):  # the kept, summed, x-only and y-only indices of step (x, y)
+        xs, ys = terms[x], terms[y]
+        shared = [c for c in xs if c in ys]
+        summed = [c for c in shared if held[c] == 2]  # on x and y alone
+        kept = [c for c in shared if c not in summed]
+        return kept, summed, [c for c in xs if c not in shared], [c for c in ys if c not in shared]
+
+    def key(x, y):  # the change in entries, the multiply-adds, then the order numpy finds pairs in
+        kept, summed, x_only, y_only = groups(x, y)
+        return (count(kept + x_only + y_only) - count(terms[x]) - count(terms[y]),
+                count(kept + summed + x_only + y_only) * (2 if summed else 1), max(y, given - 1), x, y)
+
+    live, steps, peak = list(range(given)), [], d * d
+    while len(live) > 1:
+        held = Counter([*output, *(c for t in live for c in terms[t])])  # the holders of each index
+        *_, x, y = min(key(x, y) for x, y in combinations(live, 2) if set(terms[x]) & set(terms[y]))
+        kept, summed, x_only, y_only = groups(x, y)
+        live = [t for t in live if t not in (x, y)] + [len(terms)]
+        terms.append((*kept, *x_only, *y_only))
+        steps.append((x, y,
+                      tuple(map(terms[x].index, kept + x_only + summed)), (count(kept), count(x_only), count(summed)),
+                      tuple(map(terms[y].index, kept + summed + y_only)), (count(kept), count(summed), count(y_only)),
+                      (d,) * len(terms[-1]), bool(summed)))
+        peak = max(peak, count(terms[x]), count(terms[y]), count(terms[-1]))
     return tuple(steps), tuple(map(terms[-1].index, output)), peak
 
 
@@ -370,8 +374,7 @@ def _contract(p: Partition, slots: np.ndarray, tables) -> np.ndarray:
     _refuse_over_cap("spectral", peak, SPECTRAL_ENTRY_BUDGET)
     if not all(table.any() for table in tables):  # an all-zero table gives a zero sum
         return np.zeros((d, d), np.result_type(slots, *tables))
-    square = (d, d) if d > 1 else ()  # the network leaves out axes of size 1
-    operands = [*slots.reshape(p.m - 1, *square), *(table.reshape(square) for table in tables)]
+    operands = [*slots, *tables]
     for x, y, x_order, x_grouped, y_order, y_grouped, shape, summed in steps:
         a = operands[x].transpose(x_order).reshape(x_grouped)
         b = operands[y].transpose(y_order).reshape(y_grouped)

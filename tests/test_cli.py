@@ -154,6 +154,25 @@ class TestExitCodes:
         assert "direct vs spectral at N=1" in out and "11/11 checks passed" in out and "Traceback" not in err
         assert run_cli(["mean", "--engine", "direct", "--N", "1", "--scenario", path]) == 0
 
+    def test_a_direct_mean_whose_n_to_the_k_overflows(self, tmp_path, capsys):
+        # N^2 = 10^400 is past the float range, but each class's mean is finite: identity dynamics give the
+        # spectral engine's mean, A_1 A_2 A_3.
+        path = write_scenario(tmp_path, {"unitary": {"kind": "diagonal-rational", "phases": ["0/1", "0/1"]},
+                                         "partition": [1, 1, 2, 2], "operators": [{"kind": "random"}] * 3})
+        means = []
+        for engine in ("direct", "spectral"):
+            assert run_cli(["mean", "--engine", engine, "--N", str(10**200), "--scenario", path]) == 0
+            means.append([line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith("elapsed")])
+        assert means[0] == means[1]
+
+    def test_a_power_sum_that_is_not_finite_is_one_error_line(self, tmp_path):
+        # The powers of a Haar U overflow by N = 10^20: one error line that names the horizon, and no warning.
+        path = write_scenario(tmp_path, {"unitary": {"kind": "random", "dim": 4, "seed": 3, "phaseMode": "haar"},
+                                         "partition": [1, 1], "operators": [{"kind": "random"}]})
+        result = run_module(["mean", "--engine", "direct", "--N", str(10**20), "--scenario", path])
+        assert result.returncode == 1
+        assert result.stderr == "error: the power sum at horizon N=1.000000e+20 is not finite\n"
+
     # 0.7 + 3e-11 resonates with 0.3 but is not its exact conjugate; 1e-9 is within the resonance
     # tolerance of 1 but does not resonate with itself.  Neither system has a phase-1 line.
     @pytest.mark.parametrize("turns", [(0.3, 0.7 + 3e-11, 0.1, 0.55), (1e-9, 0.3, 0.55)],

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import re
@@ -319,6 +320,13 @@ class TestMeanErgodic:
         with pytest.raises(ValueError):
             mean_ergodic(np.diag([1.0, 2.0]), 5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_sum_that_is_not_finite_is_refused_naming_the_horizon(self):
+        # Repeated squaring takes the powers of a Haar U off the unit circle, and they overflow by N = 10^20.
+        u = haar_unitary(np.random.default_rng(3), 4)
+        with pytest.raises(ValueError, match=r"^the power sum at horizon N=1\.000000e\+20 is not finite$"):
+            mean_ergodic(u, 10**20)
+
 
 class TestCesaroDirect:
     def test_identity_dynamics_gives_plain_product(self, rng):
@@ -387,6 +395,11 @@ class TestCesaroDirect:
         for n in (1, 300, 10**9):
             assert engines._direct_entries(P11, n, 4) == 16
             assert engines._direct_entries(parse_partition("1,1,2,2,3,3"), n, 4) == 3 * 16
+
+    def test_each_class_is_divided_by_n_where_it_is_summed(self):
+        # N^2 overflows a float at N = 10^155, but each class's sum is finite: the mean is 1e-30 I.
+        mean = cesaro_direct(np.eye(2), parse_partition("1,1,2,2"), [1e-10 * np.eye(2)] * 3, 10**155).matrix
+        np.testing.assert_allclose(mean, 1e-30 * np.eye(2), rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_twenty_four_classes_open_at_once(self):
         # 1..24,1..24 holds 24 index axes at once: each class names its axis by its own letter.
@@ -1074,14 +1087,24 @@ class TestPlannedSweep:
         assert engines._network(parse_partition("1,2,3,1,2,3,4,4"), 64)[2] == 64**3
         assert engines._network(parse_partition("1,2,3,4,1,2,3,4"), 6)[2] == 6**4
 
-    def test_a_network_with_more_indices_than_letters_is_refused(self):
-        # One index per slot: 52 slots are planned, 54 are refused unless every axis has size 1.
-        wide = parse_partition(",".join(str(1 + i // 2) for i in range(52)))  # 1,1,2,2,...,26,26
-        assert engines._network(wide, 2)[2] == 4
-        p = parse_partition(",".join(str(1 + i // 2) for i in range(54)))
-        assert engines._network(p, 1)[2] == 1
-        with pytest.raises(ValueError, match="on 54 slots needs 54 indices, more than 52"):
-            engines._network(p, 2)
+    def test_a_network_on_56_slots_is_planned_and_evaluated(self):
+        # One index per slot, with no cap on their number: 1,1,2,2,...,28,28 at d = 2 holds d^2 entries at most,
+        # and its means are the nested engine's.
+        p = parse_partition(",".join(str(1 + i // 2) for i in range(56)))
+        assert engines._network(p, 2)[2] == 4
+        dec = random_system(7, 2, "haar")[1]
+        rng = np.random.default_rng(7)
+        ops = [haar_unitary(rng, 2) for _ in range(55)]
+        for n in (3, 10):
+            want = cesaro_nested(dec, p, ops, n).matrix
+            assert np.linalg.norm(cesaro_spectral(dec, p, ops, n).matrix - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_plans_are_pinned(self):
+        # Every pair partition with k <= 4 at d = 2, 4 and 64, 372 networks, planned by the greedy pair rule
+        # (numpy's greedy einsum_path gives the same plans); a digest of the steps, result order and peaks.
+        plans = [engines._network(p, d) for k in range(1, 5) for p in enumerate_pair_partitions(k) for d in (2, 4, 64)]
+        digest = "013fe5f3f0ad4d6916f30994e9803c49e21cf56f46738aa08e577aff6d24a0e9"
+        assert hashlib.sha256(repr(plans).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("p", SWEEP_PARTITIONS, ids=str)
     def test_planned_peak_is_the_largest_tensor_the_steps_form(self, p):
