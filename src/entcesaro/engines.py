@@ -22,9 +22,9 @@ All three compute the same finite-N sum by different factorizations;
 kernel table for the resonance indicator R (phase sum equal to 1) in the
 same contraction; ``limit_truncated`` restricts R to chosen phases.  Every
 such table, the spectral gap and the resonance pairing read one array of
-class phase sums (``spectral.PhaseSums``): float turns, and for exact
-phases Python-int numerators over their common denominator L, so exact
-resonances and periodic zeros (a N = 0 mod L) stay exact.  The
+class phase sums (``spectral.PhaseSums``): Python-int numerators over one
+denominator L (a float turn is a dyadic rational), so every kernel reduces
+N t in integers and periodic zeros (a N = 0 mod L) are exact.  The
 decomposition records these tables, W* and the block pair of every pair of
 frame columns on first use: a horizon forms only the N-dependent factors of
 its kernel table, and the resonance table is checked and formed once, at
@@ -165,11 +165,11 @@ def _check_ops(p: Partition, ops, dim: int) -> np.ndarray:
 def kernel(phase: Phase, N) -> complex:
     """Cesaro kernel (1/N) sum_{n<N} z^n for z the given phase.
 
-    Equals 1 at z == 1 and otherwise, float or exact, the Dirichlet form
+    Equals 1 at z == 1 and otherwise the Dirichlet form
     e^{i pi (N-1) t} sin(pi N t) / (N sin(pi t)) with t in [-1/2, 1/2), accurate
-    near resonance, where 1 - z cancels.  An exact phase c/L reduces N t and
-    (N - 1) t from the integers N c and (N - 1) c, so periodic zeros are exact
-    and its kernel stays finite up to the largest float horizon.
+    near resonance, where 1 - z cancels.  A phase c/L (a float turn is a dyadic
+    rational) reduces N t and (N - 1) t from the integers N c and (N - 1) c, so
+    periodic zeros are exact and the kernel is finite up to the largest float horizon.
     """
     return complex(_summands_of([phase]).kernels(_check_horizon(N))[0])
 
@@ -502,11 +502,11 @@ def error_bound(dec: SpectralDecomposition, p: Partition, ops, N) -> float:
     The bound is (1 + FRAME_TOL)(1 + g)(||X||_2 + g sum_l ||Y_l||_F) for X the computed S.  Rounding: each
     product summed into an entry of X_l meets at most n = 2 d + 4 m + the planned steps' summed lengths
     roundings, so |fl(X_l) - X_l| <= g_n Y_l entrywise for g_n = n eps / (1 - n eps), Y_l the contraction
-    over |W*| |A_j| |W| with the tables' magnitudes (at a float resonance, where K - 1 cancels, its table
-    at class l also holds |K|).  Summing the j terms that are not all zero adds j - 1 roundings (an all-zero
-    term adds exactly), so |X - S| <= g sum_l Y_l for g = g_{n+j-1}, and ||S||_2 <= ||X||_2 + g sum_l ||Y_l||_F;
-    1 + g allows for the rounding of the norms and of Y_l.  Identity dynamics give 0.0; with no resonance,
-    X_1 = W* M_N W is the one term.
+    over |W*| |A_j| |W| with the tables' magnitudes (at a resonance whose sum is not exactly 0, where K - 1
+    cancels, its table at class l also holds |K|).  Summing the j terms that are not all zero adds j - 1
+    roundings (an all-zero term adds exactly), so |X - S| <= g sum_l Y_l for g = g_{n+j-1}, and ||S||_2 <=
+    ||X||_2 + g sum_l ||Y_l||_F; 1 + g allows for the rounding of the norms and of Y_l.  Identity dynamics
+    give 0.0; with no resonance, X_1 = W* M_N W is the one term.
     """
     return error_bounds(dec, p, ops, [N])[0]
 
@@ -526,7 +526,7 @@ def _differences(dec: SpectralDecomposition, p: Partition, ops: np.ndarray, Ns):
     n = 2 * dec.dim + 4 * p.m + sum(step[3][2] for step in _network(p, dec.dim)[0])  # step[3][2]: its summed length
     pairs = dec._column_pairs
     resonance = dec._resonance.table.take(pairs)
-    floating = resonance * (dec._pair_sums.turns.take(pairs) != 0.0)  # resonant with K != 1, so K - 1 cancels
+    floating = resonance * (dec._pair_sums.numerators != 0).take(pairs)  # resonant with K != 1, so K - 1 cancels
     for N in Ns:
         kernels = dec._pair_sums.kernels(N).take(pairs)
         abs_kernels = abs(kernels)

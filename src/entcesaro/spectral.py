@@ -1,9 +1,9 @@
 """Spectral decompositions of unitary matrices.
 
-Eigenphases are kept in turns (fractions of a full rotation, in [0, 1)),
-either as exact rationals or as floats.  Exact phases make the resonance
-test z*w == 1 an integer check on phase sums; float phases fall back to a
-tolerance on |z*w - 1|.
+Eigenphases are kept in turns (fractions of a full rotation, in [0, 1)), exact
+rationals or floats, each an integer numerator over a common denominator (a float
+turn is a dyadic rational).  Exact phases make the resonance test z*w == 1 an
+integer check on phase sums; float phases fall back to a tolerance on |z*w - 1|.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _fold(turns):
 class Phase(ValueRecord):
     """A point on the unit circle, stored as an angle in turns: how a phase is read in and printed.
 
-    ``turns`` is always in [0, 1), and ``turns == float(frac)`` when ``frac`` makes it exact.  Phases
+    ``turns`` is always in [0, 1) (``_fold``), ``float(frac)`` folded when ``frac`` makes it exact.  Phases
     compare and hash by value; sums, kernels and resonance are formed on ``PhaseSums`` arrays only.
     """
 
@@ -78,7 +78,7 @@ class Phase(ValueRecord):
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Phase":
         f = f % 1
-        return cls(float(f), f)
+        return cls(float(_fold(float(f))), f)
 
     @classmethod
     def from_turns(cls, t: float) -> "Phase":
@@ -100,11 +100,11 @@ class Phase(ValueRecord):
 class PhaseSums(Record):
     """Phases, or the sums of every pair of them, as arrays.
 
-    The sum of turns t_b and t_c is fl(t_b + t_c) mod 1 with a result of 1.0 taken as 0.0; it is
-    exact iff both summands are.  Exact entries are ``numerators / denominator`` with Python-int
-    numerators (object dtype, so a large denominator cannot overflow) and ``turns`` their correctly
-    rounded float.  The horizon-independent factors of ``kernels`` are formed on its first call and
-    kept, and so is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was called at.
+    Each entry is ``numerators / denominator`` mod 1, Python-int numerators (object dtype: no overflow)
+    over one L, a float turn being the dyadic rational a / 2^e it holds; a sum adds numerators mod L, is
+    exact iff both summands are (``exact`` chooses only the resonance test), and its ``turns`` is numerator
+    / L rounded once, 1.0 taken as 0.0.  The horizon-independent factors of ``kernels`` are formed on its
+    first call and kept, and so is the table of each of the last ``KERNEL_MEMO_HORIZONS`` horizons it was called at.
     """
 
     _fields = ("turns", "exact", "numerators", "denominator")
@@ -125,13 +125,11 @@ class PhaseSums(Record):
 
     @cached_property
     def _kernel_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Centred turns t in [-1/2, 1/2), sin(pi t), and the centred numerators c of the exact sums, in
-        [-L/2, L/2), whose t is c / L rounded once."""
+        """Centred turns t in [-1/2, 1/2), sin(pi t), and the centred numerators c in [-L/2, L/2), whose
+        t is c / L rounded once."""
         L = self.denominator
-        c = self.numerators[self.exact]
-        c = np.where(2 * c < L, c, c - L)
-        t = np.where(self.turns < 0.5, self.turns, self.turns - 1.0)
-        t[self.exact] = (c / L).astype(float)
+        c = np.where(2 * self.numerators < L, self.numerators, self.numerators - L)
+        t = (c / L).astype(float)
         return t, np.sin(np.pi * t), c
 
     @cached_property
@@ -141,15 +139,12 @@ class PhaseSums(Record):
     def kernels(self, N: int) -> np.ndarray:
         """The Cesaro kernel (1/N) sum_{n<N} z^n of every sum at horizon N (``engines.kernel``).
 
-        The table is kept for later calls at N, so it is read-only: every caller shares it.  A table that
-        is not finite (float sums from N ~ 5.7e307, where pi (N - 1) overflows) raises ``ValueError``.
+        The table is kept for later calls at N, so it is read-only: every caller shares it.
         """
         memo = self._kernel_memo
         table = memo.get(N)
         if table is None:
             table = self._kernels(N)
-            if not np.isfinite(table).all():
-                raise ValueError(f"the kernel table at horizon N={N:.6e} is not finite")
             if len(memo) >= KERNEL_MEMO_HORIZONS:
                 del memo[next(iter(memo))]
             table = memo[N] = _read_only(table)
@@ -159,42 +154,44 @@ class PhaseSums(Record):
         t, sin_t, c = self._kernel_factors
         L = self.denominator
         # The Dirichlet form e^{i pi (N-1) t} (-1)^n sin(pi (N t - n)) / (N sin(pi t)) with n the integer nearest
-        # N t, so the kernel vanishes exactly when N t is an integer.  An exact sum t = c / L takes the parity of
-        # n, N t - n and (N - 1) t mod 2 in (-1, 1] from Python ints, each rounded once.
+        # N t, so the kernel vanishes exactly when N t is an integer.  For t = c / L the parity of n, N t - n and
+        # (N - 1) t mod 2 in (-1, 1] come from Python ints, each rounded once.
+        n = (2 * N * c + L) // (2 * L)  # the integer nearest N c / L
+        frac = ((N * c - n * L) / L).astype(float)
+        angle = math.pi * ((L - (L - (N - 1) * c) % (2 * L)) / L).astype(float)
+        # N sin(pi t), but pi N c / L where t is subnormal, as pi t would round to the subnormal grid there
+        scale, tiny = N * sin_t, np.abs(t) < np.finfo(float).tiny
+        scale[tiny] = math.pi * (N * c[tiny] / L).astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):  # z == 1 gives 0/0, then set to 1
-            n = np.round(N * t)
-            odd, frac, angle = n % 2, N * t - n, math.pi * (N - 1) * t
-            m = (2 * N * c + L) // (2 * L)  # the integer nearest N c / L
-            odd[self.exact] = m % 2
-            frac[self.exact] = (N * c - m * L) / L
-            angle[self.exact] = math.pi * ((L - (L - (N - 1) * c) % (2 * L)) / L)
-            ratio = np.where(odd, -1.0, 1.0) * np.sin(np.pi * frac) / (N * sin_t)
+            ratio = np.where(n % 2, -1.0, 1.0) * np.sin(np.pi * frac) / scale
             out = np.empty(t.shape, dtype=np.complex128)
             out.real, out.imag = np.cos(angle) * ratio, np.sin(angle) * ratio
             out[t == 0.0] = 1.0
         return out
 
 
+def _common(ratios) -> tuple[np.ndarray, int]:
+    """Numerators mod L over the common denominator L of the (numerator, denominator) pairs ``ratios``, with L."""
+    L = math.lcm(*(q for _, q in ratios))
+    return np.array([a * (L // q) % L for a, q in ratios], dtype=object), L
+
+
+def _sums(exact: np.ndarray, numerators: np.ndarray, L: int) -> PhaseSums:
+    """``PhaseSums`` of ``numerators`` over L, whose turns are each numerator / L correctly rounded (``_fold``)."""
+    return PhaseSums(_fold((numerators / L).astype(float)), exact, numerators, L)
+
+
 def _summands_of(phases) -> PhaseSums:
-    """``phases`` as arrays: their turns mod 1 (``_fold``), exact mask, and numerators mod L over the
-    common denominator L of the exact ones (0 when inexact), with L.  An exact phase's turns are its
-    numerator over L, correctly rounded."""
-    exact = np.array([ph.is_exact for ph in phases], dtype=bool)
-    turns = _fold(np.array([ph.turns for ph in phases], dtype=float))
-    denominator = math.lcm(*(ph.frac.denominator for ph in phases if ph.is_exact))
-    numerators = np.array([ph.frac.numerator * (denominator // ph.frac.denominator) % denominator
-                           if ph.is_exact else 0 for ph in phases], dtype=object)
-    turns[exact] = (numerators[exact] / denominator).astype(float)
-    return PhaseSums(turns, exact, numerators, denominator)
+    """``phases`` as arrays: each phase's fraction, or the dyadic rational its float turns hold, as a
+    numerator mod L over their common denominator L."""
+    ratios = [(ph.frac if ph.is_exact else ph.turns).as_integer_ratio() for ph in phases]
+    return _sums(np.array([ph.is_exact for ph in phases], dtype=bool), *_common(ratios))
 
 
 def _pairs_of(summands: PhaseSums) -> PhaseSums:
     """``PhaseSums`` of every pair of the phases ``summands`` holds, entry (b, c) the sum p_b + p_c."""
-    turns = _fold(summands.turns[:, None] + summands.turns)
-    exact = summands.exact[:, None] & summands.exact
-    numerators = (summands.numerators[:, None] + summands.numerators) % summands.denominator
-    turns[exact] = (numerators[exact] / summands.denominator).astype(float)
-    return PhaseSums(turns, exact, numerators, summands.denominator)
+    L = summands.denominator
+    return _sums(summands.exact[:, None] & summands.exact, (summands.numerators[:, None] + summands.numerators) % L, L)
 
 
 class Tolerances(ValueRecord):
@@ -231,7 +228,7 @@ class SpectralDecomposition(Record):
     """Eigenphases with mutually orthogonal eigenprojections summing to I.
 
     ``spectrum`` holds the phase of line b at index b, as arrays: float turns, the exact mask, and
-    Python-int numerators over the common denominator L of the exact phases (a ``PhaseSums`` of one
+    Python-int numerators over the common denominator L of every phase (a ``PhaseSums`` of one
     summand).  ``frame`` is an orthonormal eigenbasis with the columns of each line contiguous and
     in line order: column i lies in the eigenspace of line ``blocks[i]``, and line b's columns are
     its ``basis``.  Decompositions built by this module hold these arrays read-only.
@@ -459,8 +456,8 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     eigs = np.einsum("ij,ij->j", vecs.conj(), arr @ vecs)
     order, starts = _clusters(np.mod(np.angle(eigs) / (2.0 * math.pi), 1.0), tol.cluster)
     B = len(starts)
-    phases = PhaseSums(_turns(np.add.reduceat(eigs[order], starts)), np.zeros(B, dtype=bool),
-                       np.zeros(B, dtype=object), 1)
+    turns = _turns(np.add.reduceat(eigs[order], starts))  # each its own numerator over L, so not divided back
+    phases = PhaseSums(turns, np.zeros(B, dtype=bool), *_common([t.as_integer_ratio() for t in turns.tolist()]))
     labels = np.repeat(np.arange(B), np.diff(starts, append=len(order)))
     return _validate(_with_frame(phases, vecs[:, order], labels, source_res, tol), arr)
 

@@ -1,6 +1,7 @@
 """Shared test helpers: independent brute-force oracles and system builders."""
 
 import cmath
+import functools
 import importlib.util
 import itertools
 import math
@@ -57,24 +58,22 @@ def _class_blocks(partition, blocks):
     return out.values()
 
 
-def phase_sum(phases):
-    """The sum of ``phases`` folded left to right from exact 0, as (turns, frac).
+def exact_sum(phases):
+    """The sum of ``phases`` mod 1 as a ``Fraction``: an exact phase's ``frac``, a float phase's ``turns``
+    read as the dyadic rational it holds."""
+    return sum((Fraction(ph.turns if ph.frac is None else ph.frac) for ph in phases), Fraction(0)) % 1
 
-    While every summand so far is exact the sum is a ``Fraction`` mod 1 and turns its float; from
-    the first float summand on it is the float (a + b) % 1.0, with 1.0 read as 0.0, and frac None.
+
+def phase_sum(phases):
+    """The sum of ``phases`` as (turns, frac): turns is ``exact_sum`` rounded to a float, with 1.0 read as
+    0.0, and frac that sum when every summand is exact, else None.
+
     Only the ``turns`` and ``frac`` fields of each phase are read.
     """
-    turns, frac = 0.0, Fraction(0)
-    for ph in phases:
-        if frac is not None and ph.frac is not None:
-            frac = (frac + ph.frac) % 1
-            turns = float(frac)
-        else:
-            frac = None
-            turns = (turns + ph.turns) % 1.0
-            if turns == 1.0:
-                turns = 0.0
-    return turns, frac
+    phases = list(phases)
+    total = exact_sum(phases)
+    turns = float(total)
+    return (0.0 if turns == 1.0 else turns), (total if all(ph.frac is not None for ph in phases) else None)
 
 
 def phase_value(turns, frac):
@@ -123,32 +122,22 @@ def exact_kernel(frac, N):
     return (1 - z_n) / (N * (1 - z))
 
 
-def scalar_kernel(turns, frac, N):
-    """Cesaro kernel of one phase (turns, frac): the reference for the array kernel.
+def scalar_kernel(total, N):
+    """Cesaro kernel of the phase ``total``, a ``Fraction`` such as an ``exact_sum``, by ``exact_kernel`` in
+    50-digit mpmath: the reference for the array kernel, float or exact."""
+    import mpmath
 
-    Exact phases take ``exact_kernel`` in 50-digit mpmath; float phases take the Dirichlet form with
-    t in [-1/2, 1/2).
-    """
-    if frac is not None:
-        import mpmath
-
-        with mpmath.workdps(50):
-            return complex(exact_kernel(frac, N))
-    t = turns if turns < 0.5 else turns - 1.0
-    if t == 0.0:
-        return 1.0 + 0.0j
-    n = round(N * t)
-    ratio = (-1) ** (n % 2) * math.sin(math.pi * (N * t - n)) / (N * math.sin(math.pi * t))
-    return cmath.exp(1j * math.pi * (N - 1) * t) * ratio
+    with mpmath.workdps(50):
+        return complex(exact_kernel(total, N))
 
 
 def phase_sum_loop(phases, size):
-    """Every sum of ``size`` phases as (turns, frac), by ``phase_sum``.
+    """Every sum of ``size`` phases as (turns, frac, total): ``phase_sum`` and ``exact_sum``.
 
     Returns the flat list of sums in index-tuple order, as a table of shape
     (len(phases),) * size would hold them.
     """
-    return [phase_sum(combo) for combo in itertools.product(phases, repeat=size)]
+    return [(*phase_sum(combo), exact_sum(combo)) for combo in itertools.product(phases, repeat=size)]
 
 
 def resonant_partners_loop(phases, tol):
@@ -179,11 +168,18 @@ def spectral_gap_loop(phases, partners):
 
 
 def tuple_bound_oracle(dec, partition, ops, N, tol=1e-8):
-    """Per-tuple certified bound: sum of |prod K - prod R| * ||chain||_2 (SVD)."""
+    """Per-tuple certified bound: sum of |prod K - prod R| * ||chain||_2 (SVD), K the kernel of each class's
+    ``exact_sum``."""
+
+    @functools.cache
+    def kernel_of(blocks):  # tuples repeat a class's blocks, so each kernel is formed once
+        return scalar_kernel(exact_sum(dec.phases[b] for b in blocks), N)
+
     total = 0.0
     for blocks, chain in block_tuple_chains(dec, partition, ops):
-        sums = [_phase_sum(dec, cls) for cls in _class_blocks(partition, blocks)]
-        weight = abs(np.prod([scalar_kernel(*s, N) for s in sums]) - float(all(resonates(*s, tol) for s in sums)))
+        classes = [tuple(cls) for cls in _class_blocks(partition, blocks)]
+        kernels = [kernel_of(cls) for cls in classes]
+        weight = abs(np.prod(kernels) - float(all(resonates(*_phase_sum(dec, cls), tol) for cls in classes)))
         total += weight * np.linalg.svd(chain, compute_uv=False)[0]
     return total
 

@@ -307,16 +307,28 @@ class TestExitCodes:
         assert run_cli([command, "--scenario", nested, "--engine", "spectral"]) == 0
         assert run_cli(["limit", "--scenario", nested]) == 0
 
-    def test_a_horizon_whose_kernel_table_is_not_finite_is_refused_by_name(self, tmp_path, capsys):
-        # From N ~ 5.7e307, pi (N - 1) overflows and a float phase's kernel is NaN; the table is refused
-        # before any contraction, so no header, row or limit line is printed.
+    def test_a_float_phase_horizon_near_the_largest_float_runs(self, tmp_path, capsys):
+        # Every kernel reduces (N - 1) t mod 2 in integers, so a float phase's kernel stays finite at N = 10^308.
         haar = {"unitary": {"kind": "random", "dim": 3, "seed": 1}, "partition": [1, 1],
                 "operators": [{"kind": "random"}], "Ns": [10**308], "seed": 1}
         state = dict(diagonal_matrix_scenario([0.0, 0.1234, 0.377]), partition=[1, 1], Ns=[10**308],
                      operators=[{"kind": "random"}] * 3, state={"kind": "vector", "omega": [1, 0, 0]})
         for command, data in (("converge", haar), ("mean", haar), ("correlate", state)):
-            assert run_cli([command, "--scenario", write_scenario(tmp_path, data)]) == 1, command
-            assert capsys.readouterr() == ("", "error: the kernel table at horizon N=1.000000e+308 is not finite\n")
+            assert run_cli([command, "--scenario", write_scenario(tmp_path, data)]) == 0, command
+            out, err = capsys.readouterr()
+            assert err == "" and "nan" not in out.lower(), command
+
+    def test_phases_closer_than_the_cluster_tolerance_are_a_malformed_unitary(self, tmp_path, capsys):
+        # Distinct exact phases are separate lines, so decompose's validation refuses a pair 1e-9 turns apart.
+        data = {"unitary": {"kind": "diagonal-rational", "phases": ["0", "1/1000000000", "1/2"]}}
+        assert run_cli(["decompose", "--scenario", write_scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr() == ("", "scenario error: malformed scenario: unitary spec rejected: "
+                                           "decomposition has phases closer than the cluster tolerance\n")
+
+    def test_converge_without_horizons_is_a_malformed_scenario(self, tmp_path, capsys):
+        data = {key: value for key, value in ENGINE_SCENARIO.items() if key != "Ns"}
+        assert run_cli(["converge", "--scenario", write_scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr() == ("", "scenario error: the 'converge' command needs a nonempty 'Ns' list\n")
 
     def test_command_needing_partition_fails_cleanly(self, tmp_path, capsys):
         data = {"unitary": {"kind": "diagonal-rational", "phases": ["0/1"]}}
@@ -401,6 +413,29 @@ class TestCommands:
         assert run_cli(["limit", "--scenario", path]) == 0
         out = capsys.readouterr().out
         assert "operator norm" in out
+
+    def test_limit_suppresses_a_matrix_above_dimension_8(self, tmp_path, capsys):
+        data = dict(ENGINE_SCENARIO, unitary=dict(ENGINE_SCENARIO["unitary"], dim=9))
+        assert run_cli(["limit", "--scenario", write_scenario(tmp_path, data)]) == 0
+        assert "  (9x9 matrix suppressed)\n" in capsys.readouterr().out
+
+    def test_the_seed_option_overrides_the_scenario_seed(self, tmp_path, capsys):
+        # The unitary and the operators draw from the scenario seed when their specs name none.
+        random = {"unitary": {"kind": "random", "dim": 3}, "partition": [1, 2, 2, 1],
+                  "operators": [{"kind": "random"}] * 3, "Ns": [10, 100], "seed": 12}
+        reports = []
+        for data, extra in ((random, ["--seed", "5"]), (dict(random, seed=5), []), (random, [])):
+            out = tmp_path / f"report{len(reports)}.csv"
+            assert run_cli(["converge", "--scenario", write_scenario(tmp_path, data), "--out", str(out), *extra]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] != reports[2]
+        # demo-appendix's operators draw from its built-in seed, 21.
+        demos = []
+        for extra in (["--seed", "21"], [], ["--seed", "5"]):
+            out = tmp_path / f"demo{len(demos)}.csv"
+            assert run_cli(["demo-appendix", "--out", str(out), *extra]) == 0
+            demos.append(out.read_bytes())
+        assert demos[0] == demos[1] != demos[2]
 
     def test_converge_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"

@@ -373,10 +373,11 @@ class TestCorrelationDeviations:
 
     @pytest.mark.parametrize("labels", ["1,2,1,2", "1,2,2,1"])
     def test_the_bound_is_the_distance_up_to_rounding_on_real_orthogonal_dynamics(self, labels):
-        # The excess is X's rounding radius times ||A_0|| ||A_m||, about 8e-13 here: at a float resonance the
-        # radius's magnitude contraction holds |K| ~ 1.  That is 2.3e-6 of the distance at N = 10^4.
+        # The excess is X's rounding radius times ||A_0|| ||A_m||: at a resonance whose sum is not exactly 0,
+        # which every conjugate pair of float phases here is, the radius's magnitude contraction holds |K| ~ 1.
+        # That is up to 1.1e-6 of the distance at N = 10^3 and 4.9e-6 at N = 10^4.
         system, spec = _real_orthogonal_correlation(labels)
-        Ns, slack = [100, 1000, 10**4], [1e-6, 1e-6, 1e-5]
+        Ns, slack = [100, 1000, 10**4], [1e-6, 2e-6, 1e-5]
         for (deviation, bound), allowed in zip(correlation_deviations(system, spec, Ns), slack):
             assert abs(deviation) <= bound <= abs(deviation) * (1 + allowed)
 

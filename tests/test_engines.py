@@ -59,6 +59,7 @@ from conftest import (
     contract_per_block,
     crossing_by_quadruple_scan,
     exact_kernel,
+    exact_sum,
     phase_sum,
     phase_sum_loop,
     phase_value,
@@ -198,17 +199,15 @@ class TestPhaseSumTables:
         loop = phase_sum_loop(phases, size)
         sums = _summands_of(phases) if size == 1 else pair_sums(phases)
         assert sums.turns.shape == (len(phases),) * size
-        assert sums.turns.ravel().tolist() == [turns for turns, _ in loop]
-        assert sums.exact.ravel().tolist() == [frac is not None for _, frac in loop]
-        for num, (_, frac) in zip(sums.numerators.ravel(), loop):
-            if frac is not None:
-                assert Fraction(num, sums.denominator) == frac
+        assert sums.turns.ravel().tolist() == [turns for turns, _, _ in loop]
+        assert sums.exact.ravel().tolist() == [frac is not None for _, frac, _ in loop]
+        assert [Fraction(num, sums.denominator) for num in sums.numerators.ravel()] == [total for *_, total in loop]
 
-        eps = np.finfo(float).eps
-        for value, s in zip(sums.kernels(n).ravel(), loop):
-            ref = scalar_kernel(*s, n)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for value, (*_, total) in zip(sums.kernels(n).ravel(), loop):
+            ref = scalar_kernel(total, n)
             assert (value == 0) == (ref == 0)  # exact zeros stay exact
-            assert abs(value - ref) <= 4 * eps * abs(ref)
+            assert abs(value - ref) <= 4 * eps * max(abs(ref), tiny)  # absolute where the kernel is subnormal
 
         # The engines' tables: one pair class, on the decomposition's recorded pair sums.
         dec = _lines_only(phases, tol)
@@ -220,7 +219,7 @@ class TestPhaseSumTables:
             assert _outcome(limit_operator, dec, P11, [np.eye(len(phases))]) == (outcome, partners)
         else:
             resonance = dec._resonance.table
-            assert resonance.ravel().tolist() == [float(resonates(*s, tol)) for s in pair_loop]
+            assert resonance.ravel().tolist() == [float(resonates(turns, frac, tol)) for turns, frac, _ in pair_loop]
             assert spectral_gap(dec) == spectral_gap_loop(phases, partners)
 
     @settings(max_examples=200, deadline=None)
@@ -250,16 +249,21 @@ class TestPhaseSumTables:
     def test_exact_kernels_hold_up_to_the_largest_horizon(self, n):
         # Against ``exact_kernel`` in 80-digit mpmath: relative to the kernel where it is a normal double,
         # absolute in the subnormal range, and exactly 0 at periodic zeros.
+        # Float phases too, at the odd horizon n - 1: a float turn is a / 2^e, so at an even n every float sum
+        # would be a periodic zero.
         mpmath = pytest.importorskip("mpmath")
-        phases = [Phase.rational(p, q) for p, q in [(1, 3), (2, 3), (1, 7), (1, 1000000007), (1, 4), (1, 2)]]
-        sums = pair_sums(phases)
-        cases = [(kernel(ph, n), ph.frac) for ph in phases]
-        cases += [(value, Fraction(num, sums.denominator)) for value, num in
-                  zip(sums.kernels(n).ravel().tolist(), sums.numerators.ravel().tolist())]
+        exact = [Phase.rational(p, q) for p, q in [(1, 3), (2, 3), (1, 7), (1, 1000000007), (1, 4), (1, 2)]]
+        floats = [Phase.from_turns(t) for t in (0.3, 0.45, 0.7 + 3e-11, 2.0**-40, 1 / 3)]
+        cases = []
+        for phases, horizon in ((exact, n), (floats, n - 1)):
+            sums = pair_sums(phases)
+            cases += [(kernel(ph, horizon), exact_sum([ph]), horizon) for ph in phases]
+            cases += [(value, Fraction(num, sums.denominator), horizon) for value, num in
+                      zip(sums.kernels(horizon).ravel().tolist(), sums.numerators.ravel().tolist())]
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         with mpmath.workdps(80):
-            for value, frac in cases:
-                ref = exact_kernel(frac, n)
+            for value, frac, horizon in cases:
+                ref = exact_kernel(frac, horizon)
                 if ref == 0:
                     assert value == 0, frac
                 elif abs(ref) >= tiny:
@@ -267,14 +271,31 @@ class TestPhaseSumTables:
                 else:
                     assert abs(mpmath.mpc(value) - ref) <= 16 * 2.0**-1074, frac
 
-    def test_a_table_that_is_not_finite_is_refused_with_its_horizon(self):
-        # pi (N - 1) overflows from N ~ 5.7e307, so a float sum's kernel is NaN there.
+    @pytest.mark.filterwarnings("error")
+    def test_a_float_table_is_finite_up_to_the_largest_horizon(self):
+        # (N - 1) t is reduced mod 2 in integers, so the phase factor pi (N - 1) t cannot overflow.
         sums = pair_sums([Phase.from_turns(0.3), Phase.from_turns(0.45)])
-        assert np.isfinite(sums.kernels(10**307)).all()
-        with pytest.raises(ValueError, match=r"^the kernel table at horizon N=1\.000000e\+308 is not finite$"):
-            sums.kernels(10**308)
-        with pytest.raises(ValueError, match="not finite"):
-            kernel(Phase.from_turns(0.3), 10**308)
+        for n in (10**307, 10**308 + 1, int(sys.float_info.max)):
+            assert np.isfinite(sums.kernels(n)).all()
+            assert np.isfinite(kernel(Phase.from_turns(0.3), n))
+
+    @pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**12, 10**15], ids=lambda n: f"1e{len(str(n)) - 1}")
+    def test_float_kernels_are_those_of_the_exact_sums(self, n):
+        # Against ``exact_kernel`` of the exact sum of the two float turns, not of fl(t_b + t_c), in 80-digit
+        # mpmath: within 4 eps relative at every horizon.
+        mpmath = pytest.importorskip("mpmath")
+        phases = [Phase.from_turns(t) for t in np.random.default_rng(3).random(40).tolist()]
+        sums = pair_sums(phases)
+        table = sums.kernels(n)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(80):
+            for ph in phases:
+                ref = exact_kernel(exact_sum([ph]), n)
+                assert abs(mpmath.mpc(kernel(ph, n)) - ref) <= 4 * eps * abs(ref), ph
+            for b in range(0, 40, 3):
+                for c in range(40):
+                    ref = exact_kernel(exact_sum([phases[b], phases[c]]), n)
+                    assert abs(mpmath.mpc(complex(table[b, c])) - ref) <= 4 * eps * abs(ref), (b, c)
 
 
 class TestMeanErgodic:
@@ -736,6 +757,27 @@ class TestErrorBound:
                                            for c, t in enumerate(row)] for b, row in enumerate(sums)])
                     error = max(mpmath.svd_c(diff, compute_uv=False))
                 assert error_bound(dec, P11, [a], n) >= error, (seed, n)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_certifies_the_true_error_of_the_representation_at_large_horizons(self, seed):
+        # The true M_N - L of V = W diag(z) W*, z at the float turns taken exactly, is W (C o W* A W) W* with
+        # C the kernel of each exact pair sum minus R, in 120-digit mpmath.  From N ~ 10^6 the kernels of the
+        # rounded sums fl(t_b + t_c) differ from C by more than the bound's rounding allowance.
+        mpmath = pytest.importorskip("mpmath")
+        _, dec = random_system(seed, 3, "haar")
+        a = random_ops(np.random.default_rng(seed), 1, 3)[0]
+        lines, resonance = dec.blocks.tolist(), dec._resonance.table
+        Ns = [10**6, 10**9, 10**12]
+        with mpmath.workdps(120):
+            w = mpmath.matrix(dec.frame.tolist())
+            slot = w.H * mpmath.matrix(a.tolist()) * w
+            for n, bound in zip(Ns, error_bounds(dec, P11, [a], Ns)):
+                weights = {(b, c): exact_kernel(exact_sum([dec.phases[b], dec.phases[c]]), n) - resonance[b, c]
+                           for b in set(lines) for c in set(lines)}
+                x = mpmath.matrix([[weights[b, c] * slot[i, j] for j, c in enumerate(lines)]
+                                   for i, b in enumerate(lines)])
+                error = max(mpmath.svd_c(w * x * w.H, compute_uv=False))
+                assert bound >= error, (n, bound, error)
 
     def test_decays_like_one_over_n(self):
         rng = np.random.default_rng(0)
