@@ -46,12 +46,12 @@ network on slot numbers: S_j on the column indices of slots j and j+1, each
 class table on the indices of its slots.  It orders the network once,
 whatever the cap, by numpy's greedy pair rule, and each pairwise step is one
 transpose and reshape per operand and one matrix product.  ``_direct_plan``
-gives ``cesaro_direct``'s steps per partition (operator, factor, einsum
-subscripts) and the most index axes held at once.  Module constants, read
-at every call, cap the entries of the largest planned tensor: any step's
-operand or result for the mean, the limits and the bound
-(``SPECTRAL_ENTRY_BUDGET``), N^h d^2 for h index axes held by ``cesaro_direct``
-(``_SWEEP_ENTRY_BUDGET``).
+gives ``cesaro_direct``'s steps per partition (operator, factor, and the open
+axis a closing class sums out), each one matrix product, and the index axes of
+the arrays each step holds.  Module constants, read at every call, cap the
+entries of the largest planned tensor: any step's operand or result for the
+mean, the limits and the bound (``SPECTRAL_ENTRY_BUDGET``), N^h d^2 for h index
+axes held by ``cesaro_direct`` (``_SWEEP_ENTRY_BUDGET``).
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ __all__ = [
 
 SPECTRAL_ENTRY_BUDGET = 10**7  # the spectral engines' memory cap: entries in the largest planned tensor
 _SWEEP_ENTRY_BUDGET = 1 << 24  # the direct engine's memory cap: complex entries it holds at once
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's index names
 
 
 class BudgetError(ValueError):
@@ -200,62 +199,56 @@ def _power_sum(left: np.ndarray, mid: np.ndarray, right: np.ndarray, N: int) -> 
 
 
 class _DirectStep(NamedTuple):
-    """One step of ``cesaro_direct``'s sweep: multiply the tensor by ``ops[op]``, then take in the factor.
+    """One step of ``cesaro_direct``'s sweep, one matrix product of the tensor, ``ops[op]`` and the factor: a
+    pair on adjacent slots, ``_power_sum``'s sum_n U^n ops[op + 1] U^n ("pair"), or the power table, where a
+    class opens an axis after the open ones ("opens") or sums out the ``axis``-th open one ("closes")."""
 
-    The factor is the power table (one index axis of size N), where a class opens its axis ("opens") or
-    sums it out ("closes"), or a pair on adjacent slots, ``_power_sum``'s sum_n U^n ops[op + 1] U^n
-    ("pair").  The first step (op = -1) starts from its factor.
-    """
-
-    op: int
+    op: int  # -1 at the first step, which starts from its factor
     factor: str
-    subscripts: str  # the einsum of (tensor, factor)
+    axis: int | None
 
 
 @lru_cache(maxsize=64)
 def _direct_plan(p: Partition) -> tuple[tuple[_DirectStep, ...], tuple[tuple[int, ...], ...]]:
-    """``cesaro_direct``'s steps, and the index axes of the arrays its sweep holds at once, one tuple
-    per point where its holdings peak.
+    """``cesaro_direct``'s steps, and the index axes of the arrays each step holds at once.
 
-    Each class opens an axis of size N at its first slot and is summed out at its last; a pair on
-    adjacent slots (both slots in one step) opens none, its d x d factor summed by the doubling loop.
-    Each class that opens an axis names it by its own letter, x, y and z naming the matrix axes.  The
-    power table (one axis) is built and held throughout only when some class opens an axis.  The
-    first step holds its factor; a step after the first holds its input tensor (unless that is the
-    power table itself), then adds that tensor times the operator and the einsum output.  The few
-    d x d arrays of the doubling loop are not counted.
+    Each class opens an axis of size N at its first slot and sums it out at its last; a pair on adjacent
+    slots (one step) opens none, its d x d factor summed by the doubling loop, whose few d x d arrays are
+    not counted.  The power table (one axis) is held throughout when some class opens an axis.  The first
+    step holds its factor, a later one its input tensor (unless that is the power table itself), its
+    output and between them the tensor times the operator (a pair), or the operator times the power table
+    and, where a class closes, the product before the axis is summed.  ``ValueError`` when an array needs
+    more axes than numpy allows.
     """
     pairs = p.class_pairs
-    opened = [lab for lab, (first, last) in enumerate(pairs, start=1) if last > first + 1]
-    if len(opened) > 49:
-        raise ValueError(f"direct engine: a partition on {p.m} slots needs {len(opened)} index axes, more than 49")
-    letter = dict(zip(opened, (c for c in _LETTERS if c not in "xyz")))
-    table = (1,) if opened else ()  # the power table's axis
-    axes: dict[int, str] = {}  # the letter of each open class's axis, in axis order
-    tensor = None  # the axes of the tensor a step starts from; () when it is the power table itself
-    steps = []
-    loads = []
+    table = (1,) if any(last > first + 1 for first, last in pairs) else ()  # the power table's axis
+    axes: list[int] = []  # the open classes, in axis order
+    steps, loads, tensor = [], [], None  # tensor: the axes of a step's input, () when it is the power table
     pos = 1
     while pos <= p.m:
         lab = p.labels[pos - 1]
-        base, ell = "".join(axes.values()), ""
-        if lab in letter:
-            factor, ell = ("closes" if pos == pairs[lab - 1][1] else "opens"), letter[lab]
-            if factor == "closes":
-                del axes[lab]
-            else:
-                axes[lab] = ell
+        first, last = pairs[lab - 1]
+        if last == first + 1:
+            step, between = _DirectStep(pos - 2, "pair", None), (len(axes),)
+        elif pos == last:
+            step, between = _DirectStep(pos - 2, "closes", axes.index(lab)), (1, len(axes))
+            axes.remove(lab)
         else:
-            factor = "pair"
-        out = "".join(axes.values())
+            step, between = _DirectStep(pos - 2, "opens", None), (1,)
+            axes.append(lab)
         if tensor is None:  # the first step's output is its factor: the power table, or a pair's d x d sum
-            tensor = () if factor == "opens" else (0,)
+            tensor = () if step.factor == "opens" else (0,)
             loads.append((*table, *tensor))
-        else:  # the tensor, the tensor times the operator and the einsum output
-            loads.append((*table, *tensor, len(base), len(out)))
-            tensor = (len(out),)
-        steps.append(_DirectStep(pos - 2, factor, f"{base}xy,{ell}yz->{out}xz"))
-        pos += 2 if factor == "pair" else 1
+        else:
+            loads.append((*table, *tensor, *between, len(axes)))
+            tensor = (len(axes),)
+        steps.append(step)
+        pos += 2 if step.factor == "pair" else 1
+    try:  # numpy's own limit on an array's axes, the matrix's two included: 32 before numpy 2.0, 64 since
+        np.empty((0,) * (2 + max(map(max, loads))))
+    except ValueError as exc:
+        raise ValueError(f"direct engine: a partition on {p.m} slots needs more array axes than numpy allows: "
+                         f"{exc}") from None
     return tuple(steps), tuple(loads)
 
 
@@ -284,11 +277,11 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     axis of size N at its first slot and is summed out at its last slot.  A
     pair on adjacent slots opens none: the doubling loop ``_power_sum`` sums its
     sum_n U^n A U^n into one d x d factor from U alone.  The contraction path is
-    fixed per partition (``_direct_plan``), so results are reproducible bit for
-    bit.  The power table is built only when some class opens an axis.
-    ``_SWEEP_ENTRY_BUDGET`` caps the entries of the arrays the sweep holds at
-    once: the power table, and at each step the tensor, its product with the
-    operator and the einsum output, each N^h d^2 for h index axes (``_direct_entries``).
+    fixed per partition (``_direct_plan``), and each step is one matrix product,
+    broadcast over the open axes, so results are reproducible bit for bit.  The
+    power table is built only when some class opens an axis.
+    ``_SWEEP_ENTRY_BUDGET`` caps the entries of the arrays a step holds at once,
+    each N^h d^2 for h index axes (``_direct_entries``).
     """
     start = time.perf_counter()
     arr = as_operator(u, name="unitary")
@@ -303,12 +296,15 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
         powers[0] = np.eye(d)
         for n in range(1, N):
             powers[n] = powers[n - 1] @ arr
-    tensor = None
-    for step in steps:  # each class's sum is divided by N where it is formed
-        factor = _power_sum(arr, ops[step.op + 1], arr, N) / N if step.factor == "pair" else powers
-        tensor = factor if tensor is None else np.einsum(step.subscripts, tensor @ ops[step.op], factor)
-        if step.factor == "closes":
-            tensor /= N
+    first, *rest = steps
+    tensor = powers if first.factor == "opens" else _power_sum(arr, ops[0], arr, N) / N
+    for step in rest:  # each class is divided by N where it is summed: a pair in its factor, a class by its mean
+        if step.factor == "pair":
+            tensor = tensor @ ops[step.op] @ (_power_sum(arr, ops[step.op + 1], arr, N) / N)
+        elif step.factor == "opens":
+            tensor = tensor[..., None, :, :] @ (ops[step.op] @ powers)
+        else:
+            tensor = (np.moveaxis(tensor, step.axis, -3) @ (ops[step.op] @ powers)).mean(axis=-3)
     return CesaroResult(tensor, "direct", N, time.perf_counter() - start)
 
 

@@ -64,6 +64,8 @@ class Phase(ValueRecord):
     _fields = ("turns", "frac")
 
     def __init__(self, turns: float, frac: Fraction | None = None):
+        if not math.isfinite(turns):  # NaN or infinite: no point on the circle
+            raise ValueError(f"a phase's turns must be finite, got {turns!r}")
         self.__dict__.update(turns=turns, frac=frac)
 
     def _values(self) -> tuple:
@@ -82,7 +84,7 @@ class Phase(ValueRecord):
 
     @classmethod
     def from_turns(cls, t: float) -> "Phase":
-        return cls(float(_fold(float(t))), None)
+        return cls(float(_fold(cls(float(t)).turns)), None)  # the inner Phase refuses a turn that is not finite
 
     @property
     def is_exact(self) -> bool:

@@ -273,6 +273,16 @@ def pairwise_residuals(dec, source=None):
     return out
 
 
+def numpy_max_dims() -> int:
+    """The most axes this numpy allows an array, read from the arrays it makes: 32 before numpy 2.0, 64 since."""
+    for n in range(1, 1024):
+        try:
+            np.empty((0,) * (n + 1))
+        except ValueError:
+            return n
+    raise AssertionError("numpy made an array of 1024 axes")
+
+
 def crossing_by_quadruple_scan(partition: Partition) -> bool:
     """O(m^4) definition of a crossing: a<b<c<d with a~c and b~d in other classes."""
     labels = partition.labels

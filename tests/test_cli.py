@@ -17,7 +17,7 @@ from entcesaro.engines import ConvergenceReport, ReportRow, convergence_report
 from entcesaro.partitions import enumerate_pair_partitions, render_partition
 from entcesaro.scenario import load_scenario
 
-from conftest import crossing_by_quadruple_scan
+from conftest import crossing_by_quadruple_scan, numpy_max_dims
 
 # The tree that holds the entcesaro these tests import (the checkout's src/, another tree on
 # PYTHONPATH, or site-packages), put first on PYTHONPATH so that subprocesses test the same package.
@@ -153,6 +153,18 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "direct vs spectral at N=1" in out and "11/11 checks passed" in out and "Traceback" not in err
         assert run_cli(["mean", "--engine", "direct", "--N", "1", "--scenario", path]) == 0
+
+    def test_a_direct_mean_with_more_axes_than_numpy_allows_is_one_error_line(self, tmp_path):
+        # limit - 1 classes open at once, and the matrix's two axes: one more than numpy allows an array.
+        limit = numpy_max_dims()
+        path = write_scenario(tmp_path, {"unitary": {"kind": "diagonal-rational", "phases": ["0", "1/2"]},
+                                         "partition": [*range(1, limit)] * 2,
+                                         "operators": [{"kind": "identity"}] * (2 * limit - 3)})
+        result = run_module(["mean", "--engine", "direct", "--N", "1", "--scenario", path])
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: direct engine: a partition on {2 * limit - 2} slots needs more "
+                                        "array axes than numpy allows: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
     def test_a_direct_mean_whose_n_to_the_k_overflows(self, tmp_path, capsys):
         # N^2 = 10^400 is past the float range, but each class's mean is finite: identity dynamics give the

@@ -60,6 +60,7 @@ from conftest import (
     crossing_by_quadruple_scan,
     exact_kernel,
     exact_sum,
+    numpy_max_dims,
     phase_sum,
     phase_sum_loop,
     phase_value,
@@ -388,8 +389,8 @@ class TestCesaroDirect:
         np.testing.assert_allclose(cesaro_direct(u, P1221, ops, 40).matrix, brute_force_mean(u, P1221, ops, 40),
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("labels,n", [("1,2,1,2", 300), ("1,2,2,1", 300), ("1,2,1,3,2,3", 60), ("1,1", 300),
-                                          ("1,1,2,2,3,3", 300)])
+    @pytest.mark.parametrize("labels,n", [("1,2,1,2", 300), ("1,2,2,1", 300), ("1,2,1,3,2,3", 60),
+                                          ("1,2,3,1,2,3", 40), ("1,1", 300), ("1,1,2,2,3,3", 300)])
     def test_peak_memory_is_within_the_planned_entries(self, rng, labels, n):
         # The plan counts every array the sweep holds at once, 16 bytes per complex entry.
         p = parse_partition(labels)
@@ -405,9 +406,9 @@ class TestCesaroDirect:
 
     def test_plan_counts_the_power_table_once(self):
         # After slot 1 opens class 1, the tensor is the power table itself.  At the peak, the last
-        # step, the sweep holds the power table, the tensor, its product with the operator and the
-        # d x d result.
-        assert engines._direct_entries(P1221, 300, 4) == (3 * 300 + 1) * 16
+        # step, the sweep holds the power table, the tensor, the operator times the power table, their
+        # product before class 1 is summed, and the d x d result.
+        assert engines._direct_entries(P1221, 300, 4) == (4 * 300 + 1) * 16
 
     def test_an_adjacent_pair_holds_no_n_sized_products(self):
         # The doubling loop sums a pair's factor from U alone, and no power table is built: 1,1 holds its
@@ -423,18 +424,34 @@ class TestCesaroDirect:
         np.testing.assert_allclose(mean, 1e-30 * np.eye(2), rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_twenty_four_classes_open_at_once(self):
-        # 1..24,1..24 holds 24 index axes at once: each class names its axis by its own letter.
+        # 1..24,1..24 holds 24 index axes at once, each array 26 axes: within numpy 1.x's 32.
         p = parse_partition(",".join(map(str, [*range(1, 25)] * 2)))
         u = np.diag([1.0, -1.0]).astype(complex)
         mean = cesaro_direct(u, p, [np.eye(2)] * 47, 1).matrix
         np.testing.assert_array_equal(mean, np.eye(2))
         assert engines._direct_horizon(p, 5, 2) == 1
 
-    def test_a_partition_with_more_class_axes_than_letters_is_refused(self):
+    @pytest.mark.skipif(numpy_max_dims() < 52, reason="this numpy allows fewer than 52 array axes")
+    def test_fifty_classes_open_at_once(self):
+        # 50 index axes at once and the matrix's two: only numpy's own limit on an array's axes caps them.
         p = parse_partition(",".join(map(str, [*range(1, 51)] * 2)))
-        message = "^direct engine: a partition on 100 slots needs 50 index axes, more than 49$"
+        u = np.diag([1.0, -1.0]).astype(complex)
+        mean = cesaro_direct(u, p, [np.eye(2)] * 99, 1).matrix
+        np.testing.assert_array_equal(mean, np.eye(2))
+
+    def test_a_partition_with_more_axes_than_numpy_allows_is_refused(self):
+        # With the matrix's two axes, limit - 2 open classes fill numpy's limit and run; one more is refused.
+        limit = numpy_max_dims()
+        u = np.diag([1.0, -1.0]).astype(complex)
+        p = parse_partition(",".join(map(str, [*range(1, limit - 1)] * 2)))
+        np.testing.assert_array_equal(cesaro_direct(u, p, [np.eye(2)] * (p.m - 1), 1).matrix, np.eye(2))
+        p = parse_partition(",".join(map(str, [*range(1, limit)] * 2)))
+        message = (f"^direct engine: a partition on {p.m} slots needs more array axes than numpy allows: "
+                   f".*{limit + 1}$")
         with pytest.raises(ValueError, match=message):
-            cesaro_direct(np.eye(2, dtype=complex), p, [np.eye(2)] * 99, 1)
+            cesaro_direct(u, p, [np.eye(2)] * (p.m - 1), 1)
+        with pytest.raises(ValueError, match=message):
+            engines._direct_horizon(p, 5, 2)
 
     def test_memory_budget_counts_the_axes_held(self, rng):
         # N = 2100, d = 4: N d^2 entries fit the sweep budget, N^2 d^2 do not.
@@ -459,7 +476,8 @@ class TestCesaroDirect:
 
     def test_over_budget_message_names_the_planned_entries(self, rng):
         u = haar_unitary(rng, 4)
-        # At slot 3: the power table, the N^2 d^2 tensor and its product with the operator, the N d^2 output.
+        # At slot 3: the power table, the N^2 d^2 tensor, the operator times the power table, their N^2 d^2
+        # product and the N d^2 output.
         with pytest.raises(BudgetError, match="planned peak of 1.412e[+]08 entries exceeds the memory budget"):
             cesaro_direct(u, P1212, random_ops(rng, 3, 4), 2100)
         # A count beyond the float range is reported, not overflowed.
@@ -1493,7 +1511,7 @@ class TestMemoryCaps:
         with pytest.raises(BudgetError) as spectral:
             limit_operator(system.dec, P1212, spec.ops[1:-1])
         assert str(spectral.value) == "spectral engine: planned peak of 2.160e+02 entries exceeds the memory budget 215"
-        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", 2159)  # the sweep's peak at N = 5 is 2160
+        monkeypatch.setattr(engines, "_SWEEP_ENTRY_BUDGET", 2339)  # the sweep's peak at N = 5 is 2340
         with pytest.raises(BudgetError) as direct:
             cesaro_direct(system.unitary, P1212, spec.ops[1:-1], 5)
-        assert str(direct.value) == "direct engine: planned peak of 2.160e+03 entries exceeds the memory budget 2159"
+        assert str(direct.value) == "direct engine: planned peak of 2.340e+03 entries exceeds the memory budget 2339"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ class TestPhase:
         assert str(Phase.rational(2, 4)) == "1/2"
         assert str(Phase.from_turns(0.25)) == "0.25"
         assert f"{Phase.rational(1, 3):>6}|{Phase.from_turns(0.5):<5}|" == "   1/3|0.5  |"
+
+    @pytest.mark.parametrize("turn", [math.inf, -math.inf, math.nan])
+    def test_a_turn_that_is_not_finite_is_one_value_error_naming_it(self, turn):
+        # Refused where the phase is made, with no numpy warning first, so neither the kernels' integer ratios
+        # (OverflowError on an infinite turn) nor a decomposition ever meets it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (Phase, Phase.from_turns):
+                with pytest.raises(ValueError, match=f"^a phase's turns must be finite, got {turn!r}$"):
+                    make(turn)
 
     def test_equal_phases_merge_into_one_line(self):
         # from_eigensystem groups its phases by equality and hash, whichever constructor made them.
