@@ -23,12 +23,12 @@ class Record:
 
 
 class ValueRecord(Record):
-    """A record equal to another of its own class with an equal field tuple, and hashed by it.
-
-    A subclass defines ``_values()``, its field tuple.
-    """
+    """A record equal to another of its own class with an equal field tuple, and hashed by it."""
 
     __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented

@@ -66,9 +66,6 @@ class Partition(ValueRecord):
                 raise ValueError(f"class {lab} has {len(ps)} elements, pair partition required")
         self.__dict__.update(labels=labels, class_pairs=tuple(map(tuple, positions)))
 
-    def _values(self) -> tuple:
-        return (self.labels,)
-
     @property
     def m(self) -> int:
         return len(self.labels)

@@ -189,7 +189,7 @@ def _parse_phase(text) -> Phase:
     from fractions import Fraction
 
     try:
-        return Phase.from_fraction(Fraction(str(text)))
+        return Phase(Fraction(str(text)))
     except (ValueError, ZeroDivisionError):
         raise _fail(f"bad phase {text!r}, expected a fraction like '1/3'") from None
 

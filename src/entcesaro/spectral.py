@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,34 +58,29 @@ def _fold(turns):
 class Phase(ValueRecord):
     """A point on the unit circle, stored as an angle in turns: how a phase is read in and printed.
 
-    ``turns`` is always in [0, 1) (``_fold``), ``float(frac)`` folded when ``frac`` makes it exact.  Phases
-    compare and hash by value; sums, kernels and resonance are formed on ``PhaseSums`` arrays only.
+    ``Phase(value)`` takes a turn: a float (numpy's included) is a float phase, an int or a ``Fraction``
+    (any rational but a bool) an exact one, whose ``frac`` is ``value % 1``.  ``turns`` is the value, or
+    ``float(frac)``, folded into [0, 1) (``_fold``), so every name of one point compares and hashes as
+    one phase; a float phase and an exact one stay apart, as exactness chooses the resonance test.
+    Anything else, or a turn that is not finite, is refused.  Sums, kernels and resonance are formed on
+    ``PhaseSums`` arrays only.
     """
 
     _fields = ("turns", "frac")
 
-    def __init__(self, turns: float, frac: Fraction | None = None):
-        if not math.isfinite(turns):  # NaN or infinite: no point on the circle
-            raise ValueError(f"a phase's turns must be finite, got {turns!r}")
+    def __init__(self, value: float | Fraction):
+        if isinstance(value, (float, np.floating)) and math.isfinite(value):
+            turns, frac = float(value), None
+        elif isinstance(value, numbers.Rational) and not isinstance(value, bool):
+            from fractions import Fraction
+
+            frac = Fraction(value) % 1
+            turns = float(frac)
+        else:  # NaN, infinite, or not a real number: no point on the circle
+            raise ValueError(f"a phase is a finite float or a rational number of turns, got {value!r}")
+        if not 0.0 < turns < 1.0:  # _fold is the identity inside (0, 1), where a decomposition's turns lie
+            turns = float(_fold(turns))
         self.__dict__.update(turns=turns, frac=frac)
-
-    def _values(self) -> tuple:
-        return (self.turns, self.frac)
-
-    @classmethod
-    def rational(cls, p: int, q: int) -> "Phase":
-        from fractions import Fraction
-
-        return cls.from_fraction(Fraction(p, q))
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Phase":
-        f = f % 1
-        return cls(float(_fold(float(f))), f)
-
-    @classmethod
-    def from_turns(cls, t: float) -> "Phase":
-        return cls(float(_fold(cls(float(t)).turns)), None)  # the inner Phase refuses a turn that is not finite
 
     @property
     def is_exact(self) -> bool:
@@ -203,12 +199,9 @@ class Tolerances(ValueRecord):
 
     def __init__(self, unitarity: float = 1e-10, cluster: float = 1e-8, resonance: float = 1e-8):
         for name, value in zip(self._fields, (unitarity, cluster, resonance)):
-            if not value > 0:  # NaN included
-                raise ValueError(f"tolerance {name} must be positive")
+            if not 0 < value < math.inf:  # NaN included
+                raise ValueError(f"tolerance {name} must be positive and finite")
         self.__dict__.update(unitarity=unitarity, cluster=cluster, resonance=resonance)
-
-    def _values(self) -> tuple:
-        return (self.unitarity, self.cluster, self.resonance)
 
 
 class SpectralLine(NamedTuple):
@@ -260,7 +253,7 @@ class SpectralDecomposition(Record):
             return tuple(Phase(t) for t in s.turns.tolist())
         from fractions import Fraction
 
-        return tuple(Phase(t, Fraction(a, s.denominator) if e else None)
+        return tuple(Phase(Fraction(a, s.denominator) if e else t)
                      for t, e, a in zip(s.turns.tolist(), s.exact.tolist(), s.numerators.tolist()))
 
     @cached_property
@@ -378,7 +371,7 @@ def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
 
 
 def _turns(values: np.ndarray) -> np.ndarray:
-    """The angle of each complex value in turns, rounded as ``Phase.from_turns(cmath.phase(v) / 2 pi)``.
+    """The angle of each complex value in turns, rounded as ``Phase(cmath.phase(v) / 2 pi)``.
 
     The angle is ``cmath.phase``'s: ``np.angle`` can differ from it in the last bit.
     """
@@ -508,11 +501,12 @@ def random_system(
     if phase_mode == "rational":
         if max_denominator < 1:
             raise ValueError("max_denominator must be >= 1")
+        from fractions import Fraction
+
         phases = []
         for _ in range(d):
             q = int(rng.integers(1, max_denominator + 1))
-            p = int(rng.integers(0, q))
-            phases.append(Phase.rational(p, q))
+            phases.append(Phase(Fraction(int(rng.integers(0, q)), q)))
         basis = haar_unitary(rng, d)
         return from_eigensystem(phases, basis, tol)
     raise ValueError(f"unknown phase mode {phase_mode!r}")
@@ -540,4 +534,6 @@ def invariant_projection(dec: SpectralDecomposition) -> np.ndarray:
     one = dec._resonance.one
     if one is None:
         return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    return dec.entries[one].projection
+    s, e = np.searchsorted(dec.blocks, [one, one + 1])
+    basis = dec.frame[:, s:e]
+    return basis @ basis.conj().T

@@ -323,7 +323,7 @@ def invariant_system(seed, d, zero_multiplicity=1, max_denominator=6):
     while len(fracs) < d:
         q = int(rng.integers(2, max_denominator + 1))
         fracs.append(Fraction(int(rng.integers(1, q)), q))
-    phases = [Phase(float(f), f) for f in fracs]
+    phases = [Phase(f) for f in fracs]
     basis = haar_unitary(rng, d)
     u, dec = from_eigensystem(phases, basis)
     return u, dec, basis[:, 0], basis

@@ -729,6 +729,22 @@ def test_cli_import_defers_correlations_and_verify():
     assert proc.stdout.strip() == "[]"
 
 
+def test_float_phase_commands_load_no_fractions(tmp_path):
+    """``fractions`` is imported only where an exact phase is made: a float ``matrix`` unitary makes none."""
+    path = write_scenario(tmp_path, {
+        "unitary": {"kind": "matrix", "re": np.diag([1, -1, 0]).tolist(), "im": np.diag([0, 0, 1]).tolist()},
+        "partition": [1, 2, 2, 1],
+        "operators": [{"kind": "random"}] * 3,
+        "Ns": [10, 100],
+    })
+    code = ("import sys; from entcesaro.cli import main; "
+            "codes = [main([command, '--scenario', sys.argv[1]]) for command in ('decompose', 'converge', 'verify')]; "
+            "print(codes, 'fractions' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, path], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr.strip() == "[0, 0, 0] False", proc.stderr
+
+
 def test_verify_on_matrix_specs_loads_no_numpy_random(tmp_path):
     """``verify`` draws its form probes and index tuples from ``random``, not ``numpy.random``.
 

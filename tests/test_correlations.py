@@ -247,7 +247,7 @@ class TestCesaroCorrelation:
     def test_is_one_spectral_evaluation(self, monkeypatch, labels, d, n):
         p = parse_partition(labels)
         basis = haar_unitary(np.random.default_rng(5), d)
-        u, dec = from_eigensystem([Phase.rational(k, 17) for k in range(d)], basis)
+        u, dec = from_eigensystem([Phase(Fraction(k, 17)) for k in range(d)], basis)
         system = make_system(u, basis[:, 0], dec=dec)
         ops = random_ops(np.random.default_rng(6), p.m + 1, d)
         spec = CorrelationSpec(p, tuple(ops))
@@ -321,7 +321,7 @@ def _diagonal_correlation(phases, labels, seed):
     """Exact phases on the diagonal (the frame is the identity, exact), random observables, and a trace state
     on the phase-0 lines with an off-diagonal entry."""
     p = parse_partition(labels)
-    u, dec = from_eigensystem([Phase.from_fraction(Fraction(f)) for f in phases], np.eye(len(phases)))
+    u, dec = from_eigensystem([Phase(Fraction(f)) for f in phases], np.eye(len(phases)))
     zero = [i for i, f in enumerate(phases) if Fraction(f) == 0]
     density = np.zeros((len(phases), len(phases)), dtype=complex)
     density[np.ix_(zero, zero)] = [[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]
@@ -358,7 +358,7 @@ class TestCorrelationDeviations:
         # 0.3 and 0.7 + delta resonate at 0.9 of the resonance tolerance: |e^{2 pi i delta} - 1| = 0.9e-8.
         delta = math.asin(0.45e-8) / math.pi
         basis = haar_unitary(np.random.default_rng(7), 4)
-        u, dec = from_eigensystem([Phase.from_turns(t) for t in (0.0, 0.3, 0.7 + delta, 0.45)], basis)
+        u, dec = from_eigensystem([Phase(t) for t in (0.0, 0.3, 0.7 + delta, 0.45)], basis)
         p = parse_partition("1,2,2,1")
         system = make_system(u, basis[:, 0], dec=dec)
         assert sum(c is not None for c in dec._resonance.partners) == 3  # phase 0 and the pair resonate

@@ -86,16 +86,16 @@ PAIR_PARTITIONS = [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)]
 class TestKernel:
     def test_at_one(self):
         for n in (1, 2, 7, 10**5):
-            assert kernel(Phase.rational(0, 1), n) == 1.0 + 0.0j
-            assert kernel(Phase.from_turns(0.0), n) == 1.0 + 0.0j
+            assert kernel(Phase(0), n) == 1.0 + 0.0j
+            assert kernel(Phase(0.0), n) == 1.0 + 0.0j
 
     def test_half_turn_values(self):
-        assert kernel(Phase.rational(1, 2), 4) == 0.0 + 0.0j
-        assert kernel(Phase.rational(1, 2), 3) == pytest.approx(1.0 / 3.0)
+        assert kernel(Phase(Fraction(1, 2)), 4) == 0.0 + 0.0j
+        assert kernel(Phase(Fraction(1, 2)), 3) == pytest.approx(1.0 / 3.0)
 
     def test_matches_literal_geometric_sum(self, rng):
         for _ in range(30):
-            ph = Phase.from_turns(rng.uniform(0, 1))
+            ph = Phase(rng.uniform(0, 1))
             n = int(rng.integers(1, 50))
             lam = np.exp(2j * np.pi * ph.turns)
             literal = sum(lam**j for j in range(n)) / n
@@ -108,7 +108,7 @@ class TestKernel:
         st.integers(min_value=1, max_value=10**5),
     )
     def test_kernel_bound(self, p, q, n):
-        ph = Phase.rational(p, q)
+        ph = Phase(Fraction(p, q))
         value = abs(kernel(ph, n))
         assert value <= 1.0 + 1e-12
         if ph.frac != 0:
@@ -116,20 +116,20 @@ class TestKernel:
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            kernel(Phase.rational(0, 1), 0)
+            kernel(Phase(0), 0)
         with pytest.raises(ValueError, match="largest float"):  # the kernel takes N to a float
-            kernel(Phase.rational(1, 3), 10**400)
+            kernel(Phase(Fraction(1, 3)), 10**400)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 100, 10**4, 999999937])
-    def test_a_raw_phase_is_taken_mod_1_and_at_its_fraction(self, n):
-        # Phase(turns, frac) as given, without the normalisation of its constructors: turns outside
-        # [0, 1), or a frac whose float is not turns.  The kernel reads turns mod 1 and an exact
-        # phase's fraction, so it equals the kernel of the normalised phase bit for bit.
-        pairs = [(Phase(1.5), Phase.from_turns(0.5)), (Phase(-0.25), Phase.from_turns(0.75)),
-                 (Phase(0.3, Fraction(1, 3)), Phase.rational(1, 3)),
-                 (Phase(3.75, Fraction(15, 4)), Phase.rational(3, 4))]
+    def test_every_name_of_a_phase_is_one_phase_with_one_kernel(self, n):
+        # A turn outside [0, 1), or a fraction above 1, is folded where the phase is made: the phases compare
+        # and hash equal, and their kernels are equal bit for bit.
+        pairs = [(Phase(1.5), Phase(0.5)), (Phase(-0.25), Phase(0.75)),
+                 (Phase(Fraction(4, 3)), Phase(Fraction(1, 3))), (Phase(Fraction(15, 4)), Phase(Fraction(3, 4)))]
+        for raw, folded in pairs:
+            assert raw == folded and hash(raw) == hash(folded)
         got = np.array([kernel(raw, n) for raw, _ in pairs])
-        want = np.array([kernel(normal, n) for _, normal in pairs])
+        want = np.array([kernel(folded, n) for _, folded in pairs])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [100, 10**4])
@@ -140,7 +140,7 @@ class TestKernel:
             for t in (turns, 1.0 - turns):  # both sides of z = 1
                 z = mpmath.expjpi(2 * mpmath.mpf(t))
                 exact = complex((1 - z**n) / (n * (1 - z)))
-                assert abs(kernel(Phase.from_turns(t), n) - exact) <= 1e-12
+                assert abs(kernel(Phase(t), n) - exact) <= 1e-12
 
 
 # Float turns whose sums land on the 0/1 seam, at 1/2 or next to 0 and 1.
@@ -148,8 +148,8 @@ SEAM_TURNS = [0.0, 0.5, 0.25, 0.75, 0.3, 0.7, 0.1, 0.9, 2.0**-53, 1.0 - 2.0**-53
 DENOMINATORS = [1, 2, 3, 4, 6, 7, 12, 998244353, 1000000007]
 
 float_phases = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
-                         st.sampled_from(SEAM_TURNS)).map(Phase.from_turns)
-exact_phases = st.builds(Phase.rational, st.integers(0, 10**10), st.sampled_from(DENOMINATORS))
+                         st.sampled_from(SEAM_TURNS)).map(Phase)
+exact_phases = st.builds(lambda p, q: Phase(Fraction(p, q)), st.integers(0, 10**10), st.sampled_from(DENOMINATORS))
 
 
 @st.composite
@@ -162,7 +162,7 @@ def phase_lists(draw):
         # |z w - 1| = 2 sin(pi |delta|), so delta = k tol / (2 pi) is just inside or outside for k near 1.
         base = draw(st.sampled_from(phases))
         k = draw(st.sampled_from([0.0, 0.999999, 1.000001, -0.999999, -1.000001]))
-        phases.append(Phase.from_turns(-base.turns + k * tol / (2.0 * math.pi)))
+        phases.append(Phase(-base.turns + k * tol / (2.0 * math.pi)))
     return phases, tol
 
 
@@ -194,7 +194,7 @@ class TestPhaseSumTables:
     @settings(max_examples=300, deadline=None)
     @given(phase_lists(), st.sampled_from([1, 2]), st.sampled_from([1, 2, 3, 7, 100, 10**4, 999999937, 10**9]))
     # Near resonance, where 1 - z cancels: the imaginary part of the kernel is about pi / 998244353.
-    @example(([Phase.rational(1, 998244353)], 1e-8), 1, 2)
+    @example(([Phase(Fraction(1, 998244353))], 1e-8), 1, 2)
     def test_tables_match_the_loops(self, case, size, n):
         phases, tol = case
         loop = phase_sum_loop(phases, size)
@@ -234,8 +234,8 @@ class TestPhaseSumTables:
 
     def test_large_coprime_denominators_stay_exact(self):
         # 1/1000000007 would wrap in int64 once summed and multiplied by N; the numerators do not.
-        phases = [Phase.rational(1, 1000000007), Phase.rational(1000000006, 1000000007),
-                  Phase.rational(1, 998244353)]
+        phases = [Phase(Fraction(1, 1000000007)), Phase(Fraction(1000000006, 1000000007)),
+                  Phase(Fraction(1, 998244353))]
         sums = pair_sums(phases)
         assert sums.denominator == 1000000007 * 998244353
         assert sums.resonant(1e-8).tolist() == [[False, True, False], [True, False, False],
@@ -253,8 +253,8 @@ class TestPhaseSumTables:
         # Float phases too, at the odd horizon n - 1: a float turn is a / 2^e, so at an even n every float sum
         # would be a periodic zero.
         mpmath = pytest.importorskip("mpmath")
-        exact = [Phase.rational(p, q) for p, q in [(1, 3), (2, 3), (1, 7), (1, 1000000007), (1, 4), (1, 2)]]
-        floats = [Phase.from_turns(t) for t in (0.3, 0.45, 0.7 + 3e-11, 2.0**-40, 1 / 3)]
+        exact = [Phase(Fraction(p, q)) for p, q in [(1, 3), (2, 3), (1, 7), (1, 1000000007), (1, 4), (1, 2)]]
+        floats = [Phase(t) for t in (0.3, 0.45, 0.7 + 3e-11, 2.0**-40, 1 / 3)]
         cases = []
         for phases, horizon in ((exact, n), (floats, n - 1)):
             sums = pair_sums(phases)
@@ -275,17 +275,17 @@ class TestPhaseSumTables:
     @pytest.mark.filterwarnings("error")
     def test_a_float_table_is_finite_up_to_the_largest_horizon(self):
         # (N - 1) t is reduced mod 2 in integers, so the phase factor pi (N - 1) t cannot overflow.
-        sums = pair_sums([Phase.from_turns(0.3), Phase.from_turns(0.45)])
+        sums = pair_sums([Phase(0.3), Phase(0.45)])
         for n in (10**307, 10**308 + 1, int(sys.float_info.max)):
             assert np.isfinite(sums.kernels(n)).all()
-            assert np.isfinite(kernel(Phase.from_turns(0.3), n))
+            assert np.isfinite(kernel(Phase(0.3), n))
 
     @pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**12, 10**15], ids=lambda n: f"1e{len(str(n)) - 1}")
     def test_float_kernels_are_those_of_the_exact_sums(self, n):
         # Against ``exact_kernel`` of the exact sum of the two float turns, not of fl(t_b + t_c), in 80-digit
         # mpmath: within 4 eps relative at every horizon.
         mpmath = pytest.importorskip("mpmath")
-        phases = [Phase.from_turns(t) for t in np.random.default_rng(3).random(40).tolist()]
+        phases = [Phase(t) for t in np.random.default_rng(3).random(40).tolist()]
         sums = pair_sums(phases)
         table = sums.kernels(n)
         eps = np.finfo(float).eps
@@ -764,7 +764,7 @@ class TestErrorBound:
         # minus the limit is A_bc (K_N(t_b + t_c) - R_bc), entrywise; its norm is taken in 40-digit mpmath.
         mpmath = pytest.importorskip("mpmath")
         fracs = [(s + Fraction(1, L)) % 1, 1 - s, Fraction(1, 2)]
-        _, dec = from_eigensystem([Phase.from_fraction(f) for f in fracs], np.eye(3))
+        _, dec = from_eigensystem([Phase(f) for f in fracs], np.eye(3))
         sums = [[(fb + fc) % 1 for fc in fracs] for fb in fracs]
         for seed in range(12):
             rng = np.random.default_rng(seed)
@@ -920,7 +920,7 @@ class TestMeanNormBound:
 
 def degenerate_system(seed):
     """d=6 exact phases 0, 1/3, 1/2, 2/3 with rank-2 blocks at 1/3 and 2/3."""
-    phases = [Phase.rational(*f) for f in ((1, 3), (1, 3), (2, 3), (2, 3), (0, 1), (1, 2))]
+    phases = [Phase(Fraction(*f)) for f in ((1, 3), (1, 3), (2, 3), (2, 3), (0, 1), (1, 2))]
     return from_eigensystem(phases, haar_unitary(np.random.default_rng(seed), 6))
 
 
@@ -934,7 +934,7 @@ def orthogonal_system(seed, d):
 def float_resonance_system(seed):
     """Float phases of which 0.1 and 0.9 + delta resonate at 0.9 times the resonance tolerance."""
     delta = math.asin(0.45e-8) / math.pi  # |e^{2 pi i delta} - 1| = 0.9e-8
-    phases = [Phase.from_turns(t) for t in (0.1, 0.9 + delta, 0.35, 0.6)]
+    phases = [Phase(t) for t in (0.1, 0.9 + delta, 0.35, 0.6)]
     return from_eigensystem(phases, haar_unitary(np.random.default_rng(seed), 4))
 
 
@@ -1014,7 +1014,6 @@ class TestTupleOracle:
         )
 
 
-PAIR_PARTITIONS = [p for k in (1, 2, 3) for p in enumerate_pair_partitions(k)]
 RESONANT_SYSTEMS = {
     "rational-rank-2": lambda: degenerate_system(3),
     "orthogonal": lambda: orthogonal_system(5, 6),
@@ -1076,7 +1075,7 @@ class TestSummedDifference:
 
     def test_the_rounding_radius_survives_a_difference_near_1e_minus_300(self):
         # At N = 10^300 the magnitude contractions are near 1e-300, whose squared entries underflow.
-        _, dec = from_eigensystem([Phase.rational(k, 3) for k in range(3)], np.eye(3))
+        _, dec = from_eigensystem([Phase(Fraction(k, 3)) for k in range(3)], np.eye(3))
         ops = np.array(random_ops(np.random.default_rng(1), 1, 3))
         (x, bound, radius), = engines._differences(dec, P11, ops, [10**300])
         assert 0.0 < radius < 1e-12 * operator_norm(x) < bound
@@ -1091,13 +1090,13 @@ def _sweep_system(kind, seed):
     d = 2 + seed % 5
     if kind == "rank-one" and seed % 2:
         rng = np.random.default_rng(seed)
-        return from_eigensystem([Phase.rational(int(k), 7) for k in rng.permutation(7)[:d]], haar_unitary(rng, d))[1]
+        return from_eigensystem([Phase(Fraction(int(k), 7)) for k in rng.permutation(7)[:d]], haar_unitary(rng, d))[1]
     if kind == "rank-one":
         return random_system(seed, d, "haar")[1]
     if kind == "mixed":
         return degenerate_system(seed)[1]
     d = 1 + seed % 4
-    return from_eigensystem([Phase.rational(seed % 5, 5)] * d, haar_unitary(np.random.default_rng(seed), d))[1]
+    return from_eigensystem([Phase(Fraction(seed % 5, 5))] * d, haar_unitary(np.random.default_rng(seed), d))[1]
 
 
 class TestPlannedSweep:
@@ -1189,7 +1188,7 @@ class TestPlannedSweep:
 
     def test_budget_counts_the_frame_whatever_the_ranks(self, monkeypatch):
         # Ranks 2, 1, 1 at d = 4 plan the network of a Haar d = 4 system: d^3 = 64 entries on 1,2,1,2.
-        systems = [from_eigensystem([Phase.rational(k, 3) for k in (0, 0, 1, 2)],
+        systems = [from_eigensystem([Phase(Fraction(k, 3)) for k in (0, 0, 1, 2)],
                                     haar_unitary(np.random.default_rng(4), 4)), random_system(4, 4, "haar")]
         ops = random_ops(np.random.default_rng(4), 3, 4)
         assert engines._network(P1212, 4)[2] == 64
@@ -1206,7 +1205,7 @@ class TestPlannedSweep:
         # One rank-8 phase-0 line and 56 simple lines plan the d^3 entries of a Haar d = 64 system; a frame
         # padded to rank 8 (57 blocks of 8 columns) would plan 57 * 456^2 = 1.185e7.
         p = parse_partition(labels)
-        u, dec = from_eigensystem([Phase.rational(0, 1)] * 8 + [Phase.rational(k, 67) for k in range(1, 57)],
+        u, dec = from_eigensystem([Phase(0)] * 8 + [Phase(Fraction(k, 67)) for k in range(1, 57)],
                                   haar_unitary(np.random.default_rng(8), 64))
         ops = random_ops(np.random.default_rng(1), p.m - 1, 64)
         mean = cesaro_spectral(dec, p, ops, 3).matrix
@@ -1221,7 +1220,7 @@ class TestPlannedSweep:
     def test_d64_crossing_triple_under_the_default_budget(self, labels):
         # Exact phases k/67: every block has rank 1, and K_67 equals R entry for entry.
         p = parse_partition(labels)
-        u, dec = from_eigensystem([Phase.rational(k, 67) for k in range(64)],
+        u, dec = from_eigensystem([Phase(Fraction(k, 67)) for k in range(64)],
                                   haar_unitary(np.random.default_rng(67), 64))
         ops = random_ops(np.random.default_rng(1), p.m - 1, 64)
         mean = cesaro_spectral(dec, p, ops, 3).matrix
@@ -1231,7 +1230,7 @@ class TestPlannedSweep:
 
     def test_d64_fourfold_crossing_is_over_the_default_budget(self):
         p = parse_partition("1,2,3,4,1,2,3,4")
-        dec = from_eigensystem([Phase.rational(k, 67) for k in range(64)],
+        dec = from_eigensystem([Phase(Fraction(k, 67)) for k in range(64)],
                                haar_unitary(np.random.default_rng(67), 64))[1]
         ops = random_ops(np.random.default_rng(1), p.m - 1, 64)
         with pytest.raises(BudgetError, match="planned peak of 1.678e[+]07 entries"):
@@ -1343,7 +1342,7 @@ class TestSpectralRecord:
     def test_the_resonance_tolerance_decides_the_record(self):
         # 0.1 and 0.9 + 1e-7 resonate within 1e-5 (|zw - 1| = 6.3e-7) but not within 1e-8;
         # within 2 every pair resonates, so each phase gets several partners.
-        phases = [Phase.from_turns(t) for t in (0.1, 0.9 + 1e-7, 0.5, 0.3)]
+        phases = [Phase(t) for t in (0.1, 0.9 + 1e-7, 0.5, 0.3)]
 
         def built(tol):
             return from_eigensystem(phases, haar_unitary(np.random.default_rng(5), 4), Tolerances(resonance=tol))[1]
@@ -1388,7 +1387,7 @@ class TestSpectralRecord:
             assert len(sums._kernel_memo) <= KERNEL_MEMO_HORIZONS
 
     def test_kernel_memo_keeps_the_latest_horizons(self):
-        sums = pair_sums([Phase.from_turns(t) for t in (0.1, 0.35, 0.6)])
+        sums = pair_sums([Phase(t) for t in (0.1, 0.35, 0.6)])
         for n in range(1, 11):
             sums.kernels(n)
         assert list(sums._kernel_memo) == list(range(11 - KERNEL_MEMO_HORIZONS, 11))
@@ -1443,7 +1442,7 @@ def _capped_system():
     correlation on 1,2,1,2; six blocks of rank 1."""
     rng = np.random.default_rng(6)
     basis = haar_unitary(rng, 6)
-    u, dec = from_eigensystem([Phase.from_turns(t) for t in (0.0, *rng.random(5))], basis)
+    u, dec = from_eigensystem([Phase(t) for t in (0.0, *rng.random(5))], basis)
     return make_system(u, basis[:, 0], dec=dec), CorrelationSpec(P1212, tuple(random_ops(rng, 5, 6)))
 
 

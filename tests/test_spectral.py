@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,41 +53,60 @@ def antidiagonal_by_product_scan(dec, tol=1e-8):
 
 class TestPhase:
     def test_rational_reduction(self):
-        ph = Phase.rational(2, 4)
+        ph = Phase(Fraction(2, 4))
         assert ph.frac == Fraction(1, 2)
         assert ph.turns == 0.5
-        assert Phase.rational(5, 4).frac == Fraction(1, 4)
-        assert Phase.rational(-1, 4).frac == Fraction(3, 4)
+        assert Phase(Fraction(5, 4)).frac == Fraction(1, 4)
+        assert Phase(Fraction(-1, 4)).frac == Fraction(3, 4)
 
-    def test_constructors_normalise_mod_1(self):
-        assert Phase.from_turns(1.25).turns == 0.25
-        assert Phase.from_turns(-0.25).turns == 0.75
-        assert Phase.from_turns(-1e-20).turns == 0.0  # the modulo rounds to 1.0, read as 0.0
-        assert Phase.from_turns(-(2.0**-60)).turns == 0.0
-        assert Phase.from_fraction(Fraction(-1, 3)) == Phase.rational(2, 3)
-        assert not Phase.from_turns(0.5).is_exact and Phase.rational(1, 2).is_exact
+    def test_a_phase_is_folded_mod_1(self):
+        assert Phase(1.25).turns == 0.25
+        assert Phase(-0.25).turns == 0.75
+        assert Phase(1.0).turns == 0.0
+        assert str(Phase(-0.0)) == "0.0"  # the modulo's zero is +0.0
+        assert Phase(-1e-20).turns == 0.0  # the modulo rounds to 1.0, read as 0.0
+        assert Phase(-(2.0**-60)).turns == 0.0
+        assert Phase(Fraction(-1, 3)) == Phase(Fraction(2, 3))
+        assert not Phase(0.5).is_exact and Phase(Fraction(1, 2)).is_exact
+
+    def test_two_names_for_one_point_are_one_phase(self):
+        # Equal and of one hash, float with float and exact with exact; a float and an exact phase stay
+        # apart, as exactness chooses the resonance test.  An int, a numpy float and a numpy int are read
+        # as the float or the exact rational they hold.
+        for a, b in [(1.5, 0.5), (-0.25, 0.75), (Fraction(4, 3), Fraction(1, 3)), (7, 0), (np.float64(2.5), 0.5),
+                     (np.float32(0.25), 0.25), (np.int64(-2), Fraction(0)), (Fraction(3, 1), 0)]:
+            assert Phase(a) == Phase(b) and hash(Phase(a)) == hash(Phase(b))
+        assert Phase(0.5) != Phase(Fraction(1, 2)) and Phase(0.0) != Phase(0)
+        assert type(Phase(np.float64(0.5)).turns) is float and type(Phase(np.int64(3)).frac) is Fraction
 
     def test_str_and_format_print_the_fraction_or_the_float(self):
-        assert str(Phase.rational(2, 4)) == "1/2"
-        assert str(Phase.from_turns(0.25)) == "0.25"
-        assert f"{Phase.rational(1, 3):>6}|{Phase.from_turns(0.5):<5}|" == "   1/3|0.5  |"
+        assert str(Phase(Fraction(2, 4))) == "1/2"
+        assert str(Phase(3)) == "0/1"
+        assert str(Phase(0.25)) == "0.25"
+        assert f"{Phase(Fraction(1, 3)):>6}|{Phase(0.5):<5}|" == "   1/3|0.5  |"
 
-    @pytest.mark.parametrize("turn", [math.inf, -math.inf, math.nan])
-    def test_a_turn_that_is_not_finite_is_one_value_error_naming_it(self, turn):
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan"), True, np.bool_(False),
+                                       "0.5", None, 1j, complex(0.5, 0.0), [0.5]])
+    def test_a_value_that_is_no_finite_turn_is_one_value_error_naming_it(self, value):
         # Refused where the phase is made, with no numpy warning first, so neither the kernels' integer ratios
         # (OverflowError on an infinite turn) nor a decomposition ever meets it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for make in (Phase, Phase.from_turns):
-                with pytest.raises(ValueError, match=f"^a phase's turns must be finite, got {turn!r}$"):
-                    make(turn)
+            message = f"a phase is a finite float or a rational number of turns, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Phase(value)
 
     def test_equal_phases_merge_into_one_line(self):
-        # from_eigensystem groups its phases by equality and hash, whichever constructor made them.
-        phases = [Phase.rational(1, 3), Phase.from_fraction(Fraction(4, 3)), Phase.rational(0, 1)]
+        # from_eigensystem groups its phases by equality and hash, however each was named.
+        phases = [Phase(Fraction(1, 3)), Phase(Fraction(4, 3)), Phase(0)]
         _, dec = from_eigensystem(phases, np.eye(3))
-        assert dec.phases == (Phase.rational(0, 1), Phase.rational(1, 3))
+        assert dec.phases == (Phase(0), Phase(Fraction(1, 3)))
         assert dec.blocks.tolist() == [0, 1, 1]
+
+    def test_two_float_names_for_one_eigenvalue_merge_into_one_line(self):
+        _, dec = from_eigensystem([Phase(1.5), Phase(0.5), Phase(0.25)], np.eye(3))
+        assert dec.phases == (Phase(0.25), Phase(0.5))
+        assert np.bincount(dec.blocks).tolist() == [1, 2]  # the ranks of the lines
 
 
 class TestDecompose:
@@ -129,7 +149,7 @@ class TestDecompose:
         assert res["reconstruction"] <= 1e-10
 
     def test_degenerate_eigenvalues_merge_into_one_projection(self):
-        phases = [Phase.rational(1, 3), Phase.rational(1, 3), Phase.rational(0, 1)]
+        phases = [Phase(Fraction(1, 3)), Phase(Fraction(1, 3)), Phase(0)]
         basis = haar_unitary(np.random.default_rng(9), 3)
         u, built = from_eigensystem(phases, basis)
         assert [line.basis.shape[1] for line in built.entries] == [1, 2]
@@ -171,7 +191,7 @@ class TestFrame:
         basis = haar_unitary(np.random.default_rng(3), 3) * (1.0 + 3.5e-11)
         assert 6e-11 < operator_norm(basis.conj().T @ basis - np.eye(3)) < 1e-10
         with pytest.raises(ValueError, match="frame"):
-            from_eigensystem([Phase.rational(j, 3) for j in range(3)], basis)
+            from_eigensystem([Phase(Fraction(j, 3)) for j in range(3)], basis)
 
 
 class TestValidateGates:
@@ -187,12 +207,12 @@ class TestValidateGates:
         norm = np.linalg.norm(basis.conj().T @ basis - np.eye(3), 2)
         assert FRAME_TOL < norm < 1.2 * FRAME_TOL
         with pytest.raises(ValueError, match=f"frame orthonormality check: residual {norm:.3e}"):
-            from_eigensystem([Phase.rational(j, 3) for j in range(3)], basis)
+            from_eigensystem([Phase(Fraction(j, 3)) for j in range(3)], basis)
 
     def test_frame_within_operator_norm_passes_a_failing_frobenius_test(self):
         basis = self._scaled_basis(4, 0.9 * FRAME_TOL)
         assert np.linalg.norm(basis.conj().T @ basis - np.eye(4)) > FRAME_TOL
-        from_eigensystem([Phase.rational(j, 4) for j in range(4)], basis)
+        from_eigensystem([Phase(Fraction(j, 4)) for j in range(4)], basis)
 
     def test_source_just_above_unitarity_tolerance_reports_operator_norm(self):
         tol = Tolerances()
@@ -307,21 +327,21 @@ def _array_phase_systems(name):
     if name == "haar":
         return [(decompose(u), u, None) for u in (haar_unitary(rng, d) for d in (5, 17, 64))]
     if name == "exact":
-        phases = [Phase.rational(int(rng.integers(0, q)), q) for q in rng.integers(1, 8, 12).tolist()]
+        phases = [Phase(Fraction(int(rng.integers(0, q)), q)) for q in rng.integers(1, 8, 12).tolist()]
         return [(*from_eigensystem(phases, haar_unitary(rng, 12))[::-1], phases)]
     if name == "merged":  # decompose merges the repeated exact phases into clusters
         u, _ = random_system(4, 12, "rational", 3)
         return [(decompose(u), u, None)]
     # The seam: a cluster straddling 0/1, and phases whose turns round to 1.0 and are taken as 0.0.
     u, _ = _hard_system(HARD_SPECTRA["seam-cluster"], 3)
-    phases = [Phase.from_turns(t) for t in (-1e-17, 0.5, 1.0 - 1e-7, 1e-7, 0.25)]
+    phases = [Phase(t) for t in (-1e-17, 0.5, 1.0 - 1e-7, 1e-7, 0.25)]
     return [(decompose(u), u, None), (*from_eigensystem(phases, haar_unitary(rng, 5))[::-1], phases)]
 
 
 class TestArrayPhases:
     """The phase arrays a decomposition stores give the phases and the reconstruction of the ``Phase``
-    path bit for bit: ``Phase.from_turns(cmath.phase(m) / 2 pi)`` of each cluster sum m, and
-    ``Phase.value``."""
+    path bit for bit: ``Phase(cmath.phase(m) / 2 pi)`` of each cluster sum m, and ``phase_value`` of
+    each phase."""
 
     def test_turns_round_as_cmath_phase(self):
         # np.angle can differ from cmath.phase in the last bit; the turns must not.
@@ -329,12 +349,12 @@ class TestArrayPhases:
         values = np.exp(2j * np.pi * rng.random(20000)) * rng.uniform(0.5, 2.0, 20000)
         seam = [complex(x, y) for x in (1.0, -1.0, 1e-300) for y in (0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17)]
         values = np.concatenate([values, seam])
-        expected = [Phase.from_turns(cmath.phase(v) / (2.0 * math.pi)).turns for v in values.tolist()]
+        expected = [Phase(cmath.phase(v) / (2.0 * math.pi)).turns for v in values.tolist()]
         assert spectral._turns(values).tolist() == expected
         assert spectral._turns(np.array([complex(1.0, -1e-300)])).tolist() == [0.0]  # the modulo rounds to 1.0
 
     def test_the_phase_arrays_read_a_modulo_of_one_as_zero(self):
-        # As Phase.from_turns and _turns do: the turns of a phase, and a pair sum that rounds to 1.0.
+        # As Phase and _turns do: the turns of a phase, and a pair sum that rounds to 1.0.
         assert spectral._summands_of([Phase(-(2.0**-60)), Phase(0.25)]).turns.tolist() == [0.0, 0.25]
         pairs = spectral._pairs_of(spectral._summands_of([Phase(0.5), Phase(0.5 - 2.0**-54)]))
         assert pairs.turns[0, 1] == pairs.turns[1, 0] == 0.0
@@ -347,7 +367,7 @@ class TestArrayPhases:
         systems = _array_phase_systems(name)
         for dec, u, given in systems:
             if given is None:
-                lines = [Phase.from_turns(cmath.phase(m) / (2.0 * math.pi)) for m in sums.pop(0).tolist()]
+                lines = [Phase(cmath.phase(m) / (2.0 * math.pi)) for m in sums.pop(0).tolist()]
             else:
                 lines = list(dict.fromkeys(given))
             expected = sorted(lines, key=lambda ph: ph.turns)
@@ -638,6 +658,14 @@ def test_tolerances_validation():
         Tolerances(resonance=float("nan"))
 
 
+@pytest.mark.parametrize("name", ["unitarity", "cluster", "resonance"])
+def test_a_tolerance_that_is_not_finite_is_refused_naming_it(name):
+    # An infinite cluster tolerance would merge every phase into one empty cluster, and an infinite
+    # unitarity tolerance would switch the unitarity gate off.
+    with pytest.raises(ValueError, match=f"^tolerance {name} must be positive and finite$"):
+        Tolerances(**{name: math.inf})
+
+
 def test_from_eigensystem_requires_matching_lengths():
     with pytest.raises(ValueError):
-        from_eigensystem([Phase.rational(0, 1)], np.eye(2))
+        from_eigensystem([Phase(0)], np.eye(2))
