@@ -20,14 +20,7 @@ from ._record import Record
 from .engines import _check_horizon, _check_partition, _differences, cesaro_spectral, limit_operator
 from .linalg import ROUNDING_TOL, _gamma, _gated_norm, _unit_scale, as_operator, as_vector, operator_norm, rounding_gap
 from .partitions import Partition
-from .spectral import (
-    FRAME_TOL,
-    RECONSTRUCTION_TOL,
-    SpectralDecomposition,
-    decompose,
-    invariant_projection,
-    reconstruct,
-)
+from .spectral import FRAME_TOL, SpectralDecomposition, _validate, decompose, invariant_projection
 
 __all__ = [
     "DynamicalSystem",
@@ -77,16 +70,12 @@ def make_system(u, state, *, dec: SpectralDecomposition | None = None) -> Dynami
     ``state`` is a density operator T, or a nonzero vector omega that stands for T = omega omega* / |omega|^2.
     T must be self-adjoint, positive, of trace one, fixed by U (UT = T = TU; for rank one, U omega = omega)
     and supported inside the invariant eigenspace, and the state must be invariant under conjugation by U
-    on the matrix-unit basis (U* T U = T).  Every check allows ``STATE_TOL``.  ``dec`` defaults to ``decompose(u)``.
+    on the matrix-unit basis (U* T U = T).  Every check allows ``STATE_TOL``.  ``dec`` defaults to ``decompose(u)``;
+    one given is checked against U by ``spectral._validate``, the size, frame, reconstruction and cluster checks
+    every constructor runs.
     """
     arr = as_operator(u, name="unitary")
-    if dec is None:
-        dec = decompose(arr)
-    else:
-        if dec.dim != arr.shape[0]:
-            raise ValueError("decomposition dimension does not match the unitary")
-        if _gated_norm(reconstruct(dec) - arr, RECONSTRUCTION_TOL) > RECONSTRUCTION_TOL:
-            raise ValueError("decomposition does not reconstruct the unitary")
+    dec = decompose(arr) if dec is None else _validate(dec, arr)
     d = arr.shape[0]
     t = np.asarray(state, dtype=np.complex128)
     if t.ndim == 1:

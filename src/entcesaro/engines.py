@@ -175,7 +175,7 @@ def kernel(phase: Phase, N) -> complex:
 
 def mean_ergodic(u, N) -> np.ndarray:
     """(1/N) sum_{n<N} U^n, evaluated by binary splitting of the sum; U is gated at ``Tolerances().unitarity``."""
-    arr, _ = require_unitary(u, Tolerances().unitarity)
+    arr = require_unitary(u, Tolerances().unitarity)
     N = _check_horizon(N)
     eye = np.eye(arr.shape[0], dtype=np.complex128)
     return _power_sum(arr, eye, eye, N) / N

@@ -102,16 +102,19 @@ def _gated_norm(residual: np.ndarray, tol: float) -> float:
     return norm if norm <= tol else operator_norm(residual)
 
 
-def require_unitary(u, tol: float, name: str = "unitary") -> tuple[np.ndarray, float]:
-    """``u`` as a matrix with its unitarity residual: ||U*U - I|| gated at ``tol`` by ``_gated_norm``.
+def _unitarity_residual(arr: np.ndarray, tol: float) -> float:
+    """||U*U - I|| of the matrix ``arr``, gated at ``tol`` by ``_gated_norm``: the residual the unitarity gate
+    ``require_unitary`` judges and ``spectral.decomposition_residuals`` reports."""
+    return _gated_norm(arr.conj().T @ arr - np.eye(arr.shape[0]), tol)
 
-    Raises ``ValueError`` when the residual exceeds ``tol``.
-    """
+
+def require_unitary(u, tol: float, name: str = "unitary") -> np.ndarray:
+    """``u`` as a matrix once its residual ``_unitarity_residual`` is within ``tol``; ``ValueError`` otherwise."""
     arr = as_operator(u, name=name)
-    res = _gated_norm(arr.conj().T @ arr - np.eye(arr.shape[0]), tol)
+    res = _unitarity_residual(arr, tol)
     if res > tol:
         raise ValueError(f"{name} fails unitarity: residual {res:.3e} > {tol:.3e}")
-    return arr, res
+    return arr
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -138,8 +138,8 @@ def _matchings(positions: tuple[int, ...]):
 
 
 def enumerate_pair_partitions(k: int) -> list[Partition]:
-    """All canonical pair partitions of {1,...,2k}, lexicographically ordered."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    """All canonical pair partitions of {1,...,2k}, lexicographically ordered; ``k`` is an integer as a label is."""
+    if isinstance(k, bool) or not hasattr(k, "__index__") or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > ENUMERATION_MAX_K:
         raise ValueError(f"k={k} exceeds the enumeration cap {ENUMERATION_MAX_K}")

@@ -276,14 +276,11 @@ def _parse_tolerances(spec) -> Tolerances:
         return Tolerances()
     if not isinstance(spec, dict):
         raise _fail("'tolerances' must be an object")
-    known = {"unitarity", "cluster", "resonance"}
-    unknown = set(spec) - known
+    unknown = set(spec) - set(Tolerances._fields)
     if unknown:
         raise _fail(f"unknown tolerance keys {sorted(unknown)}")
-    values = {}
-    for key in known & set(spec):
-        values[key] = _positive(spec[key], f"tolerance {key!r} must be a positive finite number")
-    return Tolerances(**values)
+    return Tolerances(**{key: _positive(spec[key], f"tolerance {key!r} must be a positive finite number")
+                         for key in Tolerances._fields if key in spec})
 
 
 def load_scenario(path: str) -> Scenario:

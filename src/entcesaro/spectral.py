@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .linalg import _gated_norm, as_operator, frobenius_norm, haar_unitary, operator_norm, require_unitary
+from .linalg import (_gated_norm, _unitarity_residual, as_operator, frobenius_norm, haar_unitary, operator_norm,
+                     require_unitary)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -199,8 +200,8 @@ class Tolerances(ValueRecord):
 
     def __init__(self, unitarity: float = 1e-10, cluster: float = 1e-8, resonance: float = 1e-8):
         for name, value in zip(self._fields, (unitarity, cluster, resonance)):
-            if not 0 < value < math.inf:  # NaN included
-                raise ValueError(f"tolerance {name} must be positive and finite")
+            if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:  # NaN included
+                raise ValueError(f"tolerance {name} must be positive and finite, got {value!r}")
         self.__dict__.update(unitarity=unitarity, cluster=cluster, resonance=resonance)
 
 
@@ -236,15 +237,18 @@ class SpectralDecomposition(Record):
     of block pairs with the horizon-independent factors of their kernels and the kernel tables of
     recent horizons, the resonance record at its resonance tolerance, W* and the block pair of each
     pair of frame columns.  A new ``SpectralDecomposition`` built from its fields shares ``spectrum``
-    and starts with none of them.
+    and starts with none of them.  It holds no fact about a unitary: ``dim`` is read from the frame.
     """
 
-    _fields = ("dim", "spectrum", "frame", "blocks", "source_unitarity", "tolerances")
+    _fields = ("spectrum", "frame", "blocks", "tolerances")
 
-    def __init__(self, dim: int, spectrum: PhaseSums, frame: np.ndarray, blocks: np.ndarray,
-                 source_unitarity: float, tolerances: Tolerances = Tolerances()):
-        self.__dict__.update(dim=dim, spectrum=spectrum, frame=frame, blocks=blocks,
-                             source_unitarity=source_unitarity, tolerances=tolerances)
+    def __init__(self, spectrum: PhaseSums, frame: np.ndarray, blocks: np.ndarray,
+                 tolerances: Tolerances = Tolerances()):
+        self.__dict__.update(spectrum=spectrum, frame=frame, blocks=blocks, tolerances=tolerances)
+
+    @property
+    def dim(self) -> int:
+        return self.frame.shape[0]
 
     @cached_property
     def phases(self) -> tuple[Phase, ...]:
@@ -322,27 +326,32 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     z = e^{2 pi i turns} from ``np.exp``, which gives exactly 1 at turns 0.
     """
     z = np.exp(2j * np.pi * dec.spectrum.turns)
-    return (dec.frame * z[dec.blocks]) @ dec.frame.conj().T
+    return (dec.frame * z[dec.blocks]) @ dec._frame_h
 
 
 def decomposition_residuals(dec: SpectralDecomposition, source) -> dict[str, float]:
-    """The frame residual ||W*W - I||, the source's stored unitarity residual and the reconstruction
-    residual ||W diag(z) W* - source||.
+    """The frame residual ||W*W - I||, the unitarity residual of ``source`` that the gate
+    ``linalg.require_unitary`` judges, at ``dec.tolerances.unitarity``, and the reconstruction
+    residual ||W diag(z) W* - source||: the last two measured on the ``source`` given.
 
     The frame residual e implies the projection invariants: line b's projection W_b W_b^* is
     Hermitian by construction, its idempotency and orthogonality residuals are at most (1 + e) e,
     and the completeness residual ||W W^* - I|| is e.
     """
-    frame, reconstruction = map(operator_norm, _residual_matrices(dec, source))
-    return {"frame": frame, "unitarity": dec.source_unitarity, "reconstruction": reconstruction}
+    arr = as_operator(source, dec.dim, name="unitary")
+    frame, reconstruction = map(operator_norm, _residual_matrices(dec, arr))
+    return {"frame": frame, "unitarity": _unitarity_residual(arr, dec.tolerances.unitarity),
+            "reconstruction": reconstruction}
 
 
 def _residual_matrices(dec: SpectralDecomposition, source) -> tuple[np.ndarray, np.ndarray]:
-    """W*W - I and W diag(z) W* - source, whose norms are the frame and the reconstruction residuals."""
-    return dec.frame.conj().T @ dec.frame - np.eye(dec.dim), reconstruct(dec) - as_operator(source)
+    """W*W - I and W diag(z) W* - source, whose norms are the frame and the reconstruction residuals;
+    a ``source`` whose size is not ``dec.dim`` raises ``ValueError`` naming both."""
+    arr = as_operator(source, dec.dim, name="unitary")
+    return dec._frame_h @ dec.frame - np.eye(dec.dim), reconstruct(dec) - arr
 
 
-def _with_frame(phases: PhaseSums, frame, labels, source_unitarity: float, tol: Tolerances) -> SpectralDecomposition:
+def _with_frame(phases: PhaseSums, frame, labels, tol: Tolerances) -> SpectralDecomposition:
     """Decomposition from an orthonormal frame whose column i lies in the line of phase ``labels[i]``.
 
     Lines are sorted by phase and the columns regrouped to match, so each line's basis is a
@@ -353,11 +362,12 @@ def _with_frame(phases: PhaseSums, frame, labels, source_unitarity: float, tol: 
     perm = np.argsort(blocks, kind="stable")
     spectrum = PhaseSums(*(_read_only(x[order]) for x in (phases.turns, phases.exact, phases.numerators)),
                          phases.denominator)
-    return SpectralDecomposition(frame.shape[0], spectrum, _read_only(frame[:, perm]), _read_only(blocks[perm]),
-                                 source_unitarity, tol)
+    return SpectralDecomposition(spectrum, _read_only(frame[:, perm]), _read_only(blocks[perm]), tol)
 
 
 def _validate(dec: SpectralDecomposition, source) -> SpectralDecomposition:
+    """``dec`` if its frame and reconstruction of ``source`` pass ``FRAME_TOL`` and ``RECONSTRUCTION_TOL`` and its
+    phases the cluster tolerance; the checks of every constructor and of ``correlations.make_system``."""
     checks = (("frame orthonormality", FRAME_TOL), ("reconstruction", RECONSTRUCTION_TOL))
     for (check, tol), residual in zip(checks, _residual_matrices(dec, source)):
         norm = _gated_norm(residual, tol)
@@ -440,10 +450,10 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     same Frobenius bound holds: every frame comes from an H within it.  The phases are the
     Rayleigh quotients w* U w, exact to rounding whatever ||H||, clustered at ``tol.cluster`` turns
     with wrap-around at 0/1.  A cluster's columns are its frame block, and its phase that of the
-    sum (so of the mean) of its quotients.  All decomposition invariants are checked.
-    ``source_unitarity`` is the value the unitarity gate ``linalg.require_unitary`` measured.
+    sum (so of the mean) of its quotients.  The input is gated by ``linalg.require_unitary`` at
+    ``tol.unitarity``, and all decomposition invariants are checked (``_validate``).
     """
-    arr, source_res = require_unitary(u, tol.unitarity, name="input")
+    arr = require_unitary(u, tol.unitarity, name="input")
     try:
         _, vecs = np.linalg.eigh(_cayley(arr)[1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -454,27 +464,23 @@ def decompose(u, tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     turns = _turns(np.add.reduceat(eigs[order], starts))  # each its own numerator over L, so not divided back
     phases = PhaseSums(turns, np.zeros(B, dtype=bool), *_common([t.as_integer_ratio() for t in turns.tolist()]))
     labels = np.repeat(np.arange(B), np.diff(starts, append=len(order)))
-    return _validate(_with_frame(phases, vecs[:, order], labels, source_res, tol), arr)
+    return _validate(_with_frame(phases, vecs[:, order], labels, tol), arr)
 
 
 def from_eigensystem(phases, basis, tol: Tolerances = Tolerances()) -> tuple[np.ndarray, SpectralDecomposition]:
     """Build (U, decomposition) from per-column phases and a unitary eigenbasis.
 
-    Equal phases are merged into one projection.  The returned unitary is the
-    reconstruction itself, so the pair is exactly consistent.  The eigenbasis is gated on
-    unitarity as ``decompose`` gates its input, and ``source_unitarity`` is that gate's value
-    for the returned unitary.
+    Equal phases are merged into one projection.  The returned unitary is the reconstruction itself, so the
+    pair is exactly consistent.  The eigenbasis is gated on unitarity as ``decompose`` gates its input.
     """
-    basis, _ = require_unitary(basis, tol.unitarity, name="eigenbasis")
+    basis = require_unitary(basis, tol.unitarity, name="eigenbasis")
     d = basis.shape[0]
     if len(phases) != d:
         raise ValueError(f"need {d} phases, got {len(phases)}")
     groups: dict[Phase, int] = {}
     labels = np.array([groups.setdefault(ph, len(groups)) for ph in phases])
-    dec = _with_frame(_summands_of(list(groups)), basis, labels, 0.0, tol)
+    dec = _with_frame(_summands_of(list(groups)), basis, labels, tol)
     u = reconstruct(dec)
-    dec = SpectralDecomposition(dec.dim, dec.spectrum, dec.frame, dec.blocks,
-                                _gated_norm(u.conj().T @ u - np.eye(d), tol.unitarity), tol)
     return u, _validate(dec, u)
 
 
@@ -492,6 +498,8 @@ def random_system(
     ``max_denominator`` and a Haar-like eigenbasis, so every resonance among
     the phases is exact.
     """
+    if isinstance(d, bool) or not hasattr(d, "__index__"):  # as ``partitions`` reads a label
+        raise ValueError(f"dimension must be an integer, got {d!r}")
     if not 1 <= d <= MAX_RANDOM_DIM:
         raise ValueError(f"dimension {d} outside supported range 1..{MAX_RANDOM_DIM}")
     rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ from entcesaro.engines import cesaro_direct, cesaro_nested, cesaro_spectral, err
 from entcesaro.linalg import ROUNDING_TOL, ROUNDING_TOL as IDENTITY_TOL, bound_excess, haar_unitary, operator_norm
 from entcesaro.partitions import parse_partition
 from entcesaro.scenario import load_scenario
-from entcesaro.spectral import Phase, decompose, from_eigensystem
+from entcesaro.spectral import FRAME_TOL, Phase, SpectralDecomposition, decompose, from_eigensystem, random_system
 
 from conftest import _class_blocks, block_tuple_chains, brute_force_mean, invariant_system, phase_sum, random_ops
 
@@ -106,6 +106,21 @@ class TestMakeSystem:
         t = 0.5 * np.outer(basis[:, 0], basis[:, 0].conj()) + 0.5 * np.outer(basis[:, 1], basis[:, 1].conj())
         system = make_system(u, t, dec=dec)
         np.testing.assert_array_equal(system.density, t)
+
+    def test_a_given_decomposition_gets_every_constructor_check(self):
+        u, dec, omega, _ = invariant_system(7, 4)
+        with pytest.raises(ValueError, match="^unitary has dimension 4, expected 3$"):
+            make_system(u, omega, dec=random_system(1, 3)[1])
+        with pytest.raises(ValueError, match="^decomposition fails reconstruction check"):
+            make_system(u, omega, dec=invariant_system(8, 4)[1])
+        # Scaled by sqrt(1 + r), the frame has ||W*W - I|| = r and reconstructs U within r.
+        for factor, passes in ((0.9, True), (1.1, False)):
+            scaled = SpectralDecomposition(dec.spectrum, dec.frame * np.sqrt(1.0 + factor * FRAME_TOL), dec.blocks)
+            if passes:
+                assert make_system(u, omega, dec=scaled).dec is scaled
+            else:
+                with pytest.raises(ValueError, match="^decomposition fails frame orthonormality check"):
+                    make_system(u, omega, dec=scaled)
 
     def test_state_invariance_under_conjugation(self):
         u, dec, omega, _ = invariant_system(7, 4)

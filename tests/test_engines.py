@@ -183,8 +183,7 @@ def _lines_only(phases, tol: float = 1e-8) -> SpectralDecomposition:
     """A decomposition with one line per entry of ``phases`` on the standard basis, built without
     validation, so that equal or clustered phases stay separate lines."""
     eye = np.eye(len(phases))
-    return SpectralDecomposition(len(phases), _summands_of(phases), eye, np.arange(len(phases)), 0.0,
-                                 Tolerances(resonance=tol))
+    return SpectralDecomposition(_summands_of(phases), eye, np.arange(len(phases)), Tolerances(resonance=tol))
 
 
 class TestPhaseSumTables:
@@ -1419,8 +1418,7 @@ class TestSpectralRecord:
         ops = random_ops(np.random.default_rng(4), 3, 4)
         limit_operator(dec, P1212, ops)
         assert {"_pair_sums", "_frame_h", "_column_pairs", "_resonance"} <= set(vars(dec))
-        copy = SpectralDecomposition(dec.dim, dec.spectrum, dec.frame, dec.blocks, dec.source_unitarity,
-                                     Tolerances(resonance=1e-6))
+        copy = SpectralDecomposition(dec.spectrum, dec.frame, dec.blocks, Tolerances(resonance=1e-6))
         assert not {"phases", "entries", "_pair_sums", "_frame_h", "_column_pairs", "_resonance"} & set(vars(copy))
         _, at_tolerance = random_system(4, 4, "haar", tol=Tolerances(resonance=1e-6))
         np.testing.assert_array_equal(limit_operator(copy, P1212, ops), limit_operator(at_tolerance, P1212, ops))

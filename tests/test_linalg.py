@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entcesaro.linalg import (
+    _unitarity_residual,
     as_operator,
     as_vector,
     frobenius_norm,
@@ -86,8 +87,8 @@ def test_haar_unitary_is_unitary_and_seeded():
     u2 = haar_unitary(np.random.default_rng(5), 6)
     assert np.array_equal(u1, u2)
     assert operator_norm(u1.conj().T @ u1 - np.eye(6)) <= 1e-12
-    arr, residual = require_unitary(u1, 1e-10)
-    assert arr is u1 and residual == np.linalg.norm(u1.conj().T @ u1 - np.eye(6))
+    assert require_unitary(u1, 1e-10) is u1
+    assert _unitarity_residual(u1, 1e-10) == np.linalg.norm(u1.conj().T @ u1 - np.eye(6))
 
 
 def test_require_unitary_rejects():
@@ -98,7 +99,7 @@ def test_require_unitary_rejects():
     u = haar_unitary(np.random.default_rng(5), 4) * np.sqrt(1.0 + 0.9e-10)
     residual = u.conj().T @ u - np.eye(4)
     assert np.linalg.norm(residual) > 1e-10
-    assert require_unitary(u, 1e-10)[1] == np.linalg.norm(residual, 2)
+    assert require_unitary(u, 1e-10) is u and _unitarity_residual(u, 1e-10) == np.linalg.norm(residual, 2)
     with pytest.raises(ValueError, match="eigenbasis fails unitarity"):
         require_unitary(u, 0.5e-10, name="eigenbasis")
 

@@ -135,6 +135,15 @@ def test_enumeration_guards():
         enumerate_pair_partitions(7)
 
 
+def test_enumeration_reads_k_as_a_label_is_read():
+    # Any integer but a bool, a numpy integer included, as ``Partition`` reads its labels.
+    assert enumerate_pair_partitions(np.int64(2)) == enumerate_pair_partitions(2)
+    assert len(enumerate_pair_partitions(np.int64(2))) == 3
+    for k in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {re.escape(repr(k))}$"):
+            enumerate_pair_partitions(k)
+
+
 def test_remove_last_class_examples():
     assert remove_last_class(parse_partition("1,2,2,1")) == (Partition((1, 1)), 2)
     assert remove_last_class(parse_partition("1,2,1,2")) == (Partition((1, 1)), 2)

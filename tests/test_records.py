@@ -27,7 +27,7 @@ from conftest import random_ops
 EYE = np.eye(2, dtype=complex)
 P1212 = Partition((1, 2, 1, 2))
 SUMS = PhaseSums(np.array([0.0, 0.5]), np.zeros(2, dtype=bool), np.zeros(2, dtype=object), 1)
-DEC = SpectralDecomposition(2, SUMS, EYE, np.arange(2), 0.0)
+DEC = SpectralDecomposition(SUMS, EYE, np.arange(2))
 ROW_FIELDS = {"N": 10, "error_op": 0.1, "error_frob": 0.2, "certified_bound": 0.3, "engine": "spectral",
               "seconds": 0.0}
 ROW = ReportRow(**ROW_FIELDS)
@@ -41,8 +41,7 @@ RECORDS = {
     "PhaseSums": (PhaseSums, {"turns": SUMS.turns, "exact": SUMS.exact, "numerators": SUMS.numerators,
                               "denominator": 1}, {}),
     "SpectralLine": (SpectralLine, {"phase": Phase(0.5), "basis": EYE[:, 1:]}, {}),
-    "SpectralDecomposition": (SpectralDecomposition, {"dim": 2, "spectrum": SUMS, "frame": EYE,
-                                                      "blocks": DEC.blocks, "source_unitarity": 0.0},
+    "SpectralDecomposition": (SpectralDecomposition, {"spectrum": SUMS, "frame": EYE, "blocks": DEC.blocks},
                               {"tolerances": Tolerances()}),
     "_Resonance": (_Resonance, {"table": np.zeros((2, 2)), "partners": (None, None), "gap": 1.0, "one": None}, {}),
     "CesaroResult": (CesaroResult, {"matrix": EYE, "engine": "direct", "N": 3, "elapsed": 0.5}, {}),
@@ -94,7 +93,7 @@ def test_value_records_compare_and_hash_by_class_and_fields(make, other):
 
 
 def test_records_without_value_equality_compare_by_identity():
-    twin = SpectralDecomposition(DEC.dim, DEC.spectrum, DEC.frame, DEC.blocks, DEC.source_unitarity)
+    twin = SpectralDecomposition(DEC.spectrum, DEC.frame, DEC.blocks)
     assert DEC == DEC and DEC != twin and len({DEC, twin, SUMS}) == 3
 
 

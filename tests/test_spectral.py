@@ -226,16 +226,44 @@ class TestValidateGates:
         u = self._scaled_basis(4, 0.9 * tol.unitarity)
         residual = u.conj().T @ u - np.eye(4)
         assert np.linalg.norm(residual) > tol.unitarity
-        assert decompose(u, tol).source_unitarity == np.linalg.norm(residual, 2)
+        assert decomposition_residuals(decompose(u, tol), u)["unitarity"] == np.linalg.norm(residual, 2)
 
-    def test_source_unitarity_is_the_gate_value(self):
+    def test_reported_unitarity_is_the_gate_value(self):
         u = haar_unitary(np.random.default_rng(8), 6)
-        residual = np.linalg.norm(u.conj().T @ u - np.eye(6))
-        assert decompose(u).source_unitarity == residual >= np.linalg.norm(u.conj().T @ u - np.eye(6), 2)
+        residual = u.conj().T @ u - np.eye(6)
+        reported = decomposition_residuals(decompose(u), u)["unitarity"]
+        assert reported == np.linalg.norm(residual) >= np.linalg.norm(residual, 2)
 
-    def test_source_unitarity_does_not_depend_on_the_constructor(self):
+    def test_reported_unitarity_does_not_depend_on_the_constructor(self):
         u, dec = random_system(2, 6, "rational", 5)
-        assert dec.source_unitarity == decompose(u).source_unitarity == np.linalg.norm(u.conj().T @ u - np.eye(6))
+        residual = np.linalg.norm(u.conj().T @ u - np.eye(6))
+        reported = [decomposition_residuals(d, u)["unitarity"] for d in (dec, decompose(u))]
+        assert reported == [residual, residual]
+
+    def test_residuals_are_measured_on_the_unitary_given(self):
+        u, dec = random_system(2, 4, "rational", 5)
+        v = 1.3 * u
+        residual = v.conj().T @ v - np.eye(4)
+        res = decomposition_residuals(dec, v)
+        assert res["unitarity"] == np.linalg.norm(residual, 2)  # above the tolerance, the operator norm decides
+        assert res["reconstruction"] == operator_norm(reconstruct(dec) - v)
+        assert res["frame"] == decomposition_residuals(dec, u)["frame"]
+        with pytest.raises(ValueError, match="^unitary has dimension 3, expected 4$"):
+            decomposition_residuals(dec, np.eye(3))
+
+    def test_a_decomposition_holds_only_spectral_data(self, monkeypatch):
+        built = []
+
+        class Counted(spectral.SpectralDecomposition):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(spectral, "SpectralDecomposition", Counted)
+        u, dec = random_system(2, 4, "rational", 5)
+        assert built == [dec]  # from_eigensystem builds one record
+        assert Counted._fields == ("spectrum", "frame", "blocks", "tolerances")
+        assert dec.dim == dec.frame.shape[0] == 4
 
     @pytest.mark.parametrize("factor, passed", [(1.1, False), (0.9, True)])
     def test_verify_checks_the_frame_against_its_tolerance(self, monkeypatch, factor, passed):
@@ -247,8 +275,8 @@ class TestValidateGates:
         u, dec = scenario.system()
         # Built directly, so no construction gate runs: scaled by sqrt(1 + r), the frame has
         # ||W*W - I|| = r, and its reconstruction residual r stays within RECONSTRUCTION_TOL.
-        scaled = spectral.SpectralDecomposition(dec.dim, dec.spectrum, dec.frame * np.sqrt(1.0 + factor * FRAME_TOL),
-                                                dec.blocks, dec.source_unitarity, dec.tolerances)
+        scaled = spectral.SpectralDecomposition(dec.spectrum, dec.frame * np.sqrt(1.0 + factor * FRAME_TOL),
+                                                dec.blocks, dec.tolerances)
         monkeypatch.setattr(scenario, "system", lambda: (u, scaled))
         checks = {check.name: check for check in run_invariant_suite(scenario)}
         assert checks["frame orthonormality"].passed is passed
@@ -638,7 +666,7 @@ class TestRandomSystem:
 
     def test_haar_unitarity(self):
         u, dec = random_system(7, 4, "haar")
-        assert dec.source_unitarity <= 1e-12
+        assert decomposition_residuals(dec, u)["unitarity"] <= 1e-12
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -647,6 +675,16 @@ class TestRandomSystem:
             random_system(0, 65)
         with pytest.raises(ValueError):
             random_system(0, 3, "bogus")
+
+    @pytest.mark.parametrize("d", [2.5, True, "3"])
+    def test_a_dimension_that_is_not_an_integer_is_refused_naming_it(self, d):
+        with pytest.raises(ValueError, match=f"^dimension must be an integer, got {re.escape(repr(d))}$"):
+            random_system(1, d)
+
+    def test_a_numpy_integer_dimension_is_read_as_its_int(self):
+        u, dec = random_system(1, np.int64(3))
+        np.testing.assert_array_equal(u, random_system(1, 3)[0])
+        assert dec.dim == 3
 
 
 def test_tolerances_validation():
@@ -662,8 +700,17 @@ def test_tolerances_validation():
 def test_a_tolerance_that_is_not_finite_is_refused_naming_it(name):
     # An infinite cluster tolerance would merge every phase into one empty cluster, and an infinite
     # unitarity tolerance would switch the unitarity gate off.
-    with pytest.raises(ValueError, match=f"^tolerance {name} must be positive and finite$"):
+    with pytest.raises(ValueError, match=f"^tolerance {name} must be positive and finite, got inf$"):
         Tolerances(**{name: math.inf})
+
+
+@pytest.mark.parametrize("name", ["unitarity", "cluster", "resonance"])
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_a_bool_tolerance_is_refused_naming_it(name, value):
+    # True is 1: a unitarity tolerance of True would pass residuals up to 1, such as 0.69 for 1.3 I.
+    message = f"^tolerance {name} must be positive and finite, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        Tolerances(**{name: value})
 
 
 def test_from_eigensystem_requires_matching_lengths():
