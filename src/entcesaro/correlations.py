@@ -18,7 +18,8 @@ import numpy as np
 
 from ._record import Record
 from .engines import _check_horizon, _check_partition, _differences, cesaro_spectral, limit_operator
-from .linalg import ROUNDING_TOL, _gamma, _gated_norm, _unit_scale, as_operator, as_vector, operator_norm, rounding_gap
+from .linalg import (ROUNDING_TOL, _gamma, _gated_norm, _integer, _unit_scale, as_operator, as_vector, operator_norm,
+                     rounding_gap)
 from .partitions import Partition
 from .spectral import FRAME_TOL, SpectralDecomposition, _validate, decompose, invariant_projection
 
@@ -128,9 +129,10 @@ def correlation_term(sys: DynamicalSystem, spec: CorrelationSpec, n) -> complex:
     n = list(n)
     if len(n) != p.k:
         raise ValueError(f"need {p.k} exponents, got {len(n)}")
-    if any(not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0 for v in n):
-        raise ValueError(f"exponents must be nonnegative integers, got {n!r}")
-    n = [int(v) for v in n]
+    message = f"exponents must be nonnegative integers, got {n!r}"
+    n = [_integer(v, message) for v in n]
+    if any(v < 0 for v in n):
+        raise ValueError(message)
     u = sys.unitary
     u_star = u.conj().T
 

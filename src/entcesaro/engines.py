@@ -8,7 +8,8 @@ over a pair partition a of {1..m}, m = 2k.  Three engines compute it:
 
 * ``cesaro_direct``    walks the power table of U and contracts the sum
   slot by slot, left to right (cost grows with N); ``_power_sum`` sums a pair
-  on adjacent slots into one d x d factor, which holds no index axis.
+  on adjacent slots into one d x d factor, which holds no index axis, from
+  powers it keeps unitary.
 * ``cesaro_spectral``  inserts U = sum_b z_b E_b at every slot: a sum over
   block tuples t of prod_classes K_N(class phase sum) E_t1 A_1 ... E_tm,
   K_N the Cesaro kernel.  In the eigenframe W each E_b is a diagonal mask,
@@ -65,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _gamma, as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
+from .linalg import _gamma, _integer, as_operator, as_vector, frobenius_norm, operator_norm, require_unitary
 from .partitions import Partition, is_crossing, render_partition
 from .spectral import (
     FRAME_TOL,
@@ -129,11 +130,12 @@ class ConvergenceReport(NamedTuple):
     spectral_gap: float
 
 
-def _check_horizon(n) -> int:
-    # The kernels take N to a float, so N must lie within the float range.
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= sys.float_info.max:
-        raise ValueError(f"horizon N must be a positive integer no larger than the largest float, got {n!r}")
-    return int(n)
+def _check_horizon(n, message: str = "") -> int:
+    """``n`` as an integer (``_integer``) in [1, largest float], which the kernels take N to; else ``ValueError``."""
+    message = message or f"horizon N must be a positive integer no larger than the largest float, got {n!r}"
+    if not 1 <= (n := _integer(n, message)) <= sys.float_info.max:
+        raise ValueError(message)
+    return n
 
 
 def _check_partition(p) -> Partition:
@@ -174,25 +176,37 @@ def kernel(phase: Phase, N) -> complex:
 
 
 def mean_ergodic(u, N) -> np.ndarray:
-    """(1/N) sum_{n<N} U^n, evaluated by binary splitting of the sum; U is gated at ``Tolerances().unitarity``."""
+    """(1/N) sum_{n<N} U^n, evaluated by binary splitting of the sum (``_power_sum``), whose powers stay unitary
+    at any N; U is gated at ``Tolerances().unitarity``.  Its phases are read from its float entries, so from
+    N ~ 10^15 the part of the mean that decays is as large as its error."""
     arr = require_unitary(u, Tolerances().unitarity)
     N = _check_horizon(N)
     eye = np.eye(arr.shape[0], dtype=np.complex128)
     return _power_sum(arr, eye, eye, N) / N
 
 
+def _unitarised(x: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step X (3I - X*X) / 2 toward the unitary polar factor of X (Higham, *Functions of
+    Matrices*, ch. 8): for X unitary up to e it is unitary up to about e^2 + eps.  Exact on the identity."""
+    return 1.5 * x - 0.5 * (x @ (x.conj().T @ x))
+
+
 def _power_sum(left: np.ndarray, mid: np.ndarray, right: np.ndarray, N: int) -> np.ndarray:
-    """sum_{n<N} left^n mid right^n by binary splitting: the sum over n < 2c is the sum over n < c plus
-    left^c times it times right^c, and a set bit of N then adds the term n = 2c.  A sum that is not
-    finite (powers that overflow) raises ``ValueError``."""
+    """sum_{n<N} left^n mid right^n for unitary ``left`` and ``right``, by binary splitting: the sum over
+    n < 2c is the sum over n < c plus left^c times it times right^c, and a set bit of N then adds the term
+    n = 2c.  Each power formed takes one ``_unitarised`` step, so its unitarity residual stays at rounding
+    size at any N (its phases still carry about c eps of rounding), and the powers are formed once when
+    ``right`` is ``left``.  A sum that is not finite (an operator whose sum overflows) raises ``ValueError``."""
     total, power_l, power_r = mid, left, right  # the sum over n < 1, and the powers c = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for bit in bin(N)[3:]:
             total = total + power_l @ total @ power_r
-            power_l, power_r = power_l @ power_l, power_r @ power_r
+            power_l = _unitarised(power_l @ power_l)
+            power_r = power_l if right is left else _unitarised(power_r @ power_r)
             if bit == "1":
                 total = total + power_l @ mid @ power_r
-                power_l, power_r = power_l @ left, power_r @ right
+                power_l = _unitarised(power_l @ left)
+                power_r = power_l if right is left else _unitarised(power_r @ right)
     if not np.isfinite(total).all():
         raise ValueError(f"the power sum at horizon N={N:.6e} is not finite")
     return total
@@ -276,7 +290,10 @@ def cesaro_direct(u, p: Partition, ops, N) -> CesaroResult:
     The sum over index tuples is contracted slot by slot: each class opens an
     axis of size N at its first slot and is summed out at its last slot.  A
     pair on adjacent slots opens none: the doubling loop ``_power_sum`` sums its
-    sum_n U^n A U^n into one d x d factor from U alone.  The contraction path is
+    sum_n U^n A U^n into one d x d factor from U alone, at any N; it assumes U
+    unitary and keeps each power it forms unitary.  U's phases are read from
+    its float entries, so from N ~ 10^15 a pair whose phases resonate only to
+    rounding no longer averages to its limit.  The contraction path is
     fixed per partition (``_direct_plan``), and each step is one matrix product,
     broadcast over the open axes, so results are reproducible bit for bit.  The
     power table is built only when some class opens an axis.

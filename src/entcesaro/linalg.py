@@ -1,8 +1,10 @@
-"""Dense complex matrix helpers: norms, the rounding tolerance, the unitarity gate, random matrices."""
+"""Dense complex matrix helpers: norms, the rounding tolerance, the unitarity gate, random matrices, input readers."""
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -19,6 +21,20 @@ __all__ = [
     "haar_unitary",
     "gaussian_operator",
 ]
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as an int: any integer (one with ``__index__``, numpy's too) but a bool; else ``ValueError``."""
+    if type(value) is not int and (isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__")):
+        raise ValueError(message)
+    return int(value)
+
+
+def _positive(value, message: str) -> float:
+    """``value`` as a float if it is a real number but a bool in (0, largest float]; else ``ValueError(message)``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= sys.float_info.max:
+        raise ValueError(message)
+    return float(value)
 
 
 def as_operator(a, dim: int | None = None, name: str = "operator") -> np.ndarray:
@@ -127,7 +143,8 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def gaussian_operator(rng: np.random.Generator, d: int, op_norm: float) -> np.ndarray:
-    """Complex Gaussian matrix rescaled to the operator norm ``op_norm``."""
+    """Complex Gaussian matrix rescaled to the operator norm ``op_norm``, a positive number (``_positive``)."""
+    op_norm = _positive(op_norm, f"operator norm must be a positive finite number, got {op_norm!r}")
     a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0 * d)
     current = operator_norm(a)
     if current == 0.0:

@@ -9,9 +9,8 @@ by construction.
 
 from __future__ import annotations
 
-import operator
-
 from ._record import ValueRecord
+from .linalg import _integer
 
 __all__ = [
     "Partition",
@@ -27,15 +26,13 @@ ENUMERATION_MAX_K = 6  # (2k-1)!! = 10395 at k=6; larger sweeps are not useful a
 
 
 def _labels(labels) -> tuple[int, ...]:
-    """``labels`` as a tuple of positive Python ints; a label may be any integer but a bool, such as a numpy
-    integer (one with ``__index__``).  A tuple of Python ints is returned as it is."""
-    labels = tuple(labels)
+    """``labels`` as a tuple of positive ints, each read by ``linalg._integer``; a tuple of Python ints is kept."""
+    labels, read = tuple(labels), []
     for pos, lab in enumerate(labels, start=1):
-        if isinstance(lab, bool) or not hasattr(lab, "__index__"):
-            raise ValueError(f"label at position {pos} is not an integer: {lab!r}")
-        if lab < 1:
+        read.append(_integer(lab, f"label at position {pos} is not an integer: {lab!r}"))
+        if read[-1] < 1:
             raise ValueError(f"label at position {pos} must be positive, got {lab}")
-    return labels if all(type(lab) is int for lab in labels) else tuple(map(operator.index, labels))
+    return labels if all(a is b for a, b in zip(read, labels)) else tuple(read)
 
 
 class Partition(ValueRecord):
@@ -139,8 +136,9 @@ def _matchings(positions: tuple[int, ...]):
 
 def enumerate_pair_partitions(k: int) -> list[Partition]:
     """All canonical pair partitions of {1,...,2k}, lexicographically ordered; ``k`` is an integer as a label is."""
-    if isinstance(k, bool) or not hasattr(k, "__index__") or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    message = f"k must be a positive integer, got {k!r}"
+    if _integer(k, message) < 1:
+        raise ValueError(message)
     if k > ENUMERATION_MAX_K:
         raise ValueError(f"k={k} exceeds the enumeration cap {ENUMERATION_MAX_K}")
     out = []

@@ -21,13 +21,12 @@ Example::
 from __future__ import annotations
 
 import json
-import sys
 import zlib
 
 import numpy as np
 
-from .engines import _engine
-from .linalg import gaussian_operator
+from .engines import _check_horizon, _engine
+from .linalg import _integer, _positive, gaussian_operator
 from .partitions import canonicalize
 from .spectral import (
     Phase,
@@ -78,16 +77,14 @@ class Scenario:
         except ValueError as exc:
             raise _fail(str(exc)) from exc
 
-        horizons = raw.get("Ns", [])
-        if not isinstance(horizons, list) or not all(_is_int(n) and 1 <= n <= sys.float_info.max for n in horizons):
-            raise _fail("'Ns' must be a list of positive integers within the float range")
-        if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        horizons, message = raw.get("Ns", []), "'Ns' must be a list of positive integers within the float range"
+        if not isinstance(horizons, list):
+            raise _fail(message)
+        self.horizons = [_read(_check_horizon, n, message) for n in horizons]
+        if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             raise _fail("'Ns' must be strictly increasing")
-        self.horizons = list(horizons)
 
-        self.seed = raw.get("seed", 0)
-        if not _is_int(self.seed):
-            raise _fail("'seed' must be an integer")
+        self.seed = _read(_integer, raw.get("seed", 0), "'seed' must be an integer")
 
         self.out = raw.get("out")
         if self.out is not None and not isinstance(self.out, str):
@@ -138,14 +135,18 @@ def _fail(msg: str) -> ScenarioError:
     return ScenarioError(f"malformed scenario: {msg}")
 
 
-def _is_int(value) -> bool:
-    """JSON integer: ``bool`` is an ``int`` subclass but never a count or seed."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _read(reader, value, message: str):
+    """``reader(value, message)``, its ``ValueError`` raised as ``_fail(message)``."""
+    try:
+        return reader(value, message)
+    except ValueError:
+        raise _fail(message) from None
 
 
 def _seed(value, what: str):
-    if value is not None and (not _is_int(value) or value < 0):
-        raise _fail(f"{what} 'seed' must be a non-negative integer")
+    message = f"{what} 'seed' must be a non-negative integer"
+    if value is not None and _read(_integer, value, message) < 0:
+        raise _fail(message)
     return value
 
 
@@ -162,14 +163,6 @@ def _numbers(value, message: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):  # ragged lists; an integer beyond the float range
         pass
     raise _fail(message)
-
-
-def _positive(value, message: str) -> float:
-    """One JSON number in (0, largest float]; anything else is ``_fail(message)``."""
-    number = _numbers(value, message)
-    if number.ndim or not number > 0:
-        raise _fail(message)
-    return float(number)
 
 
 def _matrix_from_spec(spec: dict, what: str) -> np.ndarray:
@@ -209,13 +202,11 @@ def _build_unitary(spec, tol: Tolerances, seed: int):
             u = _matrix_from_spec(spec, "unitary")
             return u, decompose(u, tol)
         if kind == "random":
-            dim = spec.get("dim")
-            if not _is_int(dim) or dim < 1:
-                raise _fail("'random' unitary needs a positive integer 'dim'")
+            dim, message = spec.get("dim"), "'random' unitary needs a positive integer 'dim'"
+            if _read(_integer, dim, message) < 1:
+                raise _fail(message)
             mode = spec.get("phaseMode", "haar")
-            max_den = spec.get("maxDenominator", 8)
-            if not _is_int(max_den):
-                raise _fail("'maxDenominator' must be an integer")
+            max_den = _read(_integer, spec.get("maxDenominator", 8), "'maxDenominator' must be an integer")
             u_seed = _seed(spec.get("seed"), "unitary")
             return random_system(u_seed if u_seed is not None else rng_for(seed, "unitary"), dim, mode, max_den, tol)
     except ScenarioError:
@@ -239,7 +230,7 @@ def _build_operator(spec, dim: int, seed: int, index: int) -> np.ndarray:
     if kind == "random":
         op_seed = _seed(spec.get("seed"), f"operator {index}")
         rng = np.random.default_rng(op_seed) if op_seed is not None else rng_for(seed, "operator", index)
-        norm = _positive(spec.get("norm", 1.0), f"operator {index} 'norm' must be a positive finite number")
+        norm = _read(_positive, spec.get("norm", 1.0), f"operator {index} 'norm' must be a positive finite number")
         return gaussian_operator(rng, dim, op_norm=norm)
     raise _fail(f"unknown operator kind {kind!r}")
 
@@ -279,7 +270,7 @@ def _parse_tolerances(spec) -> Tolerances:
     unknown = set(spec) - set(Tolerances._fields)
     if unknown:
         raise _fail(f"unknown tolerance keys {sorted(unknown)}")
-    return Tolerances(**{key: _positive(spec[key], f"tolerance {key!r} must be a positive finite number")
+    return Tolerances(**{key: _read(_positive, spec[key], f"tolerance {key!r} must be a positive finite number")
                          for key in Tolerances._fields if key in spec})
 
 

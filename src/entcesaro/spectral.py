@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .linalg import (_gated_norm, _unitarity_residual, as_operator, frobenius_norm, haar_unitary, operator_norm,
-                     require_unitary)
+from .linalg import (_gated_norm, _integer, _positive, _unitarity_residual, as_operator, frobenius_norm, haar_unitary,
+                     operator_norm, require_unitary)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -194,15 +194,13 @@ def _pairs_of(summands: PhaseSums) -> PhaseSums:
 
 
 class Tolerances(ValueRecord):
-    """Tolerance policy for decomposition and resonance decisions."""
+    """Tolerance policy for decomposition and resonance decisions: positive numbers (``linalg._positive``)."""
 
     _fields = ("unitarity", "cluster", "resonance")
 
     def __init__(self, unitarity: float = 1e-10, cluster: float = 1e-8, resonance: float = 1e-8):
-        for name, value in zip(self._fields, (unitarity, cluster, resonance)):
-            if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:  # NaN included
-                raise ValueError(f"tolerance {name} must be positive and finite, got {value!r}")
-        self.__dict__.update(unitarity=unitarity, cluster=cluster, resonance=resonance)
+        self.__dict__.update({name: _positive(value, f"tolerance {name} must be positive and finite, got {value!r}")
+                              for name, value in zip(self._fields, (unitarity, cluster, resonance))})
 
 
 class SpectralLine(NamedTuple):
@@ -498,16 +496,14 @@ def random_system(
     ``max_denominator`` and a Haar-like eigenbasis, so every resonance among
     the phases is exact.
     """
-    if isinstance(d, bool) or not hasattr(d, "__index__"):  # as ``partitions`` reads a label
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    if not 1 <= d <= MAX_RANDOM_DIM:
+    if not 1 <= (d := _integer(d, f"dimension must be an integer, got {d!r}")) <= MAX_RANDOM_DIM:
         raise ValueError(f"dimension {d} outside supported range 1..{MAX_RANDOM_DIM}")
     rng = np.random.default_rng(seed)
     if phase_mode == "haar":
         u = haar_unitary(rng, d)
         return u, decompose(u, tol)
     if phase_mode == "rational":
-        if max_denominator < 1:
+        if _integer(max_denominator, f"max_denominator must be an integer, got {max_denominator!r}") < 1:
             raise ValueError("max_denominator must be >= 1")
         from fractions import Fraction
 

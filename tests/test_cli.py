@@ -13,7 +13,8 @@ import entcesaro
 from entcesaro import cli, correlations
 from entcesaro.__main__ import BROKEN_PIPE_EXIT
 from entcesaro.cli import main, report_csv, CSV_HEADER
-from entcesaro.engines import ConvergenceReport, ReportRow, convergence_report
+from entcesaro.engines import ENGINES, ConvergenceReport, ReportRow, convergence_report
+from entcesaro.linalg import ROUNDING_TOL, rounding_gap
 from entcesaro.partitions import enumerate_pair_partitions, render_partition
 from entcesaro.scenario import load_scenario
 
@@ -178,12 +179,26 @@ class TestExitCodes:
         assert means[0] == means[1]
 
     def test_a_power_sum_that_is_not_finite_is_one_error_line(self, tmp_path):
-        # The powers of a Haar U overflow by N = 10^20: one error line that names the horizon, and no warning.
-        path = write_scenario(tmp_path, {"unitary": {"kind": "random", "dim": 4, "seed": 3, "phaseMode": "haar"},
-                                         "partition": [1, 1], "operators": [{"kind": "random"}]})
+        # U = diag(1, -1) resonates with itself, so the pair sum of an operator of norm 1e300 grows like N and
+        # overflows by N = 10^20: one error line that names the horizon, and no warning.
+        path = write_scenario(tmp_path, {"unitary": {"kind": "diagonal-rational", "phases": ["0/1", "1/2"]},
+                                         "partition": [1, 1], "operators": [{"kind": "random", "norm": 1e300}]})
         result = run_module(["mean", "--engine", "direct", "--N", str(10**20), "--scenario", path])
         assert result.returncode == 1
         assert result.stderr == "error: the power sum at horizon N=1.000000e+20 is not finite\n"
+
+    def test_a_direct_mean_at_a_large_horizon_matches_the_spectral_one(self, tmp_path, capsys):
+        # The direct engine's doubling loop keeps its powers unitary: at N = 10^18 on this Haar scenario plain squaring
+        # printed operator norm 4.8e14 where the spectral mean is about 3e-18.
+        path = write_scenario(tmp_path, {"unitary": {"kind": "random", "dim": 4, "seed": 3},
+                                         "partition": [1, 1], "operators": [{"kind": "random"}]})
+        assert run_cli(["mean", "--engine", "direct", "--N", str(10**18), "--scenario", path]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].removeprefix("operator norm ")) < ROUNDING_TOL
+        scenario = load_scenario(path)
+        u, dec = scenario.system()
+        ops = scenario.operators(1)
+        means = [ENGINES[name](u, dec, scenario.partition, ops, 10**18).matrix for name in ("direct", "spectral")]
+        assert rounding_gap(*means, ops) <= ROUNDING_TOL
 
     # 0.7 + 3e-11 resonates with 0.3 but is not its exact conjugate; 1e-9 is within the resonance
     # tolerance of 1 but does not resonate with itself.  Neither system has a phase-1 line.

@@ -34,7 +34,8 @@ from entcesaro.engines import (
     mean_ergodic,
     spectral_gap,
 )
-from entcesaro.linalg import ROUNDING_TOL, bound_excess, frobenius_norm, haar_unitary, norm_product, operator_norm
+from entcesaro.linalg import (ROUNDING_TOL, bound_excess, frobenius_norm, gaussian_operator, haar_unitary, norm_product,
+                              operator_norm)
 from entcesaro.partitions import enumerate_pair_partitions, is_crossing, parse_partition, render_partition
 from entcesaro.spectral import (
     KERNEL_MEMO_HORIZONS,
@@ -341,15 +342,34 @@ class TestMeanErgodic:
         with pytest.raises(ValueError):
             mean_ergodic(np.diag([1.0, 2.0]), 5)
 
-    @pytest.mark.filterwarnings("error")
-    def test_a_sum_that_is_not_finite_is_refused_naming_the_horizon(self):
-        # Repeated squaring takes the powers of a Haar U off the unit circle, and they overflow by N = 10^20.
+    @pytest.mark.parametrize("n", [10**18, 10**100], ids=["1e18", "1e100"])
+    def test_powers_stay_unitary_at_any_horizon(self, n):
+        # Unitarised at each doubling, the powers of a Haar U stay on the unit circle: plain squaring gave a
+        # mean of norm 0.037 at N = 10^18 against a true 9.2e-18, and a sum that overflowed from N = 10^20.
+        # W diag(K_N) W* is the mean from the exact kernels of the decomposition's phases.
         u = haar_unitary(np.random.default_rng(3), 4)
-        with pytest.raises(ValueError, match=r"^the power sum at horizon N=1\.000000e\+20 is not finite$"):
-            mean_ergodic(u, 10**20)
+        dec = decompose(u)
+        exact = (dec.frame * dec.spectrum.kernels(n)[dec.blocks]) @ dec._frame_h
+        assert operator_norm(mean_ergodic(u, n) - exact) <= 1e-15
 
 
 class TestCesaroDirect:
+    @pytest.mark.filterwarnings("error")
+    def test_a_sum_that_is_not_finite_is_refused_naming_the_horizon(self):
+        # U = diag(1, -1) resonates with itself, so the pair sum grows like N; times an operator of norm 1e300
+        # it overflows by N = 10^20.
+        a = np.full((2, 2), 1e300, dtype=complex)
+        with pytest.raises(ValueError, match=r"^the power sum at horizon N=1\.000000e\+20 is not finite$"):
+            cesaro_direct(DIAG_PM, P11, [a], 10**20)
+
+    @pytest.mark.parametrize("n", [10**18, 10**30], ids=["1e18", "1e30"])
+    def test_an_adjacent_pair_at_a_large_horizon_matches_the_spectral_engine(self, n):
+        # The doubling loop's powers stay unitary: at N = 10^18 plain squaring put the direct mean 8.0e14 off the
+        # spectral one, and refused N = 10^30 as a sum that is not finite.
+        u, dec = random_system(3, 4)
+        a = [gaussian_operator(np.random.default_rng(3), 4, 1.0)]
+        gap = frobenius_norm(cesaro_direct(u, P11, a, n).matrix - cesaro_spectral(dec, P11, a, n).matrix)
+        assert gap <= ROUNDING_TOL * norm_product(a)
     def test_identity_dynamics_gives_plain_product(self, rng):
         ops = random_ops(rng, 3, 3)
         for p in (P1212, P1221):

@@ -1,7 +1,13 @@
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entcesaro.correlations import CorrelationSpec, correlation_term, make_system
+from entcesaro.engines import kernel
 from entcesaro.linalg import (
     _unitarity_residual,
     as_operator,
@@ -12,6 +18,9 @@ from entcesaro.linalg import (
     operator_norm,
     require_unitary,
 )
+from entcesaro.partitions import canonicalize, enumerate_pair_partitions, parse_partition
+from entcesaro.scenario import Scenario
+from entcesaro.spectral import Phase, Tolerances, random_system
 
 
 def test_operator_norm_matches_lapack_svd(rng):
@@ -125,3 +134,72 @@ def test_frobenius_norm_scales_exactly_by_powers_of_two(rng, exponent):
     else:
         assert scaled == frobenius_norm(a) * 2.0**exponent
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+
+def _scenario(unitary=None, operator=None, **top):
+    """A scenario object read from a Haar d=2 ``1,1`` scenario with the given fields, its system and operator built."""
+    scenario = Scenario({"unitary": {"kind": "random", "dim": 2, **(unitary or {})}, "partition": [1, 1],
+                         "operators": [{"kind": "random", **(operator or {})}], **top})
+    scenario.operators(1)
+    return scenario
+
+
+def _exponent(n):
+    system = make_system(np.diag([1.0, -1.0]).astype(complex), np.array([1.0, 0.0]))
+    return correlation_term(system, CorrelationSpec(parse_partition("1,1"), (np.eye(2),) * 3), [n])
+
+
+# Every integer a caller passes is read by one rule, ``linalg._integer``: each entry point, given the integer n,
+# takes it as a numpy integer and refuses a bool, numpy's bool, a float and a string with its own message.
+INTEGER_ENTRY_POINTS = {
+    "label": (lambda n: canonicalize([n, n]), 1, "label at position 1 is not an integer: {!r}"),
+    "k": (enumerate_pair_partitions, 2, "k must be a positive integer, got {!r}"),
+    "dimension": (lambda n: random_system(1, n), 3, "dimension must be an integer, got {!r}"),
+    "max_denominator": (lambda n: random_system(1, 3, "rational", n), 4,
+                        "max_denominator must be an integer, got {!r}"),
+    "horizon": (lambda n: kernel(Phase(Fraction(1, 4)), n), 3,
+                "horizon N must be a positive integer no larger than the largest float, got {!r}"),
+    "exponent": (_exponent, 3, "exponents must be nonnegative integers, got [{!r}]"),
+    "scenario Ns": (lambda n: _scenario(Ns=[n]), 10,
+                    "malformed scenario: 'Ns' must be a list of positive integers within the float range"),
+    "scenario seed": (lambda n: _scenario(seed=n), 3, "malformed scenario: 'seed' must be an integer"),
+    "scenario dim": (lambda n: _scenario(unitary={"dim": n}), 2,
+                     "malformed scenario: 'random' unitary needs a positive integer 'dim'"),
+    "scenario maxDenominator": (lambda n: _scenario(unitary={"phaseMode": "rational", "maxDenominator": n}), 4,
+                                "malformed scenario: 'maxDenominator' must be an integer"),
+    "scenario unitary seed": (lambda n: _scenario(unitary={"seed": n}), 5,
+                              "malformed scenario: unitary 'seed' must be a non-negative integer"),
+    "scenario operator seed": (lambda n: _scenario(operator={"seed": n}), 5,
+                               "malformed scenario: operator 0 'seed' must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("value", [np.int64, True, np.True_, 2.5, "3"],
+                         ids=["np.int64", "True", "np.True_", "2.5", "3"])
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_every_integer_is_read_by_one_rule(entry, value):
+    call, n, message = INTEGER_ENTRY_POINTS[entry]
+    if value is np.int64:
+        call(np.int64(n))
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+        call(value)
+
+
+# Every positive number a caller passes is read by one rule, ``linalg._positive``: a finite real above 0, never a
+# bool.  Each entry point takes a numpy float and a fraction, and refuses the rest with its own message.
+POSITIVE_ENTRY_POINTS = {
+    "tolerance": (lambda x: Tolerances(cluster=x).cluster, "tolerance cluster must be positive and finite, got {!r}"),
+    "operator norm": (lambda x: operator_norm(gaussian_operator(np.random.default_rng(1), 3, x)),
+                      "operator norm must be a positive finite number, got {!r}"),
+}
+
+
+@pytest.mark.parametrize("entry", POSITIVE_ENTRY_POINTS)
+def test_every_positive_number_is_read_by_one_rule(entry):
+    call, message = POSITIVE_ENTRY_POINTS[entry]
+    for value in (np.float64(0.5), Fraction(1, 2)):
+        assert call(value) == pytest.approx(0.5, rel=1e-12)
+    for value in ("x", None, 1j, -2.0, 0, math.inf, math.nan, True, np.True_, 10**400):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+            call(value)
